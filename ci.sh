@@ -48,6 +48,12 @@ for ex in quickstart kv_store ordered_index crash_recovery; do
     cargo run --release -q --example "$ex"
 done
 
+echo "==> repo benchmark smoke (oracle, validate() and recovered map on all four workloads)"
+# The end-to-end check: each BENCHMARK.json workload at 1/20 scale, with
+# every get compared with an oracle, validate() after every recovery and
+# the recovered map compared key by key. Exits non-zero on any mismatch.
+with_timeout 900 bash benchmark/run.sh --smoke >/dev/null
+
 echo "==> metrics smoke (quickstart --metrics-json + validation)"
 cargo run --release -q --example quickstart -- --metrics-json target/metrics-smoke.json
 ./target/release/metrics_check target/metrics-smoke.json

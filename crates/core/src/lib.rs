@@ -103,7 +103,7 @@ pub use obs::{
 };
 pub use op::{run_op, CommitEffects, OpGuard, OpStep, RestartFn};
 pub use persist_alloc::INVALID_EPOCH;
-pub use recovery::LiveBlock;
+pub use recovery::{live_keys_sorted, LiveBlock};
 pub use sampler::Sampler;
 pub use ticker::{EpochTicker, Persister};
 pub use watchdog::{Watchdog, WatchdogPolicy};

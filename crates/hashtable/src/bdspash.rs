@@ -403,7 +403,6 @@ impl BdSpash {
     /// * no key and no block appears twice.
     pub fn validate(&self) -> Result<(), String> {
         use persist_alloc::BlockState;
-        use std::collections::HashSet;
         let heap = self.esys.heap();
         let clock = self.esys.current_epoch();
         let dir = self.dir.read();
@@ -415,8 +414,7 @@ impl BdSpash {
                 dir.global_depth
             ));
         }
-        let mut keys: HashSet<u64> = HashSet::new();
-        let mut blocks: HashSet<u64> = HashSet::new();
+        let mut entries: Vec<(u64, u64)> = Vec::new(); // (key, block)
         for (e, seg) in dir.segments.iter().enumerate() {
             if seg.local_depth > dir.global_depth {
                 return Err(format!(
@@ -475,12 +473,18 @@ impl BdSpash {
                         Self::bucket_of(h)
                     ));
                 }
-                if !keys.insert(key) {
-                    return Err(format!("key {key} present twice"));
-                }
-                if !blocks.insert(raw) {
-                    return Err(format!("block {blk:?} referenced twice"));
-                }
+                entries.push((key, raw));
+            }
+        }
+        // Duplicates, by sorting: equal keys end up adjacent, and since a
+        // block holds one key so do two references to one block.
+        entries.sort_unstable();
+        for w in entries.windows(2) {
+            if w[0].1 == w[1].1 {
+                return Err(format!("block {:?} referenced twice", NvmAddr(w[0].1)));
+            }
+            if w[0].0 == w[1].0 {
+                return Err(format!("key {} present twice", w[0].0));
             }
         }
         Ok(())

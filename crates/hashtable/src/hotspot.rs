@@ -48,7 +48,7 @@ impl HotspotDetector {
         if self.ticks.fetch_add(1, Ordering::Relaxed) % self.age_every == self.age_every - 1 {
             self.age();
         }
-        v + 1 >= self.threshold
+        v.saturating_add(1) >= self.threshold
     }
 
     /// Whether the key is currently considered hot (no recording).
@@ -83,6 +83,16 @@ mod tests {
         assert!(!d.is_hot(h));
         d.touch(h);
         assert!(d.is_hot(h));
+    }
+
+    #[test]
+    fn saturated_counter_stays_hot() {
+        // `v + 1` on a counter pinned at u8::MAX used to overflow: a panic
+        // in debug builds, "cold" in release. No aging pass in 300 touches.
+        let d = HotspotDetector::new(64, 4);
+        let hot = (0..300).map(|_| d.touch(0xABCD)).filter(|&h| h).count();
+        assert_eq!(hot, 297, "hot from the fourth touch on");
+        assert!(d.is_hot(0xABCD));
     }
 
     #[test]

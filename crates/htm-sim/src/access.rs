@@ -4,9 +4,11 @@
 //! The paper's Listing 1 duplicates its logic between the transactional
 //! path and the "fallback path similar to lines 20–36". We instead let a
 //! structure express its operation once against `dyn MemAccess`, which is
-//! implemented by [`Txn`] (speculative) and [`LockedAccess`] (direct access
+//! implemented by [`Txn`] (speculative), [`LockedAccess`] (direct access
 //! under the [`FallbackLock`](crate::FallbackLock), with versioned stores
-//! so concurrent transactions still detect the holder's writes).
+//! so concurrent transactions still detect the holder's writes) and
+//! [`PlainAccess`] (plain loads and stores, for memory no other thread
+//! can reach).
 
 use crate::htm::Htm;
 use crate::txn::{Abort, TxResult, Txn};
@@ -97,6 +99,44 @@ impl<'env> MemAccess<'env> for LockedAccess<'env> {
     #[inline]
     fn abort(&mut self, code: u8) -> Abort {
         self.explicit_code = Some(code);
+        Abort
+    }
+
+    fn is_txn(&self) -> bool {
+        false
+    }
+}
+
+/// Plain loads and stores with no conflict detection at all: the access
+/// mode for memory **no other thread can reach** — an index that post-crash
+/// recovery is still building (it is a local of `recover` until that
+/// returns; handing it to other threads is the caller's `Arc`/spawn edge,
+/// which orders every store made here before their first access), or a
+/// structure its caller holds quiescent for `validate()`.
+///
+/// Stores touch neither the stripe table nor the global clock, so a
+/// transaction running concurrently on the same words would *not* see
+/// them as conflicts: exclusivity is the caller's obligation, and it is
+/// what makes `Relaxed` sufficient here.
+pub struct PlainAccess;
+
+impl<'env> MemAccess<'env> for PlainAccess {
+    #[inline]
+    fn load(&mut self, cell: &'env AtomicU64) -> TxResult<u64> {
+        Ok(cell.load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn store(&mut self, cell: &'env AtomicU64, val: u64) -> TxResult<()> {
+        cell.store(val, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// There is no retry loop to report a code to: the `Err` goes straight
+    /// back to the caller, who has made no store yet (the rule every body
+    /// written against `MemAccess` already follows for the fallback path).
+    #[inline]
+    fn abort(&mut self, _code: u8) -> Abort {
         Abort
     }
 

@@ -66,7 +66,7 @@ pub mod sync;
 mod tid;
 mod txn;
 
-pub use access::{LockedAccess, MemAccess};
+pub use access::{LockedAccess, MemAccess, PlainAccess};
 pub use config::HtmConfig;
 pub use fallback::FallbackLock;
 pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS};

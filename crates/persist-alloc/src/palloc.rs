@@ -56,6 +56,23 @@ pub struct PAlloc {
     data_base: u64,
 }
 
+/// Extent-table geometry `(table_base, n_extents, data_base)`, a pure
+/// function of the heap's capacity: the allocator and the recovery scan
+/// both derive it here.
+pub(crate) fn layout(heap: &NvmHeap) -> (u64, u64, u64) {
+    let table_base = heap.base().0;
+    let capacity = heap.capacity_words();
+    // Solve for the largest extent count whose table + data fit.
+    let mut n_extents = (capacity - table_base) / EXTENT_WORDS;
+    loop {
+        let data_base = (table_base + n_extents).next_multiple_of(EXTENT_WORDS);
+        if data_base + n_extents * EXTENT_WORDS <= capacity || n_extents == 0 {
+            return (table_base, n_extents, data_base);
+        }
+        n_extents -= 1;
+    }
+}
+
 impl PAlloc {
     /// Creates an allocator over a fresh (zeroed) heap.
     pub fn new(heap: Arc<NvmHeap>) -> Self {
@@ -63,18 +80,7 @@ impl PAlloc {
     }
 
     fn with_layout(heap: Arc<NvmHeap>) -> Self {
-        let table_base = heap.base().0;
-        let capacity = heap.capacity_words();
-        // Solve for the largest extent count whose table + data fit.
-        let mut n_extents = (capacity - table_base) / EXTENT_WORDS;
-        loop {
-            let data_base = (table_base + n_extents).next_multiple_of(EXTENT_WORDS);
-            if data_base + n_extents * EXTENT_WORDS <= capacity || n_extents == 0 {
-                break;
-            }
-            n_extents -= 1;
-        }
-        let data_base = (table_base + n_extents).next_multiple_of(EXTENT_WORDS);
+        let (table_base, n_extents, data_base) = layout(&heap);
         assert!(n_extents > 0, "heap too small for even one extent");
         let classes = std::array::from_fn(|_| ClassLists {
             shared: Mutex::new(Vec::new()),
@@ -93,22 +99,6 @@ impl PAlloc {
             n_extents,
             data_base,
         }
-    }
-
-    pub(crate) fn geometry(heap: &NvmHeap) -> (u64, u64, u64) {
-        // Mirror of with_layout for the recovery scan.
-        let table_base = heap.base().0;
-        let capacity = heap.capacity_words();
-        let mut n_extents = (capacity - table_base) / EXTENT_WORDS;
-        loop {
-            let data_base = (table_base + n_extents).next_multiple_of(EXTENT_WORDS);
-            if data_base + n_extents * EXTENT_WORDS <= capacity || n_extents == 0 {
-                break;
-            }
-            n_extents -= 1;
-        }
-        let data_base = (table_base + n_extents).next_multiple_of(EXTENT_WORDS);
-        (table_base, n_extents, data_base)
     }
 
     pub(crate) fn from_recovery(

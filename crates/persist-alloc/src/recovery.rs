@@ -6,8 +6,9 @@
 //! (blocks newer than the persisted epoch frontier are reclaimed).
 
 use crate::block::{unpack_state, BlockState, Header, CLASS_WORDS, NUM_CLASSES};
-use crate::palloc::{PAlloc, EXTENT_WORDS};
+use crate::palloc::{layout, PAlloc, EXTENT_WORDS};
 use nvm_sim::{NvmAddr, NvmHeap};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One non-free block found by the recovery scan.
@@ -28,12 +29,8 @@ pub struct RecoveredBlock {
 impl PAlloc {
     /// Scans a reopened heap, rebuilding the allocator's free lists and
     /// returning every block whose persisted state is `ALLOCATED` or
-    /// `DELETED`. The caller (the epoch system) decides which of those
-    /// are live under BDL and frees the rest.
-    ///
-    /// Scanning is sequential and fast (the paper reports 163 ms for a
-    /// 500 MiB heap single-threaded); multi-threaded scanning is exposed
-    /// via [`PAlloc::recover_parallel`].
+    /// `DELETED`. The caller decides which of those are live and frees
+    /// the rest.
     pub fn recover(heap: Arc<NvmHeap>) -> (PAlloc, Vec<RecoveredBlock>) {
         Self::recover_parallel(heap, 1)
     }
@@ -41,14 +38,32 @@ impl PAlloc {
     /// [`PAlloc::recover`] with `threads` scanner threads (the paper's
     /// 20-thread recovery experiments).
     pub fn recover_parallel(heap: Arc<NvmHeap>, threads: usize) -> (PAlloc, Vec<RecoveredBlock>) {
-        let (table_base, n_extents, data_base) = PAlloc::geometry(&heap);
+        let (alloc, parts) = Self::recover_with(heap, threads, |_| Vec::new(), Vec::push);
+        (alloc, parts.into_iter().flatten().collect())
+    }
+
+    /// The scan itself, handing each non-free block to the caller once,
+    /// from inside the extent loop, instead of materialising a list of
+    /// them: `visit` folds the block into the scanner's sink, which
+    /// `new_sink` made from an upper bound on the blocks that scanner
+    /// will visit. Returns one sink per scanner in extent order (a
+    /// single one when `threads <= 1`), so concatenating them yields the
+    /// blocks in the order a sequential scan meets them.
+    ///
+    /// Scanning is sequential and fast (the paper reports 163 ms for a
+    /// 500 MiB heap single-threaded).
+    pub fn recover_with<S: Send>(
+        heap: Arc<NvmHeap>,
+        threads: usize,
+        new_sink: impl Fn(usize) -> S + Sync,
+        visit: impl Fn(&mut S, RecoveredBlock) + Sync,
+    ) -> (PAlloc, Vec<S>) {
+        let (table_base, n_extents, data_base) = layout(&heap);
 
         // Registered extents with their classes.
         let mut extents = Vec::new();
         for i in 0..n_extents {
-            let e = heap
-                .word(NvmAddr(table_base + i))
-                .load(std::sync::atomic::Ordering::Acquire);
+            let e = heap.word(NvmAddr(table_base + i)).load(Ordering::Acquire);
             if e == 0 {
                 continue;
             }
@@ -66,67 +81,78 @@ impl PAlloc {
             extents.push((i, class));
         }
 
-        let scan_extent = |ext: &(u64, usize)| {
-            let (i, class) = *ext;
-            let bw = CLASS_WORDS[class];
-            let base = data_base + i * EXTENT_WORDS;
-            let mut free = Vec::new();
-            let mut found = Vec::new();
-            for b in 0..EXTENT_WORDS / bw {
-                let blk = NvmAddr(base + b * bw);
-                let word = heap.word(blk).load(std::sync::atomic::Ordering::Acquire);
-                match unpack_state(word) {
-                    Some((BlockState::Free, c)) if c == class => free.push(blk),
-                    Some((state, c)) if c == class => found.push(RecoveredBlock {
-                        addr: blk,
-                        state,
-                        class,
-                        epoch: Header::epoch(&heap, blk),
-                        del_epoch: Header::del_epoch(&heap, blk),
-                        tag: Header::tag(&heap, blk),
-                    }),
-                    // Garbage or cross-class header: the block was being
-                    // carved when the crash hit; treat as free.
-                    _ => free.push(blk),
+        // One scanner's share: the sink `visit` filled, plus the free
+        // blocks and the non-free count of each class.
+        let scan = |part: &[(u64, usize)]| {
+            let blocks: u64 = part
+                .iter()
+                .map(|&(_, c)| EXTENT_WORDS / CLASS_WORDS[c])
+                .sum();
+            let mut sink = new_sink(blocks as usize);
+            let mut free: [Vec<NvmAddr>; NUM_CLASSES] = Default::default();
+            let mut live = [0i64; NUM_CLASSES];
+            for &(i, class) in part {
+                let bw = CLASS_WORDS[class];
+                let base = data_base + i * EXTENT_WORDS;
+                for b in 0..EXTENT_WORDS / bw {
+                    let blk = NvmAddr(base + b * bw);
+                    match unpack_state(heap.word(blk).load(Ordering::Acquire)) {
+                        Some((state, c)) if c == class && state != BlockState::Free => {
+                            live[class] += 1;
+                            visit(
+                                &mut sink,
+                                RecoveredBlock {
+                                    addr: blk,
+                                    state,
+                                    class,
+                                    epoch: Header::epoch(&heap, blk),
+                                    del_epoch: Header::del_epoch(&heap, blk),
+                                    tag: Header::tag(&heap, blk),
+                                },
+                            );
+                        }
+                        // Free, or a garbage or cross-class header: the
+                        // block was being carved when the crash hit.
+                        _ => free[class].push(blk),
+                    }
                 }
             }
-            (class, free, found)
+            (sink, free, live)
+        };
+
+        let parts = if threads <= 1 || extents.len() < 2 {
+            vec![scan(&extents)]
+        } else {
+            let chunk = extents.len().div_ceil(threads);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = extents
+                    .chunks(chunk)
+                    .map(|part| s.spawn(|| scan(part)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("recovery scanner panicked"))
+                    .collect()
+            })
         };
 
         let mut per_class_free: [Vec<NvmAddr>; NUM_CLASSES] = Default::default();
-        let mut blocks = Vec::new();
-        if threads <= 1 || extents.len() < 2 {
-            for ext in &extents {
-                let (class, free, found) = scan_extent(ext);
-                per_class_free[class].extend(free);
-                blocks.extend(found);
-            }
-        } else {
-            let chunk = extents.len().div_ceil(threads);
-            let results = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for part in extents.chunks(chunk) {
-                    handles.push(s.spawn(|| part.iter().map(scan_extent).collect::<Vec<_>>()));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect::<Vec<_>>()
-            });
-            for part in results {
-                for (class, free, found) in part {
-                    per_class_free[class].extend(free);
-                    blocks.extend(found);
-                }
-            }
-        }
-
         let mut live = [0i64; NUM_CLASSES];
-        for b in &blocks {
-            live[b.class] += 1;
+        let mut sinks = Vec::with_capacity(parts.len());
+        for (sink, free, part_live) in parts {
+            sinks.push(sink);
+            for c in 0..NUM_CLASSES {
+                live[c] += part_live[c];
+            }
+            for (all, mut part) in per_class_free.iter_mut().zip(free) {
+                if all.is_empty() {
+                    *all = part; // the sequential scan's only part: no copy
+                } else {
+                    all.append(&mut part);
+                }
+            }
         }
-        let alloc = PAlloc::from_recovery(heap, per_class_free, live);
-        (alloc, blocks)
+        (PAlloc::from_recovery(heap, per_class_free, live), sinks)
     }
 }
 

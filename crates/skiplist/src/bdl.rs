@@ -10,8 +10,8 @@
 
 use crate::{random_level, MAX_LEVEL};
 use bdhtm_core::{
-    payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots, UpdateKind,
-    OLD_SEE_NEW,
+    live_keys_sorted, payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots,
+    UpdateKind, OLD_SEE_NEW,
 };
 use htm_sim::chaos;
 use htm_sim::ebr;
@@ -420,6 +420,14 @@ impl BdlSkiplist {
 
     /// Rebuilds a skiplist from recovered live blocks (§5.2): towers are
     /// regenerated in DRAM for every block tagged [`SKIP_KV_TAG`].
+    ///
+    /// The list is a local here — nobody else can reach it before this
+    /// returns — so with one thread it is built in one left-to-right pass
+    /// over the blocks sorted by key: each tower is appended, with plain
+    /// stores, to the last tower linked at each of its levels. With
+    /// `threads > 1` the workers do share it, and each links its slice
+    /// of the key range the way `insert` does, search then HTM link (the
+    /// paper's 20-thread recovery).
     pub fn recover(
         esys: Arc<EpochSys>,
         htm: Arc<Htm>,
@@ -427,58 +435,55 @@ impl BdlSkiplist {
         threads: usize,
     ) -> BdlSkiplist {
         let list = BdlSkiplist::new(esys, htm);
-        let heap = Arc::clone(list.esys.heap());
-        let mine: Vec<NvmAddr> = live
-            .iter()
-            .filter(|b| b.tag == SKIP_KV_TAG)
-            .map(|b| b.addr)
-            .collect();
-        let rebuild_one = |blk: NvmAddr| {
-            let key = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
-            loop {
-                let (preds, succs, found) = list.find(key);
-                assert!(found.is_none(), "duplicate key in recovered heap");
-                let t = Tower::boxed(key, next_level(), blk.0);
-                for (n, &s) in t.next.iter().zip(succs.iter()).take(t.level) {
-                    n.store(s, Ordering::Relaxed);
-                }
-                let levels = t.level;
+        let mine = live_keys_sorted(list.esys.heap(), live, SKIP_KV_TAG, P_KEY);
+        assert!(
+            mine.windows(2).all(|w| w[0].0 != w[1].0),
+            "duplicate key in recovered heap"
+        );
+        if threads <= 1 || mine.len() < 128 {
+            let mut tails = [list.head as u64; MAX_LEVEL];
+            for &(key, blk) in &mine {
+                let t = Tower::boxed(key, next_level(), blk);
+                let level = t.level;
                 let t_ptr = Box::into_raw(t) as u64;
-                let r = list.htm.run(&list.lock, |m| {
-                    if !list.validate_window(m, &preds, &succs, levels)? {
-                        return Ok(false);
-                    }
-                    for (i, &pp) in preds.iter().enumerate().take(levels) {
-                        let p = unsafe { list.tower(pp) };
-                        m.store(&p.next[i], t_ptr)?;
-                    }
-                    Ok(true)
-                });
-                match r {
-                    Ok(true) => break,
-                    _ => unsafe {
-                        drop(Box::from_raw(t_ptr as *mut Tower));
-                    },
+                for (lvl, tail) in tails.iter_mut().enumerate().take(level) {
+                    unsafe { list.tower(*tail) }.next[lvl].store(t_ptr, Ordering::Relaxed);
+                    *tail = t_ptr;
                 }
+            }
+            return list;
+        }
+        let link_one = |key: u64, blk: u64| loop {
+            let (preds, succs, _) = list.find(key);
+            let t = Tower::boxed(key, next_level(), blk);
+            for (n, &s) in t.next.iter().zip(succs.iter()).take(t.level) {
+                n.store(s, Ordering::Relaxed);
+            }
+            let levels = t.level;
+            let t_ptr = Box::into_raw(t) as u64;
+            let r = list.htm.run(&list.lock, |m| {
+                if !list.validate_window(m, &preds, &succs, levels)? {
+                    return Ok(false);
+                }
+                for (i, &pp) in preds.iter().enumerate().take(levels) {
+                    let p = unsafe { list.tower(pp) };
+                    m.store(&p.next[i], t_ptr)?;
+                }
+                Ok(true)
+            });
+            match r {
+                Ok(true) => break,
+                _ => unsafe {
+                    drop(Box::from_raw(t_ptr as *mut Tower));
+                },
             }
         };
-        if threads <= 1 || mine.len() < 128 {
-            for &b in &mine {
-                rebuild_one(b);
+        let link = &link_one;
+        std::thread::scope(|s| {
+            for part in mine.chunks(mine.len().div_ceil(threads)) {
+                s.spawn(move || part.iter().for_each(|&(key, blk)| link(key, blk)));
             }
-        } else {
-            let chunk = mine.len().div_ceil(threads);
-            let rebuild = &rebuild_one;
-            std::thread::scope(|s| {
-                for part in mine.chunks(chunk) {
-                    s.spawn(move || {
-                        for &b in part {
-                            rebuild(b);
-                        }
-                    });
-                }
-            });
-        }
+        });
         list
     }
 
@@ -499,13 +504,11 @@ impl BdlSkiplist {
     /// * no two towers share a KV block.
     pub fn validate(&self) -> Result<(), String> {
         use persist_alloc::BlockState;
-        use std::collections::HashMap;
         let heap = self.esys.heap();
         let clock = self.esys.current_epoch();
         let head = self.head as u64;
 
-        let mut pos: HashMap<u64, usize> = HashMap::new();
-        let mut blocks: std::collections::HashSet<u64> = Default::default();
+        let mut blocks: Vec<u64> = Vec::new();
         let mut prev_key: Option<u64> = None;
         let mut cur = unsafe { self.tower(head) }.next[0].load(Ordering::Acquire);
         while cur != 0 {
@@ -547,19 +550,23 @@ impl BdlSkiplist {
             if k != t.key {
                 return Err(format!("tower {} points at block holding key {k}", t.key));
             }
-            if !blocks.insert(blk.0) {
-                return Err(format!("block {blk:?} shared by two towers"));
-            }
-            let n = pos.len();
-            if pos.insert(cur, n).is_some() {
-                return Err("validate: level-0 list revisits a tower (cycle)".into());
-            }
+            blocks.push(blk.0);
             prev_key = Some(t.key);
             cur = t.next[0].load(Ordering::Acquire);
         }
+        blocks.sort_unstable();
+        if let Some(w) = blocks.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("block {:?} shared by two towers", NvmAddr(w[0])));
+        }
 
+        // Level 0 is strictly increasing, hence acyclic. Each higher
+        // level is walked in step with the one below it: `below` only
+        // moves forward, past each match, so finding every level-`lvl`
+        // tower on it shows the level is a subsequence of the lower one
+        // — by induction of level 0 — in the same order, and a tower met
+        // twice (a cycle) is not found the second time.
         for lvl in 1..MAX_LEVEL {
-            let mut last: Option<usize> = None;
+            let mut below = unsafe { self.tower(head) }.next[lvl - 1].load(Ordering::Acquire);
             let mut cur = unsafe { self.tower(head) }.next[lvl].load(Ordering::Acquire);
             while cur != 0 {
                 if cur == TOMB {
@@ -572,19 +579,17 @@ impl BdlSkiplist {
                         t.key, t.level
                     ));
                 }
-                let Some(&p) = pos.get(&cur) else {
+                while below != 0 && below != cur {
+                    below = unsafe { self.tower(below) }.next[lvl - 1].load(Ordering::Acquire);
+                }
+                if below == 0 {
                     return Err(format!(
-                        "tower {} on level {lvl} is unreachable at level 0",
-                        t.key
-                    ));
-                };
-                if last.is_some_and(|lp| p <= lp) {
-                    return Err(format!(
-                        "level {lvl} is not a subsequence of level 0 at key {}",
+                        "level {lvl} is not a subsequence of level {} at key {}",
+                        lvl - 1,
                         t.key
                     ));
                 }
-                last = Some(p);
+                below = t.next[lvl - 1].load(Ordering::Acquire);
                 cur = t.next[lvl].load(Ordering::Acquire);
             }
         }
@@ -708,6 +713,30 @@ mod tests {
             assert_eq!(l2.get(k), None, "undurable key {k} survived");
         }
         assert_eq!(l2.len(), 100);
+    }
+
+    #[test]
+    fn validate_rejects_an_unsorted_level() {
+        let l = setup();
+        for k in 1..=400u64 {
+            l.insert(k, k);
+        }
+        l.validate().expect("intact list");
+        // Swap the first two towers of level 1: a -> b -> c becomes
+        // b -> a -> c, against level 0's order.
+        let head = unsafe { l.tower(l.head as u64) };
+        let a = head.next[1].load(Ordering::Relaxed);
+        let b = unsafe { l.tower(a) }.next[1].load(Ordering::Relaxed);
+        let c = unsafe { l.tower(b) }.next[1].swap(a, Ordering::Relaxed);
+        unsafe { l.tower(a) }.next[1].store(c, Ordering::Relaxed);
+        head.next[1].store(b, Ordering::Relaxed);
+        let err = l.validate().expect_err("level 1 is out of order");
+        assert!(err.contains("not a subsequence"), "{err}");
+        // Put it back: the rejection was about the order, nothing else.
+        unsafe { l.tower(b) }.next[1].store(c, Ordering::Relaxed);
+        unsafe { l.tower(a) }.next[1].store(b, Ordering::Relaxed);
+        head.next[1].store(a, Ordering::Relaxed);
+        l.validate().expect("restored list");
     }
 
     #[test]

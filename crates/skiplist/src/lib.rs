@@ -28,8 +28,6 @@
 
 mod bdl;
 mod dl;
-#[cfg(test)]
-mod quarantine;
 pub mod stress;
 
 pub use bdl::{BdlSkiplist, SKIP_KV_TAG};

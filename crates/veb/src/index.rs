@@ -98,7 +98,7 @@ impl VebIndex {
 
     // ---- transactional helpers ------------------------------------------
 
-    fn is_empty<'e>(&'e self, m: &mut dyn MemAccess<'e>, ptr: u64) -> TxResult<bool> {
+    fn is_empty<'e, M: MemAccess<'e> + ?Sized>(&'e self, m: &mut M, ptr: u64) -> TxResult<bool> {
         Ok(match unsafe { self.node(ptr) } {
             Node::Leaf(l) => m.load(&l.bits)? == 0,
             Node::Internal(i) => m.load(&i.min)? == EMPTY,
@@ -106,7 +106,7 @@ impl VebIndex {
     }
 
     /// Smallest key in a non-empty subtree.
-    fn min_key<'e>(&'e self, m: &mut dyn MemAccess<'e>, ptr: u64) -> TxResult<u64> {
+    fn min_key<'e, M: MemAccess<'e> + ?Sized>(&'e self, m: &mut M, ptr: u64) -> TxResult<u64> {
         Ok(match unsafe { self.node(ptr) } {
             Node::Leaf(l) => m.load(&l.bits)?.trailing_zeros() as u64,
             Node::Internal(i) => m.load(&i.min)?,
@@ -114,7 +114,7 @@ impl VebIndex {
     }
 
     /// Largest key in a non-empty subtree.
-    fn max_key<'e>(&'e self, m: &mut dyn MemAccess<'e>, ptr: u64) -> TxResult<u64> {
+    fn max_key<'e, M: MemAccess<'e> + ?Sized>(&'e self, m: &mut M, ptr: u64) -> TxResult<u64> {
         Ok(match unsafe { self.node(ptr) } {
             Node::Leaf(l) => 63 - m.load(&l.bits)?.leading_zeros() as u64,
             Node::Internal(i) => m.load(&i.max)?,
@@ -122,7 +122,11 @@ impl VebIndex {
     }
 
     /// `(min key, its slot)` of a non-empty subtree.
-    fn min_entry<'e>(&'e self, m: &mut dyn MemAccess<'e>, ptr: u64) -> TxResult<(u64, u64)> {
+    fn min_entry<'e, M: MemAccess<'e> + ?Sized>(
+        &'e self,
+        m: &mut M,
+        ptr: u64,
+    ) -> TxResult<(u64, u64)> {
         match unsafe { self.node(ptr) } {
             Node::Leaf(l) => {
                 let b = m.load(&l.bits)?.trailing_zeros() as u64;
@@ -134,7 +138,11 @@ impl VebIndex {
 
     /// `(max key, its slot)` of a non-empty subtree (descends for the
     /// value, which is stored recursively unless min == max).
-    fn max_entry<'e>(&'e self, m: &mut dyn MemAccess<'e>, ptr: u64) -> TxResult<(u64, u64)> {
+    fn max_entry<'e, M: MemAccess<'e> + ?Sized>(
+        &'e self,
+        m: &mut M,
+        ptr: u64,
+    ) -> TxResult<(u64, u64)> {
         match unsafe { self.node(ptr) } {
             Node::Leaf(l) => {
                 let b = 63 - m.load(&l.bits)?.leading_zeros() as u64;
@@ -157,12 +165,21 @@ impl VebIndex {
     // ---- lookup -----------------------------------------------------------
 
     /// The slot of `key`, if present.
-    pub fn get_tx<'e>(&'e self, m: &mut dyn MemAccess<'e>, key: u64) -> TxResult<Option<u64>> {
+    pub fn get_tx<'e, M: MemAccess<'e> + ?Sized>(
+        &'e self,
+        m: &mut M,
+        key: u64,
+    ) -> TxResult<Option<u64>> {
         debug_assert!(key < (1u64 << self.ubits));
         self.get_rec(m, self.root, key)
     }
 
-    fn get_rec<'e>(&'e self, m: &mut dyn MemAccess<'e>, ptr: u64, x: u64) -> TxResult<Option<u64>> {
+    fn get_rec<'e, M: MemAccess<'e> + ?Sized>(
+        &'e self,
+        m: &mut M,
+        ptr: u64,
+        x: u64,
+    ) -> TxResult<Option<u64>> {
         match unsafe { self.node(ptr) } {
             Node::Leaf(l) => {
                 if m.load(&l.bits)? & (1 << x) == 0 {
@@ -192,9 +209,9 @@ impl VebIndex {
 
     /// Sets the slot of `key` to `slot`, returning the previous slot if
     /// the key was present.
-    pub fn insert_tx<'e>(
+    pub fn insert_tx<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         key: u64,
         slot: u64,
         ctx: &AllocCtx,
@@ -203,9 +220,9 @@ impl VebIndex {
         self.insert_rec(m, self.root, key, slot, ctx)
     }
 
-    fn insert_rec<'e>(
+    fn insert_rec<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         ptr: u64,
         x: u64,
         v: u64,
@@ -278,14 +295,18 @@ impl VebIndex {
     // ---- remove -----------------------------------------------------------
 
     /// Removes `key`, returning its slot if it was present.
-    pub fn remove_tx<'e>(&'e self, m: &mut dyn MemAccess<'e>, key: u64) -> TxResult<Option<u64>> {
+    pub fn remove_tx<'e, M: MemAccess<'e> + ?Sized>(
+        &'e self,
+        m: &mut M,
+        key: u64,
+    ) -> TxResult<Option<u64>> {
         debug_assert!(key < (1u64 << self.ubits));
         self.remove_rec(m, self.root, key)
     }
 
-    fn remove_rec<'e>(
+    fn remove_rec<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         ptr: u64,
         x: u64,
     ) -> TxResult<Option<u64>> {
@@ -369,17 +390,17 @@ impl VebIndex {
     // ---- order queries ------------------------------------------------------
 
     /// Smallest `(key, slot)` strictly greater than `key`.
-    pub fn successor_tx<'e>(
+    pub fn successor_tx<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         key: u64,
     ) -> TxResult<Option<(u64, u64)>> {
         self.succ_rec(m, self.root, key)
     }
 
-    fn succ_rec<'e>(
+    fn succ_rec<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         ptr: u64,
         x: u64,
     ) -> TxResult<Option<(u64, u64)>> {
@@ -427,17 +448,17 @@ impl VebIndex {
     }
 
     /// Largest `(key, slot)` strictly smaller than `key`.
-    pub fn predecessor_tx<'e>(
+    pub fn predecessor_tx<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         key: u64,
     ) -> TxResult<Option<(u64, u64)>> {
         self.pred_rec(m, self.root, key)
     }
 
-    fn pred_rec<'e>(
+    fn pred_rec<'e, M: MemAccess<'e> + ?Sized>(
         &'e self,
-        m: &mut dyn MemAccess<'e>,
+        m: &mut M,
         ptr: u64,
         x: u64,
     ) -> TxResult<Option<(u64, u64)>> {

@@ -10,10 +10,10 @@
 
 use crate::index::{AllocCtx, VebIndex};
 use bdhtm_core::{
-    payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots, UpdateKind,
-    KV_UNIVERSE_BITS, OLD_SEE_NEW,
+    live_keys_sorted, payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots,
+    UpdateKind, KV_UNIVERSE_BITS, OLD_SEE_NEW,
 };
-use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess};
+use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess, PlainAccess};
 use nvm_sim::NvmAddr;
 use persist_alloc::Header;
 use std::sync::atomic::Ordering;
@@ -26,6 +26,8 @@ pub const VEB_KV_TAG: u64 = 0x7EB0_4B56; // "vEB KV"
 const P_KEY: u64 = 0;
 const P_VAL: u64 = 1;
 const KV_PAYLOAD_WORDS: u64 = 2;
+
+const NO_ABORT: &str = "plain access never aborts";
 
 enum WriteOutcome {
     Inserted,
@@ -276,7 +278,14 @@ impl PhtmVeb {
 
     /// Rebuilds a tree from the live blocks of a recovered epoch system
     /// (§5.2): filters blocks tagged [`VEB_KV_TAG`] and re-inserts their
-    /// keys into a fresh DRAM index, optionally in parallel.
+    /// keys, in key order, into a fresh DRAM index.
+    ///
+    /// The tree is a local here — nobody else can reach it before this
+    /// returns — so with one thread the inserts are plain stores
+    /// ([`PlainAccess`]): no transaction, nothing to conflict with. With
+    /// `threads > 1` the workers do share it, and each inserts its slice
+    /// of the key range in hardware transactions (the paper's 20-thread
+    /// recovery).
     pub fn recover(
         universe_bits: u32,
         esys: Arc<EpochSys>,
@@ -285,32 +294,32 @@ impl PhtmVeb {
         threads: usize,
     ) -> PhtmVeb {
         let tree = PhtmVeb::new(universe_bits, esys, htm);
-        let heap = tree.esys.heap();
-        let mine: Vec<&LiveBlock> = live.iter().filter(|b| b.tag == VEB_KV_TAG).collect();
-        let rebuild_one = |b: &LiveBlock| {
-            let key = heap.word(payload(b.addr, P_KEY)).load(Ordering::Acquire);
+        let mine = live_keys_sorted(tree.esys.heap(), live, VEB_KV_TAG, P_KEY);
+        let rebuild = |part: &[(u64, u64)], shared: bool| {
             let ctx = AllocCtx::default();
-            tree.htm
-                .run(&tree.lock, |m| {
-                    tree.index.recycle_attempt(&ctx);
-                    tree.index.insert_tx(m, key, b.addr.0, &ctx)
-                })
-                .expect("rebuild raises no explicit aborts");
-            tree.index.commit_attempt(&ctx);
+            for &(key, blk) in part {
+                if shared {
+                    tree.htm
+                        .run(&tree.lock, |m| {
+                            tree.index.recycle_attempt(&ctx);
+                            tree.index.insert_tx(m, key, blk, &ctx)
+                        })
+                        .expect("rebuild raises no explicit aborts");
+                } else {
+                    tree.index
+                        .insert_tx(&mut PlainAccess, key, blk, &ctx)
+                        .expect(NO_ABORT);
+                }
+                tree.index.commit_attempt(&ctx);
+            }
         };
         if threads <= 1 || mine.len() < 128 {
-            for b in &mine {
-                rebuild_one(b);
-            }
+            rebuild(&mine, false);
         } else {
-            let chunk = mine.len().div_ceil(threads);
+            let rebuild = &rebuild;
             std::thread::scope(|s| {
-                for part in mine.chunks(chunk) {
-                    s.spawn(move || {
-                        for b in part {
-                            rebuild_one(b);
-                        }
-                    });
+                for part in mine.chunks(mine.len().div_ceil(threads)) {
+                    s.spawn(move || rebuild(part, true));
                 }
             });
         }
@@ -334,17 +343,15 @@ impl PhtmVeb {
         let cap = 1u64 << self.index.ubits;
         let mut prev: Option<u64> = None;
         let mut seen = 0u64;
+        let m = &mut PlainAccess; // quiescent: nothing to synchronise with
         loop {
-            let next = self
-                .htm
-                .run(&self.lock, |m| match prev {
-                    None => match self.index.get_tx(m, 0)? {
-                        Some(slot) => Ok(Some((0u64, slot))),
-                        None => self.index.successor_tx(m, 0),
-                    },
-                    Some(p) => self.index.successor_tx(m, p),
-                })
-                .map_err(|e| format!("validate: index walk aborted ({e:?})"))?;
+            let next = match prev {
+                None => match self.index.get_tx(m, 0).expect(NO_ABORT) {
+                    Some(slot) => Some((0u64, slot)),
+                    None => self.index.successor_tx(m, 0).expect(NO_ABORT),
+                },
+                Some(p) => self.index.successor_tx(m, p).expect(NO_ABORT),
+            };
             let Some((key, slot)) = next else {
                 return Ok(());
             };
