@@ -61,7 +61,7 @@ cargo run --release -q --example quickstart -- --metrics-json target/metrics-smo
 echo "==> durability-lag telemetry smoke (series + trace on a pipelined run)"
 # A short pipelined fig7 run streaming the metrics time series and the
 # Perfetto trace; metrics_check validates all three artifacts (report
-# invariants incl. v3 lag quantiles, dense/monotone series, balanced
+# invariants incl. lag quantiles, dense/monotone series, balanced
 # trace flow arrows). The report must carry nonzero durability-lag
 # samples: pipelined mode always defers durability behind commit.
 BDHTM_SECS=0.25 BDHTM_SCALE=12 BDHTM_THREADS=2 \
@@ -112,26 +112,6 @@ for seed in 0xBD15EED 0xD15EA5E 0xBD15EE0; do
     with_timeout 600 env FAULT_SEED=$seed ./target/release/fault_sweep --modes runtime
 done
 
-echo "==> persist-pipeline perf gate (fig7 sync vs pipelined)"
-# Gate-mode fig7 runs in both persistence modes: each drives exactly 40
-# epoch advances, so the two advance_ns histograms have identical sample
-# counts (metrics_check rejects the comparison otherwise) and the p99s
-# are computed over the same population. The pipelined p99 must beat the
-# synchronous one and write amplification must not regress (intake-time
-# dedup). Timing gate: retried once before failing.
-run_fig7_compare() {
-    BDHTM_SCALE=12 \
-        ./target/release/fig7_epoch_length --pipeline=sync --gate-advances 40 \
-        --metrics-json target/fig7-sync.json >/dev/null
-    BDHTM_SCALE=12 \
-        ./target/release/fig7_epoch_length --pipeline=bg --gate-advances 40 \
-        --metrics-json target/fig7-bg.json >/dev/null
-    ./target/release/metrics_check --compare-pipeline \
-        target/fig7-sync.json target/fig7-bg.json --out BENCH_pipeline.json
-}
-run_fig7_compare || { echo "retrying pipeline perf gate once"; run_fig7_compare; }
-echo "pipeline comparison written to BENCH_pipeline.json"
-
 echo "==> persister-pool perf gate (persist_pool)"
 # Sharded write-back (DESIGN.md §3.4.4): fanning one sealed batch's
 # flush plan across 4 pool workers must beat the serial persister by
@@ -144,18 +124,5 @@ run_pool_compare() {
 }
 run_pool_compare || { echo "retrying persister-pool perf gate once"; run_pool_compare; }
 echo "persister-pool comparison written to BENCH_persist_pool.json"
-
-echo "==> sharded-accounting perf gate (epoch_contention)"
-# Hot-path smoke for the esys/ decomposition (DESIGN.md §3.4.3): the
-# sharded begin/track/end path must beat a faithful emulation of the
-# pre-refactor per-op costs (3x thread-state mutex + global fetch_add)
-# by >= 1.3x at 8 threads. Measured ~2x on the CI container; retried
-# once because it is a timing gate.
-run_shard_compare() {
-    ./target/release/epoch_contention --threads 8 --secs 0.3 \
-        --min-ratio 1.3 --metrics-json BENCH_shard.json
-}
-run_shard_compare || { echo "retrying shard perf gate once"; run_shard_compare; }
-echo "shard comparison written to BENCH_shard.json"
 
 echo "==> ci.sh: all gates passed"

@@ -25,8 +25,8 @@
 
 use bdhtm_core::trace::{chrome_trace, TraceMeta};
 use fault::{
-    pinned_digest, seed_from_env, sweep_all, sweep_all_pipelined, sweep_runtime_all, RuntimeReport,
-    SweepConfig, SweepReport, PINNED_SWEEP_DIGEST,
+    pinned_digest, seed_from_env, sweep_all, sweep_runtime_all, RuntimeReport, SweepConfig,
+    SweepReport, PINNED_SWEEP_DIGEST,
 };
 use htm_sim::HtmConfig;
 
@@ -130,8 +130,7 @@ fn main() {
         // epoch advances only seal batches, write-backs and frontier
         // publishes happen on a deterministic stand-in for the
         // persister, and crashes land while batches are in flight.
-        let pipelined = mode.starts_with("pipelined");
-        let cfg = match mode.as_str() {
+        let mut cfg = match mode.as_str() {
             "plain" | "pipelined" => base.clone(),
             "torn" | "pipelined-torn" => base.clone().with_torn_writes(),
             "double" => base.clone().with_torn_writes().with_double_crash(),
@@ -145,12 +144,8 @@ fn main() {
                 usage()
             }
         };
-        let reports = if pipelined {
-            sweep_all_pipelined(&cfg)
-        } else {
-            sweep_all(&cfg)
-        };
-        for report in reports {
+        cfg.pipelined = mode.starts_with("pipelined");
+        for report in sweep_all(&cfg) {
             print_report(mode, &report);
             if !report.passed() {
                 failed = true;

@@ -8,8 +8,6 @@
 //! cargo run --release -p bench --bin metrics_check -- m.json
 //! cargo run --release -p bench --bin metrics_check -- --series s.jsonl
 //! cargo run --release -p bench --bin metrics_check -- --trace t.json
-//! cargo run --release -p bench --bin metrics_check -- \
-//!     --compare-pipeline sync.json pipe.json --out BENCH_pipeline.json
 //! ```
 //!
 //! Exits 0 and prints a one-line summary on success; exits 1 with a
@@ -25,17 +23,6 @@
 //! document must parse, every event must carry a known phase, complete
 //! spans need durations, and durability-lag flow arrows must come in
 //! matched start/finish pairs.
-//!
-//! `--compare-pipeline` validates two reports from the same workload —
-//! one with synchronous (inline) epoch persistence, one with the
-//! background persister — and gates the pipeline's perf claims:
-//! the two `advance_ns` histograms must carry the *same sample count*
-//! (produce them with `fig7_epoch_length --gate-advances N`; quantiles
-//! over different population sizes are not comparable), pipelined
-//! `advance_ns` p99 must beat the synchronous p99, and the intake-time
-//! dedup means write amplification must not regress (≤ 1.10× the
-//! synchronous run's). The comparison is written as JSON to the
-//! `--out` path.
 
 use bdhtm_core::obs::{JsonValue, METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION};
 
@@ -90,13 +77,23 @@ fn check_hist(name: &str, h: &JsonValue) {
 }
 
 /// Loads a report and runs every single-file invariant check on it.
-/// Returns the parsed document plus the summary fragments.
-fn load_and_check(path: &str) -> (JsonValue, Vec<String>) {
+/// Returns the summary fragments.
+fn load_and_check(path: &str) -> Vec<String> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let doc = JsonValue::parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
-    let summary = check_report(&doc);
-    (doc, summary)
+    check_report(&doc)
+}
+
+/// The one schema version this checker understands is the one the
+/// library emits.
+fn check_version(doc: &JsonValue, ctx: &str) {
+    let version = req_u64(doc, "version");
+    if version != METRICS_VERSION {
+        fail(&format!(
+            "{ctx}version {version} is not the supported {METRICS_VERSION}"
+        ));
+    }
 }
 
 /// Runs every invariant check on an already-parsed report document
@@ -107,15 +104,7 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
     if req(doc, "schema").as_str() != Some(METRICS_SCHEMA) {
         fail(&format!("schema is not {METRICS_SCHEMA:?}"));
     }
-    // v2, v3 and v4 only *added* fields (runtime-fault counters,
-    // durability-lag telemetry and persister-pool telemetry
-    // respectively), so this checker accepts every version back to 1.
-    let version = req_u64(doc, "version");
-    if !(1..=METRICS_VERSION).contains(&version) {
-        fail(&format!(
-            "version {version} outside supported 1..={METRICS_VERSION}"
-        ));
-    }
+    check_version(doc, "");
 
     // HTM coherence: attempts = commits + sum of abort causes.
     let mut summary = Vec::new();
@@ -156,44 +145,39 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
             ));
         }
         summary.push(format!("frontier_lag={lag}"));
-        // v3 lag gauges: quantiles monotone, consistent with the
-        // durability_lag_ns histogram when both are present.
-        if version >= 3 {
-            let p50 = req_u64(d, "durability_lag_p50");
-            let p99 = req_u64(d, "durability_lag_p99");
-            let max = req_u64(d, "durability_lag_max");
-            if !(p50 <= p99 && p99 <= max) {
-                fail(&format!(
-                    "derived incoherent: durability lag quantiles not monotone \
-                     (p50={p50} p99={p99} max={max})"
-                ));
-            }
-            let _ = req_u64(d, "lag_spans_dropped");
-            let _ = req_u64(d, "flight_events_dropped");
-            summary.push(format!("lag_p99={p99}ns"));
+        // Lag gauges: quantiles monotone.
+        let p50 = req_u64(d, "durability_lag_p50");
+        let p99 = req_u64(d, "durability_lag_p99");
+        let max = req_u64(d, "durability_lag_max");
+        if !(p50 <= p99 && p99 <= max) {
+            fail(&format!(
+                "derived incoherent: durability lag quantiles not monotone \
+                 (p50={p50} p99={p99} max={max})"
+            ));
         }
-        // v4 pool gauges: the worker count (a gauge of *attached* pool
+        let _ = req_u64(d, "lag_spans_dropped");
+        let _ = req_u64(d, "flight_events_dropped");
+        summary.push(format!("lag_p99={p99}ns"));
+        // Pool gauges: the worker count (a gauge of *attached* pool
         // threads — legitimately 0 in inline-persist mode) and a
         // well-formed per-worker write-back array. (No
         // sum-vs-words_persisted cross-check: the columns advance at
         // chunk completion, the total at batch completion, so a
         // mid-flight batch legitimately puts them out of step within
         // one sample.)
-        if version >= 4 {
-            let workers = req_u64(d, "persist_workers");
-            let per_worker = req(d, "persist_worker_words")
-                .as_arr()
-                .unwrap_or_else(|| fail("persist_worker_words is not an array"));
-            for w in per_worker {
-                if w.as_u64().is_none() {
-                    fail("persist_worker_words entry not a non-negative integer");
-                }
+        let workers = req_u64(d, "persist_workers");
+        let per_worker = req(d, "persist_worker_words")
+            .as_arr()
+            .unwrap_or_else(|| fail("persist_worker_words is not an array"));
+        for w in per_worker {
+            if w.as_u64().is_none() {
+                fail("persist_worker_words entry not a non-negative integer");
             }
-            if let Some(e) = doc.get("epoch") {
-                let _ = req_u64(e, "coalesced_flushes");
-            }
-            summary.push(format!("persist_workers={workers}"));
         }
+        if let Some(e) = doc.get("epoch") {
+            let _ = req_u64(e, "coalesced_flushes");
+        }
+        summary.push(format!("persist_workers={workers}"));
     }
 
     // Histograms: monotone quantiles, bucket counts sum to count.
@@ -202,17 +186,12 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
             for (name, h) in members {
                 check_hist(name, h);
             }
-            if doc.get("derived").is_some()
-                && req_u64(doc, "version") >= 3
-                && !members.iter().any(|(n, _)| n == "durability_lag_ns")
-            {
-                fail("v3 report with an epoch system lacks durability_lag_ns");
-            }
-            if doc.get("derived").is_some()
-                && req_u64(doc, "version") >= 4
-                && !members.iter().any(|(n, _)| n == "persist_chunks")
-            {
-                fail("v4 report with an epoch system lacks persist_chunks");
+            if doc.get("derived").is_some() {
+                for needed in ["durability_lag_ns", "persist_chunks"] {
+                    if !members.iter().any(|(n, _)| n == needed) {
+                        fail(&format!("report with an epoch system lacks {needed}"));
+                    }
+                }
             }
             summary.push(format!("{} histograms", members.len()));
         }
@@ -237,13 +216,7 @@ fn check_series(path: &str) {
                 i + 1
             ));
         }
-        let version = req_u64(&doc, "version");
-        if !(1..=METRICS_VERSION).contains(&version) {
-            fail(&format!(
-                "line {}: version {version} outside supported 1..={METRICS_VERSION}",
-                i + 1
-            ));
-        }
+        check_version(&doc, &format!("line {}: ", i + 1));
         let seq = req_u64(&doc, "seq");
         if seq != i as u64 {
             fail(&format!(
@@ -330,76 +303,6 @@ fn check_trace(path: &str) {
     );
 }
 
-/// Pulls `histograms.<name>.<field>` out of a validated report.
-fn hist_u64(doc: &JsonValue, ctx: &str, name: &str, field: &str) -> u64 {
-    let h = req(doc, "histograms")
-        .get(name)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing histogram {name:?}")));
-    req_u64(h, field)
-}
-
-fn write_amplification(doc: &JsonValue, ctx: &str) -> f64 {
-    let nvm = doc
-        .get("nvm")
-        .unwrap_or_else(|| fail(&format!("{ctx}: report has no nvm section")));
-    req(nvm, "write_amplification")
-        .as_f64()
-        .unwrap_or_else(|| fail(&format!("{ctx}: write_amplification is not a number")))
-}
-
-/// The sync-vs-pipelined perf gate (see module docs).
-fn compare_pipeline(sync_path: &str, pipe_path: &str, out: Option<&str>) {
-    let (sync_doc, _) = load_and_check(sync_path);
-    let (pipe_doc, _) = load_and_check(pipe_path);
-
-    let sync_n = hist_u64(&sync_doc, sync_path, "advance_ns", "count");
-    let pipe_n = hist_u64(&pipe_doc, pipe_path, "advance_ns", "count");
-    if sync_n == 0 || pipe_n == 0 {
-        fail(&format!(
-            "advance_ns is empty (sync count={sync_n}, pipelined count={pipe_n}); \
-             the runs must actually advance epochs for the comparison to mean anything"
-        ));
-    }
-    if sync_n != pipe_n {
-        fail(&format!(
-            "advance_ns sample counts differ (sync {sync_n}, pipelined {pipe_n}); \
-             quantiles over different population sizes are not comparable — \
-             produce the reports with fig7_epoch_length --gate-advances N"
-        ));
-    }
-    let sync_p99 = hist_u64(&sync_doc, sync_path, "advance_ns", "p99");
-    let pipe_p99 = hist_u64(&pipe_doc, pipe_path, "advance_ns", "p99");
-    if pipe_p99 >= sync_p99 {
-        fail(&format!(
-            "pipelined advance_ns p99 ({pipe_p99} ns) does not beat synchronous ({sync_p99} ns)"
-        ));
-    }
-
-    let sync_wa = write_amplification(&sync_doc, sync_path);
-    let pipe_wa = write_amplification(&pipe_doc, pipe_path);
-    if pipe_wa > sync_wa * 1.10 {
-        fail(&format!(
-            "pipelined write_amplification ({pipe_wa:.4}) regresses past 1.10x synchronous ({sync_wa:.4})"
-        ));
-    }
-
-    let json = format!(
-        "{{\"comparison\":\"pipeline\",\"sync\":{{\"advance_ns_p99\":{sync_p99},\
-         \"advance_ns_count\":{sync_n},\"write_amplification\":{sync_wa:.6}}},\
-         \"pipelined\":{{\"advance_ns_p99\":{pipe_p99},\"advance_ns_count\":{pipe_n},\
-         \"write_amplification\":{pipe_wa:.6}}},\
-         \"advance_p99_speedup\":{:.4}}}",
-        sync_p99 as f64 / pipe_p99.max(1) as f64
-    );
-    if let Some(path) = out {
-        std::fs::write(path, &json).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-    }
-    println!(
-        "metrics_check: pipeline OK (advance p99 {sync_p99} -> {pipe_p99} ns, \
-         WA {sync_wa:.3} -> {pipe_wa:.3})"
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match (args.first().map(String::as_str), args.get(1)) {
@@ -416,29 +319,9 @@ fn main() {
         }
         _ => {}
     }
-    if args.first().map(String::as_str) == Some("--compare-pipeline") {
-        let mut rest = args[1..].iter();
-        let sync_path = rest.next();
-        let pipe_path = rest.next();
-        let (Some(sync_path), Some(pipe_path)) = (sync_path, pipe_path) else {
-            fail("usage: metrics_check --compare-pipeline <sync.json> <pipelined.json> [--out <path>]");
-        };
-        let mut out = None;
-        while let Some(a) = rest.next() {
-            match a.as_str() {
-                "--out" => out = rest.next().map(String::as_str),
-                other => fail(&format!("unknown argument {other:?}")),
-            }
-        }
-        compare_pipeline(sync_path, pipe_path, out);
-        return;
-    }
     let Some(path) = args.first() else {
-        fail(
-            "usage: metrics_check <report.json> | --series <s.jsonl> | --trace <t.json> \
-             | --compare-pipeline ...",
-        );
+        fail("usage: metrics_check <report.json> | --series <s.jsonl> | --trace <t.json>");
     };
-    let (_, summary) = load_and_check(path);
+    let summary = load_and_check(path);
     println!("metrics_check: OK ({})", summary.join(", "));
 }

@@ -3,7 +3,7 @@
 use crate::watchdog::WatchdogPolicy;
 use std::time::Duration;
 
-/// Width of the per-worker write-back telemetry (the obs v4
+/// Width of the per-worker write-back telemetry (the obs
 /// `persist_worker_words` gauge) and the ceiling on
 /// [`EpochConfig::persist_workers`]. Workers beyond the ceiling are
 /// clamped; telemetry slot 0 is the coordinator / inline-drain column.
@@ -17,10 +17,6 @@ pub struct EpochConfig {
     /// [`EpochTicker`](crate::EpochTicker); with manual advancement it is
     /// informational.
     pub epoch_len: Duration,
-    /// Extra attempts [`EpochSys::advance`](crate::EpochSys::advance)
-    /// makes when a transition fails (injected faults); each failed
-    /// attempt yields before retrying. `0` means a single attempt.
-    pub advance_retries: u32,
     /// Bound on the buffered (tracked-but-not-yet-flushed) word set.
     /// When non-zero, a thread entering [`EpochSys::begin_op`](crate::EpochSys::begin_op)
     /// (crate::EpochSys::begin_op) while the set exceeds the bound first
@@ -35,12 +31,6 @@ pub struct EpochConfig {
     /// durable frontier can lag the clock by at most
     /// `pipeline_depth + 2`. Values below 1 behave as 1.
     pub pipeline_depth: usize,
-    /// Whether an attached [`Persister`](crate::Persister) is actually
-    /// used. When `false`, every advance persists its batch inline on
-    /// the advancing thread (the pre-pipeline behavior) even if a
-    /// persister worker is running — deterministic tests can keep the
-    /// full production topology while forcing synchronous write-back.
-    pub background_persist: bool,
     /// Write-back workers in the persister pool spawned by
     /// [`Persister::spawn`](crate::Persister::spawn): one coordinator
     /// draining the batch queue plus `persist_workers − 1` chunk
@@ -59,11 +49,6 @@ pub struct EpochConfig {
     /// re-queues the whole batch and degrades the system (see
     /// [`HealthState`](crate::HealthState)). `0` means no retries.
     pub persist_retries: u32,
-    /// Base of the persist-retry backoff ladder, in busy spins: retry
-    /// `n` waits `persist_backoff_spins << n` spins plus seeded jitter
-    /// (the same ladder HTM retry uses; see
-    /// [`htm_sim::backoff_ladder`]). `0` disables backoff.
-    pub persist_backoff_spins: u32,
     /// Sampling period of an attached
     /// [`Watchdog`](crate::Watchdog): progress must be observable
     /// between two consecutive samples or the watchdog fires. Only
@@ -84,13 +69,10 @@ impl Default for EpochConfig {
     fn default() -> Self {
         Self {
             epoch_len: Duration::from_millis(50),
-            advance_retries: 3,
             max_buffered_words: 0,
             pipeline_depth: 2,
-            background_persist: true,
             persist_workers: 0,
             persist_retries: 5,
-            persist_backoff_spins: 64,
             watchdog_period: Duration::from_millis(100),
             watchdog_policy: WatchdogPolicy::Degrade,
             flight_slots: crate::obs::RING_SLOTS,
@@ -110,13 +92,6 @@ impl EpochConfig {
         self
     }
 
-    /// Sets the retry budget of a single
-    /// [`EpochSys::advance`](crate::EpochSys::advance) call.
-    pub fn with_advance_retries(mut self, retries: u32) -> Self {
-        self.advance_retries = retries;
-        self
-    }
-
     /// Bounds the buffered word set (0 = unbounded): threads beginning an
     /// operation above the bound help advance the epoch first.
     pub fn with_max_buffered_words(mut self, words: u64) -> Self {
@@ -128,14 +103,6 @@ impl EpochConfig {
     /// be in flight before `advance` stalls the clock.
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth;
-        self
-    }
-
-    /// Enables or disables use of an attached
-    /// [`Persister`](crate::Persister) (see
-    /// [`EpochConfig::background_persist`]).
-    pub fn with_background_persist(mut self, on: bool) -> Self {
-        self.background_persist = on;
         self
     }
 
@@ -165,13 +132,6 @@ impl EpochConfig {
     /// [`EpochConfig::persist_retries`]).
     pub fn with_persist_retries(mut self, retries: u32) -> Self {
         self.persist_retries = retries;
-        self
-    }
-
-    /// Sets the persist-retry backoff ladder base (see
-    /// [`EpochConfig::persist_backoff_spins`]).
-    pub fn with_persist_backoff_spins(mut self, spins: u32) -> Self {
-        self.persist_backoff_spins = spins;
         self
     }
 

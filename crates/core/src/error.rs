@@ -121,28 +121,6 @@ impl std::fmt::Display for OpRejected {
 
 impl std::error::Error for OpRejected {}
 
-/// A background worker thread could not be spawned (OS resource
-/// exhaustion). The owning component falls back to synchronous
-/// operation instead of panicking; see
-/// [`EpochTicker::try_spawn`](crate::EpochTicker::try_spawn) and
-/// [`Persister::try_spawn`](crate::Persister::try_spawn).
-#[derive(Debug)]
-pub struct SpawnError {
-    /// Which worker failed to spawn (`"epoch ticker"`, `"persister"`,
-    /// `"watchdog"`).
-    pub worker: &'static str,
-    /// The underlying OS error.
-    pub error: std::io::Error,
-}
-
-impl std::fmt::Display for SpawnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "failed to spawn {}: {}", self.worker, self.error)
-    }
-}
-
-impl std::error::Error for SpawnError {}
-
 /// [`EpochSys::try_retire`](crate::EpochSys::try_retire) was handed an
 /// address that does not carry a live block header — a caller bug or
 /// heap corruption, surfaced as a value instead of a bare `expect`.

@@ -24,7 +24,7 @@
 //! it is never stale by more than one epoch of tracking, because every
 //! advance quiesces the closing epoch before refunding it.
 //!
-//! At a *seal boundary* (inside `try_advance`, after
+//! At a *seal boundary* (inside `advance`, after
 //! `wait_for_stragglers`) the value is **exact**: each closed-epoch
 //! owner's stripe writes happen-before the sealer via the announce
 //! handshake's Release/SeqCst edge, and both refund sites run on the

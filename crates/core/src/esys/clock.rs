@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use super::facade::EpochSys;
-use super::health::AdvanceFault;
 use super::pipeline::EpochBatch;
 
 /// First active epoch of a freshly formatted system. Starting at 2 keeps
@@ -334,32 +333,6 @@ impl EpochSys {
     /// Normally driven by an [`EpochTicker`](crate::EpochTicker);
     /// callable directly for tests and deterministic experiments.
     ///
-    /// Retries up to [`EpochConfig::advance_retries`] times when a
-    /// transition fails (injected epoch-system faults), yielding between
-    /// attempts; gives up silently after the budget — the next tick (or
-    /// backpressured [`begin_op`](EpochSys::begin_op)) tries again, so a
-    /// transiently stalled ticker degrades throughput without losing
-    /// correctness.
-    ///
-    /// [`EpochConfig::advance_retries`]: crate::config::EpochConfig::advance_retries
-    pub fn advance(&self) {
-        if self.is_disabled() {
-            return;
-        }
-        let mut attempt = 0;
-        while self.try_advance().is_err() {
-            attempt += 1;
-            if attempt > self.config().advance_retries {
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// One epoch-transition attempt. Fails (without moving any state)
-    /// when an injected fault is armed; see
-    /// [`inject_advance_failures`](EpochSys::inject_advance_failures).
-    ///
     /// The foreground half is deliberately cheap: quiesce epoch `e−1`,
     /// take ownership of its arena buffers (plain `mem::take`s — the
     /// quiesce guarantees exclusion, no per-thread lock exists), seal
@@ -367,19 +340,13 @@ impl EpochSys {
     /// [`Persister`](crate::Persister) attached the batch is merely
     /// enqueued — no `persist_range` runs on the calling thread; the
     /// persister writes it back, publishes the frontier, and reclaims.
-    /// Without one, the batch is drained inline before the clock bump,
-    /// reproducing the fully synchronous pre-pipeline behavior.
-    pub fn try_advance(&self) -> Result<(), AdvanceFault> {
+    /// Without one, the batch is drained inline before the clock bump:
+    /// the fully synchronous mode.
+    pub fn advance(&self) {
         if self.is_disabled() {
-            return Ok(());
+            return;
         }
         let _g = self.advance_lock.lock();
-        if self.faults.fire() {
-            self.stats()
-                .advance_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(AdvanceFault::Injected);
-        }
         let t0 = std::time::Instant::now();
         let e = self.clock.current();
 
@@ -442,7 +409,6 @@ impl EpochSys {
         self.obs().advance_ns.record(t0.elapsed().as_nanos() as u64);
         self.obs()
             .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
-        Ok(())
     }
 }
 

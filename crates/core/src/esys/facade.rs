@@ -10,8 +10,8 @@
 //! (`p_new`/`p_track`/`p_retire`, `get_epoch`/`set_epoch`/
 //! `classify_update`/`p_set`/`p_get` — Listing 1 lines 10–29 and
 //! 51–52). Operation bracketing and epoch advancement live with the
-//! clock; write-back lives with the pipeline; the health ladder and
-//! fault knobs live with health — each next to the state it governs.
+//! clock; write-back lives with the pipeline; the health ladder lives
+//! with health — each next to the state it governs.
 
 use crate::config::EpochConfig;
 use crate::error::RetireError;
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 use super::account::Accounting;
 use super::clock::{EpochClock, EMPTY_EPOCH, EPOCH_START};
-use super::health::{EpochStats, FaultInjector};
+use super::health::EpochStats;
 use super::pipeline::Pipeline;
 use super::pool::ChunkPool;
 use super::tracking::{payload, ThreadArenas};
@@ -79,8 +79,10 @@ pub struct EpochSys {
     config: EpochConfig,
     stats: EpochStats,
     obs: Obs,
-    /// Injected-fault state (advance failures, backoff jitter).
-    pub(super) faults: FaultInjector,
+    /// SplitMix64 state of the persist-retry backoff jitter (fixed
+    /// seed: jitter only decorrelates contending persisters, it carries
+    /// no experiment semantics).
+    pub(super) backoff_rng: AtomicU64,
     /// Runtime health ladder (`HealthState` code): a one-way ratchet
     /// `Ok → Degraded → Failed` advanced only by
     /// [`escalate_health`](EpochSys::escalate_health).
@@ -132,7 +134,7 @@ impl EpochSys {
             config,
             stats: EpochStats::default(),
             obs,
-            faults: FaultInjector::new(),
+            backoff_rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
             health: AtomicU8::new(HealthState::Ok as u8),
             last_persist_error: StdMutex::new(None),
         }

@@ -13,7 +13,7 @@
 //! | [`account`] | striped buffered-word accounting | §5.1 buffered-bytes bound |
 //! | [`pipeline`] | sealed [`EpochBatch`] queue, seal/persist split | §3 step 2 (write-back) |
 //! | [`pool`] | persister-pool chunk fan-out, flush-plan partitioning | §3 step 2 (write-back bandwidth) |
-//! | [`health`] | stats, the `Ok → Degraded → Failed` ladder, fault knobs | §5 runtime faults |
+//! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
 //! | [`facade`] | [`EpochSys`] itself: the Table 2 methods, advance, recovery hooks | Table 2 |
 //!
 //! Consumers never name the submodules: every pre-decomposition path
@@ -31,7 +31,7 @@ mod tracking;
 pub use clock::{EMPTY_EPOCH, EPOCH_START};
 pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};
-pub use health::{AdvanceFault, EpochStats, EpochStatsSnapshot};
+pub use health::{EpochStats, EpochStatsSnapshot};
 pub use pipeline::EpochBatch;
 pub use tracking::{payload, PreallocSlots};
 

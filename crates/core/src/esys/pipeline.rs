@@ -33,6 +33,11 @@ use std::time::Duration;
 use super::facade::{EpochSys, ROOT_FRONTIER};
 use super::pool::FlushRange;
 
+/// Base of the persist-retry backoff ladder, in busy spins: retry `n`
+/// waits `PERSIST_BACKOFF_SPINS << n` spins plus seeded jitter (the
+/// same ladder HTM retry uses; see [`htm_sim::backoff_ladder`]).
+const PERSIST_BACKOFF_SPINS: u32 = 64;
+
 /// A sealed snapshot of everything one closed epoch tracked, ready for
 /// write-back once normalized (sorted + deduplicated) at persist intake.
 ///
@@ -133,9 +138,9 @@ pub(super) struct Pipeline {
     /// backpressure, and `advance_until` waiters).
     pub(super) batch_done: Condvar,
     /// Attached [`Persister`](crate::Persister) workers. Pipelining
-    /// engages only while this is non-zero (and the config allows it);
-    /// otherwise every advance drains the queue inline, so programs
-    /// that never spawn a persister keep the synchronous behavior.
+    /// engages only while this is non-zero; otherwise every advance
+    /// drains the queue inline, so programs that never spawn a
+    /// persister keep the synchronous behavior.
     pub(super) persisters: AtomicU64,
 }
 
@@ -167,12 +172,11 @@ impl EpochSys {
         self.pipeline.lock().in_flight
     }
 
-    /// Whether sealed batches go to a background persister (config
-    /// allows it, at least one worker is attached, and the system has
-    /// not degraded to synchronous inline persistence).
+    /// Whether sealed batches go to a background persister (at least
+    /// one worker is attached, and the system has not degraded to
+    /// synchronous inline persistence).
     pub(super) fn pipelined(&self) -> bool {
-        self.config().background_persist
-            && self.pipeline.persisters.load(Ordering::Acquire) > 0
+        self.pipeline.persisters.load(Ordering::Acquire) > 0
             && self.health.load(Ordering::Acquire) == HealthState::Ok as u8
     }
 
@@ -419,14 +423,18 @@ impl EpochSys {
                     self.stats().persist_retries.fetch_add(1, Ordering::Relaxed);
                     self.obs()
                         .event(EventKind::PersistRetry, epoch, attempt as u64);
-                    let spins = backoff_ladder(self.config().persist_backoff_spins, attempt - 1);
-                    if spins != 0 {
-                        // Seeded jitter in [0, spins/2) decorrelates
-                        // contending persisters without perturbing
-                        // replay determinism (fixed seed, CAS-stepped).
-                        let draw = self.faults.backoff_draw();
-                        backoff_spin(spins + draw % (spins / 2 + 1));
-                    }
+                    let spins = backoff_ladder(PERSIST_BACKOFF_SPINS, attempt - 1);
+                    // Seeded jitter in [0, spins/2) decorrelates
+                    // contending persisters without perturbing replay
+                    // determinism (fixed seed, CAS-stepped).
+                    let draw = self
+                        .backoff_rng
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |mut s| {
+                            htm_sim::rng::splitmix64(&mut s);
+                            Some(s)
+                        })
+                        .unwrap_or(0);
+                    backoff_spin(spins + draw % (spins / 2 + 1));
                 }
             }
         }
@@ -484,9 +492,7 @@ impl EpochSys {
 
     /// Advances until every epoch `≤ epoch` is durable. In pipelined
     /// mode this seals the needed batches and then *waits* for the
-    /// persister rather than spinning the clock forward. (With a
-    /// permanent injected failure rate of 1.0 this spins forever —
-    /// injected faults are a test facility.)
+    /// persister rather than spinning the clock forward.
     pub fn advance_until(&self, epoch: u64) {
         while !self.is_disabled() && self.persisted_frontier() < epoch {
             // Fail-stop freezes the persist queue: the frontier can
@@ -541,7 +547,7 @@ mod tests {
     use std::time::Duration;
 
     /// The tentpole acceptance criterion: with a persister attached,
-    /// `try_advance` performs no `persist_range` on the calling thread —
+    /// `advance` performs no `persist_range` on the calling thread —
     /// it seals, enqueues, and bumps the clock; write-back and the
     /// frontier publish happen in `persist_next_batch`.
     #[test]
@@ -686,23 +692,6 @@ mod tests {
         assert_eq!(es.current_epoch(), EPOCH_START + 2);
         while es.persist_next_batch() {}
         assert_eq!(es.persisted_frontier(), EPOCH_START);
-        es.detach_persister();
-    }
-
-    /// `background_persist = false` forces inline write-back even with a
-    /// persister attached — the deterministic-test escape hatch.
-    #[test]
-    fn background_persist_off_forces_inline_writeback() {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
-        let es = EpochSys::format(heap, EpochConfig::manual().with_background_persist(false));
-        es.attach_persister(); // would normally divert batches
-        es.advance();
-        es.advance();
-        assert_eq!(
-            es.persisted_frontier(),
-            EPOCH_START,
-            "inline mode keeps frontier == clock − 2"
-        );
         es.detach_persister();
     }
 }

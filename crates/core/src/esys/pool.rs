@@ -32,13 +32,14 @@ use htm_sim::sync::CachePadded;
 use nvm_sim::{CrashTriggered, DeviceError, NvmAddr, WORDS_PER_LINE};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::Duration;
 
 use super::facade::EpochSys;
 use crate::config::MAX_PERSIST_WORKERS;
 use crate::error::HealthState;
+use crate::worker::StopFlag;
 
 /// One contiguous, line-aligned device range scheduled for write-back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +83,7 @@ pub(super) struct ChunkPool {
     workers: AtomicU64,
     /// Worker-slot allocator; slot 0 is the coordinator/inline-drain.
     next_slot: AtomicU64,
-    /// Cumulative words written back per worker slot (obs v4 gauge).
+    /// Cumulative words written back per worker slot (obs gauge).
     worker_words: Box<[CachePadded<AtomicU64>]>,
 }
 
@@ -203,7 +204,7 @@ impl EpochSys {
     }
 
     /// Cumulative words written back per worker slot (slot 0 is the
-    /// coordinator / inline drains; chunk workers fill 1..). The obs v4
+    /// coordinator / inline drains; chunk workers fill 1..). The obs
     /// `persist_worker_words` gauge.
     pub fn persist_worker_words(&self) -> [u64; MAX_PERSIST_WORKERS] {
         std::array::from_fn(|i| self.pool.worker_words[i].load(Ordering::Relaxed))
@@ -327,7 +328,7 @@ impl EpochSys {
     /// `stop` is set and no work is queued, or when the health ladder
     /// leaves `Ok` (Degraded turns pipelining off — inline drains go
     /// serial, same as the persister worker retiring).
-    pub(crate) fn chunk_worker_loop(&self, slot: usize, stop: &AtomicBool) {
+    pub(crate) fn chunk_worker_loop(&self, slot: usize, stop: &StopFlag) {
         let mut crash: Option<Box<dyn std::any::Any + Send>> = None;
         loop {
             let job = self.pool.lock().jobs.pop_front();
@@ -358,7 +359,7 @@ impl EpochSys {
                     }
                 }
                 None => {
-                    if stop.load(Ordering::Relaxed) || self.health() != HealthState::Ok {
+                    if stop.is_set() || self.health() != HealthState::Ok {
                         break;
                     }
                     let st = self.pool.lock();

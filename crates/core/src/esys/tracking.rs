@@ -8,7 +8,7 @@
 //! the in-progress-operation context. The owner thread reads and
 //! writes its slot with plain (non-atomic) accesses — no mutex, no
 //! RMW — because exactly one other actor ever touches a slot, the
-//! sealer inside `try_advance`, and the epoch protocol gives it
+//! sealer inside `advance`, and the epoch protocol gives it
 //! *temporal* exclusion rather than mutual exclusion:
 //!
 //! * The owner writes generation `e % BUF_GENS` only while its

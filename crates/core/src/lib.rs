@@ -89,12 +89,13 @@ mod sampler;
 mod ticker;
 pub mod trace;
 pub mod watchdog;
+mod worker;
 
 pub use config::{EpochConfig, MAX_PERSIST_WORKERS};
-pub use error::{HealthState, OpRejected, PersistError, RetireError, SpawnError};
+pub use error::{HealthState, OpRejected, PersistError, RetireError};
 pub use esys::{
-    payload, AdvanceFault, EpochBatch, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots,
-    UpdateKind, EMPTY_EPOCH, EPOCH_START, OLD_SEE_NEW,
+    payload, EpochBatch, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind,
+    EMPTY_EPOCH, EPOCH_START, OLD_SEE_NEW,
 };
 pub use kv::{BdlKv, KV_UNIVERSE_BITS};
 pub use obs::{

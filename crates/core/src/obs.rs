@@ -600,7 +600,7 @@ impl Obs {
         &self.op_restarts
     }
 
-    /// `try_advance` duration (successful transitions), nanoseconds.
+    /// `advance` duration, nanoseconds.
     pub fn advance_ns(&self) -> &LogHistogram {
         &self.advance_ns
     }
@@ -812,17 +812,8 @@ pub const METRICS_SCHEMA: &str = "bdhtm-metrics";
 /// wrapping a delta [`MetricsReport`] (see [`series_line`]).
 pub const METRICS_SERIES_SCHEMA: &str = "bdhtm-metrics-series";
 /// Schema version; bump when a key changes meaning or disappears.
-/// v2 added the runtime-fault counters (`epoch.persist_retries`,
-/// `epoch.degradations`, `epoch.watchdog_fires`) and `derived.health`.
-/// v3 added the `durability_lag_ns` histogram and the
-/// `derived.durability_lag_p50/p99/max`, `derived.lag_spans_dropped`,
-/// and `derived.flight_events_dropped` gauges — pure additions, so
-/// v1/v2 consumers keep parsing.
-/// v4 added the persister-pool telemetry: the `persist_chunks`
-/// histogram (fan-out width per batch), `epoch.coalesced_flushes`,
-/// and the `derived.persist_workers` /
-/// `derived.persist_worker_words[]` gauges — again pure additions.
-pub const METRICS_VERSION: u64 = 4;
+/// Consumers (`metrics_check`) accept exactly this version.
+pub const METRICS_VERSION: u64 = 5;
 
 /// Formats an `f64` as a JSON number token (never `NaN`/`inf`, which
 /// JSON forbids — non-finite values degrade to 0).
@@ -910,14 +901,13 @@ impl MetricsReport {
         if let Some(e) = &self.epoch {
             s.push_str(&format!(
                 ",\"epoch\":{{\"advances\":{},\"blocks_persisted\":{},\"words_persisted\":{},\
-                 \"blocks_reclaimed\":{},\"advance_failures\":{},\"backpressure_advances\":{},\
+                 \"blocks_reclaimed\":{},\"backpressure_advances\":{},\
                  \"pipeline_stalls\":{},\"persist_retries\":{},\"coalesced_flushes\":{},\
                  \"degradations\":{},\"watchdog_fires\":{}}}",
                 e.advances,
                 e.blocks_persisted,
                 e.words_persisted,
                 e.blocks_reclaimed,
-                e.advance_failures,
                 e.backpressure_advances,
                 e.pipeline_stalls,
                 e.persist_retries,

@@ -14,71 +14,40 @@
 //! registry's histogram shards and counters exactly like an end-of-run
 //! report does, on the sampler's own thread.
 
-use crate::error::SpawnError;
 use crate::obs::{MetricsRegistry, MetricsReport};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use crate::worker::Worker;
 use std::time::{Duration, Instant};
 
 /// Owns the background sampling thread. Stops (and joins) on drop; the
 /// final partial interval is always flushed, so even a run shorter than
 /// one interval produces at least one sample.
 pub struct Sampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 impl Sampler {
     /// Spawns the sampler. Falls back to an inert sampler with a logged
     /// warning if the OS cannot spawn the thread — the run simply
     /// produces no series, which degrades observability but nothing
-    /// else. Use [`try_spawn`](Self::try_spawn) to observe the failure
-    /// as a value.
+    /// else.
     pub fn spawn(
         registry: MetricsRegistry,
         interval: Duration,
-        sink: impl FnMut(u64, u64, &MetricsReport) + Send + 'static,
-    ) -> Sampler {
-        match Self::try_spawn(registry, interval, sink) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bdhtm: {e}; metrics series disabled for this run");
-                Sampler {
-                    stop: Arc::new(AtomicBool::new(true)),
-                    handle: None,
-                }
-            }
-        }
-    }
-
-    /// Fallible [`spawn`](Self::spawn).
-    pub fn try_spawn(
-        registry: MetricsRegistry,
-        interval: Duration,
         mut sink: impl FnMut(u64, u64, &MetricsReport) + Send + 'static,
-    ) -> Result<Sampler, SpawnError> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+    ) -> Sampler {
         let interval = interval.max(Duration::from_millis(1));
         // Baseline on the caller's thread, before the worker exists:
         // every event after spawn() returns lands in some delta, even
         // ones racing the worker's startup.
         let origin = Instant::now();
         let mut baseline = registry.report();
-        let handle = std::thread::Builder::new()
-            .name("bdhtm-sampler".into())
-            .spawn(move || {
+        let worker = Worker::spawn(
+            "metrics sampler",
+            "metrics series disabled for this run",
+            move |stop| {
                 let mut seq = 0u64;
-                // Sleep in bounded slices so stop()/drop never waits a
-                // full (possibly multi-second) interval for the thread.
-                let slice = Duration::from_millis(5);
                 loop {
-                    let t = Instant::now();
-                    while t.elapsed() < interval && !stop2.load(Ordering::Relaxed) {
-                        std::thread::sleep(slice.min(interval - t.elapsed().min(interval)));
-                    }
-                    let stopping = stop2.load(Ordering::Relaxed);
+                    let stopping = stop.sleep_or_stop(interval);
                     let now = registry.report();
                     let delta = now.since(&baseline);
                     sink(origin.elapsed().as_nanos() as u64, seq, &delta);
@@ -88,33 +57,14 @@ impl Sampler {
                         break;
                     }
                 }
-            })
-            .map_err(|error| SpawnError {
-                worker: "metrics sampler",
-                error,
-            })?;
-        Ok(Sampler {
-            stop,
-            handle: Some(handle),
-        })
+            },
+        );
+        Sampler { worker }
     }
 
     /// Stops the sampler, flushes the final partial interval, and joins.
     pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.stop_inner();
+        self.worker.stop();
     }
 }
 
@@ -124,7 +74,8 @@ mod tests {
     use crate::config::EpochConfig;
     use crate::esys::EpochSys;
     use nvm_sim::{NvmConfig, NvmHeap};
-    use std::sync::Mutex;
+    use std::sync::atomic::Ordering;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn sampler_emits_deltas_and_flushes_on_stop() {

@@ -3,21 +3,19 @@
 //! background [`Persister`] that writes sealed epoch batches back to
 //! media off the advance critical path.
 
-use crate::error::{HealthState, SpawnError};
+use crate::error::HealthState;
 use crate::esys::EpochSys;
+use crate::worker::{StopFlag, Worker};
 use nvm_sim::CrashTriggered;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Owns the background thread that advances epochs every
 /// [`EpochConfig::epoch_len`](crate::EpochConfig). Stops (and joins) on
 /// drop.
 pub struct EpochTicker {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 impl EpochTicker {
@@ -27,76 +25,36 @@ impl EpochTicker {
     /// Falls back to an inert ticker with a logged warning if the OS
     /// cannot spawn the thread (resource exhaustion) — epochs must then
     /// be advanced manually (or via backpressure), which degrades
-    /// latency but loses nothing. Use [`try_spawn`](Self::try_spawn) to
-    /// observe the failure as a value.
+    /// latency but loses nothing.
     pub fn spawn(esys: Arc<EpochSys>) -> EpochTicker {
-        match Self::try_spawn(esys) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bdhtm: {e}; falling back to manual epoch advancement");
-                EpochTicker {
-                    stop: Arc::new(AtomicBool::new(true)),
-                    handle: None,
-                }
-            }
-        }
-    }
-
-    /// Fallible [`spawn`](Self::spawn).
-    pub fn try_spawn(esys: Arc<EpochSys>) -> Result<EpochTicker, SpawnError> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("bdhtm-epoch-ticker".into())
-            .spawn(move || {
+        let worker = Worker::spawn(
+            "epoch ticker",
+            "falling back to manual epoch advancement",
+            move |stop| {
                 let len = esys.config().epoch_len;
-                // Sleep in bounded slices so stop()/drop never waits a
-                // full (possibly multi-second) epoch for the thread.
-                let slice = Duration::from_millis(20);
-                while !stop2.load(Ordering::Relaxed) {
-                    if len >= Duration::from_millis(1) {
-                        let t = Instant::now();
-                        while t.elapsed() < len && !stop2.load(Ordering::Relaxed) {
-                            std::thread::sleep(slice.min(len - t.elapsed().min(len)));
-                        }
+                loop {
+                    let stopped = if len >= Duration::from_millis(1) {
+                        stop.sleep_or_stop(len)
                     } else {
                         let t = Instant::now();
                         while t.elapsed() < len {
                             std::hint::spin_loop();
                         }
-                    }
-                    if stop2.load(Ordering::Relaxed) {
+                        stop.is_set()
+                    };
+                    if stopped {
                         break;
                     }
                     esys.advance();
                 }
-            })
-            .map_err(|error| SpawnError {
-                worker: "epoch ticker",
-                error,
-            })?;
-        Ok(EpochTicker {
-            stop,
-            handle: Some(handle),
-        })
+            },
+        );
+        EpochTicker { worker }
     }
 
     /// Stops the ticker and waits for it to exit.
     pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for EpochTicker {
-    fn drop(&mut self) {
-        self.stop_inner();
+        self.worker.stop();
     }
 }
 
@@ -106,8 +64,7 @@ impl Drop for EpochTicker {
 /// ([`EpochConfig::persist_workers`](crate::EpochConfig) − 1 of them;
 /// the default auto-sizes from the machine).
 ///
-/// While a persister is attached (and
-/// [`EpochConfig::background_persist`](crate::EpochConfig) is on),
+/// While a persister is attached,
 /// [`EpochSys::advance`](crate::EpochSys::advance) only seals epoch
 /// buffers into an [`EpochBatch`](crate::EpochBatch) and enqueues it;
 /// the coordinator performs the `persist_range` calls — fanning each
@@ -117,156 +74,105 @@ impl Drop for EpochTicker {
 /// (and joins) on drop, and drains any queued batches before exiting so
 /// a clean shutdown leaves the frontier at `clock − 2`.
 pub struct Persister {
-    stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-    esys: Arc<EpochSys>,
+    worker: Worker,
 }
 
 impl Persister {
-    /// Spawns the write-back worker and registers it with the epoch
+    /// Spawns the write-back pool and registers it with the epoch
     /// system (advances switch to seal-and-enqueue immediately).
     ///
     /// Falls back to no worker at all with a logged warning if the OS
-    /// cannot spawn the thread — the system simply stays in synchronous
-    /// inline-persist mode, which is slower but loses nothing. Use
-    /// [`try_spawn`](Self::try_spawn) to observe the failure as a value.
+    /// cannot spawn the coordinator thread — nothing stays attached and
+    /// the system simply stays in synchronous inline-persist mode,
+    /// which is slower but loses nothing. A chunk worker that cannot be
+    /// spawned only narrows the pool (worst case, the coordinator
+    /// writes every chunk itself — the serial behavior).
     pub fn spawn(esys: Arc<EpochSys>) -> Persister {
-        match Self::try_spawn(esys) {
-            Ok(p) => p,
-            Err((esys, e)) => {
-                eprintln!("bdhtm: {e}; persisting inline on the advancing thread");
-                Persister {
-                    stop: Arc::new(AtomicBool::new(true)),
-                    handles: Vec::new(),
-                    esys,
-                }
-            }
-        }
-    }
-
-    /// Fallible [`spawn`](Self::spawn). Errors only if the coordinator
-    /// thread cannot be spawned — on that failure nothing stays
-    /// attached (advances keep persisting inline) and the `esys` handle
-    /// is returned alongside the error. A chunk-worker spawn failure is
-    /// not an error: the pool just runs narrower (worst case, the
-    /// coordinator writes every chunk itself — the serial behavior).
-    #[allow(clippy::result_large_err)]
-    pub fn try_spawn(esys: Arc<EpochSys>) -> Result<Persister, (Arc<EpochSys>, SpawnError)> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         esys.attach_persister();
-        let esys2 = Arc::clone(&esys);
-        let handle = std::thread::Builder::new()
-            .name("bdhtm-persister".into())
-            .spawn(move || {
-                // Once `stop` is observed, one more pop round runs before
-                // exiting: an advance may have enqueued its final batch
-                // between our empty pop and the caller setting the flag,
-                // and the queue mutex makes that batch visible to any
-                // pop that starts after `stop` is set.
-                let mut draining = false;
-                loop {
-                    // A fault-plan crash point may fire *inside* a
-                    // write-back (the whole point of the in-flight-batch
-                    // crash tests). CrashTriggered models machine death:
-                    // the worker detaches and vanishes, leaving the
-                    // frontier wherever the last completed batch put it.
-                    // Any other panic is a real bug — re-raise it.
-                    match catch_unwind(AssertUnwindSafe(|| esys2.persist_next_batch())) {
-                        Ok(true) => {}
-                        Ok(false) if draining => break,
-                        Ok(false) => {
-                            // Degraded or failed: the health ratchet is
-                            // one-way, so background pipelining is off
-                            // for good. The worker retires (after the
-                            // persist path above drained what it could);
-                            // inline advances own the queue from here.
-                            if esys2.health() != HealthState::Ok {
-                                break;
-                            }
-                            if stop2.load(Ordering::Relaxed) {
-                                draining = true;
-                            } else {
-                                esys2.wait_batch_ready(Duration::from_millis(5));
-                            }
-                        }
-                        Err(payload) => {
-                            esys2.detach_persister();
-                            if payload.downcast_ref::<CrashTriggered>().is_some() {
-                                return;
-                            }
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }
-                // `break` requires an empty pop *after* stop (or a
-                // health downgrade that retires the worker): drained.
-                esys2.detach_persister();
-            });
-        let coordinator = match handle {
-            Ok(handle) => handle,
-            Err(error) => {
-                esys.detach_persister();
-                return Err((
-                    esys,
-                    SpawnError {
-                        worker: "persister",
-                        error,
-                    },
-                ));
-            }
-        };
-        let mut handles = vec![coordinator];
+        let es = Arc::clone(&esys);
+        let mut worker = Worker::spawn(
+            "persister",
+            "persisting inline on the advancing thread",
+            move |stop| coordinator(&es, stop),
+        );
+        if worker.is_inert() {
+            esys.detach_persister();
+            return Persister { worker };
+        }
         // The rest of the pool: chunk workers the coordinator fans each
         // batch's flush plan out to.
         let extra = esys.config().effective_persist_workers().saturating_sub(1);
         for i in 0..extra {
             let slot = esys.attach_chunk_worker();
-            let esys2 = Arc::clone(&esys);
-            let stop2 = Arc::clone(&stop);
-            match std::thread::Builder::new()
-                .name(format!("bdhtm-persist-{}", i + 1))
-                .spawn(move || esys2.chunk_worker_loop(slot, &stop2))
-            {
-                Ok(h) => handles.push(h),
-                Err(error) => {
-                    esys.detach_chunk_worker();
-                    eprintln!(
-                        "bdhtm: failed to spawn persist chunk worker: {error}; \
-                         continuing with {} of {} pool threads",
-                        handles.len(),
-                        extra + 1
-                    );
-                    break;
-                }
+            let es = Arc::clone(&esys);
+            let spawned = worker.add_thread(format!("bdhtm-persist-{}", i + 1), move |stop| {
+                es.chunk_worker_loop(slot, stop)
+            });
+            if let Err(error) = spawned {
+                esys.detach_chunk_worker();
+                eprintln!(
+                    "bdhtm: failed to spawn persist chunk worker: {error}; \
+                     continuing with {} of {} pool threads",
+                    i + 1,
+                    extra + 1
+                );
+                break;
             }
         }
-        Ok(Persister {
-            stop,
-            handles,
-            esys,
-        })
+        // Pool threads park on condvars, not on the stop flag's sleep.
+        worker.set_wake(move || esys.notify_persisters());
+        Persister { worker }
     }
 
     /// Stops the pool after the coordinator drains the queue, and joins
     /// every thread.
     pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.esys.notify_persisters();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.worker.stop();
     }
 }
 
-impl Drop for Persister {
-    fn drop(&mut self) {
-        self.stop_inner();
+/// The coordinator body: drain the batch queue until stopped.
+fn coordinator(esys: &EpochSys, stop: &StopFlag) {
+    // Once `stop` is observed, one more pop round runs before exiting:
+    // an advance may have enqueued its final batch between our empty
+    // pop and the caller setting the flag, and the queue mutex makes
+    // that batch visible to any pop that starts after `stop` is set.
+    let mut draining = false;
+    loop {
+        // A fault-plan crash point may fire *inside* a write-back (the
+        // whole point of the in-flight-batch crash tests).
+        // CrashTriggered models machine death: the worker detaches and
+        // vanishes, leaving the frontier wherever the last completed
+        // batch put it. Any other panic is a real bug — re-raise it.
+        match catch_unwind(AssertUnwindSafe(|| esys.persist_next_batch())) {
+            Ok(true) => {}
+            Ok(false) if draining => break,
+            Ok(false) => {
+                // Degraded or failed: the health ratchet is one-way, so
+                // background pipelining is off for good. The worker
+                // retires (after the persist path above drained what it
+                // could); inline advances own the queue from here.
+                if esys.health() != HealthState::Ok {
+                    break;
+                }
+                if stop.is_set() {
+                    draining = true;
+                } else {
+                    esys.wait_batch_ready(Duration::from_millis(5));
+                }
+            }
+            Err(payload) => {
+                esys.detach_persister();
+                if payload.downcast_ref::<CrashTriggered>().is_some() {
+                    return;
+                }
+                std::panic::resume_unwind(payload);
+            }
+        }
     }
+    // `break` requires an empty pop *after* stop (or a health downgrade
+    // that retires the worker): drained.
+    esys.detach_persister();
 }
 
 #[cfg(test)]
@@ -290,31 +196,6 @@ mod tests {
         assert!(
             after >= before + 5,
             "expected several epoch advances, got {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn ticker_survives_injected_advance_failures() {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(2 << 20)));
-        let es = EpochSys::format(
-            heap,
-            EpochConfig::manual().with_epoch_len(Duration::from_millis(2)),
-        );
-        // A burst of failures longer than one advance()'s retry budget:
-        // the ticker must absorb it across ticks and keep advancing.
-        es.inject_advance_failures(10);
-        let before = es.current_epoch();
-        let ticker = EpochTicker::spawn(Arc::clone(&es));
-        std::thread::sleep(Duration::from_millis(120));
-        ticker.stop();
-        assert_eq!(
-            es.stats().snapshot().advance_failures,
-            10,
-            "every injected failure must have been consumed"
-        );
-        assert!(
-            es.current_epoch() >= before + 3,
-            "ticker must advance past the fault burst"
         );
     }
 

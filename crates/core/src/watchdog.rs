@@ -30,13 +30,12 @@
 //! [`WatchdogPolicy`] ceiling: log only, then degrade to synchronous
 //! persistence, then fail-stop.
 
-use crate::error::{HealthState, SpawnError};
+use crate::error::HealthState;
 use crate::esys::{EpochSys, EMPTY_EPOCH};
 use crate::obs::EventKind;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::worker::{StopFlag, Worker};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Stall reason code carried in a `WatchdogFired` event's `a` field.
 pub const STALL_ADVANCE: u64 = 0;
@@ -138,8 +137,7 @@ fn reason_str(reason: u64) -> &'static str {
 /// discipline as [`EpochTicker`](crate::EpochTicker): stops (and joins)
 /// on drop.
 pub struct Watchdog {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 impl Watchdog {
@@ -149,76 +147,30 @@ impl Watchdog {
     /// [`EpochConfig::watchdog_policy`](crate::EpochConfig).
     ///
     /// Falls back to an inert (never-firing) watchdog with a logged
-    /// warning if the OS cannot spawn the thread; use
-    /// [`try_spawn`](Self::try_spawn) to observe that as a value.
+    /// warning if the OS cannot spawn the thread.
     pub fn spawn(esys: Arc<EpochSys>) -> Watchdog {
-        match Self::try_spawn(esys) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("bdhtm: {e}; running without stall detection");
-                Watchdog {
-                    stop: Arc::new(AtomicBool::new(true)),
-                    handle: None,
-                }
-            }
-        }
-    }
-
-    /// Fallible [`spawn`](Self::spawn).
-    pub fn try_spawn(esys: Arc<EpochSys>) -> Result<Watchdog, SpawnError> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("bdhtm-watchdog".into())
-            .spawn(move || worker(&esys, &stop2))
-            .map_err(|error| SpawnError {
-                worker: "watchdog",
-                error,
-            })?;
-        Ok(Watchdog {
-            stop,
-            handle: Some(handle),
-        })
+        let worker = Worker::spawn("watchdog", "running without stall detection", move |stop| {
+            watch(&esys, stop)
+        });
+        Watchdog { worker }
     }
 
     /// Stops the watchdog and waits for it to exit.
     pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.worker.stop();
     }
 }
 
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop_inner();
-    }
-}
-
-fn worker(esys: &EpochSys, stop: &AtomicBool) {
+fn watch(esys: &EpochSys, stop: &StopFlag) {
     if esys.is_disabled() {
         return; // eADR: no epochs, nothing to watch
     }
     let period = esys.config().watchdog_period;
     let bound = esys.config().max_buffered_words;
     let policy = esys.config().watchdog_policy;
-    // Sleep in bounded slices so stop()/drop never waits a full period.
-    let slice = Duration::from_millis(20);
     let mut prev = Sample::take(esys);
     let mut consecutive: u64 = 0;
-    while !stop.load(Ordering::Relaxed) {
-        let t = Instant::now();
-        while t.elapsed() < period && !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(slice.min(period - t.elapsed().min(period)));
-        }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
+    while !stop.sleep_or_stop(period) {
         let cur = Sample::take(esys);
         // A fail-stopped system is *intentionally* still — nothing to
         // detect, and escalating further is meaningless.
@@ -317,6 +269,7 @@ mod tests {
     fn watchdog_escalates_a_wedged_persister_to_fail_stop() {
         use crate::EpochConfig;
         use nvm_sim::{NvmConfig, NvmHeap};
+        use std::time::{Duration, Instant};
 
         let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(2 << 20)));
         let es = EpochSys::format(

@@ -8,21 +8,15 @@
 //!   ([`nvm_sim::FaultPlan`]),
 //! * the HTM layer's seeded abort injection
 //!   ([`htm_sim::HtmConfig::with_abort_injection`]),
-//! * the epoch system's injectable advance failures
-//!   ([`bdhtm_core::EpochSys::inject_advance_failures`]),
 //!
 //! and sweeps every persist boundary a workload crosses — see
 //! [`mod@crate::sweep`] for the count→replay protocol.
 
 pub mod digest;
-pub mod pipeline;
 pub mod runtime;
 pub mod sweep;
 
 pub use digest::{PINNED_SWEEP_DIGEST, PINNED_SWEEP_SEED};
-pub use pipeline::{
-    enumerate_points_pipelined, replay_pipelined, sweep_all_pipelined, sweep_pipelined,
-};
 pub use runtime::{sweep_runtime, sweep_runtime_all, RuntimeReport};
 pub use sweep::{
     digest_reports, enumerate_points, pinned_digest, replay, replay_with_dump, seed_from_env,

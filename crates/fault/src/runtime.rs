@@ -1,8 +1,8 @@
 //! Runtime device-fault sweep: the *live-system* counterpart of the
 //! crash sweeps.
 //!
-//! [`mod@crate::sweep`] and [`mod@crate::pipeline`] kill the machine at
-//! a numbered persist boundary and validate recovery. This module keeps
+//! [`mod@crate::sweep`] kills the machine at a numbered persist
+//! boundary and validates recovery. This module keeps
 //! the machine alive but makes the *device* unreliable: a seeded
 //! [`DeviceFaults`] schedule turns write-backs and fences into
 //! transient failures and latency spikes, and the assertions follow the
@@ -25,7 +25,7 @@
 //!   system must yield precisely that epoch's prefix.
 //!
 //! Scheduling is deterministic: one driving thread, hand-driven drains
-//! (the [`mod@crate::pipeline`] idiom), and a device-fault stream that
+//! (the pipelined [`mod@crate::sweep`] idiom), and a device-fault stream that
 //! is a pure function of `(seed, guarded-op index)` — the same seed
 //! replays the same retries, the same degradations, the same verdicts.
 
@@ -174,9 +174,7 @@ fn check_crash_recovery<T: SweepTarget>(
 
 /// Scenario 1: transient faults within the retry budget.
 fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -> RuntimeReport {
-    let econf = EpochConfig::manual()
-        .with_persist_retries(6)
-        .with_persist_backoff_spins(4);
+    let econf = EpochConfig::manual().with_persist_retries(6);
     let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
     heap.arm_device_faults(Arc::clone(&faults));
     let mut log = Vec::new();
@@ -205,9 +203,7 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
 /// Scenario 2: one guaranteed budget exhaustion, then a healed device.
 fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     let retries = 1u32;
-    let econf = EpochConfig::manual()
-        .with_persist_retries(retries)
-        .with_persist_backoff_spins(1);
+    let econf = EpochConfig::manual().with_persist_retries(retries);
     let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
     // Every write-back fails until exactly one batch's attempt budget
     // (1 + retries injections) is burned, then the device heals: the
@@ -259,9 +255,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
 
 /// Scenario 3: a dead device — the ladder must run to fail-stop.
 fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
-    let econf = EpochConfig::manual()
-        .with_persist_retries(0)
-        .with_persist_backoff_spins(0);
+    let econf = EpochConfig::manual().with_persist_retries(0);
     let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
     let faults = Arc::new(DeviceFaults::new(cfg.seed).with_writeback_failures(1000));
     heap.arm_device_faults(Arc::clone(&faults));

@@ -18,7 +18,7 @@
 //!    recovered frontier `R` (single-threaded histories make the
 //!    durable prefix exact, not merely bounded).
 //!
-//! Two adversarial twists, both seeded and reproducible:
+//! Three adversarial twists, all seeded and reproducible:
 //!
 //! * **Torn writes** ([`SweepConfig::torn`]): at the crash instant a
 //!   random subset of dirty *words* drains to media — cache lines race
@@ -28,6 +28,21 @@
 //!   is crashed at a seeded point of *its own* enumerated schedule, and
 //!   the second recovery must still produce the same durable prefix —
 //!   the idempotent-recovery contract.
+//! * **Pipelined persistence** ([`SweepConfig::pipelined`]): the
+//!   synchronous schedule crosses every persist boundary *inside*
+//!   `advance`; with a persister attached those boundaries move off
+//!   the advancing thread, the clock runs ahead of the durable
+//!   frontier, and a crash can land while sealed batches are still in
+//!   flight. The driver stands in for the persister worker — it enters
+//!   pipelined mode with [`EpochSys::attach_persister`], so `advance`
+//!   only seals and enqueues, and drains by hand with
+//!   [`EpochSys::persist_next_batch`] on a seeded cadence that lets
+//!   batches linger across operations. Every crash point — in the
+//!   workload's evictions, in a batch's write-backs, in the frontier
+//!   publish itself — still fires on the driving thread, and the oracle
+//!   is unchanged: that the clock may be arbitrarily far past `R` at
+//!   the crash is what's under test — recovery keys off the frontier,
+//!   never off `clock − 2`.
 //!
 //! The same [`SweepConfig`] (in particular the same `seed`, usually
 //! from the `FAULT_SEED` environment variable) produces the same
@@ -92,6 +107,9 @@ pub struct SweepConfig {
     pub torn: bool,
     /// Also crash recovery at a seeded point and re-recover.
     pub double_crash: bool,
+    /// Seal on `advance`, write back later on a seeded drain cadence
+    /// (the hand-driven stand-in for a background persister).
+    pub pipelined: bool,
     /// Replay at most this many crash points, evenly strided over the
     /// schedule (0 = replay every point).
     pub max_replays: u64,
@@ -114,6 +132,7 @@ impl SweepConfig {
             evict_lines: 3,
             torn: false,
             double_crash: false,
+            pipelined: false,
             max_replays: 0,
             heap_bytes: 8 << 20,
             htm: HtmConfig::for_tests(),
@@ -206,15 +225,30 @@ pub fn silence_crash_panics() {
     });
 }
 
+/// Pipeline depth of the driver's epoch system. The pipelined drain
+/// cadence keeps at most three batches in flight, so the depth is never
+/// hit and `advance` never waits on a persister that doesn't exist.
+const DRIVER_DEPTH: usize = 4;
+
 fn setup<T: SweepTarget>(cfg: &SweepConfig) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(cfg.heap_bytes)));
-    let esys = EpochSys::format(Arc::clone(&heap), EpochConfig::manual());
+    let esys = EpochSys::format(
+        Arc::clone(&heap),
+        EpochConfig::manual().with_pipeline_depth(DRIVER_DEPTH),
+    );
+    if cfg.pipelined {
+        esys.attach_persister();
+    }
     let t = T::new(Arc::clone(&esys), Arc::new(Htm::new(cfg.htm.clone())));
     (heap, esys, t)
 }
 
 /// The seeded mixed workload. Logs every mutation with the epoch it ran
 /// in; the log is the ground truth the prefix oracle folds over.
+///
+/// The pipelined schedule draws its drain cadence from a stream of its
+/// own, so the synchronous schedule's draws (and the pinned digest) do
+/// not depend on it.
 fn run_workload<T: SweepTarget>(
     t: &T,
     esys: &EpochSys,
@@ -222,6 +256,8 @@ fn run_workload<T: SweepTarget>(
     log: &mut Vec<(u64, Mutation)>,
 ) {
     let mut rng = SplitMix64::new(cfg.seed);
+    let mut drain_rng = SplitMix64::new(cfg.seed ^ 0xD7_A14B_A7C4_5EED);
+    let mut deferred = false;
     for i in 0..cfg.ops {
         if cfg.evict_every != 0 && i % cfg.evict_every == cfg.evict_every - 1 {
             esys.heap()
@@ -245,6 +281,29 @@ fn run_workload<T: SweepTarget>(
         if i % cfg.advance_every == cfg.advance_every - 1 {
             esys.advance();
         }
+        // Pipelined: drain half a period after each seal. Occasionally
+        // defer a batch for a whole period (bounded at one deferral, so
+        // in-flight stays below DRIVER_DEPTH): the next drain then
+        // writes back two batches in a row, and crash points fall both
+        // while the frontier trails by one epoch and while it trails by
+        // several.
+        if cfg.pipelined && i % cfg.advance_every == cfg.advance_every / 2 {
+            if !deferred && drain_rng.next_below(2) == 0 {
+                deferred = true;
+            } else {
+                esys.persist_next_batch();
+                if deferred {
+                    esys.persist_next_batch();
+                    deferred = false;
+                }
+            }
+        }
+    }
+    if cfg.pipelined {
+        // End of run: seal the tail epochs and drain everything, as a
+        // clean shutdown (Persister::stop) would.
+        esys.advance();
+        while esys.persist_next_batch() {}
     }
 }
 
@@ -455,8 +514,9 @@ pub fn replay_with_dump<T: SweepTarget>(
         img
     };
     let ctx = format!(
-        "{} point {point}{}{}",
+        "{}{} point {point}{}{}",
         T::NAME,
+        if cfg.pipelined { " pipelined" } else { "" },
         if cfg.torn { " (torn)" } else { "" },
         if double_crashed {
             " (double crash)"
@@ -614,6 +674,72 @@ mod tests {
         let cfg = SweepConfig::quick(21);
         let v = replay::<PhtmVeb>(&cfg, u64::MAX).expect("end-of-run crash");
         assert!(!v.fired);
+    }
+
+    fn pipelined(seed: u64) -> SweepConfig {
+        SweepConfig {
+            pipelined: true,
+            ..SweepConfig::quick(seed)
+        }
+    }
+
+    #[test]
+    fn pipelined_schedule_is_deterministic() {
+        let cfg = pipelined(0xBA7C4);
+        let a = enumerate_points::<PhtmVeb>(&cfg);
+        let b = enumerate_points::<PhtmVeb>(&cfg);
+        assert_eq!(a, b, "same seed, same pipelined schedule");
+        assert!(a >= 50, "the drains must cross many persist boundaries");
+    }
+
+    #[test]
+    fn pipelined_run_develops_frontier_lag() {
+        // Assert the hand-driven regime is reachable at all: when seals
+        // outpace drains, the clock must get more than 2 epochs past
+        // the frontier (sealed batches in flight).
+        let cfg = pipelined(0xBA7C5);
+        let (_heap, esys, t) = setup::<BdSpash>(&cfg);
+        let mut rng = SplitMix64::new(cfg.seed);
+        let mut max_lag = 0;
+        for i in 0..cfg.ops {
+            let key = 1 + rng.next_below(cfg.keys);
+            t.insert(key, rng.next_u64() | 1);
+            if i % cfg.advance_every == cfg.advance_every - 1 {
+                esys.advance();
+            }
+            // Drain *two* batches every other period: seals outpace
+            // drains for a whole period (lag grows past 2), then the
+            // double drain restores balance without ever filling the
+            // depth-4 pipeline.
+            if i % (2 * cfg.advance_every) == cfg.advance_every / 2 {
+                esys.persist_next_batch();
+                esys.persist_next_batch();
+            }
+            max_lag = max_lag.max(esys.current_epoch() - esys.persisted_frontier());
+        }
+        assert!(
+            max_lag > 2,
+            "driver must let the clock outrun the frontier, max lag {max_lag}"
+        );
+    }
+
+    #[test]
+    fn single_pipelined_replay_round_trips() {
+        let v = replay::<BdSpash>(&pipelined(33), 3).expect("replay at point 3");
+        assert!(v.fired, "an early point must fire");
+    }
+
+    #[test]
+    fn mid_batch_crash_recovers_to_old_frontier() {
+        // Crash points are dominated by the drains' clwb/fence traffic,
+        // so a torn mid-schedule point lands inside a batch write-back
+        // with near-certainty; sweep a stride of them.
+        let cfg = pipelined(0x5EA1).with_torn_writes();
+        let points = enumerate_points::<PhtmVeb>(&cfg);
+        for point in (0..points).step_by((points as usize / 12).max(1)) {
+            replay::<PhtmVeb>(&cfg, point)
+                .unwrap_or_else(|e| panic!("pipelined torn replay failed: {e}"));
+        }
     }
 
     #[test]

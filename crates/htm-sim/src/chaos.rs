@@ -270,15 +270,21 @@ pub struct ChaosSession {
     seed: u64,
 }
 
-/// Arms a chaos session with `config`, blocking until any previous
-/// session has been dropped (sessions are process-global).
-pub fn arm(config: Config) -> ChaosSession {
+/// Takes the process-wide session lock, blocking until any previous
+/// holder releases it.
+fn lock_session() {
     while SESSION_LOCK
         .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
         .is_err()
     {
         std::thread::yield_now();
     }
+}
+
+/// Arms a chaos session with `config`, blocking until any previous
+/// session has been dropped (sessions are process-global).
+pub fn arm(config: Config) -> ChaosSession {
+    lock_session();
     SEED.store(config.seed, Ordering::Relaxed);
     YIELD_PPM.store(config.yield_ppm, Ordering::Relaxed);
     SPIN_PPM.store(config.spin_ppm, Ordering::Relaxed);
@@ -398,6 +404,16 @@ mod tests {
 
     #[test]
     fn disarmed_points_are_free_and_silent() {
+        // `armed()` is process-global and sibling tests arm sessions:
+        // hold the session lock, unarmed, so none can start meanwhile.
+        struct Unlock;
+        impl Drop for Unlock {
+            fn drop(&mut self) {
+                SESSION_LOCK.store(false, Ordering::Release);
+            }
+        }
+        lock_session();
+        let _unlock = Unlock;
         assert!(!armed());
         for _ in 0..10_000 {
             point("test::noop");

@@ -1,27 +1,5 @@
 //! NVM simulation parameters.
 
-/// Background-eviction injection: models the unpredictable cache
-/// replacement policy that writes dirty lines back to media in arbitrary
-/// order. BDL structures must tolerate any eviction order; DL structures
-/// must be correct regardless of whether a line was evicted before its
-/// explicit flush.
-#[derive(Clone, Copy, Debug)]
-pub struct EvictionPolicy {
-    /// Lines evicted per injection round.
-    pub lines_per_round: usize,
-    /// Microseconds between rounds when running the background evictor.
-    pub interval_us: u64,
-}
-
-impl Default for EvictionPolicy {
-    fn default() -> Self {
-        Self {
-            lines_per_round: 64,
-            interval_us: 100,
-        }
-    }
-}
-
 /// Configuration of a simulated NVM device.
 #[derive(Clone, Debug)]
 pub struct NvmConfig {

@@ -37,7 +37,7 @@ mod heap;
 mod latency;
 mod stats;
 
-pub use config::{EvictionPolicy, NvmConfig};
+pub use config::NvmConfig;
 pub use device::{DeviceError, DeviceFaults, DeviceOpKind};
 pub use fault::{CrashPointKind, CrashTriggered, FaultPlan};
 pub use heap::{CrashImage, NvmAddr, NvmHeap, WORDS_PER_LINE, WORDS_PER_XPLINE};

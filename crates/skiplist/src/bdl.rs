@@ -740,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn background_persistence_is_off_the_critical_path() {
+    fn epoch_write_back_is_off_the_critical_path() {
         let l = setup();
         let before = l.epoch_sys().heap().stats().snapshot();
         for k in 1..200 {

@@ -214,11 +214,7 @@ fn pipelined_seal_boundaries_match_oracle_until_batch_persists() {
     // Background persistence with a hand-driven persister: seals and
     // write-backs are decoupled, so the accounting must hold words
     // until the *batch* persists, not just until the seal.
-    let es = fresh(
-        EpochConfig::manual()
-            .with_background_persist(true)
-            .with_pipeline_depth(2),
-    );
+    let es = fresh(EpochConfig::manual().with_pipeline_depth(2));
     let mut oracle = Oracle::default();
     es.attach_persister();
 

@@ -129,15 +129,13 @@ fn sync_mode_lag_collapses_to_the_advance_cadence() {
 /// The fault ladder: retry exhaustion ratchets Ok → Degraded → Failed.
 /// Spans committed after the frontier freezes can never fold, yet the
 /// accounting must stay coherent — folded spans plus dropped spans never
-/// exceed commits — and the v3 report must still serialize cleanly from
+/// exceed commits — and the report must still serialize cleanly from
 /// a Failed system.
 #[test]
 fn lag_accounting_stays_coherent_through_degraded_and_failed() {
     let (heap, esys, map) = stack(
         NvmConfig::for_tests(8 << 20),
-        EpochConfig::manual()
-            .with_persist_retries(1)
-            .with_persist_backoff_spins(1),
+        EpochConfig::manual().with_persist_retries(1),
     );
     esys.attach_persister(); // hand-driven pipelined mode
 

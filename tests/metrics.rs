@@ -81,6 +81,9 @@ fn json_round_trips_through_the_parser() {
         doc.get("version").and_then(|v| v.as_u64()),
         Some(bd_htm::bdhtm_core::METRICS_VERSION)
     );
+    // One schema version: dropping or re-meaning a key bumps it, and
+    // `metrics_check` accepts nothing else.
+    assert_eq!(bd_htm::bdhtm_core::METRICS_VERSION, 5);
 
     // Counters survive serialization exactly.
     let h = report.htm.unwrap();
@@ -114,7 +117,7 @@ fn json_round_trips_through_the_parser() {
         Some(d.frontier_lag)
     );
 
-    // v2 additions: the health gauge and the runtime-fault counters.
+    // The health gauge and the runtime-fault counters.
     assert_eq!(
         derived.get("health").and_then(|v| v.as_str()),
         Some(d.health.as_str())
@@ -132,7 +135,7 @@ fn json_round_trips_through_the_parser() {
         Some(e.watchdog_fires)
     );
 
-    // v3 additions: durability-lag quantiles, dropped-span and
+    // Durability-lag quantiles, dropped-span and
     // dropped-event gauges, and the lag histogram itself.
     assert_eq!(
         derived.get("durability_lag_p99").and_then(|v| v.as_u64()),
@@ -152,10 +155,10 @@ fn json_round_trips_through_the_parser() {
         doc.get("histograms")
             .and_then(|h| h.get("durability_lag_ns"))
             .is_some(),
-        "v3 report carries the durability lag histogram"
+        "report carries the durability lag histogram"
     );
 
-    // v4 additions: persister-pool telemetry.
+    // Persister-pool telemetry.
     assert_eq!(
         epoch.get("coalesced_flushes").and_then(|v| v.as_u64()),
         Some(e.coalesced_flushes)
@@ -176,7 +179,7 @@ fn json_round_trips_through_the_parser() {
         doc.get("histograms")
             .and_then(|h| h.get("persist_chunks"))
             .is_some(),
-        "v4 report carries the chunk fan-out histogram"
+        "report carries the chunk fan-out histogram"
     );
 
     // Histogram bucket lists carry the full count.

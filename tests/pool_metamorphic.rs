@@ -87,7 +87,7 @@ fn live_pool_digest(pool: Option<(usize, usize)>) -> u64 {
         Some((workers, depth)) => EpochConfig::manual()
             .with_persist_workers(workers)
             .with_pipeline_depth(depth),
-        None => EpochConfig::manual().with_background_persist(false),
+        None => EpochConfig::manual(),
     };
     let (heap, esys, map) = stack(ec);
     let persister = pool.map(|_| Persister::spawn(Arc::clone(&esys)));
