@@ -24,7 +24,10 @@
 //! spans need durations, and durability-lag flow arrows must come in
 //! matched start/finish pairs.
 
-use bdhtm_core::obs::{JsonValue, METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION};
+use bdhtm_core::obs::{JsonValue, Obs, METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION};
+use bdhtm_core::EpochStatsSnapshot;
+use htm_sim::StatsSnapshot;
+use nvm_sim::NvmStatsSnapshot;
 
 fn fail(msg: &str) -> ! {
     eprintln!("metrics_check: {msg}");
@@ -76,13 +79,12 @@ fn check_hist(name: &str, h: &JsonValue) {
     }
 }
 
-/// Loads a report and runs every single-file invariant check on it.
-/// Returns the summary fragments.
-fn load_and_check(path: &str) -> Vec<String> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let doc = JsonValue::parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
-    check_report(&doc)
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
+}
+
+fn parse(text: &str) -> JsonValue {
+    JsonValue::parse(text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")))
 }
 
 /// The one schema version this checker understands is the one the
@@ -105,6 +107,20 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
         fail(&format!("schema is not {METRICS_SCHEMA:?}"));
     }
     check_version(doc, "");
+
+    // Every declared counter of every present section is a non-negative
+    // integer under its own name.
+    for (section, fields) in [
+        ("htm", StatsSnapshot::FIELDS),
+        ("nvm", NvmStatsSnapshot::FIELDS),
+        ("epoch", EpochStatsSnapshot::FIELDS),
+    ] {
+        if let Some(s) = doc.get(section) {
+            for field in fields {
+                let _ = req_u64(s, field);
+            }
+        }
+    }
 
     // HTM coherence: attempts = commits + sum of abort causes.
     let mut summary = Vec::new();
@@ -174,9 +190,6 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
                 fail("persist_worker_words entry not a non-negative integer");
             }
         }
-        if let Some(e) = doc.get("epoch") {
-            let _ = req_u64(e, "coalesced_flushes");
-        }
         summary.push(format!("persist_workers={workers}"));
     }
 
@@ -187,7 +200,7 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
                 check_hist(name, h);
             }
             if doc.get("derived").is_some() {
-                for needed in ["durability_lag_ns", "persist_chunks"] {
+                for (needed, _unit) in Obs::HISTOGRAMS {
                     if !members.iter().any(|(n, _)| n == needed) {
                         fail(&format!("report with an epoch system lacks {needed}"));
                     }
@@ -203,8 +216,7 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
 
 /// The `--series` gate: validates a sampler JSON-lines stream.
 fn check_series(path: &str) {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    let text = read(path);
     let mut prev_t = 0u64;
     let mut n = 0u64;
     for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
@@ -246,9 +258,7 @@ fn check_series(path: &str) {
 
 /// The `--trace` gate: validates a Chrome trace_event export.
 fn check_trace(path: &str) {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let doc = JsonValue::parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
+    let doc = parse(&read(path));
     let events = req(&doc, "traceEvents")
         .as_arr()
         .unwrap_or_else(|| fail("traceEvents is not an array"));
@@ -322,6 +332,6 @@ fn main() {
     let Some(path) = args.first() else {
         fail("usage: metrics_check <report.json> | --series <s.jsonl> | --trace <t.json>");
     };
-    let summary = load_and_check(path);
+    let summary = check_report(&parse(&read(path)));
     println!("metrics_check: OK ({})", summary.join(", "));
 }

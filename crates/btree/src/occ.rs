@@ -11,7 +11,7 @@ use crate::LEAF_CAP;
 use htm_sim::sync::{Mutex, RwLock};
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, HDR_WORDS};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Block tag for OCC/Elim tree nodes.
@@ -53,12 +53,29 @@ pub struct OccAbTree {
     alloc: Arc<PAlloc>,
     root: RwLock<NvmAddr>,
     leaf_locks: Box<[Mutex<()>]>,
+    /// One sequence counter per leaf-lock stripe (DRAM only): odd while
+    /// a lock holder is rewriting a leaf's pairs, so the lock-free
+    /// [`get`](Self::get) can tell a torn read from a clean one.
+    leaf_seq: Box<[AtomicU64]>,
     /// Publishing-elimination queues (used only by [`ElimAbTree`]).
     elim: Option<Box<[Mutex<Vec<Pending>>]>>,
 }
 
 /// OCC-ABTree with publishing elimination enabled.
 pub struct ElimAbTree(pub OccAbTree);
+
+/// An open write section of a leaf stripe's seqlock (see
+/// `OccAbTree::leaf_write`).
+struct LeafWrite<'a>(&'a AtomicU64);
+
+impl Drop for LeafWrite<'_> {
+    fn drop(&mut self) {
+        // Release: every pair write of the section is visible before
+        // the count turns even again.
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Release);
+    }
+}
 
 impl OccAbTree {
     pub fn new(heap: Arc<NvmHeap>) -> Self {
@@ -73,6 +90,7 @@ impl OccAbTree {
             alloc,
             root: RwLock::new(root),
             leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+            leaf_seq: (0..LEAF_LOCKS).map(|_| AtomicU64::new(0)).collect(),
             elim: elim.then(|| (0..LEAF_LOCKS).map(|_| Mutex::new(Vec::new())).collect()),
         }
     }
@@ -141,9 +159,22 @@ impl OccAbTree {
         None
     }
 
+    /// Opens the write side of `leaf`'s stripe seqlock; the caller holds
+    /// the stripe lock, so the counter has one writer at a time. Dropping
+    /// the guard closes the section.
+    fn leaf_write(&self, leaf: NvmAddr) -> LeafWrite<'_> {
+        let seq = &self.leaf_seq[self.leaf_lock(leaf).1];
+        seq.store(seq.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // Release fence: the odd count is visible before any pair write
+        // that follows it (pairs with the Acquire fence in `get`).
+        fence(Ordering::Release);
+        LeafWrite(seq)
+    }
+
     /// Applies an insert to a locked, non-full leaf. Returns the
     /// previous value (`None` = appended).
     fn apply_insert(&self, leaf: NvmAddr, key: u64, value: u64) -> Option<u64> {
+        let _section = self.leaf_write(leaf);
         if let Some((i, old)) = self.leaf_find(leaf, key) {
             let va = leaf.offset(HDR_WORDS + N_PAIRS + 2 * i + 1);
             self.heap.write(va, value);
@@ -162,6 +193,7 @@ impl OccAbTree {
     }
 
     fn apply_remove(&self, leaf: NvmAddr, key: u64) -> Option<u64> {
+        let _section = self.leaf_write(leaf);
         let (i, v) = self.leaf_find(leaf, key)?;
         let n = self.w(leaf, N_COUNT);
         if i != n - 1 {
@@ -169,6 +201,9 @@ impl OccAbTree {
             let lv = self.w(leaf, N_PAIRS + 2 * (n - 1) + 1);
             let e = leaf.offset(HDR_WORDS + N_PAIRS + 2 * i);
             self.heap.write(e, lk);
+            // The hole now pairs the last key with the removed key's
+            // value until the next write lands.
+            htm_sim::chaos::point("btree::remove_move");
             self.heap.write(e.offset(1), lv);
             self.heap.persist_range(e, 2);
         }
@@ -240,11 +275,24 @@ impl OccAbTree {
         v
     }
 
-    /// Optimistic lock-free lookup.
+    /// Optimistic lock-free lookup: reads the leaf without its lock and
+    /// retries if a writer's section overlapped the read, so a key is
+    /// never returned with the value of a pair mid-move.
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = self.descend(*guard, key);
-        self.leaf_find(leaf, key).map(|(_, v)| v)
+        let seq = &self.leaf_seq[self.leaf_lock(leaf).1];
+        loop {
+            let before = seq.load(Ordering::Acquire);
+            if before.is_multiple_of(2) {
+                let found = self.leaf_find(leaf, key).map(|(_, v)| v);
+                fence(Ordering::Acquire);
+                if seq.load(Ordering::Relaxed) == before {
+                    return found;
+                }
+            }
+            std::thread::yield_now();
+        }
     }
 
     pub fn contains(&self, key: u64) -> bool {
@@ -561,6 +609,7 @@ impl OccAbTree {
             alloc,
             root: RwLock::new(root),
             leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+            leaf_seq: (0..LEAF_LOCKS).map(|_| AtomicU64::new(0)).collect(),
             elim: None,
         }
     }

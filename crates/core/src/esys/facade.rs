@@ -15,6 +15,7 @@
 
 use crate::config::EpochConfig;
 use crate::error::RetireError;
+use htm_sim::rng::AtomicSplitMix64;
 use htm_sim::sync::Mutex;
 use htm_sim::{MemAccess, TxResult};
 use nvm_sim::{NvmAddr, NvmHeap};
@@ -79,10 +80,10 @@ pub struct EpochSys {
     config: EpochConfig,
     stats: EpochStats,
     obs: Obs,
-    /// SplitMix64 state of the persist-retry backoff jitter (fixed
-    /// seed: jitter only decorrelates contending persisters, it carries
-    /// no experiment semantics).
-    pub(super) backoff_rng: AtomicU64,
+    /// The persist-retry backoff jitter stream (fixed seed: jitter only
+    /// decorrelates contending persisters, it carries no experiment
+    /// semantics).
+    pub(super) backoff_rng: AtomicSplitMix64,
     /// Runtime health ladder (`HealthState` code): a one-way ratchet
     /// `Ok → Degraded → Failed` advanced only by
     /// [`escalate_health`](EpochSys::escalate_health).
@@ -119,7 +120,7 @@ impl EpochSys {
         frontier: u64,
         disabled: bool,
     ) -> EpochSys {
-        let obs = Obs::with_flight_slots(config.flight_slots);
+        let obs = Obs::for_config(&config);
         EpochSys {
             heap,
             alloc,
@@ -134,7 +135,7 @@ impl EpochSys {
             config,
             stats: EpochStats::default(),
             obs,
-            backoff_rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
+            backoff_rng: AtomicSplitMix64::new(0x9E37_79B9_7F4A_7C15),
             health: AtomicU8::new(HealthState::Ok as u8),
             last_persist_error: StdMutex::new(None),
         }

@@ -11,109 +11,52 @@
 
 use crate::error::{HealthState, PersistError};
 use crate::obs::EventKind;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use super::facade::EpochSys;
 
-/// Volatile counters describing epoch-system activity. Read through
-/// [`EpochStats::snapshot`], like the HTM and NVM stats types.
-#[derive(Default)]
-pub struct EpochStats {
-    pub(crate) advances: AtomicU64,
-    pub(crate) blocks_persisted: AtomicU64,
-    pub(crate) words_persisted: AtomicU64,
-    pub(crate) blocks_reclaimed: AtomicU64,
-    pub(crate) backpressure_advances: AtomicU64,
-    pub(crate) pipeline_stalls: AtomicU64,
-    pub(crate) persist_retries: AtomicU64,
-    pub(crate) coalesced_flushes: AtomicU64,
-    pub(crate) degradations: AtomicU64,
-    pub(crate) watchdog_fires: AtomicU64,
+htm_sim::counters! {
+    /// Volatile counters describing epoch-system activity. Read through
+    /// [`EpochStats::snapshot`], like the HTM and NVM stats types.
+    pub struct EpochStats;
+    /// Aggregated view of [`EpochStats`].
+    pub struct EpochStatsSnapshot {
+        /// Completed epoch advances.
+        advances,
+        /// Blocks flushed by background persistence.
+        blocks_persisted,
+        /// Words covered by those flushes (buffered-bytes-per-epoch model,
+        /// §5.1).
+        words_persisted,
+        /// Retired blocks physically reclaimed.
+        blocks_reclaimed,
+        /// Epoch advances initiated by [`EpochSys::begin_op`] backpressure
+        /// (buffered set over `EpochConfig::max_buffered_words`).
+        backpressure_advances,
+        /// Advances that found `EpochConfig::pipeline_depth` batches in
+        /// flight and stalled the clock until the persister caught up.
+        pipeline_stalls,
+        /// Batch write-back attempts retried after a transient
+        /// [`DeviceError`](nvm_sim::DeviceError).
+        persist_retries,
+        /// Ranged flushes saved by merging word-contiguous blocks in a
+        /// batch's flush plan (each merge retires one `persist_range` call;
+        /// the device still sees every line).
+        coalesced_flushes,
+        /// Health-ladder downgrades (`Ok → Degraded` and
+        /// `Degraded → Failed` each count once).
+        degradations,
+        /// Times an attached [`Watchdog`](crate::Watchdog) detected a stall.
+        watchdog_fires,
+    }
 }
 
 impl EpochStats {
     /// Aggregates the counters into an owned snapshot.
     pub fn snapshot(&self) -> EpochStatsSnapshot {
-        EpochStatsSnapshot {
-            advances: self.advances.load(Ordering::Relaxed),
-            blocks_persisted: self.blocks_persisted.load(Ordering::Relaxed),
-            words_persisted: self.words_persisted.load(Ordering::Relaxed),
-            blocks_reclaimed: self.blocks_reclaimed.load(Ordering::Relaxed),
-            backpressure_advances: self.backpressure_advances.load(Ordering::Relaxed),
-            pipeline_stalls: self.pipeline_stalls.load(Ordering::Relaxed),
-            persist_retries: self.persist_retries.load(Ordering::Relaxed),
-            coalesced_flushes: self.coalesced_flushes.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            watchdog_fires: self.watchdog_fires.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (between benchmark phases).
-    pub fn reset(&self) {
-        self.advances.store(0, Ordering::Relaxed);
-        self.blocks_persisted.store(0, Ordering::Relaxed);
-        self.words_persisted.store(0, Ordering::Relaxed);
-        self.blocks_reclaimed.store(0, Ordering::Relaxed);
-        self.backpressure_advances.store(0, Ordering::Relaxed);
-        self.pipeline_stalls.store(0, Ordering::Relaxed);
-        self.persist_retries.store(0, Ordering::Relaxed);
-        self.coalesced_flushes.store(0, Ordering::Relaxed);
-        self.degradations.store(0, Ordering::Relaxed);
-        self.watchdog_fires.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Aggregated view of [`EpochStats`].
-#[derive(Clone, Copy, Default, Debug)]
-pub struct EpochStatsSnapshot {
-    /// Completed epoch advances.
-    pub advances: u64,
-    /// Blocks flushed by background persistence.
-    pub blocks_persisted: u64,
-    /// Words covered by those flushes (buffered-bytes-per-epoch model,
-    /// §5.1).
-    pub words_persisted: u64,
-    /// Retired blocks physically reclaimed.
-    pub blocks_reclaimed: u64,
-    /// Epoch advances initiated by [`EpochSys::begin_op`] backpressure
-    /// (buffered set over `EpochConfig::max_buffered_words`).
-    pub backpressure_advances: u64,
-    /// Advances that found `EpochConfig::pipeline_depth` batches in
-    /// flight and stalled the clock until the persister caught up.
-    pub pipeline_stalls: u64,
-    /// Batch write-back attempts retried after a transient
-    /// [`DeviceError`](nvm_sim::DeviceError).
-    pub persist_retries: u64,
-    /// Ranged flushes saved by merging word-contiguous blocks in a
-    /// batch's flush plan (each merge retires one `persist_range` call;
-    /// the device still sees every line).
-    pub coalesced_flushes: u64,
-    /// Health-ladder downgrades (`Ok → Degraded` and
-    /// `Degraded → Failed` each count once).
-    pub degradations: u64,
-    /// Times an attached [`Watchdog`](crate::Watchdog) detected a stall.
-    pub watchdog_fires: u64,
-}
-
-impl EpochStatsSnapshot {
-    /// Difference of two snapshots (self - earlier). Saturating per
-    /// field: a `reset()` between the two snapshots yields zeros
-    /// instead of a debug-build underflow panic.
-    pub fn since(&self, e: &EpochStatsSnapshot) -> EpochStatsSnapshot {
-        EpochStatsSnapshot {
-            advances: self.advances.saturating_sub(e.advances),
-            blocks_persisted: self.blocks_persisted.saturating_sub(e.blocks_persisted),
-            words_persisted: self.words_persisted.saturating_sub(e.words_persisted),
-            blocks_reclaimed: self.blocks_reclaimed.saturating_sub(e.blocks_reclaimed),
-            backpressure_advances: self
-                .backpressure_advances
-                .saturating_sub(e.backpressure_advances),
-            pipeline_stalls: self.pipeline_stalls.saturating_sub(e.pipeline_stalls),
-            persist_retries: self.persist_retries.saturating_sub(e.persist_retries),
-            coalesced_flushes: self.coalesced_flushes.saturating_sub(e.coalesced_flushes),
-            degradations: self.degradations.saturating_sub(e.degradations),
-            watchdog_fires: self.watchdog_fires.saturating_sub(e.watchdog_fires),
-        }
+        let mut t = EpochStatsSnapshot::default();
+        self.add_to(&mut t);
+        t
     }
 }
 

@@ -424,16 +424,10 @@ impl EpochSys {
                     self.obs()
                         .event(EventKind::PersistRetry, epoch, attempt as u64);
                     let spins = backoff_ladder(PERSIST_BACKOFF_SPINS, attempt - 1);
-                    // Seeded jitter in [0, spins/2) decorrelates
+                    // Seeded jitter in [0, spins/2] decorrelates
                     // contending persisters without perturbing replay
-                    // determinism (fixed seed, CAS-stepped).
-                    let draw = self
-                        .backoff_rng
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |mut s| {
-                            htm_sim::rng::splitmix64(&mut s);
-                            Some(s)
-                        })
-                        .unwrap_or(0);
+                    // determinism (fixed seed).
+                    let draw = self.backoff_rng.next_u64();
                     backoff_spin(spins + draw % (spins / 2 + 1));
                 }
             }

@@ -17,14 +17,8 @@
 //! [`EpochConfig::flight_slots`](crate::EpochConfig::with_flight_slots)
 //! to widen it).
 
-use crate::obs::{EventKind, FlightEvent, Obs, ABORT_RESTART, ABORT_UNWIND};
+use crate::obs::{abort_cause, health_label, Arg, EventKind, FlightEvent, JsonWriter, Obs, Track};
 use std::collections::HashMap;
-use std::fmt::Write as _;
-
-/// Virtual track ids for events that belong to the system, not a worker.
-const TID_EPOCH: usize = 1000;
-const TID_PERSIST: usize = 1001;
-const TID_HEALTH: usize = 1002;
 
 /// Run-level facts embedded in the trace `metadata` object.
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,23 +30,16 @@ pub struct TraceMeta {
     pub lag_spans_dropped: u64,
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// The track (`tid`) and category an event of this [`Track`] is drawn
+/// on. System events get virtual tids above every worker's (Perfetto
+/// sorts by name within a process, so they stay grouped at the bottom).
+fn track(track: Track, worker: usize) -> (usize, &'static str) {
+    match track {
+        Track::Op => (worker, "op"),
+        Track::Epoch => (1000, "epoch"),
+        Track::Persist => (1001, "persist"),
+        Track::Health => (1002, "health"),
     }
-    out
 }
 
 /// Microsecond timestamp with nanosecond precision, as the format's
@@ -61,61 +48,104 @@ fn us(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1000, t_ns % 1000)
 }
 
-struct Events(String);
-
-impl Events {
-    fn push(&mut self, body: &str) {
-        if !self.0.is_empty() {
-            self.0.push_str(",\n");
+/// The `args` object of an event's record: its two payload words under
+/// the labels its `events!` row (`obs/flight.rs`) declares.
+fn args(w: &mut JsonWriter, e: &FlightEvent) {
+    let def = e.kind.def();
+    w.key("args").open('{');
+    for (arg, v) in [(def.a, e.a), (def.b, e.b)] {
+        match arg {
+            Arg::Unused => {}
+            Arg::Epoch => {
+                w.field("epoch", v);
+            }
+            Arg::Num(label) | Arg::CrashKind(label) | Arg::OptEpoch(label) => {
+                w.field(label, v);
+            }
+            Arg::AbortTag(label) => {
+                w.field_str(label, &abort_cause(v, false));
+            }
+            Arg::Health(label) => {
+                w.field_str(label, health_label(v));
+            }
         }
-        self.0.push_str("    {");
-        self.0.push_str(body);
-        self.0.push('}');
+    }
+    w.close('}');
+}
+
+/// The trace records, one JSON object each.
+struct Records(Vec<String>);
+
+impl Records {
+    fn push(&mut self, body: impl FnOnce(&mut JsonWriter)) {
+        let mut w = JsonWriter::with_capacity(160);
+        w.open('{');
+        body(&mut w);
+        w.close('}');
+        self.0.push(w.finish());
     }
 
-    /// A complete ("X") span.
-    fn span(&mut self, name: &str, cat: &str, tid: usize, t_ns: u64, dur_ns: u64, args: &str) {
-        self.push(&format!(
-            "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{{}}}",
-            esc(name), cat, us(t_ns), us(dur_ns), tid, args
-        ));
+    /// A complete ("X") span of `e`'s kind from `t_ns` to `e.t_ns`.
+    fn span(&mut self, e: &FlightEvent, t_ns: u64) {
+        let def = e.kind.def();
+        let (tid, cat) = track(def.track, e.tid);
+        self.push(|w| {
+            w.field_str("name", def.trace_name).field_str("cat", cat);
+            w.field_str("ph", "X").field("ts", us(t_ns));
+            w.field("dur", us(e.t_ns.saturating_sub(t_ns)));
+            w.field("pid", 1).field("tid", tid);
+            args(w, e);
+        });
     }
 
-    /// A thread-scoped instant ("i").
-    fn instant(&mut self, name: &str, cat: &str, tid: usize, t_ns: u64, args: &str) {
-        self.push(&format!(
-            "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{{}}}",
-            esc(name), cat, us(t_ns), tid, args
-        ));
+    /// A thread-scoped instant ("i") of `e`'s kind at `e.t_ns`. An op
+    /// still open when the window ends (`unfinished`) is drawn from its
+    /// begin event, under that name and without arguments.
+    fn instant(&mut self, e: &FlightEvent, unfinished: bool) {
+        let def = e.kind.def();
+        let (tid, cat) = track(def.track, e.tid);
+        self.push(|w| {
+            let name = if unfinished {
+                "op (unfinished)"
+            } else {
+                def.trace_name
+            };
+            w.field_str("name", name).field_str("cat", cat);
+            w.field_str("ph", "i").field_str("s", "t");
+            w.field("ts", us(e.t_ns)).field("pid", 1).field("tid", tid);
+            if unfinished {
+                w.key("args").open('{').close('}');
+            } else {
+                args(w, e);
+            }
+        });
     }
 
     /// A flow start ("s") or finish ("f", binding to the enclosing
     /// slice's end) — one arrow per epoch, commit → frontier publish.
-    fn flow(&mut self, phase: char, id: u64, tid: usize, t_ns: u64) {
-        let bp = if phase == 'f' { ",\"bp\":\"e\"" } else { "" };
-        self.push(&format!(
-            "\"name\":\"durability-lag\",\"cat\":\"lag\",\"ph\":\"{}\",\"id\":{}{},\"ts\":{},\"pid\":1,\"tid\":{}",
-            phase, id, bp, us(t_ns), tid
-        ));
+    fn flow(&mut self, phase: &str, id: u64, tid: usize, t_ns: u64) {
+        self.push(|w| {
+            w.field_str("name", "durability-lag")
+                .field_str("cat", "lag");
+            w.field_str("ph", phase).field("id", id);
+            if phase == "f" {
+                w.field_str("bp", "e");
+            }
+            w.field("ts", us(t_ns)).field("pid", 1).field("tid", tid);
+        });
     }
 
     /// A metadata ("M") record naming a process or thread.
     fn name_meta(&mut self, what: &str, tid: Option<usize>, name: &str) {
-        let tid_field = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-        self.push(&format!(
-            "\"name\":\"{}\",\"ph\":\"M\",\"pid\":1{},\"args\":{{\"name\":\"{}\"}}",
-            what,
-            tid_field,
-            esc(name)
-        ));
-    }
-}
-
-fn abort_cause(tag: u64) -> String {
-    match tag {
-        ABORT_RESTART => "\"restart\"".to_string(),
-        ABORT_UNWIND => "\"unwind\"".to_string(),
-        tag => format!("\"explicit({:#04x})\"", tag - 1),
+        self.push(|w| {
+            w.field_str("name", what)
+                .field_str("ph", "M")
+                .field("pid", 1);
+            if let Some(tid) = tid {
+                w.field("tid", tid);
+            }
+            w.key("args").open('{').field_str("name", name).close('}');
+        });
     }
 }
 
@@ -123,11 +153,10 @@ fn abort_cause(tag: u64) -> String {
 /// document. `events` must be timestamp-ordered, as
 /// [`FlightRecorder::dump`](crate::FlightRecorder::dump) returns them.
 pub fn chrome_trace(events: &[FlightEvent], meta: &TraceMeta) -> String {
-    let mut out = Events(String::new());
+    let mut out = Records(Vec::new());
 
-    // Track names. Worker tracks appear in tid order; virtual tracks
-    // sit above them (Perfetto sorts by name within a process, so the
-    // 1000+ ids keep them grouped at the bottom).
+    // Track names. Worker tracks appear in tid order; the virtual
+    // tracks follow them.
     out.name_meta("process_name", None, "bd-htm");
     let mut tids: Vec<usize> = events.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
@@ -135,9 +164,13 @@ pub fn chrome_trace(events: &[FlightEvent], meta: &TraceMeta) -> String {
     for &tid in &tids {
         out.name_meta("thread_name", Some(tid), &format!("worker-{tid:02}"));
     }
-    out.name_meta("thread_name", Some(TID_EPOCH), "epoch clock");
-    out.name_meta("thread_name", Some(TID_PERSIST), "persist pipeline");
-    out.name_meta("thread_name", Some(TID_HEALTH), "health");
+    for (t, name) in [
+        (Track::Epoch, "epoch clock"),
+        (Track::Persist, "persist pipeline"),
+        (Track::Health, "health"),
+    ] {
+        out.name_meta("thread_name", Some(track(t, 0).0), name);
+    }
 
     // One pass for the flow endpoints: per epoch, the LAST commit (the
     // span the histogram's max tracks) and the frontier publish.
@@ -156,140 +189,52 @@ pub fn chrome_trace(events: &[FlightEvent], meta: &TraceMeta) -> String {
     }
 
     // Per-thread open op, for pairing OpBegin with its terminal event.
-    let mut open: HashMap<usize, u64> = HashMap::new();
+    let mut open: HashMap<usize, FlightEvent> = HashMap::new();
     for e in events {
         match e.kind {
             EventKind::OpBegin => {
                 // A begin with a still-open predecessor means the
                 // terminal event was lost to ring wrap; render the
-                // orphan as an instant so it stays visible.
-                if let Some(t0) = open.insert(e.tid, e.t_ns) {
-                    out.instant(
-                        "op (end lost)",
-                        "op",
-                        e.tid,
-                        t0,
-                        &format!("\"epoch\":{}", e.a),
-                    );
+                // orphan as an instant so it stays visible (at its own
+                // time, labelled with the epoch of the begin that
+                // displaced it).
+                if let Some(orphan) = open.insert(e.tid, *e) {
+                    out.instant(&FlightEvent { a: e.a, ..orphan }, false);
                 }
             }
             EventKind::OpCommit | EventKind::OpAbort | EventKind::OpPanicked => {
-                let (name, args) = match e.kind {
-                    EventKind::OpCommit => {
-                        ("op", format!("\"epoch\":{},\"restarts\":{}", e.a, e.b))
-                    }
-                    EventKind::OpAbort => (
-                        "op (abort)",
-                        format!("\"epoch\":{},\"cause\":{}", e.a, abort_cause(e.b)),
-                    ),
-                    _ => (
-                        "op (panic)",
-                        format!("\"epoch\":{},\"restarts\":{}", e.a, e.b),
-                    ),
-                };
-                match open.remove(&e.tid) {
-                    Some(t0) => out.span(name, "op", e.tid, t0, e.t_ns.saturating_sub(t0), &args),
-                    // Begin lost to ring wrap: zero-width span at the end.
-                    None => out.span(name, "op", e.tid, e.t_ns, 0, &args),
-                }
+                // A begin lost to ring wrap leaves a zero-width span at
+                // the terminal event.
+                out.span(e, open.remove(&e.tid).map_or(e.t_ns, |begin| begin.t_ns));
                 // Durability-lag arrow: from the epoch's last commit to
                 // the instant its frontier published.
                 if e.kind == EventKind::OpCommit
                     && last_commit.get(&e.a) == Some(&(e.tid, e.t_ns))
                     && published.contains_key(&e.a)
                 {
-                    out.flow('s', e.a, e.tid, e.t_ns);
+                    out.flow("s", e.a, e.tid, e.t_ns);
                 }
             }
-            EventKind::EpochAdvance => out.instant(
-                "epoch-advance",
-                "epoch",
-                TID_EPOCH,
-                e.t_ns,
-                &format!("\"epoch\":{},\"frontier\":{}", e.a, e.b),
-            ),
-            EventKind::BatchSealed => out.instant(
-                "batch-sealed",
-                "epoch",
-                TID_EPOCH,
-                e.t_ns,
-                &format!("\"blocks\":{},\"words\":{}", e.a, e.b),
-            ),
-            EventKind::PipelineStall => out.instant(
-                "pipeline-stall",
-                "epoch",
-                TID_EPOCH,
-                e.t_ns,
-                &format!("\"in_flight\":{},\"depth\":{}", e.a, e.b),
-            ),
-            EventKind::PersistBatch => out.instant(
-                "persist-batch",
-                "persist",
-                TID_PERSIST,
-                e.t_ns,
-                &format!("\"blocks\":{},\"words\":{}", e.a, e.b),
-            ),
-            EventKind::BatchPersisted => {
-                out.instant(
-                    "frontier-publish",
-                    "persist",
-                    TID_PERSIST,
-                    e.t_ns,
-                    &format!("\"frontier\":{},\"blocks\":{}", e.a, e.b),
-                );
-                if published.get(&e.a) == Some(&e.t_ns) && last_commit.contains_key(&e.a) {
-                    out.flow('f', e.a, TID_PERSIST, e.t_ns);
+            // Everything else is an instant on its virtual track.
+            _ => {
+                out.instant(e, false);
+                if e.kind == EventKind::BatchPersisted
+                    && published.get(&e.a) == Some(&e.t_ns)
+                    && last_commit.contains_key(&e.a)
+                {
+                    out.flow("f", e.a, track(Track::Persist, 0).0, e.t_ns);
                 }
             }
-            EventKind::PersistRetry => out.instant(
-                "persist-retry",
-                "persist",
-                TID_PERSIST,
-                e.t_ns,
-                &format!("\"epoch\":{},\"attempt\":{}", e.a, e.b),
-            ),
-            EventKind::Backpressure => out.instant(
-                "backpressure",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!("\"buffered\":{},\"bound\":{}", e.a, e.b),
-            ),
-            EventKind::DegradedToSync => out.instant(
-                "health-ratchet",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!(
-                    "\"to\":\"{}\",\"cause_epoch\":{}",
-                    crate::HealthState::from_code(e.a.min(u8::MAX as u64) as u8).as_str(),
-                    e.b
-                ),
-            ),
-            EventKind::WatchdogFired => out.instant(
-                "watchdog-fired",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!("\"reason\":{},\"consecutive\":{}", e.a, e.b),
-            ),
-            EventKind::FaultInjected => out.instant(
-                "fault-injected",
-                "health",
-                TID_HEALTH,
-                e.t_ns,
-                &format!("\"point\":{},\"kind\":{}", e.a, e.b),
-            ),
         }
     }
     // Ops still open at the end of the window (e.g. a crashed run).
-    for (tid, t0) in open {
-        out.instant("op (unfinished)", "op", tid, t0, "");
+    for begin in open.values() {
+        out.instant(begin, true);
     }
 
     format!(
-        "{{\n\"traceEvents\": [\n{}\n],\n\"displayTimeUnit\": \"ns\",\n\"metadata\": {{\"schema\": \"bdhtm-trace\", \"events\": {}, \"events_dropped\": {}, \"lag_spans_dropped\": {}}}\n}}\n",
-        out.0,
+        "{{\n\"traceEvents\": [\n    {}\n],\n\"displayTimeUnit\": \"ns\",\n\"metadata\": {{\"schema\": \"bdhtm-trace\", \"events\": {}, \"events_dropped\": {}, \"lag_spans_dropped\": {}}}\n}}\n",
+        out.0.join(",\n    "),
         events.len(),
         meta.events_dropped,
         meta.lag_spans_dropped
@@ -311,7 +256,7 @@ pub fn chrome_trace_from_obs(obs: &Obs) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::JsonValue;
+    use crate::obs::{JsonValue, ABORT_RESTART};
 
     fn ev(t_ns: u64, tid: usize, kind: EventKind, a: u64, b: u64) -> FlightEvent {
         FlightEvent {
@@ -367,7 +312,7 @@ mod tests {
         assert_eq!(finish.get("id").and_then(|i| i.as_u64()), Some(2));
         assert_eq!(
             finish.get("tid").and_then(|t| t.as_u64()),
-            Some(TID_PERSIST as u64)
+            Some(track(Track::Persist, 0).0 as u64)
         );
 
         // Dropped-event counts survive into metadata.
@@ -390,11 +335,5 @@ mod tests {
             .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
             .unwrap();
         assert_eq!(span.get("dur").and_then(|d| d.as_f64()), Some(0.0));
-    }
-
-    #[test]
-    fn escapes_control_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 }

@@ -93,7 +93,7 @@ impl LogHistogram {
     }
 
     /// Records `n` samples of the same value in one shot (bulk folding,
-    /// e.g. an overflow aggregate recorded at its mean). Equivalent to
+    /// e.g. one durability-lag bin's commits). Equivalent to
     /// `n` calls to [`record`](Self::record) except that `sum` saturates
     /// instead of wrapping if `value * n` overflows a `u64`.
     #[inline]

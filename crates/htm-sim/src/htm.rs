@@ -5,6 +5,7 @@ use crate::access::{LockedAccess, MemAccess};
 use crate::config::HtmConfig;
 use crate::fallback::FallbackLock;
 use crate::hist::LogHistogram;
+use crate::rng::AtomicSplitMix64;
 use crate::stats::HtmStats;
 use crate::stripe::StripeTable;
 use crate::txn::{AbortCause, TxResult, Txn};
@@ -109,11 +110,10 @@ pub struct Htm {
     backoff_hist: LogHistogram,
     spurious_threshold: u64,
     memtype_threshold: u64,
-    /// SplitMix64 state of the deterministic abort injector (advanced
-    /// with a CAS so concurrent begins each consume exactly one draw of
-    /// one shared, seed-determined stream). Unused when
-    /// `config.abort_inject_seed == 0`.
-    inject_state: AtomicU64,
+    /// The deterministic abort injector's stream: concurrent begins
+    /// each consume exactly one draw of one shared, seed-determined
+    /// sequence. Unused when `config.abort_inject_seed == 0`.
+    inject_rng: AtomicSplitMix64,
 }
 
 /// Error returned by [`Htm::run`]: the operation aborted explicitly with a
@@ -177,29 +177,15 @@ impl Htm {
             backoff_hist: LogHistogram::new(),
             spurious_threshold: prob_to_threshold(config.spurious_abort_prob),
             memtype_threshold: prob_to_threshold(config.memtype_abort_prob),
-            inject_state: AtomicU64::new(config.abort_inject_seed),
+            inject_rng: AtomicSplitMix64::new(config.abort_inject_seed),
             config,
         }
     }
 
     /// One draw of the deterministic injector stream: picks the abort to
-    /// inject at this begin, if any. The SplitMix64 state advances by CAS
-    /// so every begin consumes exactly one position of the seeded stream.
+    /// inject at this begin, if any.
     fn injected_abort(&self) -> Option<AbortCause> {
-        let mut state = self.inject_state.load(Ordering::Relaxed);
-        let draw = loop {
-            let mut next = state;
-            let out = crate::rng::splitmix64(&mut next);
-            match self.inject_state.compare_exchange_weak(
-                state,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break out,
-                Err(cur) => state = cur,
-            }
-        };
+        let draw = self.inject_rng.next_u64();
         let u = (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let c = &self.config;
         let mut acc = c.spurious_abort_prob;

@@ -6,14 +6,53 @@
 //! OOPSLA 2014) is the workhorse — tiny state, excellent diffusion, and
 //! the standard choice for seeding larger generators.
 
-/// Advances `state` by one SplitMix64 step and returns the output word.
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The SplitMix64 state increment (the 64-bit golden ratio).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output function of an already-advanced state.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Advances `state` by one SplitMix64 step and returns the output word.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GAMMA);
+    mix(*state)
+}
+
+/// A SplitMix64 stream shared by several threads. One step is
+/// `state += γ` followed by a pure mix of the new state, so the atomic
+/// form is a single wait-free `fetch_add` — no CAS loop — and yields the
+/// same sequence as [`SplitMix64`] from the same seed, each caller
+/// consuming exactly one position of it.
+#[derive(Debug)]
+pub struct AtomicSplitMix64 {
+    state: AtomicU64,
+}
+
+impl AtomicSplitMix64 {
+    pub const fn new(seed: u64) -> Self {
+        AtomicSplitMix64 {
+            state: AtomicU64::new(seed),
+        }
+    }
+
+    /// The next output word. Relaxed: the state publishes no other
+    /// data, and read-modify-writes of one location are totally ordered
+    /// whatever their ordering, so no two callers share a position.
+    #[inline]
+    pub fn next_u64(&self) -> u64 {
+        mix(self
+            .state
+            .fetch_add(GAMMA, Ordering::Relaxed)
+            .wrapping_add(GAMMA))
+    }
 }
 
 /// Self-contained SplitMix64 generator.
@@ -61,6 +100,15 @@ mod tests {
         let mut b = SplitMix64::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn atomic_stream_equals_the_sequential_one() {
+        let mut seq = SplitMix64::new(0xBD15EED);
+        let shared = AtomicSplitMix64::new(0xBD15EED);
+        for _ in 0..100 {
+            assert_eq!(shared.next_u64(), seq.next_u64());
         }
     }
 

@@ -1,5 +1,7 @@
 //! Sharded commit/abort statistics — the data source for Fig. 2 of the
-//! paper (HTM commit and abort-cause breakdown).
+//! paper (HTM commit and abort-cause breakdown) — and
+//! [`counters!`](crate::counters), the one declaration the workspace's
+//! other counter sets are generated from.
 
 use crate::sync::CachePadded;
 use crate::tid::{thread_id, MAX_THREADS};
@@ -7,6 +9,66 @@ use crate::txn::AbortCause;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const N_CAUSES: usize = AbortCause::COUNT;
+
+/// Declares a set of monotone `u64` counters once. From the field list
+/// it generates the atomics struct (`pub(crate)` fields, so increment
+/// sites name them directly) with `add_to` and `reset`, and the snapshot
+/// struct with the same `pub` field names, the saturating `since`, the
+/// `FIELDS` name list and the `fields()` name/value view that reports,
+/// `metrics_check` and the round-trip tests walk. A counter added here
+/// cannot be left out of any of them.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$am:meta])* $avis:vis struct $atomics:ident;
+        $(#[$sm:meta])* $svis:vis struct $snap:ident {
+            $($(#[$fm:meta])* $f:ident,)*
+        }
+    ) => {
+        $(#[$am])*
+        #[derive(Default)]
+        $avis struct $atomics {
+            $(pub(crate) $f: ::std::sync::atomic::AtomicU64,)*
+        }
+
+        impl $atomics {
+            /// Adds every counter into `t` (one shard's share of a snapshot).
+            pub(crate) fn add_to(&self, t: &mut $snap) {
+                $(t.$f += self.$f.load(::std::sync::atomic::Ordering::Relaxed);)*
+            }
+
+            /// Zeroes every counter (between benchmark phases).
+            pub fn reset(&self) {
+                $(self.$f.store(0, ::std::sync::atomic::Ordering::Relaxed);)*
+            }
+        }
+
+        $(#[$sm])*
+        #[derive(Clone, Copy, Default, Debug)]
+        $svis struct $snap {
+            $($(#[$fm])* pub $f: u64,)*
+        }
+
+        impl $snap {
+            /// Counter names, in declaration (and report) order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($f)),*];
+
+            /// Every counter as `(name, value)`, in [`FIELDS`](Self::FIELDS) order.
+            pub fn fields(&self) -> [(&'static str, u64); $snap::FIELDS.len()] {
+                [$((stringify!($f), self.$f)),*]
+            }
+
+            /// Difference of two snapshots (self - earlier). Saturating per
+            /// field: a `reset()` between the two snapshots yields zeros
+            /// instead of a debug-build underflow panic.
+            pub fn since(&self, e: &$snap) -> $snap {
+                $snap {
+                    $($f: self.$f.saturating_sub(e.$f),)*
+                }
+            }
+        }
+    };
+}
 
 #[derive(Default)]
 struct Shard {
@@ -92,6 +154,16 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Scalar counter names (the per-cause `aborts` array is reported
+    /// under [`AbortCause::label`] keys instead).
+    pub const FIELDS: &'static [&'static str] = &["commits", "fallbacks"];
+
+    /// The scalar counters as `(name, value)`, the view every
+    /// [`counters!`](crate::counters) snapshot also has.
+    pub fn fields(&self) -> [(&'static str, u64); 2] {
+        [("commits", self.commits), ("fallbacks", self.fallbacks)]
+    }
+
     /// Total transaction attempts (commits + aborts).
     pub fn attempts(&self) -> u64 {
         self.commits + self.total_aborts()

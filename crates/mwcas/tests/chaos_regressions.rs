@@ -1,6 +1,6 @@
 //! Deterministic regressions for the MwCAS helping races root-caused
-//! with the `htm_sim::chaos` harness (see DESIGN.md, "Root-causing the
-//! skiplist quarantine").
+//! with the `htm_sim::chaos` harness (see DESIGN.md §5.3; the
+//! root-cause story is in CHANGES.md, PR 10).
 //!
 //! Each test drives one exact interleaving with chaos *gates* (one-shot
 //! breakpoints at named sites) rather than seeds, so the schedule is

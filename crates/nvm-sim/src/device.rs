@@ -19,7 +19,7 @@
 //! the infallible paths are untouched, so a heap with no schedule armed
 //! is bit-for-bit identical to one built before this module existed.
 
-use htm_sim::rng::splitmix64;
+use htm_sim::rng::AtomicSplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which device operation a transient fault interrupted.
@@ -76,7 +76,7 @@ pub struct DeviceFaults {
     spike_ns: u64,
     burst: u32,
     fault_budget: u64,
-    rng: AtomicU64,
+    rng: AtomicSplitMix64,
     seq: AtomicU64,
     burst_left: AtomicU64,
     injected: AtomicU64,
@@ -92,7 +92,7 @@ impl DeviceFaults {
             spike_ns: 0,
             burst: 1,
             fault_budget: 0,
-            rng: AtomicU64::new(seed),
+            rng: AtomicSplitMix64::new(seed),
             seq: AtomicU64::new(0),
             burst_left: AtomicU64::new(0),
             injected: AtomicU64::new(0),
@@ -143,27 +143,13 @@ impl DeviceFaults {
         self.seq.load(Ordering::SeqCst)
     }
 
-    /// One deterministic RNG step (lock-free; each caller gets a
-    /// distinct draw).
-    fn step(&self) -> u64 {
-        let mut out = 0;
-        let _ = self
-            .rng
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
-                let mut s2 = s;
-                out = splitmix64(&mut s2);
-                Some(s2)
-            });
-        out
-    }
-
     /// Called by the heap from the fallible entry points. Returns the
     /// spike duration to charge and the fault to surface, if any.
     pub(crate) fn draw(&self, op: DeviceOpKind) -> (u64, Option<DeviceError>) {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
         // One RNG step per guarded op regardless of outcome keeps the
         // schedule a pure function of (seed, op index).
-        let r = self.step();
+        let r = self.rng.next_u64();
 
         let budget_open =
             self.fault_budget == 0 || self.injected.load(Ordering::SeqCst) < self.fault_budget;

@@ -5,18 +5,44 @@ use htm_sim::sync::CachePadded;
 use htm_sim::{max_threads, thread_id};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+htm_sim::counters! {
+    /// One thread's traffic counters.
+    struct ShardCounters;
+    /// Aggregated NVM traffic.
+    pub struct NvmStatsSnapshot {
+        /// Word reads from the heap.
+        reads,
+        /// Word writes to the heap (volatile image).
+        writes,
+        /// Word compare-and-swaps on the heap.
+        cas_ops,
+        /// `clwb` instructions retired (eADR hints included).
+        flushes,
+        /// Cache lines actually copied to media.
+        lines_written_back,
+        /// Distinct 256 B XPLines charged (write-combining model).
+        xplines_touched,
+        /// Draining fences.
+        fences,
+        /// Lines written back by simulated cache eviction.
+        evicted_lines,
+    }
+}
+
 #[derive(Default)]
 struct Shard {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    cas_ops: AtomicU64,
-    flushes: AtomicU64,
-    lines_written_back: AtomicU64,
-    xplines_touched: AtomicU64,
-    fences: AtomicU64,
-    evicted_lines: AtomicU64,
+    counters: ShardCounters,
     /// Last XPLine this thread wrote back, for coalescing accounting.
     last_xpline: AtomicU64,
+}
+
+/// Lets the `record_*` sites name a counter as `shard.reads`.
+impl std::ops::Deref for Shard {
+    type Target = ShardCounters;
+
+    fn deref(&self) -> &ShardCounters {
+        &self.counters
+    }
 }
 
 /// Per-thread sharded NVM traffic counters.
@@ -90,14 +116,7 @@ impl NvmStats {
     pub fn snapshot(&self) -> NvmStatsSnapshot {
         let mut t = NvmStatsSnapshot::default();
         for s in self.shards.iter() {
-            t.reads += s.reads.load(Ordering::Relaxed);
-            t.writes += s.writes.load(Ordering::Relaxed);
-            t.cas_ops += s.cas_ops.load(Ordering::Relaxed);
-            t.flushes += s.flushes.load(Ordering::Relaxed);
-            t.lines_written_back += s.lines_written_back.load(Ordering::Relaxed);
-            t.xplines_touched += s.xplines_touched.load(Ordering::Relaxed);
-            t.fences += s.fences.load(Ordering::Relaxed);
-            t.evicted_lines += s.evicted_lines.load(Ordering::Relaxed);
+            s.add_to(&mut t);
         }
         t
     }
@@ -105,38 +124,10 @@ impl NvmStats {
     /// Zeroes every counter.
     pub fn reset(&self) {
         for s in self.shards.iter() {
-            s.reads.store(0, Ordering::Relaxed);
-            s.writes.store(0, Ordering::Relaxed);
-            s.cas_ops.store(0, Ordering::Relaxed);
-            s.flushes.store(0, Ordering::Relaxed);
-            s.lines_written_back.store(0, Ordering::Relaxed);
-            s.xplines_touched.store(0, Ordering::Relaxed);
-            s.fences.store(0, Ordering::Relaxed);
-            s.evicted_lines.store(0, Ordering::Relaxed);
+            s.counters.reset();
             s.last_xpline.store(0, Ordering::Relaxed);
         }
     }
-}
-
-/// Aggregated NVM traffic.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct NvmStatsSnapshot {
-    /// Word reads from the heap.
-    pub reads: u64,
-    /// Word writes to the heap (volatile image).
-    pub writes: u64,
-    /// Word compare-and-swaps on the heap.
-    pub cas_ops: u64,
-    /// `clwb` instructions retired (eADR hints included).
-    pub flushes: u64,
-    /// Cache lines actually copied to media.
-    pub lines_written_back: u64,
-    /// Distinct 256 B XPLines charged (write-combining model).
-    pub xplines_touched: u64,
-    /// Draining fences.
-    pub fences: u64,
-    /// Lines written back by simulated cache eviction.
-    pub evicted_lines: u64,
 }
 
 impl NvmStatsSnapshot {
@@ -153,22 +144,6 @@ impl NvmStatsSnapshot {
             return 1.0;
         }
         self.media_bytes() as f64 / logical as f64
-    }
-
-    /// Difference of two snapshots (self - earlier). Saturating per
-    /// field: a `reset()` between the two snapshots yields zeros instead
-    /// of a debug-build underflow panic.
-    pub fn since(&self, e: &NvmStatsSnapshot) -> NvmStatsSnapshot {
-        NvmStatsSnapshot {
-            reads: self.reads.saturating_sub(e.reads),
-            writes: self.writes.saturating_sub(e.writes),
-            cas_ops: self.cas_ops.saturating_sub(e.cas_ops),
-            flushes: self.flushes.saturating_sub(e.flushes),
-            lines_written_back: self.lines_written_back.saturating_sub(e.lines_written_back),
-            xplines_touched: self.xplines_touched.saturating_sub(e.xplines_touched),
-            fences: self.fences.saturating_sub(e.fences),
-            evicted_lines: self.evicted_lines.saturating_sub(e.evicted_lines),
-        }
     }
 }
 

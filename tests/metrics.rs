@@ -85,10 +85,34 @@ fn json_round_trips_through_the_parser() {
     // `metrics_check` accepts nothing else.
     assert_eq!(bd_htm::bdhtm_core::METRICS_VERSION, 5);
 
-    // Counters survive serialization exactly.
+    // Every declared counter of every section survives serialization
+    // exactly, under its own name.
     let h = report.htm.unwrap();
-    let htm = doc.get("htm").expect("htm section");
-    assert_eq!(htm.get("commits").and_then(|v| v.as_u64()), Some(h.commits));
+    let n = report.nvm.unwrap();
+    let e = report.epoch.unwrap();
+    let sections: [(&str, &[(&str, u64)]); 3] = [
+        ("htm", &h.fields()),
+        ("nvm", &n.fields()),
+        ("epoch", &e.fields()),
+    ];
+    for (section, fields) in sections {
+        let json = doc.get(section).expect("section present");
+        assert!(!fields.is_empty());
+        for &(name, value) in fields {
+            assert_eq!(
+                json.get(name).and_then(|v| v.as_u64()),
+                Some(value),
+                "{section}.{name}"
+            );
+        }
+    }
+    assert!(
+        e.advances >= 2 && n.writes > 0,
+        "the walk compared live values"
+    );
+
+    // The derived members of the counter sections.
+    let htm = doc.get("htm").unwrap();
     assert_eq!(
         htm.get("attempts").and_then(|v| v.as_u64()),
         Some(h.attempts())
@@ -98,16 +122,10 @@ fn json_round_trips_through_the_parser() {
         .and_then(|a| a.get("conflict"))
         .and_then(|v| v.as_u64());
     assert_eq!(conflict, Some(h.aborts_of(AbortCause::Conflict)));
-
-    let e = report.epoch.unwrap();
-    let epoch = doc.get("epoch").expect("epoch section");
+    let nvm = doc.get("nvm").unwrap();
     assert_eq!(
-        epoch.get("advances").and_then(|v| v.as_u64()),
-        Some(e.advances)
-    );
-    assert_eq!(
-        epoch.get("words_persisted").and_then(|v| v.as_u64()),
-        Some(e.words_persisted)
+        nvm.get("media_bytes").and_then(|v| v.as_u64()),
+        Some(n.media_bytes())
     );
 
     let d = report.derived.unwrap();
@@ -117,26 +135,13 @@ fn json_round_trips_through_the_parser() {
         Some(d.frontier_lag)
     );
 
-    // The health gauge and the runtime-fault counters.
+    // The health gauge.
     assert_eq!(
         derived.get("health").and_then(|v| v.as_str()),
         Some(d.health.as_str())
     );
-    assert_eq!(
-        epoch.get("persist_retries").and_then(|v| v.as_u64()),
-        Some(e.persist_retries)
-    );
-    assert_eq!(
-        epoch.get("degradations").and_then(|v| v.as_u64()),
-        Some(e.degradations)
-    );
-    assert_eq!(
-        epoch.get("watchdog_fires").and_then(|v| v.as_u64()),
-        Some(e.watchdog_fires)
-    );
 
-    // Durability-lag quantiles, dropped-span and
-    // dropped-event gauges, and the lag histogram itself.
+    // Durability-lag quantiles, dropped-span and dropped-event gauges.
     assert_eq!(
         derived.get("durability_lag_p99").and_then(|v| v.as_u64()),
         Some(d.durability_lag_p99)
@@ -151,18 +156,8 @@ fn json_round_trips_through_the_parser() {
             .and_then(|v| v.as_u64()),
         Some(d.flight_events_dropped)
     );
-    assert!(
-        doc.get("histograms")
-            .and_then(|h| h.get("durability_lag_ns"))
-            .is_some(),
-        "report carries the durability lag histogram"
-    );
 
     // Persister-pool telemetry.
-    assert_eq!(
-        epoch.get("coalesced_flushes").and_then(|v| v.as_u64()),
-        Some(e.coalesced_flushes)
-    );
     assert_eq!(
         derived.get("persist_workers").and_then(|v| v.as_u64()),
         Some(d.persist_workers)
@@ -175,15 +170,15 @@ fn json_round_trips_through_the_parser() {
     for (json_w, &w) in worker_words.iter().zip(d.persist_worker_words.iter()) {
         assert_eq!(json_w.as_u64(), Some(w));
     }
-    assert!(
-        doc.get("histograms")
-            .and_then(|h| h.get("persist_chunks"))
-            .is_some(),
-        "report carries the chunk fan-out histogram"
-    );
+
+    // Every declared histogram is reported, under its declared unit.
+    let hists = doc.get("histograms").expect("histograms section");
+    for &(name, unit) in bd_htm::bdhtm_core::Obs::HISTOGRAMS {
+        let unit_json = hists.get(name).and_then(|h| h.get("unit"));
+        assert_eq!(unit_json.and_then(|u| u.as_str()), Some(unit), "{name}");
+    }
 
     // Histogram bucket lists carry the full count.
-    let hists = doc.get("histograms").expect("histograms section");
     let op_lat = hists.get("op_latency_ns").expect("op latency histogram");
     let count = op_lat.get("count").and_then(|v| v.as_u64()).unwrap();
     let bucket_sum: u64 = op_lat
