@@ -95,7 +95,12 @@ lag_count=$(grep -o '"durability_lag_ns":{"unit":"ns","count":[0-9]*' \
     target/lag-smoke.json | grep -o '[0-9]*$')
 [ "${lag_count:-0}" -gt 0 ] || {
     echo "pipelined run recorded no durability-lag spans"; exit 1; }
-echo "durability-lag smoke OK (${lag_count} spans)"
+# The persister must seal epochs early (write-back while the next epoch
+# runs, DESIGN.md §3.4.2), not leave every seal to the advance.
+early_seals=$(grep -o '"early_seals":[0-9]*' target/lag-smoke.json | grep -o '[0-9]*$')
+[ "${early_seals:-0}" -gt 0 ] || {
+    echo "pipelined run sealed no epoch early"; exit 1; }
+echo "durability-lag smoke OK (${lag_count} spans, ${early_seals} early seals)"
 
 echo "==> println! hygiene (library code logs via metrics/trace, not stdout)"
 # Benches and examples print; library crates must not (stderr via

@@ -11,8 +11,9 @@
 //!
 //! `--pipeline=bg` (the default) runs each data point with a
 //! [`Persister`] worker next to the ticker, so epoch advances only seal
-//! and enqueue; `--pipeline=sync` spawns no persister, so every advance
-//! writes its batch back inline on the advancing thread.
+//! (or release what the persister sealed early) and enqueue;
+//! `--pipeline=sync` spawns no persister, so every advance writes its
+//! batch back inline on the advancing thread.
 
 use bdhtm_core::{EpochConfig, EpochSys, EpochTicker, Persister};
 use bench::*;

@@ -17,7 +17,9 @@
 //!
 //! * `register`: SeqCst announce store, then SeqCst clock re-load.
 //! * `wait_for_stragglers`: the advancer's SeqCst clock store (from the
-//!   previous transition) and SeqCst announce scan.
+//!   previous transition) and SeqCst announce scan. The early sealer's
+//!   non-blocking `quiescent` scan is the same scan, after a SeqCst
+//!   clock load that already saw the newer epoch.
 //! * `deregister`: a Release store of [`EMPTY_EPOCH`] suffices —
 //!   coherence means the scan can only observe deregistration *late*
 //!   (conservative), never early, and the Release edge is what
@@ -29,6 +31,7 @@ use crate::error::OpRejected;
 use crate::obs::EventKind;
 use htm_sim::sync::CachePadded;
 use htm_sim::{max_threads, thread_id};
+use nvm_sim::NvmAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -173,6 +176,30 @@ impl EpochClock {
             }
         }
     }
+
+    /// The non-blocking form of [`wait_for_stragglers`](Self::wait_for_stragglers):
+    /// whether every slot reads [`EMPTY_EPOCH`] or `≥ e` right now. The
+    /// same SeqCst loads, so `true` carries the same post-condition.
+    pub(super) fn quiescent(&self, e: u64) -> bool {
+        self.announce.iter().all(|slot| {
+            let a = slot.load(Ordering::SeqCst);
+            a == EMPTY_EPOCH || a >= e
+        })
+    }
+}
+
+/// What one [`EpochSys::seal_quiescent`] attempt found; the persister
+/// polls on `Busy` and sleeps until the next advance otherwise.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum EarlySeal {
+    /// The closed epoch was sealed and enqueued.
+    Sealed,
+    /// An operation of the closed epoch is still announced, or an
+    /// advance is running: worth another try shortly.
+    Busy,
+    /// Nothing to seal before the next advance: the epoch is already
+    /// sealed or empty, the pipeline is full, or nothing is pipelined.
+    Idle,
 }
 
 impl EpochSys {
@@ -259,10 +286,14 @@ impl EpochSys {
         // enqueued — the buffered set shrinks when the batch *persists*.
         // Wait on batch completion instead of flushing on this thread;
         // the loop re-checks `pipelined` so a persister detaching
-        // mid-wait cannot strand us.
+        // mid-wait cannot strand us. Only released batches complete
+        // without another advance: one the persister sealed early stays
+        // in flight until the next advance, so waiting for it would
+        // wait forever.
         if self.pipelined() {
             let mut q = self.pipeline.lock();
-            while self.account.buffered() > bound && q.in_flight > 0 && self.pipelined() {
+            while self.account.buffered() > bound && q.released_in_flight() > 0 && self.pipelined()
+            {
                 let (g, _) = self
                     .pipeline
                     .batch_done
@@ -342,6 +373,10 @@ impl EpochSys {
     /// persister writes it back, publishes the frontier, and reclaims.
     /// Without one, the batch is drained inline before the clock bump:
     /// the fully synchronous mode.
+    ///
+    /// If the persister already sealed `e−1`
+    /// ([`seal_quiescent`](Self::seal_quiescent)), this advance only
+    /// releases it for the frontier publish.
     pub fn advance(&self) {
         if self.is_disabled() {
             return;
@@ -354,44 +389,46 @@ impl EpochSys {
         //    must quiesce before its buffers are stable).
         self.clock.wait_for_stragglers(e);
 
-        // 2. Take ownership of every thread's epoch e−1 buffers.
-        // SAFETY: the advance lock serializes sealers, and the quiesce
-        // above guarantees every owner that wrote generation
-        // `(e−1) % BUF_GENS` has deregistered (Release) and been
-        // observed (SeqCst scan) — their writes happen-before us, and
-        // no owner can re-enter that generation until the clock reaches
-        // e+3, which requires this advance (and two more, all behind
-        // the same lock) to complete first.
-        let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e - 1) };
+        // 2–3. Seal e−1 unless the persister already has.
+        let presealed = self.pipeline.lock().sealed >= e - 1;
+        let batch = (!presealed).then(|| {
+            // SAFETY: the advance lock serializes sealers, and the
+            // quiesce above guarantees every owner that wrote generation
+            // `(e−1) % BUF_GENS` has deregistered (Release) and been
+            // observed (SeqCst scan) — their writes happen-before us, and
+            // no owner can re-enter that generation until the clock
+            // reaches e+3, which requires this advance (and two more,
+            // all behind the same lock) to complete first.
+            let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e - 1) };
+            self.seal_batch(e - 1, persist_list, retire_list)
+        });
 
-        // 3. Seal raw: a move plus an accounting sum. The sort + dedup
-        //    (and the duplicate-accounting refund) now run at persist
-        //    intake, off the sealing thread.
-        let batch = EpochBatch::seal(e - 1, persist_list, retire_list);
-        self.obs().event(
-            EventKind::BatchSealed,
-            batch.persist.len() as u64,
-            batch.accounted,
-        );
-
-        // 4. Enqueue. A full pipeline stalls the clock here — never the
-        //    persister — bounding in-flight batches at pipeline_depth.
+        // 4. Enqueue, and release e−1 for the frontier publish. A full
+        //    pipeline stalls the clock here — never the persister —
+        //    bounding in-flight batches at pipeline_depth. An advance
+        //    that enqueues nothing never stalls: its pipeline may be
+        //    full of e−1's own batch, which cannot publish before this
+        //    release.
         {
             let depth = self.config().pipeline_depth.max(1);
             let mut q = self.pipeline.lock();
-            while self.pipelined() && q.in_flight >= depth {
-                self.stats().pipeline_stalls.fetch_add(1, Ordering::Relaxed);
-                self.obs()
-                    .event(EventKind::PipelineStall, q.in_flight as u64, depth as u64);
-                let (g, _) = self
-                    .pipeline
-                    .batch_done
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .unwrap_or_else(|err| err.into_inner());
-                q = g;
+            if let Some(batch) = batch {
+                while self.pipelined() && q.in_flight >= depth {
+                    self.stats().pipeline_stalls.fetch_add(1, Ordering::Relaxed);
+                    self.obs()
+                        .event(EventKind::PipelineStall, q.in_flight as u64, depth as u64);
+                    let (g, _) = self
+                        .pipeline
+                        .batch_done
+                        .wait_timeout(q, Duration::from_millis(1))
+                        .unwrap_or_else(|err| err.into_inner());
+                    q = g;
+                }
+                q.batches.push_back(batch);
+                q.in_flight += 1;
+                q.sealed = e - 1;
             }
-            q.batches.push_back(batch);
-            q.in_flight += 1;
+            q.released = e - 1;
         }
         if self.pipelined() {
             self.pipeline.batch_ready.notify_one();
@@ -409,6 +446,95 @@ impl EpochSys {
         self.obs().advance_ns.record(t0.elapsed().as_nanos() as u64);
         self.obs()
             .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
+    }
+
+    /// Seals the past epoch `e = clock − 1` while `e+1` still runs, as
+    /// soon as every operation of `e` has ended, and enqueues it, so
+    /// that the persister writes `e` back before the advance that would
+    /// have sealed it (`e+1 → e+2`), which then only releases it.
+    /// Returns whether a batch was sealed.
+    ///
+    /// Declines — harmlessly, that advance seals `e` as usual — when no
+    /// persister is attached or health is not `Ok`, while an operation
+    /// of `e` is still announced, while an advance holds the lock, when
+    /// `e` is already sealed or tracked nothing, and while
+    /// `pipeline_depth` batches are in flight. It never waits while
+    /// holding the advance lock: an advancer stalled on a full pipeline
+    /// holds that lock while it waits for the persister calling this.
+    ///
+    /// Called by the [`Persister`](crate::Persister) coordinator; public
+    /// so sweeps and tests can drive it by hand.
+    ///
+    /// Writing `e` back this early is safe because a quiescent closed
+    /// epoch's tracked blocks are final: Listing 1 updates a block in
+    /// place only within its own epoch, and every later change (a
+    /// retire stamp, a replacement copy) is tracked in the later epoch.
+    /// To recovery, a line written back before `e` publishes is an
+    /// eviction of a line tagged above the frontier.
+    pub fn seal_quiescent(&self) -> bool {
+        self.try_seal_quiescent() == EarlySeal::Sealed
+    }
+
+    /// [`seal_quiescent`](Self::seal_quiescent), saying why it declined.
+    pub(crate) fn try_seal_quiescent(&self) -> EarlySeal {
+        if self.is_disabled() || !self.pipelined() {
+            return EarlySeal::Idle;
+        }
+        let next = self.clock.current();
+        let e = next - 1;
+        if !self.clock.quiescent(next) {
+            return EarlySeal::Busy;
+        }
+        let Some(_g) = self.advance_lock.try_lock() else {
+            return EarlySeal::Busy;
+        };
+        if self.clock.current() != next {
+            return EarlySeal::Busy;
+        }
+        {
+            let q = self.pipeline.lock();
+            if q.sealed >= e || q.in_flight >= self.config().pipeline_depth.max(1) {
+                return EarlySeal::Idle;
+            }
+        }
+        // SAFETY: we hold the advance lock (one sealer at a time), and
+        // the scan above saw every slot EMPTY or ≥ e+1 after reading the
+        // clock at e+1 — the post-condition of `wait_for_stragglers(e+1)`
+        // that the advance sealing `e` would establish. No operation
+        // can register in `e` any more, and no owner re-enters its
+        // generation before the clock reaches e+4.
+        let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e) };
+        if persist_list.is_empty() && retire_list.is_empty() {
+            // Nothing to write back early; the advance seals the
+            // (still empty) generation as usual.
+            return EarlySeal::Idle;
+        }
+        let batch = self.seal_batch(e, persist_list, retire_list);
+        let mut q = self.pipeline.lock();
+        q.batches.push_back(batch);
+        q.in_flight += 1;
+        q.sealed = e;
+        drop(q);
+        self.stats().early_seals.fetch_add(1, Ordering::Relaxed);
+        EarlySeal::Sealed
+    }
+
+    /// Seals raw: a move plus an accounting sum. The sort + dedup (and
+    /// the duplicate-accounting refund) run at persist intake, off the
+    /// sealing thread.
+    fn seal_batch(
+        &self,
+        epoch: u64,
+        persist: Vec<(NvmAddr, u64)>,
+        retire: Vec<NvmAddr>,
+    ) -> EpochBatch {
+        let batch = EpochBatch::seal(epoch, persist, retire);
+        self.obs().event(
+            EventKind::BatchSealed,
+            batch.persist.len() as u64,
+            batch.accounted,
+        );
+        batch
     }
 }
 

@@ -66,6 +66,7 @@ pub struct EpochSys {
     pub(super) arenas: ThreadArenas,
     /// Striped buffered-word account.
     pub(super) account: Accounting,
+    /// Serializes sealers (`advance`, `seal_quiescent`).
     pub(super) advance_lock: Mutex<()>,
     /// Serializes batch write-back so frontier publishes stay in epoch
     /// order even with multiple persisters (or a persister racing an
@@ -129,7 +130,8 @@ impl EpochSys {
             account: Accounting::new(),
             advance_lock: Mutex::new(()),
             persist_lock: Mutex::new(()),
-            pipeline: Pipeline::new(),
+            // At rest the last advance sealed and released clock − 2.
+            pipeline: Pipeline::new(clock - 2),
             pool: ChunkPool::new(),
             disabled,
             config,

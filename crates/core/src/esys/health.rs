@@ -36,6 +36,9 @@ htm_sim::counters! {
         /// Advances that found `EpochConfig::pipeline_depth` batches in
         /// flight and stalled the clock until the persister caught up.
         pipeline_stalls,
+        /// Epochs the persister sealed before their closing advance
+        /// ([`EpochSys::seal_quiescent`]), so that advance only released them.
+        early_seals,
         /// Batch write-back attempts retried after a transient
         /// [`DeviceError`](nvm_sim::DeviceError).
         persist_retries,

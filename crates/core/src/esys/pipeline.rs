@@ -19,6 +19,15 @@
 //! workers, joins them, and only then fences and publishes the
 //! frontier — so the pool parallelism is invisible to everything
 //! downstream of the frontier.
+//!
+//! Write-back and publish are two steps with a gate between them. A
+//! batch the persister sealed early
+//! ([`seal_quiescent`](EpochSys::seal_quiescent)) is written back while
+//! the epoch after it still runs, but its fence and frontier publish
+//! wait until the advance that closes its epoch has *released* it
+//! (`PipelineQueue::released`). A batch sealed by `advance` is released
+//! by the same advance, so it writes back and publishes in one go, as
+//! it always has.
 
 use crate::error::HealthState;
 use crate::obs::EventKind;
@@ -28,7 +37,7 @@ use persist_alloc::{Header, CLASS_WORDS, HDR_WORDS};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::facade::{EpochSys, ROOT_FRONTIER};
 use super::pool::FlushRange;
@@ -38,16 +47,29 @@ use super::pool::FlushRange;
 /// same ladder HTM retry uses; see [`htm_sim::backoff_ladder`]).
 const PERSIST_BACKOFF_SPINS: u32 = 64;
 
+/// How far a batch's write-back has got (the fence and frontier publish
+/// come after, behind the release gate).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum WriteBack {
+    /// The flush plan has not run.
+    Pending,
+    /// An early write-back hit a device error. Only the released path
+    /// tries again, with the full retry ladder and health escalation.
+    EarlyFailed,
+    /// Every tracked block is flushed (not yet fenced): this many words.
+    Done(u64),
+}
+
 /// A sealed snapshot of everything one closed epoch tracked, ready for
 /// write-back once normalized (sorted + deduplicated) at persist intake.
 ///
-/// Sealing happens on the advancing thread under the advance lock (the
-/// cheap foreground half of an epoch transition) and is now a plain
-/// move-plus-sum — the sort/dedup runs at the pipeline's intake, on
-/// whichever thread persists the batch. The write-back, fence, frontier
-/// publish, and reclamation happen when the batch is *persisted* — by a
-/// [`Persister`](crate::Persister) worker in pipelined mode, or inline
-/// on the advancing thread otherwise.
+/// Sealing happens under the advance lock — on the advancing thread, or
+/// earlier on the persister ([`EpochSys::seal_quiescent`]) — and is a
+/// plain move-plus-sum; the sort/dedup runs at the pipeline's intake,
+/// on whichever thread persists the batch. The write-back, fence,
+/// frontier publish, and reclamation happen when the batch is
+/// *persisted* — by a [`Persister`](crate::Persister) worker in
+/// pipelined mode, or inline on the advancing thread otherwise.
 pub struct EpochBatch {
     /// The epoch this batch closes: once persisted, the durable
     /// frontier becomes exactly this value.
@@ -64,6 +86,12 @@ pub struct EpochBatch {
     /// Whether `normalize` has run (it is idempotent; a re-queued batch
     /// arrives at intake already normalized).
     pub(super) normalized: bool,
+    /// How far the write-back has got; an early one may precede the
+    /// release by most of an epoch.
+    pub(super) written: WriteBack,
+    /// Persister time the write-back took, wherever it ran, so that
+    /// `batch_persist_ns` stays the whole write-back + publish + reclaim.
+    pub(super) write_back_time: Duration,
 }
 
 impl EpochBatch {
@@ -80,6 +108,8 @@ impl EpochBatch {
             retire,
             accounted,
             normalized: false,
+            written: WriteBack::Pending,
+            write_back_time: Duration::ZERO,
         }
     }
 
@@ -128,6 +158,30 @@ pub(super) struct PipelineQueue {
     /// batch a persister is currently writing back. This — not the
     /// queue length — is what `EpochConfig::pipeline_depth` bounds.
     pub(super) in_flight: usize,
+    /// The newest sealed epoch; monotone, set by whoever enqueues it
+    /// (`advance` or `seal_quiescent`, under the advance lock).
+    pub(super) sealed: u64,
+    /// The newest epoch whose closing advance has run. Only batches at
+    /// or below it may fence and publish; monotone, set by `advance`.
+    pub(super) released: u64,
+}
+
+impl PipelineQueue {
+    /// Whether `persist_next_batch` has anything to do: the oldest batch
+    /// may publish, or it still awaits its early write-back.
+    fn actionable(&self) -> bool {
+        self.batches
+            .front()
+            .is_some_and(|b| b.epoch <= self.released || b.written == WriteBack::Pending)
+    }
+
+    /// In-flight batches whose epoch is released — those the persister
+    /// can complete without another advance. At most one batch is
+    /// unreleased: the early seal takes only `clock − 1`, whose
+    /// predecessor the last advance released.
+    pub(super) fn released_in_flight(&self) -> usize {
+        self.in_flight - usize::from(self.sealed > self.released)
+    }
 }
 
 pub(super) struct Pipeline {
@@ -145,11 +199,15 @@ pub(super) struct Pipeline {
 }
 
 impl Pipeline {
-    pub(super) fn new() -> Self {
+    /// An empty pipeline whose every epoch up to `released` is sealed
+    /// and released.
+    pub(super) fn new(released: u64) -> Self {
         Pipeline {
             q: StdMutex::new(PipelineQueue {
                 batches: VecDeque::new(),
                 in_flight: 0,
+                sealed: released,
+                released,
             }),
             batch_ready: Condvar::new(),
             batch_done: Condvar::new(),
@@ -170,6 +228,14 @@ impl EpochSys {
     /// back). Watchdog/diagnostic introspection.
     pub fn batches_in_flight(&self) -> usize {
         self.pipeline.lock().in_flight
+    }
+
+    /// In-flight batches whose epoch is released, i.e. that the
+    /// persister could publish now. An early-sealed batch waiting for
+    /// its closing advance is not counted: the persister has nothing to
+    /// do for it (the watchdog's wedged-persister shape).
+    pub(crate) fn released_batches_in_flight(&self) -> usize {
+        self.pipeline.lock().released_in_flight()
     }
 
     /// Whether sealed batches go to a background persister (at least
@@ -199,10 +265,11 @@ impl EpochSys {
     }
 
     /// Blocks the persister worker until a batch may be ready or
-    /// `timeout` elapses.
+    /// `timeout` elapses. A written-back batch that waits for its
+    /// release is not ready: the releasing advance signals `batch_ready`.
     pub(crate) fn wait_batch_ready(&self, timeout: Duration) {
         let q = self.pipeline.lock();
-        if q.batches.is_empty() {
+        if !q.actionable() {
             let _ = self
                 .pipeline
                 .batch_ready
@@ -226,13 +293,21 @@ impl EpochSys {
 
     /// Writes back the oldest sealed batch, if any: persist its blocks
     /// and retirement records, fence, publish the durable frontier, and
-    /// reclaim. Returns whether a batch was persisted.
+    /// reclaim. Returns whether it did any of that work.
     ///
     /// Normally called by the [`Persister`](crate::Persister) worker;
     /// public so deterministic tests can drain the pipeline by hand.
     /// The pop happens under the persist lock, so concurrent callers
     /// persist batches strictly in seal (= epoch) order and the
     /// frontier is monotone.
+    ///
+    /// The publish gate: a batch above the released epoch (one
+    /// [`seal_quiescent`](Self::seal_quiescent) sealed before its
+    /// closing advance) is only written back, then goes back to the
+    /// front of the queue; the call after its release fences and
+    /// publishes it. Until then, further calls return `false`. A device
+    /// error during that early write-back is not escalated: the batch
+    /// stays un-written and the released path retries it.
     ///
     /// A batch that exhausts its retry budget
     /// (`EpochConfig::persist_retries`) is pushed back to the front
@@ -246,30 +321,63 @@ impl EpochSys {
         if self.health.load(Ordering::SeqCst) == HealthState::Failed as u8 {
             return false;
         }
-        let batch = self.pipeline.lock().batches.pop_front();
-        match batch {
-            Some(mut b) => {
-                // Intake normalization: the sort+dedup that used to run
-                // on the sealing thread. The duplicate-tracking excess
-                // is refunded here, before write-back begins.
-                let excess = b.normalize();
-                if excess != 0 {
-                    self.account.drain(excess);
-                }
-                self.persist_popped_batch(b)
-            }
-            None => false,
+        let (batch, released) = {
+            let mut q = self.pipeline.lock();
+            (q.batches.pop_front(), q.released)
+        };
+        let Some(mut b) = batch else {
+            return false;
+        };
+        // Intake normalization: the sort+dedup that used to run on the
+        // sealing thread. The duplicate-tracking excess is refunded
+        // here, before write-back begins.
+        let excess = b.normalize();
+        if excess != 0 {
+            self.account.drain(excess);
         }
+        if b.epoch <= released {
+            return self.persist_popped_batch(b);
+        }
+        // Unreleased: write back only. The advance that releases `b`
+        // may run meanwhile; returning `true` makes the caller look again.
+        let progressed = b.written == WriteBack::Pending;
+        if progressed && self.write_back(&mut b).is_err() {
+            b.written = WriteBack::EarlyFailed;
+        }
+        self.pipeline.lock().batches.push_front(b);
+        progressed
     }
 
-    /// The post-intake half of [`persist_next_batch`](Self::persist_next_batch),
-    /// split out so the retry/escalation bookkeeping reads linearly.
-    fn persist_popped_batch(&self, b: EpochBatch) -> bool {
-        match self.persist_batch_with_retry(b) {
-            Ok(()) => true,
-            Err((b, err)) => {
-                // Re-queue at the front so epoch order (and the
-                // frontier's monotonicity) survives the failure.
+    /// The released half of [`persist_next_batch`](Self::persist_next_batch):
+    /// writes `b` back unless that ran early (fanning out across the
+    /// persister pool when chunk workers are attached), then fences,
+    /// publishes the frontier record and completes the batch. Transient
+    /// [`DeviceError`]s back off on the HTM exponential ladder (plus
+    /// seeded jitter) and retry — per chunk, with batch-level
+    /// aggregation. Retrying any part of the device sequence from its
+    /// top is safe — `persist_range`/`clwb`/frontier write are
+    /// idempotent.
+    ///
+    /// On budget exhaustion of any chunk the batch goes back untouched
+    /// to the front of the queue, so epoch order (and the frontier's
+    /// monotonicity) survives the failure, and the health ladder
+    /// ratchets up with the typed [`PersistError`](crate::PersistError).
+    fn persist_popped_batch(&self, mut b: EpochBatch) -> bool {
+        let written = self.write_back(&mut b);
+        let t0 = Instant::now();
+        match written.and_then(|()| self.publish_frontier_device(b.epoch)) {
+            Ok(()) => {
+                self.complete_batch(b, t0);
+                true
+            }
+            Err((attempts, cause)) => {
+                let err = crate::PersistError {
+                    epoch: b.epoch,
+                    attempts,
+                    cause,
+                };
+                // The next attempt starts over, write-back included.
+                b.written = WriteBack::Pending;
                 self.pipeline.lock().batches.push_front(b);
                 let next = match self.health() {
                     HealthState::Ok => HealthState::Degraded,
@@ -281,43 +389,23 @@ impl EpochSys {
         }
     }
 
-    /// Writes `batch` back (fanning out across the persister pool when
-    /// chunk workers are attached), then fences and publishes the
-    /// frontier record. Transient [`DeviceError`]s back off on the HTM
-    /// exponential ladder (plus seeded jitter) and retry — per chunk,
-    /// with batch-level aggregation; success completes the batch. On
-    /// budget exhaustion of any chunk the untouched batch is handed
-    /// back with the typed [`PersistError`](crate::PersistError).
-    /// Retrying any part of the device sequence from its top is safe —
-    /// `persist_range`/`clwb`/frontier write are idempotent.
-    fn persist_batch_with_retry(
-        &self,
-        batch: EpochBatch,
-    ) -> Result<(), (EpochBatch, crate::PersistError)> {
-        let t0 = std::time::Instant::now();
-        let (plan, coalesced) = self.build_flush_plan(&batch);
+    /// Runs the batch's flush plan unless that already happened: every
+    /// tracked block and retirement record is flushed, not yet fenced.
+    fn write_back(&self, batch: &mut EpochBatch) -> Result<(), (u32, DeviceError)> {
+        if let WriteBack::Done(_) = batch.written {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let (plan, coalesced) = self.build_flush_plan(batch);
         if coalesced != 0 {
             self.stats()
                 .coalesced_flushes
                 .fetch_add(coalesced, Ordering::Relaxed);
         }
-        let written = self
-            .persist_plan(batch.epoch, plan)
-            .and_then(|words| self.publish_frontier_device(batch.epoch).map(|()| words));
-        match written {
-            Ok(words) => {
-                self.complete_batch(batch, words, t0);
-                Ok(())
-            }
-            Err((attempts, cause)) => {
-                let err = crate::PersistError {
-                    epoch: batch.epoch,
-                    attempts,
-                    cause,
-                };
-                Err((batch, err))
-            }
-        }
+        let words = self.persist_plan(batch.epoch, plan)?;
+        batch.written = WriteBack::Done(words);
+        batch.write_back_time = t0.elapsed();
+        Ok(())
     }
 
     /// Builds the batch's flush plan: one [`FlushRange`] per live
@@ -436,9 +524,13 @@ impl EpochSys {
 
     /// The volatile half of a successful write-back: publish the
     /// frontier mirror, reclaim, refund accounting, record stats and
-    /// events, and release the pipeline slot.
-    fn complete_batch(&self, batch: EpochBatch, words: u64, t0: std::time::Instant) {
+    /// events, and release the pipeline slot. `t0` is when the fence
+    /// step began.
+    fn complete_batch(&self, batch: EpochBatch, t0: Instant) {
         let r = batch.epoch;
+        let WriteBack::Done(words) = batch.written else {
+            unreachable!("a batch publishes only after its write-back");
+        };
         // Fold commit→durable spans for epoch r *before* the frontier
         // mirror moves: a committer that later observes frontier ≥ r
         // can then safely recycle r's lag slot as already-folded. Every
@@ -469,7 +561,7 @@ impl EpochSys {
             .fetch_add(reclaimed, Ordering::Relaxed);
         self.obs()
             .batch_persist_ns
-            .record(t0.elapsed().as_nanos() as u64);
+            .record((batch.write_back_time + t0.elapsed()).as_nanos() as u64);
         self.obs()
             .persist_batch_blocks
             .record(batch.persist.len() as u64);
@@ -529,163 +621,4 @@ impl EpochSys {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::super::testutil::fresh;
-    use super::super::{payload, EPOCH_START};
-    use crate::config::EpochConfig;
-    use crate::EpochSys;
-    use nvm_sim::{NvmConfig, NvmHeap};
-    use persist_alloc::Header;
-    use std::sync::atomic::Ordering;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    /// The tentpole acceptance criterion: with a persister attached,
-    /// `advance` performs no `persist_range` on the calling thread —
-    /// it seals, enqueues, and bumps the clock; write-back and the
-    /// frontier publish happen in `persist_next_batch`.
-    #[test]
-    fn pipelined_advance_keeps_writeback_off_the_caller() {
-        let es = fresh();
-        es.attach_persister();
-        let e = es.begin_op();
-        let blk = es.p_new(2);
-        es.payload_word(blk, 0).store(0xBEEF, Ordering::Release);
-        Header::set_epoch(es.heap(), blk, e);
-        es.p_track(blk);
-        es.end_op();
-
-        es.advance(); // seals (empty) epoch EPOCH_START−1
-        let flushes_before = es.heap().stats().snapshot().flushes;
-        let frontier_before = es.persisted_frontier();
-        es.advance(); // seals epoch EPOCH_START — the tracked block
-        assert_eq!(
-            es.heap().stats().snapshot().flushes,
-            flushes_before,
-            "advance must not flush on the calling thread"
-        );
-        assert_eq!(
-            es.persisted_frontier(),
-            frontier_before,
-            "the frontier only moves when a batch actually persists"
-        );
-        assert_eq!(es.current_epoch(), EPOCH_START + 2);
-
-        // Drain by hand — exactly what the Persister worker does.
-        while es.persist_next_batch() {}
-        assert!(es.heap().stats().snapshot().flushes > flushes_before);
-        assert_eq!(es.persisted_frontier(), EPOCH_START);
-        assert_eq!(es.buffered_words(), 0);
-        let img = es.heap().crash();
-        assert_eq!(img.word(payload(blk, 0)), 0xBEEF);
-        es.detach_persister();
-    }
-
-    /// Tracking the same block twice in one epoch used to double-count
-    /// the buffered-word account and hit media twice. Intake-time
-    /// normalization (the sort+dedup now runs where the batch is
-    /// persisted, not where it is sealed) must make the accounting
-    /// match one write-back.
-    #[test]
-    fn intake_dedups_double_tracked_blocks() {
-        let es = fresh();
-        let e = es.begin_op();
-        let blk = es.p_new(2);
-        Header::set_epoch(es.heap(), blk, e);
-        es.p_track(blk);
-        es.p_track(blk); // second track of the same block, same epoch
-        es.end_op();
-        assert!(es.buffered_words() > 0);
-        es.advance();
-        es.advance();
-        let s = es.stats().snapshot();
-        assert_eq!(s.blocks_persisted, 1, "one media write-back after dedup");
-        assert_eq!(
-            es.buffered_words(),
-            0,
-            "intake-time refund plus persist-time refund must drain the account exactly"
-        );
-    }
-
-    /// The dedup refund also lands when a batch waits in the pipeline:
-    /// the sealing advance leaves the duplicate words buffered (seal no
-    /// longer normalizes), and the hand-driven persist refunds both the
-    /// excess and the batch's own accounting.
-    #[test]
-    fn pipelined_intake_refunds_duplicate_accounting() {
-        let es = fresh();
-        es.attach_persister();
-        let e = es.begin_op();
-        let blk = es.p_new(2);
-        Header::set_epoch(es.heap(), blk, e);
-        es.p_track(blk);
-        es.p_track(blk);
-        es.end_op();
-        let buffered = es.buffered_words();
-        es.advance();
-        es.advance(); // seals the double-tracked epoch; nothing persists yet
-        assert_eq!(
-            es.buffered_words(),
-            buffered,
-            "raw seal keeps the duplicate accounting until intake"
-        );
-        while es.persist_next_batch() {}
-        assert_eq!(es.buffered_words(), 0);
-        assert_eq!(es.stats().snapshot().blocks_persisted, 1);
-        es.detach_persister();
-    }
-
-    /// Contiguous neighbor blocks of one batch collapse into a single
-    /// ranged flush; the device sees fewer flush calls but the same
-    /// lines, and obs counts the merges.
-    #[test]
-    fn contiguous_blocks_coalesce_into_ranged_flushes() {
-        let es = fresh();
-        let e = es.begin_op();
-        // Same size class, allocated back-to-back from a fresh extent:
-        // word-contiguous by construction.
-        let a = es.p_new(2);
-        let b = es.p_new(2);
-        Header::set_epoch(es.heap(), a, e);
-        Header::set_epoch(es.heap(), b, e);
-        es.p_track(a);
-        es.p_track(b);
-        es.end_op();
-        es.advance();
-        es.advance();
-        let s = es.stats().snapshot();
-        assert_eq!(s.blocks_persisted, 2);
-        assert_eq!(
-            s.coalesced_flushes, 1,
-            "two contiguous blocks merge into one ranged flush"
-        );
-        assert_eq!(es.persisted_frontier(), EPOCH_START);
-        assert_eq!(es.buffered_words(), 0);
-    }
-
-    /// A full pipeline stalls the *clock* (the advancing thread), never
-    /// the persister; the stall resolves as soon as a batch completes.
-    #[test]
-    fn full_pipeline_stalls_clock_until_batch_done() {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
-        let es = EpochSys::format(heap, EpochConfig::manual().with_pipeline_depth(1));
-        es.attach_persister();
-        es.advance(); // fills the depth-1 pipeline
-        std::thread::scope(|s| {
-            let es2 = Arc::clone(&es);
-            s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                while es2.persist_next_batch() {}
-            });
-            es.advance(); // must stall until the drainer frees a slot
-        });
-        assert!(
-            es.stats().snapshot().pipeline_stalls > 0,
-            "the second advance must have recorded a stall"
-        );
-        assert_eq!(es.current_epoch(), EPOCH_START + 2);
-        while es.persist_next_batch() {}
-        assert_eq!(es.persisted_frontier(), EPOCH_START);
-        es.detach_persister();
-    }
-}
+mod tests;

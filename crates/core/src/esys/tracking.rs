@@ -19,7 +19,9 @@
 //!   `EMPTY_EPOCH` or `≥ e` — so every owner of that generation has
 //!   deregistered, and the Release store in `deregister` paired with
 //!   the scan's SeqCst load makes the owner's plain writes
-//!   happen-before the sealer's `mem::take`.
+//!   happen-before the sealer's `mem::take`. The sealer is `advance`,
+//!   or the persister's `seal_quiescent` one epoch earlier, whose
+//!   non-blocking scan establishes the same observation.
 //! * Generation reuse (epoch `e+BUF_GENS−1` maps to the same index as
 //!   `e−1`) cannot race the seal of `e−1`: reaching it requires
 //!   `BUF_GENS−1` further transitions, all serialized behind the same
@@ -154,9 +156,11 @@ impl ThreadArenas {
     /// # Safety
     ///
     /// Caller must hold the advance lock (one sealer at a time) and
-    /// have completed `wait_for_stragglers(epoch + 1)`, so every owner
-    /// of this generation has deregistered and its writes happen-before
-    /// the caller (see the module docs for the full argument).
+    /// have observed every announce slot `EMPTY_EPOCH` or `≥ epoch + 1`
+    /// — `wait_for_stragglers(epoch + 1)`, or a `quiescent(epoch + 1)`
+    /// scan that returned `true` — so every owner of this generation
+    /// has deregistered and its writes happen-before the caller (see
+    /// the module docs for the full argument).
     pub(super) unsafe fn take_gen(&self, epoch: u64) -> (Vec<(NvmAddr, u64)>, Vec<NvmAddr>) {
         let idx = gen_of(epoch);
         let mut persist_list = Vec::new();

@@ -101,9 +101,10 @@ histograms! {
     advance_ns: "ns",
     /// Tracked blocks flushed per epoch transition.
     persist_batch_blocks: "blocks",
-    /// Background write-back duration per sealed batch, nanoseconds
-    /// (persister side; `advance_ns` no longer contains this work when
-    /// a persister is attached).
+    /// Persister time per sealed batch, nanoseconds: write-back,
+    /// publish and reclamation, summed when the write-back ran before
+    /// the batch's release (`advance_ns` no longer contains this work
+    /// when a persister is attached).
     batch_persist_ns: "ns",
     /// Per-op commit→durable latency, nanoseconds: the time from an
     /// operation's commit to the frontier publish that made its epoch

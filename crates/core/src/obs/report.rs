@@ -163,7 +163,7 @@ pub const METRICS_SCHEMA: &str = "bdhtm-metrics";
 pub const METRICS_SERIES_SCHEMA: &str = "bdhtm-metrics-series";
 /// Schema version; bump when a key changes meaning or disappears.
 /// Consumers (`metrics_check`) accept exactly this version.
-pub const METRICS_VERSION: u64 = 5;
+pub const METRICS_VERSION: u64 = 6;
 
 /// Opens the object under `key` with one member per counter.
 fn counter_section(w: &mut JsonWriter, key: &str, fields: &[(&'static str, u64)]) {

@@ -4,7 +4,7 @@
 //! media off the advance critical path.
 
 use crate::error::HealthState;
-use crate::esys::EpochSys;
+use crate::esys::{EarlySeal, EpochSys};
 use crate::worker::{StopFlag, Worker};
 use nvm_sim::CrashTriggered;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,9 +70,14 @@ impl EpochTicker {
 /// the coordinator performs the `persist_range` calls — fanning each
 /// batch's flush plan out across the chunk workers — then the fence,
 /// the durable-frontier publish, and reclamation, batch by batch in
-/// epoch order. Same stop/join discipline as [`EpochTicker`]: stops
-/// (and joins) on drop, and drains any queued batches before exiting so
-/// a clean shutdown leaves the frontier at `clock − 2`.
+/// epoch order. The coordinator does not wait for that advance: it
+/// seals each past epoch itself as soon as the epoch's last operation
+/// ends ([`EpochSys::seal_quiescent`]) and writes it back while the
+/// next epoch runs, so the advance that would have sealed it only
+/// releases it and the frontier publishes right after. Same stop/join
+/// discipline as [`EpochTicker`]: stops (and joins) on drop, and drains
+/// any released batches before exiting so a clean shutdown leaves the
+/// frontier at `clock − 2`.
 pub struct Persister {
     worker: Worker,
 }
@@ -131,23 +136,45 @@ impl Persister {
     }
 }
 
-/// The coordinator body: drain the batch queue until stopped.
+/// How long the coordinator sleeps when nothing is actionable; the
+/// next advance wakes it sooner.
+const IDLE_WAIT: Duration = Duration::from_millis(5);
+
+/// First re-try interval while an operation of the closed epoch keeps
+/// the early seal waiting; doubles up to [`IDLE_WAIT`]. Operations last
+/// microseconds, so the first re-try usually succeeds.
+const STRAGGLER_POLL: Duration = Duration::from_micros(50);
+
+/// The coordinator body: seal each closed epoch as soon as it is
+/// quiescent and write it back, publish each batch once its epoch is
+/// released, until stopped.
 fn coordinator(esys: &EpochSys, stop: &StopFlag) {
     // Once `stop` is observed, one more pop round runs before exiting:
     // an advance may have enqueued its final batch between our empty
     // pop and the caller setting the flag, and the queue mutex makes
     // that batch visible to any pop that starts after `stop` is set.
     let mut draining = false;
+    let mut poll = STRAGGLER_POLL;
     loop {
         // A fault-plan crash point may fire *inside* a write-back (the
         // whole point of the in-flight-batch crash tests).
         // CrashTriggered models machine death: the worker detaches and
         // vanishes, leaving the frontier wherever the last completed
         // batch put it. Any other panic is a real bug — re-raise it.
-        match catch_unwind(AssertUnwindSafe(|| esys.persist_next_batch())) {
-            Ok(true) => {}
-            Ok(false) if draining => break,
-            Ok(false) => {
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            // A stopping persister seals nothing new: the batch would
+            // outlive it, waiting for a release.
+            let seal = if draining {
+                EarlySeal::Idle
+            } else {
+                esys.try_seal_quiescent()
+            };
+            (seal, esys.persist_next_batch())
+        }));
+        match step {
+            Ok((_, true)) => poll = STRAGGLER_POLL,
+            Ok((_, false)) if draining => break,
+            Ok((seal, false)) => {
                 // Degraded or failed: the health ratchet is one-way, so
                 // background pipelining is off for good. The worker
                 // retires (after the persist path above drained what it
@@ -157,8 +184,12 @@ fn coordinator(esys: &EpochSys, stop: &StopFlag) {
                 }
                 if stop.is_set() {
                     draining = true;
+                } else if seal == EarlySeal::Busy {
+                    esys.wait_batch_ready(poll);
+                    poll = (poll * 2).min(IDLE_WAIT);
                 } else {
-                    esys.wait_batch_ready(Duration::from_millis(5));
+                    poll = STRAGGLER_POLL;
+                    esys.wait_batch_ready(IDLE_WAIT);
                 }
             }
             Err(payload) => {

@@ -14,9 +14,11 @@
 //!   announced in an epoch behind the clock for a whole period:
 //!   [`EpochSys::advance`](crate::EpochSys::advance) is (or will be)
 //!   spinning in its quiesce loop on an operation that never ends.
-//! * **Wedged persister** ([`STALL_PERSISTER`]) — sealed batches stayed
-//!   in flight while the durable frontier did not move: the write-back
-//!   worker is stuck and durability is no longer advancing.
+//! * **Wedged persister** ([`STALL_PERSISTER`]) — released batches
+//!   stayed in flight while the durable frontier did not move: the
+//!   write-back worker is stuck and durability is no longer advancing.
+//!   A batch the persister sealed early is in flight for most of every
+//!   epoch while it waits for its release; it does not count.
 //! * **Wedged pool fan-out** ([`STALL_POOL`]) — a batch's chunk fan-out
 //!   kept pending chunks across the whole period with no frontier
 //!   progress: a chunk worker (or the coordinator's join) is stuck
@@ -67,7 +69,8 @@ pub enum WatchdogPolicy {
 struct Sample {
     clock: u64,
     frontier: u64,
-    in_flight: usize,
+    /// Released batches in flight: those the persister could publish.
+    released: usize,
     pool_pending: usize,
     buffered: u64,
     announce: Vec<u64>,
@@ -78,7 +81,7 @@ impl Sample {
         Sample {
             clock: esys.current_epoch(),
             frontier: esys.persisted_frontier(),
-            in_flight: esys.batches_in_flight(),
+            released: esys.released_batches_in_flight(),
             pool_pending: esys.pool_pending(),
             buffered: esys.buffered_words(),
             announce: esys.announced_epochs(),
@@ -95,9 +98,9 @@ fn detect_stall(prev: &Sample, cur: &Sample, backpressure_bound: u64) -> Option<
     if prev.pool_pending > 0 && cur.pool_pending > 0 && cur.frontier == prev.frontier {
         return Some(STALL_POOL);
     }
-    // Wedged persister: batches stayed in flight across the whole
-    // period and durability did not advance.
-    if prev.in_flight > 0 && cur.in_flight > 0 && cur.frontier == prev.frontier {
+    // Wedged persister: released batches stayed in flight across the
+    // whole period and durability did not advance.
+    if prev.released > 0 && cur.released > 0 && cur.frontier == prev.frontier {
         return Some(STALL_PERSISTER);
     }
     // Hung straggler: same thread announced in the same behind-the-clock
@@ -187,11 +190,11 @@ fn watch(esys: &EpochSys, stop: &StopFlag) {
                     .event(EventKind::WatchdogFired, reason, consecutive);
                 eprintln!(
                     "bdhtm watchdog: {} (firing #{consecutive}; clock={} frontier={} \
-                     in_flight={} buffered={})",
+                     released_in_flight={} buffered={})",
                     reason_str(reason),
                     cur.clock,
                     cur.frontier,
-                    cur.in_flight,
+                    cur.released,
                     cur.buffered
                 );
                 for ev in esys.obs().dump(32) {
@@ -213,11 +216,11 @@ fn watch(esys: &EpochSys, stop: &StopFlag) {
 mod tests {
     use super::*;
 
-    fn sample(clock: u64, frontier: u64, in_flight: usize, buffered: u64) -> Sample {
+    fn sample(clock: u64, frontier: u64, released: usize, buffered: u64) -> Sample {
         Sample {
             clock,
             frontier,
-            in_flight,
+            released,
             pool_pending: 0,
             buffered,
             announce: vec![EMPTY_EPOCH; 4],
@@ -250,6 +253,41 @@ mod tests {
         let a = sample(10, 8, 2, 0);
         let b = sample(11, 8, 1, 0); // clock moves but durability does not
         assert_eq!(detect_stall(&a, &b, 0), Some(STALL_PERSISTER));
+    }
+
+    /// An early-sealed batch written back and waiting for its release
+    /// sits in flight for most of every epoch with the frontier still:
+    /// a watchdog period shorter than the epoch must not call that a
+    /// wedged persister.
+    #[test]
+    fn unreleased_batch_in_flight_is_not_a_wedged_persister() {
+        use crate::EpochConfig;
+        use nvm_sim::{NvmConfig, NvmHeap};
+        use persist_alloc::Header;
+
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(2 << 20)));
+        let es = EpochSys::format(heap, EpochConfig::manual());
+        es.attach_persister();
+        let e = es.begin_op();
+        let blk = es.p_new(1);
+        Header::set_epoch(es.heap(), blk, e);
+        es.p_track(blk);
+        es.end_op();
+        es.advance();
+        while es.persist_next_batch() {}
+        assert!(es.seal_quiescent());
+        while es.persist_next_batch() {} // early write-back, no publish
+        assert_eq!(es.batches_in_flight(), 1);
+        let a = Sample::take(&es);
+        let b = Sample::take(&es);
+        assert_eq!(a.released, 0, "the batch waits for its release");
+        assert_eq!(detect_stall(&a, &b, 0), None);
+
+        es.advance(); // releases it: now the persister owes a publish
+        let c = Sample::take(&es);
+        assert_eq!(c.released, 1);
+        assert_eq!(detect_stall(&c, &c, 0), Some(STALL_PERSISTER));
+        es.detach_persister();
     }
 
     #[test]

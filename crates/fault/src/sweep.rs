@@ -37,9 +37,12 @@
 //!   pipelined mode with [`EpochSys::attach_persister`], so `advance`
 //!   only seals and enqueues, and drains by hand with
 //!   [`EpochSys::persist_next_batch`] on a seeded cadence that lets
-//!   batches linger across operations. Every crash point — in the
-//!   workload's evictions, in a batch's write-backs, in the frontier
-//!   publish itself — still fires on the driving thread, and the oracle
+//!   batches linger across operations. On a stream of its own it also
+//!   runs the persister's early seal ([`EpochSys::seal_quiescent`]),
+//!   sometimes writing the early batch back before the advance that
+//!   releases it. Every crash point — in the workload's evictions, in
+//!   a batch's write-backs (early or not), in the frontier publish
+//!   itself — still fires on the driving thread, and the oracle
 //!   is unchanged: that the clock may be arbitrarily far past `R` at
 //!   the crash is what's under test — recovery keys off the frontier,
 //!   never off `clock − 2`.
@@ -257,6 +260,7 @@ fn run_workload<T: SweepTarget>(
 ) {
     let mut rng = SplitMix64::new(cfg.seed);
     let mut drain_rng = SplitMix64::new(cfg.seed ^ 0xD7_A14B_A7C4_5EED);
+    let mut seal_rng = SplitMix64::new(cfg.seed ^ 0x5EA1_0E4A_71E5_EA15);
     let mut deferred = false;
     for i in 0..cfg.ops {
         if cfg.evict_every != 0 && i % cfg.evict_every == cfg.evict_every - 1 {
@@ -287,7 +291,15 @@ fn run_workload<T: SweepTarget>(
         // writes back two batches in a row, and crash points fall both
         // while the frontier trails by one epoch and while it trails by
         // several.
+        //
+        // Before draining, the persister's early seal may run on the
+        // previous (quiescent) epoch: one draw in four leaves it sealed
+        // for the released path, two in four also write it back now,
+        // ahead of its release — so crash points land inside an early
+        // write-back and between it and the releasing advance.
         if cfg.pipelined && i % cfg.advance_every == cfg.advance_every / 2 {
+            let seal = seal_rng.next_below(4);
+            let sealed = seal != 0 && esys.seal_quiescent();
             if !deferred && drain_rng.next_below(2) == 0 {
                 deferred = true;
             } else {
@@ -296,6 +308,12 @@ fn run_workload<T: SweepTarget>(
                     esys.persist_next_batch();
                     deferred = false;
                 }
+            }
+            if sealed && seal >= 2 {
+                // Publishes what is released, then writes the early
+                // batch back and stops at its release gate.
+                while esys.persist_next_batch() {}
+                deferred = false;
             }
         }
     }
@@ -721,6 +739,18 @@ mod tests {
             max_lag > 2,
             "driver must let the clock outrun the frontier, max lag {max_lag}"
         );
+    }
+
+    /// The sweep's early seals fire, and the clean tail still releases
+    /// and publishes every early batch.
+    #[test]
+    fn pipelined_run_seals_epochs_early() {
+        let cfg = pipelined(0xBA7C6);
+        let (_heap, esys, t) = setup::<BdSpash>(&cfg);
+        run_workload(&t, &esys, &cfg, &mut Vec::new());
+        assert!(esys.stats().snapshot().early_seals > 0);
+        assert_eq!(esys.persisted_frontier(), esys.current_epoch() - 2);
+        assert_eq!(esys.batches_in_flight(), 0);
     }
 
     #[test]

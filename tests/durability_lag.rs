@@ -3,8 +3,11 @@
 //! matter and each attributes lag differently:
 //!
 //! * **pipelined** — a background persister with real nvm-sim
-//!   write-back latency: every op committed into a sealed batch shows
-//!   lag at least as long as the batch's write-back took;
+//!   write-back latency: when the epoch closes right before the advance
+//!   that releases it, every op committed into the batch shows lag at
+//!   least as long as its write-back took; when the epoch after it runs
+//!   longer than the write-back, the persister has written the batch
+//!   back early and the frontier publishes as soon as it is released;
 //! * **sync** — inline drains, zero device latency: lag collapses to
 //!   roughly the advance cadence;
 //! * **Degraded → Failed** — the fault ladder: the histogram plus the
@@ -15,11 +18,11 @@
 //! commit events), so these tests exercise exactly what a real
 //! application sees in its metrics report.
 
-use bd_htm::bdhtm_core::{HealthState, Persister};
+use bd_htm::bdhtm_core::{HealthState, Persister, EPOCH_START};
 use bd_htm::nvm_sim::DeviceFaults;
 use bd_htm::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Builds the standard stack on a heap with the given config; manual
 /// epoch control so the tests own the advance schedule.
@@ -46,11 +49,13 @@ fn lag_hist(report: &MetricsReport) -> &HistSnapshot {
         .snap
 }
 
-/// Pipelined mode: the persister grinds through a 40-block batch at
-/// 0.5 ms of simulated write-back per line, so every op committed into
-/// that batch must show a commit→durable lag of at least the batch
-/// duration — tens of milliseconds, not the microseconds the commit
-/// itself took.
+/// Pipelined mode, back-to-back advances: the persister grinds through
+/// a 40-block batch at 0.5 ms of simulated write-back per line, and the
+/// releasing advance follows the one that closed the epoch at once, so
+/// the write-back lies between the commits and the publish. Every op
+/// committed into that batch must show a commit→durable lag of at least
+/// the batch duration — tens of milliseconds, not the microseconds the
+/// commit itself took.
 #[test]
 fn pipelined_lag_covers_the_persist_batch_duration() {
     let mut nc = NvmConfig::for_tests(8 << 20);
@@ -91,6 +96,66 @@ fn pipelined_lag_covers_the_persist_batch_duration() {
     assert!(d.durability_lag_p50 <= d.durability_lag_p99);
     assert!(d.durability_lag_p99 <= d.durability_lag_max);
     assert_eq!(d.lag_spans_dropped, 0, "every span published in order");
+}
+
+/// Waits until no line has been written back for `quiet` (bounded).
+fn wait_for_quiet_write_back(heap: &NvmHeap, quiet: Duration) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut last = heap.stats().snapshot().lines_written_back;
+    let mut since = Instant::now();
+    while since.elapsed() < quiet {
+        assert!(Instant::now() < deadline, "write-back never went quiet");
+        std::thread::sleep(Duration::from_millis(1));
+        let now = heap.stats().snapshot().lines_written_back;
+        if now != last {
+            (last, since) = (now, Instant::now());
+        }
+    }
+}
+
+/// Pipelined mode with an idle gap: the epoch after the 40-op batch
+/// lasts longer than the batch's ≳ 20 ms write-back, so the persister
+/// seals the batch early and writes it back inside the gap. The
+/// releasing advance then leaves only the fence and the frontier line,
+/// and the frontier publishes within 5 ms of it.
+#[test]
+fn pipelined_release_after_an_idle_gap_publishes_at_once() {
+    let mut nc = NvmConfig::for_tests(8 << 20);
+    nc.writeback_ns = 500_000;
+    let (heap, esys, map) = stack(nc, EpochConfig::manual());
+    let persister = Persister::spawn(Arc::clone(&esys));
+
+    for k in 0..40u64 {
+        assert!(map.insert(k, k + 1));
+    }
+    esys.advance(); // closes EPOCH_START: the persister seals it early
+    let t = Instant::now();
+    while esys.stats().snapshot().early_seals == 0 {
+        assert!(t.elapsed() < Duration::from_secs(10), "no early seal");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    wait_for_quiet_write_back(&heap, Duration::from_millis(20));
+    assert_eq!(
+        esys.persisted_frontier(),
+        EPOCH_START - 1,
+        "written back, but not released"
+    );
+
+    let t = Instant::now();
+    esys.advance(); // releases EPOCH_START
+    while esys.persisted_frontier() < EPOCH_START {
+        assert!(t.elapsed() < Duration::from_secs(10), "never published");
+        std::thread::yield_now();
+    }
+    let publish = t.elapsed();
+    persister.stop();
+    assert!(
+        publish < Duration::from_millis(5),
+        "the frontier published {publish:?} after the releasing advance"
+    );
+    assert_eq!(esys.stats().snapshot().early_seals, 1);
+    let d = report_for(&esys).derived.expect("esys attached");
+    assert_eq!(d.lag_spans_dropped, 0);
 }
 
 /// Sync mode: no persister, zero device latency, inline drains on every

@@ -83,7 +83,7 @@ fn json_round_trips_through_the_parser() {
     );
     // One schema version: dropping or re-meaning a key bumps it, and
     // `metrics_check` accepts nothing else.
-    assert_eq!(bd_htm::bdhtm_core::METRICS_VERSION, 5);
+    assert_eq!(bd_htm::bdhtm_core::METRICS_VERSION, 6);
 
     // Every declared counter of every section survives serialization
     // exactly, under its own name.

@@ -116,6 +116,7 @@ fn report() -> MetricsReport {
             blocks_reclaimed: 34,
             backpressure_advances: 35,
             pipeline_stalls: 36,
+            early_seals: 51,
             persist_retries: 37,
             coalesced_flushes: 38,
             degradations: 39,
@@ -185,7 +186,7 @@ fn chrome_trace_matches_the_golden() {
 
 #[test]
 fn report_json_and_series_line_match_the_goldens() {
-    assert_eq!(METRICS_VERSION, 5, "the goldens are version-5 documents");
+    assert_eq!(METRICS_VERSION, 6, "the goldens are version-6 documents");
     let full = report();
     assert_golden(
         "report.json",
