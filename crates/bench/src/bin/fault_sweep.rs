@@ -25,8 +25,8 @@
 
 use bdhtm_core::trace::{chrome_trace, TraceMeta};
 use fault::{
-    pinned_digest, seed_from_env, sweep_all, sweep_runtime_all, RuntimeReport, SweepConfig,
-    SweepReport, PINNED_SWEEP_DIGEST,
+    pinned_digest, pinned_pipelined_digest, seed_from_env, sweep_all, sweep_runtime_all,
+    RuntimeReport, SweepConfig, SweepReport, PINNED_PIPELINED_DIGEST, PINNED_SWEEP_DIGEST,
 };
 use htm_sim::HtmConfig;
 
@@ -80,17 +80,28 @@ fn main() {
 
     if digest {
         // Behavior-preservation mode: print the pinned-seed outcome
-        // digest; with --check, also compare it to the single recorded
-        // constant (fault::PINNED_SWEEP_DIGEST) so CI reads one source
-        // of truth instead of restating the hex in shell.
-        let d = pinned_digest(seed);
-        println!("{d:#018x}");
-        if check && d != PINNED_SWEEP_DIGEST {
-            eprintln!(
-                "pinned-seed sweep digest changed: got {d:#018x}, want {PINNED_SWEEP_DIGEST:#018x}"
-            );
+        // digests of the synchronous and the pipelined persist paths;
+        // with --check, also compare each to its single recorded
+        // constant (fault::digest) so CI reads one source of truth
+        // instead of restating the hex in shell.
+        let mut drifted = false;
+        for (name, d, want) in [
+            ("sync", pinned_digest(seed), PINNED_SWEEP_DIGEST),
+            (
+                "pipelined",
+                pinned_pipelined_digest(seed),
+                PINNED_PIPELINED_DIGEST,
+            ),
+        ] {
+            println!("{name:<9} {d:#018x}");
+            if check && d != want {
+                eprintln!("pinned-seed {name} digest changed: got {d:#018x}, want {want:#018x}");
+                drifted = true;
+            }
+        }
+        if drifted {
             eprintln!("(a refactor altered crash-point schedules or recovery outcomes;");
-            eprintln!(" if intentional, update fault::digest::PINNED_SWEEP_DIGEST)");
+            eprintln!(" if intentional, update the constant in fault::digest)");
             std::process::exit(1);
         }
         return;
