@@ -174,23 +174,6 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
         let _ = req_u64(d, "lag_spans_dropped");
         let _ = req_u64(d, "flight_events_dropped");
         summary.push(format!("lag_p99={p99}ns"));
-        // Pool gauges: the worker count (a gauge of *attached* pool
-        // threads — legitimately 0 in inline-persist mode) and a
-        // well-formed per-worker write-back array. (No
-        // sum-vs-words_persisted cross-check: the columns advance at
-        // chunk completion, the total at batch completion, so a
-        // mid-flight batch legitimately puts them out of step within
-        // one sample.)
-        let workers = req_u64(d, "persist_workers");
-        let per_worker = req(d, "persist_worker_words")
-            .as_arr()
-            .unwrap_or_else(|| fail("persist_worker_words is not an array"));
-        for w in per_worker {
-            if w.as_u64().is_none() {
-                fail("persist_worker_words entry not a non-negative integer");
-            }
-        }
-        summary.push(format!("persist_workers={workers}"));
     }
 
     // Histograms: monotone quantiles, bucket counts sum to count.

@@ -13,7 +13,7 @@
 //!   caused the downgrade is published via
 //!   [`EpochSys::last_persist_error`].
 //! * **Failed** — a batch exhausted its budget *again* while already
-//!   degraded (or the watchdog escalated to fail-stop). The system
+//!   degraded. The system
 //!   stops accepting operations: [`EpochSys::try_begin_op`] returns
 //!   [`OpRejected`] and [`EpochSys::begin_op`] unwinds with it as a
 //!   typed panic payload instead of wedging. The durable frontier
@@ -100,8 +100,7 @@ impl std::error::Error for PersistError {}
 pub struct OpRejected {
     /// The health state that caused the rejection (always `Failed`).
     pub health: HealthState,
-    /// The persist failure that drove the system to `Failed`, if that
-    /// was the cause (a watchdog fail-stop leaves this `None`).
+    /// The persist failure that drove the system to `Failed`.
     pub cause: Option<PersistError>,
 }
 

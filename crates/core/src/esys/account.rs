@@ -1,7 +1,6 @@
 //! Striped buffered-word accounting: how much tracked-but-unflushed
 //! data the system is holding (the §5.1 "buffered bytes per epoch"
-//! model that the backpressure bound and the recovery-window argument
-//! both rest on).
+//! model the recovery-window argument rests on).
 //!
 //! ## Why striped
 //!
@@ -107,10 +106,6 @@ impl Accounting {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::fresh;
-    use super::super::EPOCH_START;
-    use crate::config::EpochConfig;
-    use crate::EpochSys;
-    use nvm_sim::{NvmConfig, NvmHeap};
     use persist_alloc::Header;
     use std::sync::Arc;
 
@@ -165,36 +160,5 @@ mod tests {
         es.advance();
         es.advance();
         assert_eq!(es.buffered_words(), 0);
-    }
-
-    #[test]
-    fn backpressure_bounds_buffered_growth() {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
-        let bound = 256;
-        let es = EpochSys::format(heap, EpochConfig::manual().with_max_buffered_words(bound));
-        let mut peak = 0;
-        for _ in 0..300 {
-            let e = es.begin_op();
-            let blk = es.p_new(2);
-            Header::set_epoch(es.heap(), blk, e);
-            es.p_track(blk);
-            es.end_op();
-            peak = peak.max(es.buffered_words());
-        }
-        assert!(
-            es.stats().snapshot().backpressure_advances > 0,
-            "the bound must have triggered helping advances"
-        );
-        // Each helping advance drains the previous epoch's buffer, so the
-        // set can hold at most ~two epochs of tracking: the bound plus
-        // the accumulation that crossed it.
-        assert!(
-            peak <= 3 * bound,
-            "buffered set must stay bounded, peaked at {peak}"
-        );
-        assert!(
-            es.persisted_frontier() > EPOCH_START,
-            "backpressure advances must move the frontier"
-        );
     }
 }

@@ -134,14 +134,6 @@ impl EpochClock {
         self.announce[thread_id()].load(Ordering::SeqCst)
     }
 
-    /// Snapshot of every slot (diagnostic; not a consistent cut).
-    pub(super) fn announced_epochs(&self) -> Vec<u64> {
-        self.announce
-            .iter()
-            .map(|s| s.load(Ordering::SeqCst))
-            .collect()
-    }
-
     /// Straggler wait: bounded spin, then yield, then parked sleep.
     /// Stragglers run whole operations (not single instructions), so
     /// after a short optimistic spin we stop burning the core. The
@@ -222,13 +214,10 @@ impl EpochSys {
     /// instead of wedging (or panicking) when the epoch system has
     /// fail-stopped.
     ///
-    /// Hot-path contract: the common path performs no cross-thread
-    /// atomic RMW and takes no mutex — one relaxed health load, the
-    /// SeqCst announce store + clock re-load of the Dekker handshake,
-    /// and plain stores into the calling thread's own arena slot. The
-    /// backpressure branch (a configured bound, currently exceeded) is
-    /// the only detour, and it runs *before* the thread announces, so
-    /// the advance it helps with can never wait on itself.
+    /// Hot-path contract: no cross-thread atomic RMW and no mutex —
+    /// one relaxed health load, the SeqCst announce store + clock
+    /// re-load of the Dekker handshake, and plain stores into the
+    /// calling thread's own arena slot.
     pub fn try_begin_op(&self) -> Result<u64, OpRejected> {
         // Relaxed: rejection only needs to be *eventually* observed;
         // the SeqCst handshake below governs epoch correctness.
@@ -240,19 +229,6 @@ impl EpochSys {
         }
         if self.is_disabled() {
             return Ok(self.clock.current());
-        }
-        // Backpressure (graceful degradation under a stalled ticker): if
-        // the buffered set exceeds its bound, help advance the epoch.
-        // This is the one safe point — the thread has not announced an
-        // epoch yet, so the advance it performs cannot wait on itself.
-        // `buffered()` walks the per-thread stripes (plain loads, no
-        // RMW); with no bound configured it is skipped entirely.
-        let bound = self.config().max_buffered_words;
-        if bound != 0 {
-            let buffered = self.account.buffered();
-            if buffered > bound {
-                self.backpressure_advance(buffered, bound);
-            }
         }
         let e = self.clock.register();
         // SAFETY: this thread owns arena slot `thread_id()`, and the
@@ -270,38 +246,6 @@ impl EpochSys {
             op.retire_mark = rm;
         }
         Ok(e)
-    }
-
-    /// The backpressure detour of [`try_begin_op`](Self::try_begin_op):
-    /// help advance, then (in pipelined mode) wait for a batch to
-    /// actually persist rather than flushing on this thread.
-    #[cold]
-    fn backpressure_advance(&self, buffered: u64, bound: u64) {
-        self.stats()
-            .backpressure_advances
-            .fetch_add(1, Ordering::Relaxed);
-        self.obs().event(EventKind::Backpressure, buffered, bound);
-        self.advance();
-        // With a persister attached the advance above only sealed and
-        // enqueued — the buffered set shrinks when the batch *persists*.
-        // Wait on batch completion instead of flushing on this thread;
-        // the loop re-checks `pipelined` so a persister detaching
-        // mid-wait cannot strand us. Only released batches complete
-        // without another advance: one the persister sealed early stays
-        // in flight until the next advance, so waiting for it would
-        // wait forever.
-        if self.pipelined() {
-            let mut q = self.pipeline.lock();
-            while self.account.buffered() > bound && q.released_in_flight() > 0 && self.pipelined()
-            {
-                let (g, _) = self
-                    .pipeline
-                    .batch_done
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = g;
-            }
-        }
     }
 
     /// Schedules the operation's tracked writes for background

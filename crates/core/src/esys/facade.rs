@@ -27,7 +27,6 @@ use super::account::Accounting;
 use super::clock::{EpochClock, EMPTY_EPOCH, EPOCH_START};
 use super::health::EpochStats;
 use super::pipeline::Pipeline;
-use super::pool::ChunkPool;
 use super::tracking::{payload, ThreadArenas};
 use crate::error::{HealthState, PersistError};
 use crate::obs::Obs;
@@ -73,9 +72,6 @@ pub struct EpochSys {
     /// inline drain).
     pub(super) persist_lock: Mutex<()>,
     pub(super) pipeline: Pipeline,
-    /// Chunk fan-out state of the persister pool (write-back sharding
-    /// within a batch; see `esys::pool`).
-    pub(super) pool: ChunkPool,
     /// eADR detected: tracking and advancement are unnecessary (§4.3).
     disabled: bool,
     config: EpochConfig,
@@ -132,7 +128,6 @@ impl EpochSys {
             persist_lock: Mutex::new(()),
             // At rest the last advance sealed and released clock − 2.
             pipeline: Pipeline::new(clock - 2),
-            pool: ChunkPool::new(),
             disabled,
             config,
             stats: EpochStats::default(),
@@ -175,13 +170,6 @@ impl EpochSys {
     /// tracking otherwise — `esys/account.rs` documents the bound.
     pub fn buffered_words(&self) -> u64 {
         self.account.buffered()
-    }
-
-    /// Snapshot of every thread's announced epoch ([`EMPTY_EPOCH`] for
-    /// idle slots). Watchdog/diagnostic introspection; each slot is a
-    /// moment-in-time read, not a consistent cut.
-    pub fn announced_epochs(&self) -> Vec<u64> {
-        self.clock.announced_epochs()
     }
 
     /// `true` when running on eADR (persistent cache): tracking disabled.

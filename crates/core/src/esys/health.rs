@@ -30,9 +30,6 @@ htm_sim::counters! {
         words_persisted,
         /// Retired blocks physically reclaimed.
         blocks_reclaimed,
-        /// Epoch advances initiated by [`EpochSys::begin_op`] backpressure
-        /// (buffered set over `EpochConfig::max_buffered_words`).
-        backpressure_advances,
         /// Advances that found `EpochConfig::pipeline_depth` batches in
         /// flight and stalled the clock until the persister caught up.
         pipeline_stalls,
@@ -49,8 +46,6 @@ htm_sim::counters! {
         /// Health-ladder downgrades (`Ok → Degraded` and
         /// `Degraded → Failed` each count once).
         degradations,
-        /// Times an attached [`Watchdog`](crate::Watchdog) detected a stall.
-        watchdog_fires,
     }
 }
 
@@ -88,12 +83,12 @@ impl EpochSys {
     }
 
     /// Ratchets the health ladder up to `to` (never down), recording
-    /// `cause`, counting the degradation and emitting a
+    /// the persist failure `cause`, counting the degradation and emitting a
     /// [`DegradedToSync`](EventKind::DegradedToSync) event. Waiters on
     /// either pipeline condvar are woken so nobody keeps waiting for a
     /// background persister that just lost its job (every wait loop
     /// re-checks the pipelined predicate).
-    pub(crate) fn escalate_health(&self, to: HealthState, cause: Option<PersistError>) {
+    pub(crate) fn escalate_health(&self, to: HealthState, cause: PersistError) {
         let mut cur = self.health.load(Ordering::SeqCst);
         loop {
             if cur >= to as u8 {
@@ -107,31 +102,24 @@ impl EpochSys {
                 Err(c) => cur = c,
             }
         }
-        if let Some(err) = cause {
-            *self
-                .last_persist_error
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(err);
-        }
+        *self
+            .last_persist_error
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = Some(cause);
         self.stats().degradations.fetch_add(1, Ordering::Relaxed);
-        self.obs().event(
-            EventKind::DegradedToSync,
-            to as u64,
-            cause.map_or(u64::MAX, |c| c.epoch),
-        );
+        self.obs()
+            .event(EventKind::DegradedToSync, to as u64, cause.epoch);
         self.pipeline.batch_ready.notify_all();
         self.pipeline.batch_done.notify_all();
-        // Chunk workers retire once the ladder leaves Ok; wake any that
-        // are parked on the pool's work queue.
-        self.pool.work_ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::fresh;
+    use super::super::EPOCH_START;
     use crate::config::EpochConfig;
-    use nvm_sim::{DeviceFaults, NvmConfig, NvmHeap};
+    use nvm_sim::{DeviceError, DeviceFaults, DeviceOpKind, NvmConfig, NvmHeap};
     use persist_alloc::Header;
     use std::sync::Arc;
 
@@ -222,9 +210,18 @@ mod tests {
         let es = fresh();
         es.begin_op();
         es.end_op(); // ops work while healthy
-        es.escalate_health(crate::HealthState::Failed, None);
+        let cause = crate::PersistError {
+            epoch: EPOCH_START,
+            attempts: 1,
+            cause: DeviceError {
+                op: DeviceOpKind::Writeback,
+                seq: 0,
+            },
+        };
+        es.escalate_health(crate::HealthState::Failed, cause);
         let rej = es.try_begin_op().expect_err("Failed must reject");
         assert_eq!(rej.health, crate::HealthState::Failed);
+        assert_eq!(rej.cause.map(|c| c.epoch), Some(EPOCH_START));
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| es.begin_op()))
             .expect_err("begin_op must unwind on a failed system");
         let rej = payload

@@ -11,9 +11,8 @@
 //! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair, advance and early seal | §3 epoch discipline |
 //! | [`tracking`] | per-thread single-writer buffer arenas, prealloc slots | Listing 1 lines 7–12, 31–38 |
 //! | [`account`] | striped buffered-word accounting | §5.1 buffered-bytes bound |
-//! | [`pipeline`] | sealed [`EpochBatch`] queue, seal/persist split, release gate | §3 step 2 (write-back) |
-//! | [`pool`] | persister-pool chunk fan-out, flush-plan partitioning | §3 step 2 (write-back bandwidth) |
-//! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
+//! | [`pipeline`] | sealed [`EpochBatch`] queue, seal/persist split, flush plan, release gate | §3 step 2 (write-back) |
+//! //! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
 //! | [`facade`] | [`EpochSys`] itself: the Table 2 methods, advance, recovery hooks | Table 2 |
 //!
 //! Consumers never name the submodules: every pre-decomposition path
@@ -25,7 +24,6 @@ mod clock;
 mod facade;
 mod health;
 mod pipeline;
-mod pool;
 mod tracking;
 
 pub(crate) use clock::EarlySeal;

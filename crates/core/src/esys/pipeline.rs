@@ -12,13 +12,9 @@
 //! Dekker handshake — by the time a batch exists, its epoch has
 //! already quiesced.
 //!
-//! Write-back itself may fan out across the persister pool (see
-//! [`pool`](super::pool)): the thread holding the persist lock builds
-//! the batch's flush plan, coalescing word-contiguous blocks into
-//! ranged flushes, splits it into chunks for any attached chunk
-//! workers, joins them, and only then fences and publishes the
-//! frontier — so the pool parallelism is invisible to everything
-//! downstream of the frontier.
+//! The thread holding the persist lock builds the batch's flush plan,
+//! coalescing word-contiguous blocks into ranged flushes, writes it
+//! back, and only then fences and publishes the frontier.
 //!
 //! Write-back and publish are two steps with a gate between them. A
 //! batch the persister sealed early
@@ -40,7 +36,12 @@ use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::facade::{EpochSys, ROOT_FRONTIER};
-use super::pool::FlushRange;
+
+/// One contiguous, line-aligned device range scheduled for write-back.
+struct FlushRange {
+    start: NvmAddr,
+    words: u64,
+}
 
 /// Base of the persist-retry backoff ladder, in busy spins: retry `n`
 /// waits `PERSIST_BACKOFF_SPINS << n` spins plus seeded jitter (the
@@ -174,22 +175,14 @@ impl PipelineQueue {
             .front()
             .is_some_and(|b| b.epoch <= self.released || b.written == WriteBack::Pending)
     }
-
-    /// In-flight batches whose epoch is released — those the persister
-    /// can complete without another advance. At most one batch is
-    /// unreleased: the early seal takes only `clock − 1`, whose
-    /// predecessor the last advance released.
-    pub(super) fn released_in_flight(&self) -> usize {
-        self.in_flight - usize::from(self.sealed > self.released)
-    }
 }
 
 pub(super) struct Pipeline {
     q: StdMutex<PipelineQueue>,
     /// Signaled when a batch is enqueued (wakes the persister worker).
     pub(super) batch_ready: Condvar,
-    /// Signaled when a batch finishes persisting (wakes clock-stall,
-    /// backpressure, and `advance_until` waiters).
+    /// Signaled when a batch finishes persisting (wakes clock-stall and
+    /// `advance_until` waiters).
     pub(super) batch_done: Condvar,
     /// Attached [`Persister`](crate::Persister) workers. Pipelining
     /// engages only while this is non-zero; otherwise every advance
@@ -225,17 +218,9 @@ impl Pipeline {
 
 impl EpochSys {
     /// Sealed batches currently in flight (queued or being written
-    /// back). Watchdog/diagnostic introspection.
+    /// back). Diagnostic introspection.
     pub fn batches_in_flight(&self) -> usize {
         self.pipeline.lock().in_flight
-    }
-
-    /// In-flight batches whose epoch is released, i.e. that the
-    /// persister could publish now. An early-sealed batch waiting for
-    /// its closing advance is not counted: the persister has nothing to
-    /// do for it (the watchdog's wedged-persister shape).
-    pub(crate) fn released_batches_in_flight(&self) -> usize {
-        self.pipeline.lock().released_in_flight()
     }
 
     /// Whether sealed batches go to a background persister (at least
@@ -278,17 +263,9 @@ impl EpochSys {
         }
     }
 
-    /// Attached persister workers (the batch-level head-count; chunk
-    /// workers are counted separately by the pool).
-    pub(super) fn attached_persisters(&self) -> u64 {
-        self.pipeline.persisters.load(Ordering::Acquire)
-    }
-
-    /// Wakes the persister worker(s) and the pool's chunk workers
-    /// (used by `Persister::stop`).
+    /// Wakes the persister worker(s) (used by `Persister::stop`).
     pub(crate) fn notify_persisters(&self) {
         self.pipeline.batch_ready.notify_all();
-        self.pool.work_ready.notify_all();
     }
 
     /// Writes back the oldest sealed batch, if any: persist its blocks
@@ -349,19 +326,17 @@ impl EpochSys {
     }
 
     /// The released half of [`persist_next_batch`](Self::persist_next_batch):
-    /// writes `b` back unless that ran early (fanning out across the
-    /// persister pool when chunk workers are attached), then fences,
-    /// publishes the frontier record and completes the batch. Transient
+    /// writes `b` back unless that ran early, then fences, publishes the
+    /// frontier record and completes the batch. Transient
     /// [`DeviceError`]s back off on the HTM exponential ladder (plus
-    /// seeded jitter) and retry — per chunk, with batch-level
-    /// aggregation. Retrying any part of the device sequence from its
-    /// top is safe — `persist_range`/`clwb`/frontier write are
-    /// idempotent.
+    /// seeded jitter) and retry. Retrying any part of the device
+    /// sequence from its top is safe — `persist_range`/`clwb`/frontier
+    /// write are idempotent.
     ///
-    /// On budget exhaustion of any chunk the batch goes back untouched
-    /// to the front of the queue, so epoch order (and the frontier's
-    /// monotonicity) survives the failure, and the health ladder
-    /// ratchets up with the typed [`PersistError`](crate::PersistError).
+    /// On budget exhaustion the batch goes back untouched to the front
+    /// of the queue, so epoch order (and the frontier's monotonicity)
+    /// survives the failure, and the health ladder ratchets up with the
+    /// typed [`PersistError`](crate::PersistError).
     fn persist_popped_batch(&self, mut b: EpochBatch) -> bool {
         let written = self.write_back(&mut b);
         let t0 = Instant::now();
@@ -383,7 +358,7 @@ impl EpochSys {
                     HealthState::Ok => HealthState::Degraded,
                     _ => HealthState::Failed,
                 };
-                self.escalate_health(next, Some(err));
+                self.escalate_health(next, err);
                 false
             }
         }
@@ -402,7 +377,7 @@ impl EpochSys {
                 .coalesced_flushes
                 .fetch_add(coalesced, Ordering::Relaxed);
         }
-        let words = self.persist_plan(batch.epoch, plan)?;
+        let words = self.persist_plan(batch.epoch, &plan)?;
         batch.written = WriteBack::Done(words);
         batch.write_back_time = t0.elapsed();
         Ok(())
@@ -453,19 +428,15 @@ impl EpochSys {
         (plan, coalesced)
     }
 
-    /// Writes one chunk of a flush plan back, retrying transient device
-    /// errors on the backoff ladder. Each chunk gets the full
-    /// `1 + persist_retries` budget; the error carries the attempt
-    /// count for the batch-level [`PersistError`](crate::PersistError).
-    pub(super) fn persist_chunk_with_retry(
-        &self,
-        epoch: u64,
-        ranges: &[FlushRange],
-    ) -> Result<u64, (u32, DeviceError)> {
+    /// Writes a flush plan back, retrying transient device errors on
+    /// the backoff ladder with the full `1 + persist_retries` budget;
+    /// the error carries the attempt count for the
+    /// [`PersistError`](crate::PersistError). Returns the words flushed.
+    fn persist_plan(&self, epoch: u64, plan: &[FlushRange]) -> Result<u64, (u32, DeviceError)> {
         self.retry_device(epoch, || {
             let heap = self.heap();
             let mut words = 0u64;
-            for r in ranges {
+            for r in plan {
                 heap.try_persist_range(r.start, r.words)?;
                 words += r.words;
             }
@@ -473,10 +444,10 @@ impl EpochSys {
         })
     }
 
-    /// The write-back tail, run by the coordinator after every chunk
-    /// succeeded: fence the block flushes, persist the frontier record,
-    /// fence again. Has its own retry budget — the chunks' words are
-    /// already on media, so only these three device ops re-run.
+    /// The write-back tail, run after the flush plan succeeded: fence
+    /// the block flushes, persist the frontier record, fence again. Has
+    /// its own retry budget — the plan's words are already flushed, so
+    /// only these three device ops re-run.
     fn publish_frontier_device(&self, r: u64) -> Result<(), (u32, DeviceError)> {
         debug_assert!(self.clock.frontier() <= r, "frontier regression");
         self.retry_device(r, || {
@@ -493,7 +464,7 @@ impl EpochSys {
 
     /// The shared retry ladder: runs `op` up to `1 + persist_retries`
     /// times, backing off exponentially with seeded jitter between
-    /// attempts. Used per chunk and for the frontier tail.
+    /// attempts. Used for the flush plan and for the frontier tail.
     fn retry_device<T>(
         &self,
         epoch: u64,

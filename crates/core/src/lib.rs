@@ -88,10 +88,9 @@ mod recovery;
 mod sampler;
 mod ticker;
 pub mod trace;
-pub mod watchdog;
 mod worker;
 
-pub use config::{EpochConfig, MAX_PERSIST_WORKERS};
+pub use config::EpochConfig;
 pub use error::{HealthState, OpRejected, PersistError, RetireError};
 pub use esys::{
     payload, EpochBatch, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind,
@@ -107,4 +106,3 @@ pub use persist_alloc::INVALID_EPOCH;
 pub use recovery::{live_keys_sorted, LiveBlock};
 pub use sampler::Sampler;
 pub use ticker::{EpochTicker, Persister};
-pub use watchdog::{Watchdog, WatchdogPolicy};

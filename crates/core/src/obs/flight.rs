@@ -103,9 +103,6 @@ events! {
     EpochAdvance:   "epoch-advance",    Epoch,   Epoch,             Num("frontier");
     /// An advance flushed tracked blocks: `a` = blocks, `b` = words.
     PersistBatch:   "persist-batch",    Persist, Num("blocks"),     Num("words");
-    /// `begin_op` helped advance under a full buffered set:
-    /// `a` = buffered words, `b` = configured bound.
-    Backpressure:   "backpressure",     Health,  Num("buffered"),   Num("bound");
     /// The `nvm-sim` fault plan fired a crash point: `a` = point index,
     /// `b` = crash-point kind code.
     FaultInjected:  "fault-injected",   Health,  Num("point"),      CrashKind("kind");
@@ -123,12 +120,8 @@ events! {
     /// `a` = batch epoch, `b` = attempt number (1-based).
     PersistRetry:   "persist-retry",    Persist, Epoch,             Num("attempt");
     /// The health ladder ratcheted up: `a` = new
-    /// [`HealthState`] code, `b` = epoch of the causing batch
-    /// (`u64::MAX` when the cause was not a persist failure).
+    /// [`HealthState`] code, `b` = epoch of the causing batch.
     DegradedToSync: "health-ratchet",   Health,  Health("to"),      OptEpoch("cause_epoch");
-    /// The watchdog detected a stall: `a` = reason code
-    /// (see [`crate::watchdog`]), `b` = consecutive firings.
-    WatchdogFired:  "watchdog-fired",   Health,  Num("reason"),     Num("consecutive");
     /// A user op closure panicked inside `run_op`: `a` = epoch,
     /// `b` = restarts before the panic.
     OpPanicked:     "op (panic)",       Op,      Epoch,             Num("restarts");

@@ -50,8 +50,8 @@ macro_rules! histograms {
         /// Instrumentation carried by every [`EpochSys`](crate::EpochSys):
         /// latency/size histograms, the durability-lag tracker, and the
         /// flight recorder. All four `BdlKv` structures inherit it through
-        /// `run_op`; the epoch ticker, persist pipeline, and backpressure
-        /// path feed it from inside the epoch system itself. The recorder
+        /// `run_op`; the epoch ticker and the persist pipeline feed it
+        /// from inside the epoch system itself. The recorder
         /// and the lag tracker share one `origin` instant, so flight-event
         /// timestamps and lag spans live on the same timeline (what makes
         /// the exported trace's lag arrows line up with the op tracks).
@@ -111,10 +111,6 @@ histograms! {
     /// durable — the buffered-durability window the paper trades
     /// against throughput.
     durability_lag_ns: "ns",
-    /// Chunks each batch's flush plan was split into by the persister
-    /// pool (1 = serial write-back; larger = fan-out width actually
-    /// achieved for that batch).
-    persist_chunks: "chunks",
 }
 
 impl Default for Obs {

@@ -35,13 +35,6 @@ pub struct DerivedGauges {
     /// Flight-recorder events lost to ring wrap (see
     /// [`Obs::flight_events_dropped`]).
     pub flight_events_dropped: u64,
-    /// Attached write-back workers: the persister head-count plus the
-    /// pool's chunk workers (0 = everything persists inline).
-    pub persist_workers: u64,
-    /// Cumulative words written back per pool worker slot (slot 0 is
-    /// the coordinator / inline drains; chunk workers fill 1..) — the
-    /// fan-out balance gauge.
-    pub persist_worker_words: [u64; crate::MAX_PERSIST_WORKERS],
 }
 
 /// A histogram snapshot with its identity in the report schema.
@@ -129,8 +122,6 @@ impl MetricsRegistry {
                 durability_lag_max: lag.max,
                 lag_spans_dropped: obs.lag_spans_dropped(),
                 flight_events_dropped: obs.flight_events_dropped(),
-                persist_workers: esys.persist_pool_workers(),
-                persist_worker_words: esys.persist_worker_words(),
             });
         }
         MetricsReport {
@@ -163,7 +154,7 @@ pub const METRICS_SCHEMA: &str = "bdhtm-metrics";
 pub const METRICS_SERIES_SCHEMA: &str = "bdhtm-metrics-series";
 /// Schema version; bump when a key changes meaning or disappears.
 /// Consumers (`metrics_check`) accept exactly this version.
-pub const METRICS_VERSION: u64 = 6;
+pub const METRICS_VERSION: u64 = 7;
 
 /// Opens the object under `key` with one member per counter.
 fn counter_section(w: &mut JsonWriter, key: &str, fields: &[(&'static str, u64)]) {
@@ -231,8 +222,6 @@ impl MetricsReport {
             w.field("durability_lag_max", d.durability_lag_max);
             w.field("lag_spans_dropped", d.lag_spans_dropped);
             w.field("flight_events_dropped", d.flight_events_dropped);
-            w.field("persist_workers", d.persist_workers);
-            w.field_arr("persist_worker_words", d.persist_worker_words);
             w.close('}');
         }
         w.key("histograms").open('{');

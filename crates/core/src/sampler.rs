@@ -1,6 +1,5 @@
-//! The background metrics sampler: a sibling of the epoch ticker,
-//! persister, and watchdog that turns end-of-run metrics blobs into
-//! time series.
+//! The background metrics sampler: a sibling of the epoch ticker and
+//! the persister that turns end-of-run metrics blobs into time series.
 //!
 //! A [`Sampler`] owns a thread that snapshots a [`MetricsRegistry`] on
 //! a fixed interval, computes the delta against the previous snapshot

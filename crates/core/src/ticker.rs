@@ -24,8 +24,7 @@ impl EpochTicker {
     ///
     /// Falls back to an inert ticker with a logged warning if the OS
     /// cannot spawn the thread (resource exhaustion) — epochs must then
-    /// be advanced manually (or via backpressure), which degrades
-    /// latency but loses nothing.
+    /// be advanced manually, which degrades latency but loses nothing.
     pub fn spawn(esys: Arc<EpochSys>) -> EpochTicker {
         let worker = Worker::spawn(
             "epoch ticker",
@@ -58,17 +57,13 @@ impl EpochTicker {
     }
 }
 
-/// Owns the background write-back threads of the persist pipeline: one
-/// coordinator draining the batch queue plus the chunk workers of the
-/// persister pool
-/// ([`EpochConfig::persist_workers`](crate::EpochConfig) − 1 of them;
-/// the default auto-sizes from the machine).
+/// Owns the background write-back thread of the persist pipeline: one
+/// coordinator draining the batch queue.
 ///
 /// While a persister is attached,
 /// [`EpochSys::advance`](crate::EpochSys::advance) only seals epoch
 /// buffers into an [`EpochBatch`](crate::EpochBatch) and enqueues it;
-/// the coordinator performs the `persist_range` calls — fanning each
-/// batch's flush plan out across the chunk workers — then the fence,
+/// the coordinator performs the `persist_range` calls, then the fence,
 /// the durable-frontier publish, and reclamation, batch by batch in
 /// epoch order. The coordinator does not wait for that advance: it
 /// seals each past epoch itself as soon as the epoch's last operation
@@ -83,15 +78,13 @@ pub struct Persister {
 }
 
 impl Persister {
-    /// Spawns the write-back pool and registers it with the epoch
+    /// Spawns the write-back thread and registers it with the epoch
     /// system (advances switch to seal-and-enqueue immediately).
     ///
     /// Falls back to no worker at all with a logged warning if the OS
-    /// cannot spawn the coordinator thread — nothing stays attached and
-    /// the system simply stays in synchronous inline-persist mode,
-    /// which is slower but loses nothing. A chunk worker that cannot be
-    /// spawned only narrows the pool (worst case, the coordinator
-    /// writes every chunk itself — the serial behavior).
+    /// cannot spawn the thread — nothing stays attached and the system
+    /// simply stays in synchronous inline-persist mode, which is slower
+    /// but loses nothing.
     pub fn spawn(esys: Arc<EpochSys>) -> Persister {
         esys.attach_persister();
         let es = Arc::clone(&esys);
@@ -104,33 +97,12 @@ impl Persister {
             esys.detach_persister();
             return Persister { worker };
         }
-        // The rest of the pool: chunk workers the coordinator fans each
-        // batch's flush plan out to.
-        let extra = esys.config().effective_persist_workers().saturating_sub(1);
-        for i in 0..extra {
-            let slot = esys.attach_chunk_worker();
-            let es = Arc::clone(&esys);
-            let spawned = worker.add_thread(format!("bdhtm-persist-{}", i + 1), move |stop| {
-                es.chunk_worker_loop(slot, stop)
-            });
-            if let Err(error) = spawned {
-                esys.detach_chunk_worker();
-                eprintln!(
-                    "bdhtm: failed to spawn persist chunk worker: {error}; \
-                     continuing with {} of {} pool threads",
-                    i + 1,
-                    extra + 1
-                );
-                break;
-            }
-        }
-        // Pool threads park on condvars, not on the stop flag's sleep.
+        // The coordinator parks on condvars, not on the stop flag's sleep.
         worker.set_wake(move || esys.notify_persisters());
         Persister { worker }
     }
 
-    /// Stops the pool after the coordinator drains the queue, and joins
-    /// every thread.
+    /// Stops the persister after it drains the queue, and joins it.
     pub fn stop(mut self) {
         self.worker.stop();
     }

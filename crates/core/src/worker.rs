@@ -1,7 +1,7 @@
 //! The one background-worker mechanism behind
-//! [`EpochTicker`](crate::EpochTicker), [`Persister`](crate::Persister),
-//! [`Watchdog`](crate::Watchdog) and [`Sampler`](crate::Sampler): named
-//! threads sharing a stop flag, joined on `stop()`/drop.
+//! [`EpochTicker`](crate::EpochTicker), [`Persister`](crate::Persister)
+//! and [`Sampler`](crate::Sampler): a named thread with a stop flag,
+//! joined on `stop()`/drop.
 //!
 //! A thread the OS refuses to spawn (resource exhaustion) is not an
 //! error the owners propagate: the worker comes back *inert* — no
@@ -38,12 +38,11 @@ impl StopFlag {
     }
 }
 
-/// Owns a group of background threads that share one stop flag.
-/// Stopping (explicitly or by drop) sets the flag, runs the wake hook,
-/// and joins every thread.
+/// Owns one background thread and its stop flag. Stopping (explicitly
+/// or by drop) sets the flag, runs the wake hook, and joins the thread.
 pub(crate) struct Worker {
     stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
+    handle: Option<JoinHandle<()>>,
     /// Unblocks threads parked on something other than
     /// [`StopFlag::sleep_or_stop`] (the persister's condvars).
     wake: Option<Box<dyn Fn() + Send + Sync>>,
@@ -58,42 +57,32 @@ impl Worker {
         fallback: &str,
         body: impl FnOnce(&StopFlag) + Send + 'static,
     ) -> Worker {
-        let mut worker = Worker {
-            stop: Arc::new(AtomicBool::new(false)),
-            handles: Vec::new(),
-            wake: None,
-        };
-        let name = format!("bdhtm-{}", role.replace(' ', "-"));
-        if let Err(error) = worker.add_thread(name, body) {
-            eprintln!("bdhtm: failed to spawn {role}: {error}; {fallback}");
-        }
-        worker
-    }
-
-    /// Adds a thread to the group. The error is the caller's to report:
-    /// a group that is merely narrower than asked for keeps running.
-    pub(crate) fn add_thread(
-        &mut self,
-        name: String,
-        body: impl FnOnce(&StopFlag) + Send + 'static,
-    ) -> std::io::Result<()> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = StopFlag(Arc::clone(&stop));
         #[cfg(test)]
-        {
-            if tests::FAIL_SPAWNS.with(|f| f.get()) {
-                return Err(std::io::Error::other("injected spawn failure"));
-            }
+        let refused = tests::FAIL_SPAWNS.with(|f| f.get());
+        #[cfg(not(test))]
+        let refused = false;
+        let spawned = if refused {
+            Err(std::io::Error::other("injected spawn failure"))
+        } else {
+            std::thread::Builder::new()
+                .name(format!("bdhtm-{}", role.replace(' ', "-")))
+                .spawn(move || body(&flag))
+        };
+        let handle = spawned
+            .map_err(|error| eprintln!("bdhtm: failed to spawn {role}: {error}; {fallback}"))
+            .ok();
+        Worker {
+            stop,
+            handle,
+            wake: None,
         }
-        let stop = StopFlag(Arc::clone(&self.stop));
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || body(&stop))?;
-        self.handles.push(handle);
-        Ok(())
     }
 
     /// Whether no thread is running (the spawn failed, or `stop` ran).
     pub(crate) fn is_inert(&self) -> bool {
-        self.handles.is_empty()
+        self.handle.is_none()
     }
 
     /// Installs the hook `stop` runs between setting the flag and
@@ -102,7 +91,7 @@ impl Worker {
         self.wake = Some(Box::new(wake));
     }
 
-    /// Requests stop and joins every thread. Idempotent; a no-op on an
+    /// Requests stop and joins the thread. Idempotent; a no-op on an
     /// inert worker. A worker thread's panic is not re-raised here —
     /// this also runs from `Drop`, which must not panic.
     pub(crate) fn stop(&mut self) {
@@ -110,7 +99,7 @@ impl Worker {
         if let Some(wake) = &self.wake {
             wake();
         }
-        for h in self.handles.drain(..) {
+        if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
@@ -126,14 +115,13 @@ impl Drop for Worker {
 mod tests {
     use super::*;
     use crate::{
-        EpochConfig, EpochSys, EpochTicker, MetricsRegistry, Persister, Sampler, Watchdog,
-        EPOCH_START,
+        EpochConfig, EpochSys, EpochTicker, MetricsRegistry, Persister, Sampler, EPOCH_START,
     };
     use nvm_sim::{NvmConfig, NvmHeap};
     use std::cell::Cell;
 
     thread_local! {
-        /// While set, `add_thread` on this thread fails as if the OS
+        /// While set, `Worker::spawn` on this thread fails as if the OS
         /// were out of threads — the only way to reach the inert path
         /// in a test.
         pub(super) static FAIL_SPAWNS: Cell<bool> = const { Cell::new(false) };
@@ -153,33 +141,23 @@ mod tests {
         )
     }
 
-    /// `stop()` must not wait out the period: each of the three
-    /// periodic workers, set to tick once an hour, stops within a few
-    /// sleep slices.
+    /// `stop()` must not wait out the period: each of the two periodic
+    /// workers, set to tick once an hour, stops within a few sleep
+    /// slices.
     #[test]
     fn stop_does_not_wait_for_an_hour_long_period() {
         let hour = Duration::from_secs(3600);
-        let es = esys(
-            EpochConfig::manual()
-                .with_epoch_len(hour)
-                .with_watchdog_period(hour),
-        );
+        let es = esys(EpochConfig::manual().with_epoch_len(hour));
         let mut reg = MetricsRegistry::new();
         reg.attach_esys(Arc::clone(&es));
 
         let ticker = EpochTicker::spawn(Arc::clone(&es));
-        let watchdog = Watchdog::spawn(Arc::clone(&es));
         let sampler = Sampler::spawn(reg, hour, |_, _, _| {});
-        std::thread::sleep(SLICE); // let all three reach their sleep
+        std::thread::sleep(SLICE); // let both reach their sleep
         let t = Instant::now();
         ticker.stop();
-        watchdog.stop();
         sampler.stop();
-        assert!(
-            t.elapsed() < 10 * SLICE,
-            "three stops took {:?}",
-            t.elapsed()
-        );
+        assert!(t.elapsed() < 10 * SLICE, "two stops took {:?}", t.elapsed());
         assert_eq!(es.current_epoch(), EPOCH_START, "no tick was due");
     }
 
@@ -200,7 +178,6 @@ mod tests {
     fn inert_persister_leaves_the_system_persisting_inline() {
         let es = esys(EpochConfig::manual());
         let persister = with_failing_spawns(|| Persister::spawn(Arc::clone(&es)));
-        assert_eq!(es.persist_pool_workers(), 0, "nothing stays attached");
         es.advance();
         es.advance();
         assert_eq!(
@@ -214,19 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn inert_watchdog_and_sampler_stop_cleanly() {
+    fn inert_sampler_stops_cleanly() {
         let es = esys(EpochConfig::manual());
         let mut reg = MetricsRegistry::new();
         reg.attach_esys(Arc::clone(&es));
-        let (watchdog, sampler) = with_failing_spawns(|| {
-            (
-                Watchdog::spawn(Arc::clone(&es)),
-                Sampler::spawn(reg, Duration::from_millis(1), |_, _, _| {
-                    panic!("an inert sampler has no thread to call its sink")
-                }),
-            )
+        let sampler = with_failing_spawns(|| {
+            Sampler::spawn(reg, Duration::from_millis(1), |_, _, _| {
+                panic!("an inert sampler has no thread to call its sink")
+            })
         });
-        watchdog.stop();
         drop(sampler);
     }
 }

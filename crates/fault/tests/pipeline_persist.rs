@@ -1,7 +1,6 @@
 //! Integration tests for the background persist pipeline with a *real*
 //! [`Persister`] thread: foreground progress while a batch is being
-//! written back, crash-while-in-flight recovery, and backpressure that
-//! waits on the persister instead of flushing on the foreground thread.
+//! written back, and crash-while-in-flight recovery.
 
 use bdhtm_core::{EpochConfig, EpochSys, Persister, EPOCH_START};
 use nvm_sim::{FaultPlan, NvmConfig, NvmHeap};
@@ -128,38 +127,4 @@ fn crash_on_persister_mid_batch_recovers_to_published_frontier() {
         live.len()
     );
     assert_eq!(es2.current_epoch(), EPOCH_START + 2);
-}
-
-/// Backpressure satellite: with a persister attached, a thread entering
-/// `begin_op` over the buffered-words bound helps *seal* (cheap) and
-/// then waits for the persister — it never performs the flush itself —
-/// and the bound still holds.
-#[test]
-fn backpressure_waits_on_persister_and_stays_bounded() {
-    let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
-    let bound = 256;
-    let es = EpochSys::format(
-        Arc::clone(&heap),
-        EpochConfig::manual().with_max_buffered_words(bound),
-    );
-    let persister = Persister::spawn(Arc::clone(&es));
-    let mut peak = 0;
-    for i in 0..300 {
-        publish(&es, i);
-        peak = peak.max(es.buffered_words());
-    }
-    let target = es.current_epoch();
-    es.advance_until(target);
-    persister.stop();
-    let s = es.stats().snapshot();
-    assert!(
-        s.backpressure_advances > 0,
-        "the bound must have triggered helping advances"
-    );
-    assert!(
-        peak <= 3 * bound,
-        "buffered set must stay bounded, peaked at {peak}"
-    );
-    assert_eq!(es.persisted_frontier(), es.current_epoch() - 2);
-    assert_eq!(es.buffered_words(), 0);
 }

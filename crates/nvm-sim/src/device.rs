@@ -112,7 +112,8 @@ impl DeviceFaults {
     }
 
     /// Per-mille probability of a pure latency spike: the operation
-    /// succeeds but spins for the spike duration first (watchdog bait).
+    /// succeeds but spins for the spike duration first, stretching the
+    /// persister's timing without failing it.
     pub fn with_latency_spikes(mut self, permille: u32, spike_ns: u64) -> Self {
         self.spike_permille = permille.min(1000);
         self.spike_ns = spike_ns;

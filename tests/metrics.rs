@@ -83,7 +83,7 @@ fn json_round_trips_through_the_parser() {
     );
     // One schema version: dropping or re-meaning a key bumps it, and
     // `metrics_check` accepts nothing else.
-    assert_eq!(bd_htm::bdhtm_core::METRICS_VERSION, 6);
+    assert_eq!(bd_htm::bdhtm_core::METRICS_VERSION, 7);
 
     // Every declared counter of every section survives serialization
     // exactly, under its own name.
@@ -156,20 +156,6 @@ fn json_round_trips_through_the_parser() {
             .and_then(|v| v.as_u64()),
         Some(d.flight_events_dropped)
     );
-
-    // Persister-pool telemetry.
-    assert_eq!(
-        derived.get("persist_workers").and_then(|v| v.as_u64()),
-        Some(d.persist_workers)
-    );
-    let worker_words = derived
-        .get("persist_worker_words")
-        .and_then(|v| v.as_arr())
-        .expect("per-worker words array present");
-    assert_eq!(worker_words.len(), bd_htm::bdhtm_core::MAX_PERSIST_WORKERS);
-    for (json_w, &w) in worker_words.iter().zip(d.persist_worker_words.iter()) {
-        assert_eq!(json_w.as_u64(), Some(w));
-    }
 
     // Every declared histogram is reported, under its declared unit.
     let hists = doc.get("histograms").expect("histograms section");

@@ -47,14 +47,12 @@ fn events() -> Vec<FlightEvent> {
         ev(4_000, 3, EpochAdvance, 3, 1),
         ev(4_100, 3, BatchSealed, 17, 96),
         ev(4_200, 3, PipelineStall, 2, 2),
-        ev(4_300, 3, Backpressure, 4_096, 1_024),
         ev(5_000, 4, PersistRetry, 2, 1),
         ev(5_100, 4, PersistBatch, 17, 96),
         ev(5_999, 4, BatchPersisted, 2, 17),
         ev(6_000, 4, DegradedToSync, 1, 2),
         ev(6_100, 4, DegradedToSync, 2, u64::MAX),
         ev(6_150, 4, DegradedToSync, 300, 9),
-        ev(6_200, 5, WatchdogFired, 1, 3),
         ev(6_300, 5, FaultInjected, 7, 0),
         ev(6_400, 5, FaultInjected, 8, 1),
         ev(6_500, 5, FaultInjected, 9, 2),
@@ -93,10 +91,6 @@ fn report() -> MetricsReport {
     for (i, n) in alloc.live_blocks.iter_mut().enumerate() {
         *n = 5 * i as i64 - 1;
     }
-    let mut persist_worker_words = [0; bd_htm::bdhtm_core::MAX_PERSIST_WORKERS];
-    for (i, w) in persist_worker_words.iter_mut().enumerate() {
-        *w = 1_000 * (i as u64 + 1);
-    }
     MetricsReport {
         htm: Some(htm),
         nvm: Some(NvmStatsSnapshot {
@@ -114,13 +108,11 @@ fn report() -> MetricsReport {
             blocks_persisted: 32,
             words_persisted: 33,
             blocks_reclaimed: 34,
-            backpressure_advances: 35,
             pipeline_stalls: 36,
             early_seals: 51,
             persist_retries: 37,
             coalesced_flushes: 38,
             degradations: 39,
-            watchdog_fires: 40,
         }),
         alloc: Some(alloc),
         derived: Some(DerivedGauges {
@@ -134,8 +126,6 @@ fn report() -> MetricsReport {
             durability_lag_max: 47,
             lag_spans_dropped: 48,
             flight_events_dropped: 49,
-            persist_workers: 50,
-            persist_worker_words,
         }),
         histograms: vec![
             NamedHist {
@@ -147,11 +137,6 @@ fn report() -> MetricsReport {
                 name: "op_latency_ns",
                 unit: "ns",
                 snap: hist(&[(9, 100), (10, 50), (20, 1)], 1_234_567, 999_999),
-            },
-            NamedHist {
-                name: "persist_chunks",
-                unit: "chunks",
-                snap: HistSnapshot::default(),
             },
         ],
     }
@@ -186,7 +171,7 @@ fn chrome_trace_matches_the_golden() {
 
 #[test]
 fn report_json_and_series_line_match_the_goldens() {
-    assert_eq!(METRICS_VERSION, 6, "the goldens are version-6 documents");
+    assert_eq!(METRICS_VERSION, 7, "the goldens are version-7 documents");
     let full = report();
     assert_golden(
         "report.json",
