@@ -73,6 +73,21 @@ echo "==> repo benchmark smoke (oracle, validate() and recovered map on all four
 # the recovered map compared key by key. Exits non-zero on any mismatch.
 with_timeout 900 bash benchmark/run.sh --smoke >/dev/null
 
+echo "==> op-path gate (a PHTM-vEB write issues no persist op on the client thread)"
+# The traced run's op-path probe counts the client's fences and flushes
+# per write over 50 k inserts then 50 k removes with no ticker running.
+# Allocation and retirement persist nothing there; only extent
+# registration (one flush and two fences per 256 KiB extent) remains.
+oppath=$(with_timeout 900 bash benchmark/run.sh --workload veb-write-optane --smoke --trace 1 \
+    2>/dev/null | tail -1)
+for m in oppath_fences_per_write oppath_flushes_per_write; do
+    v=$(printf '%s' "$oppath" | grep -o "\"nvm-sim.$m\": {\"value\": [-0-9.e+]*" \
+        | grep -o '[-0-9.e+]*$' || true)
+    awk -v v="${v:-missing}" 'BEGIN { exit !(v != "missing" && v + 0 <= 0.001) }' || {
+        echo "nvm-sim.$m = ${v:-missing}, want <= 0.001"; exit 1; }
+    echo "nvm-sim.$m = $v"
+done
+
 echo "==> metrics smoke (quickstart --metrics-json + validation)"
 cargo run --release -q --example quickstart -- --metrics-json target/metrics-smoke.json
 ./target/release/metrics_check target/metrics-smoke.json

@@ -46,7 +46,7 @@ impl LbTree {
     }
 
     fn new_leaf(heap: &NvmHeap, alloc: &PAlloc) -> NvmAddr {
-        let leaf = alloc.alloc_for_payload(LEAF_PAYLOAD);
+        let leaf = alloc.alloc_persisted(LEAF_PAYLOAD);
         Header::set_tag(heap, leaf, LBTREE_LEAF_TAG);
         Header::set_epoch(heap, leaf, 0);
         heap.persist_range(leaf, HDR_WORDS + 1);

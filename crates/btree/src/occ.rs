@@ -96,7 +96,7 @@ impl OccAbTree {
     }
 
     fn new_node(heap: &NvmHeap, alloc: &PAlloc, leaf: bool) -> NvmAddr {
-        let n = alloc.alloc_for_payload(124);
+        let n = alloc.alloc_persisted(124);
         Header::set_tag(heap, n, OCC_NODE_TAG);
         Header::set_epoch(heap, n, 0);
         heap.write(n.offset(HDR_WORDS + N_ISLEAF), leaf as u64);

@@ -215,9 +215,11 @@ impl EpochSys {
     /// fail-stopped.
     ///
     /// Hot-path contract: no cross-thread atomic RMW and no mutex —
-    /// one relaxed health load, the SeqCst announce store + clock
-    /// re-load of the Dekker handshake, and plain stores into the
-    /// calling thread's own arena slot.
+    /// one relaxed health load, one relaxed load of the persister's
+    /// behind flag, the SeqCst announce store + clock re-load of the
+    /// Dekker handshake, and plain stores into the calling thread's own
+    /// arena slot. Only while a background persister is behind does it
+    /// wait (admission control, DESIGN.md §3.4.2).
     pub fn try_begin_op(&self) -> Result<u64, OpRejected> {
         // Relaxed: rejection only needs to be *eventually* observed;
         // the SeqCst handshake below governs epoch correctness.
@@ -229,6 +231,9 @@ impl EpochSys {
         }
         if self.is_disabled() {
             return Ok(self.clock.current());
+        }
+        if self.pipeline.behind.load(Ordering::Relaxed) {
+            self.wait_for_persister();
         }
         let e = self.clock.register();
         // SAFETY: this thread owns arena slot `thread_id()`, and the
@@ -373,6 +378,9 @@ impl EpochSys {
                 q.sealed = e - 1;
             }
             q.released = e - 1;
+            if presealed {
+                self.note_release(&q);
+            }
         }
         if self.pipelined() {
             self.pipeline.batch_ready.notify_one();

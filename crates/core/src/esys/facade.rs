@@ -200,8 +200,11 @@ impl EpochSys {
     /// The block carries `INVALID_EPOCH` until [`EpochSys::set_epoch`]
     /// claims it inside a transaction; recovery reclaims unclaimed blocks.
     ///
-    /// The allocator flushes its metadata, so calling this inside a
-    /// hardware transaction aborts it — preallocate (Listing 1 line 10).
+    /// Issues no persist operation: the block's epoch word on media is
+    /// `INVALID_EPOCH` already (the allocator's free-list invariant), and
+    /// it gets a durable epoch only with its epoch's write-back. Carving a
+    /// fresh extent does flush, so preallocate outside transactions
+    /// (Listing 1 line 10).
     ///
     /// If the allocator panics (heap exhaustion), the current operation
     /// is aborted before the panic propagates, so the thread's epoch
@@ -376,7 +379,7 @@ mod tests {
         es.p_track(blk);
         es.end_op();
 
-        // Not yet durable: only the allocation record is on media.
+        // Not yet durable: nothing of the block is on media.
         let img = es.heap().crash();
         assert_eq!(img.word(payload(blk, 0)), 0);
 

@@ -31,7 +31,7 @@ use htm_sim::{backoff_ladder, backoff_spin};
 use nvm_sim::{DeviceError, NvmAddr, WORDS_PER_LINE};
 use persist_alloc::{Header, CLASS_WORDS, HDR_WORDS};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -175,6 +175,15 @@ impl PipelineQueue {
             .front()
             .is_some_and(|b| b.epoch <= self.released || b.written == WriteBack::Pending)
     }
+
+    /// Whether the one batch in flight is released and fully written
+    /// back, so that its frontier can publish right away.
+    fn publishable(&self) -> bool {
+        self.in_flight == 1
+            && self.batches.front().is_some_and(|b| {
+                b.epoch <= self.released && matches!(b.written, WriteBack::Done(_))
+            })
+    }
 }
 
 pub(super) struct Pipeline {
@@ -189,6 +198,15 @@ pub(super) struct Pipeline {
     /// drains the queue inline, so programs that never spawn a
     /// persister keep the synchronous behavior.
     pub(super) persisters: AtomicU64,
+    /// Whether a [`Persister`](crate::Persister) thread drains the
+    /// queue. Hand-driven pipelines (sweeps, tests) attach without one,
+    /// and then nothing waits for the persister to catch up.
+    background: AtomicBool,
+    /// Set by an advance that releases an epoch the persister sealed
+    /// early but has not finished writing back, cleared once the
+    /// frontier covers the released epoch: while it is set, operations
+    /// wait before they begin (see [`EpochSys::wait_for_persister`]).
+    pub(super) behind: AtomicBool,
 }
 
 impl Pipeline {
@@ -205,6 +223,8 @@ impl Pipeline {
             batch_ready: Condvar::new(),
             batch_done: Condvar::new(),
             persisters: AtomicU64::new(0),
+            background: AtomicBool::new(false),
+            behind: AtomicBool::new(false),
         }
     }
 
@@ -245,8 +265,56 @@ impl EpochSys {
     /// so none blocks on a worker that no longer exists.
     pub fn detach_persister(&self) {
         self.pipeline.persisters.fetch_sub(1, Ordering::AcqRel);
+        self.pipeline.background.store(false, Ordering::Release);
+        self.pipeline.behind.store(false, Ordering::Release);
         self.pipeline.batch_ready.notify_all();
         self.pipeline.batch_done.notify_all();
+    }
+
+    /// [`attach_persister`](Self::attach_persister) for the
+    /// [`Persister`](crate::Persister) thread, which also turns on the
+    /// admission wait of [`wait_for_persister`](Self::wait_for_persister).
+    pub(crate) fn attach_background_persister(&self) {
+        self.attach_persister();
+        self.pipeline.background.store(true, Ordering::Release);
+    }
+
+    /// Marks a background persister behind if the epoch just released
+    /// still needs write-back although the persister sealed it early,
+    /// i.e. had the whole epoch for it. Called under the queue lock by
+    /// the releasing advance, only for an early-sealed epoch: a batch the
+    /// advance sealed itself (back-to-back advances) has had no time yet,
+    /// and a persister further behind stalls the clock at
+    /// `pipeline_depth` instead.
+    pub(super) fn note_release(&self, q: &PipelineQueue) {
+        if self.pipeline.background.load(Ordering::Acquire) && self.pipelined() && !q.publishable()
+        {
+            self.pipeline.behind.store(true, Ordering::Release);
+        }
+    }
+
+    /// Admission control: an operation does not begin while the
+    /// background persister is behind, i.e. it missed an epoch boundary
+    /// and an early-sealed, released epoch still waits for its
+    /// write-back. Work admitted meanwhile would queue behind the
+    /// persister, each epoch would carry more than the persister writes
+    /// back in one, and the durable frontier would fall further behind
+    /// the clock with every epoch. So when clients outrun the persister,
+    /// they wait, and throughput is whatever the persister sustains.
+    ///
+    /// A bound on work, not a correctness condition: the flag is read
+    /// Relaxed on the `begin_op` path, and an operation that misses a
+    /// fresh `true` merely starts before the persister catches up.
+    pub(super) fn wait_for_persister(&self) {
+        let mut q = self.pipeline.lock();
+        while self.pipeline.behind.load(Ordering::Acquire) && self.pipelined() {
+            q = self
+                .pipeline
+                .batch_done
+                .wait_timeout(q, Duration::from_millis(1))
+                .unwrap_or_else(|err| err.into_inner())
+                .0;
+        }
     }
 
     /// Blocks the persister worker until a batch may be ready or
@@ -512,13 +580,19 @@ impl EpochSys {
         // across persist modes.
         self.obs().fold_epoch_lag(r);
         self.clock.publish_frontier(r);
+        if self.pipeline.behind.load(Ordering::Acquire) {
+            let q = self.pipeline.lock();
+            if r >= q.released {
+                self.pipeline.behind.store(false, Ordering::Release);
+            }
+            drop(q);
+            self.pipeline.batch_done.notify_all();
+        }
 
         // Reclaim retired blocks — their deletion records are durable,
-        // so recovery can never resurrect them.
+        // so recovery can never resurrect them. One fence for the batch.
         let reclaimed = batch.retire.len() as u64;
-        for &blk in &batch.retire {
-            self.alloc.free(blk);
-        }
+        self.alloc.free_batch(&batch.retire);
 
         self.account.drain(batch.accounted);
         self.stats()

@@ -282,3 +282,68 @@ fn full_pipeline_stalls_clock_until_batch_done() {
     assert_eq!(es.persisted_frontier(), EPOCH_START);
     es.detach_persister();
 }
+
+/// Reclamation writes a batch's freed blocks back under one fence. The
+/// advance that persists N retires flushes their N deletion records,
+/// the frontier line and the N freed headers, and fences three times:
+/// write-back, frontier, reclamation.
+#[test]
+fn reclaiming_a_batch_of_retires_fences_once() {
+    const N: u64 = 16;
+    let es = fresh();
+    let blocks: Vec<NvmAddr> = (0..N).map(|i| track_one(&es, i, true)).collect();
+    es.advance();
+    es.advance();
+    es.begin_op();
+    for &blk in &blocks {
+        es.p_retire(blk);
+    }
+    es.end_op();
+    es.advance(); // persists the empty epoch before the retires
+    let before = es.heap().stats().snapshot();
+    es.advance(); // persists the retires and reclaims them
+    let d = es.heap().stats().snapshot().since(&before);
+    assert_eq!(es.stats().snapshot().blocks_reclaimed, N);
+    assert_eq!((d.flushes, d.fences), (2 * N + 1, 3));
+}
+
+/// Admission control: a background persister that sealed an epoch early
+/// but has not written it back by the release is behind, and a new
+/// operation waits until that epoch publishes. A batch the releasing
+/// advance sealed itself never holds operations back.
+#[test]
+fn begin_op_waits_while_the_background_persister_is_behind() {
+    let es = fresh();
+    es.attach_background_persister();
+    track_one(&es, 1, true);
+    es.advance(); // seals and releases the empty EPOCH_START−1 itself
+    assert!(!es.pipeline.behind.load(Ordering::Acquire));
+    while es.persist_next_batch() {}
+    assert!(es.seal_quiescent(), "EPOCH_START sealed early");
+    es.advance(); // releases EPOCH_START before its write-back
+    assert!(es.pipeline.behind.load(Ordering::Acquire));
+
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let (began_tx, began_rx) = std::sync::mpsc::channel();
+    let es2 = Arc::clone(&es);
+    let client = std::thread::spawn(move || {
+        ready_tx.send(()).expect("main thread listens");
+        let e = es2.begin_op();
+        es2.end_op();
+        began_tx.send(e).expect("main thread listens");
+    });
+    ready_rx.recv().expect("client starts");
+    assert!(
+        began_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+        "begin_op must wait while the persister is behind"
+    );
+    while es.persist_next_batch() {}
+    assert_eq!(es.persisted_frontier(), EPOCH_START);
+    assert_eq!(
+        began_rx.recv_timeout(Duration::from_secs(5)),
+        Ok(EPOCH_START + 2),
+        "the publish admits the operation"
+    );
+    client.join().expect("client panicked");
+    es.detach_persister();
+}

@@ -34,7 +34,9 @@
 //! ## HTM compatibility (Listing 1)
 //!
 //! Montage's `pNew`/`pDelete` flush allocator metadata and therefore
-//! abort transactions. The paper's strategy, implemented here:
+//! abort transactions. The paper's strategy, implemented here (and
+//! [`EpochSys::p_new`] here persists nothing at all: every free block
+//! already carries an invalid epoch on media):
 //!
 //! * **Preallocate outside transactions** ([`EpochSys::p_new`]); fresh
 //!   blocks carry [`INVALID_EPOCH`] and are reclaimed by recovery if the

@@ -73,6 +73,39 @@ pub fn live_keys_sorted(
     keyed
 }
 
+/// What recovery does with one scanned block.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Verdict {
+    /// Durably allocated: rebuild it.
+    Live,
+    /// Durably allocated, with a deletion from a discarded epoch: roll
+    /// the deletion back and rebuild it.
+    Resurrect,
+    /// Everything else: back to the allocator.
+    Reclaim,
+}
+
+/// The §5.2 rule for one block's persisted header against the frontier
+/// `r`. A pure function of the header words, so a test can run it on
+/// every mix of old and new words a torn write-back can leave.
+pub(crate) fn classify(
+    state: BlockState,
+    epoch: u64,
+    del_epoch: u64,
+    r: u64,
+    eadr: bool,
+) -> Verdict {
+    // With a persistent cache (eADR) every committed epoch tag survived;
+    // otherwise only those at or below the frontier.
+    let durable_alloc = epoch != INVALID_EPOCH && (eadr || epoch <= r);
+    match state {
+        BlockState::Allocated if durable_alloc => Verdict::Live,
+        // Deletion belongs to a discarded epoch: resurrect.
+        BlockState::Deleted if durable_alloc && !eadr && del_epoch > r => Verdict::Resurrect,
+        _ => Verdict::Reclaim,
+    }
+}
+
 /// One heap scanner's classified blocks, each list in scan order.
 #[derive(Default)]
 struct Classified {
@@ -100,30 +133,24 @@ impl EpochSys {
         // non-free block is read once and lands in exactly one list.
         // `live` is sized for the scanner's whole share up front (an
         // upper bound; untouched capacity is never paged in).
-        let classify = |s: &mut Classified, b: RecoveredBlock| {
-            // With a persistent cache (eADR) every committed epoch tag
-            // survived; otherwise only those at or below the frontier.
-            let durable_alloc = b.epoch != INVALID_EPOCH && (eadr || b.epoch <= r);
+        let sort = |s: &mut Classified, b: RecoveredBlock| {
             let block = LiveBlock {
                 addr: b.addr,
                 class: b.class,
                 epoch: b.epoch,
                 tag: b.tag,
             };
-            match b.state {
-                BlockState::Allocated if durable_alloc => s.live.push(block),
-                // Deletion belongs to a discarded epoch: resurrect.
-                BlockState::Deleted if durable_alloc && !eadr && b.del_epoch > r => {
-                    s.resurrect.push(block)
-                }
-                _ => s.free.push(b.addr),
+            match classify(b.state, b.epoch, b.del_epoch, r, eadr) {
+                Verdict::Live => s.live.push(block),
+                Verdict::Resurrect => s.resurrect.push(block),
+                Verdict::Reclaim => s.free.push(b.addr),
             }
         };
         let new_sink = |blocks| Classified {
             live: Vec::with_capacity(blocks),
             ..Classified::default()
         };
-        let (alloc, parts) = PAlloc::recover_with(Arc::clone(&heap), threads, new_sink, classify);
+        let (alloc, parts) = PAlloc::recover_with(Arc::clone(&heap), threads, new_sink, sort);
         // Scanners report in extent order, so appending their lists
         // reproduces the sequential scan's order (and with it the order
         // of the persist operations below).
@@ -145,9 +172,7 @@ impl EpochSys {
         }
         live.append(&mut resurrect);
         heap.fence();
-        for addr in free {
-            alloc.free(addr);
-        }
+        alloc.free_batch(&free);
 
         // Resume with a safely newer clock; frontier unchanged. Even if
         // the pre-crash clock had run several epochs past R (pipelined
@@ -164,7 +189,8 @@ impl EpochSys {
 mod tests {
     use super::*;
     use nvm_sim::NvmConfig;
-    use persist_alloc::Header;
+    use persist_alloc::{Header, CLASS_WORDS};
+    use std::ops::RangeInclusive;
     use std::sync::atomic::Ordering;
 
     fn fresh() -> Arc<EpochSys> {
@@ -442,5 +468,172 @@ mod tests {
             assert_eq!(a.addr, b.addr);
             assert_eq!(a.tag, b.tag);
         }
+    }
+
+    /// Re-allocates a block that a durable deletion reclaimed, with a
+    /// torn crash armed at the first persist point after its `p_new`,
+    /// and returns what recovery finds live.
+    fn torn_reuse(seed: u64) -> Vec<LiveBlock> {
+        use nvm_sim::{CrashTriggered, FaultPlan};
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(1 << 20)));
+        let es = EpochSys::format(heap, EpochConfig::manual());
+        let (_e, old) = publish(&es, 5, 1);
+        es.advance();
+        es.advance();
+        let _e2 = es.begin_op();
+        es.p_retire(old);
+        es.end_op();
+        es.advance();
+        es.advance(); // deletion durable, block reclaimed
+
+        let plan = Arc::new(FaultPlan::crash_at(0).with_torn_writes(seed));
+        es.heap().arm_fault_plan(Arc::clone(&plan));
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            assert_eq!(es.p_new(2), old, "the reclaimed block is re-used");
+            es.heap().fence();
+        }))
+        .expect_err("the armed persist point must crash");
+        assert!(crashed.downcast_ref::<CrashTriggered>().is_some());
+        let img = plan.take_image().expect("image captured at crash");
+        EpochSys::recover(Arc::new(NvmHeap::from_image(img)), EpochConfig::manual(), 1).1
+    }
+
+    /// The torn re-use hole: a reclaimed block used to keep its old
+    /// epoch on media, so a crash during its re-allocation could drain
+    /// the new `ALLOCATED` state word without the new epoch word and
+    /// bring the freed block back. These torn-write seeds did exactly
+    /// that before `free` invalidated the epoch word on media.
+    #[test]
+    fn torn_reallocation_of_a_reclaimed_block_is_not_live() {
+        for seed in [12, 17, 35, 36, 44, 48, 50, 64, 73, 74, 79, 80, 88, 99] {
+            let live = torn_reuse(seed);
+            assert!(
+                live.is_empty(),
+                "seed {seed}: freed block resurrected: {live:?}"
+            );
+        }
+    }
+
+    /// One block header: the four words a write-back can tear apart.
+    #[derive(Clone, Copy, Debug)]
+    struct Hdr {
+        state: Option<BlockState>,
+        epoch: u64,
+        del: u64,
+        tag: u64,
+    }
+
+    fn hdr(heap: &NvmHeap, blk: NvmAddr) -> Hdr {
+        Hdr {
+            state: Header::state(heap, blk).map(|(s, _)| s),
+            epoch: Header::epoch(heap, blk),
+            del: Header::del_epoch(heap, blk),
+            tag: Header::tag(heap, blk),
+        }
+    }
+
+    /// Whether recovery keeps a block with header `h` at frontier `r`
+    /// (the allocator's scan frees garbage and `FREE` headers before
+    /// classification).
+    fn kept(h: Hdr, r: u64) -> bool {
+        h.state
+            .is_some_and(|s| classify(s, h.epoch, h.del, r, false) != Verdict::Reclaim)
+    }
+
+    /// Each of the 2⁴ mixes of `old` and `new` header words may be kept
+    /// at a frontier in `rs` only if `old` or `new` alone is.
+    fn assert_no_torn_resurrection(step: &str, old: Hdr, new: Hdr, rs: RangeInclusive<u64>) {
+        for r in rs {
+            for mask in 0..16u32 {
+                let pick = |i: u32, o: u64, n: u64| if mask & (1 << i) != 0 { n } else { o };
+                let mix = Hdr {
+                    state: if mask & 1 != 0 { new.state } else { old.state },
+                    epoch: pick(1, old.epoch, new.epoch),
+                    del: pick(2, old.del, new.del),
+                    tag: pick(3, old.tag, new.tag),
+                };
+                assert!(
+                    !kept(mix, r) || kept(old, r) || kept(new, r),
+                    "{step}: torn header {mix:?} is kept at R = {r}, but neither \
+                     {old:?} nor {new:?} is"
+                );
+            }
+        }
+    }
+
+    /// Every header transition of a block's lifetime, driven through the
+    /// real allocator and epoch system, against every torn mix of its
+    /// words and every frontier the crash could meet it at. A block the
+    /// allocator can hand out still in cache (carved, reclaimed,
+    /// re-invalidated) may meet any later frontier.
+    #[test]
+    fn no_torn_header_is_kept_unless_its_old_or_new_header_is() {
+        const LATER: u64 = 6;
+        let es = fresh();
+        let heap = es.heap();
+
+        let first = es.p_new(2);
+        let blk = NvmAddr(first.0 - CLASS_WORDS[0]); // the next block out
+        let carved = hdr(heap, blk);
+        assert_eq!(es.p_new(2), blk);
+        let allocated = hdr(heap, blk);
+        let r = es.persisted_frontier();
+        assert_no_torn_resurrection("format → alloc", carved, allocated, r..=r + LATER);
+
+        let e = es.begin_op();
+        Header::set_epoch(heap, blk, e);
+        Header::set_tag(heap, blk, 7);
+        es.p_track(blk);
+        es.end_op();
+        let published = hdr(heap, blk);
+        // Until epoch e's write-back is fenced, R < e.
+        assert_no_torn_resurrection("alloc → set_epoch", allocated, published, r..=e - 1);
+
+        es.advance();
+        es.advance();
+        let d = es.begin_op();
+        es.p_retire(blk);
+        es.end_op();
+        let retired = hdr(heap, blk);
+        let r = es.persisted_frontier();
+        assert!(r >= e);
+        assert_no_torn_resurrection("publish → retire", published, retired, r..=d - 1);
+
+        es.advance();
+        es.advance();
+        assert_eq!(es.stats().snapshot().blocks_reclaimed, 1);
+        let reclaimed = hdr(heap, blk);
+        let r = es.persisted_frontier();
+        assert_no_torn_resurrection("retire → reclaim", retired, reclaimed, r..=r + LATER);
+
+        assert_eq!(es.p_new(2), blk, "the reclaimed block is re-used");
+        let reallocated = hdr(heap, blk);
+        assert_no_torn_resurrection("reclaim → re-alloc", reclaimed, reallocated, r..=r + LATER);
+
+        // A torn free: the FREE state word reached media, the invalid
+        // epoch word did not. Recovery's scan re-invalidates it.
+        let es = fresh();
+        let (_e, blk) = publish(&es, 1, 7);
+        es.advance();
+        es.advance();
+        Header::set_state(es.heap(), blk, BlockState::Free, 0);
+        es.heap().persist_range(blk, HDR_WORDS);
+        es.heap().fence();
+        let torn_free = hdr(es.heap(), blk);
+        let (es2, live) = EpochSys::recover(
+            Arc::new(NvmHeap::from_image(es.heap().crash())),
+            EpochConfig::manual(),
+            1,
+        );
+        assert!(live.is_empty());
+        let reinvalidated = hdr(es2.heap(), blk);
+        assert_eq!(reinvalidated.epoch, INVALID_EPOCH);
+        let r = es2.persisted_frontier();
+        assert_no_torn_resurrection(
+            "recovery re-invalidation",
+            torn_free,
+            reinvalidated,
+            r..=r + LATER,
+        );
     }
 }

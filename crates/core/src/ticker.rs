@@ -86,7 +86,7 @@ impl Persister {
     /// simply stays in synchronous inline-persist mode, which is slower
     /// but loses nothing.
     pub fn spawn(esys: Arc<EpochSys>) -> Persister {
-        esys.attach_persister();
+        esys.attach_background_persister();
         let es = Arc::clone(&esys);
         let mut worker = Worker::spawn(
             "persister",

@@ -18,11 +18,14 @@ use crate::sweep::{sweep_all, SweepConfig, SweepReport};
 /// `FAULT_SEED=0xBD15EED`; also the sweep binary's default).
 pub const PINNED_SWEEP_SEED: u64 = 0xBD1_5EED;
 
-/// Expected value of `pinned_digest(PINNED_SWEEP_SEED)`.
-pub const PINNED_SWEEP_DIGEST: u64 = 0xc80a_d789_4b7a_0701;
+/// Expected value of `pinned_digest(PINNED_SWEEP_SEED)`. Last moved
+/// when allocation stopped flushing and reclamation began fencing once
+/// per batch (DESIGN.md §5.1).
+pub const PINNED_SWEEP_DIGEST: u64 = 0xb1e2_fbfa_8975_c535;
 
-/// Expected value of `pinned_pipelined_digest(PINNED_SWEEP_SEED)`.
-pub const PINNED_PIPELINED_DIGEST: u64 = 0xb585_fdf1_1ef8_94b9;
+/// Expected value of `pinned_pipelined_digest(PINNED_SWEEP_SEED)`; moved
+/// with [`PINNED_SWEEP_DIGEST`].
+pub const PINNED_PIPELINED_DIGEST: u64 = 0xf124_ae8e_9559_a4f5;
 
 /// Folds sweep reports into one order-sensitive FNV-1a digest over
 /// everything a sweep observes: structure names, enumerated point

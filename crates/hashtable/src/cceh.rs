@@ -61,7 +61,7 @@ impl Cceh {
     }
 
     fn new_segment(heap: &NvmHeap, alloc: &PAlloc, depth: u32) -> NvmAddr {
-        let seg = alloc.alloc_for_payload(SEG_PAYLOAD);
+        let seg = alloc.alloc_persisted(SEG_PAYLOAD);
         Header::set_tag(heap, seg, CCEH_SEG_TAG);
         Header::set_epoch(heap, seg, 0);
         heap.write(seg.offset(HDR_WORDS + SEG_DEPTH), depth as u64);
@@ -414,5 +414,23 @@ mod tests {
             delta.flushes
         );
         assert!(delta.fences >= 2);
+    }
+
+    /// The strict-DL baseline's persist schedule, splits (segment
+    /// allocation and free) included, pinned at its exact counts: the
+    /// allocator's persisted allocation must keep costing what it did
+    /// when every allocation flushed, so the Fig. 3–6 rows do not move.
+    #[test]
+    fn persist_op_counts_are_pinned() {
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(64 << 20)));
+        let t = Cceh::new(Arc::clone(&heap));
+        for k in 0..4000 {
+            t.insert(k, k);
+        }
+        for k in 0..1000 {
+            t.remove(k);
+        }
+        let s = heap.stats().snapshot();
+        assert_eq!((s.flushes, s.fences), (28_803, 9_710));
     }
 }

@@ -163,7 +163,7 @@ impl Plush {
         let (blk, used) = match slot.take() {
             Some((b, u)) if u < LOG_CAP => (b, u),
             _ => {
-                let b = self.alloc.alloc_for_payload(B_PAYLOAD);
+                let b = self.alloc.alloc_persisted(B_PAYLOAD);
                 Header::set_tag(&self.heap, b, PLUSH_LOG_TAG);
                 Header::set_epoch(&self.heap, b, 0);
                 self.heap.write(
@@ -317,7 +317,7 @@ impl Plush {
         {
             tail
         } else {
-            let b = self.alloc.alloc_for_payload(B_PAYLOAD);
+            let b = self.alloc.alloc_persisted(B_PAYLOAD);
             Header::set_tag(&self.heap, b, PLUSH_BKT_TAG);
             Header::set_epoch(&self.heap, b, 0);
             self.heap.write(

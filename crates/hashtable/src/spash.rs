@@ -95,7 +95,7 @@ impl Spash {
     }
 
     fn new_segment(heap: &NvmHeap, alloc: &PAlloc, depth: u32) -> NvmAddr {
-        let seg = alloc.alloc_for_payload(SEG_PAYLOAD);
+        let seg = alloc.alloc_persisted(SEG_PAYLOAD);
         Header::set_tag(heap, seg, SPASH_SEG_TAG);
         Header::set_epoch(heap, seg, 0);
         heap.write(seg.offset(HDR_WORDS + SEG_DEPTH), depth as u64);

@@ -151,7 +151,7 @@ impl MwCasPool {
         if let Some(d) = *slot {
             return d;
         }
-        let blk = self.alloc.alloc_for_payload(DESC_PAYLOAD_WORDS);
+        let blk = self.alloc.alloc_persisted(DESC_PAYLOAD_WORDS);
         Header::set_tag(&self.heap, blk, MWCAS_DESC_TAG);
         Header::set_epoch(&self.heap, blk, 0); // descriptors are infrastructure
         self.heap

@@ -14,7 +14,8 @@ pub const HDR_DEL_EPOCH: u64 = 2;
 pub const HDR_TAG: u64 = 3;
 
 /// Epoch value meaning "not yet assigned to any epoch". Preallocated
-/// blocks carry this value; recovery reclaims them unconditionally.
+/// blocks carry this value, and so does every free block on media;
+/// recovery reclaims them unconditionally.
 pub const INVALID_EPOCH: u64 = u64::MAX;
 
 /// Total block sizes (header included) of each size class, in words:

@@ -12,12 +12,16 @@
 //!   and extents are registered in a persisted table, so a full-heap scan
 //!   after a crash can classify every block — the paper's §5.2 recovery
 //!   procedure.
-//! * **HTM hostility** — faithfully reproduced, not avoided: like real
-//!   NVM allocators, [`PAlloc::alloc`] *flushes the block header* to
-//!   avoid permanent leaks, which aborts any enclosing hardware
-//!   transaction. This is precisely why the paper's Listing 1
-//!   preallocates blocks *outside* transactions and tags them with an
-//!   invalid epoch.
+//! * **Allocation off the persist path**, as Montage's blocks are:
+//!   [`PAlloc::alloc`] writes the cache only. Every block on a free list
+//!   already has `INVALID_EPOCH` in its epoch word on media, fenced
+//!   ([`PAlloc::free_batch`] writes a whole batch of them back under one
+//!   fence), so no crash can make an unclaimed block look live, and the
+//!   recovery scan reclaims it. [`PAlloc::alloc_persisted`] keeps the
+//!   Ralloc-style header flush for the strict-DL structures; that flush
+//!   aborts an enclosing hardware transaction, which is Montage's `pNew`
+//!   problem and why the paper's Listing 1 preallocates blocks
+//!   *outside* transactions.
 //!
 //! ## Block layout (in 8-byte words)
 //!

@@ -119,10 +119,17 @@ impl PAlloc {
     }
 
     /// Allocates a block of the given size class. The returned block is
-    /// `ALLOCATED` with an `INVALID_EPOCH` epoch and zeroed payload, and
-    /// its header has been flushed — **which aborts any enclosing HTM
-    /// transaction**, exactly like a real NVM allocator. Call it outside
-    /// transactions (the Listing 1 preallocation pattern).
+    /// `ALLOCATED` with an `INVALID_EPOCH` epoch and zeroed payload, in
+    /// the cache only: `alloc` issues no persist operation (it can still
+    /// abort a transaction when it has to carve a fresh extent).
+    ///
+    /// Nothing needs flushing because of the free-list invariant (see
+    /// [`free_batch`](Self::free_batch)): the block's epoch word on media
+    /// is already `INVALID_EPOCH`, so no mix of old and new header words
+    /// that a crash can leave on media classifies it as live, and a
+    /// block recovery finds unclaimed is reclaimed by the scan. A caller
+    /// whose recovery trusts `ALLOCATED` headers without an epoch (the
+    /// strict-DL structures) uses [`alloc_persisted`](Self::alloc_persisted).
     pub fn alloc(&self, class: usize) -> NvmAddr {
         assert!(class < NUM_CLASSES);
         let blk = self.obtain(class);
@@ -144,10 +151,6 @@ impl PAlloc {
             CLASS_WORDS[class] - crate::block::HDR_WORDS,
             0,
         );
-        // Persist the allocation record so a crash cannot leak the block
-        // irrecoverably. This is the transaction-aborting flush.
-        self.heap.clwb(blk);
-        self.heap.fence();
         self.classes[class].live.fetch_add(1, Ordering::Relaxed);
         blk
     }
@@ -159,31 +162,77 @@ impl PAlloc {
         self.alloc(class)
     }
 
-    /// Returns a block to the allocator. The `FREE` header is flushed so
-    /// recovery never resurrects it. Aborts an enclosing transaction
-    /// (like `alloc`); the epoch system only frees outside transactions.
+    /// [`alloc_for_payload`](Self::alloc_for_payload) with the header
+    /// line written back and fenced, like a Ralloc-style allocator that
+    /// persists its metadata on every call — which aborts any enclosing
+    /// HTM transaction (Montage's `pNew` problem). The strict-DL
+    /// structures allocate this way.
+    pub fn alloc_persisted(&self, payload_words: u64) -> NvmAddr {
+        let blk = self.alloc_for_payload(payload_words);
+        self.heap.clwb(blk);
+        self.heap.fence();
+        blk
+    }
+
+    /// Returns one block to the allocator: [`free_batch`](Self::free_batch)
+    /// of one block, so it costs one `clwb` and one `fence` and aborts an
+    /// enclosing transaction.
     pub fn free(&self, blk: NvmAddr) {
+        self.free_batch(&[blk]);
+    }
+
+    /// Returns blocks to the allocator, keeping the free-list invariant:
+    /// **every block on a free list has `INVALID_EPOCH` in its epoch word
+    /// on media, fenced.** Each block gets `INVALID_EPOCH` and a `FREE`
+    /// state word (coherent stores) and a `clwb`; one `fence` covers the
+    /// whole batch; only then do the blocks reach the caches, so the
+    /// allocator never hands out a block whose media image could still
+    /// classify as live.
+    ///
+    /// The blocks leave the live count when the call starts: their
+    /// deletions are already durable, and the write-back is only there
+    /// for the next owner.
+    pub fn free_batch(&self, blks: &[NvmAddr]) {
+        if blks.is_empty() {
+            return;
+        }
+        let mut classes = Vec::with_capacity(blks.len());
+        let mut freed = [0i64; NUM_CLASSES];
+        for &blk in blks {
+            let class = self.live_class(blk);
+            classes.push(class);
+            freed[class] += 1;
+        }
+        for (cl, n) in self.classes.iter().zip(freed) {
+            cl.live.fetch_sub(n, Ordering::Relaxed);
+        }
+        for &blk in blks {
+            // Checked again: a block listed twice is a double free too.
+            invalidate(&self.heap, blk, self.live_class(blk));
+        }
+        self.heap.fence();
+        for (&blk, &class) in blks.iter().zip(&classes) {
+            let cache = &self.caches[thread_id() * NUM_CLASSES + class];
+            let mut c = cache.lock();
+            c.push(blk);
+            if c.len() > CACHE_MAX {
+                let at = c.len() - CACHE_BATCH;
+                let spill: Vec<NvmAddr> = c.drain(at..).collect();
+                drop(c);
+                self.classes[class].shared.lock().extend(spill);
+            }
+        }
+    }
+
+    /// The size class of a block about to be freed; panics on a
+    /// non-block address or a block that is already free.
+    fn live_class(&self, blk: NvmAddr) -> usize {
         let (state, class) = Header::state(&self.heap, blk).expect("free of a non-block address");
         assert!(
             state != BlockState::Free,
             "double free of NVM block {blk:?}"
         );
-        self.heap.write_coherent(
-            blk.offset(crate::block::HDR_STATE),
-            pack_state(BlockState::Free, class),
-        );
-        self.heap.clwb(blk);
-        self.heap.fence();
-        self.classes[class].live.fetch_sub(1, Ordering::Relaxed);
-        let cache = &self.caches[thread_id() * NUM_CLASSES + class];
-        let mut c = cache.lock();
-        c.push(blk);
-        if c.len() > CACHE_MAX {
-            let at = c.len() - CACHE_BATCH;
-            let spill: Vec<NvmAddr> = c.drain(at..).collect();
-            drop(c);
-            self.classes[class].shared.lock().extend(spill);
-        }
+        class
     }
 
     /// The epoch word of a block, as a raw atomic for transactional access.
@@ -250,8 +299,9 @@ impl PAlloc {
             .write(NvmAddr(self.table_base + i), class as u64 + 1);
         self.heap.clwb(NvmAddr(self.table_base + i));
         self.heap.fence();
-        // Format the extent: every block gets a FREE header so recovery
-        // scans never misread stale bytes, then fill the shared list.
+        // Format the extent: every block gets a FREE header with an
+        // `INVALID_EPOCH` epoch word (the free-list invariant; a zeroed
+        // word would read as epoch 0), then fill the shared list.
         let ext_base = self.data_base + i * EXTENT_WORDS;
         let bw = CLASS_WORDS[class];
         let n_blocks = EXTENT_WORDS / bw;
@@ -259,6 +309,7 @@ impl PAlloc {
         for b in 0..n_blocks {
             let blk = NvmAddr(ext_base + b * bw);
             self.heap.write(blk, pack_state(BlockState::Free, class));
+            self.heap.write(blk.offset(HDR_EPOCH), INVALID_EPOCH);
             list.push(blk);
         }
         // Extent formatting is one-time metadata initialization; it is
@@ -268,6 +319,18 @@ impl PAlloc {
         self.heap.fence();
         self.classes[class].shared.lock().extend(list);
     }
+}
+
+/// Writes a free block's header, `INVALID_EPOCH` epoch word and `FREE`
+/// state word, and issues its `clwb`; the caller fences. Shared by
+/// [`PAlloc::free_batch`] and the recovery scan's re-invalidation.
+pub(crate) fn invalidate(heap: &NvmHeap, blk: NvmAddr, class: usize) {
+    heap.write_coherent(blk.offset(HDR_EPOCH), INVALID_EPOCH);
+    heap.write_coherent(
+        blk.offset(crate::block::HDR_STATE),
+        pack_state(BlockState::Free, class),
+    );
+    heap.clwb(blk);
 }
 
 #[cfg(test)]
@@ -326,16 +389,63 @@ mod tests {
         assert_eq!(a.stats().bytes_in_use(), 256);
     }
 
+    /// Montage's `pNew` problem, kept for the strict-DL structures: a
+    /// persisted allocation flushes, and the flush aborts the enclosing
+    /// transaction.
     #[test]
-    fn alloc_inside_txn_aborts_it() {
+    fn alloc_persisted_inside_txn_aborts_it() {
         use htm_sim::{AbortCause, Htm, HtmConfig};
         let a = setup();
+        a.free(a.alloc(0)); // carve outside the transaction
         let htm = Htm::new(HtmConfig::for_tests());
         let r = htm.attempt(|_t| {
-            let _ = a.alloc(0); // header flush poisons the transaction
+            let _ = a.alloc_persisted(2); // header flush poisons the transaction
             Ok(())
         });
         assert_eq!(r.unwrap_err(), AbortCause::PersistInTxn);
+    }
+
+    /// On a carved heap, `alloc` writes the cache only; a batch of N
+    /// frees costs N write-backs and one fence.
+    #[test]
+    fn alloc_is_persist_free_and_free_batch_fences_once() {
+        let a = setup();
+        let blocks: Vec<NvmAddr> = (0..10).map(|_| a.alloc(0)).collect();
+        a.free_batch(&blocks);
+        let before = a.heap().stats().snapshot();
+        let again: Vec<NvmAddr> = (0..10).map(|_| a.alloc(0)).collect();
+        let d = a.heap().stats().snapshot().since(&before);
+        assert_eq!((d.flushes, d.fences), (0, 0), "alloc issued a persist op");
+
+        let before = a.heap().stats().snapshot();
+        a.free_batch(&again);
+        let d = a.heap().stats().snapshot().since(&before);
+        assert_eq!((d.flushes, d.fences), (10, 1));
+    }
+
+    /// The free-list invariant: a carved block and a freed block both
+    /// carry `INVALID_EPOCH` on media before they can be handed out.
+    #[test]
+    fn free_blocks_carry_an_invalid_epoch_on_media() {
+        let a = setup();
+        let b = a.alloc(0);
+        let carved = NvmAddr(b.0 - CLASS_WORDS[0]); // the next block out
+        assert_eq!(
+            a.heap().crash().word(carved.offset(HDR_EPOCH)),
+            INVALID_EPOCH
+        );
+
+        Header::set_epoch(a.heap(), b, 3);
+        a.heap().persist_range(b, CLASS_WORDS[0]);
+        a.heap().fence();
+        a.free(b);
+        let img = a.heap().crash();
+        assert_eq!(img.word(b.offset(HDR_EPOCH)), INVALID_EPOCH);
+        assert_eq!(
+            crate::block::unpack_state(img.word(b)),
+            Some((BlockState::Free, 0))
+        );
+        assert_eq!(a.alloc(0), b, "the freed block is the next one out");
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! extent, classifying each by its persisted header. The epoch system's
 //! recovery builds on this raw scan to apply the BDL visibility rule
 //! (blocks newer than the persisted epoch frontier are reclaimed).
+//!
+//! The scan also restores the free-list invariant
+//! ([`PAlloc::free_batch`]) before any block is handed out: a free,
+//! garbage or cross-class block whose epoch word is not `INVALID_EPOCH`
+//! (a torn free or format, or an older image) is re-invalidated, all of
+//! them in one batch under one fence.
 
-use crate::block::{unpack_state, BlockState, Header, CLASS_WORDS, NUM_CLASSES};
-use crate::palloc::{layout, PAlloc, EXTENT_WORDS};
+use crate::block::{unpack_state, BlockState, Header, CLASS_WORDS, INVALID_EPOCH, NUM_CLASSES};
+use crate::palloc::{invalidate, layout, PAlloc, EXTENT_WORDS};
 use nvm_sim::{NvmAddr, NvmHeap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -81,8 +87,9 @@ impl PAlloc {
             extents.push((i, class));
         }
 
-        // One scanner's share: the sink `visit` filled, plus the free
-        // blocks and the non-free count of each class.
+        // One scanner's share: the sink `visit` filled, the free blocks
+        // and the non-free count of each class, and the free blocks
+        // whose epoch word needs re-invalidating.
         let scan = |part: &[(u64, usize)]| {
             let blocks: u64 = part
                 .iter()
@@ -91,6 +98,7 @@ impl PAlloc {
             let mut sink = new_sink(blocks as usize);
             let mut free: [Vec<NvmAddr>; NUM_CLASSES] = Default::default();
             let mut live = [0i64; NUM_CLASSES];
+            let mut stale = Vec::new();
             for &(i, class) in part {
                 let bw = CLASS_WORDS[class];
                 let base = data_base + i * EXTENT_WORDS;
@@ -113,11 +121,16 @@ impl PAlloc {
                         }
                         // Free, or a garbage or cross-class header: the
                         // block was being carved when the crash hit.
-                        _ => free[class].push(blk),
+                        _ => {
+                            if Header::epoch(&heap, blk) != INVALID_EPOCH {
+                                stale.push((blk, class));
+                            }
+                            free[class].push(blk);
+                        }
                     }
                 }
             }
-            (sink, free, live)
+            (sink, free, live, stale)
         };
 
         let parts = if threads <= 1 || extents.len() < 2 {
@@ -139,8 +152,15 @@ impl PAlloc {
         let mut per_class_free: [Vec<NvmAddr>; NUM_CLASSES] = Default::default();
         let mut live = [0i64; NUM_CLASSES];
         let mut sinks = Vec::with_capacity(parts.len());
-        for (sink, free, part_live) in parts {
+        let mut reinvalidated = false;
+        for (sink, free, part_live, stale) in parts {
             sinks.push(sink);
+            // In extent order, so the crash-point schedule does not
+            // depend on the scanner count.
+            for &(blk, class) in &stale {
+                invalidate(&heap, blk, class);
+            }
+            reinvalidated |= !stale.is_empty();
             for c in 0..NUM_CLASSES {
                 live[c] += part_live[c];
             }
@@ -151,6 +171,9 @@ impl PAlloc {
                     all.append(&mut part);
                 }
             }
+        }
+        if reinvalidated {
+            heap.fence();
         }
         (PAlloc::from_recovery(heap, per_class_free, live), sinks)
     }
@@ -174,8 +197,8 @@ mod tests {
         heap.persist_range(b1, CLASS_WORDS[0]);
         heap.fence();
 
-        // b2: allocated but its epoch update never flushed — the alloc-
-        // time flush persisted INVALID_EPOCH.
+        // b2: allocated and stamped, never written back — `alloc` does
+        // not flush, so media still holds the carved FREE header.
         let b2 = a.alloc(0);
         Header::set_epoch(&heap, b2, 4);
 
@@ -188,11 +211,42 @@ mod tests {
         assert_eq!(rb1.epoch, 3);
         assert_eq!(heap2.read(b1.offset(HDR_WORDS)), 0xAB);
 
-        let rb2 = blocks
-            .iter()
-            .find(|b| b.addr == b2)
-            .expect("b2 header lost");
-        assert_eq!(rb2.epoch, INVALID_EPOCH, "unflushed epoch must not survive");
+        assert!(
+            blocks.iter().all(|b| b.addr != b2),
+            "an unflushed allocation must not survive"
+        );
+        assert_eq!(Header::epoch(&heap2, b2), INVALID_EPOCH);
+    }
+
+    /// A free block whose epoch word reached media without its
+    /// invalidation (a torn free) is re-invalidated by the scan before it
+    /// goes back on a free list: one write-back each, one fence in all.
+    #[test]
+    fn scan_reinvalidates_free_blocks_with_a_stale_epoch() {
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(4 << 20)));
+        let a = PAlloc::new(Arc::clone(&heap));
+        let stale: Vec<NvmAddr> = (0..3).map(|_| a.alloc(0)).collect();
+        for &b in &stale {
+            Header::set_state(&heap, b, BlockState::Free, 0);
+            Header::set_epoch(&heap, b, 7);
+            heap.persist_range(b, HDR_WORDS);
+        }
+        heap.fence();
+
+        let heap2 = Arc::new(NvmHeap::from_image(heap.crash()));
+        let (_a2, blocks) = PAlloc::recover(Arc::clone(&heap2));
+        assert!(blocks.is_empty());
+        let s = heap2.stats().snapshot();
+        assert_eq!((s.flushes, s.fences), (3, 1));
+        let img = heap2.crash();
+        for &b in &stale {
+            assert_eq!(img.word(b.offset(crate::HDR_EPOCH)), INVALID_EPOCH);
+        }
+
+        // Once re-invalidated, a second scan has nothing to write.
+        let heap3 = Arc::new(NvmHeap::from_image(img));
+        let _ = PAlloc::recover(Arc::clone(&heap3));
+        assert_eq!(heap3.stats().snapshot().flushes, 0);
     }
 
     #[test]

@@ -747,10 +747,10 @@ mod tests {
             l.insert(k, k);
         }
         let during = l.epoch_sys().heap().stats().snapshot().since(&before);
-        // Only per-thread preallocation flushes (one live block header per
-        // p_new) happen on the operation path.
+        // Allocation persists nothing: only extent registration (one
+        // flush per carved extent) happens on the operation path.
         assert!(
-            during.flushes < 500,
+            during.flushes <= 5,
             "critical-path flushes too high: {}",
             during.flushes
         );

@@ -86,7 +86,7 @@ impl DlSkiplist {
     /// Creates a skiplist (and its allocator) on a fresh heap.
     pub fn new(heap: Arc<NvmHeap>, mode: PersistMode) -> Self {
         let alloc = Arc::new(PAlloc::new(Arc::clone(&heap)));
-        let head = alloc.alloc_for_payload(P_NEXT + MAX_LEVEL as u64);
+        let head = alloc.alloc_persisted(P_NEXT + MAX_LEVEL as u64);
         Header::set_tag(&heap, head, DL_NODE_TAG);
         Header::set_epoch(&heap, head, 0);
         heap.write(head.offset(HDR_WORDS + P_LEVEL), MAX_LEVEL as u64);
@@ -256,7 +256,7 @@ impl DlSkiplist {
                     None => {
                         let lvl = next_level();
                         drop(spare);
-                        let n = self.alloc.alloc_for_payload(P_NEXT + lvl as u64);
+                        let n = self.alloc.alloc_persisted(P_NEXT + lvl as u64);
                         Header::set_tag(&self.heap, n, DL_NODE_TAG);
                         Header::set_epoch(&self.heap, n, 0);
                         (lvl, n)

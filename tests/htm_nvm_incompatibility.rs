@@ -3,6 +3,7 @@
 //! transaction" strategy livelocks onto the fallback lock — and the
 //! epoch system removes the flushes from the transactional path.
 
+use bd_htm::persist_alloc::PAlloc;
 use bd_htm::prelude::*;
 use htm_sim::AbortCause;
 use std::sync::Arc;
@@ -26,20 +27,37 @@ fn naive_durable_transactions_always_abort() {
     assert_eq!(heap.crash().word(a), 0);
 }
 
-/// NVM allocation inside a transaction aborts too (Montage's pNew
-/// problem, §3) — which is why Listing 1 preallocates.
+/// NVM allocation inside a transaction aborts too when the allocator
+/// persists its metadata per call, as Ralloc does (Montage's pNew
+/// problem, §3) — which is why Listing 1 preallocates. The strict-DL
+/// structures allocate this way.
 #[test]
 fn allocation_inside_a_transaction_aborts() {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
-    let esys = EpochSys::format(heap, EpochConfig::default());
+    let alloc = PAlloc::new(heap);
+    alloc.free(alloc.alloc_persisted(2)); // carve the extent up front
     let htm = Htm::new(HtmConfig::default());
-    esys.begin_op();
     let r = htm.attempt(|_t| {
-        let _blk = esys.p_new(2); // allocator metadata flush poisons us
+        let _blk = alloc.alloc_persisted(2); // the header flush poisons us
         Ok(())
     });
     assert_eq!(r.unwrap_err(), AbortCause::PersistInTxn);
+}
+
+/// Buffered durability's `p_new` issues no persist operation: a free
+/// block's epoch word is already invalid on media, and the block becomes
+/// durable with its epoch's write-back, off the operation path.
+#[test]
+fn buffered_p_new_issues_no_persist_op() {
+    let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
+    let esys = EpochSys::format(heap, EpochConfig::default());
+    esys.p_new(2); // carve the extent up front
+    let before = esys.heap().stats().snapshot();
+    esys.begin_op();
+    esys.p_new(2);
     esys.end_op();
+    let d = esys.heap().stats().snapshot().since(&before);
+    assert_eq!((d.flushes, d.fences), (0, 0));
 }
 
 /// Under eADR (persistent caches) the incompatibility disappears: the
