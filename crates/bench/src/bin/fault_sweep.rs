@@ -138,8 +138,8 @@ fn main() {
             continue;
         }
         // `pipelined*` modes drive the background-persist crash sweep:
-        // epoch advances only seal batches, write-backs and frontier
-        // publishes happen on a deterministic stand-in for the
+        // epoch advances only release epochs; seals, write-backs and
+        // frontier publishes happen on a deterministic stand-in for the
         // persister, and crashes land while batches are in flight.
         let mut cfg = match mode.as_str() {
             "plain" | "pipelined" => base.clone(),

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `--pipeline=bg` (the default) runs each data point with a
-//! [`Persister`] worker next to the ticker, so epoch advances only seal
-//! (or release what the persister sealed early) and enqueue;
+//! [`Persister`] worker next to the ticker, so epoch advances only
+//! release the epochs the persister seals and writes back;
 //! `--pipeline=sync` spawns no persister, so every advance writes its
 //! batch back inline on the advancing thread.
 

@@ -17,7 +17,7 @@
 //!
 //! * `register`: SeqCst announce store, then SeqCst clock re-load.
 //! * `wait_for_stragglers`: the advancer's SeqCst clock store (from the
-//!   previous transition) and SeqCst announce scan. The early sealer's
+//!   previous transition) and SeqCst announce scan. The sealer's
 //!   non-blocking `quiescent` scan is the same scan, after a SeqCst
 //!   clock load that already saw the newer epoch.
 //! * `deregister`: a Release store of [`EMPTY_EPOCH`] suffices —
@@ -180,20 +180,6 @@ impl EpochClock {
     }
 }
 
-/// What one [`EpochSys::seal_quiescent`] attempt found; the persister
-/// polls on `Busy` and sleeps until the next advance otherwise.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum EarlySeal {
-    /// The closed epoch was sealed and enqueued.
-    Sealed,
-    /// An operation of the closed epoch is still announced, or an
-    /// advance is running: worth another try shortly.
-    Busy,
-    /// Nothing to seal before the next advance: the epoch is already
-    /// sealed or empty, the pipeline is full, or nothing is pipelined.
-    Idle,
-}
-
 impl EpochSys {
     // ----- Table 2: operation bracketing ---------------------------------
 
@@ -305,27 +291,22 @@ impl EpochSys {
 
     // ----- epoch advancement ----------------------------------------------
 
-    /// Performs one epoch transition `e → e+1`:
-    /// waits for operations to leave epoch `e−1`, flushes everything
-    /// tracked there, persists the frontier `R = e−1`, reclaims blocks
-    /// retired in `e−1`, and publishes the new clock.
+    /// Performs one epoch transition `e → e+1`: waits for operations to
+    /// leave the epochs before `e`, releases `e−1` for its frontier
+    /// publish, and opens `e+1`.
     ///
     /// Normally driven by an [`EpochTicker`](crate::EpochTicker);
     /// callable directly for tests and deterministic experiments.
     ///
-    /// The foreground half is deliberately cheap: quiesce epoch `e−1`,
-    /// take ownership of its arena buffers (plain `mem::take`s — the
-    /// quiesce guarantees exclusion, no per-thread lock exists), seal
-    /// them into an [`EpochBatch`], and bump the clock. With a
-    /// [`Persister`](crate::Persister) attached the batch is merely
-    /// enqueued — no `persist_range` runs on the calling thread; the
-    /// persister writes it back, publishes the frontier, and reclaims.
-    /// Without one, the batch is drained inline before the clock bump:
-    /// the fully synchronous mode.
-    ///
-    /// If the persister already sealed `e−1`
-    /// ([`seal_quiescent`](Self::seal_quiescent)), this advance only
-    /// releases it for the frontier publish.
+    /// With a [`Persister`](crate::Persister) attached (and health
+    /// `Ok`) the advance seals nothing and writes nothing back: the
+    /// persister seals every closed epoch itself
+    /// ([`seal_quiescent`](Self::seal_quiescent)), writes it back while
+    /// the next epoch runs, and publishes it once this advance has
+    /// released it. The advance's only stall is structural
+    /// (`wait_for_generation`). Without a persister, or once health has
+    /// degraded, the advance seals every closed epoch and drains the
+    /// batches inline before the clock bump: the fully synchronous mode.
     pub fn advance(&self) {
         if self.is_disabled() {
             return;
@@ -334,65 +315,38 @@ impl EpochSys {
         let t0 = std::time::Instant::now();
         let e = self.clock.current();
 
-        // 1. Wait for stragglers in epochs < e (the in-flight epoch e−1
-        //    must quiesce before its buffers are stable).
+        // 1. Wait for stragglers in epochs < e: every closed epoch is
+        //    quiescent from here on.
         self.clock.wait_for_stragglers(e);
 
-        // 2–3. Seal e−1 unless the persister already has.
-        let presealed = self.pipeline.lock().sealed >= e - 1;
-        let batch = (!presealed).then(|| {
-            // SAFETY: the advance lock serializes sealers, and the
-            // quiesce above guarantees every owner that wrote generation
-            // `(e−1) % BUF_GENS` has deregistered (Release) and been
-            // observed (SeqCst scan) — their writes happen-before us, and
-            // no owner can re-enter that generation until the clock
-            // reaches e+3, which requires this advance (and two more,
-            // all behind the same lock) to complete first.
-            let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e - 1) };
-            self.seal_batch(e - 1, persist_list, retire_list)
-        });
-
-        // 4. Enqueue, and release e−1 for the frontier publish. A full
-        //    pipeline stalls the clock here — never the persister —
-        //    bounding in-flight batches at pipeline_depth. An advance
-        //    that enqueues nothing never stalls: its pipeline may be
-        //    full of e−1's own batch, which cannot publish before this
-        //    release.
+        // 2. Release e−1 for the frontier publish.
         {
-            let depth = self.config().pipeline_depth.max(1);
             let mut q = self.pipeline.lock();
-            if let Some(batch) = batch {
-                while self.pipelined() && q.in_flight >= depth {
-                    self.stats().pipeline_stalls.fetch_add(1, Ordering::Relaxed);
-                    self.obs()
-                        .event(EventKind::PipelineStall, q.in_flight as u64, depth as u64);
-                    let (g, _) = self
-                        .pipeline
-                        .batch_done
-                        .wait_timeout(q, Duration::from_millis(1))
-                        .unwrap_or_else(|err| err.into_inner());
-                    q = g;
-                }
-                q.batches.push_back(batch);
-                q.in_flight += 1;
-                q.sealed = e - 1;
-            }
             q.released = e - 1;
-            if presealed {
-                self.note_release(&q);
-            }
+            self.note_release(&q);
         }
+
+        // 3. Leave the write-back to the persister, or run it here.
         if self.pipelined() {
-            self.pipeline.batch_ready.notify_one();
-        } else {
-            // Synchronous mode: drain on the calling thread — including
-            // any batches a detached persister left behind — keeping
-            // the legacy ordering (persist, then frontier, then clock).
+            self.wait_for_generation(e + 1);
+        }
+        if !self.pipelined() {
+            // Synchronous mode (or Degraded): seal every closed epoch,
+            // oldest first (a retiring persister can leave more than
+            // one), and drain, keeping the legacy ordering (persist,
+            // then frontier, then clock).
+            while self.seal_quiescent() {}
             while self.persist_next_batch() {}
         }
 
-        // 5. Open the next epoch.
+        // 4. Open the next epoch, then wake the persister to seal e. The
+        //    queue lock orders the notify after any persister check of
+        //    the queue that read the old clock.
         self.clock.open(e + 1);
+        if self.pipelined() {
+            let _q = self.pipeline.lock();
+            self.pipeline.batch_ready.notify_one();
+        }
 
         self.stats().advances.fetch_add(1, Ordering::Relaxed);
         self.obs().advance_ns.record(t0.elapsed().as_nanos() as u64);
@@ -400,22 +354,17 @@ impl EpochSys {
             .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
     }
 
-    /// Seals the past epoch `e = clock − 1` while `e+1` still runs, as
-    /// soon as every operation of `e` has ended, and enqueues it, so
-    /// that the persister writes `e` back before the advance that would
-    /// have sealed it (`e+1 → e+2`), which then only releases it.
-    /// Returns whether a batch was sealed.
+    /// Seals the oldest unsealed closed epoch `e` into an [`EpochBatch`]
+    /// and enqueues it, once every operation of `e` has ended. Returns
+    /// whether a batch was sealed; declines while `e` is still open or
+    /// an operation of it is still announced.
     ///
-    /// Declines — harmlessly, that advance seals `e` as usual — when no
-    /// persister is attached or health is not `Ok`, while an operation
-    /// of `e` is still announced, while an advance holds the lock, when
-    /// `e` is already sealed or tracked nothing, and while
-    /// `pipeline_depth` batches are in flight. It never waits while
-    /// holding the advance lock: an advancer stalled on a full pipeline
-    /// holds that lock while it waits for the persister calling this.
-    ///
-    /// Called by the [`Persister`](crate::Persister) coordinator; public
-    /// so sweeps and tests can drive it by hand.
+    /// While pipelining, [`persist_next_batch`](Self::persist_next_batch)
+    /// calls this first, so the [`Persister`](crate::Persister) seals
+    /// every epoch, empty ones included, during the epoch after it and
+    /// writes it back there; the advance closing it only releases it.
+    /// Inline advances (synchronous or `Degraded`) call it until it
+    /// declines. Public so tests can seal by hand.
     ///
     /// Writing `e` back this early is safe because a quiescent closed
     /// epoch's tracked blocks are final: Listing 1 updates a block in
@@ -424,51 +373,32 @@ impl EpochSys {
     /// To recovery, a line written back before `e` publishes is an
     /// eviction of a line tagged above the frontier.
     pub fn seal_quiescent(&self) -> bool {
-        self.try_seal_quiescent() == EarlySeal::Sealed
-    }
-
-    /// [`seal_quiescent`](Self::seal_quiescent), saying why it declined.
-    pub(crate) fn try_seal_quiescent(&self) -> EarlySeal {
-        if self.is_disabled() || !self.pipelined() {
-            return EarlySeal::Idle;
+        if self.is_disabled() {
+            return false;
         }
-        let next = self.clock.current();
-        let e = next - 1;
-        if !self.clock.quiescent(next) {
-            return EarlySeal::Busy;
-        }
-        let Some(_g) = self.advance_lock.try_lock() else {
-            return EarlySeal::Busy;
-        };
-        if self.clock.current() != next {
-            return EarlySeal::Busy;
-        }
-        {
-            let q = self.pipeline.lock();
-            if q.sealed >= e || q.in_flight >= self.config().pipeline_depth.max(1) {
-                return EarlySeal::Idle;
-            }
-        }
-        // SAFETY: we hold the advance lock (one sealer at a time), and
-        // the scan above saw every slot EMPTY or ≥ e+1 after reading the
-        // clock at e+1 — the post-condition of `wait_for_stragglers(e+1)`
-        // that the advance sealing `e` would establish. No operation
-        // can register in `e` any more, and no owner re-enters its
-        // generation before the clock reaches e+4.
-        let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e) };
-        if persist_list.is_empty() && retire_list.is_empty() {
-            // Nothing to write back early; the advance seals the
-            // (still empty) generation as usual.
-            return EarlySeal::Idle;
-        }
-        let batch = self.seal_batch(e, persist_list, retire_list);
         let mut q = self.pipeline.lock();
-        q.batches.push_back(batch);
+        let e = q.sealed + 1;
+        if e >= self.clock.current() || !self.clock.quiescent(e + 1) {
+            return false;
+        }
+        // SAFETY: the queue lock serializes sealers, and the scan above
+        // saw every slot EMPTY or ≥ e+1 after a clock load ≥ e+1 — the
+        // post-condition of `wait_for_stragglers(e+1)`, so no operation
+        // can register in `e` any more. No owner re-enters generation
+        // `e % BUF_GENS` before epoch `e + BUF_GENS` opens, and no
+        // advance opens it while `e` is unsealed (`wait_for_generation`).
+        let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e) };
+        q.batches
+            .push_back(self.seal_batch(e, persist_list, retire_list));
         q.in_flight += 1;
         q.sealed = e;
+        if e > q.released {
+            self.stats().early_seals.fetch_add(1, Ordering::Relaxed);
+        }
         drop(q);
-        self.stats().early_seals.fetch_add(1, Ordering::Relaxed);
-        EarlySeal::Sealed
+        // Wakes an advance waiting for this generation.
+        self.pipeline.batch_done.notify_all();
+        true
     }
 
     /// Seals raw: a move plus an accounting sum. The sort + dedup (and

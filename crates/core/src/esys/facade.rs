@@ -65,7 +65,8 @@ pub struct EpochSys {
     pub(super) arenas: ThreadArenas,
     /// Striped buffered-word account.
     pub(super) account: Accounting,
-    /// Serializes sealers (`advance`, `seal_quiescent`).
+    /// Serializes advances. No sealer takes it (sealers serialize on the
+    /// queue lock), so an advance may wait under it for a seal.
     pub(super) advance_lock: Mutex<()>,
     /// Serializes batch write-back so frontier publishes stay in epoch
     /// order even with multiple persisters (or a persister racing an
@@ -126,7 +127,7 @@ impl EpochSys {
             account: Accounting::new(),
             advance_lock: Mutex::new(()),
             persist_lock: Mutex::new(()),
-            // At rest the last advance sealed and released clock − 2.
+            // At rest every epoch up to clock − 2 is sealed and released.
             pipeline: Pipeline::new(clock - 2),
             disabled,
             config,

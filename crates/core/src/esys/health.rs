@@ -30,11 +30,13 @@ htm_sim::counters! {
         words_persisted,
         /// Retired blocks physically reclaimed.
         blocks_reclaimed,
-        /// Advances that found `EpochConfig::pipeline_depth` batches in
-        /// flight and stalled the clock until the persister caught up.
+        /// Structural stalls: waits of an advance whose next epoch would
+        /// reuse the arena generation of an epoch the persister has not
+        /// sealed yet (counted once per 1 ms wait slice).
         pipeline_stalls,
-        /// Epochs the persister sealed before their closing advance
-        /// ([`EpochSys::seal_quiescent`]), so that advance only released them.
+        /// Epochs sealed before the advance that releases them
+        /// ([`EpochSys::seal_quiescent`] during the epoch after), so their
+        /// write-back could run ahead of the release.
         early_seals,
         /// Batch write-back attempts retried after a transient
         /// [`DeviceError`](nvm_sim::DeviceError).

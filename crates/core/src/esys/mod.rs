@@ -8,10 +8,10 @@
 //!
 //! | module | owns | paper anchor |
 //! |---|---|---|
-//! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair, advance and early seal | §3 epoch discipline |
+//! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair, advance and seal | §3 epoch discipline |
 //! | [`tracking`] | per-thread single-writer buffer arenas, prealloc slots | Listing 1 lines 7–12, 31–38 |
 //! | [`account`] | striped buffered-word accounting | §5.1 buffered-bytes bound |
-//! | [`pipeline`] | sealed [`EpochBatch`] queue, seal/persist split, flush plan, release gate | §3 step 2 (write-back) |
+//! | [`pipeline`] | sealed [`EpochBatch`] queue, structural stall, flush plan, release gate | §3 step 2 (write-back) |
 //! //! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
 //! | [`facade`] | [`EpochSys`] itself: the Table 2 methods, advance, recovery hooks | Table 2 |
 //!
@@ -26,7 +26,6 @@ mod health;
 mod pipeline;
 mod tracking;
 
-pub(crate) use clock::EarlySeal;
 pub use clock::{EMPTY_EPOCH, EPOCH_START};
 pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};

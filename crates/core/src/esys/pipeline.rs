@@ -16,14 +16,14 @@
 //! coalescing word-contiguous blocks into ranged flushes, writes it
 //! back, and only then fences and publishes the frontier.
 //!
-//! Write-back and publish are two steps with a gate between them. A
-//! batch the persister sealed early
-//! ([`seal_quiescent`](EpochSys::seal_quiescent)) is written back while
-//! the epoch after it still runs, but its fence and frontier publish
-//! wait until the advance that closes its epoch has *released* it
-//! (`PipelineQueue::released`). A batch sealed by `advance` is released
-//! by the same advance, so it writes back and publishes in one go, as
-//! it always has.
+//! Write-back and publish are two steps with a gate between them. The
+//! persister seals each closed epoch
+//! ([`seal_quiescent`](EpochSys::seal_quiescent)) and writes it back
+//! while the epoch after it still runs, but its fence and frontier
+//! publish wait until the advance that closes its epoch has *released*
+//! it (`PipelineQueue::released`). A batch sealed after its release (in
+//! synchronous mode, or by a late persister) writes back and publishes
+//! in one go.
 
 use crate::error::HealthState;
 use crate::obs::EventKind;
@@ -36,6 +36,7 @@ use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::facade::{EpochSys, ROOT_FRONTIER};
+use super::tracking::BUF_GENS;
 
 /// One contiguous, line-aligned device range scheduled for write-back.
 struct FlushRange {
@@ -64,9 +65,9 @@ pub(super) enum WriteBack {
 /// A sealed snapshot of everything one closed epoch tracked, ready for
 /// write-back once normalized (sorted + deduplicated) at persist intake.
 ///
-/// Sealing happens under the advance lock — on the advancing thread, or
-/// earlier on the persister ([`EpochSys::seal_quiescent`]) — and is a
-/// plain move-plus-sum; the sort/dedup runs at the pipeline's intake,
+/// Sealing ([`EpochSys::seal_quiescent`]) happens under the queue lock —
+/// on the persister, or on the advancing thread in synchronous mode —
+/// and is a plain move-plus-sum; the sort/dedup runs at the pipeline's intake,
 /// on whichever thread persists the batch. The write-back, fence,
 /// frontier publish, and reclamation happen when the batch is
 /// *persisted* — by a [`Persister`](crate::Persister) worker in
@@ -156,11 +157,10 @@ impl EpochBatch {
 pub(super) struct PipelineQueue {
     pub(super) batches: VecDeque<EpochBatch>,
     /// Sealed batches not yet fully persisted: the queue above plus the
-    /// batch a persister is currently writing back. This — not the
-    /// queue length — is what `EpochConfig::pipeline_depth` bounds.
+    /// batch a persister is currently writing back.
     pub(super) in_flight: usize,
-    /// The newest sealed epoch; monotone, set by whoever enqueues it
-    /// (`advance` or `seal_quiescent`, under the advance lock).
+    /// The newest sealed epoch; monotone, set by `seal_quiescent`.
+    /// Epochs are sealed in order, so every epoch up to it is sealed.
     pub(super) sealed: u64,
     /// The newest epoch whose closing advance has run. Only batches at
     /// or below it may fence and publish; monotone, set by `advance`.
@@ -168,12 +168,15 @@ pub(super) struct PipelineQueue {
 }
 
 impl PipelineQueue {
-    /// Whether `persist_next_batch` has anything to do: the oldest batch
-    /// may publish, or it still awaits its early write-back.
+    /// Whether `persist_next_batch` has anything to do: a released
+    /// (hence quiescent) epoch awaits its seal, or the oldest batch may
+    /// publish, or it still awaits its early write-back.
     fn actionable(&self) -> bool {
-        self.batches
-            .front()
-            .is_some_and(|b| b.epoch <= self.released || b.written == WriteBack::Pending)
+        self.sealed < self.released
+            || self
+                .batches
+                .front()
+                .is_some_and(|b| b.epoch <= self.released || b.written == WriteBack::Pending)
     }
 
     /// Whether the one batch in flight is released and fully written
@@ -190,8 +193,8 @@ pub(super) struct Pipeline {
     q: StdMutex<PipelineQueue>,
     /// Signaled when a batch is enqueued (wakes the persister worker).
     pub(super) batch_ready: Condvar,
-    /// Signaled when a batch finishes persisting (wakes clock-stall and
-    /// `advance_until` waiters).
+    /// Signaled when a batch is sealed or finishes persisting (wakes the
+    /// structural stall, admission and `advance_until` waiters).
     pub(super) batch_done: Condvar,
     /// Attached [`Persister`](crate::Persister) workers. Pipelining
     /// engages only while this is non-zero; otherwise every advance
@@ -251,12 +254,13 @@ impl EpochSys {
             && self.health.load(Ordering::Acquire) == HealthState::Ok as u8
     }
 
-    /// Registers a persister worker; advances switch from inline
-    /// write-back to seal-and-enqueue. Normally called by
+    /// Registers a persister worker; advances switch from inline seal
+    /// and write-back to release-only. Normally called by
     /// [`Persister::spawn`](crate::Persister); public so deterministic
     /// tests can enter pipelined mode without a background thread and
-    /// drain by hand with [`persist_next_batch`](Self::persist_next_batch)
-    /// (pair every attach with a [`detach_persister`](Self::detach_persister)).
+    /// run the persister's step by hand with
+    /// [`persist_next_batch`](Self::persist_next_batch) (pair every
+    /// attach with a [`detach_persister`](Self::detach_persister)).
     pub fn attach_persister(&self) {
         self.pipeline.persisters.fetch_add(1, Ordering::AcqRel);
     }
@@ -279,16 +283,20 @@ impl EpochSys {
         self.pipeline.background.store(true, Ordering::Release);
     }
 
+    /// Whether a [`Persister`](crate::Persister) thread drains the
+    /// queue (not a hand driver), and pipelining is engaged.
+    pub(super) fn background(&self) -> bool {
+        self.pipeline.background.load(Ordering::Acquire) && self.pipelined()
+    }
+
     /// Marks a background persister behind if the epoch just released
-    /// still needs write-back although the persister sealed it early,
-    /// i.e. had the whole epoch for it. Called under the queue lock by
-    /// the releasing advance, only for an early-sealed epoch: a batch the
-    /// advance sealed itself (back-to-back advances) has had no time yet,
-    /// and a persister further behind stalls the clock at
-    /// `pipeline_depth` instead.
+    /// still needs write-back although the persister sealed it before
+    /// the release, i.e. had the whole epoch for it. Called under the
+    /// queue lock by the releasing advance. An epoch still unsealed at
+    /// its release (back-to-back advances) has had no time yet, and a
+    /// persister further behind meets the structural stall instead.
     pub(super) fn note_release(&self, q: &PipelineQueue) {
-        if self.pipeline.background.load(Ordering::Acquire) && self.pipelined() && !q.publishable()
-        {
+        if self.background() && q.sealed >= q.released && !q.publishable() {
             self.pipeline.behind.store(true, Ordering::Release);
         }
     }
@@ -317,18 +325,56 @@ impl EpochSys {
         }
     }
 
-    /// Blocks the persister worker until a batch may be ready or
-    /// `timeout` elapses. A written-back batch that waits for its
-    /// release is not ready: the releasing advance signals `batch_ready`.
-    pub(crate) fn wait_batch_ready(&self, timeout: Duration) {
-        let q = self.pipeline.lock();
-        if !q.actionable() {
-            let _ = self
+    /// The structural bound: epoch `next` reuses the arena generation
+    /// of `next − BUF_GENS`, so it may not open before that epoch is
+    /// sealed. Waits for the persister's seal holding only the advance
+    /// lock, which no sealer takes. A hand-driven pipeline
+    /// (`attach_persister()` with no thread) has nobody to wait for, so
+    /// this panics there instead of hanging.
+    pub(super) fn wait_for_generation(&self, next: u64) {
+        let Some(reused) = next.checked_sub(BUF_GENS as u64) else {
+            return;
+        };
+        let mut q = self.pipeline.lock();
+        while q.sealed < reused && self.pipelined() {
+            if !self.background() {
+                drop(q);
+                panic!(
+                    "advance to epoch {next} would reuse the arena generation of unsealed \
+                     epoch {reused}, and no persister thread can seal it: drain a hand-driven \
+                     pipeline with persist_next_batch() before advancing further"
+                );
+            }
+            self.stats().pipeline_stalls.fetch_add(1, Ordering::Relaxed);
+            self.obs().event(EventKind::PipelineStall, reused, q.sealed);
+            self.pipeline.batch_ready.notify_one();
+            q = self
                 .pipeline
-                .batch_ready
-                .wait_timeout(q, timeout)
-                .unwrap_or_else(|err| err.into_inner());
+                .batch_done
+                .wait_timeout(q, Duration::from_millis(1))
+                .unwrap_or_else(|err| err.into_inner())
+                .0;
         }
+    }
+
+    /// Blocks the persister worker until there may be work for it. A
+    /// written-back batch that waits for its release is not work: the
+    /// releasing advance signals `batch_ready`. Returns whether a closed
+    /// epoch awaits its seal behind a still-running operation, whose end
+    /// nobody signals: then the wait is `poll`, otherwise `idle`.
+    pub(crate) fn wait_for_work(&self, idle: Duration, poll: Duration) -> bool {
+        let q = self.pipeline.lock();
+        if q.actionable() {
+            return false;
+        }
+        let straggler = q.sealed + 1 < self.clock.current();
+        let timeout = if straggler { poll } else { idle };
+        let _ = self
+            .pipeline
+            .batch_ready
+            .wait_timeout(q, timeout)
+            .unwrap_or_else(|err| err.into_inner());
+        straggler
     }
 
     /// Wakes the persister worker(s) (used by `Persister::stop`).
@@ -336,19 +382,20 @@ impl EpochSys {
         self.pipeline.batch_ready.notify_all();
     }
 
-    /// Writes back the oldest sealed batch, if any: persist its blocks
+    /// The persister's step: while pipelining, seals the oldest closed
+    /// epoch first ([`seal_quiescent`](Self::seal_quiescent)); then
+    /// writes back the oldest sealed batch, if any: persist its blocks
     /// and retirement records, fence, publish the durable frontier, and
     /// reclaim. Returns whether it did any of that work.
     ///
     /// Normally called by the [`Persister`](crate::Persister) worker;
-    /// public so deterministic tests can drain the pipeline by hand.
+    /// public so deterministic drivers can run the pipeline by hand.
     /// The pop happens under the persist lock, so concurrent callers
     /// persist batches strictly in seal (= epoch) order and the
     /// frontier is monotone.
     ///
-    /// The publish gate: a batch above the released epoch (one
-    /// [`seal_quiescent`](Self::seal_quiescent) sealed before its
-    /// closing advance) is only written back, then goes back to the
+    /// The publish gate: a batch above the released epoch (sealed before
+    /// its closing advance) is only written back, then goes back to the
     /// front of the queue; the call after its release fences and
     /// publishes it. Until then, further calls return `false`. A device
     /// error during that early write-back is not escalated: the batch
@@ -365,6 +412,9 @@ impl EpochSys {
         let _pg = self.persist_lock.lock();
         if self.health.load(Ordering::SeqCst) == HealthState::Failed as u8 {
             return false;
+        }
+        if self.pipelined() {
+            self.seal_quiescent();
         }
         let (batch, released) = {
             let mut q = self.pipeline.lock();
@@ -621,9 +671,13 @@ impl EpochSys {
         self.pipeline.batch_done.notify_all();
     }
 
-    /// Advances until every epoch `≤ epoch` is durable. In pipelined
-    /// mode this seals the needed batches and then *waits* for the
-    /// persister rather than spinning the clock forward.
+    /// Advances until every epoch `≤ epoch` is durable. With a
+    /// background persister this advances until `epoch` is released and
+    /// then *waits* for the persister rather than spinning the clock
+    /// forward. Otherwise (synchronous mode, or a hand-driven pipeline
+    /// with no persister thread) it writes back what it can itself and
+    /// advances only when nothing is left, so a hand-driven pipeline
+    /// never meets the structural bound here.
     pub fn advance_until(&self, epoch: u64) {
         while !self.is_disabled() && self.persisted_frontier() < epoch {
             // Fail-stop freezes the persist queue: the frontier can
@@ -632,10 +686,14 @@ impl EpochSys {
             if self.health() == HealthState::Failed {
                 return;
             }
-            if self.current_epoch() < epoch + 2 {
-                // The batch closing `epoch` is not sealed yet.
+            if !self.background() {
+                if !self.persist_next_batch() {
+                    self.advance();
+                }
+            } else if self.current_epoch() < epoch + 2 {
+                // `epoch` is not released yet.
                 self.advance();
-            } else if self.pipelined() {
+            } else {
                 let q = self.pipeline.lock();
                 if self.persisted_frontier() >= epoch {
                     break;
@@ -645,12 +703,6 @@ impl EpochSys {
                     .batch_done
                     .wait_timeout(q, Duration::from_millis(1))
                     .unwrap_or_else(|err| err.into_inner());
-            } else {
-                // Sealed batches but no persister (e.g. it detached):
-                // drain them here.
-                if !self.persist_next_batch() {
-                    self.advance();
-                }
             }
         }
     }

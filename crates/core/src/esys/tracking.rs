@@ -8,24 +8,24 @@
 //! the in-progress-operation context. The owner thread reads and
 //! writes its slot with plain (non-atomic) accesses — no mutex, no
 //! RMW — because exactly one other actor ever touches a slot, the
-//! sealer inside `advance`, and the epoch protocol gives it
-//! *temporal* exclusion rather than mutual exclusion:
+//! sealer (`EpochSys::seal_quiescent`, on the persister or inside an
+//! inline `advance`), and the epoch protocol gives it *temporal*
+//! exclusion rather than mutual exclusion:
 //!
 //! * The owner writes generation `e % BUF_GENS` only while its
 //!   announce slot carries `e` (validated by the Dekker handshake in
 //!   [`EpochClock::register`](super::clock::EpochClock::register)).
-//! * The sealer takes generation `(e−1) % BUF_GENS` only after
-//!   `wait_for_stragglers(e)` observed every announce slot at
-//!   `EMPTY_EPOCH` or `≥ e` — so every owner of that generation has
-//!   deregistered, and the Release store in `deregister` paired with
-//!   the scan's SeqCst load makes the owner's plain writes
-//!   happen-before the sealer's `mem::take`. The sealer is `advance`,
-//!   or the persister's `seal_quiescent` one epoch earlier, whose
-//!   non-blocking scan establishes the same observation.
-//! * Generation reuse (epoch `e+BUF_GENS−1` maps to the same index as
-//!   `e−1`) cannot race the seal of `e−1`: reaching it requires
-//!   `BUF_GENS−1` further transitions, all serialized behind the same
-//!   advance lock the sealer already holds.
+//! * The sealer takes generation `e % BUF_GENS` only after a scan
+//!   observed every announce slot at `EMPTY_EPOCH` or `≥ e+1` (the
+//!   non-blocking `quiescent(e+1)`, the post-condition of
+//!   `wait_for_stragglers(e+1)`) — so every owner of that generation
+//!   has deregistered, and the Release store in `deregister` paired
+//!   with the scan's SeqCst load makes the owner's plain writes
+//!   happen-before the sealer's `mem::take`. Sealers serialize on the
+//!   pipeline queue lock.
+//! * Generation reuse (epoch `e+BUF_GENS` maps to the same index as
+//!   `e`) cannot race the seal of `e`: the structural bound lets no
+//!   advance open `e+BUF_GENS` until `e` is sealed.
 //!
 //! The op context cell is simpler still: only the owner ever touches it.
 
@@ -40,7 +40,8 @@ use super::clock::EMPTY_EPOCH;
 use super::facade::EpochSys;
 
 /// Number of epoch buffer generations kept per thread. Epoch `x`'s buffer
-/// is drained while epoch `x+1` is active and reused at `x+4`.
+/// is sealed once `x` is closed and quiescent, and reused at `x+4`, which
+/// cannot open before that seal.
 pub(super) const BUF_GENS: usize = 4;
 
 /// The buffer-generation index epoch `epoch` maps to.
@@ -155,12 +156,12 @@ impl ThreadArenas {
     ///
     /// # Safety
     ///
-    /// Caller must hold the advance lock (one sealer at a time) and
-    /// have observed every announce slot `EMPTY_EPOCH` or `≥ epoch + 1`
-    /// — `wait_for_stragglers(epoch + 1)`, or a `quiescent(epoch + 1)`
-    /// scan that returned `true` — so every owner of this generation
-    /// has deregistered and its writes happen-before the caller (see
-    /// the module docs for the full argument).
+    /// Caller must hold the pipeline queue lock (one sealer at a time)
+    /// and have observed every announce slot `EMPTY_EPOCH` or
+    /// `≥ epoch + 1` — a `quiescent(epoch + 1)` scan that returned
+    /// `true` — so every owner of this generation has deregistered and
+    /// its writes happen-before the caller (see the module docs for the
+    /// full argument).
     pub(super) unsafe fn take_gen(&self, epoch: u64) -> (Vec<(NvmAddr, u64)>, Vec<NvmAddr>) {
         let idx = gen_of(epoch);
         let mut persist_list = Vec::new();

@@ -106,16 +106,16 @@ events! {
     /// The `nvm-sim` fault plan fired a crash point: `a` = point index,
     /// `b` = crash-point kind code.
     FaultInjected:  "fault-injected",   Health,  Num("point"),      CrashKind("kind");
-    /// An advance sealed an epoch's buffers into a batch: `a` = tracked
+    /// An epoch's buffers were sealed into a batch: `a` = tracked
     /// entries as sealed (duplicates merge later, at persist intake),
     /// `b` = accounted words.
     BatchSealed:    "batch-sealed",     Epoch,   Num("blocks"),     Num("words");
     /// The persister finished a batch and published the frontier:
     /// `a` = new frontier epoch, `b` = blocks written back.
     BatchPersisted: "frontier-publish", Persist, Num("frontier"),   Num("blocks");
-    /// The persist pipeline was full and the advance stalled the clock:
-    /// `a` = batches in flight, `b` = configured depth.
-    PipelineStall:  "pipeline-stall",   Epoch,   Num("in_flight"),  Num("depth");
+    /// An advance waits for the seal of the epoch whose arena generation
+    /// its next epoch reuses: `a` = that epoch, `b` = newest sealed epoch.
+    PipelineStall:  "pipeline-stall",   Epoch,   Epoch,             Num("sealed");
     /// A batch write-back hit a transient device error and will retry:
     /// `a` = batch epoch, `b` = attempt number (1-based).
     PersistRetry:   "persist-retry",    Persist, Epoch,             Num("attempt");

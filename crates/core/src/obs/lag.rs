@@ -10,15 +10,17 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Epoch generations a lag shard distinguishes. Must exceed the worst
-/// frontier lag of a healthy system (`pipeline_depth + 2`, default 4)
-/// so a slot is never reused before its epoch publishes; reuse beyond
-/// that (deep Degraded stalls, a FailStop-pinned frontier) is detected
-/// by the epoch tag and counted as dropped spans, never mis-folded.
-const LAG_GENS: usize = 8;
+/// frontier lag of a healthy system (`BUF_GENS + 2` = 6: the structural
+/// bound lets the clock run four epochs past the newest sealed one, and
+/// the persister has at most two sealed batches in flight) so a slot is
+/// never reused before its epoch publishes; reuse beyond that (deep
+/// Degraded stalls, a FailStop-pinned frontier) is detected by the
+/// epoch tag and counted as dropped spans, never mis-folded.
+pub(crate) const LAG_GENS: usize = 8;
 
 /// Time bins per thread per epoch. Together they span at least four
 /// epoch lengths from the thread's first commit in the epoch; commits
-/// later than that (a clock stalled behind a full pipeline) share the
+/// later than that (a clock stalled behind the persister) share the
 /// last bin.
 const LAG_BINS: usize = 256;
 

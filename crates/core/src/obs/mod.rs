@@ -24,7 +24,7 @@
 
 mod flight;
 mod json;
-mod lag;
+pub(crate) mod lag;
 mod report;
 
 pub(crate) use flight::{abort_cause, health_label, Arg, Track};

@@ -3,13 +3,15 @@
 //! Recovery scans the NVM heap (via the allocator), reads the persisted
 //! epoch frontier `R`, and classifies every block. `R` — not any
 //! function of the crash-time clock — is the recovery point: with the
-//! persist pipeline the clock may run up to `pipeline_depth` epochs
-//! ahead of the last fully persisted batch, so at crash time the
-//! frontier can lag the clock by more than the classical 2. Everything
-//! below keys off `R` alone, which is published only after a batch's
-//! write-backs *and* the frontier record itself are fenced to media, so
-//! lag changes nothing here: epochs `> R` are discarded wholesale
-//! whether there is one of them or `pipeline_depth + 2`.
+//! persist pipeline the clock may run ahead of the last fully persisted
+//! batch, so at crash time the frontier can lag the clock by more than
+//! the classical 2 (by up to `BUF_GENS + 2` = 6 with a live persister:
+//! the structural bound keeps the clock within four epochs of the
+//! newest sealed one, and at most two sealed batches are in flight).
+//! Everything below keys off `R` alone, which is published only after a
+//! batch's write-backs *and* the frontier record itself are fenced to
+//! media, so lag changes nothing here: epochs `> R` are discarded
+//! wholesale whether there is one of them or six.
 //!
 //! * `ALLOCATED` with tracking epoch `≤ R` → **live** (its contents were
 //!   flushed when its epoch's buffer persisted).
@@ -400,20 +402,21 @@ mod tests {
     #[test]
     fn crash_with_frontier_lag_beyond_two_recovers_to_frontier() {
         let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
-        let es = EpochSys::format(heap, EpochConfig::manual().with_pipeline_depth(4));
-        // Pretend a persister exists but never runs: batches seal and
-        // queue, the frontier never moves, the clock runs ahead.
+        let es = EpochSys::format(heap, EpochConfig::manual());
+        // Pretend a persister exists but never runs: epochs close, the
+        // frontier never moves, the clock runs ahead.
         es.attach_persister();
 
         let (_ea, durable_blk) = publish(&es, 0xD0, 1);
         es.advance();
         es.advance();
-        // Persist exactly the two sealed batches: durable_blk is now on
+        // Drain the hand-driven pipeline once: durable_blk is now on
         // media and the frontier covers its epoch.
         while es.persist_next_batch() {}
         let r = es.persisted_frontier();
 
-        // Three more epochs of publishes, sealed but never persisted.
+        // Three more epochs of publishes, never persisted (three
+        // advances stay within the structural bound).
         let mut lost = Vec::new();
         for i in 0..3u64 {
             let (_, b) = publish(&es, 0x1000 + i, 2);

@@ -4,7 +4,7 @@
 //! media off the advance critical path.
 
 use crate::error::HealthState;
-use crate::esys::{EarlySeal, EpochSys};
+use crate::esys::EpochSys;
 use crate::worker::{StopFlag, Worker};
 use nvm_sim::CrashTriggered;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,25 +61,22 @@ impl EpochTicker {
 /// coordinator draining the batch queue.
 ///
 /// While a persister is attached,
-/// [`EpochSys::advance`](crate::EpochSys::advance) only seals epoch
-/// buffers into an [`EpochBatch`](crate::EpochBatch) and enqueues it;
-/// the coordinator performs the `persist_range` calls, then the fence,
-/// the durable-frontier publish, and reclamation, batch by batch in
-/// epoch order. The coordinator does not wait for that advance: it
-/// seals each past epoch itself as soon as the epoch's last operation
-/// ends ([`EpochSys::seal_quiescent`]) and writes it back while the
-/// next epoch runs, so the advance that would have sealed it only
-/// releases it and the frontier publishes right after. Same stop/join
-/// discipline as [`EpochTicker`]: stops (and joins) on drop, and drains
-/// any released batches before exiting so a clean shutdown leaves the
-/// frontier at `clock − 2`.
+/// [`EpochSys::advance`](crate::EpochSys::advance) only releases closed
+/// epochs. The coordinator seals each one into an
+/// [`EpochBatch`](crate::EpochBatch) as soon as its last operation ends
+/// ([`EpochSys::seal_quiescent`]), performs the `persist_range` calls
+/// while the next epoch runs, and once the advance has released the
+/// epoch fences, publishes the durable frontier and reclaims, batch by
+/// batch in epoch order. Same stop/join discipline as [`EpochTicker`]:
+/// stops (and joins) on drop, and drains any released batches before
+/// exiting so a clean shutdown leaves the frontier at `clock − 2`.
 pub struct Persister {
     worker: Worker,
 }
 
 impl Persister {
     /// Spawns the write-back thread and registers it with the epoch
-    /// system (advances switch to seal-and-enqueue immediately).
+    /// system (advances switch to release-only immediately).
     ///
     /// Falls back to no worker at all with a logged warning if the OS
     /// cannot spawn the thread — nothing stays attached and the system
@@ -113,7 +110,7 @@ impl Persister {
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// First re-try interval while an operation of the closed epoch keeps
-/// the early seal waiting; doubles up to [`IDLE_WAIT`]. Operations last
+/// its seal waiting; doubles up to [`IDLE_WAIT`]. Operations last
 /// microseconds, so the first re-try usually succeeds.
 const STRAGGLER_POLL: Duration = Duration::from_micros(50);
 
@@ -121,10 +118,10 @@ const STRAGGLER_POLL: Duration = Duration::from_micros(50);
 /// quiescent and write it back, publish each batch once its epoch is
 /// released, until stopped.
 fn coordinator(esys: &EpochSys, stop: &StopFlag) {
-    // Once `stop` is observed, one more pop round runs before exiting:
-    // an advance may have enqueued its final batch between our empty
-    // pop and the caller setting the flag, and the queue mutex makes
-    // that batch visible to any pop that starts after `stop` is set.
+    // Once `stop` is observed, one more round runs before exiting: an
+    // advance may have released its final epoch between our empty pop
+    // and the caller setting the flag, and the queue mutex makes that
+    // release visible to any step that starts after `stop` is set.
     let mut draining = false;
     let mut poll = STRAGGLER_POLL;
     loop {
@@ -133,20 +130,11 @@ fn coordinator(esys: &EpochSys, stop: &StopFlag) {
         // CrashTriggered models machine death: the worker detaches and
         // vanishes, leaving the frontier wherever the last completed
         // batch put it. Any other panic is a real bug — re-raise it.
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            // A stopping persister seals nothing new: the batch would
-            // outlive it, waiting for a release.
-            let seal = if draining {
-                EarlySeal::Idle
-            } else {
-                esys.try_seal_quiescent()
-            };
-            (seal, esys.persist_next_batch())
-        }));
+        let step = catch_unwind(AssertUnwindSafe(|| esys.persist_next_batch()));
         match step {
-            Ok((_, true)) => poll = STRAGGLER_POLL,
-            Ok((_, false)) if draining => break,
-            Ok((seal, false)) => {
+            Ok(true) => poll = STRAGGLER_POLL,
+            Ok(false) if draining => break,
+            Ok(false) => {
                 // Degraded or failed: the health ratchet is one-way, so
                 // background pipelining is off for good. The worker
                 // retires (after the persist path above drained what it
@@ -156,12 +144,10 @@ fn coordinator(esys: &EpochSys, stop: &StopFlag) {
                 }
                 if stop.is_set() {
                     draining = true;
-                } else if seal == EarlySeal::Busy {
-                    esys.wait_batch_ready(poll);
+                } else if esys.wait_for_work(IDLE_WAIT, poll) {
                     poll = (poll * 2).min(IDLE_WAIT);
                 } else {
                     poll = STRAGGLER_POLL;
-                    esys.wait_batch_ready(IDLE_WAIT);
                 }
             }
             Err(payload) => {
@@ -220,7 +206,7 @@ mod tests {
             es.end_op();
             es.advance();
         }
-        // Two more advances seal the last op's epoch and its successor.
+        // Two more advances release the last op's epoch and its successor.
         es.advance();
         es.advance();
         persister.stop(); // joins after draining the queue

@@ -23,9 +23,11 @@ pub const PINNED_SWEEP_SEED: u64 = 0xBD1_5EED;
 /// per batch (DESIGN.md §5.1).
 pub const PINNED_SWEEP_DIGEST: u64 = 0xb1e2_fbfa_8975_c535;
 
-/// Expected value of `pinned_pipelined_digest(PINNED_SWEEP_SEED)`; moved
-/// with [`PINNED_SWEEP_DIGEST`].
-pub const PINNED_PIPELINED_DIGEST: u64 = 0xf124_ae8e_9559_a4f5;
+/// Expected value of `pinned_pipelined_digest(PINNED_SWEEP_SEED)`. Last
+/// moved when the persister took over every seal from the advance and
+/// the hand-driven driver came down to one call, `persist_next_batch`
+/// (DESIGN.md §3.4.2).
+pub const PINNED_PIPELINED_DIGEST: u64 = 0xcee2_d0ff_8dfd_3545;
 
 /// Folds sweep reports into one order-sensitive FNV-1a digest over
 /// everything a sweep observes: structure names, enumerated point

@@ -38,9 +38,6 @@ use skiplist::BdlSkiplist;
 use std::sync::Arc;
 use veb::PhtmVeb;
 
-/// Pipeline depth for the hand-driven driver (see `pipeline.rs`).
-const DRIVER_DEPTH: usize = 4;
-
 /// One structure × scenario verdict.
 #[derive(Clone, Debug)]
 pub struct RuntimeReport {
@@ -63,23 +60,12 @@ impl RuntimeReport {
     }
 }
 
-/// Hand-driven `flush_all`: the driver owns the drain — there is no
-/// persister *thread* behind its `attach_persister` — so waiting on
-/// `batch_done` (what `flush_all` does in pipelined mode) would wedge.
-/// Seal two epochs and drain inline instead.
-fn drain_flush(esys: &EpochSys) {
-    for _ in 0..2 {
-        esys.advance();
-        while esys.persist_next_batch() {}
-    }
-}
-
 fn setup_runtime<T: SweepTarget>(
     cfg: &SweepConfig,
     econf: EpochConfig,
 ) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(cfg.heap_bytes)));
-    let esys = EpochSys::format(Arc::clone(&heap), econf.with_pipeline_depth(DRIVER_DEPTH));
+    let esys = EpochSys::format(Arc::clone(&heap), econf);
     esys.attach_persister();
     let t = T::new(Arc::clone(&esys), Arc::new(Htm::new(cfg.htm.clone())));
     (heap, esys, t)
@@ -118,7 +104,8 @@ fn run_ops<T: SweepTarget>(
         if i % cfg.advance_every == cfg.advance_every - 1 {
             esys.advance();
         }
-        // Hand-driven drain half a period after each seal; a no-op once
+        // Hand-driven persist step half a period after each advance (it
+        // seals the oldest closed epoch, then writes back); a no-op once
         // the system degrades (advances then drain inline) or fails
         // (queue frozen).
         if i % cfg.advance_every == cfg.advance_every / 2 {
@@ -128,7 +115,8 @@ fn run_ops<T: SweepTarget>(
     if esys.health() == HealthState::Failed {
         return false;
     }
-    // Clean tail: seal and drain whatever the cadence left behind.
+    // Clean tail: release, seal and drain whatever the cadence left
+    // behind.
     esys.advance();
     while esys.persist_next_batch() {}
     esys.health() != HealthState::Failed
@@ -192,7 +180,7 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
     }
     heap.disarm_device_faults();
     if completed {
-        drain_flush(&esys);
+        esys.flush_all();
         if let Err(e) = check_crash_recovery::<T>(&heap, &log, cfg, &ctx) {
             failures.push(e);
         }
@@ -245,7 +233,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     }
     heap.disarm_device_faults();
     if completed {
-        drain_flush(&esys);
+        esys.flush_all();
         if let Err(e) = check_crash_recovery::<T>(&heap, &log, cfg, &ctx) {
             failures.push(e);
         }

@@ -20,11 +20,12 @@ fn publish(es: &EpochSys, val: u64) -> u64 {
     e
 }
 
-/// The tentpole's concurrency claim: operations in epoch `e+1` make
-/// progress while the epoch `e−1` batch is still persisting. nvm-sim's
-/// write-back latency holds the persister mid-batch for tens of
-/// milliseconds; the foreground completes a burst of operations in
-/// microseconds and observes the frontier still trailing.
+/// The pipeline's concurrency claim: operations in epoch `e+1` make
+/// progress while the epoch `e` batch is still persisting, and neither
+/// advance waits for it. nvm-sim's write-back latency holds the
+/// persister mid-batch for tens of milliseconds; the foreground
+/// completes a burst of operations in microseconds and observes the
+/// frontier still trailing.
 #[test]
 fn ops_progress_while_batch_persists_in_background() {
     let mut nc = NvmConfig::for_tests(8 << 20);
@@ -37,14 +38,7 @@ fn ops_progress_while_batch_persists_in_background() {
     for i in 0..40 {
         assert_eq!(publish(&es, i), sealed);
     }
-    es.advance(); // seals (empty) epoch EPOCH_START−1
-    let t_advance = Instant::now();
-    es.advance(); // seals the 40-block batch — enqueue only
-    let advance_took = t_advance.elapsed();
-    assert!(
-        advance_took < Duration::from_millis(10),
-        "sealing advance must not wait for the write-back ({advance_took:?})"
-    );
+    es.advance(); // closes the 40-block epoch: the persister seals it
 
     // Foreground burst in the new epoch, while the batch persists.
     for i in 0..20 {
@@ -62,8 +56,15 @@ fn ops_progress_while_batch_persists_in_background() {
          (frontier {}, sealed {sealed})",
         es.persisted_frontier()
     );
+    let t_advance = Instant::now();
+    es.advance(); // releases the 40-block batch — no write-back here
+    let advance_took = t_advance.elapsed();
+    assert!(
+        advance_took < Duration::from_millis(10),
+        "the releasing advance must not wait for the write-back ({advance_took:?})"
+    );
 
-    // Catch up: seal the remaining epochs and wait for the persister.
+    // Catch up: release the remaining epochs and wait for the persister.
     let target = es.current_epoch();
     es.advance_until(target);
     persister.stop();
@@ -95,8 +96,8 @@ fn crash_on_persister_mid_batch_recovers_to_published_frontier() {
     let plan = Arc::new(FaultPlan::crash_at(15));
     heap.arm_fault_plan(Arc::clone(&plan));
     let persister = Persister::spawn(Arc::clone(&es));
-    es.advance(); // seals empty epoch 1
-    es.advance(); // seals the 40-block batch
+    es.advance(); // releases empty epoch 1; the persister seals epoch 2
+    es.advance(); // releases the 40-block batch
 
     // Foreground keeps operating while the persister runs into the
     // armed crash point. Poll for the captured image (not `fired()` —

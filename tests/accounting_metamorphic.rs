@@ -214,7 +214,7 @@ fn pipelined_seal_boundaries_match_oracle_until_batch_persists() {
     // Background persistence with a hand-driven persister: seals and
     // write-backs are decoupled, so the accounting must hold words
     // until the *batch* persists, not just until the seal.
-    let es = fresh(EpochConfig::manual().with_pipeline_depth(2));
+    let es = fresh(EpochConfig::manual());
     let mut oracle = Oracle::default();
     es.attach_persister();
 
@@ -228,8 +228,9 @@ fn pipelined_seal_boundaries_match_oracle_until_batch_persists() {
     }
     es.end_op();
 
-    es.advance(); // empty epoch sealed
-    es.advance(); // workload epoch sealed into an in-flight batch
+    es.advance(); // closes the workload epoch
+    es.advance(); // releases it
+    while es.seal_quiescent() {} // the persister's seals: batches in flight
     assert_eq!(
         es.buffered_words(),
         oracle.value,

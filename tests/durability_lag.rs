@@ -68,7 +68,7 @@ fn pipelined_lag_covers_the_persist_batch_duration() {
         assert!(map.insert(k, k + 1));
     }
     esys.advance();
-    esys.advance(); // seals the 40-op batch — enqueue only
+    esys.advance(); // releases the 40-op batch before its write-back
     let target = esys.current_epoch();
     esys.advance_until(target); // blocks until the frontier publishes
     persister.stop();
@@ -115,9 +115,9 @@ fn wait_for_quiet_write_back(heap: &NvmHeap, quiet: Duration) {
 
 /// Pipelined mode with an idle gap: the epoch after the 40-op batch
 /// lasts longer than the batch's ≳ 20 ms write-back, so the persister
-/// seals the batch early and writes it back inside the gap. The
-/// releasing advance then leaves only the fence and the frontier line,
-/// and the frontier publishes within 5 ms of it.
+/// seals the batch before its release and writes it back inside the
+/// gap. The releasing advance then leaves only the fence and the
+/// frontier line, and the frontier publishes within 5 ms of it.
 #[test]
 fn pipelined_release_after_an_idle_gap_publishes_at_once() {
     let mut nc = NvmConfig::for_tests(8 << 20);
@@ -128,10 +128,11 @@ fn pipelined_release_after_an_idle_gap_publishes_at_once() {
     for k in 0..40u64 {
         assert!(map.insert(k, k + 1));
     }
+    let lines = heap.stats().snapshot().lines_written_back;
     esys.advance(); // closes EPOCH_START: the persister seals it early
     let t = Instant::now();
-    while esys.stats().snapshot().early_seals == 0 {
-        assert!(t.elapsed() < Duration::from_secs(10), "no early seal");
+    while heap.stats().snapshot().lines_written_back == lines {
+        assert!(t.elapsed() < Duration::from_secs(10), "no write-back");
         std::thread::sleep(Duration::from_millis(1));
     }
     wait_for_quiet_write_back(&heap, Duration::from_millis(20));
@@ -153,7 +154,9 @@ fn pipelined_release_after_an_idle_gap_publishes_at_once() {
         publish < Duration::from_millis(5),
         "the frontier published {publish:?} after the releasing advance"
     );
-    assert_eq!(esys.stats().snapshot().early_seals, 1);
+    // EPOCH_START, and whichever empty epochs the persister sealed
+    // before their release.
+    assert!(esys.stats().snapshot().early_seals >= 1);
     let d = report_for(&esys).derived.expect("esys attached");
     assert_eq!(d.lag_spans_dropped, 0);
 }
