@@ -87,6 +87,12 @@ echo "==> repo benchmark smoke (oracle, validate() and recovered map on all four
 # the recovered map compared key by key. Exits non-zero on any mismatch.
 with_timeout 900 bash benchmark/run.sh --smoke >/dev/null
 
+echo "==> benchmark harness unit tests (the bdhtm_core surface it imports)"
+# The harness is its own workspace, so `cargo test --workspace` above
+# never compiles its tests; this does, including the check that
+# BENCHMARK.json names exactly the metrics the harness prints.
+with_timeout 900 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> op-path gate (a PHTM-vEB write issues no persist op on the client thread)"
 # The traced run's op-path probe counts the client's fences and flushes
 # per write over 50 k inserts then 50 k removes with no ticker running.

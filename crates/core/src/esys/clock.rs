@@ -123,8 +123,8 @@ impl EpochClock {
     /// "empty" early. It can at worst see the op's old epoch late,
     /// which only delays the scan one iteration (the conservative
     /// direction). The Release edge additionally publishes the owner's
-    /// single-writer arena and accounting writes to the scanning
-    /// sealer, which reads this slot with a SeqCst (acquire) load.
+    /// single-writer arena writes to the scanning sealer, which reads
+    /// this slot with a SeqCst (acquire) load.
     pub(super) fn deregister(&self) {
         self.announce[thread_id()].store(EMPTY_EPOCH, Ordering::Release);
     }
@@ -142,9 +142,9 @@ impl EpochClock {
     ///
     /// On return, every operation registered in an epoch `< e` has
     /// deregistered, and — via the Release/SeqCst edge on its announce
-    /// slot — all of its arena and accounting writes happen-before the
-    /// caller. This post-condition is the exclusion guarantee the
-    /// lock-free arenas rely on.
+    /// slot — all of its arena writes happen-before the caller. This
+    /// post-condition is the exclusion guarantee the lock-free arenas
+    /// rely on.
     pub(super) fn wait_for_stragglers(&self, e: u64) {
         for slot in self.announce.iter() {
             let mut spins = 0u32;
@@ -263,7 +263,6 @@ impl EpochSys {
         if self.is_disabled() {
             return;
         }
-        let mut undone = 0u64;
         // SAFETY: owner thread; while our announce slot still carries
         // the op's epoch `e`, no sealer can take generation
         // `e % BUF_GENS` (the scan waits for this slot), so the buffer
@@ -275,14 +274,9 @@ impl EpochSys {
                 let e = op.op_epoch;
                 op.op_epoch = EMPTY_EPOCH;
                 let buf = self.arenas.owner_buf(e);
-                undone = buf.persist[pm..].iter().map(|&(_, w)| w).sum::<u64>()
-                    + (buf.retire.len() - rm) as u64 * persist_alloc::HDR_WORDS;
                 buf.persist.truncate(pm);
                 buf.retire.truncate(rm);
             }
-        }
-        if undone != 0 {
-            self.account.sub_local(undone);
         }
         // Release for the same reason as end_op: deregistration can
         // only be observed late, never early.
@@ -354,8 +348,8 @@ impl EpochSys {
             .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
     }
 
-    /// Seals the oldest unsealed closed epoch `e` into an [`EpochBatch`]
-    /// and enqueues it, once every operation of `e` has ended. Returns
+    /// Seals the oldest unsealed closed epoch `e` into a batch and
+    /// enqueues it, once every operation of `e` has ended. Returns
     /// whether a batch was sealed; declines while `e` is still open or
     /// an operation of it is still announced.
     ///
@@ -401,22 +395,15 @@ impl EpochSys {
         true
     }
 
-    /// Seals raw: a move plus an accounting sum. The sort + dedup (and
-    /// the duplicate-accounting refund) run at persist intake, off the
+    /// Seals raw: a move. The sort + dedup run at write-back, off the
     /// sealing thread.
-    fn seal_batch(
-        &self,
-        epoch: u64,
-        persist: Vec<(NvmAddr, u64)>,
-        retire: Vec<NvmAddr>,
-    ) -> EpochBatch {
-        let batch = EpochBatch::seal(epoch, persist, retire);
+    fn seal_batch(&self, epoch: u64, persist: Vec<NvmAddr>, retire: Vec<NvmAddr>) -> EpochBatch {
         self.obs().event(
             EventKind::BatchSealed,
-            batch.persist.len() as u64,
-            batch.accounted,
+            persist.len() as u64,
+            retire.len() as u64,
         );
-        batch
+        EpochBatch::seal(epoch, persist, retire)
     }
 }
 

@@ -1,8 +1,7 @@
 //! The public [`EpochSys`] facade: the Table 2 API surface, unchanged
 //! from the pre-decomposition monolith, composed out of the layered
 //! parts ([`clock`](super::clock), [`tracking`](super::tracking),
-//! [`account`](super::account), [`pipeline`](super::pipeline),
-//! [`health`](super::health)).
+//! [`pipeline`](super::pipeline), [`health`](super::health)).
 //!
 //! This module holds the struct itself, its constructors (format and
 //! the recovery hook `build`), the simple introspection accessors, and
@@ -19,11 +18,10 @@ use htm_sim::rng::AtomicSplitMix64;
 use htm_sim::sync::Mutex;
 use htm_sim::{MemAccess, TxResult};
 use nvm_sim::{NvmAddr, NvmHeap};
-use persist_alloc::{mark_deleted, AllocStats, Header, PAlloc, CLASS_WORDS, HDR_EPOCH, HDR_WORDS};
+use persist_alloc::{mark_deleted, AllocStats, Header, PAlloc, CLASS_WORDS, HDR_EPOCH};
 use std::sync::atomic::{AtomicU64, AtomicU8};
 use std::sync::{Arc, Mutex as StdMutex};
 
-use super::account::Accounting;
 use super::clock::{EpochClock, EMPTY_EPOCH, EPOCH_START};
 use super::health::EpochStats;
 use super::pipeline::Pipeline;
@@ -63,8 +61,6 @@ pub struct EpochSys {
     pub(super) clock: EpochClock,
     /// Per-thread single-writer tracking arenas.
     pub(super) arenas: ThreadArenas,
-    /// Striped buffered-word account.
-    pub(super) account: Accounting,
     /// Serializes advances. No sealer takes it (sealers serialize on the
     /// queue lock), so an advance may wait under it for a seal.
     pub(super) advance_lock: Mutex<()>,
@@ -124,7 +120,6 @@ impl EpochSys {
             alloc,
             clock: EpochClock::new(clock, frontier),
             arenas: ThreadArenas::new(),
-            account: Accounting::new(),
             advance_lock: Mutex::new(()),
             persist_lock: Mutex::new(()),
             // At rest every epoch up to clock − 2 is sealed and released.
@@ -161,16 +156,6 @@ impl EpochSys {
     /// recorder (see [`crate::obs`]).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Words tracked for background persistence and not yet flushed.
-    ///
-    /// Aggregated from the per-thread stripes: exact whenever the
-    /// closing epoch has quiesced (in particular at every seal
-    /// boundary), approximate by at most the current epoch's in-flight
-    /// tracking otherwise — `esys/account.rs` documents the bound.
-    pub fn buffered_words(&self) -> u64 {
-        self.account.buffered()
     }
 
     /// `true` when running on eADR (persistent cache): tracking disabled.
@@ -229,8 +214,8 @@ impl EpochSys {
     /// (Listing 1 line 52).
     ///
     /// Hot-path contract: header reads, a push into the owner's own
-    /// arena buffer, a store to the owner's own accounting stripe, and
-    /// plain dirty-line marks — no cross-thread RMW, no mutex.
+    /// arena buffer, and plain dirty-line marks — no cross-thread RMW,
+    /// no mutex.
     pub fn p_track(&self, blk: NvmAddr) {
         if self.disabled {
             return;
@@ -245,9 +230,8 @@ impl EpochSys {
         unsafe {
             let e = self.arenas.owner_op().op_epoch;
             debug_assert_ne!(e, EMPTY_EPOCH, "p_track outside an operation");
-            self.arenas.owner_buf(e).persist.push((blk, words));
+            self.arenas.owner_buf(e).persist.push(blk);
         }
-        self.account.add_local(words);
         // Make the block's lines visible to the eviction injector.
         let mut w = 0;
         while w < words {
@@ -287,7 +271,6 @@ impl EpochSys {
             mark_deleted(&self.heap, blk, class, e);
             self.arenas.owner_buf(e).retire.push(blk);
         }
-        self.account.add_local(HDR_WORDS);
         Ok(())
     }
 

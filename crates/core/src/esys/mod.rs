@@ -10,16 +10,14 @@
 //! |---|---|---|
 //! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair, advance and seal | §3 epoch discipline |
 //! | [`tracking`] | per-thread single-writer buffer arenas, prealloc slots | Listing 1 lines 7–12, 31–38 |
-//! | [`account`] | striped buffered-word accounting | §5.1 buffered-bytes bound |
-//! | [`pipeline`] | sealed [`EpochBatch`] queue, structural stall, flush plan, release gate | §3 step 2 (write-back) |
-//! //! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
-//! | [`facade`] | [`EpochSys`] itself: the Table 2 methods, advance, recovery hooks | Table 2 |
+//! | [`pipeline`] | sealed epoch-batch queue, structural stall, flush plan, release gate | §3 step 2 (write-back) |
+//! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
+//! | [`facade`] | [`EpochSys`] itself: the Table 2 memory-management and accessor methods, recovery hooks | Table 2 |
 //!
 //! Consumers never name the submodules: every pre-decomposition path
 //! (`crate::esys::EpochSys`, `crate::esys::OLD_SEE_NEW`, ...) re-exports
 //! from here unchanged.
 
-mod account;
 mod clock;
 mod facade;
 mod health;
@@ -30,7 +28,6 @@ pub use clock::{EMPTY_EPOCH, EPOCH_START};
 pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};
 pub use health::{EpochStats, EpochStatsSnapshot};
-pub use pipeline::EpochBatch;
 pub use tracking::{payload, PreallocSlots};
 
 #[cfg(test)]

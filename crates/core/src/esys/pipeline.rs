@@ -1,4 +1,4 @@
-//! The seal → persist pipeline: sealed [`EpochBatch`]es, the bounded
+//! The seal → persist pipeline: sealed `EpochBatch`es, the bounded
 //! in-flight queue, and batch write-back (the §3 "step 2" of an epoch
 //! transition, split off the clock path so a background
 //! [`Persister`](crate::Persister) can run it).
@@ -63,31 +63,23 @@ pub(super) enum WriteBack {
 }
 
 /// A sealed snapshot of everything one closed epoch tracked, ready for
-/// write-back once normalized (sorted + deduplicated) at persist intake.
+/// write-back once normalized (sorted + deduplicated).
 ///
 /// Sealing ([`EpochSys::seal_quiescent`]) happens under the queue lock —
 /// on the persister, or on the advancing thread in synchronous mode —
-/// and is a plain move-plus-sum; the sort/dedup runs at the pipeline's intake,
-/// on whichever thread persists the batch. The write-back, fence,
-/// frontier publish, and reclamation happen when the batch is
-/// *persisted* — by a [`Persister`](crate::Persister) worker in
-/// pipelined mode, or inline on the advancing thread otherwise.
-pub struct EpochBatch {
+/// and is a plain move; the sort/dedup runs at write-back, on whichever
+/// thread persists the batch. The write-back, fence, frontier publish,
+/// and reclamation happen when the batch is *persisted* — by a
+/// [`Persister`](crate::Persister) worker in pipelined mode, or inline
+/// on the advancing thread otherwise.
+pub(crate) struct EpochBatch {
     /// The epoch this batch closes: once persisted, the durable
     /// frontier becomes exactly this value.
     pub(super) epoch: u64,
     /// Tracked blocks; after [`normalize`](Self::normalize), unique and
-    /// in address order (address order is cache line order). The second
-    /// field is the word count accounted against the buffered set.
-    pub(super) persist: Vec<(NvmAddr, u64)>,
+    /// in address order (address order is cache line order).
+    pub(super) persist: Vec<NvmAddr>,
     pub(super) retire: Vec<NvmAddr>,
-    /// Words to refund from the buffered-set account when the batch
-    /// persists. Raw sum at seal time; `normalize` subtracts the
-    /// duplicate-tracking excess it refunds early.
-    pub(super) accounted: u64,
-    /// Whether `normalize` has run (it is idempotent; a re-queued batch
-    /// arrives at intake already normalized).
-    pub(super) normalized: bool,
     /// How far the write-back has got; an early one may precede the
     /// release by most of an epoch.
     pub(super) written: WriteBack,
@@ -97,58 +89,24 @@ pub struct EpochBatch {
 }
 
 impl EpochBatch {
-    /// Seals the drained buffers as-is: a move plus an accounting sum,
-    /// cheap enough for the foreground advance path. Sorting and
-    /// duplicate merging are deferred to [`normalize`](Self::normalize)
-    /// at persist intake, off the sealing thread.
-    pub(super) fn seal(epoch: u64, persist: Vec<(NvmAddr, u64)>, retire: Vec<NvmAddr>) -> Self {
-        let accounted =
-            persist.iter().map(|&(_, w)| w).sum::<u64>() + retire.len() as u64 * HDR_WORDS;
+    /// Seals the drained buffers as-is: a move, cheap enough for the
+    /// sealing thread. Sorting and duplicate merging are deferred to
+    /// [`normalize`](Self::normalize) at write-back.
+    pub(super) fn seal(epoch: u64, persist: Vec<NvmAddr>, retire: Vec<NvmAddr>) -> Self {
         EpochBatch {
             epoch,
             persist,
             retire,
-            accounted,
-            normalized: false,
             written: WriteBack::Pending,
             write_back_time: Duration::ZERO,
         }
     }
 
-    /// Sorts and dedups the tracked blocks, returning the *excess*
-    /// words double-counted by duplicate `p_track` calls so the caller
-    /// can refund them — the fix for the historical double-accounting
-    /// bug: a block tracked N times in one epoch used to hit media N
-    /// times and inflate the buffered-word account N-fold; now it
-    /// persists once and the N−1 duplicate accountings are refunded at
-    /// intake. Idempotent: the second call returns 0.
-    pub(super) fn normalize(&mut self) -> u64 {
-        if self.normalized {
-            return 0;
-        }
-        self.normalized = true;
-        self.persist.sort_unstable_by_key(|&(blk, _)| blk);
-        let mut excess = 0u64;
-        self.persist.dedup_by(|dup, kept| {
-            if dup.0 == kept.0 {
-                excess += dup.1;
-                true
-            } else {
-                false
-            }
-        });
-        self.accounted -= excess;
-        excess
-    }
-
-    /// The epoch this batch closes.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Unique blocks to write back.
-    pub fn blocks(&self) -> usize {
-        self.persist.len()
+    /// Sorts and dedups the tracked blocks, so a block tracked N times
+    /// in one epoch reaches media once. Idempotent.
+    pub(super) fn normalize(&mut self) {
+        self.persist.sort_unstable();
+        self.persist.dedup();
     }
 }
 
@@ -423,13 +381,6 @@ impl EpochSys {
         let Some(mut b) = batch else {
             return false;
         };
-        // Intake normalization: the sort+dedup that used to run on the
-        // sealing thread. The duplicate-tracking excess is refunded
-        // here, before write-back begins.
-        let excess = b.normalize();
-        if excess != 0 {
-            self.account.drain(excess);
-        }
         if b.epoch <= released {
             return self.persist_popped_batch(b);
         }
@@ -488,6 +439,7 @@ impl EpochSys {
         if let WriteBack::Done(_) = batch.written {
             return Ok(());
         }
+        batch.normalize();
         let t0 = Instant::now();
         let (plan, coalesced) = self.build_flush_plan(batch);
         if coalesced != 0 {
@@ -512,14 +464,14 @@ impl EpochSys {
     /// the previous range ends exactly on the next block's first line —
     /// the merged range issues the identical per-line clwb schedule the
     /// two separate ranges would (the device flushes ranges line by
-    /// line). The guard below makes that precondition explicit.
+    /// line). The guard below makes that precondition explicit. The
+    /// batch must be normalized: sorted, unique blocks.
     fn build_flush_plan(&self, batch: &EpochBatch) -> (Vec<FlushRange>, u64) {
-        debug_assert!(batch.normalized, "flush plans need sorted unique blocks");
         let heap = self.heap();
         let mut plan: Vec<FlushRange> =
             Vec::with_capacity(batch.persist.len() + batch.retire.len());
         let mut coalesced = 0u64;
-        for &(blk, _) in &batch.persist {
+        for &blk in &batch.persist {
             // A block freed after tracking (tracked then retired in a
             // later epoch of the same batch window) has no live header:
             // skip it, exactly as the serial persister always has.
@@ -612,9 +564,8 @@ impl EpochSys {
     }
 
     /// The volatile half of a successful write-back: publish the
-    /// frontier mirror, reclaim, refund accounting, record stats and
-    /// events, and release the pipeline slot. `t0` is when the fence
-    /// step began.
+    /// frontier mirror, reclaim, record stats and events, and release
+    /// the pipeline slot. `t0` is when the fence step began.
     fn complete_batch(&self, batch: EpochBatch, t0: Instant) {
         let r = batch.epoch;
         let WriteBack::Done(words) = batch.written else {
@@ -644,7 +595,6 @@ impl EpochSys {
         let reclaimed = batch.retire.len() as u64;
         self.alloc.free_batch(&batch.retire);
 
-        self.account.drain(batch.accounted);
         self.stats()
             .blocks_persisted
             .fetch_add(batch.persist.len() as u64, Ordering::Relaxed);

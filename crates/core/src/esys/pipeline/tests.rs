@@ -1,4 +1,4 @@
-//! Unit tests of the seal → persist pipeline: the persist-intake
+//! Unit tests of the seal → persist pipeline: the write-back
 //! normalization, the flush plan, the persister's seal with its release
 //! gate, and the structural stall.
 
@@ -78,7 +78,11 @@ fn early_sealed_batch_flushes_only_the_frontier_line_on_release() {
     assert_eq!(after.flushes - before.flushes, 1, "the frontier line only");
     assert_eq!(after.lines_written_back - before.lines_written_back, 1);
     assert_eq!(es.persisted_frontier(), EPOCH_START);
-    assert_eq!(es.buffered_words(), 0);
+    assert_eq!(
+        es.batches_in_flight(),
+        1,
+        "only the unreleased EPOCH_START+1"
+    );
     let s = es.stats().snapshot();
     // Early: EPOCH_START, and the empty EPOCH_START+1 sealed by the
     // last persist step before its own release.
@@ -108,7 +112,11 @@ fn seal_quiescent_refuses_while_an_op_of_the_epoch_is_announced() {
     es.advance();
     while es.persist_next_batch() {}
     assert_eq!(es.persisted_frontier(), EPOCH_START);
-    assert_eq!(es.buffered_words(), 0);
+    assert_eq!(
+        es.batches_in_flight(),
+        1,
+        "only the unreleased EPOCH_START+1"
+    );
     es.detach_persister();
 }
 
@@ -149,64 +157,51 @@ fn pipelined_advance_keeps_writeback_off_the_caller() {
     );
     assert!(es.heap().stats().snapshot().flushes > flushes_before);
     assert_eq!(es.persisted_frontier(), EPOCH_START);
-    assert_eq!(es.buffered_words(), 0);
+    assert_eq!(
+        es.batches_in_flight(),
+        1,
+        "only the unreleased EPOCH_START+1"
+    );
     let img = es.heap().crash();
     assert_eq!(img.word(payload(blk, 0)), 0xBEEF);
     es.detach_persister();
 }
 
-/// Tracking the same block twice in one epoch used to double-count
-/// the buffered-word account and hit media twice. Intake-time
-/// normalization (the sort+dedup now runs where the batch is
-/// persisted, not where it is sealed) must make the accounting
-/// match one write-back.
+/// Tracking a block twice in one epoch reaches media exactly as
+/// tracking it once does: the seal keeps the duplicate, and the sort +
+/// dedup at write-back merges it, synchronously and through a
+/// hand-driven pipeline alike.
 #[test]
-fn intake_dedups_double_tracked_blocks() {
-    let es = fresh();
-    let e = es.begin_op();
-    let blk = es.p_new(2);
-    Header::set_epoch(es.heap(), blk, e);
-    es.p_track(blk);
-    es.p_track(blk); // second track of the same block, same epoch
-    es.end_op();
-    assert!(es.buffered_words() > 0);
-    es.advance();
-    es.advance();
-    let s = es.stats().snapshot();
-    assert_eq!(s.blocks_persisted, 1, "one media write-back after dedup");
-    assert_eq!(
-        es.buffered_words(),
-        0,
-        "intake-time refund plus persist-time refund must drain the account exactly"
-    );
-}
-
-/// The dedup refund also lands when a batch waits in the pipeline:
-/// the releasing advance leaves the duplicate words buffered (seal
-/// does not normalize), and the hand-driven persist refunds both the
-/// excess and the batch's own accounting.
-#[test]
-fn pipelined_intake_refunds_duplicate_accounting() {
-    let es = fresh();
-    es.attach_persister();
-    let e = es.begin_op();
-    let blk = es.p_new(2);
-    Header::set_epoch(es.heap(), blk, e);
-    es.p_track(blk);
-    es.p_track(blk);
-    es.end_op();
-    let buffered = es.buffered_words();
-    es.advance();
-    es.advance(); // releases the double-tracked epoch; nothing persists yet
-    assert_eq!(
-        es.buffered_words(),
-        buffered,
-        "raw seal keeps the duplicate accounting until intake"
-    );
-    while es.persist_next_batch() {}
-    assert_eq!(es.buffered_words(), 0);
-    assert_eq!(es.stats().snapshot().blocks_persisted, 1);
-    es.detach_persister();
+fn double_tracking_writes_back_like_single_tracking() {
+    for pipelined in [false, true] {
+        let run = |tracks: usize| {
+            let es = fresh();
+            if pipelined {
+                es.attach_persister();
+            }
+            let e = es.begin_op();
+            let blk = es.p_new(2);
+            Header::set_epoch(es.heap(), blk, e);
+            for _ in 0..tracks {
+                es.p_track(blk);
+            }
+            es.end_op();
+            let before = es.heap().stats().snapshot();
+            es.advance();
+            es.advance(); // releases the tracking epoch
+            while es.persist_next_batch() {}
+            assert_eq!(es.persisted_frontier(), e, "pipelined = {pipelined}");
+            let d = es.heap().stats().snapshot().since(&before);
+            let blocks = es.stats().snapshot().blocks_persisted;
+            if pipelined {
+                es.detach_persister();
+            }
+            (d.flushes, d.lines_written_back, d.fences, blocks)
+        };
+        let once = run(1);
+        assert_eq!(once.3, 1, "pipelined = {pipelined}");
+        assert_eq!(run(2), once, "pipelined = {pipelined}");
+    }
 }
 
 /// Contiguous neighbor blocks of one batch collapse into a single
@@ -234,7 +229,7 @@ fn contiguous_blocks_coalesce_into_ranged_flushes() {
         "two contiguous blocks merge into one ranged flush"
     );
     assert_eq!(es.persisted_frontier(), EPOCH_START);
-    assert_eq!(es.buffered_words(), 0);
+    assert_eq!(es.batches_in_flight(), 0);
 }
 
 /// The structural stall: an advance whose next epoch would reuse the

@@ -59,11 +59,8 @@ pub fn payload(blk: NvmAddr, idx: u64) -> NvmAddr {
 /// One epoch's tracked writes and retirements for one thread.
 #[derive(Default)]
 pub(super) struct EpochBuf {
-    /// Tracked blocks plus the word count accounted against the
-    /// buffered-set bound when they were queued (so draining and
-    /// aborting subtract exactly what tracking added, even if a block's
-    /// header changes state in between).
-    pub(super) persist: Vec<(NvmAddr, u64)>,
+    /// Tracked blocks, in tracking order (duplicates included).
+    pub(super) persist: Vec<NvmAddr>,
     pub(super) retire: Vec<NvmAddr>,
 }
 
@@ -162,7 +159,7 @@ impl ThreadArenas {
     /// `true` — so every owner of this generation has deregistered and
     /// its writes happen-before the caller (see the module docs for the
     /// full argument).
-    pub(super) unsafe fn take_gen(&self, epoch: u64) -> (Vec<(NvmAddr, u64)>, Vec<NvmAddr>) {
+    pub(super) unsafe fn take_gen(&self, epoch: u64) -> (Vec<NvmAddr>, Vec<NvmAddr>) {
         let idx = gen_of(epoch);
         let mut persist_list = Vec::new();
         let mut retire_list = Vec::new();
@@ -295,7 +292,7 @@ mod tests {
         es.advance();
         es.advance();
         assert_eq!(es.stats().snapshot().blocks_persisted, 2);
-        assert_eq!(es.buffered_words(), 0);
+        assert_eq!(es.batches_in_flight(), 0);
     }
 
     #[test]

@@ -95,8 +95,8 @@ mod worker;
 pub use config::EpochConfig;
 pub use error::{HealthState, OpRejected, PersistError, RetireError};
 pub use esys::{
-    payload, EpochBatch, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind,
-    EMPTY_EPOCH, EPOCH_START, OLD_SEE_NEW,
+    payload, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind, EMPTY_EPOCH,
+    EPOCH_START, OLD_SEE_NEW,
 };
 pub use kv::{BdlKv, KV_UNIVERSE_BITS};
 pub use obs::{

@@ -107,9 +107,9 @@ events! {
     /// `b` = crash-point kind code.
     FaultInjected:  "fault-injected",   Health,  Num("point"),      CrashKind("kind");
     /// An epoch's buffers were sealed into a batch: `a` = tracked
-    /// entries as sealed (duplicates merge later, at persist intake),
-    /// `b` = accounted words.
-    BatchSealed:    "batch-sealed",     Epoch,   Num("blocks"),     Num("words");
+    /// entries as sealed (duplicates merge later, at write-back),
+    /// `b` = retired blocks.
+    BatchSealed:    "batch-sealed",     Epoch,   Num("blocks"),     Num("retires");
     /// The persister finished a batch and published the frontier:
     /// `a` = new frontier epoch, `b` = blocks written back.
     BatchPersisted: "frontier-publish", Persist, Num("frontier"),   Num("blocks");

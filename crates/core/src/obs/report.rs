@@ -21,8 +21,6 @@ pub struct DerivedGauges {
     /// `current_epoch − persisted_frontier`: 2 in steady state; growth
     /// means the ticker is falling behind (Fig. 7's failure mode).
     pub frontier_lag: u64,
-    /// Words tracked for background persistence and not yet flushed.
-    pub buffered_words: u64,
     /// Position on the runtime health ladder (see [`HealthState`]).
     pub health: HealthState,
     /// Commit→durable latency quantiles (ns), from `durability_lag_ns`.
@@ -115,7 +113,6 @@ impl MetricsRegistry {
                 current_epoch,
                 persisted_frontier,
                 frontier_lag: current_epoch.saturating_sub(persisted_frontier),
-                buffered_words: esys.buffered_words(),
                 health: esys.health(),
                 durability_lag_p50: lag.p50(),
                 durability_lag_p99: lag.p99(),
@@ -154,7 +151,7 @@ pub const METRICS_SCHEMA: &str = "bdhtm-metrics";
 pub const METRICS_SERIES_SCHEMA: &str = "bdhtm-metrics-series";
 /// Schema version; bump when a key changes meaning or disappears.
 /// Consumers (`metrics_check`) accept exactly this version.
-pub const METRICS_VERSION: u64 = 7;
+pub const METRICS_VERSION: u64 = 8;
 
 /// Opens the object under `key` with one member per counter.
 fn counter_section(w: &mut JsonWriter, key: &str, fields: &[(&'static str, u64)]) {
@@ -215,7 +212,6 @@ impl MetricsReport {
             w.field("current_epoch", d.current_epoch);
             w.field("persisted_frontier", d.persisted_frontier);
             w.field("frontier_lag", d.frontier_lag);
-            w.field("buffered_words", d.buffered_words);
             w.field_str("health", d.health.as_str());
             w.field("durability_lag_p50", d.durability_lag_p50);
             w.field("durability_lag_p99", d.durability_lag_p99);

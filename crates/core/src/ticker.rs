@@ -62,14 +62,14 @@ impl EpochTicker {
 ///
 /// While a persister is attached,
 /// [`EpochSys::advance`](crate::EpochSys::advance) only releases closed
-/// epochs. The coordinator seals each one into an
-/// [`EpochBatch`](crate::EpochBatch) as soon as its last operation ends
-/// ([`EpochSys::seal_quiescent`]), performs the `persist_range` calls
-/// while the next epoch runs, and once the advance has released the
-/// epoch fences, publishes the durable frontier and reclaims, batch by
-/// batch in epoch order. Same stop/join discipline as [`EpochTicker`]:
-/// stops (and joins) on drop, and drains any released batches before
-/// exiting so a clean shutdown leaves the frontier at `clock − 2`.
+/// epochs. The coordinator seals each one into a batch as soon as its
+/// last operation ends ([`EpochSys::seal_quiescent`]), performs the
+/// `persist_range` calls while the next epoch runs, and once the advance
+/// has released the epoch fences, publishes the durable frontier and
+/// reclaims, batch by batch in epoch order. Same stop/join discipline
+/// as [`EpochTicker`]: stops (and joins) on drop, and drains any
+/// released batches before exiting so a clean shutdown leaves the
+/// frontier at `clock − 2`.
 pub struct Persister {
     worker: Worker,
 }
@@ -215,7 +215,11 @@ mod tests {
             es.current_epoch() - 2,
             "clean shutdown leaves no sealed batch behind"
         );
-        assert_eq!(es.buffered_words(), 0);
+        assert_eq!(
+            es.batches_in_flight(),
+            1,
+            "only the unreleased clock − 1 epoch, sealed and written back early"
+        );
         assert!(es.stats().snapshot().blocks_persisted >= 6);
     }
 

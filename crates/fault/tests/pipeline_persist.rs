@@ -69,7 +69,11 @@ fn ops_progress_while_batch_persists_in_background() {
     es.advance_until(target);
     persister.stop();
     assert_eq!(es.persisted_frontier(), es.current_epoch() - 2);
-    assert_eq!(es.buffered_words(), 0);
+    assert_eq!(
+        es.batches_in_flight(),
+        1,
+        "only the unreleased clock − 1 epoch, sealed and written back early"
+    );
 }
 
 /// Crash while a batch is in flight on the persister thread. The fault

@@ -119,7 +119,6 @@ fn report() -> MetricsReport {
             current_epoch: 41,
             persisted_frontier: 39,
             frontier_lag: 2,
-            buffered_words: 44,
             health: HealthState::Degraded,
             durability_lag_p50: 45,
             durability_lag_p99: 46,
@@ -171,7 +170,7 @@ fn chrome_trace_matches_the_golden() {
 
 #[test]
 fn report_json_and_series_line_match_the_goldens() {
-    assert_eq!(METRICS_VERSION, 7, "the goldens are version-7 documents");
+    assert_eq!(METRICS_VERSION, 8, "the goldens are version-8 documents");
     let full = report();
     assert_golden(
         "report.json",
