@@ -45,16 +45,18 @@ for _ in $(seq 20); do
 done
 
 echo "==> pipeline wait/wake gate (20 runs of the esys unit tests and the pipeline metamorphic test)"
-# The advance's structural stall and the persister's wait for work are
-# lost-wakeup shapes: a missed notify hangs rather than fails, so every
-# run sits under a timeout and a hang fails the gate.
+# Every pipeline wait goes through `Pipeline::wait` (esys/pipeline.rs),
+# the one condvar wait: a lost wakeup, or a predicate nothing makes true,
+# shows as a hang rather than a failure, so every run sits under a
+# timeout and a hang fails the gate. The pipeline explorer is
+# deterministic, so its single tier-1 run suffices and the loop skips it.
 core_bin=$(cargo test -p bdhtm-core --lib --no-run 2>&1 \
     | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
 meta_bin=$(cargo test -p bd-htm --test pipeline_metamorphic --no-run 2>&1 \
     | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
 [ -x "$core_bin" ] && [ -x "$meta_bin" ] || { echo "pipeline test binaries not found"; exit 1; }
 for _ in $(seq 20); do
-    with_timeout 300 "$core_bin" -q esys:: >/dev/null
+    with_timeout 300 "$core_bin" -q esys:: --skip esys::pipeline::explore:: >/dev/null
     with_timeout 300 "$meta_bin" -q >/dev/null
 done
 

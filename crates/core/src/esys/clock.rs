@@ -31,12 +31,11 @@ use crate::error::OpRejected;
 use crate::obs::EventKind;
 use htm_sim::sync::CachePadded;
 use htm_sim::{max_threads, thread_id};
-use nvm_sim::NvmAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use super::facade::EpochSys;
-use super::pipeline::EpochBatch;
+use super::pipeline::Driver;
 
 /// First active epoch of a freshly formatted system. Starting at 2 keeps
 /// `e−1` and `e−2` well-defined from the first operation.
@@ -292,15 +291,15 @@ impl EpochSys {
     /// Normally driven by an [`EpochTicker`](crate::EpochTicker);
     /// callable directly for tests and deterministic experiments.
     ///
-    /// With a [`Persister`](crate::Persister) attached (and health
-    /// `Ok`) the advance seals nothing and writes nothing back: the
-    /// persister seals every closed epoch itself
-    /// ([`seal_quiescent`](Self::seal_quiescent)), writes it back while
-    /// the next epoch runs, and publishes it once this advance has
-    /// released it. The advance's only stall is structural
-    /// (`wait_for_generation`). Without a persister, or once health has
-    /// degraded, the advance seals every closed epoch and drains the
-    /// batches inline before the clock bump: the fully synchronous mode.
+    /// With a persister attached (and health `Ok`) the advance seals
+    /// nothing and writes nothing back: the persister's step
+    /// ([`persist_next_batch`](Self::persist_next_batch)) seals every
+    /// closed epoch, writes it back while the next epoch runs, and
+    /// publishes it once this advance has released it. The advance's
+    /// only stall is structural (`PipelineQueue::may_open`). Without a
+    /// persister, or once health has degraded, the advance runs that
+    /// step itself until it is idle, before the clock bump: the fully
+    /// synchronous mode.
     pub fn advance(&self) {
         if self.is_disabled() {
             return;
@@ -313,23 +312,10 @@ impl EpochSys {
         //    quiescent from here on.
         self.clock.wait_for_stragglers(e);
 
-        // 2. Release e−1 for the frontier publish.
-        {
-            let mut q = self.pipeline.lock();
-            q.released = e - 1;
-            self.note_release(&q);
-        }
-
-        // 3. Leave the write-back to the persister, or run it here.
-        if self.pipelined() {
-            self.wait_for_generation(e + 1);
-        }
-        if !self.pipelined() {
-            // Synchronous mode (or Degraded): seal every closed epoch,
-            // oldest first (a retiring persister can leave more than
-            // one), and drain, keeping the legacy ordering (persist,
-            // then frontier, then clock).
-            while self.seal_quiescent() {}
+        // 2. Release e−1 and wait until e+1 may open; 3. synchronous (or
+        //    Degraded): seal and drain every closed epoch here, oldest
+        //    first (persist, then frontier, then clock).
+        if self.release_and_wait(e) == Driver::Inline {
             while self.persist_next_batch() {}
         }
 
@@ -337,7 +323,7 @@ impl EpochSys {
         //    queue lock orders the notify after any persister check of
         //    the queue that read the old clock.
         self.clock.open(e + 1);
-        if self.pipelined() {
+        {
             let _q = self.pipeline.lock();
             self.pipeline.batch_ready.notify_one();
         }
@@ -346,64 +332,6 @@ impl EpochSys {
         self.obs().advance_ns.record(t0.elapsed().as_nanos() as u64);
         self.obs()
             .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
-    }
-
-    /// Seals the oldest unsealed closed epoch `e` into a batch and
-    /// enqueues it, once every operation of `e` has ended. Returns
-    /// whether a batch was sealed; declines while `e` is still open or
-    /// an operation of it is still announced.
-    ///
-    /// While pipelining, [`persist_next_batch`](Self::persist_next_batch)
-    /// calls this first, so the [`Persister`](crate::Persister) seals
-    /// every epoch, empty ones included, during the epoch after it and
-    /// writes it back there; the advance closing it only releases it.
-    /// Inline advances (synchronous or `Degraded`) call it until it
-    /// declines. Public so tests can seal by hand.
-    ///
-    /// Writing `e` back this early is safe because a quiescent closed
-    /// epoch's tracked blocks are final: Listing 1 updates a block in
-    /// place only within its own epoch, and every later change (a
-    /// retire stamp, a replacement copy) is tracked in the later epoch.
-    /// To recovery, a line written back before `e` publishes is an
-    /// eviction of a line tagged above the frontier.
-    pub fn seal_quiescent(&self) -> bool {
-        if self.is_disabled() {
-            return false;
-        }
-        let mut q = self.pipeline.lock();
-        let e = q.sealed + 1;
-        if e >= self.clock.current() || !self.clock.quiescent(e + 1) {
-            return false;
-        }
-        // SAFETY: the queue lock serializes sealers, and the scan above
-        // saw every slot EMPTY or ≥ e+1 after a clock load ≥ e+1 — the
-        // post-condition of `wait_for_stragglers(e+1)`, so no operation
-        // can register in `e` any more. No owner re-enters generation
-        // `e % BUF_GENS` before epoch `e + BUF_GENS` opens, and no
-        // advance opens it while `e` is unsealed (`wait_for_generation`).
-        let (persist_list, retire_list) = unsafe { self.arenas.take_gen(e) };
-        q.batches
-            .push_back(self.seal_batch(e, persist_list, retire_list));
-        q.in_flight += 1;
-        q.sealed = e;
-        if e > q.released {
-            self.stats().early_seals.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(q);
-        // Wakes an advance waiting for this generation.
-        self.pipeline.batch_done.notify_all();
-        true
-    }
-
-    /// Seals raw: a move. The sort + dedup run at write-back, off the
-    /// sealing thread.
-    fn seal_batch(&self, epoch: u64, persist: Vec<NvmAddr>, retire: Vec<NvmAddr>) -> EpochBatch {
-        self.obs().event(
-            EventKind::BatchSealed,
-            persist.len() as u64,
-            retire.len() as u64,
-        );
-        EpochBatch::seal(epoch, persist, retire)
     }
 }
 

@@ -64,9 +64,9 @@ pub struct EpochSys {
     /// Serializes advances. No sealer takes it (sealers serialize on the
     /// queue lock), so an advance may wait under it for a seal.
     pub(super) advance_lock: Mutex<()>,
-    /// Serializes batch write-back so frontier publishes stay in epoch
-    /// order even with multiple persisters (or a persister racing an
-    /// inline drain).
+    /// Serializes the persister's step, so frontier publishes stay in
+    /// epoch order when the persister races an inline drain (after a
+    /// health downgrade, or a hand driver calling it concurrently).
     pub(super) persist_lock: Mutex<()>,
     pub(super) pipeline: Pipeline,
     /// eADR detected: tracking and advancement are unnecessary (§4.3).
@@ -75,8 +75,7 @@ pub struct EpochSys {
     stats: EpochStats,
     obs: Obs,
     /// The persist-retry backoff jitter stream (fixed seed: jitter only
-    /// decorrelates contending persisters, it carries no experiment
-    /// semantics).
+    /// decorrelates retries, it carries no experiment semantics).
     pub(super) backoff_rng: AtomicSplitMix64,
     /// Runtime health ladder (`HealthState` code): a one-way ratchet
     /// `Ok → Degraded → Failed` advanced only by

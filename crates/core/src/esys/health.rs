@@ -34,9 +34,9 @@ htm_sim::counters! {
         /// reuse the arena generation of an epoch the persister has not
         /// sealed yet (counted once per 1 ms wait slice).
         pipeline_stalls,
-        /// Epochs sealed before the advance that releases them
-        /// ([`EpochSys::seal_quiescent`] during the epoch after), so their
-        /// write-back could run ahead of the release.
+        /// Epochs sealed before the advance that releases them (by the
+        /// persister's step during the epoch after), so their write-back
+        /// could run ahead of the release.
         early_seals,
         /// Batch write-back attempts retried after a transient
         /// [`DeviceError`](nvm_sim::DeviceError).
@@ -88,8 +88,8 @@ impl EpochSys {
     /// the persist failure `cause`, counting the degradation and emitting a
     /// [`DegradedToSync`](EventKind::DegradedToSync) event. Waiters on
     /// either pipeline condvar are woken so nobody keeps waiting for a
-    /// background persister that just lost its job (every wait loop
-    /// re-checks the pipelined predicate).
+    /// persister thread that just lost its job (every wait decides again
+    /// with the mode, which health now makes inline).
     pub(crate) fn escalate_health(&self, to: HealthState, cause: PersistError) {
         let mut cur = self.health.load(Ordering::SeqCst);
         loop {
@@ -195,7 +195,7 @@ mod tests {
         assert!(!es.persist_next_batch());
         assert_eq!(es.health(), crate::HealthState::Degraded);
         heap.disarm_device_faults();
-        // Degraded ⇒ pipelined() is false ⇒ advances drain inline,
+        // Degraded ⇒ the mode is inline ⇒ advances drain inline,
         // including the re-queued batch, in epoch order.
         es.advance();
         es.advance();

@@ -8,9 +8,9 @@
 //!
 //! | module | owns | paper anchor |
 //! |---|---|---|
-//! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair, advance and seal | §3 epoch discipline |
+//! | [`clock`] | epoch clock, announce array, the SeqCst Dekker pair, advance | §3 epoch discipline |
 //! | [`tracking`] | per-thread single-writer buffer arenas, prealloc slots | Listing 1 lines 7–12, 31–38 |
-//! | [`pipeline`] | sealed epoch-batch queue, structural stall, flush plan, release gate | §3 step 2 (write-back) |
+//! | [`pipeline`] | the queue's state machine (seal, release, structural bound, publish gate), flush plan | §3 step 2 (write-back) |
 //! | [`health`] | stats, the `Ok → Degraded → Failed` ladder | §5 runtime faults |
 //! | [`facade`] | [`EpochSys`] itself: the Table 2 memory-management and accessor methods, recovery hooks | Table 2 |
 //!
@@ -28,6 +28,7 @@ pub use clock::{EMPTY_EPOCH, EPOCH_START};
 pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};
 pub use health::{EpochStats, EpochStatsSnapshot};
+pub(crate) use pipeline::Driver;
 pub use tracking::{payload, PreallocSlots};
 
 #[cfg(test)]

@@ -1,29 +1,20 @@
-//! The seal → persist pipeline: sealed `EpochBatch`es, the bounded
-//! in-flight queue, and batch write-back (the §3 "step 2" of an epoch
-//! transition, split off the clock path so a background
+//! The seal → persist pipeline: sealed `EpochBatch`es, the queue they
+//! wait in, its state machine, and batch write-back (the §3 "step 2" of
+//! an epoch transition, off the clock path so a background
 //! [`Persister`](crate::Persister) can run it).
 //!
-//! Ordering here is deliberately boring: everything cross-thread goes
-//! through one std mutex plus two condvars (so waiters block instead
-//! of spinning), the persist lock serializes write-backs so the
-//! durable frontier stays monotone, and the only atomics are the
-//! persister head-count (Acquire/Release) and the stats counters
-//! (Relaxed). Nothing in this module participates in the clock's
-//! Dekker handshake — by the time a batch exists, its epoch has
-//! already quiesced.
+//! Every pipeline decision is a pure method of [`PipelineQueue`], the
+//! state behind the queue mutex: the persister's
+//! [`next_action`](PipelineQueue::next_action), the advance's
+//! [`release`](PipelineQueue::release) and its structural bound
+//! [`may_open`](PipelineQueue::may_open). Call sites lock, call, then
+//! act or wait in [`Pipeline::wait`], the one condvar wait. The
+//! `explore` unit test runs the same methods through every interleaving
+//! of a ticker, a persister thread and clients (DESIGN.md §3.4.2).
 //!
-//! The thread holding the persist lock builds the batch's flush plan,
-//! coalescing word-contiguous blocks into ranged flushes, writes it
-//! back, and only then fences and publishes the frontier.
-//!
-//! Write-back and publish are two steps with a gate between them. The
-//! persister seals each closed epoch
-//! ([`seal_quiescent`](EpochSys::seal_quiescent)) and writes it back
-//! while the epoch after it still runs, but its fence and frontier
-//! publish wait until the advance that closes its epoch has *released*
-//! it (`PipelineQueue::released`). A batch sealed after its release (in
-//! synchronous mode, or by a late persister) writes back and publishes
-//! in one go.
+//! Nothing here takes part in the clock's Dekker handshake: by the time
+//! a batch exists, its epoch has quiesced. The persist lock serializes
+//! write-backs, so frontier publishes stay in epoch order.
 
 use crate::error::HealthState;
 use crate::obs::EventKind;
@@ -31,7 +22,7 @@ use htm_sim::{backoff_ladder, backoff_spin};
 use nvm_sim::{DeviceError, NvmAddr, WORDS_PER_LINE};
 use persist_alloc::{Header, CLASS_WORDS, HDR_WORDS};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -49,6 +40,9 @@ struct FlushRange {
 /// same ladder HTM retry uses; see [`htm_sim::backoff_ladder`]).
 const PERSIST_BACKOFF_SPINS: u32 = 64;
 
+/// Longest single pipeline wait: a missed notify costs at most this.
+const WAIT_SLICE: Duration = Duration::from_millis(1);
+
 /// How far a batch's write-back has got (the fence and frontier publish
 /// come after, behind the release gate).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,16 +56,11 @@ pub(super) enum WriteBack {
     Done(u64),
 }
 
-/// A sealed snapshot of everything one closed epoch tracked, ready for
-/// write-back once normalized (sorted + deduplicated).
-///
-/// Sealing ([`EpochSys::seal_quiescent`]) happens under the queue lock —
-/// on the persister, or on the advancing thread in synchronous mode —
-/// and is a plain move; the sort/dedup runs at write-back, on whichever
-/// thread persists the batch. The write-back, fence, frontier publish,
-/// and reclamation happen when the batch is *persisted* — by a
-/// [`Persister`](crate::Persister) worker in pipelined mode, or inline
-/// on the advancing thread otherwise.
+/// A sealed snapshot of everything one closed epoch tracked. Sealing is
+/// a plain move under the queue lock; the sort + dedup
+/// ([`normalize`](Self::normalize)) runs at write-back, on whichever
+/// thread persists the batch.
+#[derive(Clone)]
 pub(crate) struct EpochBatch {
     /// The epoch this batch closes: once persisted, the durable
     /// frontier becomes exactly this value.
@@ -89,9 +78,6 @@ pub(crate) struct EpochBatch {
 }
 
 impl EpochBatch {
-    /// Seals the drained buffers as-is: a move, cheap enough for the
-    /// sealing thread. Sorting and duplicate merging are deferred to
-    /// [`normalize`](Self::normalize) at write-back.
     pub(super) fn seal(epoch: u64, persist: Vec<NvmAddr>, retire: Vec<NvmAddr>) -> Self {
         EpochBatch {
             epoch,
@@ -110,81 +96,148 @@ impl EpochBatch {
     }
 }
 
-/// Shared state of the seal→persist pipeline, guarded by a std mutex so
-/// waiters can block on [`Condvar`]s instead of spinning.
+/// Who runs the persister's step ([`EpochSys::persist_next_batch`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Driver {
+    /// Nobody: every advance seals and writes back inline before it
+    /// opens the next epoch (synchronous mode).
+    Inline,
+    /// [`EpochSys::attach_persister`]: a test or sweep runs the step by
+    /// hand, and nothing waits for it.
+    Hand,
+    /// A [`Persister`](crate::Persister) thread.
+    Thread,
+}
+
+/// The persister step's next move.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum Action {
+    /// Seal this closed, quiescent epoch (`sealed + 1`).
+    Seal(u64),
+    /// Write the oldest batch back ahead of its release.
+    WriteBackEarly,
+    /// Finish the oldest, released batch: write back unless that ran
+    /// early, fence, publish the frontier, reclaim.
+    Publish,
+    /// Nothing to do. `straggler`: a closed epoch waits for its seal
+    /// behind a running operation, whose end nobody signals, so a
+    /// waiter polls instead of sleeping.
+    Idle { straggler: bool },
+}
+
+/// The pipeline's state, guarded by the queue mutex, and every decision
+/// taken over it.
+#[derive(Clone)]
 pub(super) struct PipelineQueue {
-    pub(super) batches: VecDeque<EpochBatch>,
+    batches: VecDeque<EpochBatch>,
     /// Sealed batches not yet fully persisted: the queue above plus the
-    /// batch a persister is currently writing back.
-    pub(super) in_flight: usize,
-    /// The newest sealed epoch; monotone, set by `seal_quiescent`.
-    /// Epochs are sealed in order, so every epoch up to it is sealed.
-    pub(super) sealed: u64,
+    /// batch the persister is writing back.
+    in_flight: usize,
+    /// The newest sealed epoch; epochs seal in order.
+    sealed: u64,
     /// The newest epoch whose closing advance has run. Only batches at
-    /// or below it may fence and publish; monotone, set by `advance`.
-    pub(super) released: u64,
+    /// or below it may fence and publish.
+    released: u64,
+    /// The attached persister ([`EpochSys::mode`] adds health).
+    driver: Driver,
 }
 
 impl PipelineQueue {
-    /// Whether `persist_next_batch` has anything to do: a released
-    /// (hence quiescent) epoch awaits its seal, or the oldest batch may
-    /// publish, or it still awaits its early write-back.
-    fn actionable(&self) -> bool {
-        self.sealed < self.released
-            || self
-                .batches
-                .front()
-                .is_some_and(|b| b.epoch <= self.released || b.written == WriteBack::Pending)
+    /// No persister, and every epoch up to `released` sealed and
+    /// released.
+    pub(super) fn new(released: u64) -> Self {
+        PipelineQueue {
+            batches: VecDeque::new(),
+            in_flight: 0,
+            sealed: released,
+            released,
+            driver: Driver::Inline,
+        }
     }
 
-    /// Whether the one batch in flight is released and fully written
-    /// back, so that its frontier can publish right away.
-    fn publishable(&self) -> bool {
-        self.in_flight == 1
-            && self.batches.front().is_some_and(|b| {
-                b.epoch <= self.released && matches!(b.written, WriteBack::Done(_))
-            })
+    /// The persister step's next move in `mode`, with epoch `clock`
+    /// open. `quiescent(e)`: every operation below `e` has ended.
+    /// `sealing` turns false once a pipelined step has sealed (one seal
+    /// a step); an inline step seals every closed epoch. Inline, only
+    /// released epochs count as closed, so it never writes back early.
+    pub(super) fn next_action(
+        &self,
+        mode: Driver,
+        clock: u64,
+        sealing: bool,
+        quiescent: impl FnOnce(u64) -> bool,
+    ) -> Action {
+        let e = self.sealed + 1;
+        let closed = e < clock && (mode != Driver::Inline || e <= self.released);
+        if closed && sealing && quiescent(e + 1) {
+            return Action::Seal(e);
+        }
+        match self.batches.front() {
+            Some(b) if b.epoch <= self.released => Action::Publish,
+            Some(b) if b.written == WriteBack::Pending => Action::WriteBackEarly,
+            _ => Action::Idle { straggler: closed },
+        }
+    }
+
+    /// The structural bound: epoch `next` reuses the arena generation of
+    /// `next − BUF_GENS`, so it may open only once that epoch is sealed.
+    pub(super) fn may_open(&self, next: u64) -> bool {
+        next.checked_sub(BUF_GENS as u64)
+            .is_none_or(|reused| reused <= self.sealed)
+    }
+
+    /// Releases `epoch` for its frontier publish. Returns whether a
+    /// persister thread is now behind: it sealed `epoch` before this
+    /// release, so it had the whole epoch for the write-back, yet
+    /// `epoch` cannot publish right away. An epoch still unsealed here
+    /// (back-to-back advances) has had no time yet, and a persister
+    /// further behind meets the structural bound instead.
+    pub(super) fn release(&mut self, epoch: u64, mode: Driver) -> bool {
+        self.released = epoch;
+        let publishable = self.in_flight == 1
+            && self
+                .batches
+                .front()
+                .is_some_and(|b| b.epoch <= epoch && matches!(b.written, WriteBack::Done(_)));
+        mode == Driver::Thread && self.sealed >= epoch && !publishable
+    }
+
+    /// Whether publishing epoch `r` catches a behind persister up.
+    pub(super) fn caught_up(&self, r: u64) -> bool {
+        r >= self.released
+    }
+
+    /// Enqueues the batch of epoch `sealed + 1`. Returns whether it was
+    /// sealed early, before its release.
+    fn push_sealed(&mut self, batch: EpochBatch) -> bool {
+        debug_assert_eq!(batch.epoch, self.sealed + 1, "epochs seal in order");
+        self.sealed = batch.epoch;
+        self.in_flight += 1;
+        self.batches.push_back(batch);
+        self.sealed > self.released
     }
 }
 
 pub(super) struct Pipeline {
     q: StdMutex<PipelineQueue>,
-    /// Signaled when a batch is enqueued (wakes the persister worker).
+    /// Wakes the persister: an epoch closed or was released.
     pub(super) batch_ready: Condvar,
     /// Signaled when a batch is sealed or finishes persisting (wakes the
     /// structural stall, admission and `advance_until` waiters).
     pub(super) batch_done: Condvar,
-    /// Attached [`Persister`](crate::Persister) workers. Pipelining
-    /// engages only while this is non-zero; otherwise every advance
-    /// drains the queue inline, so programs that never spawn a
-    /// persister keep the synchronous behavior.
-    pub(super) persisters: AtomicU64,
-    /// Whether a [`Persister`](crate::Persister) thread drains the
-    /// queue. Hand-driven pipelines (sweeps, tests) attach without one,
-    /// and then nothing waits for the persister to catch up.
-    background: AtomicBool,
-    /// Set by an advance that releases an epoch the persister sealed
-    /// early but has not finished writing back, cleared once the
-    /// frontier covers the released epoch: while it is set, operations
-    /// wait before they begin (see [`EpochSys::wait_for_persister`]).
+    /// Set by an advance whose [`release`](PipelineQueue::release)
+    /// finds the persister thread behind, cleared once the frontier
+    /// covers the released epoch: while it is set, operations wait
+    /// before they begin (see [`EpochSys::wait_for_persister`]).
     pub(super) behind: AtomicBool,
 }
 
 impl Pipeline {
-    /// An empty pipeline whose every epoch up to `released` is sealed
-    /// and released.
     pub(super) fn new(released: u64) -> Self {
         Pipeline {
-            q: StdMutex::new(PipelineQueue {
-                batches: VecDeque::new(),
-                in_flight: 0,
-                sealed: released,
-                released,
-            }),
+            q: StdMutex::new(PipelineQueue::new(released)),
             batch_ready: Condvar::new(),
             batch_done: Condvar::new(),
-            persisters: AtomicU64::new(0),
-            background: AtomicBool::new(false),
             behind: AtomicBool::new(false),
         }
     }
@@ -195,6 +248,19 @@ impl Pipeline {
     pub(super) fn lock(&self) -> MutexGuard<'_, PipelineQueue> {
         self.q.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// The pipeline's one condvar wait: sleeps on `cv` until notified or
+    /// `timeout` passes. Callers decide again under the returned guard.
+    fn wait<'a>(
+        &self,
+        cv: &Condvar,
+        q: MutexGuard<'a, PipelineQueue>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, PipelineQueue> {
+        cv.wait_timeout(q, timeout)
+            .unwrap_or_else(|err| err.into_inner())
+            .0
+    }
 }
 
 impl EpochSys {
@@ -204,208 +270,222 @@ impl EpochSys {
         self.pipeline.lock().in_flight
     }
 
-    /// Whether sealed batches go to a background persister (at least
-    /// one worker is attached, and the system has not degraded to
-    /// synchronous inline persistence).
-    pub(super) fn pipelined(&self) -> bool {
-        self.pipeline.persisters.load(Ordering::Acquire) > 0
-            && self.health.load(Ordering::Acquire) == HealthState::Ok as u8
+    /// The driver in effect: the attached one while the system is
+    /// healthy and tracking, inline otherwise (a `Degraded` or `Failed`
+    /// system persists on the advancing thread). The one place health
+    /// meets the driver.
+    fn mode(&self, q: &PipelineQueue) -> Driver {
+        if self.is_disabled() || self.health.load(Ordering::SeqCst) != HealthState::Ok as u8 {
+            Driver::Inline
+        } else {
+            q.driver
+        }
     }
 
-    /// Registers a persister worker; advances switch from inline seal
-    /// and write-back to release-only. Normally called by
-    /// [`Persister::spawn`](crate::Persister); public so deterministic
-    /// tests can enter pipelined mode without a background thread and
-    /// run the persister's step by hand with
+    /// [`PipelineQueue::next_action`] over the live clock and announce
+    /// slots.
+    fn next_action(&self, q: &PipelineQueue, mode: Driver, sealing: bool) -> Action {
+        q.next_action(mode, self.clock.current(), sealing, |e| {
+            self.clock.quiescent(e)
+        })
+    }
+
+    /// Attaches a hand-driven persister: advances only release, and the
+    /// caller runs the persister's step with
     /// [`persist_next_batch`](Self::persist_next_batch) (pair every
     /// attach with a [`detach_persister`](Self::detach_persister)).
+    /// [`Persister::spawn`](crate::Persister) attaches its thread the
+    /// same way. One persister at a time: attaching a second panics and
+    /// leaves the first attached.
     pub fn attach_persister(&self) {
-        self.pipeline.persisters.fetch_add(1, Ordering::AcqRel);
+        self.attach(Driver::Hand);
     }
 
-    /// Deregisters a persister worker and wakes every pipeline waiter
-    /// so none blocks on a worker that no longer exists.
+    pub(crate) fn attach(&self, driver: Driver) {
+        let mut q = self.pipeline.lock();
+        assert_eq!(q.driver, Driver::Inline, "EpochSys runs one persister");
+        q.driver = driver;
+    }
+
+    /// Detaches the persister, if any, and wakes every pipeline waiter
+    /// so none blocks on one that no longer exists. Idempotent.
     pub fn detach_persister(&self) {
-        self.pipeline.persisters.fetch_sub(1, Ordering::AcqRel);
-        self.pipeline.background.store(false, Ordering::Release);
+        self.pipeline.lock().driver = Driver::Inline;
         self.pipeline.behind.store(false, Ordering::Release);
         self.pipeline.batch_ready.notify_all();
         self.pipeline.batch_done.notify_all();
     }
 
-    /// [`attach_persister`](Self::attach_persister) for the
-    /// [`Persister`](crate::Persister) thread, which also turns on the
-    /// admission wait of [`wait_for_persister`](Self::wait_for_persister).
-    pub(crate) fn attach_background_persister(&self) {
-        self.attach_persister();
-        self.pipeline.background.store(true, Ordering::Release);
-    }
-
-    /// Whether a [`Persister`](crate::Persister) thread drains the
-    /// queue (not a hand driver), and pipelining is engaged.
-    pub(super) fn background(&self) -> bool {
-        self.pipeline.background.load(Ordering::Acquire) && self.pipelined()
-    }
-
-    /// Marks a background persister behind if the epoch just released
-    /// still needs write-back although the persister sealed it before
-    /// the release, i.e. had the whole epoch for it. Called under the
-    /// queue lock by the releasing advance. An epoch still unsealed at
-    /// its release (back-to-back advances) has had no time yet, and a
-    /// persister further behind meets the structural stall instead.
-    pub(super) fn note_release(&self, q: &PipelineQueue) {
-        if self.background() && q.sealed >= q.released && !q.publishable() {
-            self.pipeline.behind.store(true, Ordering::Release);
-        }
+    /// Wakes the persister thread (used by `Persister::stop`).
+    pub(crate) fn notify_persister(&self) {
+        self.pipeline.batch_ready.notify_all();
     }
 
     /// Admission control: an operation does not begin while the
-    /// background persister is behind, i.e. it missed an epoch boundary
-    /// and an early-sealed, released epoch still waits for its
-    /// write-back. Work admitted meanwhile would queue behind the
-    /// persister, each epoch would carry more than the persister writes
-    /// back in one, and the durable frontier would fall further behind
-    /// the clock with every epoch. So when clients outrun the persister,
-    /// they wait, and throughput is whatever the persister sustains.
+    /// persister thread is behind, i.e. it missed an epoch boundary and
+    /// an early-sealed, released epoch still waits for its write-back.
+    /// Work admitted meanwhile would queue behind the persister, and the
+    /// durable frontier would fall further behind the clock with every
+    /// epoch. So when clients outrun the persister, they wait, and
+    /// throughput is whatever the persister sustains.
     ///
     /// A bound on work, not a correctness condition: the flag is read
     /// Relaxed on the `begin_op` path, and an operation that misses a
     /// fresh `true` merely starts before the persister catches up.
     pub(super) fn wait_for_persister(&self) {
         let mut q = self.pipeline.lock();
-        while self.pipeline.behind.load(Ordering::Acquire) && self.pipelined() {
-            q = self
-                .pipeline
-                .batch_done
-                .wait_timeout(q, Duration::from_millis(1))
-                .unwrap_or_else(|err| err.into_inner())
-                .0;
+        while self.pipeline.behind.load(Ordering::Acquire) && self.mode(&q) == Driver::Thread {
+            q = self.pipeline.wait(&self.pipeline.batch_done, q, WAIT_SLICE);
         }
     }
 
-    /// The structural bound: epoch `next` reuses the arena generation
-    /// of `next − BUF_GENS`, so it may not open before that epoch is
-    /// sealed. Waits for the persister's seal holding only the advance
-    /// lock, which no sealer takes. A hand-driven pipeline
-    /// (`attach_persister()` with no thread) has nobody to wait for, so
-    /// this panics there instead of hanging.
-    pub(super) fn wait_for_generation(&self, next: u64) {
-        let Some(reused) = next.checked_sub(BUF_GENS as u64) else {
-            return;
-        };
+    /// The advance's pipeline half: releases `e − 1`, then waits until
+    /// `e + 1` may open, holding only the advance lock, which no sealer
+    /// takes. A hand-driven pipeline has nobody to wait for, so this
+    /// panics there instead of hanging. Returns the mode the advance
+    /// goes on in.
+    pub(super) fn release_and_wait(&self, e: u64) -> Driver {
         let mut q = self.pipeline.lock();
-        while q.sealed < reused && self.pipelined() {
-            if !self.background() {
+        let mode = self.mode(&q);
+        if q.release(e - 1, mode) {
+            self.pipeline.behind.store(true, Ordering::Release);
+        }
+        loop {
+            let mode = self.mode(&q);
+            if mode == Driver::Inline || q.may_open(e + 1) {
+                return mode;
+            }
+            let reused = e + 1 - BUF_GENS as u64;
+            if mode == Driver::Hand {
                 drop(q);
                 panic!(
-                    "advance to epoch {next} would reuse the arena generation of unsealed \
+                    "advance to epoch {} would reuse the arena generation of unsealed \
                      epoch {reused}, and no persister thread can seal it: drain a hand-driven \
-                     pipeline with persist_next_batch() before advancing further"
+                     pipeline with persist_next_batch() before advancing further",
+                    e + 1
                 );
             }
             self.stats().pipeline_stalls.fetch_add(1, Ordering::Relaxed);
             self.obs().event(EventKind::PipelineStall, reused, q.sealed);
             self.pipeline.batch_ready.notify_one();
-            q = self
-                .pipeline
-                .batch_done
-                .wait_timeout(q, Duration::from_millis(1))
-                .unwrap_or_else(|err| err.into_inner())
-                .0;
+            q = self.pipeline.wait(&self.pipeline.batch_done, q, WAIT_SLICE);
         }
     }
 
-    /// Blocks the persister worker until there may be work for it. A
-    /// written-back batch that waits for its release is not work: the
-    /// releasing advance signals `batch_ready`. Returns whether a closed
-    /// epoch awaits its seal behind a still-running operation, whose end
-    /// nobody signals: then the wait is `poll`, otherwise `idle`.
+    /// Blocks the persister thread while its next action is idle: a
+    /// written-back batch that waits for its release is not work, and
+    /// the releasing advance signals `batch_ready`. Returns the idle
+    /// action's `straggler`, in which case it waited `poll`, not `idle`.
     pub(crate) fn wait_for_work(&self, idle: Duration, poll: Duration) -> bool {
         let q = self.pipeline.lock();
-        if q.actionable() {
+        let Action::Idle { straggler } = self.next_action(&q, self.mode(&q), true) else {
             return false;
-        }
-        let straggler = q.sealed + 1 < self.clock.current();
+        };
         let timeout = if straggler { poll } else { idle };
-        let _ = self
-            .pipeline
-            .batch_ready
-            .wait_timeout(q, timeout)
-            .unwrap_or_else(|err| err.into_inner());
+        drop(self.pipeline.wait(&self.pipeline.batch_ready, q, timeout));
         straggler
     }
 
-    /// Wakes the persister worker(s) (used by `Persister::stop`).
-    pub(crate) fn notify_persisters(&self) {
-        self.pipeline.batch_ready.notify_all();
+    /// Seals the oldest unsealed closed epoch `e` into a batch and
+    /// enqueues it, once every operation of `e` has ended. Returns
+    /// whether a batch was sealed; declines while `e` is still open or
+    /// an operation of it is still announced. The persister's step seals
+    /// this way too; public so tests can seal by hand.
+    ///
+    /// Writing `e` back this early is safe because a quiescent closed
+    /// epoch's tracked blocks are final: Listing 1 updates a block in
+    /// place only within its own epoch, and every later change (a
+    /// retire stamp, a replacement copy) is tracked in the later epoch.
+    /// To recovery, a line written back before `e` publishes is an
+    /// eviction of a line tagged above the frontier.
+    pub fn seal_quiescent(&self) -> bool {
+        if self.is_disabled() {
+            return false;
+        }
+        let mut q = self.pipeline.lock();
+        let e = q.sealed + 1;
+        if e >= self.clock.current() || !self.clock.quiescent(e + 1) {
+            return false;
+        }
+        self.seal(&mut q, e);
+        true
     }
 
-    /// The persister's step: while pipelining, seals the oldest closed
-    /// epoch first ([`seal_quiescent`](Self::seal_quiescent)); then
-    /// writes back the oldest sealed batch, if any: persist its blocks
-    /// and retirement records, fence, publish the durable frontier, and
-    /// reclaim. Returns whether it did any of that work.
+    /// Seals epoch `e` (`sealed + 1`, closed and quiescent): a move of
+    /// every thread's generation-`e` buffers.
+    fn seal(&self, q: &mut PipelineQueue, e: u64) {
+        // SAFETY: the queue lock serializes sealers, and the caller's
+        // scan saw every slot EMPTY or ≥ e+1 after a clock load ≥ e+1 —
+        // the post-condition of `wait_for_stragglers(e+1)`, so no
+        // operation can register in `e` any more. No owner re-enters
+        // generation `e % BUF_GENS` before epoch `e + BUF_GENS` opens,
+        // and no advance opens it while `e` is unsealed (`may_open`).
+        let (persist, retire) = unsafe { self.arenas.take_gen(e) };
+        self.obs().event(
+            EventKind::BatchSealed,
+            persist.len() as u64,
+            retire.len() as u64,
+        );
+        if q.push_sealed(EpochBatch::seal(e, persist, retire)) {
+            self.stats().early_seals.fetch_add(1, Ordering::Relaxed);
+        }
+        // Wakes an advance waiting for this generation.
+        self.pipeline.batch_done.notify_all();
+    }
+
+    /// The persister's step, and the only one: seals what the mode
+    /// allows (pipelined: the oldest closed epoch; inline: every released
+    /// one), then acts on the oldest batch as
+    /// `PipelineQueue::next_action` says. Returns whether
+    /// it acted on a batch; an unreleased, written-back one makes it
+    /// return `false` until its release. Run by the
+    /// [`Persister`](crate::Persister) thread and the inline advance;
+    /// public so deterministic drivers can run it by hand. The persist
+    /// lock keeps publishes in epoch order.
     ///
-    /// Normally called by the [`Persister`](crate::Persister) worker;
-    /// public so deterministic drivers can run the pipeline by hand.
-    /// The pop happens under the persist lock, so concurrent callers
-    /// persist batches strictly in seal (= epoch) order and the
-    /// frontier is monotone.
-    ///
-    /// The publish gate: a batch above the released epoch (sealed before
-    /// its closing advance) is only written back, then goes back to the
-    /// front of the queue; the call after its release fences and
-    /// publishes it. Until then, further calls return `false`. A device
-    /// error during that early write-back is not escalated: the batch
-    /// stays un-written and the released path retries it.
-    ///
-    /// A batch that exhausts its retry budget
-    /// (`EpochConfig::persist_retries`) is pushed back to the front
-    /// of the queue — epoch order preserved, nothing durable lost —
-    /// and the health ladder ratchets up (`Ok → Degraded`, then
-    /// `Degraded → Failed`). Once [`HealthState::Failed`], the queue is
-    /// frozen: this returns `false` without attempting anything, and
-    /// the durable frontier stays at the last fully persisted epoch.
+    /// A device error during an early write-back is not escalated: the
+    /// released path retries it with the full budget
+    /// (`EpochConfig::persist_retries`), whose exhaustion ratchets the
+    /// health ladder (`Ok → Degraded → Failed`). Once
+    /// [`HealthState::Failed`] the queue is frozen: the step seals as an
+    /// inline advance would and returns `false`.
     pub fn persist_next_batch(&self) -> bool {
         let _pg = self.persist_lock.lock();
-        if self.health.load(Ordering::SeqCst) == HealthState::Failed as u8 {
+        let mut q = self.pipeline.lock();
+        let mode = self.mode(&q);
+        let mut sealing = true;
+        let action = loop {
+            match self.next_action(&q, mode, sealing) {
+                Action::Seal(e) => {
+                    self.seal(&mut q, e);
+                    sealing = mode == Driver::Inline;
+                }
+                action => break action,
+            }
+        };
+        if matches!(action, Action::Idle { .. }) || self.health() == HealthState::Failed {
             return false;
         }
-        if self.pipelined() {
-            self.seal_quiescent();
-        }
-        let (batch, released) = {
-            let mut q = self.pipeline.lock();
-            (q.batches.pop_front(), q.released)
-        };
-        let Some(mut b) = batch else {
-            return false;
-        };
-        if b.epoch <= released {
+        let mut b = q.batches.pop_front().expect("next_action chose a batch");
+        drop(q);
+        if action == Action::Publish {
             return self.persist_popped_batch(b);
         }
-        // Unreleased: write back only. The advance that releases `b`
-        // may run meanwhile; returning `true` makes the caller look again.
-        let progressed = b.written == WriteBack::Pending;
-        if progressed && self.write_back(&mut b).is_err() {
+        // Early: write back only. The advance that releases `b` may run
+        // meanwhile; returning `true` makes the caller look again.
+        if self.write_back(&mut b).is_err() {
             b.written = WriteBack::EarlyFailed;
         }
         self.pipeline.lock().batches.push_front(b);
-        progressed
+        true
     }
 
-    /// The released half of [`persist_next_batch`](Self::persist_next_batch):
-    /// writes `b` back unless that ran early, then fences, publishes the
-    /// frontier record and completes the batch. Transient
-    /// [`DeviceError`]s back off on the HTM exponential ladder (plus
-    /// seeded jitter) and retry. Retrying any part of the device
-    /// sequence from its top is safe — `persist_range`/`clwb`/frontier
-    /// write are idempotent.
-    ///
-    /// On budget exhaustion the batch goes back untouched to the front
-    /// of the queue, so epoch order (and the frontier's monotonicity)
-    /// survives the failure, and the health ladder ratchets up with the
-    /// typed [`PersistError`](crate::PersistError).
+    /// [`Action::Publish`]: writes `b` back unless that ran early, then
+    /// fences, publishes the frontier record and completes the batch.
+    /// Transient [`DeviceError`]s retry on the backoff ladder; every
+    /// device op here is idempotent. On budget exhaustion the batch goes
+    /// back untouched to the front of the queue and the health ladder
+    /// ratchets up with the typed [`PersistError`](crate::PersistError).
     fn persist_popped_batch(&self, mut b: EpochBatch) -> bool {
         let written = self.write_back(&mut b);
         let t0 = Instant::now();
@@ -453,19 +533,13 @@ impl EpochSys {
         Ok(())
     }
 
-    /// Builds the batch's flush plan: one [`FlushRange`] per live
-    /// tracked block, with word-contiguous neighbors coalesced into a
-    /// single ranged flush, followed by the retirement-record header
-    /// lines (never merged — headers end mid-line). Returns the plan
-    /// and the number of flushes saved by coalescing.
-    ///
-    /// Coalescing is digest-neutral: blocks are line-aligned and the
-    /// size classes are line-multiples, so a merge happens only when
-    /// the previous range ends exactly on the next block's first line —
-    /// the merged range issues the identical per-line clwb schedule the
-    /// two separate ranges would (the device flushes ranges line by
-    /// line). The guard below makes that precondition explicit. The
-    /// batch must be normalized: sorted, unique blocks.
+    /// Builds the normalized batch's flush plan: one [`FlushRange`] per
+    /// live tracked block, word-contiguous neighbors coalesced, then the
+    /// retirement-record header lines (never merged — headers end
+    /// mid-line). Returns the plan and the flushes saved. Coalescing is
+    /// digest-neutral: a merge needs the previous range to end on a line
+    /// boundary exactly where the next block starts (the guard below),
+    /// so the device sees the same per-line clwb schedule.
     fn build_flush_plan(&self, batch: &EpochBatch) -> (Vec<FlushRange>, u64) {
         let heap = self.heap();
         let mut plan: Vec<FlushRange> =
@@ -553,9 +627,8 @@ impl EpochSys {
                     self.obs()
                         .event(EventKind::PersistRetry, epoch, attempt as u64);
                     let spins = backoff_ladder(PERSIST_BACKOFF_SPINS, attempt - 1);
-                    // Seeded jitter in [0, spins/2] decorrelates
-                    // contending persisters without perturbing replay
-                    // determinism (fixed seed).
+                    // Seeded jitter in [0, spins/2], deterministic for
+                    // replay (fixed seed).
                     let draw = self.backoff_rng.next_u64();
                     backoff_spin(spins + draw % (spins / 2 + 1));
                 }
@@ -583,7 +656,7 @@ impl EpochSys {
         self.clock.publish_frontier(r);
         if self.pipeline.behind.load(Ordering::Acquire) {
             let q = self.pipeline.lock();
-            if r >= q.released {
+            if q.caught_up(r) {
                 self.pipeline.behind.store(false, Ordering::Release);
             }
             drop(q);
@@ -615,19 +688,16 @@ impl EpochSys {
         self.obs()
             .event(EventKind::BatchPersisted, r, batch.persist.len() as u64);
 
-        let mut q = self.pipeline.lock();
-        q.in_flight = q.in_flight.saturating_sub(1);
-        drop(q);
+        self.pipeline.lock().in_flight -= 1;
         self.pipeline.batch_done.notify_all();
     }
 
-    /// Advances until every epoch `≤ epoch` is durable. With a
-    /// background persister this advances until `epoch` is released and
-    /// then *waits* for the persister rather than spinning the clock
-    /// forward. Otherwise (synchronous mode, or a hand-driven pipeline
-    /// with no persister thread) it writes back what it can itself and
-    /// advances only when nothing is left, so a hand-driven pipeline
-    /// never meets the structural bound here.
+    /// Advances until every epoch `≤ epoch` is durable. With a persister
+    /// thread this advances until `epoch` is released and then *waits*
+    /// for the thread rather than spinning the clock forward. Otherwise
+    /// (synchronous mode, or a hand-driven pipeline) it writes back what
+    /// it can itself and advances only when nothing is left, so a
+    /// hand-driven pipeline never meets the structural bound here.
     pub fn advance_until(&self, epoch: u64) {
         while !self.is_disabled() && self.persisted_frontier() < epoch {
             // Fail-stop freezes the persist queue: the frontier can
@@ -636,36 +706,29 @@ impl EpochSys {
             if self.health() == HealthState::Failed {
                 return;
             }
-            if !self.background() {
-                if !self.persist_next_batch() {
-                    self.advance();
+            let q = self.pipeline.lock();
+            let thread = self.mode(&q) == Driver::Thread;
+            if thread && self.current_epoch() >= epoch + 2 {
+                // `epoch` is released: wait for the thread to publish it.
+                if self.persisted_frontier() < epoch {
+                    drop(self.pipeline.wait(&self.pipeline.batch_done, q, WAIT_SLICE));
                 }
-            } else if self.current_epoch() < epoch + 2 {
-                // `epoch` is not released yet.
+                continue;
+            }
+            drop(q);
+            if thread || !self.persist_next_batch() {
                 self.advance();
-            } else {
-                let q = self.pipeline.lock();
-                if self.persisted_frontier() >= epoch {
-                    break;
-                }
-                let _ = self
-                    .pipeline
-                    .batch_done
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .unwrap_or_else(|err| err.into_inner());
             }
         }
     }
 
     /// Makes everything completed so far durable (two transitions).
     pub fn flush_all(&self) {
-        if self.is_disabled() {
-            return;
-        }
-        let e = self.current_epoch();
-        self.advance_until(e);
+        self.advance_until(self.current_epoch());
     }
 }
 
+#[cfg(test)]
+mod explore;
 #[cfg(test)]
 mod tests;

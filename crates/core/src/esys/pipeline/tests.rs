@@ -4,7 +4,7 @@
 
 use super::super::testutil::fresh;
 use super::super::{payload, EPOCH_START};
-use super::BUF_GENS;
+use super::{Driver, BUF_GENS};
 use crate::config::EpochConfig;
 use crate::error::{HealthState, PersistError};
 use crate::obs::lag::LAG_GENS;
@@ -258,7 +258,7 @@ fn contiguous_blocks_coalesce_into_ranged_flushes() {
 #[test]
 fn advance_stalls_on_an_unsealed_generation_until_it_is_sealed() {
     let es = fresh();
-    es.attach_background_persister(); // its seals are played by this test
+    es.attach(Driver::Thread); // its seals are played by this test
     es.advance();
     es.advance(); // EPOCH_START+2 is open; no epoch is sealed yet
     let (tx, rx) = mpsc::channel();
@@ -442,7 +442,7 @@ fn reclaiming_a_batch_of_retires_fences_once() {
 #[test]
 fn begin_op_waits_while_the_background_persister_is_behind() {
     let es = fresh();
-    es.attach_background_persister();
+    es.attach(Driver::Thread);
     track_one(&es, 1, true);
     assert!(es.persist_next_batch(), "writes EPOCH_START−1 back early");
     es.advance(); // releases EPOCH_START−1, already written back
@@ -473,5 +473,44 @@ fn begin_op_waits_while_the_background_persister_is_behind() {
         "the publish admits the operation"
     );
     client.join().expect("client panicked");
+    es.detach_persister();
+}
+
+/// `detach_persister` is idempotent: an unbalanced second detach leaves
+/// the system synchronous, so every advance still drains inline and the
+/// frontier trails the clock by two.
+#[test]
+fn unbalanced_detach_leaves_the_system_synchronous() {
+    let es = fresh();
+    es.attach_persister();
+    es.detach_persister();
+    es.detach_persister();
+    es.advance();
+    es.advance();
+    assert_eq!(es.persisted_frontier(), EPOCH_START);
+}
+
+/// One persister at a time: a second attach panics and leaves the first
+/// attachment in place, so the pipeline stays hand-driven.
+#[test]
+fn second_attach_panics_and_keeps_the_first() {
+    let es = fresh();
+    es.attach_persister();
+    let second = catch_unwind(AssertUnwindSafe(|| es.attach_persister()));
+    assert!(second.is_err(), "a second persister must not attach");
+    let thread = catch_unwind(AssertUnwindSafe(|| Persister::spawn(Arc::clone(&es))));
+    assert!(thread.is_err(), "nor a persister thread");
+    track_one(&es, 7, true);
+    es.advance();
+    es.advance();
+    assert_eq!(
+        es.persisted_frontier(),
+        EPOCH_START - 1,
+        "still hand-driven: the advances persisted nothing"
+    );
+    while es.persist_next_batch() {}
+    assert_eq!(es.persisted_frontier(), EPOCH_START);
+    es.detach_persister();
+    es.attach_persister();
     es.detach_persister();
 }

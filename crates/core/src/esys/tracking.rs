@@ -8,9 +8,9 @@
 //! the in-progress-operation context. The owner thread reads and
 //! writes its slot with plain (non-atomic) accesses — no mutex, no
 //! RMW — because exactly one other actor ever touches a slot, the
-//! sealer (`EpochSys::seal_quiescent`, on the persister or inside an
-//! inline `advance`), and the epoch protocol gives it *temporal*
-//! exclusion rather than mutual exclusion:
+//! sealer (`EpochSys::seal`, from the persister's step, an inline
+//! `advance` or `seal_quiescent`), and the epoch protocol gives it
+//! *temporal* exclusion rather than mutual exclusion:
 //!
 //! * The owner writes generation `e % BUF_GENS` only while its
 //!   announce slot carries `e` (validated by the Dekker handshake in

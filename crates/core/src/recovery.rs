@@ -5,9 +5,9 @@
 //! function of the crash-time clock — is the recovery point: with the
 //! persist pipeline the clock may run ahead of the last fully persisted
 //! batch, so at crash time the frontier can lag the clock by more than
-//! the classical 2 (by up to `BUF_GENS + 2` = 6 with a live persister:
-//! the structural bound keeps the clock within four epochs of the
-//! newest sealed one, and at most two sealed batches are in flight).
+//! the classical 2: by up to `BUF_GENS + 2` = 6 with a live persister,
+//! a bound the pipeline explorer checks in every reachable state
+//! (`esys::pipeline::explore`, DESIGN.md §3.4.2).
 //! Everything below keys off `R` alone, which is published only after a
 //! batch's write-backs *and* the frontier record itself are fenced to
 //! media, so lag changes nothing here: epochs `> R` are discarded

@@ -4,7 +4,7 @@
 //! media off the advance critical path.
 
 use crate::error::HealthState;
-use crate::esys::EpochSys;
+use crate::esys::{Driver, EpochSys};
 use crate::worker::{StopFlag, Worker};
 use nvm_sim::CrashTriggered;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,33 +57,31 @@ impl EpochTicker {
     }
 }
 
-/// Owns the background write-back thread of the persist pipeline: one
-/// coordinator draining the batch queue.
+/// Owns the background write-back thread of the persist pipeline.
 ///
-/// While a persister is attached,
-/// [`EpochSys::advance`](crate::EpochSys::advance) only releases closed
-/// epochs. The coordinator seals each one into a batch as soon as its
-/// last operation ends ([`EpochSys::seal_quiescent`]), performs the
-/// `persist_range` calls while the next epoch runs, and once the advance
-/// has released the epoch fences, publishes the durable frontier and
-/// reclaims, batch by batch in epoch order. Same stop/join discipline
-/// as [`EpochTicker`]: stops (and joins) on drop, and drains any
-/// released batches before exiting so a clean shutdown leaves the
-/// frontier at `clock − 2`.
+/// While it is attached, [`EpochSys::advance`](crate::EpochSys::advance)
+/// only releases closed epochs, and this thread runs the persister's
+/// step ([`EpochSys::persist_next_batch`]): it seals each closed epoch
+/// as soon as its last operation ends, writes it back while the next
+/// epoch runs, and fences, publishes and reclaims it once released.
+/// Same stop/join discipline as [`EpochTicker`]; it drains released
+/// batches before exiting, so a clean shutdown leaves the frontier at
+/// `clock − 2`.
 pub struct Persister {
     worker: Worker,
 }
 
 impl Persister {
-    /// Spawns the write-back thread and registers it with the epoch
-    /// system (advances switch to release-only immediately).
+    /// Spawns the write-back thread and attaches it to the epoch system
+    /// (advances switch to release-only immediately). Panics if a
+    /// persister is attached already.
     ///
     /// Falls back to no worker at all with a logged warning if the OS
     /// cannot spawn the thread — nothing stays attached and the system
     /// simply stays in synchronous inline-persist mode, which is slower
     /// but loses nothing.
     pub fn spawn(esys: Arc<EpochSys>) -> Persister {
-        esys.attach_background_persister();
+        esys.attach(Driver::Thread);
         let es = Arc::clone(&esys);
         let mut worker = Worker::spawn(
             "persister",
@@ -95,7 +93,7 @@ impl Persister {
             return Persister { worker };
         }
         // The coordinator parks on condvars, not on the stop flag's sleep.
-        worker.set_wake(move || esys.notify_persisters());
+        worker.set_wake(move || esys.notify_persister());
         Persister { worker }
     }
 
@@ -105,21 +103,21 @@ impl Persister {
     }
 }
 
-/// How long the coordinator sleeps when nothing is actionable; the
+/// How long the coordinator sleeps when its next action is idle; the
 /// next advance wakes it sooner.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// First re-try interval while an operation of the closed epoch keeps
-/// its seal waiting; doubles up to [`IDLE_WAIT`]. Operations last
-/// microseconds, so the first re-try usually succeeds.
+/// its seal waiting (an idle action with a straggler); doubles up to
+/// [`IDLE_WAIT`]. Operations last microseconds, so the first re-try
+/// usually succeeds.
 const STRAGGLER_POLL: Duration = Duration::from_micros(50);
 
-/// The coordinator body: seal each closed epoch as soon as it is
-/// quiescent and write it back, publish each batch once its epoch is
-/// released, until stopped.
+/// The coordinator body: run the persister's step until it is idle,
+/// then wait as its next action says, until stopped.
 fn coordinator(esys: &EpochSys, stop: &StopFlag) {
     // Once `stop` is observed, one more round runs before exiting: an
-    // advance may have released its final epoch between our empty pop
+    // advance may have released its final epoch between our idle step
     // and the caller setting the flag, and the queue mutex makes that
     // release visible to any step that starts after `stop` is set.
     let mut draining = false;
@@ -130,25 +128,18 @@ fn coordinator(esys: &EpochSys, stop: &StopFlag) {
         // CrashTriggered models machine death: the worker detaches and
         // vanishes, leaving the frontier wherever the last completed
         // batch put it. Any other panic is a real bug — re-raise it.
-        let step = catch_unwind(AssertUnwindSafe(|| esys.persist_next_batch()));
-        match step {
+        match catch_unwind(AssertUnwindSafe(|| esys.persist_next_batch())) {
             Ok(true) => poll = STRAGGLER_POLL,
-            Ok(false) if draining => break,
+            // Degraded or failed: the health ratchet is one-way, so the
+            // thread retires for good and inline advances own the queue.
+            Ok(false) if draining || esys.health() != HealthState::Ok => break,
+            Ok(false) if stop.is_set() => draining = true,
             Ok(false) => {
-                // Degraded or failed: the health ratchet is one-way, so
-                // background pipelining is off for good. The worker
-                // retires (after the persist path above drained what it
-                // could); inline advances own the queue from here.
-                if esys.health() != HealthState::Ok {
-                    break;
-                }
-                if stop.is_set() {
-                    draining = true;
-                } else if esys.wait_for_work(IDLE_WAIT, poll) {
-                    poll = (poll * 2).min(IDLE_WAIT);
+                poll = if esys.wait_for_work(IDLE_WAIT, poll) {
+                    (poll * 2).min(IDLE_WAIT)
                 } else {
-                    poll = STRAGGLER_POLL;
-                }
+                    STRAGGLER_POLL
+                };
             }
             Err(payload) => {
                 esys.detach_persister();
@@ -159,7 +150,7 @@ fn coordinator(esys: &EpochSys, stop: &StopFlag) {
             }
         }
     }
-    // `break` requires an empty pop *after* stop (or a health downgrade
+    // `break` requires an idle step *after* stop (or a health downgrade
     // that retires the worker): drained.
     esys.detach_persister();
 }

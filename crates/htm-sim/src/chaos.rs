@@ -281,6 +281,22 @@ fn lock_session() {
     }
 }
 
+/// Holds the session lock without arming, so that no test in this
+/// binary arms a session while the caller's threads pass chaos points
+/// (they would take lanes in it and perturb its recorded schedule).
+/// Released on drop.
+#[cfg(test)]
+pub(crate) fn quiet() -> impl Drop {
+    struct Unlock;
+    impl Drop for Unlock {
+        fn drop(&mut self) {
+            SESSION_LOCK.store(false, Ordering::Release);
+        }
+    }
+    lock_session();
+    Unlock
+}
+
 /// Arms a chaos session with `config`, blocking until any previous
 /// session has been dropped (sessions are process-global).
 pub fn arm(config: Config) -> ChaosSession {
@@ -406,14 +422,7 @@ mod tests {
     fn disarmed_points_are_free_and_silent() {
         // `armed()` is process-global and sibling tests arm sessions:
         // hold the session lock, unarmed, so none can start meanwhile.
-        struct Unlock;
-        impl Drop for Unlock {
-            fn drop(&mut self) {
-                SESSION_LOCK.store(false, Ordering::Release);
-            }
-        }
-        lock_session();
-        let _unlock = Unlock;
+        let _quiet = quiet();
         assert!(!armed());
         for _ in 0..10_000 {
             point("test::noop");

@@ -187,6 +187,9 @@ impl Drop for Guard {
 
 #[cfg(test)]
 mod tests {
+    //! Each test holds `chaos::quiet()`: pinning passes chaos points, and
+    //! a chaos test arming a session meanwhile would record them.
+
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -208,6 +211,7 @@ mod tests {
 
     #[test]
     fn collect_without_garbage_skips_epoch_advance() {
+        let _quiet = crate::chaos::quiet();
         let reg = Registry::global();
         // Other tests in this binary may defer garbage concurrently, so
         // only score iterations where the pending counter stayed zero.
@@ -232,6 +236,7 @@ mod tests {
 
     #[test]
     fn deferred_runs_after_unpin() {
+        let _quiet = crate::chaos::quiet();
         let ran = Arc::new(AtomicUsize::new(0));
         {
             let g = pin();
@@ -247,6 +252,7 @@ mod tests {
 
     #[test]
     fn nested_pins_hold_garbage() {
+        let _quiet = crate::chaos::quiet();
         let ran = Arc::new(AtomicUsize::new(0));
         let outer = pin();
         {
