@@ -114,6 +114,20 @@ echo "==> metrics smoke (quickstart --metrics-json + validation)"
 cargo run --release -q --example quickstart -- --metrics-json target/metrics-smoke.json
 ./target/release/metrics_check target/metrics-smoke.json
 
+echo "==> figure binaries smoke (each experiment binary once, at smoke scale)"
+# Every figure/table binary asserts its own invariants. One tiny run of
+# each fails the gate on a non-zero exit, a timeout, or a binary that
+# prints no data row (a line outside the `#` titles with a decimal).
+for bin in fig1_veb_overhead fig2_abort_rates fig3_tree_comparison fig4_mwcas \
+           fig5_skiplist fig6_hashtables fig7_epoch_length fig8_nvm_space \
+           ablation_bdl table3_space recovery_time; do
+    out=$(with_timeout 300 env BDHTM_SECS=0.02 BDHTM_SCALE=12 BDHTM_THREADS=1 \
+        "./target/release/$bin") || { echo "$bin exited non-zero"; exit 1; }
+    rows=$(printf '%s\n' "$out" | grep -v '^#' | grep -c '[0-9]\.[0-9]' || true)
+    [ "$rows" -gt 0 ] || { echo "$bin printed no data row"; exit 1; }
+    echo "$bin: $rows data rows"
+done
+
 echo "==> durability-lag telemetry smoke (series + trace on a pipelined run)"
 # A short pipelined fig7 run streaming the metrics time series and the
 # Perfetto trace; metrics_check validates all three artifacts (report
@@ -121,7 +135,7 @@ echo "==> durability-lag telemetry smoke (series + trace on a pipelined run)"
 # trace flow arrows). The report must carry nonzero durability-lag
 # samples: pipelined mode always defers durability behind commit.
 BDHTM_SECS=0.25 BDHTM_SCALE=12 BDHTM_THREADS=2 \
-    ./target/release/fig7_epoch_length --pipeline=bg \
+    ./target/release/fig7_epoch_length \
     --metrics-json target/lag-smoke.json \
     --metrics-series target/lag-smoke.jsonl --series-interval-ms 20 \
     --trace-out target/lag-smoke-trace.json >/dev/null

@@ -16,19 +16,18 @@
 //! cargo run --release -p bench --bin ablation_bdl
 //! ```
 
-use bdhtm_core::{EpochConfig, EpochSys, EpochTicker};
 use bench::*;
 use htm_sim::{Htm, HtmConfig};
-use nvm_sim::{NvmConfig, NvmHeap};
+use nvm_sim::NvmConfig;
 use std::sync::Arc;
 use std::time::Duration;
 use veb::{HtmVeb, PhtmVeb};
-use ycsb_gen::{Mix, WorkloadSpec};
+use ycsb_gen::Mix;
 
 fn main() {
     let ubits = 26 - scale_down_bits();
     let threads = thread_counts();
-    let w = WorkloadSpec::uniform(1 << ubits, Mix::write_heavy()).build();
+    let w = workload(1 << ubits, None, Mix::write_heavy());
     // --metrics-json captures the last configuration run (1 µs epochs,
     // final thread count) — the epoch-churn extreme.
     let mut sink = MetricsSink::from_args();
@@ -36,47 +35,25 @@ fn main() {
     header("configuration", &threads);
 
     // 1. Transient.
-    let mut vals = Vec::new();
-    for &t in &threads {
-        let tree = Arc::new(HtmVeb::new(ubits, Arc::new(Htm::new(HtmConfig::default()))));
-        let b = Arc::new(HtmVebBackend(tree));
-        prefill(b.as_ref(), &w);
-        vals.push(throughput(b, &w, t));
-    }
+    let vals = series(&w, &threads, || {
+        Point::plain(HtmVeb::new(ubits, Arc::new(Htm::new(HtmConfig::default()))))
+    });
     row("HTM-vEB (transient)", &vals);
 
     // 2–4. PHTM-vEB variants.
-    for (label, cfg, epoch) in [
-        (
-            "PHTM-vEB, free NVM",
-            NvmConfig::for_tests(512 << 20),
-            Duration::from_millis(50),
-        ),
-        (
-            "PHTM-vEB, Optane model",
-            NvmConfig::optane(512 << 20),
-            Duration::from_millis(50),
-        ),
-        (
-            "PHTM-vEB, 1us epochs",
-            NvmConfig::optane(512 << 20),
-            Duration::from_micros(1),
-        ),
+    let (free, optane) = (
+        NvmConfig::for_tests(HEAP_BYTES),
+        NvmConfig::optane(HEAP_BYTES),
+    );
+    for (label, nvm, epoch_len) in [
+        ("PHTM-vEB, free NVM", &free, EPOCH_LEN),
+        ("PHTM-vEB, Optane model", &optane, EPOCH_LEN),
+        ("PHTM-vEB, 1us epochs", &optane, Duration::from_micros(1)),
     ] {
-        let mut vals = Vec::new();
-        for &t in &threads {
-            let heap = Arc::new(NvmHeap::new(cfg.clone()));
-            let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(epoch));
-            let htm = Arc::new(Htm::new(HtmConfig::default()));
-            sink.attach_htm(&htm);
-            sink.attach_esys(&esys);
-            let tree = Arc::new(PhtmVeb::new(ubits, Arc::clone(&esys), htm));
-            let b: Arc<dyn KvBackend> = tree;
-            prefill(b.as_ref(), &w);
-            let ticker = EpochTicker::spawn(esys);
-            vals.push(throughput(b, &w, t));
-            ticker.stop();
-        }
+        let vals = series(&w, &threads, || {
+            let (esys, htm) = substrate(nvm.clone(), epoch_len, Some(&mut sink));
+            Point::ticked(PhtmVeb::new(ubits, Arc::clone(&esys), htm), &esys)
+        });
         row(label, &vals);
     }
     sink.write();

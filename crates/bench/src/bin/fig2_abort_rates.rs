@@ -6,14 +6,12 @@
 //! cargo run --release -p bench --bin fig2_abort_rates
 //! ```
 
-use bdhtm_core::{EpochConfig, EpochSys, EpochTicker};
 use bench::*;
 use htm_sim::{AbortCause, Htm, HtmConfig, StatsSnapshot};
-use nvm_sim::{NvmConfig, NvmHeap};
+use nvm_sim::NvmConfig;
 use std::sync::Arc;
-use std::time::Duration;
 use veb::{HtmVeb, PhtmVeb};
-use ycsb_gen::{Mix, WorkloadSpec};
+use ycsb_gen::Mix;
 
 fn pct(part: u64, total: u64) -> f64 {
     if total == 0 {
@@ -45,46 +43,22 @@ fn main() {
     let mut sink = MetricsSink::from_args();
     println!("# Fig 2: HTM commit/abort breakdown, universe 2^{ubits}");
 
-    for (dist_name, spec) in [
-        (
-            "uniform",
-            WorkloadSpec::uniform(universe, Mix::write_heavy()),
-        ),
-        (
-            "zipfian(0.99)",
-            WorkloadSpec::zipfian(universe, 0.99, Mix::write_heavy()),
-        ),
-    ] {
-        let w = spec.build();
+    for (dist_name, zipf) in [("uniform", None), ("zipfian(0.99)", Some(0.99))] {
+        let w = workload(universe, zipf, Mix::write_heavy());
         for &t in &threads {
             // Transient tree.
             let htm = Arc::new(Htm::new(HtmConfig::default()));
-            let tree = Arc::new(HtmVeb::new(ubits, Arc::clone(&htm)));
-            let backend = Arc::new(HtmVebBackend(tree));
-            prefill(backend.as_ref(), &w);
-            htm.stats().reset();
-            throughput(backend, &w, t);
+            let tree = HtmVeb::new(ubits, Arc::clone(&htm));
+            Point::plain(tree).htm_window(&htm).run(&w, t);
             report(
                 &format!("HTM-vEB  {dist_name} {t}T"),
                 &htm.stats().snapshot(),
             );
 
             // Buffered-durable tree.
-            let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
-            let esys = EpochSys::format(
-                heap,
-                EpochConfig::default().with_epoch_len(Duration::from_millis(50)),
-            );
-            let htm = Arc::new(Htm::new(HtmConfig::default()));
-            sink.attach_htm(&htm);
-            sink.attach_esys(&esys);
-            let tree = Arc::new(PhtmVeb::new(ubits, Arc::clone(&esys), Arc::clone(&htm)));
-            let backend: Arc<dyn KvBackend> = tree;
-            prefill(backend.as_ref(), &w);
-            let ticker = EpochTicker::spawn(esys);
-            htm.stats().reset();
-            throughput(backend, &w, t);
-            ticker.stop();
+            let (esys, htm) = substrate(NvmConfig::optane(HEAP_BYTES), EPOCH_LEN, Some(&mut sink));
+            let tree = PhtmVeb::new(ubits, Arc::clone(&esys), Arc::clone(&htm));
+            Point::ticked(tree, &esys).htm_window(&htm).run(&w, t);
             report(
                 &format!("PHTM-vEB {dist_name} {t}T"),
                 &htm.stats().snapshot(),
@@ -96,15 +70,12 @@ fn main() {
     // up to half of transactions abort MEMTYPE without mitigation; the
     // pre-walk retry (red bars) suppresses the repeat.
     println!("\n# MEMTYPE anomaly machine (injection p=0.5, 1 thread):");
-    let w = WorkloadSpec::uniform(universe, Mix::write_heavy()).build();
+    let w = workload(universe, None, Mix::write_heavy());
     for prewalk in [false, true] {
         let htm = Arc::new(Htm::new(HtmConfig::default().with_memtype_anomaly(0.5)));
         let mut tree = HtmVeb::new(ubits, Arc::clone(&htm));
         tree.prewalk_on_memtype = prewalk;
-        let backend = Arc::new(HtmVebBackend(Arc::new(tree)));
-        prefill(backend.as_ref(), &w);
-        htm.stats().reset();
-        throughput(backend, &w, 1);
+        Point::plain(tree).htm_window(&htm).run(&w, 1);
         report(
             &format!("HTM-vEB memtype prewalk={prewalk}"),
             &htm.stats().snapshot(),

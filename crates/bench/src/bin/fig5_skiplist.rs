@@ -7,25 +7,22 @@
 //! cargo run --release -p bench --bin fig5_skiplist
 //! ```
 
-use bdhtm_core::{EpochConfig, EpochSys, EpochTicker};
 use bench::*;
-use htm_sim::{Htm, HtmConfig};
 use nvm_sim::{NvmConfig, NvmHeap};
 use skiplist::{BdlSkiplist, DlSkiplist, PersistMode};
 use std::sync::Arc;
-use std::time::Duration;
-use ycsb_gen::{Mix, WorkloadSpec};
+use ycsb_gen::Mix;
 
 fn main() {
     let ubits = 20 - scale_down_bits() / 2;
-    let universe = 1u64 << ubits;
     let threads = thread_counts();
     // --metrics-json captures the last BDL-Skiplist configuration run
     // (final thread count).
     let mut sink = MetricsSink::from_args();
     println!("# Fig 5: skiplists, uniform, R:W=2:8, universe 2^{ubits} (Mops/s)");
     header("variant", &threads);
-    let w = WorkloadSpec::uniform(universe, Mix::fig5()).build();
+    let w = workload(1 << ubits, None, Mix::fig5());
+    let heap = |nvm| Arc::new(NvmHeap::new(nvm));
 
     // Strict DL-Skiplist and its two transient ablations, all-NVM.
     for (name, mode) in [
@@ -33,50 +30,24 @@ fn main() {
         ("P-Skiplist-no-flush", PersistMode::NoFlush),
         ("P-Skiplist-HTM-MwCAS", PersistMode::HtmMwcas),
     ] {
-        let mut vals = Vec::new();
-        for &t in &threads {
-            let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
-            let list = Arc::new(DlSkiplist::new(heap, mode));
-            let backend = Arc::new(DlSkiplistBackend(list));
-            prefill(backend.as_ref(), &w);
-            vals.push(throughput(backend, &w, t));
-        }
+        let vals = series(&w, &threads, || {
+            Point::plain(DlSkiplist::new(heap(NvmConfig::optane(HEAP_BYTES)), mode))
+        });
         row(name, &vals);
     }
 
     // BDL-Skiplist: towers in DRAM, KV in NVM, epoch system.
-    {
-        let mut vals = Vec::new();
-        for &t in &threads {
-            let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
-            let esys = EpochSys::format(
-                heap,
-                EpochConfig::default().with_epoch_len(Duration::from_millis(50)),
-            );
-            let htm = Arc::new(Htm::new(HtmConfig::default()));
-            sink.attach_htm(&htm);
-            sink.attach_esys(&esys);
-            let list = Arc::new(BdlSkiplist::new(Arc::clone(&esys), htm));
-            let backend: Arc<dyn KvBackend> = list;
-            prefill(backend.as_ref(), &w);
-            let ticker = EpochTicker::spawn(esys);
-            vals.push(throughput(backend, &w, t));
-            ticker.stop();
-        }
-        row("BDL-Skiplist", &vals);
-    }
+    let vals = series(&w, &threads, || {
+        let (esys, htm) = substrate(NvmConfig::optane(HEAP_BYTES), EPOCH_LEN, Some(&mut sink));
+        Point::ticked(BdlSkiplist::new(Arc::clone(&esys), htm), &esys)
+    });
+    row("BDL-Skiplist", &vals);
 
     // T-Skiplist: the no-flush algorithm on a zero-latency "DRAM" heap.
-    {
-        let mut vals = Vec::new();
-        for &t in &threads {
-            let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
-            let list = Arc::new(DlSkiplist::new(heap, PersistMode::NoFlush));
-            let backend = Arc::new(DlSkiplistBackend(list));
-            prefill(backend.as_ref(), &w);
-            vals.push(throughput(backend, &w, t));
-        }
-        row("T-Skiplist (DRAM)", &vals);
-    }
+    let vals = series(&w, &threads, || {
+        let heap = heap(NvmConfig::for_tests(HEAP_BYTES));
+        Point::plain(DlSkiplist::new(heap, PersistMode::NoFlush))
+    });
+    row("T-Skiplist (DRAM)", &vals);
     sink.write();
 }

@@ -6,50 +6,21 @@
 //!
 //! ```sh
 //! cargo run --release -p bench --bin fig7_epoch_length
-//! cargo run --release -p bench --bin fig7_epoch_length -- --pipeline=sync
 //! ```
 //!
-//! `--pipeline=bg` (the default) runs each data point with a
-//! [`Persister`] worker next to the ticker, so epoch advances only
-//! release the epochs the persister seals and writes back;
-//! `--pipeline=sync` spawns no persister, so every advance writes its
-//! batch back inline on the advancing thread.
+//! Each data point runs a [`Persister`](bdhtm_core::Persister) next to
+//! the ticker, so epoch advances only release the epochs the persister
+//! seals and writes back.
 
-use bdhtm_core::{EpochConfig, EpochSys, EpochTicker, Persister};
 use bench::*;
-use htm_sim::{Htm, HtmConfig};
-use nvm_sim::{NvmConfig, NvmHeap};
+use nvm_sim::NvmConfig;
 use std::sync::Arc;
 use std::time::Duration;
 use veb::PhtmVeb;
-use ycsb_gen::{Mix, WorkloadSpec};
-
-fn pipeline_mode() -> bool {
-    let mut bg = true;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let val = if a == "--pipeline" {
-            args.next()
-        } else {
-            a.strip_prefix("--pipeline=").map(|s| s.to_string())
-        };
-        match val.as_deref() {
-            Some("bg") => bg = true,
-            Some("sync") => bg = false,
-            Some(other) if a.starts_with("--pipeline") => {
-                eprintln!("fig7_epoch_length: unknown --pipeline mode {other:?} (want sync|bg)");
-                std::process::exit(2);
-            }
-            _ => {}
-        }
-    }
-    bg
-}
+use ycsb_gen::Mix;
 
 fn main() {
-    let bg = pipeline_mode();
     let ubits = 22 - scale_down_bits() / 2;
-    let universe = 1u64 << ubits;
     // 1 µs .. 10 s, log-spaced as in the paper (10 s capped to keep runs
     // bounded — at that point the ticker never fires within a data point,
     // which is exactly the paper's "unacceptable data-loss window").
@@ -67,8 +38,7 @@ fn main() {
     // data point, so the advance_ns histogram is well populated.
     let mut sink = MetricsSink::from_args();
     println!(
-        "# Fig 7: single-thread PHTM-vEB vs epoch length, universe 2^{ubits}, 80% writes (Mops/s), persist={}",
-        if bg { "bg" } else { "sync" }
+        "# Fig 7: single-thread PHTM-vEB vs epoch length, universe 2^{ubits}, 80% writes (Mops/s), persist=bg"
     );
     print!("{:<16}", "distribution");
     for (name, _) in &epochs {
@@ -76,35 +46,18 @@ fn main() {
     }
     println!();
 
-    for (dist_name, theta) in [
+    for (dist_name, zipf) in [
         ("uniform", None),
         ("zipfian(0.9)", Some(0.9)),
         ("zipfian(0.99)", Some(0.99)),
     ] {
-        let spec = match theta {
-            None => WorkloadSpec::uniform(universe, Mix::reads(0.2)),
-            Some(t) => WorkloadSpec::zipfian(universe, t, Mix::reads(0.2)),
-        };
-        let w = spec.build();
+        let w = workload(1 << ubits, zipf, Mix::reads(0.2));
         print!("{dist_name:<16}");
         for (name, len) in &epochs {
-            let heap = Arc::new(NvmHeap::new(NvmConfig::optane(512 << 20)));
-            let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(*len));
-            let htm = Arc::new(Htm::new(HtmConfig::default()));
-            if *name == "1ms" {
-                sink.attach_htm(&htm);
-                sink.attach_esys(&esys);
-            }
-            let tree = Arc::new(PhtmVeb::new(ubits, Arc::clone(&esys), htm));
-            let backend: Arc<dyn KvBackend> = tree;
-            prefill(backend.as_ref(), &w);
-            let persister = bg.then(|| Persister::spawn(Arc::clone(&esys)));
-            let ticker = EpochTicker::spawn(esys);
-            let mops = throughput(backend, &w, 1);
-            ticker.stop();
-            if let Some(p) = persister {
-                p.stop();
-            }
+            let attach = (*name == "1ms").then_some(&mut sink);
+            let (esys, htm) = substrate(NvmConfig::optane(HEAP_BYTES), *len, attach);
+            let tree = PhtmVeb::new(ubits, Arc::clone(&esys), htm);
+            let mops = Point::ticked(tree, &esys).with_persister().run(&w, 1);
             print!(" {mops:>8.3}");
         }
         println!();

@@ -11,14 +11,13 @@
 //! cargo run --release -p bench --bin fig8_nvm_space
 //! ```
 
-use bdhtm_core::{EpochConfig, EpochSys, EpochTicker};
+use bdhtm_core::EpochTicker;
 use bench::*;
-use htm_sim::{Htm, HtmConfig};
-use nvm_sim::{NvmConfig, NvmHeap};
+use nvm_sim::NvmConfig;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use veb::PhtmVeb;
-use ycsb_gen::{Mix, Rng64, WorkloadSpec};
+use ycsb_gen::{Mix, OpKind, Rng64};
 
 fn main() {
     let ubits = 24 - scale_down_bits() / 2;
@@ -42,22 +41,16 @@ fn main() {
     }
     println!();
 
-    for (dist_name, theta) in [("uniform", None), ("zipfian(0.99)", Some(0.99))] {
+    for (dist_name, zipf) in [("uniform", None), ("zipfian(0.99)", Some(0.99))] {
         print!("{dist_name:<16}");
+        let w = workload(universe, zipf, Mix::reads(0.0));
         for (_, len) in &epochs {
-            let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
-            let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(*len));
-            let htm = Arc::new(Htm::new(HtmConfig::default()));
-            let tree = Arc::new(PhtmVeb::new(ubits, Arc::clone(&esys), htm));
-            let spec = match theta {
-                None => WorkloadSpec::uniform(universe, Mix::reads(0.0)),
-                Some(t) => WorkloadSpec::zipfian(universe, t, Mix::reads(0.0)),
-            };
-            let w = spec.build();
+            let (esys, htm) = substrate(NvmConfig::for_tests(HEAP_BYTES), *len, None);
+            let tree = PhtmVeb::new(ubits, Arc::clone(&esys), htm);
             for k in w.prefill_keys() {
                 tree.insert(k, k);
             }
-            let ticker = EpochTicker::spawn(Arc::clone(&esys));
+            let ticker = EpochTicker::spawn(esys);
             // Run the 50/50 write mix and sample the peak footprint.
             let mut rng = Rng64::new(7);
             let t0 = Instant::now();
@@ -66,13 +59,10 @@ fn main() {
             let mut i = 0u64;
             while t0.elapsed() < dur {
                 let op = w.next_op(&mut rng);
-                match op.key & 1 {
-                    _ if op.kind == ycsb_gen::OpKind::Remove => {
-                        tree.remove(op.key);
-                    }
-                    _ => {
-                        tree.insert(op.key, op.value);
-                    }
+                if op.kind == OpKind::Remove {
+                    tree.remove(op.key);
+                } else {
+                    tree.insert(op.key, op.value);
                 }
                 i += 1;
                 if i.is_multiple_of(4096) {
@@ -92,22 +82,11 @@ fn main() {
     // capacity — the paper measured 43 MiB on 20 threads against 48 MiB
     // of cache).
     println!("\n# Sec 5.1: buffered data per epoch at 100 ms");
-    let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
-    let esys = EpochSys::format(
-        heap,
-        EpochConfig::default().with_epoch_len(Duration::from_millis(100)),
-    );
-    let htm = Arc::new(Htm::new(HtmConfig::default()));
-    sink.attach_htm(&htm);
-    sink.attach_esys(&esys);
-    let tree = Arc::new(PhtmVeb::new(ubits, Arc::clone(&esys), htm));
-    let w = WorkloadSpec::uniform(universe, Mix::reads(0.0)).build();
-    let backend: Arc<dyn KvBackend> = Arc::clone(&tree) as _;
-    prefill(backend.as_ref(), &w);
-    let ticker = EpochTicker::spawn(Arc::clone(&esys));
+    let epoch_len = Duration::from_millis(100);
+    let (esys, htm) = substrate(NvmConfig::for_tests(HEAP_BYTES), epoch_len, Some(&mut sink));
+    let w = workload(universe, None, Mix::reads(0.0));
     let threads = *thread_counts().last().unwrap_or(&4);
-    throughput(backend, &w, threads);
-    ticker.stop();
+    Point::ticked(PhtmVeb::new(ubits, Arc::clone(&esys), htm), &esys).run(&w, threads);
     esys.flush_all();
     let epoch = esys.stats().snapshot();
     let advances = epoch.advances.max(1);

@@ -11,7 +11,7 @@
 //! ```
 
 use bdhtm_core::{EpochConfig, EpochSys, Persister};
-use bench::{scale_down_bits, thread_counts, MetricsSink};
+use bench::{scale_down_bits, substrate, thread_counts, MetricsSink, EPOCH_LEN};
 use hashtable::BdSpash;
 use htm_sim::{Htm, HtmConfig};
 use nvm_sim::{NvmConfig, NvmHeap};
@@ -36,10 +36,8 @@ fn main() {
         // Build, fill (pipelined: a persister writes batches back while
         // the fill keeps inserting; flush_all below waits on the durable
         // frontier, not on inline write-backs), persist, crash.
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(1 << 30)));
-        let esys = EpochSys::format(Arc::clone(&heap), EpochConfig::default());
+        let (esys, htm) = substrate(NvmConfig::for_tests(1 << 30), EPOCH_LEN, None);
         let persister = Persister::spawn(Arc::clone(&esys));
-        let htm = Arc::new(Htm::new(HtmConfig::default()));
         let ubits = 64 - (records * 2 - 1).leading_zeros();
         match kind {
             "PHTM-vEB" => {
@@ -64,7 +62,7 @@ fn main() {
         esys.flush_all();
         esys.advance();
         persister.stop(); // drains any tail batch before the crash
-        let image = heap.crash();
+        let image = esys.heap().crash();
 
         for threads in [1usize, par] {
             let heap2 = Arc::new(NvmHeap::from_image(image.duplicate()));

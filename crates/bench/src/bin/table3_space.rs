@@ -8,8 +8,7 @@
 //! cargo run --release -p bench --bin table3_space
 //! ```
 
-use bdhtm_core::{EpochConfig, EpochSys};
-use bench::{scale_down_bits, MetricsSink};
+use bench::{scale_down_bits, substrate, MetricsSink, EPOCH_LEN, HEAP_BYTES};
 use btree::{ElimAbTree, LbTree, OccAbTree};
 use htm_sim::{Htm, HtmConfig};
 use nvm_sim::{NvmConfig, NvmHeap};
@@ -49,11 +48,7 @@ fn main() {
 
     // PHTM-vEB: DRAM index + NVM KV blocks (with buffered duplicates).
     {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
-        let esys = EpochSys::format(heap, EpochConfig::default());
-        let htm = Arc::new(Htm::new(HtmConfig::default()));
-        sink.attach_htm(&htm);
-        sink.attach_esys(&esys);
+        let (esys, htm) = substrate(NvmConfig::for_tests(HEAP_BYTES), EPOCH_LEN, Some(&mut sink));
         let t = PhtmVeb::new(ubits, Arc::clone(&esys), htm);
         for k in 0..nkeys {
             t.insert(k * 2, k);
@@ -73,7 +68,7 @@ fn main() {
 
     // LB+Tree: small DRAM inner tree, NVM leaves.
     {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(HEAP_BYTES)));
         let t = LbTree::new(heap);
         for k in 0..nkeys {
             t.insert(k * 2, k);
@@ -88,7 +83,7 @@ fn main() {
 
     // Elim-ABTree / OCC-ABTree: zero DRAM, everything in NVM.
     {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(HEAP_BYTES)));
         let t = ElimAbTree::new(heap);
         for k in 0..nkeys {
             t.insert(k * 2, k);
@@ -101,7 +96,7 @@ fn main() {
         );
     }
     {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(512 << 20)));
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(HEAP_BYTES)));
         let t = OccAbTree::new(heap);
         for k in 0..nkeys {
             t.insert(k * 2, k);

@@ -15,12 +15,22 @@
 //! * `BDHTM_SCALE` — workload-size divisor exponent: key-space bits are
 //!   reduced by this amount from the paper's (default 6, i.e. 2^26 →
 //!   2^20) so runs finish on laptop-class containers.
+//!
+//! The binaries share one driver. A data point is a [`Point`]: the
+//! structure under test, as a [`KvBackend`], and the background threads
+//! that run beside it. [`Point::run`] prefills the structure, starts
+//! those threads, measures throughput and stops them; [`series`]
+//! runs a fresh point at each thread count; [`substrate`] builds a
+//! buffered-durable point's heap, epoch system and HTM domain.
 
+use bdhtm_core::{EpochConfig, EpochSys, EpochTicker, Persister};
+use htm_sim::{Htm, HtmConfig};
+use nvm_sim::{NvmConfig, NvmHeap};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use ycsb_gen::{Op, OpKind, Rng64, Workload};
+use ycsb_gen::{Mix, Op, OpKind, Rng64, Workload, WorkloadSpec};
 
 pub mod cli;
 pub use cli::CommonArgs;
@@ -70,8 +80,46 @@ pub trait KvBackend: Send + Sync {
     }
 }
 
+/// Implements [`KvBackend`] for each listed structure through its
+/// inherent `get`/`insert`/`remove`. A `[mask]` is and-ed into every
+/// inserted value.
+macro_rules! kv_backend {
+    ($($ty:ty $([$mask:expr])?),* $(,)?) => {$(
+        impl KvBackend for $ty {
+            #[inline]
+            fn read(&self, key: u64) {
+                let _ = <$ty>::get(self, key);
+            }
+            #[inline]
+            fn insert(&self, key: u64, value: u64) {
+                let _ = <$ty>::insert(self, key, value $(& $mask)?);
+            }
+            #[inline]
+            fn remove(&self, key: u64) {
+                let _ = <$ty>::remove(self, key);
+            }
+        }
+    )*};
+}
+
+// `DlSkiplist` requires bit 63 of a value clear, and `Plush` reserves
+// `u64::MAX` as its tombstone.
+kv_backend!(
+    veb::HtmVeb,
+    veb::PhtmVeb,
+    btree::LbTree,
+    btree::OccAbTree,
+    btree::ElimAbTree,
+    skiplist::DlSkiplist[!(1 << 63)],
+    skiplist::BdlSkiplist,
+    hashtable::Spash,
+    hashtable::BdSpash,
+    hashtable::Cceh,
+    hashtable::Plush[!(1 << 63)],
+);
+
 /// Prefills `backend` with half the key space (the paper's setup).
-pub fn prefill(backend: &dyn KvBackend, workload: &Workload) {
+fn prefill(backend: &dyn KvBackend, workload: &Workload) {
     for k in workload.prefill_keys() {
         backend.insert(k, ycsb_gen::value_of(k));
     }
@@ -79,7 +127,7 @@ pub fn prefill(backend: &dyn KvBackend, workload: &Workload) {
 
 /// Runs `threads` workers against `backend` for [`secs_per_point`]
 /// seconds and returns throughput in Mops/s.
-pub fn throughput(backend: Arc<dyn KvBackend>, workload: &Workload, threads: usize) -> f64 {
+fn throughput(backend: Arc<dyn KvBackend>, workload: &Workload, threads: usize) -> f64 {
     let stop = Arc::new(AtomicBool::new(false));
     let ops = Arc::new(AtomicU64::new(0));
     let dur = Duration::from_secs_f64(secs_per_point());
@@ -104,6 +152,129 @@ pub fn throughput(backend: Arc<dyn KvBackend>, workload: &Workload, threads: usi
         stop.store(true, Ordering::Relaxed);
     });
     ops.load(Ordering::Relaxed) as f64 / t0.elapsed().as_secs_f64() / 1e6
+}
+
+/// Heap capacity of one data point.
+pub const HEAP_BYTES: usize = 512 << 20;
+
+/// The paper's default epoch length.
+pub const EPOCH_LEN: Duration = Duration::from_millis(50);
+
+/// The buffered-durable substrate of one data point: a heap built from
+/// `nvm`, an epoch system with `epoch_len` epochs on it and a default
+/// HTM domain, both attached to `sink` when one is given.
+pub fn substrate(
+    nvm: NvmConfig,
+    epoch_len: Duration,
+    sink: Option<&mut MetricsSink>,
+) -> (Arc<EpochSys>, Arc<Htm>) {
+    let heap = Arc::new(NvmHeap::new(nvm));
+    let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(epoch_len));
+    let htm = Arc::new(Htm::new(HtmConfig::default()));
+    if let Some(sink) = sink {
+        sink.attach_htm(&htm);
+        sink.attach_esys(&esys);
+    }
+    (esys, htm)
+}
+
+/// One data point: the structure under test and the background threads
+/// that run beside it while it is measured.
+pub struct Point {
+    backend: Arc<dyn KvBackend>,
+    esys: Option<Arc<EpochSys>>,
+    persister: bool,
+    htm_window: Option<Arc<Htm>>,
+}
+
+impl Point {
+    /// A structure with no epoch system: nothing runs beside it.
+    pub fn plain(backend: impl KvBackend + 'static) -> Point {
+        Point {
+            backend: Arc::new(backend),
+            esys: None,
+            persister: false,
+            htm_window: None,
+        }
+    }
+
+    /// A buffered-durable structure on `esys`: an [`EpochTicker`] runs
+    /// beside it.
+    pub fn ticked(backend: impl KvBackend + 'static, esys: &Arc<EpochSys>) -> Point {
+        Point {
+            esys: Some(Arc::clone(esys)),
+            ..Point::plain(backend)
+        }
+    }
+
+    /// Also runs a [`Persister`] beside the ticker.
+    pub fn with_persister(self) -> Point {
+        Point {
+            persister: true,
+            ..self
+        }
+    }
+
+    /// Resets `htm`'s stats once the background threads run, so that
+    /// they count the measured window only.
+    pub fn htm_window(self, htm: &Arc<Htm>) -> Point {
+        Point {
+            htm_window: Some(Arc::clone(htm)),
+            ..self
+        }
+    }
+
+    /// Prefills, starts the background threads, measures throughput
+    /// with `threads` workers and stops the threads; returns Mops/s.
+    pub fn run(self, workload: &Workload, threads: usize) -> f64 {
+        prefill(self.backend.as_ref(), workload);
+        let persister = (self.esys.as_ref())
+            .filter(|_| self.persister)
+            .map(|esys| Persister::spawn(Arc::clone(esys)));
+        let ticker = self.esys.map(EpochTicker::spawn);
+        if let Some(htm) = &self.htm_window {
+            htm.stats().reset();
+        }
+        let mops = throughput(self.backend, workload, threads);
+        if let Some(ticker) = ticker {
+            ticker.stop();
+        }
+        if let Some(persister) = persister {
+            persister.stop();
+        }
+        mops
+    }
+}
+
+/// One series of a figure: a fresh [`Point`] from `make`, run at each
+/// thread count in turn.
+pub fn series(workload: &Workload, threads: &[usize], mut make: impl FnMut() -> Point) -> Vec<f64> {
+    threads.iter().map(|&t| make().run(workload, t)).collect()
+}
+
+/// A workload over `universe` keys: uniform, or Zipfian with theta `zipf`.
+pub fn workload(universe: u64, zipf: Option<f64>, mix: Mix) -> Workload {
+    match zipf {
+        None => WorkloadSpec::uniform(universe, mix),
+        Some(theta) => WorkloadSpec::zipfian(universe, theta, mix),
+    }
+    .build()
+}
+
+/// The four workloads of Figs. 3 and 6, labelled `distribution / mix`:
+/// {uniform, Zipfian(0.99)} × {write-heavy, read-heavy}.
+pub fn quadrants(universe: u64) -> impl Iterator<Item = (String, Workload)> {
+    let mixes = [
+        ("write-heavy", Mix::write_heavy()),
+        ("read-heavy", Mix::read_heavy()),
+    ];
+    [("uniform", None), ("zipfian(0.99)", Some(0.99))]
+        .into_iter()
+        .flat_map(move |(dist, zipf)| {
+            mixes
+                .into_iter()
+                .map(move |(name, mix)| (format!("{dist} / {name}"), workload(universe, zipf, mix)))
+        })
 }
 
 /// Shared observability-output handling for the figure binaries (see
@@ -142,14 +313,14 @@ struct SeriesStream {
 }
 
 impl MetricsSink {
-    /// Builds a sink from the process arguments.
+    /// Builds a sink from the process arguments, which must all be
+    /// common flags (exits with status 2 on any other argument).
     pub fn from_args() -> MetricsSink {
-        Self::from_common(&CommonArgs::parse())
-    }
-
-    /// Builds a sink from already-parsed [`CommonArgs`] (for binaries
-    /// that also consume [`CommonArgs::rest`]).
-    pub fn from_common(args: &CommonArgs) -> MetricsSink {
+        let args = CommonArgs::parse();
+        if let Some(arg) = args.rest.first() {
+            eprintln!("error: unknown argument {arg:?}");
+            std::process::exit(2);
+        }
         let series = args.metrics_series.as_ref().map(|path| {
             let file = match std::fs::File::create(path) {
                 Ok(f) => f,
@@ -167,8 +338,8 @@ impl MetricsSink {
             }
         });
         MetricsSink {
-            metrics_json: args.metrics_json.clone(),
-            trace_out: args.trace_out.clone(),
+            metrics_json: args.metrics_json,
+            trace_out: args.trace_out,
             registry: bdhtm_core::MetricsRegistry::new(),
             esys: None,
             series,
@@ -292,129 +463,18 @@ pub fn header(first: &str, threads: &[usize]) {
     let _ = writeln!(out);
 }
 
-// ---------------------------------------------------------------------
-// Backend adapters.
-//
-// Every BDL structure is a backend for free: the `BdlKv` trait carries
-// exactly the surface the harness drives. Figure binaries pass the
-// structure's `Arc` straight to `throughput` — no wrapper type.
-
-impl<T: bdhtm_core::BdlKv> KvBackend for T {
-    #[inline]
-    fn read(&self, key: u64) {
-        let _ = bdhtm_core::BdlKv::get(self, key);
-    }
-    #[inline]
-    fn insert(&self, key: u64, value: u64) {
-        bdhtm_core::BdlKv::insert(self, key, value);
-    }
-    #[inline]
-    fn remove(&self, key: u64) {
-        bdhtm_core::BdlKv::remove(self, key);
-    }
-}
-
-// Non-BDL baselines (DRAM-only, undo-log, OCC...) lack the trait and
-// keep their hand-written adapter wrappers.
-
-macro_rules! kv_adapter {
-    ($name:ident, $inner:ty, $read:expr, $ins:expr, $rem:expr) => {
-        pub struct $name(pub Arc<$inner>);
-        impl KvBackend for $name {
-            #[inline]
-            fn read(&self, key: u64) {
-                #[allow(clippy::redundant_closure_call)]
-                let _ = ($read)(&self.0, key);
-            }
-            #[inline]
-            fn insert(&self, key: u64, value: u64) {
-                #[allow(clippy::redundant_closure_call)]
-                let _ = ($ins)(&self.0, key, value);
-            }
-            #[inline]
-            fn remove(&self, key: u64) {
-                #[allow(clippy::redundant_closure_call)]
-                let _ = ($rem)(&self.0, key);
-            }
-        }
-    };
-}
-
-kv_adapter!(
-    HtmVebBackend,
-    veb::HtmVeb,
-    |t: &veb::HtmVeb, k| t.get(k),
-    |t: &veb::HtmVeb, k, v| t.insert(k, v),
-    |t: &veb::HtmVeb, k| t.remove(k)
-);
-kv_adapter!(
-    LbTreeBackend,
-    btree::LbTree,
-    |t: &btree::LbTree, k| t.get(k),
-    |t: &btree::LbTree, k, v| t.insert(k, v),
-    |t: &btree::LbTree, k| t.remove(k)
-);
-kv_adapter!(
-    OccBackend,
-    btree::OccAbTree,
-    |t: &btree::OccAbTree, k| t.get(k),
-    |t: &btree::OccAbTree, k, v| t.insert(k, v),
-    |t: &btree::OccAbTree, k| t.remove(k)
-);
-kv_adapter!(
-    ElimBackend,
-    btree::ElimAbTree,
-    |t: &btree::ElimAbTree, k| t.get(k),
-    |t: &btree::ElimAbTree, k, v| t.insert(k, v),
-    |t: &btree::ElimAbTree, k| t.remove(k)
-);
-kv_adapter!(
-    DlSkiplistBackend,
-    skiplist::DlSkiplist,
-    |t: &skiplist::DlSkiplist, k| t.get(k),
-    |t: &skiplist::DlSkiplist, k, v| t.insert(k, v & !(1 << 63)),
-    |t: &skiplist::DlSkiplist, k| t.remove(k)
-);
-kv_adapter!(
-    SpashBackend,
-    hashtable::Spash,
-    |t: &hashtable::Spash, k| t.get(k),
-    |t: &hashtable::Spash, k, v| t.insert(k, v),
-    |t: &hashtable::Spash, k| t.remove(k)
-);
-kv_adapter!(
-    CcehBackend,
-    hashtable::Cceh,
-    |t: &hashtable::Cceh, k| t.get(k),
-    |t: &hashtable::Cceh, k, v| t.insert(k, v),
-    |t: &hashtable::Cceh, k| t.remove(k)
-);
-kv_adapter!(
-    PlushBackend,
-    hashtable::Plush,
-    |t: &hashtable::Plush, k| t.get(k),
-    |t: &hashtable::Plush, k, v| t.insert(k, v & !(1 << 63)),
-    |t: &hashtable::Plush, k| t.remove(k)
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdhtm_core::{EpochConfig, EpochSys};
-    use htm_sim::{Htm, HtmConfig};
-    use nvm_sim::{NvmConfig, NvmHeap};
-    use ycsb_gen::{Mix, WorkloadSpec};
 
     #[test]
     fn harness_drives_a_backend() {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(32 << 20)));
-        let esys = EpochSys::format(heap, EpochConfig::default());
-        let htm = Arc::new(Htm::new(HtmConfig::default()));
-        let backend: Arc<dyn KvBackend> = Arc::new(veb::PhtmVeb::new(12, esys, htm));
-        let w = WorkloadSpec::uniform(1 << 12, Mix::write_heavy()).build();
-        prefill(backend.as_ref(), &w);
+        let (esys, htm) = substrate(NvmConfig::for_tests(32 << 20), EPOCH_LEN, None);
+        let w = workload(1 << 12, None, Mix::write_heavy());
         std::env::set_var("BDHTM_SECS", "0.05");
-        let mops = throughput(backend, &w, 2);
+        let mops = Point::ticked(veb::PhtmVeb::new(12, Arc::clone(&esys), htm), &esys)
+            .with_persister()
+            .run(&w, 2);
         assert!(mops > 0.0);
     }
 }

@@ -2,11 +2,12 @@
 //! key-value structure built on [`run_op`](crate::run_op).
 //!
 //! A structure that implements this trait gets the whole downstream
-//! stack for free: the fault crate's exhaustive crash-point sweep, the
-//! bench harness's `KvBackend`, and the generic conformance suite in
-//! `tests/bdl_conformance.rs` all adapt `BdlKv` blanketly — adding a
-//! fourth structure to the repo means implementing this trait and
-//! nothing else.
+//! stack for free: the fault crate's exhaustive crash-point sweep and
+//! the generic conformance suite in `tests/bdl_conformance.rs` both
+//! adapt `BdlKv` blanketly — adding a fourth structure to the repo
+//! means implementing this trait and nothing else (plus one line in
+//! the bench harness's `KvBackend` list to drive it from the figure
+//! binaries).
 //!
 //! The constructors take only the shared substrate (epoch system +
 //! HTM); structure-specific sizing is fixed by the impl (e.g. PHTM-vEB

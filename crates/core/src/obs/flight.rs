@@ -101,8 +101,6 @@ events! {
     OpCommit:       "op",               Op,      Epoch,             Num("restarts");
     /// The epoch clock moved: `a` = new epoch, `b` = new frontier.
     EpochAdvance:   "epoch-advance",    Epoch,   Epoch,             Num("frontier");
-    /// An advance flushed tracked blocks: `a` = blocks, `b` = words.
-    PersistBatch:   "persist-batch",    Persist, Num("blocks"),     Num("words");
     /// The `nvm-sim` fault plan fired a crash point: `a` = point index,
     /// `b` = crash-point kind code.
     FaultInjected:  "fault-injected",   Health,  Num("point"),      CrashKind("kind");

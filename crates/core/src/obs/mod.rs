@@ -99,7 +99,7 @@ histograms! {
     op_restarts: "restarts",
     /// `advance` duration, nanoseconds.
     advance_ns: "ns",
-    /// Tracked blocks flushed per epoch transition.
+    /// Tracked blocks flushed per sealed batch.
     persist_batch_blocks: "blocks",
     /// Persister time per sealed batch, nanoseconds: write-back,
     /// publish and reclamation, summed when the write-back ran before

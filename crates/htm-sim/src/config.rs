@@ -27,19 +27,18 @@ pub struct HtmConfig {
     /// Retries inside [`Htm::run`](crate::Htm::run) before taking the
     /// global fallback lock.
     pub max_retries: u32,
-    /// Seed of the *deterministic* abort injector (0 disables it). When
-    /// non-zero, begin-time abort injection draws from a seeded SplitMix64
-    /// stream owned by the `Htm` instance instead of per-thread xorshift
-    /// state, so the same seed replays the same abort schedule — the
-    /// foundation of the fault-injection harness. The deterministic
-    /// injector uses [`HtmConfig::spurious_abort_prob`] plus the two
-    /// probabilities below.
+    /// Seed of the begin-time abort injector (0 selects a fixed default
+    /// seed). The injector is a seeded SplitMix64 stream owned by the
+    /// `Htm` instance: each begin takes one draw while any of the four
+    /// injection probabilities is non-zero, so the same seed replays the
+    /// same abort schedule whichever threads drive it — the foundation
+    /// of the fault-injection harness.
     pub abort_inject_seed: u64,
-    /// Probability (per begin, deterministic injector only) of an
-    /// injected [`AbortCause::Conflict`](crate::AbortCause) abort.
+    /// Probability (per begin) of an injected
+    /// [`AbortCause::Conflict`](crate::AbortCause) abort.
     pub conflict_abort_prob: f64,
-    /// Probability (per begin, deterministic injector only) of an
-    /// injected [`AbortCause::Capacity`](crate::AbortCause) abort.
+    /// Probability (per begin) of an injected
+    /// [`AbortCause::Capacity`](crate::AbortCause) abort.
     /// Capacity aborts are never retried more than once by
     /// [`Htm::run`](crate::Htm::run), so this steers work onto the
     /// fallback path quickly.
@@ -86,9 +85,9 @@ impl HtmConfig {
         self
     }
 
-    /// Enables the deterministic abort injector: `seed` fixes the
-    /// schedule, and the three probabilities select the abort mix
-    /// (spurious / conflict / capacity, each per transaction begin).
+    /// Seeds the abort injector: `seed` fixes the schedule (0 selects
+    /// the default seed), and the three probabilities select the abort
+    /// mix (spurious / conflict / capacity, each per transaction begin).
     pub fn with_abort_injection(
         mut self,
         seed: u64,
@@ -96,7 +95,6 @@ impl HtmConfig {
         conflict: f64,
         capacity: f64,
     ) -> Self {
-        assert!(seed != 0, "seed 0 disables the deterministic injector");
         self.abort_inject_seed = seed;
         self.spurious_abort_prob = spurious;
         self.conflict_abort_prob = conflict;

@@ -108,12 +108,10 @@ pub struct Htm {
     /// Spin counts of non-zero backoff waits in the retry loop
     /// (unit: spins). Empty at the default `backoff_spins = 0`.
     backoff_hist: LogHistogram,
-    spurious_threshold: u64,
-    memtype_threshold: u64,
-    /// The deterministic abort injector's stream: concurrent begins
-    /// each consume exactly one draw of one shared, seed-determined
-    /// sequence. Unused when `config.abort_inject_seed == 0`.
-    inject_rng: AtomicSplitMix64,
+    /// The abort injector's stream: concurrent begins each consume
+    /// exactly one draw of one shared, seed-determined sequence. `None`
+    /// when every injection probability is zero.
+    inject_rng: Option<AtomicSplitMix64>,
 }
 
 /// Error returned by [`Htm::run`]: the operation aborted explicitly with a
@@ -122,8 +120,10 @@ pub struct Htm {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RunError(pub u8);
 
+/// The injector's seed when [`HtmConfig::abort_inject_seed`] is 0.
+const DEFAULT_INJECT_SEED: u64 = 0x5EED_AB07_1A7E_C7ED;
+
 thread_local! {
-    static RNG: Cell<u64> = const { Cell::new(0) };
     /// Word address of the fallback lock the current transaction
     /// subscribed to, or 0.
     static SUBSCRIBED: Cell<usize> = const { Cell::new(0) };
@@ -139,32 +139,23 @@ pub fn suppress_memtype_once() {
     SUPPRESS_MEMTYPE.with(|s| s.set(true));
 }
 
-#[inline]
-fn next_rand() -> u64 {
-    RNG.with(|r| {
-        let mut x = r.get();
-        if x == 0 {
-            x = (crate::tid::thread_id() as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(0x2545_F491_4F6C_DD1D);
-        }
-        // xorshift64*
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        r.set(x);
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    })
-}
-
-fn prob_to_threshold(p: f64) -> u64 {
-    if p <= 0.0 {
-        0
-    } else if p >= 1.0 {
-        u64::MAX
-    } else {
-        (p * u64::MAX as f64) as u64
-    }
+/// The begin-time abort injector of `config`: `None` when it injects
+/// nothing, so that a plain begin takes no draw.
+fn inject_rng(config: &HtmConfig) -> Option<AtomicSplitMix64> {
+    let probs = [
+        config.spurious_abort_prob,
+        config.conflict_abort_prob,
+        config.capacity_abort_prob,
+        config.memtype_abort_prob,
+    ];
+    let seed = match config.abort_inject_seed {
+        0 => DEFAULT_INJECT_SEED,
+        seed => seed,
+    };
+    probs
+        .iter()
+        .any(|&p| p > 0.0)
+        .then(|| AtomicSplitMix64::new(seed))
 }
 
 impl Htm {
@@ -175,30 +166,33 @@ impl Htm {
         Htm {
             stats: HtmStats::new(),
             backoff_hist: LogHistogram::new(),
-            spurious_threshold: prob_to_threshold(config.spurious_abort_prob),
-            memtype_threshold: prob_to_threshold(config.memtype_abort_prob),
-            inject_rng: AtomicSplitMix64::new(config.abort_inject_seed),
+            inject_rng: inject_rng(&config),
             config,
         }
     }
 
-    /// One draw of the deterministic injector stream: picks the abort to
-    /// inject at this begin, if any.
-    fn injected_abort(&self) -> Option<AbortCause> {
-        let draw = self.inject_rng.next_u64();
+    /// One draw of the injector stream: picks the abort to inject at
+    /// this begin by the cumulative probabilities, spurious, conflict,
+    /// capacity, then MEMTYPE (which [`suppress_memtype_once`] cancels).
+    /// Cold: a begin with no injection configured never calls it.
+    #[cold]
+    fn injected_abort(&self, rng: &AtomicSplitMix64) -> Option<AbortCause> {
+        let draw = rng.next_u64();
         let u = (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let c = &self.config;
-        let mut acc = c.spurious_abort_prob;
-        if u < acc {
-            return Some(AbortCause::Spurious);
-        }
-        acc += c.conflict_abort_prob;
-        if u < acc {
-            return Some(AbortCause::Conflict);
-        }
-        acc += c.capacity_abort_prob;
-        if u < acc {
-            return Some(AbortCause::Capacity);
+        let mut acc = 0.0;
+        for (p, cause) in [
+            (c.spurious_abort_prob, AbortCause::Spurious),
+            (c.conflict_abort_prob, AbortCause::Conflict),
+            (c.capacity_abort_prob, AbortCause::Capacity),
+            (c.memtype_abort_prob, AbortCause::MemType),
+        ] {
+            acc += p;
+            if u < acc {
+                let suppressed =
+                    cause == AbortCause::MemType && SUPPRESS_MEMTYPE.with(|s| s.replace(false));
+                return (!suppressed).then_some(cause);
+            }
         }
         None
     }
@@ -283,25 +277,11 @@ impl Htm {
         crate::enter_txn();
         let _g = Guard(SUBSCRIBED.with(|s| s.get()));
 
-        // Begin-time abort injection. With a seeded injector configured,
-        // spurious/conflict/capacity events come from its deterministic
-        // stream; otherwise spurious events use per-thread xorshift state
-        // (the legacy probabilistic mode).
-        if self.config.abort_inject_seed != 0 {
-            if let Some(cause) = self.injected_abort() {
+        if let Some(rng) = &self.inject_rng {
+            if let Some(cause) = self.injected_abort(rng) {
                 self.stats.record_abort(cause);
                 return Err(cause);
             }
-        } else if self.spurious_threshold != 0 && next_rand() < self.spurious_threshold {
-            self.stats.record_abort(AbortCause::Spurious);
-            return Err(AbortCause::Spurious);
-        }
-        if self.memtype_threshold != 0
-            && next_rand() < self.memtype_threshold
-            && !SUPPRESS_MEMTYPE.with(|s| s.replace(false))
-        {
-            self.stats.record_abort(AbortCause::MemType);
-            return Err(AbortCause::MemType);
         }
 
         let rv = global_clock().load(Ordering::SeqCst);
@@ -616,6 +596,23 @@ mod tests {
 
         let c = injected_run(0xFA11_5EEE);
         assert_ne!(a.aborts, c.aborts, "different seeds should diverge");
+    }
+
+    #[test]
+    fn injection_schedule_does_not_depend_on_the_thread() {
+        let schedule = || {
+            let htm = Htm::new(HtmConfig::for_tests().with_memtype_anomaly(0.5));
+            (0..1000)
+                .map(|_| htm.attempt(|_| Ok(())).err())
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(schedule);
+            let b = s.spawn(schedule);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "one seed, one schedule, whichever thread drives it");
+        assert!(a.contains(&Some(AbortCause::MemType)) && a.contains(&None));
     }
 
     #[test]

@@ -117,7 +117,8 @@ fn wait_for_quiet_write_back(heap: &NvmHeap, quiet: Duration) {
 /// lasts longer than the batch's ≳ 20 ms write-back, so the persister
 /// seals the batch before its release and writes it back inside the
 /// gap. The releasing advance then leaves only the fence and the
-/// frontier line, and the frontier publishes within 5 ms of it.
+/// frontier line: between it and the publish, exactly one line (the
+/// frontier record) is written back.
 #[test]
 fn pipelined_release_after_an_idle_gap_publishes_at_once() {
     let mut nc = NvmConfig::for_tests(8 << 20);
@@ -142,17 +143,18 @@ fn pipelined_release_after_an_idle_gap_publishes_at_once() {
         "written back, but not released"
     );
 
+    let lines = heap.stats().snapshot().lines_written_back;
     let t = Instant::now();
     esys.advance(); // releases EPOCH_START
     while esys.persisted_frontier() < EPOCH_START {
         assert!(t.elapsed() < Duration::from_secs(10), "never published");
         std::thread::yield_now();
     }
-    let publish = t.elapsed();
+    let publish_lines = heap.stats().snapshot().lines_written_back - lines;
     persister.stop();
-    assert!(
-        publish < Duration::from_millis(5),
-        "the frontier published {publish:?} after the releasing advance"
+    assert_eq!(
+        publish_lines, 1,
+        "the release left write-back beyond the frontier line"
     );
     // EPOCH_START, and whichever empty epochs the persister sealed
     // before their release.

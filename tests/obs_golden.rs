@@ -48,7 +48,6 @@ fn events() -> Vec<FlightEvent> {
         ev(4_100, 3, BatchSealed, 17, 96),
         ev(4_200, 3, PipelineStall, 2, 2),
         ev(5_000, 4, PersistRetry, 2, 1),
-        ev(5_100, 4, PersistBatch, 17, 96),
         ev(5_999, 4, BatchPersisted, 2, 17),
         ev(6_000, 4, DegradedToSync, 1, 2),
         ev(6_100, 4, DegradedToSync, 2, u64::MAX),
