@@ -280,7 +280,7 @@ impl FlightRecorder {
     }
 
     /// Records one event with a caller-supplied timestamp (nanoseconds
-    /// since the recorder's origin) so one `Instant::now()` can serve
+    /// since the recorder's origin) so one clock reading can serve
     /// both this event and another timeline (the lag tracker).
     #[inline]
     pub(crate) fn record_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {

@@ -130,24 +130,40 @@ impl Obs {
         self.recorder.record(kind, a, b);
     }
 
-    /// Records an op commit: the `OpCommit` flight event *and* the
-    /// durability-lag span stamp, from a single `Instant::now()` so the
-    /// two timelines agree. `frontier` is the durable frontier at call
-    /// time (recycled-slot accounting; see `lag.rs`).
+    /// Nanoseconds since this `Obs` was built: the timeline every flight
+    /// event and lag span is stamped on.
     #[inline]
-    pub(crate) fn commit_event(&self, epoch: u64, restarts: u64, frontier: u64) {
-        let t_ns = self.origin.elapsed().as_nanos() as u64;
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// Records one lifecycle event stamped `t_ns` (a [`now_ns`](Self::now_ns)
+    /// reading the caller also uses for something else).
+    #[inline]
+    pub(crate) fn event_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
+        self.recorder.record_at(t_ns, kind, a, b);
+    }
+
+    /// Records an op commit: the `OpCommit` flight event *and* the
+    /// durability-lag span stamp, from one clock reading so the two
+    /// timelines agree. Returns that reading, which `run_op` also turns
+    /// into the op's latency sample. `frontier` is the durable frontier
+    /// at call time (recycled-slot accounting; see `lag.rs`).
+    #[inline]
+    pub(crate) fn commit_event(&self, epoch: u64, restarts: u64, frontier: u64) -> u64 {
+        let t_ns = self.now_ns();
         self.recorder
             .record_at(t_ns, EventKind::OpCommit, epoch, restarts);
         self.lag.record_commit(epoch, t_ns, frontier);
+        t_ns
     }
 
     /// Folds every commit span of `epoch` into the `durability_lag_ns`
     /// histogram, stamped against now. Called by `complete_batch` when
     /// the batch closing `epoch` has fully persisted.
     pub(crate) fn fold_epoch_lag(&self, epoch: u64) -> u64 {
-        let now_ns = self.origin.elapsed().as_nanos() as u64;
-        self.lag.fold_epoch(epoch, now_ns, &self.durability_lag_ns)
+        self.lag
+            .fold_epoch(epoch, self.now_ns(), &self.durability_lag_ns)
     }
 
     /// The last `max` lifecycle events across all threads.

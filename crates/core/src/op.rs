@@ -33,7 +33,6 @@ use nvm_sim::{CrashTriggered, NvmAddr};
 use persist_alloc::{Header, CLASS_WORDS};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 /// A deferred fix-up an operation wants to run *after* its registration
 /// is cleanly aborted but *before* the retry (e.g. BD-Spash splitting a
@@ -147,8 +146,15 @@ impl<'a> OpGuard<'a> {
     /// Registers an operation in the current epoch and, when `prealloc`
     /// is given, takes the thread's spare block (Listing 1 lines 7–12).
     pub fn begin(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>) -> OpGuard<'a> {
+        Self::begin_at(esys, prealloc, esys.obs().now_ns())
+    }
+
+    /// [`OpGuard::begin`] with its `OpBegin` event stamped `t_ns`, a
+    /// clock reading taken just before (by `run_op`, which also measures
+    /// the op's latency from it).
+    fn begin_at(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>, t_ns: u64) -> OpGuard<'a> {
         let epoch = esys.begin_op();
-        esys.obs().event(EventKind::OpBegin, epoch, 0);
+        esys.obs().event_at(t_ns, EventKind::OpBegin, epoch, 0);
         let prealloc = prealloc.map(|slots| (slots, slots.take(esys)));
         OpGuard {
             esys,
@@ -198,16 +204,28 @@ impl<'a> OpGuard<'a> {
     /// Commits the attempt: applies `effects` in the canonical
     /// post-commit order and ends the operation. Returns the body's
     /// result.
-    pub fn finish<R>(mut self, effects: CommitEffects<R>) -> R {
+    pub fn finish<R>(self, effects: CommitEffects<R>) -> R {
+        self.finish_from(effects, None)
+    }
+
+    /// [`OpGuard::finish`]; with `t0`, the clock reading the op began at,
+    /// also records the op's latency and restart count (`run_op`).
+    fn finish_from<R>(mut self, effects: CommitEffects<R>, t0: Option<u64>) -> R {
         self.armed = false;
-        // One timestamp feeds both the OpCommit flight event and the
-        // durability-lag span; the span is folded into the lag
-        // histogram when this epoch's batch publishes the frontier.
-        self.esys.obs().commit_event(
+        // One clock reading stamps the OpCommit flight event, the
+        // durability-lag span and the latency sample; the span is folded
+        // into the lag histogram when this epoch's batch publishes the
+        // frontier.
+        let obs = self.esys.obs();
+        let t_ns = obs.commit_event(
             self.epoch,
             self.restarts.get(),
             self.esys.persisted_frontier(),
         );
+        if let Some(t0) = t0 {
+            obs.op_latency_ns.record(t_ns - t0);
+            obs.op_restarts.record(self.restarts.get());
+        }
         if let Some(old) = effects.retire {
             self.esys.p_retire(old);
         }
@@ -274,10 +292,15 @@ pub fn run_op<'a, R>(
     prealloc: Option<&'a PreallocSlots>,
     mut body: impl FnMut(&OpGuard<'a>) -> Result<OpStep<'a, R>, RunError>,
 ) -> R {
-    let t0 = Instant::now();
+    // Two clock readings per committed op: this one stamps the first
+    // attempt's OpBegin, the commit's stamps OpCommit, and the op's
+    // latency is their difference. A restarted attempt stamps its own
+    // OpBegin; the latency still counts from the first.
+    let t0 = esys.obs().now_ns();
+    let mut t_begin = t0;
     let mut restarts = 0u64;
     loop {
-        let op = OpGuard::begin(esys, prealloc);
+        let op = OpGuard::begin_at(esys, prealloc, t_begin);
         op.restarts.set(restarts);
         // A panicking body must not take the whole process down with an
         // HTM transaction open and an epoch announced: catch it, let the
@@ -299,12 +322,7 @@ pub fn run_op<'a, R>(
             }
         };
         match step {
-            Ok(OpStep::Commit(effects)) => {
-                let obs = esys.obs();
-                obs.op_latency_ns.record(t0.elapsed().as_nanos() as u64);
-                obs.op_restarts.record(restarts);
-                return op.finish(effects);
-            }
+            Ok(OpStep::Commit(effects)) => return op.finish_from(effects, Some(t0)),
             Ok(OpStep::Restart(fixup)) => {
                 op.abort_tag.set(ABORT_RESTART);
                 op.abort();
@@ -322,6 +340,7 @@ pub fn run_op<'a, R>(
             }
         }
         restarts += 1;
+        t_begin = esys.obs().now_ns();
     }
 }
 
@@ -406,6 +425,50 @@ mod tests {
         let epochs = epochs.into_inner();
         assert_eq!(epochs.len(), 2);
         assert!(epochs[1] > epochs[0], "retry must re-register, not reuse");
+    }
+
+    /// The `OpBegin` and `OpCommit` stamps of the flight dump, in order.
+    fn op_stamps(esys: &EpochSys) -> (Vec<u64>, Vec<u64>) {
+        let dump = esys.obs().dump(usize::MAX);
+        let stamps = |kind| {
+            dump.iter()
+                .filter(|ev| ev.kind == kind)
+                .map(|ev| ev.t_ns)
+                .collect::<Vec<_>>()
+        };
+        (stamps(EventKind::OpBegin), stamps(EventKind::OpCommit))
+    }
+
+    /// A committed op reads the clock once at each boundary: its latency
+    /// sample is exactly the distance between its two flight stamps.
+    #[test]
+    fn latency_is_the_distance_between_the_op_stamps() {
+        let (esys, _htm) = setup();
+        run_op(&esys, None, |_op| OpStep::commit(CommitEffects::of(())));
+        let (begins, commits) = op_stamps(&esys);
+        assert_eq!((begins.len(), commits.len()), (1, 1));
+        let lat = esys.obs().op_latency_ns().snapshot();
+        assert_eq!((lat.count, lat.sum), (1, commits[0] - begins[0]));
+    }
+
+    /// A restart stamps its own `OpBegin`, and the latency still counts
+    /// from the first attempt's.
+    #[test]
+    fn latency_counts_from_the_first_attempt() {
+        let (esys, _htm) = setup();
+        let mut attempts = 0;
+        run_op(&esys, None, |_op| {
+            attempts += 1;
+            if attempts == 1 {
+                return OpStep::restart();
+            }
+            OpStep::commit(CommitEffects::of(()))
+        });
+        let (begins, commits) = op_stamps(&esys);
+        assert_eq!((begins.len(), commits.len()), (2, 1));
+        assert!(begins[0] <= begins[1]);
+        let lat = esys.obs().op_latency_ns().snapshot();
+        assert_eq!((lat.count, lat.sum), (1, commits[0] - begins[0]));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`PlainAccess`] (plain loads and stores, for memory no other thread
 //! can reach).
 
-use crate::htm::Htm;
+use crate::htm::versioned_store;
 use crate::txn::{Abort, TxResult, Txn};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,15 +56,13 @@ impl<'env> MemAccess<'env> for Txn<'env> {
 /// transactions — see [`FallbackLock::acquire`](crate::FallbackLock::acquire)).
 /// Stores bump the stripe version of the written line so that transactions
 /// beginning after the critical section revalidate correctly.
-pub struct LockedAccess<'env> {
-    htm: &'env Htm,
+pub struct LockedAccess {
     explicit_code: Option<u8>,
 }
 
-impl<'env> LockedAccess<'env> {
-    pub(crate) fn new(htm: &'env Htm) -> Self {
+impl LockedAccess {
+    pub(crate) fn new() -> Self {
         Self {
-            htm,
             explicit_code: None,
         }
     }
@@ -74,7 +72,7 @@ impl<'env> LockedAccess<'env> {
     }
 }
 
-impl<'env> MemAccess<'env> for LockedAccess<'env> {
+impl<'env> MemAccess<'env> for LockedAccess {
     #[inline]
     fn load(&mut self, cell: &'env AtomicU64) -> TxResult<u64> {
         Ok(cell.load(Ordering::Acquire))
@@ -82,18 +80,8 @@ impl<'env> MemAccess<'env> for LockedAccess<'env> {
 
     #[inline]
     fn store(&mut self, cell: &'env AtomicU64, val: u64) -> TxResult<()> {
-        let table = self.htm.table();
-        let idx = table.index_of(cell as *const AtomicU64 as usize);
-        loop {
-            let w = table.load(idx);
-            if !w.locked() && table.try_lock(idx, w) {
-                cell.store(val, Ordering::Release);
-                let v = self.htm.clock().fetch_add(1, Ordering::SeqCst) + 1;
-                table.unlock_with_version(idx, v);
-                return Ok(());
-            }
-            std::thread::yield_now();
-        }
+        versioned_store(cell, val);
+        Ok(())
     }
 
     #[inline]

@@ -5,7 +5,7 @@
 //! the validation of every subscribed transaction — the software analogue
 //! of the coherence invalidation a TSX lock acquisition broadcasts.
 
-use crate::htm::Htm;
+use crate::htm::{lock_stripe, Htm};
 use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,17 +55,16 @@ impl FallbackLock {
                 continue;
             }
             // Versioned write: lock the stripe covering the lock word,
-            // flip it, and release with a fresh version so subscribed
-            // transactions fail validation.
-            let w = table.load(idx);
-            if w.locked() || !table.try_lock(idx, w) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self.word.load(Ordering::Acquire) == 0 {
-                self.word.store(1, Ordering::SeqCst);
-                let v = htm.clock().fetch_add(1, Ordering::SeqCst) + 1;
-                table.unlock_with_version(idx, v);
+            // flip it if still free, and release with a fresh version so
+            // subscribed transactions fail validation.
+            let flipped = lock_stripe(table, htm.clock(), idx, || {
+                let free = self.word.load(Ordering::Acquire) == 0;
+                if free {
+                    self.word.store(1, Ordering::SeqCst);
+                }
+                free
+            });
+            if flipped {
                 // Dekker handshake with Txn::commit: wait until no commit
                 // that might have missed our store is still writing back.
                 while htm.inflight().load(Ordering::SeqCst) != 0 {
@@ -73,7 +72,6 @@ impl FallbackLock {
                 }
                 return;
             }
-            table.unlock_restore(idx, w);
         }
     }
 
@@ -82,16 +80,10 @@ impl FallbackLock {
     pub fn release(&self, htm: &Htm) {
         let table = htm.table();
         let idx = table.index_of(self.word() as *const AtomicU64 as usize);
-        loop {
-            let w = table.load(idx);
-            if !w.locked() && table.try_lock(idx, w) {
-                self.word.store(0, Ordering::SeqCst);
-                let v = htm.clock().fetch_add(1, Ordering::SeqCst) + 1;
-                table.unlock_with_version(idx, v);
-                return;
-            }
-            std::thread::yield_now();
-        }
+        lock_stripe(table, htm.clock(), idx, || {
+            self.word.store(0, Ordering::SeqCst);
+            true
+        });
     }
 }
 
@@ -102,6 +94,7 @@ mod tests {
 
     #[test]
     fn acquire_release_toggles_state() {
+        let _quiet = crate::chaos::quiet();
         let htm = Htm::new(HtmConfig::for_tests());
         let lock = FallbackLock::new();
         assert!(!lock.locked());

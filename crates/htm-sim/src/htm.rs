@@ -7,7 +7,7 @@ use crate::fallback::FallbackLock;
 use crate::hist::LogHistogram;
 use crate::rng::AtomicSplitMix64;
 use crate::stats::HtmStats;
-use crate::stripe::StripeTable;
+use crate::stripe::{StripeTable, LINE_SHIFT};
 use crate::txn::{AbortCause, TxResult, Txn};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,52 +42,75 @@ pub(crate) fn global_inflight() -> &'static AtomicUsize {
 /// Required whenever memory that transactional readers may hold references
 /// to is mutated outside a transaction: reclaiming and reinitializing NVM
 /// blocks, publishing under the fallback lock, etc.
-/// [`versioned_store`] over a contiguous run of atomics that share cache
-/// lines: one stripe acquisition and one version bump per line instead of
-/// per word (the doom-stale-readers guarantee is per line anyway).
-pub fn versioned_store_slice(cells: &[AtomicU64], val: u64) {
-    let table = global_table();
-    let mut i = 0;
-    while i < cells.len() {
-        let idx = table.index_of(&cells[i] as *const AtomicU64 as usize);
-        // Extend the run while subsequent words map to the same stripe.
-        let mut j = i + 1;
-        while j < cells.len() && table.index_of(&cells[j] as *const AtomicU64 as usize) == idx {
-            j += 1;
-        }
-        let mut spins = 0u32;
-        loop {
-            let w = table.load(idx);
-            if !w.locked() && table.try_lock(idx, w) {
-                for c in &cells[i..j] {
-                    c.store(val, Ordering::Release);
+pub fn versioned_store(cell: &AtomicU64, val: u64) {
+    versioned_store_words(std::slice::from_ref(cell), |_| Some(val));
+}
+
+/// [`versioned_store`] over a contiguous run of words, storing
+/// `value(i)` into word `i` (`None` leaves the word as it is): one stripe
+/// acquisition and one version bump per cache line of the run instead of
+/// per word. Stale readers are doomed exactly as by per-word stores,
+/// because conflict detection is per line anyway. Every line of `cells`
+/// is bumped, whether or not `value` writes a word of it.
+///
+/// Words are stored from last to first, so the first word of the run —
+/// a block header's state word — is the last one written.
+pub fn versioned_store_words(cells: &[AtomicU64], value: impl Fn(usize) -> Option<u64>) {
+    store_words_in(global_table(), &GLOBAL_CLOCK, cells, value);
+}
+
+/// [`versioned_store_words`] against an explicit table and clock (the
+/// unit tests use private ones to count version bumps exactly).
+fn store_words_in(
+    table: &StripeTable,
+    clock: &AtomicU64,
+    cells: &[AtomicU64],
+    value: impl Fn(usize) -> Option<u64>,
+) {
+    const WORDS_PER_LINE: usize = 1 << (LINE_SHIFT - 3);
+    let mut end = cells.len();
+    while end > 0 {
+        let addr = &cells[end - 1] as *const AtomicU64 as usize;
+        // The run starts at the line boundary (cells are 8-byte aligned).
+        let start = end.saturating_sub(1 + (addr >> 3) % WORDS_PER_LINE);
+        lock_stripe(table, clock, table.index_of(addr), || {
+            for i in (start..end).rev() {
+                if let Some(v) = value(i) {
+                    cells[i].store(v, Ordering::Release);
                 }
-                let v = GLOBAL_CLOCK.fetch_add(1, Ordering::SeqCst) + 1;
-                table.unlock_with_version(idx, v);
-                break;
             }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        i = j;
+            true
+        });
+        end = start;
     }
 }
 
-pub fn versioned_store(cell: &AtomicU64, val: u64) {
-    let table = global_table();
-    let idx = table.index_of(cell as *const AtomicU64 as usize);
+/// The simulator's one stripe-lock loop: try-locks stripe `idx`
+/// (spinning 64 times, then yielding between tries), runs `f` with the
+/// stripe held, and releases it with a fresh version from `clock` if `f`
+/// returns `true`, or with its pre-lock word otherwise. Returns `f`'s
+/// verdict. Every non-transactional coherent write goes through here:
+/// [`versioned_store_words`], the fallback path's stores, and the
+/// fallback lock itself.
+pub(crate) fn lock_stripe(
+    table: &StripeTable,
+    clock: &AtomicU64,
+    idx: usize,
+    f: impl FnOnce() -> bool,
+) -> bool {
     let mut spins = 0u32;
     loop {
         let w = table.load(idx);
         if !w.locked() && table.try_lock(idx, w) {
-            cell.store(val, Ordering::Release);
-            let v = GLOBAL_CLOCK.fetch_add(1, Ordering::SeqCst) + 1;
-            table.unlock_with_version(idx, v);
-            return;
+            let stored = f();
+            crate::chaos::point("htm::versioned_store");
+            if stored {
+                let v = clock.fetch_add(1, Ordering::SeqCst) + 1;
+                table.unlock_with_version(idx, v);
+            } else {
+                table.unlock_restore(idx, w);
+            }
+            return stored;
         }
         spins += 1;
         if spins > 64 {
@@ -373,7 +396,7 @@ impl Htm {
         // Fallback path: global lock, direct accesses.
         lock.acquire(self);
         self.stats.record_fallback();
-        let mut la = LockedAccess::new(self);
+        let mut la = LockedAccess::new();
         let result = f(&mut la);
         let code = la.explicit_code();
         lock.release(self);
@@ -420,14 +443,46 @@ pub fn backoff_spin(spins: u64) {
 
 #[cfg(test)]
 mod tests {
+    //! Tests that commit writes or take the fallback lock pass chaos
+    //! points; they hold `chaos::quiet()` so that no session armed by a
+    //! chaos test meanwhile records them.
+
     use super::*;
 
     fn cells(n: usize) -> Vec<AtomicU64> {
         (0..n).map(|_| AtomicU64::new(0)).collect()
     }
 
+    /// Two cache lines of words, line-aligned.
+    #[repr(align(64))]
+    struct Lines([AtomicU64; 16]);
+
+    #[test]
+    fn per_word_store_bumps_the_clock_once_per_line() {
+        let table = StripeTable::new(10);
+        let clock = AtomicU64::new(0);
+        let block = Lines(std::array::from_fn(|_| AtomicU64::new(0)));
+        store_words_in(&table, &clock, &block.0[..8], |i| Some(i as u64 + 1));
+        assert_eq!(clock.load(Ordering::SeqCst), 1, "8 words of one line");
+        store_words_in(&table, &clock, &block.0, |i| (i % 3 != 1).then_some(100));
+        assert_eq!(clock.load(Ordering::SeqCst), 3, "a 16-word block");
+        let words: Vec<u64> = block.0.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let want: Vec<u64> = (0..16)
+            .map(|i| match (i % 3, i < 8) {
+                (1, true) => i + 1, // kept from the first store
+                (1, false) => 0,    // never written
+                _ => 100,
+            })
+            .collect();
+        assert_eq!(words, want, "`None` leaves a word as it is");
+        let line = |i: usize| table.load(table.index_of(&block.0[i] as *const AtomicU64 as usize));
+        assert_eq!((line(0).version(), line(8).version()), (3, 2));
+        assert!(!line(0).locked() && !line(8).locked());
+    }
+
     #[test]
     fn read_write_commit() {
+        let _quiet = crate::chaos::quiet();
         let htm = Htm::new(HtmConfig::for_tests());
         let c = cells(2);
         let r = htm.attempt(|t| {
@@ -486,6 +541,7 @@ mod tests {
 
     #[test]
     fn subscription_aborts_when_lock_held() {
+        let _quiet = crate::chaos::quiet();
         let htm = Htm::new(HtmConfig::for_tests());
         let lock = FallbackLock::new();
         lock.acquire(&htm);
@@ -497,6 +553,7 @@ mod tests {
 
     #[test]
     fn run_goes_to_fallback_under_certain_spurious_aborts() {
+        let _quiet = crate::chaos::quiet();
         let htm = Htm::new(HtmConfig::for_tests().with_spurious(1.0));
         let lock = FallbackLock::new();
         let c = cells(1);
@@ -532,6 +589,7 @@ mod tests {
 
     #[test]
     fn conflicting_writers_preserve_atomicity() {
+        let _quiet = crate::chaos::quiet();
         use std::sync::Arc;
         let htm = Arc::new(Htm::new(HtmConfig::default()));
         let lock = Arc::new(FallbackLock::new());
@@ -568,6 +626,7 @@ mod tests {
     /// Runs a fixed single-threaded workload under the deterministic
     /// injector and returns the abort breakdown.
     fn injected_run(seed: u64) -> StatsSnapshot {
+        let _quiet = crate::chaos::quiet();
         let htm = Htm::new(HtmConfig::for_tests().with_abort_injection(seed, 0.2, 0.2, 0.05));
         let lock = FallbackLock::new();
         let c = cells(1);
@@ -617,6 +676,7 @@ mod tests {
 
     #[test]
     fn forced_aborts_complete_via_fallback() {
+        let _quiet = crate::chaos::quiet();
         // Every begin aborts, so every operation must take the lock path.
         let htm = Htm::new(
             HtmConfig::for_tests()

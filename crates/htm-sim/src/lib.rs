@@ -71,7 +71,7 @@ pub use config::HtmConfig;
 pub use fallback::FallbackLock;
 pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS};
 pub use htm::{
-    backoff_ladder, backoff_spin, suppress_memtype_once, versioned_store, versioned_store_slice,
+    backoff_ladder, backoff_spin, suppress_memtype_once, versioned_store, versioned_store_words,
     Htm, RunError,
 };
 pub use rng::SplitMix64;

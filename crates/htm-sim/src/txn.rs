@@ -1,7 +1,10 @@
 //! Speculative transactions: read/write sets, opacity, and commit.
 
+use crate::config::HtmConfig;
 use crate::htm::Htm;
-use crate::stripe::{StripeTable, StripeWord};
+use crate::stripe::{StripeTable, StripeWord, LINE_SHIFT};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a transaction aborted. Mirrors the cause taxonomy of Intel TSX
@@ -69,6 +72,57 @@ pub struct Abort;
 /// Result alias used by all transactional code.
 pub type TxResult<T> = Result<T, Abort>;
 
+/// A transaction's tracking sets. One set per thread lives in [`SETS`]
+/// between attempts, so a warm attempt allocates nothing: [`Txn::new`]
+/// takes it and `Txn`'s drop clears it and hands it back, on commit,
+/// abort and unwind alike.
+#[derive(Default)]
+struct Sets {
+    /// Stripe indices read (possibly duplicated); revalidated at commit.
+    reads: Vec<u32>,
+    /// Buffered speculative writes, in program order. The cells are
+    /// `&'env AtomicU64`s of the owning [`Txn`], kept as addresses so the
+    /// buffer can outlive the attempt.
+    writes: Vec<(*const AtomicU64, u64)>,
+    /// Distinct cache lines written (capacity accounting).
+    lines: Vec<usize>,
+    /// The commit's distinct write stripes and their pre-lock words.
+    stripes: Vec<(u32, StripeWord)>,
+}
+
+impl Sets {
+    const fn new() -> Self {
+        Sets {
+            reads: Vec::new(),
+            writes: Vec::new(),
+            lines: Vec::new(),
+            stripes: Vec::new(),
+        }
+    }
+
+    /// Empties every set and trims each to the largest size `config`
+    /// lets it reach (a buffer grown under a roomier configuration).
+    fn clear_within(&mut self, config: &HtmConfig) {
+        let lines = config.write_capacity_lines;
+        let words = lines * (1 << (LINE_SHIFT - 3));
+        clear_and_trim(&mut self.reads, config.read_capacity_entries);
+        clear_and_trim(&mut self.writes, words);
+        clear_and_trim(&mut self.lines, lines);
+        clear_and_trim(&mut self.stripes, lines);
+    }
+}
+
+fn clear_and_trim<T>(v: &mut Vec<T>, cap: usize) {
+    v.clear();
+    if v.capacity() > cap {
+        v.shrink_to(cap);
+    }
+}
+
+thread_local! {
+    static SETS: Cell<Sets> = const { Cell::new(Sets::new()) };
+}
+
 /// An active speculative transaction.
 ///
 /// Obtained from [`Htm::attempt`](crate::Htm::attempt) or, behind the
@@ -80,13 +134,19 @@ pub struct Txn<'env> {
     htm: &'env Htm,
     /// Read version: global-clock snapshot at begin.
     rv: u64,
-    /// Stripe indices read (possibly duplicated); revalidated at commit.
-    read_set: Vec<u32>,
-    /// Buffered speculative writes, in program order.
-    write_set: Vec<(&'env AtomicU64, u64)>,
-    /// Distinct cache lines written (capacity accounting).
-    write_lines: Vec<usize>,
+    sets: Sets,
     cause: AbortCause,
+    /// Every address in `sets.writes` came from a `&'env AtomicU64`.
+    _cells: PhantomData<&'env AtomicU64>,
+}
+
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        let mut sets = std::mem::take(&mut self.sets);
+        sets.clear_within(self.htm.config());
+        // `try_with`: a thread tearing down its thread-locals just frees it.
+        let _ = SETS.try_with(|s| s.set(sets));
+    }
 }
 
 impl<'env> Txn<'env> {
@@ -94,10 +154,9 @@ impl<'env> Txn<'env> {
         Txn {
             htm,
             rv,
-            read_set: Vec::with_capacity(64),
-            write_set: Vec::with_capacity(16),
-            write_lines: Vec::with_capacity(16),
+            sets: SETS.with(Cell::take),
             cause: AbortCause::Conflict,
+            _cells: PhantomData,
         }
     }
 
@@ -126,24 +185,24 @@ impl<'env> Txn<'env> {
     pub fn load(&mut self, cell: &'env AtomicU64) -> TxResult<u64> {
         self.check_poison()?;
         // Read-your-own-writes: scan the (small) write buffer backwards.
-        let addr = cell as *const AtomicU64 as usize;
-        for (c, v) in self.write_set.iter().rev() {
-            if std::ptr::eq(*c, cell) {
+        let addr: *const AtomicU64 = cell;
+        for (c, v) in self.sets.writes.iter().rev() {
+            if *c == addr {
                 return Ok(*v);
             }
         }
         let table = self.htm.table();
-        let idx = table.index_of(addr);
+        let idx = table.index_of(addr as usize);
         let w1 = table.load(idx);
         let val = cell.load(Ordering::Acquire);
         let w2 = table.load(idx);
         if w1.locked() || w1 != w2 || w1.version() > self.rv {
             return Err(self.fail(AbortCause::Conflict));
         }
-        self.read_set.push(idx as u32);
-        if self.read_set.len() > self.htm.config().read_capacity_entries {
+        if self.sets.reads.len() == self.htm.config().read_capacity_entries {
             return Err(self.fail(AbortCause::Capacity));
         }
+        self.sets.reads.push(idx as u32);
         Ok(val)
     }
 
@@ -151,20 +210,21 @@ impl<'env> Txn<'env> {
     #[inline]
     pub fn store(&mut self, cell: &'env AtomicU64, val: u64) -> TxResult<()> {
         self.check_poison()?;
-        for (c, v) in self.write_set.iter_mut().rev() {
-            if std::ptr::eq(*c, cell) {
+        let addr: *const AtomicU64 = cell;
+        for (c, v) in self.sets.writes.iter_mut().rev() {
+            if *c == addr {
                 *v = val;
                 return Ok(());
             }
         }
-        self.write_set.push((cell, val));
-        let line = StripeTable::line_of(cell as *const AtomicU64 as usize);
-        if !self.write_lines.contains(&line) {
-            self.write_lines.push(line);
-            if self.write_lines.len() > self.htm.config().write_capacity_lines {
+        let line = StripeTable::line_of(addr as usize);
+        if !self.sets.lines.contains(&line) {
+            if self.sets.lines.len() == self.htm.config().write_capacity_lines {
                 return Err(self.fail(AbortCause::Capacity));
             }
+            self.sets.lines.push(line);
         }
+        self.sets.writes.push((addr, val));
         Ok(())
     }
 
@@ -192,16 +252,21 @@ impl<'env> Txn<'env> {
         if self.check_poison().is_err() {
             return Err(self.cause);
         }
-        if self.write_set.is_empty() {
+        if self.sets.writes.is_empty() {
             // Read-only transactions were validated access-by-access.
             return Ok(());
         }
         let table = self.htm.table();
+        let Sets {
+            reads,
+            writes,
+            stripes,
+            ..
+        } = &mut self.sets;
 
         // Gather the distinct stripes of the write set.
-        let mut stripes: Vec<(u32, StripeWord)> = Vec::with_capacity(self.write_set.len());
-        for (cell, _) in &self.write_set {
-            let idx = table.index_of(*cell as *const AtomicU64 as usize) as u32;
+        for &(cell, _) in writes.iter() {
+            let idx = table.index_of(cell as usize) as u32;
             if !stripes.iter().any(|(i, _)| *i == idx) {
                 stripes.push((idx, StripeWord(0)));
             }
@@ -234,29 +299,34 @@ impl<'env> Txn<'env> {
         self.htm.inflight().fetch_add(1, Ordering::SeqCst);
         if self.htm.fallback_held() {
             self.htm.inflight().fetch_sub(1, Ordering::SeqCst);
-            release_all(&stripes);
+            release_all(stripes);
             return Err(AbortCause::FallbackLocked);
         }
 
         // Phase 3: obtain the write version and validate the read set.
+        crate::chaos::point("htm::commit");
         let wv = self.htm.clock().fetch_add(1, Ordering::SeqCst) + 1;
         if wv > self.rv + 1 {
-            for &idx in &self.read_set {
+            for &idx in reads.iter() {
                 let w = table.load(idx as usize);
                 let mine = stripes.iter().any(|(i, _)| *i == idx);
                 if w.version() > self.rv || (w.locked() && !mine) {
                     self.htm.inflight().fetch_sub(1, Ordering::SeqCst);
-                    release_all(&stripes);
+                    release_all(stripes);
                     return Err(AbortCause::Conflict);
                 }
             }
         }
 
         // Phase 4: write back and release with the new version.
-        for (cell, val) in &self.write_set {
-            cell.store(*val, Ordering::Release);
+        for &(cell, val) in writes.iter() {
+            // SAFETY: only `store` pushes to `writes`, and it pushes the
+            // address of a `&'env AtomicU64`; the set was empty when this
+            // `Txn` took it (every `Txn` clears it on drop). `'env`
+            // outlives `self`, so the cell is still alive.
+            unsafe { &*cell }.store(val, Ordering::Release);
         }
-        for (idx, _) in &stripes {
+        for (idx, _) in stripes.iter() {
             table.unlock_with_version(*idx as usize, wv);
         }
         self.htm.inflight().fetch_sub(1, Ordering::SeqCst);

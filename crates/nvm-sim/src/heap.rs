@@ -259,30 +259,36 @@ impl NvmHeap {
         spin_ns(self.config.read_ns);
     }
 
-    /// Writes a word with a *versioned* store ([`htm_sim::versioned_store`]):
-    /// concurrent hardware transactions that read the word's line observe
-    /// the change and abort, as they would under real cache coherence.
-    /// Use for non-transactional mutation of words that transactional
-    /// readers may hold references to (block reclamation and reuse).
-    #[inline]
-    pub fn write_coherent(&self, addr: NvmAddr, val: u64) {
-        self.stats.record_write();
-        htm_sim::versioned_store(&self.volatile[addr.0 as usize], val);
-        self.dirty[addr.line() as usize].store(1, Ordering::Release);
-    }
-
-    /// [`NvmHeap::write_coherent`] over `words` consecutive words, with
-    /// one version bump per cache line instead of per word. Used for bulk
-    /// reinitialization of recycled blocks.
-    pub fn write_coherent_range(&self, addr: NvmAddr, words: u64, val: u64) {
+    /// Writes `words` consecutive words from `addr` with *versioned*
+    /// stores ([`htm_sim::versioned_store_words`]): word `i` gets
+    /// `value(i)`, or is left as it is when that is `None`. Concurrent
+    /// hardware transactions that read any line of the range observe the
+    /// change and abort, as they would under real cache coherence. Use
+    /// for non-transactional mutation of words that transactional readers
+    /// may hold references to (block reclamation and reuse).
+    ///
+    /// Costs one stripe acquisition and one version bump per cache line,
+    /// not per word. Counts one write per word written and dirties every
+    /// line of the range.
+    pub fn write_coherent_words(
+        &self,
+        addr: NvmAddr,
+        words: u64,
+        value: impl Fn(u64) -> Option<u64>,
+    ) {
         if words == 0 {
             return;
         }
         let a = addr.0 as usize;
-        htm_sim::versioned_store_slice(&self.volatile[a..a + words as usize], val);
-        for _ in 0..words {
-            self.stats.record_write();
-        }
+        let written = std::cell::Cell::new(0);
+        htm_sim::versioned_store_words(&self.volatile[a..a + words as usize], |i| {
+            let v = value(i as u64);
+            written.set(written.get() + v.is_some() as u64);
+            v
+        });
+        self.stats.record_writes(written.get());
+        // Dirtied after the stores, as by `write`: a write-back that
+        // clears the flag has then copied the new words.
         let first = addr.line();
         let last = NvmAddr(addr.0 + words - 1).line();
         for line in first..=last {

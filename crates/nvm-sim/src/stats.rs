@@ -78,7 +78,12 @@ impl NvmStats {
 
     #[inline]
     pub(crate) fn record_write(&self) {
-        self.me().writes.fetch_add(1, Ordering::Relaxed);
+        self.record_writes(1);
+    }
+
+    #[inline]
+    pub(crate) fn record_writes(&self, n: u64) {
+        self.me().writes.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]

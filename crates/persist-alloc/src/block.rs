@@ -80,21 +80,29 @@ pub fn class_for_payload(payload_words: u64) -> Option<usize> {
 /// nothing is flushed — the deletion record becomes durable when the
 /// retiring epoch's buffer is persisted.
 pub fn mark_deleted(heap: &NvmHeap, blk: NvmAddr, class: usize, del_epoch: u64) {
-    heap.write_coherent(blk.offset(HDR_DEL_EPOCH), del_epoch);
-    heap.write_coherent(
-        blk.offset(HDR_STATE),
-        pack_state(BlockState::Deleted, class),
-    );
+    set_state_and_del_epoch(heap, blk, pack_state(BlockState::Deleted, class), del_epoch);
 }
 
 /// Re-marks a `DELETED` block `ALLOCATED` (recovery resurrection of
 /// deletions that never became durable).
 pub fn mark_allocated(heap: &NvmHeap, blk: NvmAddr, class: usize) {
-    heap.write_coherent(blk.offset(HDR_DEL_EPOCH), INVALID_EPOCH);
-    heap.write_coherent(
-        blk.offset(HDR_STATE),
+    set_state_and_del_epoch(
+        heap,
+        blk,
         pack_state(BlockState::Allocated, class),
+        INVALID_EPOCH,
     );
+}
+
+/// Writes a header's state and delete-epoch words in one coherent pass
+/// over the header line, leaving the epoch word between them as it is.
+/// The delete epoch lands first, the state word last.
+fn set_state_and_del_epoch(heap: &NvmHeap, blk: NvmAddr, state: u64, del_epoch: u64) {
+    heap.write_coherent_words(blk, HDR_DEL_EPOCH + 1, |w| match w {
+        HDR_STATE => Some(state),
+        HDR_DEL_EPOCH => Some(del_epoch),
+        _ => None,
+    });
 }
 
 /// Convenience non-transactional header accessors (used off the critical

@@ -1,7 +1,8 @@
 //! The allocator proper: extent carving, shared free lists, thread caches.
 
 use crate::block::{
-    pack_state, BlockState, Header, CLASS_WORDS, HDR_EPOCH, INVALID_EPOCH, NUM_CLASSES,
+    pack_state, BlockState, Header, CLASS_WORDS, HDR_DEL_EPOCH, HDR_EPOCH, HDR_STATE,
+    INVALID_EPOCH, NUM_CLASSES,
 };
 use htm_sim::sync::Mutex;
 use htm_sim::{max_threads, thread_id};
@@ -134,23 +135,16 @@ impl PAlloc {
         assert!(class < NUM_CLASSES);
         let blk = self.obtain(class);
         // (Re)initialize the header and zero the payload with *versioned*
-        // stores: a stale transactional reader still holding a pointer to
-        // this recycled block must observe the reuse and abort.
-        self.heap.write_coherent(
-            blk.offset(crate::block::HDR_STATE),
-            pack_state(BlockState::Allocated, class),
-        );
+        // stores, one pass per line: a stale transactional reader still
+        // holding a pointer to this recycled block must observe the reuse
+        // and abort.
+        let state = pack_state(BlockState::Allocated, class);
         self.heap
-            .write_coherent(blk.offset(HDR_EPOCH), INVALID_EPOCH);
-        self.heap
-            .write_coherent(blk.offset(crate::block::HDR_DEL_EPOCH), INVALID_EPOCH);
-        self.heap
-            .write_coherent(blk.offset(crate::block::HDR_TAG), 0);
-        self.heap.write_coherent_range(
-            blk.offset(crate::block::HDR_WORDS),
-            CLASS_WORDS[class] - crate::block::HDR_WORDS,
-            0,
-        );
+            .write_coherent_words(blk, CLASS_WORDS[class], |w| match w {
+                HDR_STATE => Some(state),
+                HDR_EPOCH | HDR_DEL_EPOCH => Some(INVALID_EPOCH),
+                _ => Some(0), // tag and payload
+            });
         self.classes[class].live.fetch_add(1, Ordering::Relaxed);
         blk
     }
@@ -325,11 +319,11 @@ impl PAlloc {
 /// state word, and issues its `clwb`; the caller fences. Shared by
 /// [`PAlloc::free_batch`] and the recovery scan's re-invalidation.
 pub(crate) fn invalidate(heap: &NvmHeap, blk: NvmAddr, class: usize) {
-    heap.write_coherent(blk.offset(HDR_EPOCH), INVALID_EPOCH);
-    heap.write_coherent(
-        blk.offset(crate::block::HDR_STATE),
-        pack_state(BlockState::Free, class),
-    );
+    let state = pack_state(BlockState::Free, class);
+    heap.write_coherent_words(blk, HDR_EPOCH + 1, |w| match w {
+        HDR_STATE => Some(state),
+        _ => Some(INVALID_EPOCH),
+    });
     heap.clwb(blk);
 }
 
@@ -446,6 +440,90 @@ mod tests {
             Some((BlockState::Free, 0))
         );
         assert_eq!(a.alloc(0), b, "the freed block is the next one out");
+    }
+
+    /// The header words and first payload word of `blk`, read in one
+    /// transaction (`None` if it aborted).
+    fn read_block(htm: &htm_sim::Htm, heap: &NvmHeap, blk: NvmAddr) -> Option<[u64; 5]> {
+        htm.attempt(|t| {
+            let mut words = [0; 5];
+            for (i, w) in words.iter_mut().enumerate() {
+                *w = t.load(heap.word(blk.offset(i as u64)))?;
+            }
+            Ok(words)
+        })
+        .ok()
+    }
+
+    /// A transaction that read a word of a block before `apply` rewrote
+    /// its header aborts with `Conflict` on its next load of that line.
+    fn assert_dooms_stale_reader(a: &PAlloc, blk: NvmAddr, apply: impl FnOnce()) {
+        use htm_sim::{AbortCause, Htm, HtmConfig};
+        let htm = Htm::new(HtmConfig::for_tests());
+        let heap = a.heap();
+        let r = htm.attempt(|t| {
+            t.load(heap.word(blk.offset(crate::block::HDR_TAG)))?;
+            apply();
+            t.load(heap.word(blk.offset(HDR_EPOCH)))?;
+            Ok(())
+        });
+        assert_eq!(r.unwrap_err(), AbortCause::Conflict);
+    }
+
+    /// `alloc`'s one pass per line over a recycled block dooms a reader
+    /// of the old block and hands a later reader the fresh header.
+    #[test]
+    fn recycling_alloc_dooms_stale_readers() {
+        let a = setup();
+        let b = a.alloc(0);
+        Header::set_epoch(a.heap(), b, 3);
+        Header::set_tag(a.heap(), b, 9);
+        a.heap().write(b.offset(crate::block::HDR_WORDS), 0xAB);
+        a.free_batch(&[b]);
+        assert_dooms_stale_reader(&a, b, || assert_eq!(a.alloc(0), b));
+
+        let htm = htm_sim::Htm::new(htm_sim::HtmConfig::for_tests());
+        let words = read_block(&htm, a.heap(), b).expect("a fresh reader must not abort");
+        let state = pack_state(BlockState::Allocated, 0);
+        assert_eq!(words, [state, INVALID_EPOCH, INVALID_EPOCH, 0, 0]);
+        for w in crate::block::HDR_WORDS..CLASS_WORDS[0] {
+            assert_eq!(a.heap().word(b.offset(w)).load(Ordering::Relaxed), 0);
+        }
+    }
+
+    /// The same for `mark_deleted`, which rewrites the state and delete
+    /// epoch and leaves the epoch word, tag and payload as they were.
+    #[test]
+    fn mark_deleted_dooms_stale_readers() {
+        let a = setup();
+        let b = a.alloc(0);
+        Header::set_epoch(a.heap(), b, 3);
+        Header::set_tag(a.heap(), b, 9);
+        a.heap().write(b.offset(crate::block::HDR_WORDS), 0xAB);
+        assert_dooms_stale_reader(&a, b, || crate::block::mark_deleted(a.heap(), b, 0, 5));
+
+        let htm = htm_sim::Htm::new(htm_sim::HtmConfig::for_tests());
+        let words = read_block(&htm, a.heap(), b).expect("a fresh reader must not abort");
+        let state = pack_state(BlockState::Deleted, 0);
+        assert_eq!(words, [state, 3, 5, 9, 0xAB]);
+    }
+
+    /// Each header update costs one write per word it writes and dirties
+    /// the header line, as the per-word stores it replaced did.
+    #[test]
+    fn header_passes_count_one_write_per_word() {
+        let a = setup();
+        let b = a.alloc(1); // carve outside the measurement
+        a.free_batch(&[b]);
+        let writes = |f: &dyn Fn()| {
+            let before = a.heap().stats().snapshot();
+            f();
+            a.heap().stats().snapshot().since(&before).writes
+        };
+        assert_eq!(writes(&|| assert_eq!(a.alloc(1), b)), CLASS_WORDS[1]);
+        assert_eq!(writes(&|| crate::block::mark_deleted(a.heap(), b, 1, 5)), 2);
+        assert_eq!(writes(&|| crate::block::mark_allocated(a.heap(), b, 1)), 2);
+        assert_eq!(writes(&|| invalidate(a.heap(), b, 1)), 2);
     }
 
     #[test]
