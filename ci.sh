@@ -118,10 +118,14 @@ echo "==> figure binaries smoke (each experiment binary once, at smoke scale)"
 # Every figure/table binary asserts its own invariants. One tiny run of
 # each fails the gate on a non-zero exit, a timeout, or a binary that
 # prints no data row (a line outside the `#` titles with a decimal).
+# recovery_time also runs its rebuild split across two workers, each
+# rebuilt index checked by validate().
 for bin in fig1_veb_overhead fig2_abort_rates fig3_tree_comparison fig4_mwcas \
            fig5_skiplist fig6_hashtables fig7_epoch_length fig8_nvm_space \
            ablation_bdl table3_space recovery_time; do
-    out=$(with_timeout 300 env BDHTM_SECS=0.02 BDHTM_SCALE=12 BDHTM_THREADS=1 \
+    threads=1
+    [ "$bin" = recovery_time ] && threads=1,2
+    out=$(with_timeout 300 env BDHTM_SECS=0.02 BDHTM_SCALE=12 BDHTM_THREADS=$threads \
         "./target/release/$bin") || { echo "$bin exited non-zero"; exit 1; }
     rows=$(printf '%s\n' "$out" | grep -v '^#' | grep -c '[0-9]\.[0-9]' || true)
     [ "$rows" -gt 0 ] || { echo "$bin printed no data row"; exit 1; }

@@ -1,10 +1,11 @@
 //! §5.2: recovery time — NVM heap scan, DRAM index rebuild, `validate()`
 //! (the three phases the repo benchmark reports) — for the three
-//! case-study structures, with 1 and N scanner/rebuild threads. The
-//! 1-thread rebuild runs no transactions (the index is private until
-//! `recover` returns); the N-thread rebuild links through HTM, as in the
-//! paper, where rebuild dominates, parallelizes well, and the skiplist
-//! rebuilds slowest.
+//! case-study structures, with 1 and N scanner/rebuild threads, N being
+//! the last entry of `BDHTM_THREADS`. No rebuild runs a transaction: the
+//! index is private until `recover` returns, so PHTM-vEB and BDL-Skiplist
+//! cut their key-sorted records into N runs that workers build side by
+//! side with plain stores, and BD-Spash rebuilds on one thread. The heap
+//! is sized from the record count.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin recovery_time
@@ -36,7 +37,8 @@ fn main() {
         // Build, fill (pipelined: a persister writes batches back while
         // the fill keeps inserting; flush_all below waits on the durable
         // frontier, not on inline write-backs), persist, crash.
-        let (esys, htm) = substrate(NvmConfig::for_tests(1 << 30), EPOCH_LEN, None);
+        let heap_bytes = ((records as usize) << 8).max(64 << 20);
+        let (esys, htm) = substrate(NvmConfig::for_tests(heap_bytes), EPOCH_LEN, None);
         let persister = Persister::spawn(Arc::clone(&esys));
         let ubits = 64 - (records * 2 - 1).leading_zeros();
         match kind {

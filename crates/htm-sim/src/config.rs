@@ -1,20 +1,22 @@
 //! Configuration of the simulated best-effort HTM.
 
-/// Tunable parameters of the simulated HTM implementation.
-///
-/// Defaults model a TSX-era Intel core: a 32 KiB 8-way L1D bounds the
-/// speculative write set (512 lines), and the read set is tracked less
-/// precisely in a larger structure (we model the paper's "L1 plus a
-/// Bloom-filter summary of evicted lines" as a generous flat cap).
+/// Maximum number of distinct cache lines a transaction may write before
+/// aborting with [`AbortCause::Capacity`](crate::AbortCause): a TSX-era
+/// Intel core's 32 KiB 8-way L1D bounds the speculative write set.
+pub(crate) const WRITE_CAPACITY_LINES: usize = 512;
+
+/// Maximum number of (possibly duplicated) tracked reads before a
+/// capacity abort. TSX read sets are tracked less precisely, in a larger
+/// structure; the paper's "L1 plus a Bloom-filter summary of evicted
+/// lines" is modelled as this generous flat cap.
+pub(crate) const READ_CAPACITY_ENTRIES: usize = 1 << 16;
+
+/// Tunable parameters of the simulated HTM implementation: abort
+/// injection, the retry budget and the backoff. The speculative capacity
+/// is fixed: 512 written lines (a TSX-era 32 KiB 8-way L1D) and 65,536
+/// tracked reads.
 #[derive(Clone, Debug)]
 pub struct HtmConfig {
-    /// Maximum number of distinct cache lines a transaction may write
-    /// before aborting with [`AbortCause::Capacity`](crate::AbortCause).
-    pub write_capacity_lines: usize,
-    /// Maximum number of (possibly duplicated) tracked reads before a
-    /// capacity abort. TSX read sets are summarized imprecisely; we use a
-    /// flat bound on tracked read entries.
-    pub read_capacity_entries: usize,
     /// Probability (per transaction begin) of a spurious abort, modeling
     /// timer interrupts, page faults and other transient TSX events.
     pub spurious_abort_prob: f64,
@@ -52,8 +54,6 @@ pub struct HtmConfig {
 impl Default for HtmConfig {
     fn default() -> Self {
         Self {
-            write_capacity_lines: 512,
-            read_capacity_entries: 1 << 16,
             spurious_abort_prob: 0.0,
             memtype_abort_prob: 0.0,
             max_retries: 16,

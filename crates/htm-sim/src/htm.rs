@@ -510,18 +510,23 @@ mod tests {
 
     #[test]
     fn write_capacity_abort() {
-        let mut cfg = HtmConfig::for_tests();
-        cfg.write_capacity_lines = 4;
-        let htm = Htm::new(cfg);
-        // 64 cells spread over >4 lines.
-        let c: Vec<AtomicU64> = cells(64);
-        let r = htm.attempt(|t| {
-            for cell in &c {
-                t.store(cell, 1)?;
-            }
-            Ok(())
-        });
-        assert_eq!(r.unwrap_err(), AbortCause::Capacity);
+        use crate::config::WRITE_CAPACITY_LINES;
+        let htm = Htm::new(HtmConfig::for_tests());
+        // One word per line, eight words apart: each store is a new line.
+        let c: Vec<AtomicU64> = cells((WRITE_CAPACITY_LINES + 1) * 8);
+        let write_lines = |n: usize| {
+            htm.attempt(|t| {
+                for cell in c.iter().step_by(8).take(n) {
+                    t.store(cell, 1)?;
+                }
+                Ok(())
+            })
+        };
+        assert!(write_lines(WRITE_CAPACITY_LINES).is_ok());
+        assert_eq!(
+            write_lines(WRITE_CAPACITY_LINES + 1).unwrap_err(),
+            AbortCause::Capacity
+        );
     }
 
     #[test]

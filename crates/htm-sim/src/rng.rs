@@ -82,12 +82,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Bernoulli draw with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.next_f64() < p
-    }
 }
 
 #[cfg(test)]

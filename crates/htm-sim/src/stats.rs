@@ -188,15 +188,6 @@ impl StatsSnapshot {
         self.commits as f64 / attempts as f64
     }
 
-    /// Fraction of attempts aborted by a given cause.
-    pub fn abort_ratio(&self, cause: AbortCause) -> f64 {
-        let attempts = self.attempts();
-        if attempts == 0 {
-            return 0.0;
-        }
-        self.aborts_of(cause) as f64 / attempts as f64
-    }
-
     /// Difference of two snapshots (self - earlier), for measuring a phase.
     /// Saturating per field: a `reset()` between the two snapshots yields
     /// zeros instead of a debug-build underflow panic.

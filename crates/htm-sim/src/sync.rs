@@ -148,16 +148,6 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard {
-                inner: e.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         match self.inner.try_write() {
             Ok(g) => Some(RwLockWriteGuard { inner: g }),

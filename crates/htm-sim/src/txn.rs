@@ -1,8 +1,8 @@
 //! Speculative transactions: read/write sets, opacity, and commit.
 
-use crate::config::HtmConfig;
+use crate::config::{READ_CAPACITY_ENTRIES, WRITE_CAPACITY_LINES};
 use crate::htm::Htm;
-use crate::stripe::{StripeTable, StripeWord, LINE_SHIFT};
+use crate::stripe::{StripeTable, StripeWord};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,22 +100,13 @@ impl Sets {
         }
     }
 
-    /// Empties every set and trims each to the largest size `config`
-    /// lets it reach (a buffer grown under a roomier configuration).
-    fn clear_within(&mut self, config: &HtmConfig) {
-        let lines = config.write_capacity_lines;
-        let words = lines * (1 << (LINE_SHIFT - 3));
-        clear_and_trim(&mut self.reads, config.read_capacity_entries);
-        clear_and_trim(&mut self.writes, words);
-        clear_and_trim(&mut self.lines, lines);
-        clear_and_trim(&mut self.stripes, lines);
-    }
-}
-
-fn clear_and_trim<T>(v: &mut Vec<T>, cap: usize) {
-    v.clear();
-    if v.capacity() > cap {
-        v.shrink_to(cap);
+    /// Empties every set. The capacity constants bound each set's length,
+    /// so a warm buffer never holds more than one capacity-sized attempt.
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.lines.clear();
+        self.stripes.clear();
     }
 }
 
@@ -143,7 +134,7 @@ pub struct Txn<'env> {
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
         let mut sets = std::mem::take(&mut self.sets);
-        sets.clear_within(self.htm.config());
+        sets.clear();
         // `try_with`: a thread tearing down its thread-locals just frees it.
         let _ = SETS.try_with(|s| s.set(sets));
     }
@@ -199,7 +190,7 @@ impl<'env> Txn<'env> {
         if w1.locked() || w1 != w2 || w1.version() > self.rv {
             return Err(self.fail(AbortCause::Conflict));
         }
-        if self.sets.reads.len() == self.htm.config().read_capacity_entries {
+        if self.sets.reads.len() == READ_CAPACITY_ENTRIES {
             return Err(self.fail(AbortCause::Capacity));
         }
         self.sets.reads.push(idx as u32);
@@ -219,7 +210,7 @@ impl<'env> Txn<'env> {
         }
         let line = StripeTable::line_of(addr as usize);
         if !self.sets.lines.contains(&line) {
-            if self.sets.lines.len() == self.htm.config().write_capacity_lines {
+            if self.sets.lines.len() == WRITE_CAPACITY_LINES {
                 return Err(self.fail(AbortCause::Capacity));
             }
             self.sets.lines.push(line);

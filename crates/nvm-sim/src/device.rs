@@ -62,23 +62,18 @@ impl std::error::Error for DeviceError {}
 /// A seeded transient-fault schedule, armed on a heap via
 /// [`crate::NvmHeap::arm_device_faults`].
 ///
-/// Rates are per-mille (0..=1000) per guarded operation. `burst` makes
-/// each triggered fault repeat on the next `burst - 1` guarded
-/// operations too — modelling a device that stays sick for a window
-/// rather than flaking on exactly one line. An optional `fault_budget`
-/// bounds the total injections, after which the device heals and every
-/// operation succeeds: schedules can force a degradation and then let
-/// the system drain.
+/// Rates are per-mille (0..=1000) per guarded operation. An optional
+/// `fault_budget` bounds the total injections, after which the device
+/// heals and every operation succeeds: schedules can force a degradation
+/// and then let the system drain.
 pub struct DeviceFaults {
     wb_fail_permille: u32,
     fence_fail_permille: u32,
     spike_permille: u32,
     spike_ns: u64,
-    burst: u32,
     fault_budget: u64,
     rng: AtomicSplitMix64,
     seq: AtomicU64,
-    burst_left: AtomicU64,
     injected: AtomicU64,
 }
 
@@ -90,11 +85,9 @@ impl DeviceFaults {
             fence_fail_permille: 0,
             spike_permille: 0,
             spike_ns: 0,
-            burst: 1,
             fault_budget: 0,
             rng: AtomicSplitMix64::new(seed),
             seq: AtomicU64::new(0),
-            burst_left: AtomicU64::new(0),
             injected: AtomicU64::new(0),
         }
     }
@@ -117,13 +110,6 @@ impl DeviceFaults {
     pub fn with_latency_spikes(mut self, permille: u32, spike_ns: u64) -> Self {
         self.spike_permille = permille.min(1000);
         self.spike_ns = spike_ns;
-        self
-    }
-
-    /// Each triggered fault repeats on the next `n - 1` guarded
-    /// operations as well (`n == 0` is treated as 1).
-    pub fn with_burst(mut self, n: u32) -> Self {
-        self.burst = n.max(1);
         self
     }
 
@@ -155,25 +141,12 @@ impl DeviceFaults {
         let budget_open =
             self.fault_budget == 0 || self.injected.load(Ordering::SeqCst) < self.fault_budget;
 
-        // A burst in progress consumes this op.
-        if budget_open
-            && self
-                .burst_left
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-        {
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            return (self.spike_ns, Some(DeviceError { op, seq }));
-        }
-
         let rate = match op {
             DeviceOpKind::Writeback => self.wb_fail_permille,
             DeviceOpKind::Fence => self.fence_fail_permille,
         };
         if budget_open && rate > 0 && (r % 1000) < rate as u64 {
             self.injected.fetch_add(1, Ordering::SeqCst);
-            self.burst_left
-                .store((self.burst - 1) as u64, Ordering::SeqCst);
             return (self.spike_ns, Some(DeviceError { op, seq }));
         }
 
@@ -205,7 +178,7 @@ mod tests {
     #[test]
     fn rates_roughly_respected() {
         let hits = schedule(42, 2000).iter().filter(|&&b| b).count();
-        // 20% nominal; bursts of 1, so a loose band suffices.
+        // 20% nominal; a loose band suffices.
         assert!(hits > 200 && hits < 700, "hits={hits}");
     }
 
@@ -224,35 +197,6 @@ mod tests {
         assert_eq!(d.injected(), 5);
         // Healed: everything succeeds now.
         assert!(d.draw(DeviceOpKind::Writeback).1.is_none());
-    }
-
-    #[test]
-    fn bursts_fail_consecutive_ops() {
-        let d = DeviceFaults::new(11)
-            .with_writeback_failures(50)
-            .with_burst(4);
-        let out: Vec<bool> = (0..2000)
-            .map(|_| d.draw(DeviceOpKind::Writeback).1.is_some())
-            .collect();
-        // Every triggered fault must be followed by >= 3 more failures.
-        let mut i = 0;
-        let mut saw_burst = false;
-        while i < out.len() {
-            if out[i] {
-                if i + 4 > out.len() {
-                    break; // burst truncated by end of run
-                }
-                assert!(
-                    out[i + 1] && out[i + 2] && out[i + 3],
-                    "burst broken at {i}"
-                );
-                saw_burst = true;
-                i += 4;
-            } else {
-                i += 1;
-            }
-        }
-        assert!(saw_burst, "no fault triggered in 2000 draws at 5%");
     }
 
     #[test]

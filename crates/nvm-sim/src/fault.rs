@@ -28,8 +28,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Which persist-relevant operation a crash point interrupted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CrashPointKind {
-    /// A `clwb` line write-back (also reached via `persist_range` and
-    /// `write_persist`, which are built from `clwb` + `fence`).
+    /// A `clwb` line write-back (also reached via `persist_range`, which
+    /// is built from `clwb`).
     Clwb,
     /// An `sfence` draining prior write-backs.
     Fence,

@@ -394,17 +394,6 @@ impl NvmHeap {
         spin_ns(self.config.fence_ns);
     }
 
-    /// Write + clwb + fence: the strict-durability idiom of DL structures.
-    #[inline]
-    pub fn write_persist(&self, addr: NvmAddr, val: u64) -> bool {
-        self.write(addr, val);
-        let ok = self.clwb(addr);
-        if ok {
-            self.fence();
-        }
-        ok
-    }
-
     /// Fallible [`NvmHeap::clwb`]: consults the armed [`DeviceFaults`]
     /// schedule first and returns a transient [`DeviceError`] (nothing
     /// reaches media) if it fires. With no schedule armed this is exactly

@@ -229,11 +229,6 @@ impl PAlloc {
         class
     }
 
-    /// The epoch word of a block, as a raw atomic for transactional access.
-    pub fn epoch_word(heap: &NvmHeap, blk: NvmAddr) -> &std::sync::atomic::AtomicU64 {
-        heap.word(blk.offset(HDR_EPOCH))
-    }
-
     /// Current volatile statistics.
     pub fn stats(&self) -> AllocStats {
         let mut s = AllocStats::default();

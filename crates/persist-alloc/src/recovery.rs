@@ -38,13 +38,7 @@ impl PAlloc {
     /// `DELETED`. The caller decides which of those are live and frees
     /// the rest.
     pub fn recover(heap: Arc<NvmHeap>) -> (PAlloc, Vec<RecoveredBlock>) {
-        Self::recover_parallel(heap, 1)
-    }
-
-    /// [`PAlloc::recover`] with `threads` scanner threads (the paper's
-    /// 20-thread recovery experiments).
-    pub fn recover_parallel(heap: Arc<NvmHeap>, threads: usize) -> (PAlloc, Vec<RecoveredBlock>) {
-        let (alloc, parts) = Self::recover_with(heap, threads, |_| Vec::new(), Vec::push);
+        let (alloc, parts) = Self::recover_with(heap, 1, |_| Vec::new(), Vec::push);
         (alloc, parts.into_iter().flatten().collect())
     }
 
@@ -285,7 +279,8 @@ mod tests {
         let img = heap.crash();
         let h1 = Arc::new(NvmHeap::from_image(img));
         let (_s, mut seq) = PAlloc::recover(Arc::clone(&h1));
-        let (_p, mut par) = PAlloc::recover_parallel(h1, 4);
+        let (_p, par) = PAlloc::recover_with(h1, 4, |_| Vec::new(), Vec::push);
+        let mut par: Vec<_> = par.into_iter().flatten().collect();
         seq.sort_by_key(|b| b.addr);
         par.sort_by_key(|b| b.addr);
         assert_eq!(seq.len(), par.len());

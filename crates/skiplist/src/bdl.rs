@@ -10,8 +10,7 @@
 
 use crate::{random_level, MAX_LEVEL};
 use bdhtm_core::{
-    live_keys_sorted, payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots,
-    UpdateKind, OLD_SEE_NEW,
+    payload, run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, UpdateKind, OLD_SEE_NEW,
 };
 use htm_sim::chaos;
 use htm_sim::ebr;
@@ -21,6 +20,8 @@ use persist_alloc::Header;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod recovery;
 
 /// Block tag identifying BDL-Skiplist KV pairs in recovery scans.
 pub const SKIP_KV_TAG: u64 = 0x534B_4C56; // "SKLV"
@@ -418,182 +419,9 @@ impl BdlSkiplist {
         self.len() == 0
     }
 
-    /// Rebuilds a skiplist from recovered live blocks (§5.2): towers are
-    /// regenerated in DRAM for every block tagged [`SKIP_KV_TAG`].
-    ///
-    /// The list is a local here — nobody else can reach it before this
-    /// returns — so with one thread it is built in one left-to-right pass
-    /// over the blocks sorted by key: each tower is appended, with plain
-    /// stores, to the last tower linked at each of its levels. With
-    /// `threads > 1` the workers do share it, and each links its slice
-    /// of the key range the way `insert` does, search then HTM link (the
-    /// paper's 20-thread recovery).
-    pub fn recover(
-        esys: Arc<EpochSys>,
-        htm: Arc<Htm>,
-        live: &[LiveBlock],
-        threads: usize,
-    ) -> BdlSkiplist {
-        let list = BdlSkiplist::new(esys, htm);
-        let mine = live_keys_sorted(list.esys.heap(), live, SKIP_KV_TAG, P_KEY);
-        assert!(
-            mine.windows(2).all(|w| w[0].0 != w[1].0),
-            "duplicate key in recovered heap"
-        );
-        if threads <= 1 || mine.len() < 128 {
-            let mut tails = [list.head as u64; MAX_LEVEL];
-            for &(key, blk) in &mine {
-                let t = Tower::boxed(key, next_level(), blk);
-                let level = t.level;
-                let t_ptr = Box::into_raw(t) as u64;
-                for (lvl, tail) in tails.iter_mut().enumerate().take(level) {
-                    unsafe { list.tower(*tail) }.next[lvl].store(t_ptr, Ordering::Relaxed);
-                    *tail = t_ptr;
-                }
-            }
-            return list;
-        }
-        let link_one = |key: u64, blk: u64| loop {
-            let (preds, succs, _) = list.find(key);
-            let t = Tower::boxed(key, next_level(), blk);
-            for (n, &s) in t.next.iter().zip(succs.iter()).take(t.level) {
-                n.store(s, Ordering::Relaxed);
-            }
-            let levels = t.level;
-            let t_ptr = Box::into_raw(t) as u64;
-            let r = list.htm.run(&list.lock, |m| {
-                if !list.validate_window(m, &preds, &succs, levels)? {
-                    return Ok(false);
-                }
-                for (i, &pp) in preds.iter().enumerate().take(levels) {
-                    let p = unsafe { list.tower(pp) };
-                    m.store(&p.next[i], t_ptr)?;
-                }
-                Ok(true)
-            });
-            match r {
-                Ok(true) => break,
-                _ => unsafe {
-                    drop(Box::from_raw(t_ptr as *mut Tower));
-                },
-            }
-        };
-        let link = &link_one;
-        std::thread::scope(|s| {
-            for part in mine.chunks(mine.len().div_ceil(threads)) {
-                s.spawn(move || part.iter().for_each(|&(key, blk)| link(key, blk)));
-            }
-        });
-        list
-    }
-
     /// Reclaims per-thread preallocated blocks (clean shutdown).
     pub fn drain_preallocated(&self) {
         self.new_blk.drain(&self.esys);
-    }
-
-    /// Structural invariant check for the fault-injection harness. Call
-    /// while quiescent (e.g. right after recovery); verifies:
-    ///
-    /// * the level-0 list is strictly increasing with no reachable
-    ///   tombstones, and every tower's KV block is allocated, tagged
-    ///   [`SKIP_KV_TAG`], carries a valid epoch, and holds the tower's
-    ///   key;
-    /// * every level-`l` list is a subsequence of level 0 containing
-    ///   exactly towers taller than `l`, in the same order;
-    /// * no two towers share a KV block.
-    pub fn validate(&self) -> Result<(), String> {
-        use persist_alloc::BlockState;
-        let heap = self.esys.heap();
-        let clock = self.esys.current_epoch();
-        let head = self.head as u64;
-
-        let mut blocks: Vec<u64> = Vec::new();
-        let mut prev_key: Option<u64> = None;
-        let mut cur = unsafe { self.tower(head) }.next[0].load(Ordering::Acquire);
-        while cur != 0 {
-            if cur == TOMB {
-                return Err("validate: tombstone reachable at level 0".into());
-            }
-            let t = unsafe { self.tower(cur) };
-            if prev_key.is_some_and(|p| t.key <= p) {
-                return Err(format!("validate: level-0 order violated at key {}", t.key));
-            }
-            if t.level == 0 || t.level > MAX_LEVEL {
-                return Err(format!("validate: tower {} has height {}", t.key, t.level));
-            }
-            let blk = NvmAddr(t.blk.load(Ordering::Acquire));
-            match Header::state(heap, blk) {
-                Some((BlockState::Allocated, _)) => {}
-                other => {
-                    return Err(format!(
-                        "key {}: block {blk:?} not allocated ({other:?})",
-                        t.key
-                    ))
-                }
-            }
-            let tag = Header::tag(heap, blk);
-            if tag != SKIP_KV_TAG {
-                return Err(format!(
-                    "key {}: block {blk:?} has foreign tag {tag:#x}",
-                    t.key
-                ));
-            }
-            let be = Header::epoch(heap, blk);
-            if be == persist_alloc::INVALID_EPOCH || be > clock {
-                return Err(format!(
-                    "key {}: block {blk:?} carries invalid epoch {be} (clock {clock})",
-                    t.key
-                ));
-            }
-            let k = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
-            if k != t.key {
-                return Err(format!("tower {} points at block holding key {k}", t.key));
-            }
-            blocks.push(blk.0);
-            prev_key = Some(t.key);
-            cur = t.next[0].load(Ordering::Acquire);
-        }
-        blocks.sort_unstable();
-        if let Some(w) = blocks.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("block {:?} shared by two towers", NvmAddr(w[0])));
-        }
-
-        // Level 0 is strictly increasing, hence acyclic. Each higher
-        // level is walked in step with the one below it: `below` only
-        // moves forward, past each match, so finding every level-`lvl`
-        // tower on it shows the level is a subsequence of the lower one
-        // — by induction of level 0 — in the same order, and a tower met
-        // twice (a cycle) is not found the second time.
-        for lvl in 1..MAX_LEVEL {
-            let mut below = unsafe { self.tower(head) }.next[lvl - 1].load(Ordering::Acquire);
-            let mut cur = unsafe { self.tower(head) }.next[lvl].load(Ordering::Acquire);
-            while cur != 0 {
-                if cur == TOMB {
-                    return Err(format!("validate: tombstone reachable at level {lvl}"));
-                }
-                let t = unsafe { self.tower(cur) };
-                if t.level <= lvl {
-                    return Err(format!(
-                        "tower {} (height {}) linked at level {lvl}",
-                        t.key, t.level
-                    ));
-                }
-                while below != 0 && below != cur {
-                    below = unsafe { self.tower(below) }.next[lvl - 1].load(Ordering::Acquire);
-                }
-                if below == 0 {
-                    return Err(format!(
-                        "level {lvl} is not a subsequence of level {} at key {}",
-                        lvl - 1,
-                        t.key
-                    ));
-                }
-                below = t.next[lvl - 1].load(Ordering::Acquire);
-                cur = t.next[lvl].load(Ordering::Acquire);
-            }
-        }
-        Ok(())
     }
 }
 

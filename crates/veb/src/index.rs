@@ -9,7 +9,7 @@
 //! epoch checks have passed; the read-only methods (`get_tx`,
 //! `successor_tx`, ...) never write.
 
-use crate::node::{Node, EMPTY};
+use crate::node::{Node, EMPTY, LEAF_BITS};
 use htm_sim::sync::Mutex;
 use htm_sim::{max_threads, thread_id, MemAccess, TxResult};
 use std::cell::RefCell;
@@ -94,6 +94,12 @@ impl VebIndex {
         };
         ctx.created.borrow_mut().push((ubits, ptr));
         ptr
+    }
+
+    /// The root cluster `key` belongs to, or `None` when the root is a
+    /// single leaf (then every key writes the root).
+    pub fn root_cluster(&self, key: u64) -> Option<u64> {
+        (self.ubits > LEAF_BITS).then(|| key >> Node::child_bits(self.ubits))
     }
 
     // ---- transactional helpers ------------------------------------------

@@ -16,6 +16,7 @@ use bdhtm_core::{
 use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess, PlainAccess};
 use nvm_sim::NvmAddr;
 use persist_alloc::Header;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -281,11 +282,14 @@ impl PhtmVeb {
     /// keys, in key order, into a fresh DRAM index.
     ///
     /// The tree is a local here — nobody else can reach it before this
-    /// returns — so with one thread the inserts are plain stores
-    /// ([`PlainAccess`]): no transaction, nothing to conflict with. With
-    /// `threads > 1` the workers do share it, and each inserts its slice
-    /// of the key range in hardware transactions (the paper's 20-thread
-    /// recovery).
+    /// returns — so every insert is plain stores ([`PlainAccess`]): no
+    /// transaction, nothing to conflict with. `threads` cuts the sorted
+    /// keys into runs of whole root clusters; with one run the rebuild is
+    /// one in-order pass. A key writes the root only when it is the
+    /// minimum, the maximum or the first key stored in its root cluster,
+    /// so with several runs this thread inserts those keys first. Then
+    /// each run's worker inserts the rest of its clusters, which lands
+    /// below the root. Run 0 is this thread's; only the others spawn.
     pub fn recover(
         universe_bits: u32,
         esys: Arc<EpochSys>,
@@ -295,34 +299,69 @@ impl PhtmVeb {
     ) -> PhtmVeb {
         let tree = PhtmVeb::new(universe_bits, esys, htm);
         let mine = live_keys_sorted(tree.esys.heap(), live, VEB_KV_TAG, P_KEY);
-        let rebuild = |part: &[(u64, u64)], shared: bool| {
+        let (index, n) = (&tree.index, mine.len());
+        let insert = |pairs: &[(u64, u64)]| {
             let ctx = AllocCtx::default();
-            for &(key, blk) in part {
-                if shared {
-                    tree.htm
-                        .run(&tree.lock, |m| {
-                            tree.index.recycle_attempt(&ctx);
-                            tree.index.insert_tx(m, key, blk, &ctx)
-                        })
-                        .expect("rebuild raises no explicit aborts");
-                } else {
-                    tree.index
-                        .insert_tx(&mut PlainAccess, key, blk, &ctx)
-                        .expect(NO_ABORT);
-                }
-                tree.index.commit_attempt(&ctx);
+            for &(key, blk) in pairs {
+                index
+                    .insert_tx(&mut PlainAccess, key, blk, &ctx)
+                    .expect(NO_ABORT);
+                index.commit_attempt(&ctx);
             }
         };
-        if threads <= 1 || mine.len() < 128 {
-            rebuild(&mine, false);
-        } else {
-            let rebuild = &rebuild;
-            std::thread::scope(|s| {
-                for part in mine.chunks(mine.len().div_ceil(threads)) {
-                    s.spawn(move || rebuild(part, true));
-                }
-            });
+        // Where each root cluster's keys start (a single-leaf root is one
+        // cluster); a run is a range of clusters, cut as evenly as whole
+        // clusters allow.
+        let mut starts = Vec::new();
+        let mut s = 0;
+        while s < n {
+            starts.push(s);
+            let c = index.root_cluster(mine[s].0);
+            s += mine[s..].partition_point(|&(k, _)| index.root_cluster(k) == c);
         }
+        let threads = threads.max(1);
+        let mut runs = Vec::new();
+        let mut first = 0;
+        for w in 1..=threads {
+            let end = starts.partition_point(|&s| s < n * w / threads);
+            if end > first {
+                runs.push(first..end);
+                first = end;
+            }
+        }
+        if runs.len() <= 1 {
+            insert(&mine);
+            return tree;
+        }
+        // The root pass, before any spawn: the minimum (the root's own),
+        // the next key (the first stored in a cluster), each cluster's
+        // first key and the maximum.
+        let mut root: Vec<_> = [0, 1, n - 1]
+            .iter()
+            .chain(&starts)
+            .map(|&i| mine[i])
+            .collect();
+        root.sort_unstable();
+        root.dedup();
+        insert(&root);
+        let below_root = |clusters: Range<usize>| {
+            for c in clusters {
+                let lo = (starts[c] + 1).max(2);
+                let hi = starts.get(c + 1).map_or(n, |&e| e).min(n - 1);
+                if lo < hi {
+                    insert(&mine[lo..hi]);
+                }
+            }
+        };
+        let below_root = &below_root;
+        std::thread::scope(|s| {
+            let mut runs = runs.into_iter();
+            let first = runs.next().expect("two runs or more");
+            for run in runs {
+                s.spawn(move || below_root(run));
+            }
+            below_root(first);
+        });
         tree
     }
 
@@ -535,6 +574,57 @@ mod tests {
         }
         // Ordered queries work on the rebuilt index.
         assert_eq!(t2.successor(50), Some((51, 102)));
+    }
+
+    /// Crashes a tree holding `keys` (all durable), rebuilds it at one
+    /// worker and at `threads`, and checks that neither rebuild runs a
+    /// transaction, both validate, and both hold exactly `keys`.
+    fn rebuilds_agree(bits: u32, keys: &[u64], threads: usize) {
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(4 << 20)));
+        let esys = EpochSys::format(heap, EpochConfig::manual());
+        let t = PhtmVeb::new(bits, esys, Arc::new(Htm::new(HtmConfig::for_tests())));
+        for &k in keys {
+            t.insert(k, k + 1);
+        }
+        t.epoch_sys().advance();
+        t.epoch_sys().advance();
+        let heap = Arc::new(NvmHeap::from_image(t.epoch_sys().heap().crash()));
+        let (esys, live) = EpochSys::recover(heap, EpochConfig::manual(), 1);
+        let rebuild = |threads: usize| {
+            let htm = Arc::new(Htm::new(HtmConfig::for_tests()));
+            let t = PhtmVeb::recover(bits, Arc::clone(&esys), Arc::clone(&htm), &live, threads);
+            assert_eq!(htm.stats().snapshot().attempts(), 0, "{threads} workers");
+            t.validate()
+                .unwrap_or_else(|e| panic!("{threads} workers: {e}"));
+            t.range(0, 1 << bits)
+        };
+        let mut want: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k + 1)).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(rebuild(1), want, "1 worker");
+        assert_eq!(rebuild(threads), want, "{threads} workers");
+    }
+
+    #[test]
+    fn split_rebuild_edge_cases() {
+        // Fewer records than workers, down to none.
+        for n in 0..4u64 {
+            let keys: Vec<u64> = (0..n).map(|i| i * 20_011 + 5).collect();
+            rebuilds_agree(16, &keys, 4);
+        }
+        rebuilds_agree(16, &[0, 300, 600, 900, 1200], 8);
+        // Every key in one root cluster (256 keys each at 16 bits), with
+        // and without the minimum in it.
+        rebuilds_agree(16, &(256..512).collect::<Vec<_>>(), 4);
+        rebuilds_agree(16, &[3, 1000, 1001, 1017, 1023], 4);
+        // A single-leaf root: every key writes the root.
+        rebuilds_agree(6, &(0..64).step_by(3).collect::<Vec<_>>(), 4);
+        // Cuts between, and inside, runs of full clusters.
+        rebuilds_agree(16, &(0..3000).collect::<Vec<_>>(), 4);
+        let scattered: Vec<u64> = (1..2000u64).map(|i| (i * 7919) % (1 << 16)).collect();
+        for threads in [2, 3, 7] {
+            rebuilds_agree(16, &scattered, threads);
+        }
     }
 
     #[test]

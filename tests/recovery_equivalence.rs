@@ -1,16 +1,18 @@
-//! Recovery's fast path against its two other forms.
+//! Recovery's rebuild at one worker against the same rebuild split
+//! across several, and against the public insert path.
 //!
-//! With one thread `recover` builds the index without transactions (the
-//! index is unreachable until it returns), from blocks sorted by key;
-//! with several it links them through HTM as `insert` does. For every
+//! `recover` builds the index without transactions (the index is
+//! unreachable until it returns), from blocks sorted by key; `threads`
+//! only cuts those into runs that workers build side by side. For every
 //! BDL structure, on crashed seeded workloads that leave all of
 //! recovery's cases in the heap — durable records, inserts no epoch ever
 //! persisted, a deletion no epoch ever persisted, lines evicted at
-//! random — the two must build the same map over the same blocks, and
-//! both must agree with a reference built by calling the public `insert`
-//! for every live block. `validate()`, which now walks without
-//! transactions too, must accept all three and must still reject an
-//! index whose blocks were corrupted under it.
+//! random — every rebuild must commit and abort no transaction, must
+//! build the same map over the same blocks at 1, 2, 3, 4 and 7 workers,
+//! and must agree with a reference built by calling the public `insert`
+//! for every live block. `validate()`, which walks without transactions
+//! too, must accept all of them and must still reject an index whose
+//! blocks were corrupted under it.
 //!
 //! (A skiplist level out of order needs the towers themselves, which are
 //! private: that case is the unit test `validate_rejects_an_unsorted_level`
@@ -92,15 +94,27 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         let mine: Vec<&LiveBlock> = live.iter().filter(|b| b.tag == T::TAG).collect();
         assert!(
             mine.len() >= 128,
-            "{ctx}: too few records for the HTM rebuild"
+            "{ctx}: too few records to split across workers"
         );
         let word = |b: &LiveBlock, i: u64| esys.payload_word(b.addr, i);
 
-        // Three indexes over one recovered heap: the plain rebuild, the
-        // HTM rebuild, and a reference that re-inserts every record (into
-        // blocks of its own) through the public path.
-        let plain = recover(Arc::clone(&esys), htm(), &live, 1);
-        let shared = recover(Arc::clone(&esys), htm(), &live, 4);
+        // One index per worker count over one recovered heap, each on an
+        // `Htm` of its own that must stay untouched, and a reference that
+        // re-inserts every record (into blocks of its own) through the
+        // public path.
+        let rebuild = |threads: usize| {
+            let htm = htm();
+            let t = recover(Arc::clone(&esys), Arc::clone(&htm), &live, threads);
+            let s = htm.stats().snapshot();
+            assert_eq!(
+                (s.commits, s.total_aborts(), s.fallbacks),
+                (0, 0, 0),
+                "{ctx}: the {threads}-worker rebuild ran transactions"
+            );
+            t
+        };
+        let rebuilds: Vec<(usize, T)> = [1, 2, 3, 4, 7].map(|n| (n, rebuild(n))).into();
+        let plain = &rebuilds[0].1;
         let reference = T::new(Arc::clone(&esys), htm());
         for b in &mine {
             let (k, v) = (word(b, P_KEY), word(b, P_VAL));
@@ -109,11 +123,11 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
                 "{ctx}: two live blocks hold one key"
             );
         }
-        for (name, t) in [
-            ("plain", &plain),
-            ("htm", &shared),
-            ("reference", &reference),
-        ] {
+        for (name, t) in rebuilds
+            .iter()
+            .map(|(n, t)| (format!("{n}-worker"), t))
+            .chain([("reference".to_string(), &reference)])
+        {
             t.validate()
                 .unwrap_or_else(|e| panic!("{ctx}: validate() of the {name} rebuild: {e}"));
         }
@@ -122,8 +136,9 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         let mut present = 0;
         for key in 1..=KEYS {
             let want = reference.get(key);
-            assert_eq!(plain.get(key), want, "{ctx}: plain rebuild, key {key}");
-            assert_eq!(shared.get(key), want, "{ctx}: HTM rebuild, key {key}");
+            for (n, t) in &rebuilds {
+                assert_eq!(t.get(key), want, "{ctx}: {n}-worker rebuild, key {key}");
+            }
             present += want.is_some() as usize;
         }
         assert_eq!(present, mine.len(), "{ctx}: records without a key");
@@ -137,18 +152,19 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         }
         for b in &mine {
             let key = word(b, P_KEY).load(Ordering::Relaxed);
-            assert_eq!(plain.get(key), Some(b.addr.0), "{ctx}: plain, key {key}");
-            assert_eq!(shared.get(key), Some(b.addr.0), "{ctx}: HTM, key {key}");
+            for (n, t) in &rebuilds {
+                assert_eq!(t.get(key), Some(b.addr.0), "{ctx}: {n}-worker, key {key}");
+            }
         }
 
         // The transaction-free validate() kept its checks.
         let (a, b) = (mine[mine.len() / 3], mine[mine.len() / 2]);
         let expect_err = |what: &str, needle: &str| {
-            for (name, t) in [("plain", &plain), ("htm", &shared)] {
+            for (n, t) in &rebuilds {
                 let err = t
                     .validate()
-                    .expect_err(&format!("{ctx}: {name} accepts {what}"));
-                assert!(err.contains(needle), "{ctx}: {name}, {what}: {err}");
+                    .expect_err(&format!("{ctx}: {n}-worker accepts {what}"));
+                assert!(err.contains(needle), "{ctx}: {n}-worker, {what}: {err}");
             }
         };
         Header::set_tag(&heap, a.addr, 0xBAD);
@@ -157,8 +173,10 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         let key_a = word(a, P_KEY).swap(word(b, P_KEY).load(Ordering::Relaxed), Ordering::Relaxed);
         expect_err("a block holding another record's key", "key");
         word(a, P_KEY).store(key_a, Ordering::Relaxed);
-        plain.validate().expect("restored");
-        shared.validate().expect("restored");
+        for (n, t) in &rebuilds {
+            t.validate()
+                .unwrap_or_else(|e| panic!("{ctx}: {n}-worker, restored: {e}"));
+        }
     }
 }
 
@@ -174,6 +192,7 @@ fn bdl_skiplist_rebuilds_agree() {
 
 #[test]
 fn bd_spash_rebuilds_agree() {
-    // One rebuild path (direct placement): the two must still be equal.
+    // One worker whatever `threads` says (direct placement): the
+    // rebuilds must still be equal.
     equivalence(|e, h, live, _threads| BdSpash::recover(e, h, live));
 }
