@@ -26,11 +26,23 @@ echo "==> chaos stress gate (formerly-quarantined skiplist workloads)"
 # deterministic-interleaving schedules (htm_sim::chaos). Split into four
 # 50-iteration processes: thread ids are dense process-lifetime values
 # with a budget of 1024, and every iteration spawns a fresh worker set.
-# A failure prints the seed and the recorded schedule tail; replay with
+# Each process runs 50 iterations (the default) with a 120 s watchdog
+# per iteration (htm_sim::chaos::run_gate). A failure prints the seed
+# and the recorded schedule tail; replay with
 #   ./target/release/chaos_stress --iters 1 --seed-base <seed>
 for base in 0xC4A05EED 0xC4A05F1F 0xC4A05F51 0xC4A05F83; do
-    with_timeout 900 ./target/release/chaos_stress \
-        --iters 50 --seed-base "$base" --watchdog-secs 120
+    with_timeout 900 ./target/release/chaos_stress --seed-base "$base"
+done
+
+echo "==> BD-Spash shared-bucket chaos gate (prefix-packed buckets under concurrent removes)"
+# Four threads whose keys all share one bucket churn insert/remove/get,
+# so every remove moves another thread's entry into its hole; each
+# thread checks its own keys after every op and validate() closes each
+# iteration. 200 seeded chaos schedules in four 50-iteration processes
+# (the same thread-id budget as above). Replay a failing seed with
+#   ./target/release/bdspash_chaos --iters 1 --seed-base <seed>
+for base in 0x5A5EED00 0x5A5EED32 0x5A5EED64 0x5A5EED96; do
+    with_timeout 600 ./target/release/bdspash_chaos --seed-base "$base"
 done
 
 echo "==> btree optimistic-read gate (20 runs of the btree unit-test binary)"

@@ -34,6 +34,11 @@ htm_sim::counters! {
         /// reuse the arena generation of an epoch the persister has not
         /// sealed yet (counted once per 1 ms wait slice).
         pipeline_stalls,
+        /// Operations that waited in `begin_op` for a persister thread
+        /// that was behind (admission control, DESIGN.md §3.4.2).
+        admission_waits,
+        /// Wall time of those waits, in nanoseconds.
+        admission_wait_ns,
         /// Epochs sealed before the advance that releases them (by the
         /// persister's step during the epoch after), so their write-back
         /// could run ahead of the release.

@@ -332,10 +332,23 @@ impl EpochSys {
     /// A bound on work, not a correctness condition: the flag is read
     /// Relaxed on the `begin_op` path, and an operation that misses a
     /// fresh `true` merely starts before the persister catches up.
+    ///
+    /// A call that found the persister behind and waited counts once in
+    /// `admission_waits`, and its wall time in `admission_wait_ns`.
     pub(super) fn wait_for_persister(&self) {
+        let t0 = Instant::now();
+        let mut waited = false;
         let mut q = self.pipeline.lock();
         while self.pipeline.behind.load(Ordering::Acquire) && self.mode(&q) == Driver::Thread {
+            waited = true;
             q = self.pipeline.wait(&self.pipeline.batch_done, q, WAIT_SLICE);
+        }
+        drop(q);
+        if waited {
+            let stats = self.stats();
+            stats.admission_waits.fetch_add(1, Ordering::Relaxed);
+            let ns = t0.elapsed().as_nanos() as u64;
+            stats.admission_wait_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 

@@ -10,12 +10,19 @@
 //! adjacent writes, which is why BD-Spash drops Spash's small-write
 //! chunking (§4.3). If the heap reports eADR, the epoch system disables
 //! itself and BD-Spash runs Spash-style.
+//!
+//! The DRAM index answers most of a probe by itself. A slot word packs
+//! the KV block's address (bits 0–47) with a 16-bit fingerprint, the key
+//! hash's own bits 48–63 (disjoint from the segment-index bits and the
+//! bucket bits 32–37), so a probe loads a block's key only when the
+//! fingerprint matches. And every bucket's occupied slots form a prefix
+//! — `remove` moves the bucket's last entry into the hole it leaves — so
+//! a probe stops at the first empty slot.
 
 use crate::hash64;
 use crate::hotspot::HotspotDetector;
 use bdhtm_core::{
-    payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots, UpdateKind,
-    OLD_SEE_NEW,
+    payload, run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, UpdateKind, OLD_SEE_NEW,
 };
 use htm_sim::sync::RwLock;
 use htm_sim::{FallbackLock, Htm, MemAccess, TxResult};
@@ -23,6 +30,8 @@ use nvm_sim::NvmAddr;
 use persist_alloc::{class_for_payload, Header};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod recovery;
 
 /// Block tag identifying BD-Spash KV blocks.
 pub const BDSPASH_KV_TAG: u64 = 0x4244_5350; // "BDSP"
@@ -33,27 +42,80 @@ const P_VAL: u64 = 1; // value words follow
 /// DRAM segment geometry: 64 buckets of 8 slots.
 const NBUCKETS: usize = 64;
 const BUCKET_SLOTS: usize = 8;
-const SEG_SLOTS: usize = NBUCKETS * BUCKET_SLOTS;
+
+/// Slot words keep the block address in their low `ADDR_BITS` bits and
+/// the fingerprint above them; 0 is an empty slot.
+const ADDR_BITS: u32 = 48;
+const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
 
 /// A value block counts as "large" (eagerly persisted when cold) from
 /// this size class upward (256 B = one XPLine).
 const LARGE_CLASS: usize = 2;
 
-/// `scan` result: `(slot_index, block)` of a match, plus the first free
-/// slot index seen on the probe path.
-type ScanHit = (Option<(usize, NvmAddr)>, Option<usize>);
+/// One bucket of slot words; its occupied slots are a prefix.
+type Bucket = [AtomicU64; BUCKET_SLOTS];
+
+/// The slot word of `blk` holding a key whose hash is `h`: the hash's
+/// top 16 bits stay in place as the fingerprint.
+#[inline]
+fn slot_word(blk: NvmAddr, h: u64) -> u64 {
+    (h & !ADDR_MASK) | blk.0
+}
+
+#[inline]
+fn slot_blk(word: u64) -> NvmAddr {
+    NvmAddr(word & ADDR_MASK)
+}
+
+/// Whether a slot word's fingerprint matches hash `h`.
+#[inline]
+fn fingerprint_matches(word: u64, h: u64) -> bool {
+    (word ^ h) >> ADDR_BITS == 0
+}
+
+#[inline]
+fn bucket_of(h: u64) -> usize {
+    ((h >> 32) as usize) % NBUCKETS
+}
+
+/// `n` keys with distinct fingerprints that share one bucket while the
+/// directory has depth 1 (the first `BUCKET_SLOTS` of them fit it).
+pub(crate) fn keys_in_one_bucket(n: usize) -> Vec<u64> {
+    let target = hash64(0);
+    let mut keys: Vec<u64> = Vec::with_capacity(n);
+    for k in 0.. {
+        if keys.len() == n {
+            break;
+        }
+        let h = hash64(k);
+        let fresh = keys.iter().all(|&o| (hash64(o) ^ h) >> ADDR_BITS != 0);
+        if h & 1 == target & 1 && bucket_of(h) == bucket_of(target) && fresh {
+            keys.push(k);
+        }
+    }
+    keys
+}
+
+/// Where a probe found a key, or where it stopped.
+enum Probe {
+    /// Slot index within the bucket, and the key's block.
+    Hit(usize, NvmAddr),
+    /// Absent; the bucket's occupied prefix is this many slots long.
+    Miss(usize),
+}
 
 struct Segment {
     local_depth: u32,
-    /// NVM block pointers (0 = empty).
-    slots: Box<[AtomicU64; SEG_SLOTS]>,
+    buckets: Box<[Bucket; NBUCKETS]>,
 }
 
 impl Segment {
     fn boxed(local_depth: u32) -> Arc<Segment> {
         Arc::new(Segment {
             local_depth,
-            slots: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            buckets: Box::new(std::array::from_fn(|_| {
+                std::array::from_fn(|_| AtomicU64::new(0))
+            })),
         })
     }
 }
@@ -61,6 +123,17 @@ impl Segment {
 struct Directory {
     global_depth: u32,
     segments: Vec<Arc<Segment>>,
+}
+
+impl Directory {
+    fn segment(&self, h: u64) -> &Arc<Segment> {
+        &self.segments[(h & ((1 << self.global_depth) - 1)) as usize]
+    }
+
+    /// The bucket hash `h` selects, borrowed from the directory.
+    fn bucket(&self, h: u64) -> &Bucket {
+        &self.segment(h).buckets[bucket_of(h)]
+    }
 }
 
 enum Outcome {
@@ -93,6 +166,10 @@ impl BdSpash {
     /// A table whose values occupy `value_words` 8-byte words.
     pub fn with_value_words(esys: Arc<EpochSys>, htm: Arc<Htm>, value_words: u64) -> Self {
         assert!(value_words >= 1);
+        assert!(
+            esys.heap().capacity_words() <= 1 << ADDR_BITS,
+            "BD-Spash slot words hold {ADDR_BITS}-bit block addresses"
+        );
         Self {
             esys,
             htm,
@@ -130,36 +207,44 @@ impl BdSpash {
             .unwrap_or(false)
     }
 
-    #[inline]
-    fn bucket_of(h: u64) -> usize {
-        ((h >> 32) as usize) % NBUCKETS
-    }
-
-    /// Transactional bucket scan over a DRAM segment.
-    fn scan<'e>(
+    /// Transactional probe of `bucket` for `key` (hash `h`): walks the
+    /// occupied prefix and loads a block's key only on a fingerprint
+    /// match.
+    fn probe<'e>(
         &'e self,
         m: &mut dyn MemAccess<'e>,
-        seg: &'e Segment,
-        bucket: usize,
+        bucket: &'e Bucket,
+        h: u64,
         key: u64,
-    ) -> TxResult<ScanHit> {
-        let heap = self.esys.heap();
-        let mut free = None;
-        for i in 0..BUCKET_SLOTS {
-            let idx = bucket * BUCKET_SLOTS + i;
-            let blk = m.load(&seg.slots[idx])?;
-            if blk == 0 {
-                if free.is_none() {
-                    free = Some(idx);
-                }
-                continue;
+    ) -> TxResult<Probe> {
+        for (i, slot) in bucket.iter().enumerate() {
+            let word = m.load(slot)?;
+            if word == 0 {
+                return Ok(Probe::Miss(i));
             }
-            let k = m.load(heap.word(payload(NvmAddr(blk), P_KEY)))?;
-            if k == key {
-                return Ok((Some((idx, NvmAddr(blk))), free));
+            if fingerprint_matches(word, h) {
+                let blk = slot_blk(word);
+                if m.load(self.esys.heap().word(payload(blk, P_KEY)))? == key {
+                    return Ok(Probe::Hit(i, blk));
+                }
             }
         }
-        Ok((None, free))
+        Ok(Probe::Miss(BUCKET_SLOTS))
+    }
+
+    /// The body of [`get`](Self::get)'s transaction: the first value
+    /// word of `key`, if `bucket` holds it.
+    fn lookup<'e>(
+        &'e self,
+        m: &mut dyn MemAccess<'e>,
+        bucket: &'e Bucket,
+        h: u64,
+        key: u64,
+    ) -> TxResult<Option<u64>> {
+        match self.probe(m, bucket, h, key)? {
+            Probe::Hit(_, blk) => Ok(Some(self.esys.p_get(m, blk, P_VAL)?)),
+            Probe::Miss(_) => Ok(None),
+        }
     }
 
     /// Persistence policy after a committed write: large cold blocks are
@@ -197,30 +282,27 @@ impl BdSpash {
             Header::set_tag(heap, blk, BDSPASH_KV_TAG);
 
             let dir = self.dir.read();
-            let seg = Arc::clone(&dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize]);
-            let bucket = Self::bucket_of(h);
+            let bucket = dir.bucket(h);
             let result = self.htm.run(&self.lock, |m| {
                 self.esys.set_epoch(m, blk, op_epoch)?;
-                let (found, free) = self.scan(m, &seg, bucket, key)?;
-                match (found, free) {
-                    (Some((_, old_blk)), _) => {
+                match self.probe(m, bucket, h, key)? {
+                    Probe::Hit(i, old_blk) => {
                         match self.esys.classify_update(m, old_blk, op_epoch)? {
                             UpdateKind::InPlace => {
                                 self.esys.p_set(m, old_blk, P_VAL, value)?;
                                 Ok(Outcome::InPlace(old_blk))
                             }
                             UpdateKind::Replace => {
-                                let (idx, _) = found.unwrap();
-                                m.store(&seg.slots[idx], blk.0)?;
+                                m.store(&bucket[i], slot_word(blk, h))?;
                                 Ok(Outcome::Replaced(old_blk))
                             }
                         }
                     }
-                    (None, Some(idx)) => {
-                        m.store(&seg.slots[idx], blk.0)?;
+                    Probe::Miss(len) if len < BUCKET_SLOTS => {
+                        m.store(&bucket[len], slot_word(blk, h))?;
                         Ok(Outcome::Inserted)
                     }
-                    (None, None) => Ok(Outcome::NeedSplit),
+                    Probe::Miss(_) => Ok(Outcome::NeedSplit),
                 }
             });
             drop(dir);
@@ -257,21 +339,31 @@ impl BdSpash {
         run_op(&self.esys, None, |op| {
             let op_epoch = op.epoch();
             let dir = self.dir.read();
-            let seg = Arc::clone(&dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize]);
-            let bucket = Self::bucket_of(h);
+            let bucket = dir.bucket(h);
             let result = self.htm.run(&self.lock, |m| {
-                let (found, _) = self.scan(m, &seg, bucket, key)?;
-                match found {
-                    None => Ok(Outcome::Absent),
-                    Some((idx, blk)) => {
-                        let be = self.esys.get_epoch(m, blk)?;
-                        if be > op_epoch {
-                            return Err(m.abort(OLD_SEE_NEW));
-                        }
-                        m.store(&seg.slots[idx], 0)?;
-                        Ok(Outcome::Removed(blk))
-                    }
+                let Probe::Hit(i, blk) = self.probe(m, bucket, h, key)? else {
+                    return Ok(Outcome::Absent);
+                };
+                if self.esys.get_epoch(m, blk)? > op_epoch {
+                    return Err(m.abort(OLD_SEE_NEW));
                 }
+                // Keep the occupied slots a prefix: the bucket's last
+                // entry moves into the hole (0 if the hole is the last).
+                let (mut last, mut moved) = (i, 0);
+                for (j, slot) in bucket.iter().enumerate().skip(i + 1) {
+                    let word = m.load(slot)?;
+                    if word == 0 {
+                        break;
+                    }
+                    (last, moved) = (j, word);
+                }
+                m.store(&bucket[i], moved)?;
+                if last != i {
+                    // The moved entry is in two slots until the next store.
+                    htm_sim::chaos::point("bdspash::remove_move");
+                    m.store(&bucket[last], 0)?;
+                }
+                Ok(Outcome::Removed(blk))
             });
             drop(dir);
             match result? {
@@ -287,17 +379,10 @@ impl BdSpash {
         let h = hash64(key);
         self.hotspot.touch(h);
         let dir = self.dir.read();
-        let seg = Arc::clone(&dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize]);
-        let bucket = Self::bucket_of(h);
+        let bucket = dir.bucket(h);
         let r = self
             .htm
-            .run(&self.lock, |m| {
-                let (found, _) = self.scan(m, &seg, bucket, key)?;
-                match found {
-                    None => Ok(None),
-                    Some((_, blk)) => Ok(Some(self.esys.p_get(m, blk, P_VAL)?)),
-                }
-            })
+            .run(&self.lock, |m| self.lookup(m, bucket, h, key))
             .expect("lookups raise no explicit aborts");
         if r.is_some() {
             self.esys.heap().charge_media_read();
@@ -310,13 +395,12 @@ impl BdSpash {
     }
 
     /// Splits the segment covering `h`, doubling the directory when the
-    /// local depth has reached the global depth.
+    /// local depth has reached the global depth. Entries keep their slot
+    /// words and are appended in order, so every bucket stays a prefix.
     fn split(&self, h: u64) {
         let heap = self.esys.heap();
         let mut dir = self.dir.write();
-        let mask = (1u64 << dir.global_depth) - 1;
-        let idx = (h & mask) as usize;
-        let old = Arc::clone(&dir.segments[idx]);
+        let old = Arc::clone(dir.segment(h));
         let ld = old.local_depth;
         if ld == dir.global_depth {
             let n = dir.segments.len();
@@ -328,22 +412,21 @@ impl BdSpash {
         }
         let a = Segment::boxed(ld + 1);
         let b = Segment::boxed(ld + 1);
-        for s in 0..SEG_SLOTS {
-            let blk = old.slots[s].load(Ordering::Acquire);
-            if blk == 0 {
-                continue;
+        for (bucket, slots) in old.buckets.iter().enumerate() {
+            let mut lens = [0usize; 2];
+            for slot in slots {
+                let word = slot.load(Ordering::Acquire);
+                if word == 0 {
+                    break;
+                }
+                let k = heap
+                    .word(payload(slot_blk(word), P_KEY))
+                    .load(Ordering::Acquire);
+                let half = (hash64(k) >> ld) as usize & 1;
+                let tgt = if half == 0 { &a } else { &b };
+                tgt.buckets[bucket][lens[half]].store(word, Ordering::Release);
+                lens[half] += 1;
             }
-            let k = heap
-                .word(payload(NvmAddr(blk), P_KEY))
-                .load(Ordering::Acquire);
-            let hk = hash64(k);
-            let tgt = if hk & (1 << ld) == 0 { &a } else { &b };
-            let bucket = Self::bucket_of(hk);
-            let slot = (0..BUCKET_SLOTS)
-                .map(|i| bucket * BUCKET_SLOTS + i)
-                .find(|&i| tgt.slots[i].load(Ordering::Relaxed) == 0)
-                .expect("split target bucket overflow");
-            tgt.slots[slot].store(blk, Ordering::Release);
         }
         let gd = dir.global_depth;
         for e in 0..(1usize << gd) {
@@ -357,137 +440,9 @@ impl BdSpash {
         }
     }
 
-    /// Rebuilds a table from recovered live blocks.
-    pub fn recover(esys: Arc<EpochSys>, htm: Arc<Htm>, live: &[LiveBlock]) -> BdSpash {
-        let t = BdSpash::new(esys, htm);
-        let heap = Arc::clone(t.esys.heap());
-        for b in live.iter().filter(|b| b.tag == BDSPASH_KV_TAG) {
-            let key = heap.word(payload(b.addr, P_KEY)).load(Ordering::Acquire);
-            let h = hash64(key);
-            loop {
-                let placed = {
-                    let dir = t.dir.read();
-                    let seg =
-                        Arc::clone(&dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize]);
-                    let bucket = Self::bucket_of(h);
-                    (0..BUCKET_SLOTS)
-                        .map(|i| bucket * BUCKET_SLOTS + i)
-                        .find(|&i| seg.slots[i].load(Ordering::Relaxed) == 0)
-                        .inspect(|&i| seg.slots[i].store(b.addr.0, Ordering::Release))
-                        .is_some()
-                };
-                if placed {
-                    break;
-                }
-                t.split(h);
-            }
-        }
-        t
-    }
-
     /// Reclaims per-thread preallocated blocks (clean shutdown).
     pub fn drain_preallocated(&self) {
         self.new_blk.drain(&self.esys);
-    }
-
-    /// Structural invariant check for the fault-injection harness. Call
-    /// while quiescent (e.g. right after recovery); verifies:
-    ///
-    /// * the directory holds `2^global_depth` entries, every segment's
-    ///   local depth is at most the global depth, and all entries
-    ///   sharing a segment agree with its canonical (low-bits) entry;
-    /// * every occupied slot holds an allocated block tagged
-    ///   [`BDSPASH_KV_TAG`] with a valid (claimed, not-from-the-future)
-    ///   epoch, whose key hashes back to exactly that segment and
-    ///   bucket;
-    /// * no key and no block appears twice.
-    pub fn validate(&self) -> Result<(), String> {
-        use persist_alloc::BlockState;
-        let heap = self.esys.heap();
-        let clock = self.esys.current_epoch();
-        let dir = self.dir.read();
-        let mask = (1u64 << dir.global_depth) - 1;
-        if dir.segments.len() != 1usize << dir.global_depth {
-            return Err(format!(
-                "validate: {} directory entries for global depth {}",
-                dir.segments.len(),
-                dir.global_depth
-            ));
-        }
-        let mut entries: Vec<(u64, u64)> = Vec::new(); // (key, block)
-        for (e, seg) in dir.segments.iter().enumerate() {
-            if seg.local_depth > dir.global_depth {
-                return Err(format!(
-                    "validate: entry {e} has local depth {} > global {}",
-                    seg.local_depth, dir.global_depth
-                ));
-            }
-            let canon = e & ((1usize << seg.local_depth) - 1);
-            if !Arc::ptr_eq(seg, &dir.segments[canon]) {
-                return Err(format!(
-                    "validate: entries {e} and {canon} disagree on a depth-{} segment",
-                    seg.local_depth
-                ));
-            }
-            if e != canon {
-                continue; // scan each segment once, at its canonical entry
-            }
-            for idx in 0..SEG_SLOTS {
-                let raw = seg.slots[idx].load(Ordering::Acquire);
-                if raw == 0 {
-                    continue;
-                }
-                let blk = NvmAddr(raw);
-                match Header::state(heap, blk) {
-                    Some((BlockState::Allocated, _)) => {}
-                    other => {
-                        return Err(format!(
-                            "entry {e} slot {idx}: block {blk:?} not allocated ({other:?})"
-                        ))
-                    }
-                }
-                let tag = Header::tag(heap, blk);
-                if tag != BDSPASH_KV_TAG {
-                    return Err(format!(
-                        "entry {e} slot {idx}: block {blk:?} has foreign tag {tag:#x}"
-                    ));
-                }
-                let be = Header::epoch(heap, blk);
-                if be == persist_alloc::INVALID_EPOCH || be > clock {
-                    return Err(format!(
-                        "entry {e} slot {idx}: block {blk:?} carries invalid epoch {be} \
-                         (clock {clock})"
-                    ));
-                }
-                let key = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
-                let h = hash64(key);
-                if !Arc::ptr_eq(&dir.segments[(h & mask) as usize], seg) {
-                    return Err(format!(
-                        "key {key} stored in a segment its hash does not select"
-                    ));
-                }
-                if idx / BUCKET_SLOTS != Self::bucket_of(h) {
-                    return Err(format!(
-                        "key {key} stored in bucket {} but hashes to bucket {}",
-                        idx / BUCKET_SLOTS,
-                        Self::bucket_of(h)
-                    ));
-                }
-                entries.push((key, raw));
-            }
-        }
-        // Duplicates, by sorting: equal keys end up adjacent, and since a
-        // block holds one key so do two references to one block.
-        entries.sort_unstable();
-        for w in entries.windows(2) {
-            if w[0].1 == w[1].1 {
-                return Err(format!("block {:?} referenced twice", NvmAddr(w[0].1)));
-            }
-            if w[0].0 == w[1].0 {
-                return Err(format!("key {} present twice", w[0].0));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -600,6 +555,125 @@ mod tests {
         for k in 1000..1200 {
             assert_eq!(t2.get(k), None, "undurable key {k} survived");
         }
+    }
+
+    /// Records the address of every word a transaction body loads.
+    struct Loads<'a, 'e> {
+        inner: &'a mut dyn MemAccess<'e>,
+        seen: Vec<*const AtomicU64>,
+    }
+
+    impl<'e> MemAccess<'e> for Loads<'_, 'e> {
+        fn load(&mut self, cell: &'e AtomicU64) -> TxResult<u64> {
+            self.seen.push(cell);
+            self.inner.load(cell)
+        }
+        fn store(&mut self, cell: &'e AtomicU64, val: u64) -> TxResult<()> {
+            self.inner.store(cell, val)
+        }
+        fn abort(&mut self, code: u8) -> htm_sim::Abort {
+            self.inner.abort(code)
+        }
+        fn is_txn(&self) -> bool {
+            self.inner.is_txn()
+        }
+    }
+
+    /// The bucket of `key`, held past the directory guard.
+    fn bucket_of_key(t: &BdSpash, key: u64) -> (Arc<Segment>, usize) {
+        let h = hash64(key);
+        (Arc::clone(t.dir.read().segment(h)), bucket_of(h))
+    }
+
+    #[test]
+    fn a_probe_loads_only_the_block_it_returns() {
+        let t = setup();
+        let heap = t.esys.heap();
+        let keys = keys_in_one_bucket(BUCKET_SLOTS + 1);
+        let (&absent, keys) = keys.split_last().unwrap();
+        let (seg, b) = bucket_of_key(&t, absent);
+        let bucket = &seg.buckets[b];
+        let get_loads = |key: u64| {
+            let h = hash64(key);
+            t.htm
+                .run(&t.lock, |m| {
+                    let mut rec = Loads {
+                        inner: m,
+                        seen: Vec::new(),
+                    };
+                    Ok((t.lookup(&mut rec, bucket, h, key)?, rec.seen))
+                })
+                .unwrap()
+        };
+        let slots = |n: usize| -> Vec<*const AtomicU64> {
+            bucket[..n].iter().map(|s| s as *const AtomicU64).collect()
+        };
+        for n in 1..=BUCKET_SLOTS {
+            assert!(t.insert(keys[n - 1], n as u64));
+            for (i, &k) in keys[..n].iter().enumerate() {
+                // A hit: the slots up to the key's, then its key and
+                // value words, and no other block's.
+                let blk = slot_blk(bucket[i].load(Ordering::Relaxed));
+                let mut want = slots(i + 1);
+                want.push(heap.word(payload(blk, P_KEY)));
+                want.push(heap.word(payload(blk, P_VAL)));
+                assert_eq!(
+                    get_loads(k),
+                    (Some(i as u64 + 1), want),
+                    "hit on slot {i} of {n}"
+                );
+            }
+            // A miss: the occupied prefix and the empty slot ending it.
+            let want = slots((n + 1).min(BUCKET_SLOTS));
+            assert_eq!(get_loads(absent), (None, want), "miss in a bucket of {n}");
+        }
+    }
+
+    #[test]
+    fn remove_moves_the_last_entry_into_the_hole() {
+        let last = BUCKET_SLOTS - 1;
+        for victim in [0, BUCKET_SLOTS / 2, last] {
+            let t = setup();
+            let keys = keys_in_one_bucket(BUCKET_SLOTS);
+            for &k in &keys {
+                assert!(t.insert(k, k + 1));
+            }
+            assert_eq!(t.dir.read().global_depth, 1, "a full bucket does not split");
+            assert!(t.remove(keys[victim]));
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(t.get(k), (i != victim).then_some(k + 1), "key {i} of 8");
+            }
+            let (seg, b) = bucket_of_key(&t, keys[0]);
+            let word = |i: usize| seg.buckets[b][i].load(Ordering::Relaxed);
+            assert_eq!(word(last), 0, "the last slot empties");
+            if victim != last {
+                let moved = payload(slot_blk(word(victim)), P_KEY);
+                let moved = t.esys.heap().word(moved).load(Ordering::Relaxed);
+                assert_eq!(moved, keys[last], "the last entry fills the hole");
+            }
+            t.validate().expect("a packed bucket after remove");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_wrong_fingerprint_and_a_hole() {
+        let t = setup();
+        let keys = keys_in_one_bucket(3);
+        for &k in &keys {
+            t.insert(k, k);
+        }
+        t.validate().expect("three packed entries");
+        let (seg, b) = bucket_of_key(&t, keys[0]);
+        let slot = &seg.buckets[b][1];
+        let word = slot.load(Ordering::Relaxed);
+        slot.store(word ^ (1 << ADDR_BITS), Ordering::Relaxed);
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("fingerprint"), "{err}");
+        slot.store(0, Ordering::Relaxed);
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("slot 2 occupied after empty slot 1"), "{err}");
+        slot.store(word, Ordering::Relaxed);
+        t.validate().expect("restored");
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod hotspot;
 mod listing1;
 mod plush;
 mod spash;
+pub mod stress;
 
 pub use bdspash::{BdSpash, BDSPASH_KV_TAG};
 pub use cceh::Cceh;

@@ -1,0 +1,18 @@
+//! BD-Spash under seeded chaos schedules, in a binary of its own: chaos
+//! sessions are process-global, so arming one beside the library's unit
+//! tests would perturb them and let their threads take schedule lanes.
+//!
+//! A failing seed can be explored with
+//! `bdspash_chaos --iters 1 --seed-base <seed>`.
+
+#[test]
+fn shared_bucket_churn_under_chaos() {
+    // Two to four threads whose keys share one bucket, so every remove
+    // moves another thread's entry into its hole; each thread count runs
+    // under its own seed.
+    for threads in 2..=4 {
+        let seed = 0xB5_0000 + threads as u64;
+        let _session = htm_sim::chaos::arm(htm_sim::chaos::Config::new(seed));
+        hashtable::stress::shared_bucket_churn(threads, 300, 4);
+    }
+}

@@ -412,6 +412,83 @@ impl Drop for ChaosSession {
     }
 }
 
+/// How long one iteration of a [`run_gate`] may run before the gate
+/// reports it as hung.
+pub const GATE_WATCHDOG: std::time::Duration = std::time::Duration::from_secs(120);
+
+/// The body of a chaos gate binary: runs `phases` in order once per
+/// iteration, each iteration under a fresh session seeded
+/// `seed_base + i`. The command line sets `--iters` (default 50) and
+/// `--seed-base` (default `default_seed_base`, decimal or `0x` hex).
+///
+/// Each iteration runs on a watched thread. A panic exits the process
+/// with status 1, an iteration still running after [`GATE_WATCHDOG`]
+/// with status 2 (a hung worker cannot be killed, so it is leaked);
+/// both print the phase, the seed, the recorded schedule tail and the
+/// command that replays the seed. Keep `--iters` at or below ~64 per
+/// process: every iteration spawns fresh threads, and
+/// [`crate::thread_id`] hands out dense process-lifetime ids from a
+/// budget of 1024.
+pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static str, fn())]) {
+    let (mut iters, mut seed_base) = (50u64, default_seed_base);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let v = args
+            .next()
+            .and_then(|v| match v.trim().strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                None => v.trim().parse().ok(),
+            })
+            .unwrap_or_else(|| panic!("{a} needs a numeric argument"));
+        match a.as_str() {
+            "--iters" => iters = v,
+            "--seed-base" => seed_base = v,
+            other => panic!("unknown argument {other}"),
+        }
+    }
+    println!(
+        "{gate}: {iters} iterations, seeds {seed_base:#x}..{:#x}",
+        seed_base + iters
+    );
+    for i in 0..iters {
+        let seed = seed_base + i;
+        let session = arm(Config::new(seed));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let phase = std::sync::Arc::new(AtomicU32::new(0));
+        let at = std::sync::Arc::clone(&phase);
+        let worker = std::thread::Builder::new()
+            .name(format!("chaos-iter-{i}"))
+            .spawn(move || {
+                let verdict = std::panic::catch_unwind(|| {
+                    for (p, (_, run)) in phases.iter().enumerate() {
+                        at.store(p as u32, Ordering::SeqCst);
+                        run();
+                    }
+                });
+                let _ = tx.send(verdict.is_ok());
+            })
+            .expect("spawn chaos worker");
+        let (code, what) = match rx.recv_timeout(GATE_WATCHDOG) {
+            Ok(true) => (0, ""),
+            Ok(false) => (1, "FAILED"),
+            Err(_) => (2, "HUNG"),
+        };
+        if code != 0 {
+            let name = phases[phase.load(Ordering::SeqCst) as usize].0;
+            eprintln!("{gate}: iteration {i} {what} in {name} phase under seed {seed:#x}");
+            eprintln!("interleaving schedule tail:\n{}", session.schedule_tail(64));
+            eprintln!("replay with: {gate} --iters 1 --seed-base {seed:#x}");
+            std::process::exit(code);
+        }
+        let _ = worker.join();
+        drop(session);
+        if (i + 1) % 25 == 0 {
+            println!("{gate}: {}/{iters} iterations passed", i + 1);
+        }
+    }
+    println!("{gate}: all {iters} iterations passed");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

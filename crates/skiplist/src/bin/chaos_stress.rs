@@ -1,135 +1,24 @@
 //! CI chaos stress gate: the two formerly-quarantined skiplist
 //! workloads, iterated across seeded chaos schedules.
 //!
-//! Each iteration arms the `htm_sim::chaos` harness with a distinct seed
-//! (`seed_base + i`), runs both mixed-op workloads on fresh lists, and
-//! fails loudly — printing the seed and the recorded interleaving
-//! schedule tail — if an iteration panics or wedges past the watchdog.
-//! A failing seed can be replayed directly with `--seed-base <seed>
-//! --iters 1`.
-//!
-//! Exit codes: 0 all iterations passed, 1 invariant/panic failure,
-//! 2 watchdog timeout (hang).
-//!
-//! Keep `--iters` at or below ~64 per process: every iteration spawns a
-//! fresh set of worker threads, and `htm_sim::thread_id` hands out dense
-//! process-lifetime ids from a budget of 1024. CI runs the 200-iteration
-//! gate as four 50-iteration invocations with staggered seed bases.
+//! Each iteration runs both mixed-op workloads on fresh lists under a
+//! distinct chaos seed; `htm_sim::chaos::run_gate` owns the iteration
+//! loop, the watchdog, the exit codes and the failure report. Replay a
+//! failing seed with `chaos_stress --iters 1 --seed-base <seed>`.
 
 use skiplist::stress;
 use skiplist::PersistMode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
-const PHASES: [&str; 3] = ["dl strict", "dl htm-mwcas", "bdl"];
-
-struct Opts {
-    iters: u64,
-    seed_base: u64,
-    dl_ops: u64,
-    bdl_ops: u64,
-    watchdog_secs: u64,
-}
-
-fn parse_args() -> Opts {
-    let mut o = Opts {
-        iters: 200,
-        seed_base: 0xC4A0_5EED,
-        dl_ops: 400,
-        bdl_ops: 600,
-        watchdog_secs: 60,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |name: &str| {
-            args.next()
-                .and_then(|v| {
-                    let v = v.trim();
-                    if let Some(hex) = v.strip_prefix("0x") {
-                        u64::from_str_radix(hex, 16).ok()
-                    } else {
-                        v.parse().ok()
-                    }
-                })
-                .unwrap_or_else(|| panic!("{name} needs a numeric argument"))
-        };
-        match a.as_str() {
-            "--iters" => o.iters = val("--iters"),
-            "--seed-base" => o.seed_base = val("--seed-base"),
-            "--dl-ops" => o.dl_ops = val("--dl-ops"),
-            "--bdl-ops" => o.bdl_ops = val("--bdl-ops"),
-            "--watchdog-secs" => o.watchdog_secs = val("--watchdog-secs"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    o
-}
+const PHASES: &[(&str, fn())] = &[
+    ("dl strict", || {
+        stress::dl_mixed_ops(PersistMode::Strict, 4, 400, 128)
+    }),
+    ("dl htm-mwcas", || {
+        stress::dl_mixed_ops(PersistMode::HtmMwcas, 4, 400, 128)
+    }),
+    ("bdl", || stress::bdl_mixed_ops(4, 600, 256, 8)),
+];
 
 fn main() {
-    let o = parse_args();
-    println!(
-        "chaos stress: {} iterations, seeds {:#x}..{:#x}, dl {} ops/thread, bdl {} ops/thread",
-        o.iters,
-        o.seed_base,
-        o.seed_base + o.iters,
-        o.dl_ops,
-        o.bdl_ops
-    );
-    for i in 0..o.iters {
-        let seed = o.seed_base + i;
-        let session = htm_sim::chaos::arm(htm_sim::chaos::Config::new(seed));
-        let (dl_ops, bdl_ops) = (o.dl_ops, o.bdl_ops);
-        // The workload runs on a watched thread: a wedged iteration must
-        // become a bounded failure with a schedule dump, not a silent
-        // CI timeout. A hung worker cannot be killed, so it is leaked.
-        let (tx, rx) = mpsc::channel();
-        let phase = Arc::new(AtomicUsize::new(0));
-        let phase2 = Arc::clone(&phase);
-        let worker = std::thread::Builder::new()
-            .name(format!("chaos-iter-{i}"))
-            .spawn(move || {
-                let verdict = std::panic::catch_unwind(|| {
-                    phase2.store(0, Ordering::SeqCst);
-                    stress::dl_mixed_ops(PersistMode::Strict, 4, dl_ops, 128);
-                    phase2.store(1, Ordering::SeqCst);
-                    stress::dl_mixed_ops(PersistMode::HtmMwcas, 4, dl_ops, 128);
-                    phase2.store(2, Ordering::SeqCst);
-                    stress::bdl_mixed_ops(4, bdl_ops, 256, 8);
-                });
-                let _ = tx.send(verdict.is_ok());
-            })
-            .expect("spawn chaos worker");
-        match rx.recv_timeout(Duration::from_secs(o.watchdog_secs)) {
-            Ok(true) => {
-                let _ = worker.join();
-            }
-            Ok(false) => {
-                let _ = worker.join();
-                eprintln!(
-                    "chaos stress: iteration {i} FAILED in {} phase under seed {seed:#x}",
-                    PHASES[phase.load(Ordering::SeqCst)]
-                );
-                eprintln!("interleaving schedule tail:\n{}", session.schedule_tail(64));
-                eprintln!("replay with: chaos_stress --iters 1 --seed-base {seed:#x}");
-                std::process::exit(1);
-            }
-            Err(_) => {
-                eprintln!(
-                    "chaos stress: iteration {i} HUNG (> {}s) in {} phase under seed {seed:#x}; \
-                     worker leaked",
-                    o.watchdog_secs,
-                    PHASES[phase.load(Ordering::SeqCst)]
-                );
-                eprintln!("interleaving schedule tail:\n{}", session.schedule_tail(64));
-                eprintln!("replay with: chaos_stress --iters 1 --seed-base {seed:#x}");
-                std::process::exit(2);
-            }
-        }
-        drop(session);
-        if (i + 1) % 25 == 0 {
-            println!("chaos stress: {}/{} iterations passed", i + 1, o.iters);
-        }
-    }
-    println!("chaos stress: all {} iterations passed", o.iters);
+    htm_sim::chaos::run_gate("chaos_stress", 0xC4A0_5EED, PHASES);
 }

@@ -108,6 +108,8 @@ fn report() -> MetricsReport {
             words_persisted: 33,
             blocks_reclaimed: 34,
             pipeline_stalls: 36,
+            admission_waits: 52,
+            admission_wait_ns: 53,
             early_seals: 51,
             persist_retries: 37,
             coalesced_flushes: 38,
