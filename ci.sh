@@ -45,6 +45,17 @@ for base in 0x5A5EED00 0x5A5EED32 0x5A5EED64 0x5A5EED96; do
     with_timeout 600 ./target/release/bdspash_chaos --seed-base "$base"
 done
 
+echo "==> PHTM-vEB leaf-churn chaos gate (in place, replace and OLD_SEE_NEW under chaos)"
+# Four threads whose keys share one leaf cluster churn insert, update
+# and remove, and all update one shared key, across epoch advances; each
+# thread checks its own keys after every op and validate() closes each
+# iteration. 200 seeded chaos schedules in four 50-iteration processes
+# (the same thread-id budget as above). Replay a failing seed with
+#   ./target/release/veb_chaos --iters 1 --seed-base <seed>
+for base in 0x7EB05EED 0x7EB05F1F 0x7EB05F51 0x7EB05F83; do
+    with_timeout 600 ./target/release/veb_chaos --seed-base "$base"
+done
+
 echo "==> btree optimistic-read gate (20 runs of the btree unit-test binary)"
 # `elim_tree_matches_oracle_under_contention` asserts on every value an
 # optimistic `get` returns while four threads churn 32 keys; before the

@@ -6,11 +6,13 @@
 //! This module holds the struct itself, its constructors (format and
 //! the recovery hook `build`), the simple introspection accessors, and
 //! the Table 2 memory-management and transactional-accessor methods
-//! (`p_new`/`p_track`/`p_retire`, `get_epoch`/`set_epoch`/
-//! `classify_update`/`p_set`/`p_get` — Listing 1 lines 10–29 and
-//! 51–52). Operation bracketing and epoch advancement live with the
-//! clock; write-back lives with the pipeline; the health ladder lives
-//! with health — each next to the state it governs.
+//! (`p_new`/`p_track`/`p_retire`, `get_epoch`/`set_epoch`/`p_set`/
+//! `p_get` — Listing 1 lines 10–29 and 51–52). Operation bracketing and
+//! epoch advancement live with the clock; write-back lives with the
+//! pipeline; the health ladder lives with health — each next to the
+//! state it governs. The Listing-1 decisions built on these accessors
+//! (claim, in place or replace, the remove guard) are
+//! [`OpGuard`](crate::OpGuard)'s.
 
 use crate::config::EpochConfig;
 use crate::error::RetireError;
@@ -31,7 +33,9 @@ use crate::obs::Obs;
 
 /// Explicit HTM abort code raised when an operation in an old epoch
 /// encounters a block modified in a newer epoch (`OldSeeNewException`,
-/// Listing 1 line 23). The operation must `abort_op` and re-register.
+/// Listing 1 line 23). The operation must `abort_op` and re-register;
+/// [`OpGuard`](crate::OpGuard) raises it and [`run_op`](crate::run_op)
+/// retries.
 pub const OLD_SEE_NEW: u8 = 0xA1;
 
 /// Root slot holding the format magic. `pub(crate)` because recovery
@@ -42,16 +46,6 @@ pub(crate) const ROOT_MAGIC: u64 = 0;
 pub(crate) const ROOT_FRONTIER: u64 = 1;
 /// Value of the [`ROOT_MAGIC`] slot on a formatted heap.
 pub(crate) const EPOCH_MAGIC: u64 = 0xEB0C_BD47_0001_A11C;
-
-/// What an updater must do with an existing block (Listing 1 lines 20–29).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum UpdateKind {
-    /// Block belongs to the operation's epoch: update payload in place.
-    InPlace,
-    /// Block belongs to an older epoch: install a (preallocated)
-    /// replacement and retire the old block after commit.
-    Replace,
-}
 
 /// The buffered-durability epoch system (Table 2 API).
 pub struct EpochSys {
@@ -299,27 +293,6 @@ impl EpochSys {
         m.store(self.heap.word(blk.offset(HDR_EPOCH)), epoch)
     }
 
-    /// The Listing 1 lines 20–29 decision: given an existing block and
-    /// the operation's epoch, either update in place (same epoch),
-    /// replace out-of-place (older epoch), or abort with [`OLD_SEE_NEW`]
-    /// (newer epoch — BDL forbids an old operation overwriting newer
-    /// state).
-    pub fn classify_update<'e>(
-        &'e self,
-        m: &mut dyn MemAccess<'e>,
-        blk: NvmAddr,
-        op_epoch: u64,
-    ) -> TxResult<UpdateKind> {
-        let be = self.get_epoch(m, blk)?;
-        if be > op_epoch {
-            Err(m.abort(OLD_SEE_NEW))
-        } else if be < op_epoch {
-            Ok(UpdateKind::Replace)
-        } else {
-            Ok(UpdateKind::InPlace)
-        }
-    }
-
     /// Transactionally writes payload word `idx` of `blk` (in-place
     /// update, Listing 1 line 29). The new value is persisted with the
     /// block's epoch buffer.
@@ -371,32 +344,6 @@ mod tests {
         let img = es.heap().crash();
         assert_eq!(img.word(payload(blk, 0)), 0xFEED);
         assert_eq!(img.word(blk.offset(HDR_EPOCH)), e);
-    }
-
-    #[test]
-    fn classify_update_matches_listing1() {
-        use htm_sim::{Htm, HtmConfig};
-        let es = fresh();
-        let htm = Htm::new(HtmConfig::for_tests());
-
-        let e = es.begin_op();
-        let blk = es.p_new(1);
-        Header::set_epoch(es.heap(), blk, e);
-        es.p_track(blk);
-        es.end_op();
-
-        // Same epoch: in place.
-        let es2 = Arc::clone(&es);
-        let r = htm.attempt(|t| es2.classify_update(t, blk, e));
-        assert_eq!(r.unwrap(), UpdateKind::InPlace);
-
-        // Later op epoch: replace.
-        let r = htm.attempt(|t| es2.classify_update(t, blk, e + 1));
-        assert_eq!(r.unwrap(), UpdateKind::Replace);
-
-        // Older op epoch: OldSeeNewException.
-        let r = htm.attempt(|t| es2.classify_update(t, blk, e - 1));
-        assert_eq!(r.unwrap_err(), htm_sim::AbortCause::Explicit(OLD_SEE_NEW));
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod pipeline;
 mod tracking;
 
 pub use clock::{EMPTY_EPOCH, EPOCH_START};
-pub use facade::{EpochSys, UpdateKind, OLD_SEE_NEW};
+pub use facade::{EpochSys, OLD_SEE_NEW};
 pub(crate) use facade::{EPOCH_MAGIC, ROOT_FRONTIER, ROOT_MAGIC};
 pub use health::{EpochStats, EpochStatsSnapshot};
 pub(crate) use pipeline::Driver;

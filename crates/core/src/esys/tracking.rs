@@ -185,8 +185,8 @@ impl ThreadArenas {
 /// the §5 rule that an interrupted operation's block must never carry a
 /// stale epoch into its next use. [`PreallocSlots::put_back`] resets the
 /// epoch *at stash time*, so `take` only pays the reset store for freshly
-/// allocated blocks; [`PreallocSlots::drain`] reclaims every spare at
-/// clean shutdown.
+/// allocated blocks. A spare left in a slot at shutdown or a crash
+/// carries `INVALID_EPOCH`, so recovery reclaims it.
 pub struct PreallocSlots {
     payload_words: u64,
     slots: Box<[Mutex<Option<NvmAddr>>]>,
@@ -237,15 +237,6 @@ impl PreallocSlots {
             .word(blk.offset(persist_alloc::HDR_EPOCH))
             .store(persist_alloc::INVALID_EPOCH, Ordering::Release);
         *self.slots[thread_id()].lock() = Some(blk);
-    }
-
-    /// Reclaims every spare block (clean shutdown).
-    pub fn drain(&self, esys: &EpochSys) {
-        for slot in self.slots.iter() {
-            if let Some(blk) = slot.lock().take() {
-                esys.p_delete(blk);
-            }
-        }
     }
 }
 
@@ -316,9 +307,5 @@ mod tests {
         assert_eq!(b2, b1, "same thread reuses its spare block");
         assert_eq!(Header::epoch(es.heap(), b2), INVALID_EPOCH);
         es.end_op();
-        slots.put_back(&es, b2);
-        let live = es.alloc_stats().live_blocks[0];
-        slots.drain(&es);
-        assert_eq!(es.alloc_stats().live_blocks[0], live - 1);
     }
 }

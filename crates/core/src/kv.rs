@@ -1,5 +1,6 @@
 //! The `BdlKv` trait: the common face of every buffered-durable
-//! key-value structure built on [`run_op`](crate::run_op).
+//! key-value structure built on [`run_op`](crate::run_op), and the one
+//! layout of their NVM blocks.
 //!
 //! A structure that implements this trait gets the whole downstream
 //! stack for free: the fault crate's exhaustive crash-point sweep and
@@ -13,17 +14,83 @@
 //! HTM); structure-specific sizing is fixed by the impl (e.g. PHTM-vEB
 //! uses [`KV_UNIVERSE_BITS`]), which is what lets one generic driver
 //! run identical workloads against every structure.
+//!
+//! Every structure's KV block has the same payload: the key in word
+//! [`KV_KEY`], the value from word [`KV_VALUE`] on. [`OpGuard`](crate::OpGuard)
+//! fills and updates blocks in this layout, [`live_keys_sorted`] reads
+//! it back after a crash, and [`kv_block_key`] checks it.
 
-use crate::esys::EpochSys;
+use crate::esys::{payload, EpochSys};
 use crate::recovery::LiveBlock;
 use htm_sim::Htm;
+use nvm_sim::{NvmAddr, NvmHeap};
+use persist_alloc::{BlockState, Header, INVALID_EPOCH};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Payload word holding a KV block's key.
+pub const KV_KEY: u64 = 0;
+/// Payload word holding a KV block's value (its first word, when the
+/// value is wider).
+pub const KV_VALUE: u64 = 1;
+/// Payload words of a KV block with a one-word value.
+pub const KV_WORDS: u64 = 2;
 
 /// Key-space bits for [`BdlKv::new`] instances of structures that need
 /// a bounded universe (the vEB tree). Generic drivers must keep their
 /// keys in `1..2^KV_UNIVERSE_BITS` so every structure sees identical
 /// workloads.
 pub const KV_UNIVERSE_BITS: u32 = 10;
+
+/// `(key, block address)` of every live block tagged `tag`, sorted by
+/// key — the order an index rebuild wants, for locality and so that
+/// rebuild threads can each take a slice of the key range.
+pub fn live_keys_sorted(heap: &NvmHeap, live: &[LiveBlock], tag: u64) -> Vec<(u64, u64)> {
+    let mut keyed: Vec<(u64, u64)> = Vec::with_capacity(live.len());
+    keyed.extend(live.iter().filter(|b| b.tag == tag).map(|b| {
+        let key = heap.word(payload(b.addr, KV_KEY)).load(Ordering::Acquire);
+        (key, b.addr.0)
+    }));
+    // `live` is in address order and the allocator hands out an extent
+    // from the top down, so a sequentially loaded key range arrives as
+    // descending runs. Turning each run around first leaves such input
+    // already sorted, which the sort detects in one pass (4.4 M records:
+    // 35 ms instead of 155); on random keys the runs are two or three
+    // long and this costs nothing measurable.
+    let mut run = 0;
+    while run < keyed.len() {
+        let mut end = run + 1;
+        while end < keyed.len() && keyed[end].0 < keyed[end - 1].0 {
+            end += 1;
+        }
+        keyed[run..end].reverse();
+        run = end;
+    }
+    keyed.sort_unstable();
+    keyed
+}
+
+/// The key `blk` holds, once it is an allocated KV block tagged `tag`
+/// and claimed by an epoch no later than `clock` — the per-block check
+/// of every structure's `validate()`. Reads without synchronisation:
+/// call while quiescent.
+pub fn kv_block_key(heap: &NvmHeap, blk: NvmAddr, tag: u64, clock: u64) -> Result<u64, String> {
+    match Header::state(heap, blk) {
+        Some((BlockState::Allocated, _)) => {}
+        other => return Err(format!("block {blk:?} not allocated ({other:?})")),
+    }
+    let found = Header::tag(heap, blk);
+    if found != tag {
+        return Err(format!("block {blk:?} has foreign tag {found:#x}"));
+    }
+    let be = Header::epoch(heap, blk);
+    if be == INVALID_EPOCH || be > clock {
+        return Err(format!(
+            "block {blk:?} carries invalid epoch {be} (clock {clock})"
+        ));
+    }
+    Ok(heap.word(payload(blk, KV_KEY)).load(Ordering::Acquire))
+}
 
 /// A buffered durably linearizable key-value map over `u64` keys and
 /// values, constructed on a shared [`EpochSys`] + [`Htm`] substrate.

@@ -42,12 +42,18 @@
 //!   blocks carry [`INVALID_EPOCH`] and are reclaimed by recovery if the
 //!   owning operation never completes.
 //! * **Tag the block inside the transaction**, before its linearization
-//!   point ([`EpochSys::set_epoch`]).
-//! * On finding a block from a *newer* epoch, abort with the explicit
-//!   code [`OLD_SEE_NEW`] and restart the operation in the current epoch
-//!   ([`EpochSys::classify_update`] encapsulates the decision).
+//!   point ([`OpGuard::claim`]).
+//! * Update a block from the operation's own epoch in place, replace an
+//!   older one, and on finding a block from a *newer* epoch abort with
+//!   the explicit code [`OLD_SEE_NEW`] and restart the operation in the
+//!   current epoch ([`OpGuard::update`], [`OpGuard::check_remove`]).
 //! * **Defer persistence and reclamation** until after commit
-//!   ([`EpochSys::p_track`], [`EpochSys::p_retire`]).
+//!   ([`EpochSys::p_track`], [`EpochSys::p_retire`], applied by
+//!   [`run_op`] from [`Upsert::effects`]).
+//!
+//! The four BDL structures (PHTM-vEB, BDL-Skiplist, BD-Spash and the
+//! Listing-1 table) share this protocol and the KV-block layout
+//! ([`KV_KEY`], [`KV_VALUE`]) and hold only their own search and link.
 //!
 //! On an eADR machine (persistent caches — see
 //! [`NvmConfig::optane_eadr`](nvm_sim::NvmConfig::optane_eadr)) the epoch
@@ -95,16 +101,16 @@ mod worker;
 pub use config::EpochConfig;
 pub use error::{HealthState, OpRejected, PersistError, RetireError};
 pub use esys::{
-    payload, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, UpdateKind, EMPTY_EPOCH,
-    EPOCH_START, OLD_SEE_NEW,
+    payload, EpochStats, EpochStatsSnapshot, EpochSys, PreallocSlots, EMPTY_EPOCH, EPOCH_START,
+    OLD_SEE_NEW,
 };
-pub use kv::{BdlKv, KV_UNIVERSE_BITS};
+pub use kv::{kv_block_key, live_keys_sorted, BdlKv, KV_KEY, KV_UNIVERSE_BITS, KV_VALUE, KV_WORDS};
 pub use obs::{
     series_line, EventKind, FlightEvent, FlightRecorder, JsonValue, MetricsRegistry, MetricsReport,
     Obs, METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION,
 };
-pub use op::{run_op, CommitEffects, OpGuard, OpStep, RestartFn};
+pub use op::{run_op, CommitEffects, OpGuard, OpStep, Upsert};
 pub use persist_alloc::INVALID_EPOCH;
-pub use recovery::{live_keys_sorted, LiveBlock};
+pub use recovery::LiveBlock;
 pub use sampler::Sampler;
 pub use ticker::{EpochTicker, Persister};

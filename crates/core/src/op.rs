@@ -1,63 +1,60 @@
-//! The shared Listing-1 operation lifecycle: one place that owns the
-//! `begin_op` → prealloc-`take` → HTM-retry → `abort_op`-on-
-//! [`OLD_SEE_NEW`] → post-commit effects choreography every BDL
-//! structure follows.
+//! The Listing-1 operation protocol, written once for every BDL
+//! structure: the `begin_op` → prealloc-`take` → HTM-retry →
+//! `abort_op`-on-[`OLD_SEE_NEW`] → post-commit effects bracket
+//! ([`run_op`]), and the in-transaction steps on the KV block
+//! ([`OpGuard`]).
 //!
-//! Before this module, each structure (PHTM-vEB, BDL-Skiplist,
-//! BD-Spash, the Listing-1 table) hand-rolled the identical bracket and
-//! had to get three §5 invariants right independently:
+//! A structure (PHTM-vEB, BDL-Skiplist, BD-Spash, the Listing-1 table)
+//! supplies only its own search and link. The §5 invariants are kept
+//! here:
 //!
 //! 1. the preallocated block's epoch is claimed **inside** the
-//!    transaction, before the linearization point (Listing 1 line 17);
-//! 2. persistence ([`EpochSys::p_track`]) and reclamation
+//!    transaction, before the linearization point
+//!    ([`OpGuard::claim`], Listing 1 line 17);
+//! 2. an existing block is updated in place only from its own epoch,
+//!    replaced when older, and never touched when newer
+//!    ([`OpGuard::update`], [`OpGuard::check_remove`], lines 20–29);
+//! 3. persistence ([`EpochSys::p_track`]) and reclamation
 //!    ([`EpochSys::p_retire`]) happen **strictly after commit**
-//!    (Listing 1 lines 31–38, the `op_done` block);
-//! 3. a preallocated block is never reused while carrying a stale
+//!    (lines 31–38, the `op_done` block, [`Upsert::effects`]);
+//! 4. a preallocated block is never reused while carrying a stale
 //!    epoch (the [`PreallocSlots`] invariant).
 //!
-//! [`run_op`] enforces all three: the structure's closure contains only
-//! structure logic (search, link, classify) and *describes* its
-//! post-commit obligations as a [`CommitEffects`] value; the combinator
-//! applies them exactly once, in a fixed order, after the transaction
-//! has committed. Failure paths (explicit [`OLD_SEE_NEW`] aborts,
-//! panics unwinding through the bracket) are funneled through
-//! [`OpGuard`]'s drop glue, so an interrupted operation always returns
-//! its block to the slot (epoch reset) and clears its epoch
-//! announcement — exactly the `retry_regist` path of Listing 1 lines
-//! 39–41.
+//! The structure's closure *describes* its post-commit obligations as a
+//! [`CommitEffects`] value; [`run_op`] applies them exactly once, in a
+//! fixed order, after the transaction has committed. Failure paths
+//! (explicit [`OLD_SEE_NEW`] aborts, panics unwinding through the
+//! bracket) are funneled through [`OpGuard`]'s drop glue, so an
+//! interrupted operation always returns its block to the slot (epoch
+//! reset) and clears its epoch announcement — exactly the
+//! `retry_regist` path of Listing 1 lines 39–41.
 
 use crate::esys::{EpochSys, PreallocSlots, OLD_SEE_NEW};
+use crate::kv::{KV_KEY, KV_VALUE};
 use crate::obs::{EventKind, ABORT_RESTART, ABORT_UNWIND};
-use htm_sim::RunError;
+use htm_sim::{MemAccess, RunError, TxResult};
 use nvm_sim::{CrashTriggered, NvmAddr};
 use persist_alloc::{Header, CLASS_WORDS};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-/// A deferred fix-up an operation wants to run *after* its registration
-/// is cleanly aborted but *before* the retry (e.g. BD-Spash splitting a
-/// full segment — splitting under an open registration would deadlock
-/// the epoch advance the split may wait on).
-pub type RestartFn<'a> = Box<dyn FnOnce() + 'a>;
+use std::sync::atomic::Ordering;
 
 /// What one attempt of an operation body decided.
 pub enum OpStep<'a, R> {
     /// The transaction committed: apply these effects and return.
     Commit(CommitEffects<R>),
     /// Abort the registration and retry from `begin_op`, optionally
-    /// running a fix-up (see [`RestartFn`]) in between.
-    Restart(Option<RestartFn<'a>>),
+    /// running a fix-up in between: after the registration is cleanly
+    /// aborted, before the retry (e.g. BD-Spash splitting a full
+    /// segment — splitting under an open registration would deadlock
+    /// the epoch advance the split may wait on).
+    Restart(Option<Box<dyn FnOnce() + 'a>>),
 }
 
 impl<'a, R> OpStep<'a, R> {
     /// The attempt committed with `effects`.
     pub fn commit(effects: CommitEffects<R>) -> Result<Self, RunError> {
         Ok(OpStep::Commit(effects))
-    }
-
-    /// Retry the operation under a fresh registration.
-    pub fn restart() -> Result<Self, RunError> {
-        Ok(OpStep::Restart(None))
     }
 
     /// Retry after running `fixup` outside the operation bracket.
@@ -105,9 +102,13 @@ impl<R> CommitEffects<R> {
     }
 
     /// Persist `blk` eagerly (write-back + fence, off the transactional
-    /// path) instead of tracking it — the §4.3 large-cold policy.
-    /// Recovery visibility is still gated by the epoch frontier.
+    /// path) instead of tracking it — the §4.3 large-cold policy. Drops
+    /// a pending [`track`](Self::track) of the same block. Recovery
+    /// visibility is still gated by the epoch frontier.
     pub fn persist_now(mut self, blk: NvmAddr) -> Self {
+        if self.track == Some(blk) {
+            self.track = None;
+        }
         self.persist_now = Some(blk);
         self
     }
@@ -120,12 +121,42 @@ impl<R> CommitEffects<R> {
     }
 }
 
-/// RAII bracket around one registered operation attempt.
+/// What [`OpGuard::update`] did with a key's existing block, or that
+/// the structure linked the operation's block for an absent key.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Upsert {
+    /// The key was absent: the operation's block was linked.
+    Inserted,
+    /// The block is from the operation's epoch: its value word was
+    /// rewritten in place.
+    InPlace(NvmAddr),
+    /// The block is from an older epoch: the operation's block replaced
+    /// it, and the old one retires after commit.
+    Replaced(NvmAddr),
+}
+
+impl Upsert {
+    /// The `op_done` block for this outcome (Listing 1 lines 31–38),
+    /// with `blk` the operation's preallocated block: a linked block is
+    /// tracked (and a replaced one retired), and an in-place update
+    /// keeps `blk` for the thread's next operation. The result is
+    /// whether the key was newly inserted.
+    #[inline]
+    pub fn effects(self, blk: NvmAddr) -> CommitEffects<bool> {
+        match self {
+            Upsert::Inserted => CommitEffects::of(true).track(blk),
+            Upsert::InPlace(_) => CommitEffects::of(false).keep_prealloc(),
+            Upsert::Replaced(old) => CommitEffects::of(false).retire(old).track(blk),
+        }
+    }
+}
+
+/// RAII bracket around one registered operation attempt, and the
+/// in-transaction half of Listing 1 on its KV block.
 ///
-/// Created by [`run_op`] (or [`OpGuard::begin`] for hand-rolled
-/// drivers): registers the operation ([`EpochSys::begin_op`]) and takes
-/// the thread's preallocated block. Until defused by
-/// [`OpGuard::finish`] or [`OpGuard::abort`], dropping the guard —
+/// Created by [`run_op`]: registers the operation
+/// ([`EpochSys::begin_op`]) and takes the thread's preallocated block.
+/// Until `run_op` commits or aborts the attempt, dropping the guard —
 /// including a panic or injected-crash unwind mid-operation — returns
 /// the block to its slot and clears the epoch announcement, so an
 /// interrupted operation can never stall a future epoch advance or leak
@@ -135,8 +166,8 @@ pub struct OpGuard<'a> {
     epoch: u64,
     prealloc: Option<(&'a PreallocSlots, NvmAddr)>,
     armed: bool,
-    /// Flight-recorder tag for [`OpGuard::abort`]; the unwind default
-    /// distinguishes drop-glue aborts from deliberate restarts.
+    /// Flight-recorder tag of an abort; the unwind default distinguishes
+    /// an unwind from deliberate restarts.
     abort_tag: Cell<u64>,
     /// Restart count reported with the commit event (set by `run_op`).
     restarts: Cell<u64>,
@@ -145,14 +176,9 @@ pub struct OpGuard<'a> {
 impl<'a> OpGuard<'a> {
     /// Registers an operation in the current epoch and, when `prealloc`
     /// is given, takes the thread's spare block (Listing 1 lines 7–12).
-    pub fn begin(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>) -> OpGuard<'a> {
-        Self::begin_at(esys, prealloc, esys.obs().now_ns())
-    }
-
-    /// [`OpGuard::begin`] with its `OpBegin` event stamped `t_ns`, a
-    /// clock reading taken just before (by `run_op`, which also measures
-    /// the op's latency from it).
-    fn begin_at(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>, t_ns: u64) -> OpGuard<'a> {
+    /// Its `OpBegin` event is stamped `t_ns`, a clock reading `run_op`
+    /// took just before (and measures the op's latency from).
+    fn begin(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>, t_ns: u64) -> OpGuard<'a> {
         let epoch = esys.begin_op();
         esys.obs().event_at(t_ns, EventKind::OpBegin, epoch, 0);
         let prealloc = prealloc.map(|slots| (slots, slots.take(esys)));
@@ -167,6 +193,7 @@ impl<'a> OpGuard<'a> {
     }
 
     /// The epoch this attempt registered in (`op_epoch`).
+    #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -176,41 +203,79 @@ impl<'a> OpGuard<'a> {
     /// # Panics
     ///
     /// Panics if the operation was started without a [`PreallocSlots`].
+    #[inline]
     pub fn blk(&self) -> NvmAddr {
         self.prealloc
             .expect("operation was started without a prealloc slot")
             .1
     }
 
-    /// The epoch system this operation is registered with.
-    pub fn esys(&self) -> &'a EpochSys {
-        self.esys
+    /// Writes the still-private block: `key`, `value` and the
+    /// structure's recovery `tag` (Listing 1 lines 13–15). Plain stores:
+    /// nothing can reach the block before the transaction links it.
+    #[inline]
+    pub fn fill(&self, key: u64, value: u64, tag: u64) {
+        let (es, blk) = (self.esys, self.blk());
+        es.payload_word(blk, KV_KEY).store(key, Ordering::Release);
+        es.payload_word(blk, KV_VALUE)
+            .store(value, Ordering::Release);
+        Header::set_tag(es.heap(), blk, tag);
     }
 
-    /// Aborts the attempt: the prealloc block goes back to its slot
-    /// (epoch reset) and the registration is cleared, refunding any
-    /// buffered tracking (Listing 1 lines 39–41).
-    pub fn abort(mut self) {
-        self.armed = false;
-        self.esys
-            .obs()
-            .event(EventKind::OpAbort, self.epoch, self.abort_tag.get());
-        if let Some((slots, blk)) = self.prealloc {
-            slots.put_back(self.esys, blk);
+    /// Claims the block for this operation's epoch, inside the
+    /// transaction and before its linearization point (Listing 1
+    /// line 17), so that concurrent operations can classify it.
+    #[inline]
+    pub fn claim(&self, m: &mut dyn MemAccess<'a>) -> TxResult<()> {
+        self.esys.set_epoch(m, self.blk(), self.epoch)
+    }
+
+    /// Writes `value` to the key whose block is `old` (Listing 1
+    /// lines 20–29): in place on [`KV_VALUE`] if `old` is from this
+    /// operation's epoch; through `replace`, which links the operation's
+    /// block in its stead, if `old` is older; and an [`OLD_SEE_NEW`]
+    /// abort if `old` is newer — BDL forbids an old operation
+    /// overwriting newer state.
+    pub fn update(
+        &self,
+        m: &mut dyn MemAccess<'a>,
+        old: NvmAddr,
+        value: u64,
+        replace: impl FnOnce(&mut dyn MemAccess<'a>) -> TxResult<()>,
+    ) -> TxResult<Upsert> {
+        let be = self.esys.get_epoch(m, old)?;
+        if be > self.epoch {
+            Err(m.abort(OLD_SEE_NEW))
+        } else if be < self.epoch {
+            replace(m)?;
+            Ok(Upsert::Replaced(old))
+        } else {
+            self.esys.p_set(m, old, KV_VALUE, value)?;
+            Ok(Upsert::InPlace(old))
         }
-        self.esys.abort_op();
     }
 
-    /// Commits the attempt: applies `effects` in the canonical
+    /// The remove guard: aborts with [`OLD_SEE_NEW`] if `blk`, the block
+    /// about to be unlinked, is from a newer epoch. Call before any
+    /// write.
+    #[inline]
+    pub fn check_remove(&self, m: &mut dyn MemAccess<'a>, blk: NvmAddr) -> TxResult<()> {
+        if self.esys.get_epoch(m, blk)? > self.epoch {
+            return Err(m.abort(OLD_SEE_NEW));
+        }
+        Ok(())
+    }
+
+    /// Aborts the attempt (the drop glue), flight-recorded with `tag`.
+    fn abort(self, tag: u64) {
+        self.abort_tag.set(tag);
+    }
+
+    /// Commits the attempt: records its latency from `t0`, the clock
+    /// reading the op began at, applies `effects` in the canonical
     /// post-commit order and ends the operation. Returns the body's
     /// result.
-    pub fn finish<R>(self, effects: CommitEffects<R>) -> R {
-        self.finish_from(effects, None)
-    }
-
-    /// [`OpGuard::finish`]; with `t0`, the clock reading the op began at,
-    /// also records the op's latency and restart count (`run_op`).
-    fn finish_from<R>(mut self, effects: CommitEffects<R>, t0: Option<u64>) -> R {
+    fn finish<R>(mut self, effects: CommitEffects<R>, t0: u64) -> R {
         self.armed = false;
         // One clock reading stamps the OpCommit flight event, the
         // durability-lag span and the latency sample; the span is folded
@@ -222,10 +287,8 @@ impl<'a> OpGuard<'a> {
             self.restarts.get(),
             self.esys.persisted_frontier(),
         );
-        if let Some(t0) = t0 {
-            obs.op_latency_ns.record(t_ns - t0);
-            obs.op_restarts.record(self.restarts.get());
-        }
+        obs.op_latency_ns.record(t_ns - t0);
+        obs.op_restarts.record(self.restarts.get());
         if let Some(old) = effects.retire {
             self.esys.p_retire(old);
         }
@@ -252,14 +315,16 @@ impl<'a> OpGuard<'a> {
 }
 
 impl Drop for OpGuard<'_> {
+    // Aborts the attempt unless `finish` committed it: the prealloc block
+    // goes back to its slot (epoch reset) and the registration is
+    // cleared, refunding any buffered tracking (Listing 1 lines 39–41).
+    // An unwind mid-operation — e.g. an injected crash — takes this path
+    // too, so it leaves no stale announcement and no stale-epoch block.
     fn drop(&mut self) {
-        // Unwind path only (finish/abort defuse the guard): behave like
-        // an abort so a panic mid-operation — e.g. an injected crash —
-        // leaves no stale announcement and no stale-epoch block.
         if self.armed {
             self.esys
                 .obs()
-                .event(EventKind::OpAbort, self.epoch, ABORT_UNWIND);
+                .event(EventKind::OpAbort, self.epoch, self.abort_tag.get());
             if let Some((slots, blk)) = self.prealloc {
                 slots.put_back(self.esys, blk);
             }
@@ -273,8 +338,10 @@ impl Drop for OpGuard<'_> {
 /// [`OLD_SEE_NEW`] with a fresh registration each time, exactly the
 /// Listing 1 protocol.
 ///
-/// The `body` runs its own hardware transaction(s) against
-/// [`OpGuard::epoch`] and [`OpGuard::blk`] and returns:
+/// The `body` runs its own hardware transaction(s), calling the
+/// guard's [`fill`](OpGuard::fill), [`claim`](OpGuard::claim),
+/// [`update`](OpGuard::update) and [`check_remove`](OpGuard::check_remove)
+/// around its search and link, and returns:
 ///
 /// * `Ok(OpStep::Commit(effects))` — the transaction committed; the
 ///   combinator applies `effects` (retire → persist → put-back →
@@ -300,7 +367,7 @@ pub fn run_op<'a, R>(
     let mut t_begin = t0;
     let mut restarts = 0u64;
     loop {
-        let op = OpGuard::begin_at(esys, prealloc, t_begin);
+        let op = OpGuard::begin(esys, prealloc, t_begin);
         op.restarts.set(restarts);
         // A panicking body must not take the whole process down with an
         // HTM transaction open and an epoch announced: catch it, let the
@@ -322,10 +389,9 @@ pub fn run_op<'a, R>(
             }
         };
         match step {
-            Ok(OpStep::Commit(effects)) => return op.finish_from(effects, Some(t0)),
+            Ok(OpStep::Commit(effects)) => return op.finish(effects, t0),
             Ok(OpStep::Restart(fixup)) => {
-                op.abort_tag.set(ABORT_RESTART);
-                op.abort();
+                op.abort(ABORT_RESTART);
                 if let Some(f) = fixup {
                     f();
                 }
@@ -335,8 +401,7 @@ pub fn run_op<'a, R>(
                     code, OLD_SEE_NEW,
                     "unhandled explicit abort code {code:#x} escaped an operation body"
                 );
-                op.abort_tag.set(1 + code as u64);
-                op.abort();
+                op.abort(1 + code as u64);
             }
         }
         restarts += 1;
@@ -349,8 +414,11 @@ mod tests {
     use super::*;
     use crate::config::EpochConfig;
     use crate::esys::payload;
-    use htm_sim::{FallbackLock, Htm, HtmConfig, MemAccess};
+    use crate::kv::KV_WORDS;
+    use htm_sim::{AbortCause, FallbackLock, Htm, HtmConfig};
     use nvm_sim::{NvmConfig, NvmHeap};
+    use persist_alloc::HDR_EPOCH;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn setup() -> (Arc<EpochSys>, Arc<Htm>) {
@@ -366,14 +434,8 @@ mod tests {
         let lock = FallbackLock::new();
         let blk = run_op(&esys, Some(&slots), |op| {
             let blk = op.blk();
-            esys.heap()
-                .word(payload(blk, 0))
-                .store(77, std::sync::atomic::Ordering::Release);
-            let epoch = op.epoch();
-            htm.run(&lock, |m: &mut dyn MemAccess| {
-                esys.set_epoch(m, blk, epoch)?;
-                Ok(())
-            })?;
+            op.fill(7, 77, 0);
+            htm.run(&lock, |m| op.claim(m))?;
             OpStep::commit(CommitEffects::of(blk).track(blk))
         });
         esys.advance();
@@ -427,6 +489,113 @@ mod tests {
         assert!(epochs[1] > epochs[0], "retry must re-register, not reuse");
     }
 
+    /// Listing 1 lines 20–29 through [`OpGuard::update`]: in place for
+    /// the op's own epoch, replace for an older block, `OLD_SEE_NEW`
+    /// for a newer one.
+    #[test]
+    fn update_matches_listing1() {
+        let (esys, htm) = setup();
+        let heap = esys.heap();
+        let op = OpGuard::begin(&esys, None, 0);
+        let e = op.epoch();
+        let block = |epoch: u64| {
+            let blk = esys.p_new(KV_WORDS);
+            heap.word(payload(blk, KV_VALUE))
+                .store(1, Ordering::Relaxed);
+            Header::set_epoch(heap, blk, epoch);
+            blk
+        };
+        let value = |blk: NvmAddr| heap.word(payload(blk, KV_VALUE)).load(Ordering::Relaxed);
+        let replaced = Cell::new(0);
+        let update = |old: NvmAddr| {
+            htm.attempt(|t| {
+                op.update(t, old, 2, |_| {
+                    replaced.set(replaced.get() + 1);
+                    Ok(())
+                })
+            })
+        };
+
+        // Own epoch: the value word is rewritten in place.
+        let own = block(e);
+        assert_eq!(update(own), Ok(Upsert::InPlace(own)));
+        assert_eq!((value(own), replaced.get()), (2, 0));
+
+        // Older: the structure's replace runs; the old block is untouched.
+        let older = block(e - 1);
+        assert_eq!(update(older), Ok(Upsert::Replaced(older)));
+        assert_eq!((value(older), replaced.get()), (1, 1));
+
+        // Newer: OldSeeNewException, and nothing is written.
+        let newer = block(e + 1);
+        assert_eq!(update(newer), Err(AbortCause::Explicit(OLD_SEE_NEW)));
+        assert_eq!((value(newer), replaced.get()), (1, 1));
+        op.abort(ABORT_RESTART);
+    }
+
+    /// One op per [`Upsert`] outcome on a one-key map, with the
+    /// effects [`Upsert::effects`] gives it.
+    #[test]
+    fn upsert_effects_follow_op_done() {
+        let (esys, htm) = setup();
+        let (slot, lock, slots) = (
+            AtomicU64::new(0),
+            FallbackLock::new(),
+            PreallocSlots::new(KV_WORDS),
+        );
+        let upsert = |value: u64| {
+            let seen = Cell::new(None);
+            run_op(&esys, Some(&slots), |op| {
+                let blk = op.blk();
+                op.fill(7, value, 0);
+                let up = htm.run(&lock, |m| {
+                    op.claim(m)?;
+                    match m.load(&slot)? {
+                        0 => m.store(&slot, blk.0).map(|()| Upsert::Inserted),
+                        old => op.update(m, NvmAddr(old), value, |m| m.store(&slot, blk.0)),
+                    }
+                })?;
+                seen.set(Some((up, blk)));
+                OpStep::commit(up.effects(blk))
+            });
+            seen.get().expect("the op committed")
+        };
+        let durable = |blk: NvmAddr| {
+            let img = esys.heap().crash();
+            (
+                img.word(blk.offset(HDR_EPOCH)),
+                img.word(payload(blk, KV_VALUE)),
+            )
+        };
+
+        // Inserted, then InPlace in the same epoch: the tracked block
+        // is durable with the updated value after two advances.
+        let e = esys.current_epoch();
+        let (up, first) = upsert(1);
+        assert_eq!(up, Upsert::Inserted);
+        let (up, spare) = upsert(2);
+        assert_eq!(up, Upsert::InPlace(first));
+        esys.advance();
+        esys.advance();
+        assert_eq!(durable(first), (e, 2));
+
+        // Replaced: the block the in-place op left is the next op's,
+        // the new block becomes durable, and the old one is reclaimed
+        // once its retire epoch publishes.
+        let e = esys.current_epoch();
+        let (up, second) = upsert(3);
+        assert_eq!((up, second), (Upsert::Replaced(first), spare));
+        assert_eq!(esys.stats().snapshot().blocks_reclaimed, 0);
+        esys.advance();
+        esys.advance();
+        assert_eq!(durable(second), (e, 3));
+        assert_eq!(esys.stats().snapshot().blocks_reclaimed, 1);
+
+        // The §4.3 eager persist replaces the tracking of its block.
+        let fx = Upsert::Inserted.effects(second).persist_now(second);
+        assert_eq!((fx.track, fx.persist_now), (None, Some(second)));
+    }
+
     /// The `OpBegin` and `OpCommit` stamps of the flight dump, in order.
     fn op_stamps(esys: &EpochSys) -> (Vec<u64>, Vec<u64>) {
         let dump = esys.obs().dump(usize::MAX);
@@ -460,7 +629,7 @@ mod tests {
         run_op(&esys, None, |_op| {
             attempts += 1;
             if attempts == 1 {
-                return OpStep::restart();
+                return Ok(OpStep::Restart(None));
             }
             OpStep::commit(CommitEffects::of(()))
         });

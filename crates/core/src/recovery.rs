@@ -24,10 +24,9 @@
 //! rebuild of DRAM index structures (PHTM-vEB, BDL-Skiplist, BD-Spash).
 
 use crate::config::EpochConfig;
-use crate::esys::{payload, EpochSys, EPOCH_MAGIC, EPOCH_START, ROOT_FRONTIER, ROOT_MAGIC};
+use crate::esys::{EpochSys, EPOCH_MAGIC, EPOCH_START, ROOT_FRONTIER, ROOT_MAGIC};
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{mark_allocated, BlockState, PAlloc, RecoveredBlock, HDR_WORDS, INVALID_EPOCH};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A block that survived a crash, for index rebuilding.
@@ -39,40 +38,6 @@ pub struct LiveBlock {
     pub epoch: u64,
     /// User tag (block type).
     pub tag: u64,
-}
-
-/// `(key, block address)` of every live block tagged `tag`, sorted by
-/// key — the order an index rebuild wants, for locality and so that
-/// rebuild threads can each take a slice of the key range. `key_word` is
-/// the payload word holding the key.
-pub fn live_keys_sorted(
-    heap: &NvmHeap,
-    live: &[LiveBlock],
-    tag: u64,
-    key_word: u64,
-) -> Vec<(u64, u64)> {
-    let mut keyed: Vec<(u64, u64)> = Vec::with_capacity(live.len());
-    keyed.extend(live.iter().filter(|b| b.tag == tag).map(|b| {
-        let key = heap.word(payload(b.addr, key_word)).load(Ordering::Acquire);
-        (key, b.addr.0)
-    }));
-    // `live` is in address order and the allocator hands out an extent
-    // from the top down, so a sequentially loaded key range arrives as
-    // descending runs. Turning each run around first leaves such input
-    // already sorted, which the sort detects in one pass (4.4 M records:
-    // 35 ms instead of 155); on random keys the runs are two or three
-    // long and this costs nothing measurable.
-    let mut run = 0;
-    while run < keyed.len() {
-        let mut end = run + 1;
-        while end < keyed.len() && keyed[end].0 < keyed[end - 1].0 {
-            end += 1;
-        }
-        keyed[run..end].reverse();
-        run = end;
-    }
-    keyed.sort_unstable();
-    keyed
 }
 
 /// What recovery does with one scanned block.

@@ -22,12 +22,12 @@
 use crate::hash64;
 use crate::hotspot::HotspotDetector;
 use bdhtm_core::{
-    payload, run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, UpdateKind, OLD_SEE_NEW,
+    payload, run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, Upsert, KV_KEY, KV_VALUE,
 };
 use htm_sim::sync::RwLock;
 use htm_sim::{FallbackLock, Htm, MemAccess, TxResult};
 use nvm_sim::NvmAddr;
-use persist_alloc::{class_for_payload, Header};
+use persist_alloc::class_for_payload;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,9 +35,6 @@ mod recovery;
 
 /// Block tag identifying BD-Spash KV blocks.
 pub const BDSPASH_KV_TAG: u64 = 0x4244_5350; // "BDSP"
-
-const P_KEY: u64 = 0;
-const P_VAL: u64 = 1; // value words follow
 
 /// DRAM segment geometry: 64 buckets of 8 slots.
 const NBUCKETS: usize = 64;
@@ -136,15 +133,6 @@ impl Directory {
     }
 }
 
-enum Outcome {
-    Inserted,
-    Replaced(NvmAddr),
-    InPlace(NvmAddr),
-    Removed(NvmAddr),
-    Absent,
-    NeedSplit,
-}
-
 /// The buffered-durable Spash back-port.
 pub struct BdSpash {
     esys: Arc<EpochSys>,
@@ -180,7 +168,7 @@ impl BdSpash {
             }),
             hotspot: HotspotDetector::new(1 << 16, 4),
             value_words,
-            new_blk: PreallocSlots::new(1 + value_words),
+            new_blk: PreallocSlots::new(KV_VALUE + value_words),
         }
     }
 
@@ -196,13 +184,9 @@ impl BdSpash {
         self.esys.alloc_stats().bytes_in_use()
     }
 
-    fn kv_payload_words(&self) -> u64 {
-        1 + self.value_words
-    }
-
     /// Whether this table's KV blocks are "large" (eager-persist class).
     fn blocks_are_large(&self) -> bool {
-        class_for_payload(self.kv_payload_words())
+        class_for_payload(KV_VALUE + self.value_words)
             .map(|c| c >= LARGE_CLASS)
             .unwrap_or(false)
     }
@@ -224,7 +208,7 @@ impl BdSpash {
             }
             if fingerprint_matches(word, h) {
                 let blk = slot_blk(word);
-                if m.load(self.esys.heap().word(payload(blk, P_KEY)))? == key {
+                if m.load(self.esys.heap().word(payload(blk, KV_KEY)))? == key {
                     return Ok(Probe::Hit(i, blk));
                 }
             }
@@ -242,25 +226,8 @@ impl BdSpash {
         key: u64,
     ) -> TxResult<Option<u64>> {
         match self.probe(m, bucket, h, key)? {
-            Probe::Hit(_, blk) => Ok(Some(self.esys.p_get(m, blk, P_VAL)?)),
+            Probe::Hit(_, blk) => Ok(Some(self.esys.p_get(m, blk, KV_VALUE)?)),
             Probe::Miss(_) => Ok(None),
-        }
-    }
-
-    /// Persistence policy after a committed write: large cold blocks are
-    /// flushed immediately (`persist_now` — the data reaches media right
-    /// after commit, freeing cache and spreading NVM bandwidth, and the
-    /// epoch flusher skips them entirely); everything else is tracked
-    /// for the epoch flusher (the coalescing argument of §4.3).
-    /// Visibility to recovery is still gated by the epoch frontier
-    /// either way, so durability semantics are unchanged. An in-place
-    /// update of an eagerly persisted block later in the same epoch
-    /// re-tracks it (see the `InPlace` arm of `insert`).
-    fn persist_effect<R>(&self, fx: CommitEffects<R>, blk: NvmAddr, hot: bool) -> CommitEffects<R> {
-        if !hot && self.blocks_are_large() {
-            fx.persist_now(blk)
-        } else {
-            fx.track(blk)
         }
     }
 
@@ -273,62 +240,50 @@ impl BdSpash {
         let hot = self.hotspot.touch(h);
         let heap = self.esys.heap();
         run_op(&self.esys, Some(&self.new_blk), |op| {
-            let (blk, op_epoch) = (op.blk(), op.epoch());
-            heap.word(payload(blk, P_KEY)).store(key, Ordering::Release);
-            for w in 0..self.value_words {
-                heap.word(payload(blk, P_VAL + w))
+            let blk = op.blk();
+            op.fill(key, value, BDSPASH_KV_TAG);
+            for w in 1..self.value_words {
+                heap.word(payload(blk, KV_VALUE + w))
                     .store(value.rotate_left(w as u32), Ordering::Release);
             }
-            Header::set_tag(heap, blk, BDSPASH_KV_TAG);
 
             let dir = self.dir.read();
             let bucket = dir.bucket(h);
             let result = self.htm.run(&self.lock, |m| {
-                self.esys.set_epoch(m, blk, op_epoch)?;
+                op.claim(m)?;
                 match self.probe(m, bucket, h, key)? {
-                    Probe::Hit(i, old_blk) => {
-                        match self.esys.classify_update(m, old_blk, op_epoch)? {
-                            UpdateKind::InPlace => {
-                                self.esys.p_set(m, old_blk, P_VAL, value)?;
-                                Ok(Outcome::InPlace(old_blk))
-                            }
-                            UpdateKind::Replace => {
-                                m.store(&bucket[i], slot_word(blk, h))?;
-                                Ok(Outcome::Replaced(old_blk))
-                            }
-                        }
-                    }
+                    Probe::Hit(i, old) => op
+                        .update(m, old, value, |m| m.store(&bucket[i], slot_word(blk, h)))
+                        .map(Some),
                     Probe::Miss(len) if len < BUCKET_SLOTS => {
                         m.store(&bucket[len], slot_word(blk, h))?;
-                        Ok(Outcome::Inserted)
+                        Ok(Some(Upsert::Inserted))
                     }
-                    Probe::Miss(_) => Ok(Outcome::NeedSplit),
+                    // A full bucket: split, then retry.
+                    Probe::Miss(_) => Ok(None),
                 }
             });
             drop(dir);
+            let Some(upsert) = result? else {
+                return OpStep::restart_after(move || self.split(h));
+            };
 
-            match result? {
-                Outcome::NeedSplit => OpStep::restart_after(move || self.split(h)),
-                Outcome::InPlace(updated) => {
-                    let mut fx = CommitEffects::of(false).keep_prealloc();
-                    if self.blocks_are_large() {
-                        // The updated block may have been eagerly
-                        // persisted and skipped by the flusher:
-                        // re-track so the new value reaches media.
-                        fx = fx.track(updated);
-                    }
-                    OpStep::commit(fx)
+            // The §4.3 persistence policy: a large cold block is written
+            // back right after commit (freeing cache and spreading NVM
+            // bandwidth; the epoch flusher skips it), everything else
+            // rides the epoch buffers (the coalescing argument).
+            // Recovery visibility is gated by the epoch frontier either
+            // way. A large block updated in place may have been
+            // persisted eagerly and skipped by the flusher, so it is
+            // tracked again for the new value to reach media.
+            let fx = upsert.effects(blk);
+            OpStep::commit(match upsert {
+                Upsert::InPlace(old) if self.blocks_are_large() => fx.track(old),
+                Upsert::Inserted | Upsert::Replaced(_) if !hot && self.blocks_are_large() => {
+                    fx.persist_now(blk)
                 }
-                Outcome::Replaced(old) => OpStep::commit(self.persist_effect(
-                    CommitEffects::of(false).retire(old),
-                    blk,
-                    hot,
-                )),
-                Outcome::Inserted => {
-                    OpStep::commit(self.persist_effect(CommitEffects::of(true), blk, hot))
-                }
-                _ => unreachable!(),
-            }
+                _ => fx,
+            })
         })
     }
 
@@ -337,16 +292,13 @@ impl BdSpash {
         let h = hash64(key);
         self.hotspot.touch(h);
         run_op(&self.esys, None, |op| {
-            let op_epoch = op.epoch();
             let dir = self.dir.read();
             let bucket = dir.bucket(h);
-            let result = self.htm.run(&self.lock, |m| {
+            let removed = self.htm.run(&self.lock, |m| {
                 let Probe::Hit(i, blk) = self.probe(m, bucket, h, key)? else {
-                    return Ok(Outcome::Absent);
+                    return Ok(None);
                 };
-                if self.esys.get_epoch(m, blk)? > op_epoch {
-                    return Err(m.abort(OLD_SEE_NEW));
-                }
+                op.check_remove(m, blk)?;
                 // Keep the occupied slots a prefix: the bucket's last
                 // entry moves into the hole (0 if the hole is the last).
                 let (mut last, mut moved) = (i, 0);
@@ -363,14 +315,13 @@ impl BdSpash {
                     htm_sim::chaos::point("bdspash::remove_move");
                     m.store(&bucket[last], 0)?;
                 }
-                Ok(Outcome::Removed(blk))
+                Ok(Some(blk))
             });
             drop(dir);
-            match result? {
-                Outcome::Absent => OpStep::commit(CommitEffects::of(false)),
-                Outcome::Removed(blk) => OpStep::commit(CommitEffects::of(true).retire(blk)),
-                _ => unreachable!(),
-            }
+            OpStep::commit(match removed? {
+                None => CommitEffects::of(false),
+                Some(blk) => CommitEffects::of(true).retire(blk),
+            })
         })
     }
 
@@ -420,7 +371,7 @@ impl BdSpash {
                     break;
                 }
                 let k = heap
-                    .word(payload(slot_blk(word), P_KEY))
+                    .word(payload(slot_blk(word), KV_KEY))
                     .load(Ordering::Acquire);
                 let half = (hash64(k) >> ld) as usize & 1;
                 let tgt = if half == 0 { &a } else { &b };
@@ -438,11 +389,6 @@ impl BdSpash {
                 };
             }
         }
-    }
-
-    /// Reclaims per-thread preallocated blocks (clean shutdown).
-    pub fn drain_preallocated(&self) {
-        self.new_blk.drain(&self.esys);
     }
 }
 
@@ -615,8 +561,8 @@ mod tests {
                 // value words, and no other block's.
                 let blk = slot_blk(bucket[i].load(Ordering::Relaxed));
                 let mut want = slots(i + 1);
-                want.push(heap.word(payload(blk, P_KEY)));
-                want.push(heap.word(payload(blk, P_VAL)));
+                want.push(heap.word(payload(blk, KV_KEY)));
+                want.push(heap.word(payload(blk, KV_VALUE)));
                 assert_eq!(
                     get_loads(k),
                     (Some(i as u64 + 1), want),
@@ -647,7 +593,7 @@ mod tests {
             let word = |i: usize| seg.buckets[b][i].load(Ordering::Relaxed);
             assert_eq!(word(last), 0, "the last slot empties");
             if victim != last {
-                let moved = payload(slot_blk(word(victim)), P_KEY);
+                let moved = payload(slot_blk(word(victim)), KV_KEY);
                 let moved = t.esys.heap().word(moved).load(Ordering::Relaxed);
                 assert_eq!(moved, keys[last], "the last entry fills the hole");
             }

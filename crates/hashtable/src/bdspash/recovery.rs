@@ -3,13 +3,12 @@
 
 use super::{
     bucket_of, fingerprint_matches, slot_blk, slot_word, BdSpash, Directory, Segment, ADDR_BITS,
-    BDSPASH_KV_TAG, P_KEY,
+    BDSPASH_KV_TAG,
 };
 use crate::hash64;
-use bdhtm_core::{payload, EpochSys, LiveBlock};
+use bdhtm_core::{kv_block_key, payload, EpochSys, LiveBlock, KV_KEY};
 use htm_sim::Htm;
 use nvm_sim::NvmAddr;
-use persist_alloc::Header;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ impl BdSpash {
         let t = BdSpash::new(esys, htm);
         let heap = Arc::clone(t.esys.heap());
         for b in live.iter().filter(|b| b.tag == BDSPASH_KV_TAG) {
-            let key = heap.word(payload(b.addr, P_KEY)).load(Ordering::Acquire);
+            let key = heap.word(payload(b.addr, KV_KEY)).load(Ordering::Acquire);
             let h = hash64(key);
             loop {
                 let placed = {
@@ -128,24 +127,7 @@ impl BdSpash {
         raw: u64,
         clock: u64,
     ) -> Result<u64, String> {
-        use persist_alloc::BlockState;
-        let heap = self.esys.heap();
-        let blk = slot_blk(raw);
-        match Header::state(heap, blk) {
-            Some((BlockState::Allocated, _)) => {}
-            other => return Err(format!("block {blk:?} not allocated ({other:?})")),
-        }
-        let tag = Header::tag(heap, blk);
-        if tag != BDSPASH_KV_TAG {
-            return Err(format!("block {blk:?} has foreign tag {tag:#x}"));
-        }
-        let be = Header::epoch(heap, blk);
-        if be == persist_alloc::INVALID_EPOCH || be > clock {
-            return Err(format!(
-                "block {blk:?} carries invalid epoch {be} (clock {clock})"
-            ));
-        }
-        let key = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
+        let key = kv_block_key(self.esys.heap(), slot_blk(raw), BDSPASH_KV_TAG, clock)?;
         let h = hash64(key);
         if !Arc::ptr_eq(dir.segment(h), seg) {
             return Err(format!(

@@ -4,25 +4,22 @@
 //! Full buckets overflow by linear probing into subsequent buckets (the
 //! paper "omits" this case; real code cannot). Each operation is one
 //! hardware transaction following the preallocate / claim-epoch /
-//! classify / defer-persist protocol.
+//! update-or-replace / defer-persist protocol, whose steps are
+//! [`bdhtm_core::OpGuard`]'s; the table supplies its probe and slot
+//! stores.
 
 use crate::hash64;
 use bdhtm_core::{
-    payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots, UpdateKind,
-    KV_UNIVERSE_BITS, OLD_SEE_NEW,
+    kv_block_key, payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots,
+    Upsert, KV_KEY, KV_UNIVERSE_BITS, KV_VALUE, KV_WORDS,
 };
 use htm_sim::{FallbackLock, Htm, MemAccess, RunError, TxResult};
 use nvm_sim::NvmAddr;
-use persist_alloc::Header;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Block tag for Listing-1 KV pairs.
 pub const LISTING1_KV_TAG: u64 = 0x4C31_4B56; // "L1KV"
-
-const P_KEY: u64 = 0;
-const P_VAL: u64 = 1;
-const KV_PAYLOAD_WORDS: u64 = 2;
 
 /// Slots per bucket (Listing 1's `BUCKET_SIZE`).
 pub const BUCKET_SIZE: usize = 8;
@@ -37,14 +34,6 @@ const TABLE_FULL: u8 = 0xF1;
 /// `locate` result: `(slot_index, block)` of a match, plus the first
 /// free slot index on the probe path.
 type SlotHit = (Option<(usize, NvmAddr)>, Option<usize>);
-
-enum Outcome {
-    Inserted,
-    Replaced(NvmAddr),
-    InPlace,
-    Removed(NvmAddr),
-    Absent,
-}
 
 /// The Listing 1 BDL hash map (fixed capacity).
 pub struct BdhtHashMap {
@@ -69,7 +58,7 @@ impl BdhtHashMap {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             n_buckets,
-            new_blk: PreallocSlots::new(KV_PAYLOAD_WORDS),
+            new_blk: PreallocSlots::new(KV_WORDS),
         }
     }
 
@@ -102,7 +91,7 @@ impl BdhtHashMap {
                     }
                     continue;
                 }
-                let k = m.load(heap.word(payload(NvmAddr(blk), P_KEY)))?;
+                let k = m.load(heap.word(payload(NvmAddr(blk), KV_KEY)))?;
                 if k == key {
                     return Ok((Some((idx, NvmAddr(blk))), free));
                 }
@@ -123,35 +112,22 @@ impl BdhtHashMap {
     /// Listing 1 table has no resizing, use [`BdSpash`](crate::BdSpash)
     /// for a growable table.
     pub fn insert(&self, key: u64, value: u64) -> bool {
-        let heap = self.esys.heap();
         run_op(&self.esys, Some(&self.new_blk), |op| {
             // retry_regist:
-            let (blk, op_epoch) = (op.blk(), op.epoch());
-            heap.word(payload(blk, P_KEY)).store(key, Ordering::Release);
-            heap.word(payload(blk, P_VAL))
-                .store(value, Ordering::Release);
-            Header::set_tag(heap, blk, LISTING1_KV_TAG);
+            let blk = op.blk();
+            op.fill(key, value, LISTING1_KV_TAG);
 
             let result = self.htm.run(&self.lock, |m| {
-                self.esys.set_epoch(m, blk, op_epoch)?;
+                op.claim(m)?;
                 let (found, free) = self.locate(m, key)?;
                 match found {
-                    Some((idx, old_blk)) => {
-                        match self.esys.classify_update(m, old_blk, op_epoch)? {
-                            UpdateKind::InPlace => {
-                                self.esys.p_set(m, old_blk, P_VAL, value)?;
-                                Ok(Outcome::InPlace)
-                            }
-                            UpdateKind::Replace => {
-                                m.store(&self.slots[idx], blk.0)?;
-                                Ok(Outcome::Replaced(old_blk))
-                            }
-                        }
+                    Some((idx, old)) => {
+                        op.update(m, old, value, |m| m.store(&self.slots[idx], blk.0))
                     }
                     None => match free {
                         Some(idx) => {
                             m.store(&self.slots[idx], blk.0)?;
-                            Ok(Outcome::Inserted)
+                            Ok(Upsert::Inserted)
                         }
                         // Probe window exhausted: abort explicitly so the
                         // operation can be ended *before* reporting the
@@ -172,12 +148,7 @@ impl BdhtHashMap {
                     )
                 }),
                 Err(e) => Err(e),
-                Ok(Outcome::InPlace) => OpStep::commit(CommitEffects::of(false).keep_prealloc()),
-                Ok(Outcome::Replaced(old)) => {
-                    OpStep::commit(CommitEffects::of(false).retire(old).track(blk))
-                }
-                Ok(Outcome::Inserted) => OpStep::commit(CommitEffects::of(true).track(blk)),
-                Ok(_) => unreachable!(),
+                Ok(upsert) => OpStep::commit(upsert.effects(blk)),
             }
         })
     }
@@ -185,26 +156,18 @@ impl BdhtHashMap {
     /// Removes `key`. Returns `true` if it was present.
     pub fn remove(&self, key: u64) -> bool {
         run_op(&self.esys, None, |op| {
-            let op_epoch = op.epoch();
-            let result = self.htm.run(&self.lock, |m| {
-                let (found, _) = self.locate(m, key)?;
-                match found {
-                    None => Ok(Outcome::Absent),
-                    Some((idx, blk)) => {
-                        let be = self.esys.get_epoch(m, blk)?;
-                        if be > op_epoch {
-                            return Err(m.abort(OLD_SEE_NEW));
-                        }
-                        m.store(&self.slots[idx], 0)?;
-                        Ok(Outcome::Removed(blk))
-                    }
-                }
+            let removed = self.htm.run(&self.lock, |m| {
+                let Some((idx, blk)) = self.locate(m, key)?.0 else {
+                    return Ok(None);
+                };
+                op.check_remove(m, blk)?;
+                m.store(&self.slots[idx], 0)?;
+                Ok(Some(blk))
             });
-            match result? {
-                Outcome::Absent => OpStep::commit(CommitEffects::of(false)),
-                Outcome::Removed(blk) => OpStep::commit(CommitEffects::of(true).retire(blk)),
-                _ => unreachable!(),
-            }
+            OpStep::commit(match removed? {
+                None => CommitEffects::of(false),
+                Some(blk) => CommitEffects::of(true).retire(blk),
+            })
         })
     }
 
@@ -212,12 +175,9 @@ impl BdhtHashMap {
     pub fn get(&self, key: u64) -> Option<u64> {
         let r = self
             .htm
-            .run(&self.lock, |m| {
-                let (found, _) = self.locate(m, key)?;
-                match found {
-                    None => Ok(None),
-                    Some((_, blk)) => Ok(Some(self.esys.p_get(m, blk, P_VAL)?)),
-                }
+            .run(&self.lock, |m| match self.locate(m, key)?.0 {
+                None => Ok(None),
+                Some((_, blk)) => self.esys.p_get(m, blk, KV_VALUE).map(Some),
             })
             .expect("lookups raise no explicit aborts");
         if r.is_some() {
@@ -240,7 +200,7 @@ impl BdhtHashMap {
         let t = BdhtHashMap::new(n_buckets, esys, htm);
         let heap = Arc::clone(t.esys.heap());
         for b in live.iter().filter(|b| b.tag == LISTING1_KV_TAG) {
-            let key = heap.word(payload(b.addr, P_KEY)).load(Ordering::Acquire);
+            let key = heap.word(payload(b.addr, KV_KEY)).load(Ordering::Acquire);
             let start = (hash64(key) as usize) & (t.n_buckets - 1);
             let mut placed = false;
             'outer: for p in 0..MAX_PROBE {
@@ -259,11 +219,6 @@ impl BdhtHashMap {
         t
     }
 
-    /// Reclaims per-thread preallocated blocks (clean shutdown).
-    pub fn drain_preallocated(&self) {
-        self.new_blk.drain(&self.esys);
-    }
-
     /// Structural invariant check (call while quiescent):
     ///
     /// * every occupied slot holds an allocated block tagged
@@ -273,7 +228,6 @@ impl BdhtHashMap {
     ///   block's key hashes to;
     /// * no key and no block appears twice.
     pub fn validate(&self) -> Result<(), String> {
-        use persist_alloc::BlockState;
         use std::collections::HashSet;
         let heap = self.esys.heap();
         let clock = self.esys.current_epoch();
@@ -284,28 +238,8 @@ impl BdhtHashMap {
             if raw == 0 {
                 continue;
             }
-            let blk = NvmAddr(raw);
-            match Header::state(heap, blk) {
-                Some((BlockState::Allocated, _)) => {}
-                other => {
-                    return Err(format!(
-                        "slot {idx}: block {blk:?} not allocated ({other:?})"
-                    ))
-                }
-            }
-            let tag = Header::tag(heap, blk);
-            if tag != LISTING1_KV_TAG {
-                return Err(format!(
-                    "slot {idx}: block {blk:?} has foreign tag {tag:#x}"
-                ));
-            }
-            let be = Header::epoch(heap, blk);
-            if be == persist_alloc::INVALID_EPOCH || be > clock {
-                return Err(format!(
-                    "slot {idx}: block {blk:?} carries invalid epoch {be} (clock {clock})"
-                ));
-            }
-            let key = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
+            let key = kv_block_key(heap, NvmAddr(raw), LISTING1_KV_TAG, clock)
+                .map_err(|e| format!("slot {idx}: {e}"))?;
             let start = (hash64(key) as usize) & (self.n_buckets - 1);
             let dist = (idx / BUCKET_SIZE + self.n_buckets - start) & (self.n_buckets - 1);
             if dist >= MAX_PROBE {
@@ -317,7 +251,7 @@ impl BdhtHashMap {
                 return Err(format!("key {key} present twice"));
             }
             if !blocks.insert(raw) {
-                return Err(format!("block {blk:?} referenced twice"));
+                return Err(format!("block {:?} referenced twice", NvmAddr(raw)));
             }
         }
         Ok(())

@@ -10,13 +10,12 @@
 
 use crate::{random_level, MAX_LEVEL};
 use bdhtm_core::{
-    payload, run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, UpdateKind, OLD_SEE_NEW,
+    run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, Upsert, KV_VALUE, KV_WORDS,
 };
 use htm_sim::chaos;
 use htm_sim::ebr;
 use htm_sim::{thread_id, FallbackLock, Htm, MemAccess, TxResult};
 use nvm_sim::NvmAddr;
-use persist_alloc::Header;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,10 +24,6 @@ mod recovery;
 
 /// Block tag identifying BDL-Skiplist KV pairs in recovery scans.
 pub const SKIP_KV_TAG: u64 = 0x534B_4C56; // "SKLV"
-
-const P_KEY: u64 = 0;
-const P_VAL: u64 = 1;
-const KV_PAYLOAD_WORDS: u64 = 2;
 
 /// Tombstone in a DRAM next pointer: the tower was unlinked.
 const TOMB: u64 = 1;
@@ -69,15 +64,6 @@ fn next_level() -> usize {
     })
 }
 
-enum WriteOutcome {
-    Linked,
-    InPlace,
-    Replaced(NvmAddr),
-    Removed(NvmAddr),
-    Validate,
-    Value(u64),
-}
-
 /// The buffered durably linearizable skiplist (§4.2).
 pub struct BdlSkiplist {
     esys: Arc<EpochSys>,
@@ -87,8 +73,9 @@ pub struct BdlSkiplist {
     new_blk: PreallocSlots,
 }
 
-// Tower pointers are published only through committed transactional (or
-// locked, versioned) stores; reclamation is deferred through EBR.
+// SAFETY: tower pointers are published only through committed
+// transactional (or locked, versioned) stores; reclamation is deferred
+// through EBR.
 unsafe impl Send for BdlSkiplist {}
 unsafe impl Sync for BdlSkiplist {}
 
@@ -99,7 +86,7 @@ impl BdlSkiplist {
             htm,
             lock: FallbackLock::new(),
             head: Box::into_raw(Tower::boxed(0, MAX_LEVEL, 0)),
-            new_blk: PreallocSlots::new(KV_PAYLOAD_WORDS),
+            new_blk: PreallocSlots::new(KV_WORDS),
         }
     }
 
@@ -116,6 +103,16 @@ impl BdlSkiplist {
         self.esys.alloc_stats().bytes_in_use()
     }
 
+    /// The tower `ptr` points at.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be the head, or a pointer read from a live link (a
+    /// `next` word that was neither 0 nor [`TOMB`], or a tower's own
+    /// address found that way) while an `ebr` guard is pinned, and the
+    /// reference must not outlive that guard. A tower is freed only by
+    /// an `ebr`-deferred drop after its unlink commits, so it stays
+    /// allocated until every guard pinned before the unlink drops.
     #[inline]
     unsafe fn tower(&self, ptr: u64) -> &Tower {
         debug_assert!(ptr != 0 && ptr != TOMB);
@@ -123,7 +120,8 @@ impl BdlSkiplist {
     }
 
     /// Non-transactional search (preemption tolerant): per-level preds
-    /// and succs, plus the exact-match tower.
+    /// and succs, plus the exact-match tower. Call under a pinned `ebr`
+    /// guard; every pointer it returns was read from a live link under it.
     fn find(&self, key: u64) -> ([u64; MAX_LEVEL], [u64; MAX_LEVEL], Option<u64>) {
         'restart: loop {
             let mut preds = [self.head as u64; MAX_LEVEL];
@@ -131,11 +129,13 @@ impl BdlSkiplist {
             let mut pred = self.head as u64;
             for lvl in (0..MAX_LEVEL).rev() {
                 loop {
+                    // SAFETY: `pred` is the head or a live link (checked below).
                     let nxt = unsafe { self.tower(pred) }.next[lvl].load(Ordering::Acquire);
                     if nxt == TOMB {
                         chaos::point("bdl::find_restart");
                         continue 'restart;
                     }
+                    // SAFETY: `nxt` is a live link: neither 0 nor TOMB.
                     if nxt != 0 && unsafe { self.tower(nxt) }.key < key {
                         pred = nxt;
                         continue;
@@ -147,6 +147,7 @@ impl BdlSkiplist {
             }
             let found = match succs[0] {
                 0 => None,
+                // SAFETY: a non-zero `succs[0]` is a live-link pointer.
                 n if unsafe { self.tower(n) }.key == key => Some(n),
                 _ => None,
             };
@@ -164,6 +165,7 @@ impl BdlSkiplist {
         levels: usize,
     ) -> TxResult<bool> {
         for i in 0..levels {
+            // SAFETY: `preds` came from `find` under the caller's guard.
             let p = unsafe { self.tower(preds[i]) };
             if m.load(&p.next[i])? != succs[i] {
                 return Ok(false);
@@ -175,41 +177,30 @@ impl BdlSkiplist {
     /// Inserts or updates. Returns `true` if the key was newly inserted.
     pub fn insert(&self, key: u64, value: u64) -> bool {
         let guard = ebr::pin();
-        let heap = self.esys.heap();
         let mut tower: Option<Box<Tower>> = None;
         let inserted = run_op(&self.esys, Some(&self.new_blk), |op| {
-            let (blk, op_epoch) = (op.blk(), op.epoch());
-            heap.word(payload(blk, P_KEY)).store(key, Ordering::Release);
-            heap.word(payload(blk, P_VAL))
-                .store(value, Ordering::Release);
-            Header::set_tag(heap, blk, SKIP_KV_TAG);
-
-            // Window-validation failures retry the search under the
-            // same registration; only OLD_SEE_NEW re-registers.
-            'find: loop {
+            let blk = op.blk();
+            op.fill(key, value, SKIP_KV_TAG);
+            // A window-validation failure (`None`) retries the search
+            // under the same registration; only OLD_SEE_NEW re-registers.
+            loop {
                 let (preds, succs, found) = self.find(key);
-                let outcome = if let Some(node_ptr) = found {
+                let upsert = if let Some(node_ptr) = found {
                     // Update path: small transaction over the block epoch.
+                    // SAFETY: `find` read `node_ptr` from a live link under `guard`.
                     let node = unsafe { self.tower(node_ptr) };
                     chaos::point("bdl::update_txn");
                     self.htm.run(&self.lock, |m| {
                         // The tower must still be linked at level 0.
+                        // SAFETY: `preds[0]` is the head or a live link under `guard`.
                         let p = unsafe { self.tower(preds[0]) };
                         if m.load(&p.next[0])? != node_ptr {
-                            return Ok(WriteOutcome::Validate);
+                            return Ok(None);
                         }
-                        self.esys.set_epoch(m, blk, op_epoch)?;
+                        op.claim(m)?;
                         let cur = NvmAddr(m.load(&node.blk)?);
-                        match self.esys.classify_update(m, cur, op_epoch)? {
-                            UpdateKind::InPlace => {
-                                self.esys.p_set(m, cur, P_VAL, value)?;
-                                Ok(WriteOutcome::InPlace)
-                            }
-                            UpdateKind::Replace => {
-                                m.store(&node.blk, blk.0)?;
-                                Ok(WriteOutcome::Replaced(cur))
-                            }
-                        }
+                        op.update(m, cur, value, |m| m.store(&node.blk, blk.0))
+                            .map(Some)
                     })
                 } else {
                     // Link path: build (or reuse) a private tower.
@@ -226,33 +217,27 @@ impl BdlSkiplist {
                     chaos::point("bdl::link_txn");
                     let r = self.htm.run(&self.lock, |m| {
                         if !self.validate_window(m, &preds, &succs, levels)? {
-                            return Ok(WriteOutcome::Validate);
+                            return Ok(None);
                         }
-                        self.esys.set_epoch(m, blk, op_epoch)?;
+                        op.claim(m)?;
                         for (i, &pp) in preds.iter().enumerate().take(levels) {
+                            // SAFETY: `pp` is the head or a live link under `guard`.
                             let p = unsafe { self.tower(pp) };
                             m.store(&p.next[i], t_ptr)?;
                         }
-                        Ok(WriteOutcome::Linked)
+                        Ok(Some(Upsert::Inserted))
                     });
-                    if !matches!(r, Ok(WriteOutcome::Linked)) {
+                    if !matches!(r, Ok(Some(_))) {
                         // Reclaim the unpublished tower for the retry.
+                        // SAFETY: no link to `t_ptr` committed, so this thread still
+                        // owns the box `Box::into_raw` made above; taken back once.
                         tower = Some(unsafe { Box::from_raw(t_ptr as *mut Tower) });
                     }
                     r
                 };
-
-                return match outcome? {
-                    WriteOutcome::Validate => continue 'find,
-                    WriteOutcome::Linked => OpStep::commit(CommitEffects::of(true).track(blk)),
-                    WriteOutcome::InPlace => {
-                        OpStep::commit(CommitEffects::of(false).keep_prealloc())
-                    }
-                    WriteOutcome::Replaced(old) => {
-                        OpStep::commit(CommitEffects::of(false).retire(old).track(blk))
-                    }
-                    _ => unreachable!("insert produced an unexpected outcome"),
-                };
+                if let Some(upsert) = upsert? {
+                    return OpStep::commit(upsert.effects(blk));
+                }
             }
         });
         drop(guard);
@@ -262,64 +247,76 @@ impl BdlSkiplist {
     /// Removes `key`. Returns `true` if it was present.
     pub fn remove(&self, key: u64) -> bool {
         let guard = ebr::pin();
-        let removed = run_op(&self.esys, None, |op| {
-            let op_epoch = op.epoch();
-            'find: loop {
-                let (preds, _succs, found) = self.find(key);
-                let Some(node_ptr) = found else {
-                    return OpStep::commit(CommitEffects::of(None));
-                };
-                let node = unsafe { self.tower(node_ptr) };
-                let levels = node.level;
-                chaos::point("bdl::unlink_txn");
-                let r = self.htm.run(&self.lock, |m| {
-                    // All predecessors must still point at this tower.
-                    for (i, &pp) in preds.iter().enumerate().take(levels) {
-                        let p = unsafe { self.tower(pp) };
-                        if m.load(&p.next[i])? != node_ptr {
-                            return Ok(WriteOutcome::Validate);
-                        }
+        let removed = run_op(&self.esys, None, |op| loop {
+            let (preds, _succs, found) = self.find(key);
+            let Some(node_ptr) = found else {
+                return OpStep::commit(CommitEffects::of(None));
+            };
+            // SAFETY: `find` read `node_ptr` from a live link under `guard`.
+            let node = unsafe { self.tower(node_ptr) };
+            let levels = node.level;
+            chaos::point("bdl::unlink_txn");
+            let r = self.htm.run(&self.lock, |m| {
+                // All predecessors must still point at this tower.
+                for (i, &pp) in preds.iter().enumerate().take(levels) {
+                    // SAFETY: `pp` is the head or a live link under `guard`.
+                    let p = unsafe { self.tower(pp) };
+                    if m.load(&p.next[i])? != node_ptr {
+                        return Ok(None);
                     }
-                    let blk = NvmAddr(m.load(&node.blk)?);
-                    let be = self.esys.get_epoch(m, blk)?;
-                    if be > op_epoch {
-                        return Err(m.abort(OLD_SEE_NEW));
-                    }
-                    // Unlink every level and tombstone the tower.
-                    for (i, &pp) in preds.iter().enumerate().take(levels) {
-                        let nx = m.load(&node.next[i])?;
-                        let p = unsafe { self.tower(pp) };
-                        m.store(&p.next[i], nx)?;
-                        m.store(&node.next[i], TOMB)?;
-                    }
-                    Ok(WriteOutcome::Removed(blk))
-                });
-                return match r? {
-                    WriteOutcome::Validate => continue 'find,
-                    WriteOutcome::Removed(blk) => {
-                        OpStep::commit(CommitEffects::of(Some(node_ptr)).retire(blk))
-                    }
-                    _ => unreachable!("remove produced an unexpected outcome"),
-                };
+                }
+                let blk = NvmAddr(m.load(&node.blk)?);
+                op.check_remove(m, blk)?;
+                // Unlink every level and tombstone the tower.
+                for (i, &pp) in preds.iter().enumerate().take(levels) {
+                    let nx = m.load(&node.next[i])?;
+                    // SAFETY: as in the validation loop above.
+                    let p = unsafe { self.tower(pp) };
+                    m.store(&p.next[i], nx)?;
+                    m.store(&node.next[i], TOMB)?;
+                }
+                Ok(Some(blk))
+            });
+            if let Some(blk) = r? {
+                return OpStep::commit(CommitEffects::of(Some(node_ptr)).retire(blk));
             }
         });
-        match removed {
-            Some(node_ptr) => {
-                // Defer the DRAM tower until readers drain.
-                unsafe {
-                    guard.defer_unchecked(move || {
-                        chaos::point("bdl::tower_free");
-                        drop(Box::from_raw(node_ptr as *mut Tower));
-                    });
-                }
-                drop(guard);
-                true
-            }
-            None => {
-                drop(guard);
-                false
+        if let Some(node_ptr) = removed {
+            // Defer the DRAM tower until readers drain.
+            // SAFETY: only this thread's committed unlink made `node_ptr`
+            // unreachable, so its box is freed once, and `ebr` frees it only
+            // after every guard that may still read it has dropped.
+            unsafe {
+                guard.defer_unchecked(move || {
+                    chaos::point("bdl::tower_free");
+                    drop(Box::from_raw(node_ptr as *mut Tower));
+                });
             }
         }
+        drop(guard);
+        removed.is_some()
+    }
+
+    /// The key and value of the tower `node_ptr`, the value read in one
+    /// transaction with the check that `pred` still links to it at
+    /// level 0; `None` if it no longer does, and the caller searches
+    /// again. Call under a pinned `ebr` guard, with both pointers read
+    /// from live links under it (or `pred` the head).
+    fn read_linked(&self, pred: u64, node_ptr: u64) -> Option<(u64, u64)> {
+        // SAFETY: the caller's pinned guard keeps both towers allocated.
+        let (p, node) = unsafe { (self.tower(pred), self.tower(node_ptr)) };
+        let v = self
+            .htm
+            .run(&self.lock, |m| {
+                if m.load(&p.next[0])? != node_ptr {
+                    return Ok(None);
+                }
+                let blk = NvmAddr(m.load(&node.blk)?);
+                self.esys.p_get(m, blk, KV_VALUE).map(Some)
+            })
+            .expect("lookups raise no explicit aborts")?;
+        self.esys.heap().charge_media_read();
+        Some((node.key, v))
     }
 
     /// The value of `key`, if present, read consistently (link validation
@@ -327,25 +324,9 @@ impl BdlSkiplist {
     pub fn get(&self, key: u64) -> Option<u64> {
         let _guard = ebr::pin();
         loop {
-            let (preds, succs, found) = self.find(key);
-            let node_ptr = found?;
-            let node = unsafe { self.tower(node_ptr) };
-            let r = self.htm.run(&self.lock, |m| {
-                let p = unsafe { self.tower(preds[0]) };
-                if m.load(&p.next[0])? != succs[0] {
-                    return Ok(WriteOutcome::Validate);
-                }
-                let blk = NvmAddr(m.load(&node.blk)?);
-                let v = self.esys.p_get(m, blk, P_VAL)?;
-                Ok(WriteOutcome::Value(v))
-            });
-            match r {
-                Ok(WriteOutcome::Validate) => continue,
-                Ok(WriteOutcome::Value(v)) => {
-                    self.esys.heap().charge_media_read();
-                    return Some(v);
-                }
-                _ => unreachable!("lookup raises no explicit aborts"),
+            let (preds, _, found) = self.find(key);
+            if let Some((_, v)) = self.read_linked(preds[0], found?) {
+                return Some(v);
             }
         }
     }
@@ -365,23 +346,8 @@ impl BdlSkiplist {
             if succs[0] == 0 {
                 return None;
             }
-            let node = unsafe { self.tower(succs[0]) };
-            let r = self.htm.run(&self.lock, |m| {
-                let p = unsafe { self.tower(preds[0]) };
-                if m.load(&p.next[0])? != succs[0] {
-                    return Ok(WriteOutcome::Validate);
-                }
-                let blk = NvmAddr(m.load(&node.blk)?);
-                let v = self.esys.p_get(m, blk, P_VAL)?;
-                Ok(WriteOutcome::Value(v))
-            });
-            match r {
-                Ok(WriteOutcome::Validate) => continue,
-                Ok(WriteOutcome::Value(v)) => {
-                    self.esys.heap().charge_media_read();
-                    return Some((node.key, v));
-                }
-                _ => unreachable!("lookup raises no explicit aborts"),
+            if let Some(kv) = self.read_linked(preds[0], succs[0]) {
+                return Some(kv);
             }
         }
     }
@@ -407,9 +373,11 @@ impl BdlSkiplist {
     pub fn len(&self) -> usize {
         let _guard = ebr::pin();
         let mut n = 0;
+        // SAFETY: the head, then live links read under `_guard`.
         let mut cur = unsafe { self.tower(self.head as u64) }.next[0].load(Ordering::Acquire);
         while cur != 0 && cur != TOMB {
             n += 1;
+            // SAFETY: as above.
             cur = unsafe { self.tower(cur) }.next[0].load(Ordering::Acquire);
         }
         n
@@ -417,11 +385,6 @@ impl BdlSkiplist {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Reclaims per-thread preallocated blocks (clean shutdown).
-    pub fn drain_preallocated(&self) {
-        self.new_blk.drain(&self.esys);
     }
 }
 
@@ -432,6 +395,9 @@ bdhtm_core::impl_bdl_kv!(BdlSkiplist, name: "bdl-skiplist", tag: SKIP_KV_TAG,
 impl Drop for BdlSkiplist {
     fn drop(&mut self) {
         // Single-threaded at this point: free every tower.
+        // SAFETY: `&mut self` excludes every other user, so each tower
+        // still linked at level 0 is freed once, from its `Box`;
+        // unlinked towers were handed to `ebr` by `remove`.
         unsafe {
             let mut cur = self.head as u64;
             while cur != 0 && cur != TOMB {

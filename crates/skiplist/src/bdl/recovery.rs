@@ -1,12 +1,11 @@
 //! Rebuilding a BDL-Skiplist after a crash (§5.2), and the structural
 //! check that recovery, the fault sweeps and the tests run on the result.
 
-use super::{next_level, BdlSkiplist, Tower, P_KEY, SKIP_KV_TAG, TOMB};
+use super::{next_level, BdlSkiplist, Tower, SKIP_KV_TAG, TOMB};
 use crate::MAX_LEVEL;
-use bdhtm_core::{live_keys_sorted, payload, EpochSys, LiveBlock};
+use bdhtm_core::{kv_block_key, live_keys_sorted, EpochSys, LiveBlock};
 use htm_sim::Htm;
 use nvm_sim::NvmAddr;
-use persist_alloc::Header;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ impl BdlSkiplist {
         threads: usize,
     ) -> BdlSkiplist {
         let list = BdlSkiplist::new(esys, htm);
-        let mine = live_keys_sorted(list.esys.heap(), live, SKIP_KV_TAG, P_KEY);
+        let mine = live_keys_sorted(list.esys.heap(), live, SKIP_KV_TAG);
         assert!(
             mine.windows(2).all(|w| w[0].0 != w[1].0),
             "duplicate key in recovered heap"
@@ -80,7 +79,6 @@ impl BdlSkiplist {
     ///   exactly towers taller than `l`, in the same order;
     /// * no two towers share a KV block.
     pub fn validate(&self) -> Result<(), String> {
-        use persist_alloc::BlockState;
         let heap = self.esys.heap();
         let clock = self.esys.current_epoch();
         let head = self.head as u64;
@@ -100,30 +98,8 @@ impl BdlSkiplist {
                 return Err(format!("validate: tower {} has height {}", t.key, t.level));
             }
             let blk = NvmAddr(t.blk.load(Ordering::Acquire));
-            match Header::state(heap, blk) {
-                Some((BlockState::Allocated, _)) => {}
-                other => {
-                    return Err(format!(
-                        "key {}: block {blk:?} not allocated ({other:?})",
-                        t.key
-                    ))
-                }
-            }
-            let tag = Header::tag(heap, blk);
-            if tag != SKIP_KV_TAG {
-                return Err(format!(
-                    "key {}: block {blk:?} has foreign tag {tag:#x}",
-                    t.key
-                ));
-            }
-            let be = Header::epoch(heap, blk);
-            if be == persist_alloc::INVALID_EPOCH || be > clock {
-                return Err(format!(
-                    "key {}: block {blk:?} carries invalid epoch {be} (clock {clock})",
-                    t.key
-                ));
-            }
-            let k = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
+            let k = kv_block_key(heap, blk, SKIP_KV_TAG, clock)
+                .map_err(|e| format!("key {}: {e}", t.key))?;
             if k != t.key {
                 return Err(format!("tower {} points at block holding key {k}", t.key));
             }

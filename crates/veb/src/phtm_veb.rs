@@ -2,39 +2,28 @@
 //!
 //! The DRAM index is exactly [`HtmVeb`](crate::HtmVeb)'s; leaf slots hold
 //! pointers to KV blocks in NVM managed by the epoch system. Every write
-//! operation follows the Listing 1 strategy: preallocate outside the
-//! transaction, claim the block's epoch inside it, classify updates
-//! against the block's epoch (in-place / replace / `OldSeeNewException`),
-//! and defer persistence and reclamation until after commit. After a
-//! crash, the index is rebuilt by scanning the live KV blocks.
+//! operation follows the Listing 1 strategy through
+//! [`bdhtm_core::OpGuard`]: preallocate outside the transaction, claim
+//! the block's epoch inside it, update in place, replace, or raise
+//! `OldSeeNewException` by the existing block's epoch, and defer
+//! persistence and reclamation until after commit. The tree supplies
+//! only the index search and link. After a crash, the index is rebuilt
+//! by scanning the live KV blocks.
 
 use crate::index::{AllocCtx, VebIndex};
 use bdhtm_core::{
-    live_keys_sorted, payload, run_op, CommitEffects, EpochSys, LiveBlock, OpStep, PreallocSlots,
-    UpdateKind, KV_UNIVERSE_BITS, OLD_SEE_NEW,
+    kv_block_key, live_keys_sorted, run_op, CommitEffects, EpochSys, LiveBlock, OpStep,
+    PreallocSlots, Upsert, KV_UNIVERSE_BITS, KV_VALUE, KV_WORDS,
 };
-use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess, PlainAccess};
+use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess, PlainAccess, TxResult};
 use nvm_sim::NvmAddr;
-use persist_alloc::Header;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Block tag identifying PHTM-vEB key-value pairs in recovery scans.
 pub const VEB_KV_TAG: u64 = 0x7EB0_4B56; // "vEB KV"
 
-/// Payload layout of a KV block: `[key, value]`.
-const P_KEY: u64 = 0;
-const P_VAL: u64 = 1;
-const KV_PAYLOAD_WORDS: u64 = 2;
-
 const NO_ABORT: &str = "plain access never aborts";
-
-enum WriteOutcome {
-    Inserted,
-    Replaced(NvmAddr),
-    InPlace,
-}
 
 /// The buffered durably linearizable vEB tree.
 pub struct PhtmVeb {
@@ -57,7 +46,7 @@ impl PhtmVeb {
             esys,
             htm,
             lock: FallbackLock::new(),
-            new_blk: PreallocSlots::new(KV_PAYLOAD_WORDS),
+            new_blk: PreallocSlots::new(KV_WORDS),
             prewalk_on_memtype: true,
         }
     }
@@ -98,40 +87,22 @@ impl PhtmVeb {
     /// newly inserted. The operation is linearizable immediately and
     /// durable once its epoch is two behind the clock.
     pub fn insert(&self, key: u64, value: u64) -> bool {
-        let heap = self.esys.heap();
         run_op(&self.esys, Some(&self.new_blk), |op| {
-            let (blk, op_epoch) = (op.blk(), op.epoch());
-            // Initialize the (private) block: key and value.
-            heap.word(payload(blk, P_KEY)).store(key, Ordering::Release);
-            heap.word(payload(blk, P_VAL))
-                .store(value, Ordering::Release);
-            Header::set_tag(heap, blk, VEB_KV_TAG);
-
+            let blk = op.blk();
+            op.fill(key, value, VEB_KV_TAG);
             let ctx = AllocCtx::default();
             let result = self.htm.run_hooked(
                 &self.lock,
                 &mut |m: &mut dyn MemAccess| {
                     self.index.recycle_attempt(&ctx);
-                    // Claim the preallocated block for this epoch before
-                    // the linearization point (Listing 1 line 17).
-                    self.esys.set_epoch(m, blk, op_epoch)?;
+                    op.claim(m)?;
                     match self.index.get_tx(m, key)? {
-                        Some(slot) => {
-                            let old_blk = NvmAddr(slot);
-                            match self.esys.classify_update(m, old_blk, op_epoch)? {
-                                UpdateKind::InPlace => {
-                                    self.esys.p_set(m, old_blk, P_VAL, value)?;
-                                    Ok(WriteOutcome::InPlace)
-                                }
-                                UpdateKind::Replace => {
-                                    self.index.insert_tx(m, key, blk.0, &ctx)?;
-                                    Ok(WriteOutcome::Replaced(old_blk))
-                                }
-                            }
-                        }
+                        Some(slot) => op.update(m, NvmAddr(slot), value, |m| {
+                            self.index.insert_tx(m, key, blk.0, &ctx).map(drop)
+                        }),
                         None => {
                             self.index.insert_tx(m, key, blk.0, &ctx)?;
-                            Ok(WriteOutcome::Inserted)
+                            Ok(Upsert::Inserted)
                         }
                     }
                 },
@@ -144,15 +115,9 @@ impl PhtmVeb {
                     self.index.recycle_attempt(&ctx);
                     Err(e)
                 }
-                Ok(outcome) => {
+                Ok(upsert) => {
                     self.index.commit_attempt(&ctx);
-                    OpStep::commit(match outcome {
-                        WriteOutcome::InPlace => CommitEffects::of(false).keep_prealloc(),
-                        WriteOutcome::Replaced(old) => {
-                            CommitEffects::of(false).retire(old).track(blk)
-                        }
-                        WriteOutcome::Inserted => CommitEffects::of(true).track(blk),
-                    })
+                    OpStep::commit(upsert.effects(blk))
                 }
             }
         })
@@ -161,23 +126,15 @@ impl PhtmVeb {
     /// Removes `key`. Returns `true` if it was present.
     pub fn remove(&self, key: u64) -> bool {
         run_op(&self.esys, None, |op| {
-            let op_epoch = op.epoch();
             let removed = self.htm.run_hooked(
                 &self.lock,
-                &mut |m: &mut dyn MemAccess| {
-                    match self.index.get_tx(m, key)? {
-                        None => Ok(None),
-                        Some(slot) => {
-                            let blk = NvmAddr(slot);
-                            // BDL forbids an old operation destroying
-                            // newer state: epoch check before any write.
-                            let be = self.esys.get_epoch(m, blk)?;
-                            if be > op_epoch {
-                                return Err(m.abort(OLD_SEE_NEW));
-                            }
-                            self.index.remove_tx(m, key)?;
-                            Ok(Some(blk))
-                        }
+                &mut |m: &mut dyn MemAccess| match self.index.get_tx(m, key)? {
+                    None => Ok(None),
+                    Some(slot) => {
+                        let blk = NvmAddr(slot);
+                        op.check_remove(m, blk)?;
+                        self.index.remove_tx(m, key)?;
+                        Ok(Some(blk))
                     }
                 },
                 self.hook(key),
@@ -189,18 +146,23 @@ impl PhtmVeb {
         })
     }
 
-    /// The value of `key`, if present. Reads the KV block from NVM inside
-    /// the transaction (lookups need no epoch registration: they modify
-    /// nothing and TL2 opacity protects them from concurrent
-    /// reclamation).
-    pub fn get(&self, key: u64) -> Option<u64> {
+    /// One lookup transaction: `find` locates a `(key, slot)` in the
+    /// index, and the value is read from the slot's KV block in NVM
+    /// inside the same transaction (lookups need no epoch registration:
+    /// they modify nothing and TL2 opacity protects them from
+    /// concurrent reclamation).
+    fn read<'s>(
+        &'s self,
+        key: u64,
+        mut find: impl FnMut(&mut dyn MemAccess<'s>) -> TxResult<Option<(u64, u64)>>,
+    ) -> Option<(u64, u64)> {
         let r = self
             .htm
             .run_hooked(
                 &self.lock,
-                &mut |m: &mut dyn MemAccess| match self.index.get_tx(m, key)? {
+                &mut |m| match find(m)? {
                     None => Ok(None),
-                    Some(slot) => Ok(Some(self.esys.p_get(m, NvmAddr(slot), P_VAL)?)),
+                    Some((k, slot)) => Ok(Some((k, self.esys.p_get(m, NvmAddr(slot), KV_VALUE)?))),
                 },
                 self.hook(key),
             )
@@ -209,6 +171,12 @@ impl PhtmVeb {
             self.esys.heap().charge_media_read();
         }
         r
+    }
+
+    /// The value of `key`, if present.
+    pub fn get(&self, key: u64) -> Option<u64> {
+        self.read(key, |m| Ok(self.index.get_tx(m, key)?.map(|s| (key, s))))
+            .map(|(_, v)| v)
     }
 
     /// Whether `key` is present (index-only, no NVM read).
@@ -224,40 +192,12 @@ impl PhtmVeb {
 
     /// Smallest `(key, value)` strictly greater than `key`.
     pub fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        let r = self
-            .htm
-            .run_hooked(
-                &self.lock,
-                &mut |m: &mut dyn MemAccess| match self.index.successor_tx(m, key)? {
-                    None => Ok(None),
-                    Some((k, slot)) => Ok(Some((k, self.esys.p_get(m, NvmAddr(slot), P_VAL)?))),
-                },
-                self.hook(key),
-            )
-            .expect("lookups raise no explicit aborts");
-        if r.is_some() {
-            self.esys.heap().charge_media_read();
-        }
-        r
+        self.read(key, |m| self.index.successor_tx(m, key))
     }
 
     /// Largest `(key, value)` strictly smaller than `key`.
     pub fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        let r = self
-            .htm
-            .run_hooked(
-                &self.lock,
-                &mut |m: &mut dyn MemAccess| match self.index.predecessor_tx(m, key)? {
-                    None => Ok(None),
-                    Some((k, slot)) => Ok(Some((k, self.esys.p_get(m, NvmAddr(slot), P_VAL)?))),
-                },
-                self.hook(key),
-            )
-            .expect("lookups raise no explicit aborts");
-        if r.is_some() {
-            self.esys.heap().charge_media_read();
-        }
-        r
+        self.read(key, |m| self.index.predecessor_tx(m, key))
     }
 
     /// All `(key, value)` pairs in `[lo, hi)`.
@@ -298,7 +238,7 @@ impl PhtmVeb {
         threads: usize,
     ) -> PhtmVeb {
         let tree = PhtmVeb::new(universe_bits, esys, htm);
-        let mine = live_keys_sorted(tree.esys.heap(), live, VEB_KV_TAG, P_KEY);
+        let mine = live_keys_sorted(tree.esys.heap(), live, VEB_KV_TAG);
         let (index, n) = (&tree.index, mine.len());
         let insert = |pairs: &[(u64, u64)]| {
             let ctx = AllocCtx::default();
@@ -365,18 +305,12 @@ impl PhtmVeb {
         tree
     }
 
-    /// Reclaims the per-thread preallocated blocks (clean shutdown).
-    pub fn drain_preallocated(&self) {
-        self.new_blk.drain(&self.esys);
-    }
-
     /// Structural invariant check for the fault-injection harness: walks
     /// the index in key order and cross-checks every slot against its
     /// NVM block — allocated, tagged [`VEB_KV_TAG`], a valid (claimed,
     /// not-from-the-future) epoch, and a key word matching the index
     /// position. Call while quiescent, e.g. right after recovery.
     pub fn validate(&self) -> Result<(), String> {
-        use persist_alloc::BlockState;
         let heap = self.esys.heap();
         let clock = self.esys.current_epoch();
         let cap = 1u64 << self.index.ubits;
@@ -402,25 +336,8 @@ impl PhtmVeb {
                 return Err("validate: walk exceeded the universe (index cycle)".into());
             }
             let blk = NvmAddr(slot);
-            match Header::state(heap, blk) {
-                Some((BlockState::Allocated, _)) => {}
-                other => {
-                    return Err(format!(
-                        "key {key}: block {blk:?} not allocated ({other:?})"
-                    ))
-                }
-            }
-            let tag = Header::tag(heap, blk);
-            if tag != VEB_KV_TAG {
-                return Err(format!("key {key}: block {blk:?} has foreign tag {tag:#x}"));
-            }
-            let be = Header::epoch(heap, blk);
-            if be == persist_alloc::INVALID_EPOCH || be > clock {
-                return Err(format!(
-                    "key {key}: block {blk:?} carries invalid epoch {be} (clock {clock})"
-                ));
-            }
-            let k = heap.word(payload(blk, P_KEY)).load(Ordering::Acquire);
+            let k = kv_block_key(heap, blk, VEB_KV_TAG, clock)
+                .map_err(|e| format!("key {key}: {e}"))?;
             if k != key {
                 return Err(format!("index key {key} points at block holding key {k}"));
             }

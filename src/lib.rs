@@ -72,7 +72,7 @@ pub use ycsb_gen;
 pub mod prelude {
     pub use bdhtm_core::{
         run_op, BdlKv, CommitEffects, EpochConfig, EpochSys, EpochTicker, EventKind, FlightEvent,
-        JsonValue, LiveBlock, MetricsRegistry, MetricsReport, OpGuard, OpStep, UpdateKind,
+        JsonValue, LiveBlock, MetricsRegistry, MetricsReport, OpGuard, OpStep, Upsert,
         KV_UNIVERSE_BITS,
     };
     pub use btree::{ElimAbTree, LbTree, OccAbTree};

@@ -18,15 +18,13 @@
 //! private: that case is the unit test `validate_rejects_an_unsorted_level`
 //! in `crates/skiplist/src/bdl.rs`.)
 
+use bd_htm::bdhtm_core::{KV_KEY, KV_VALUE};
 use bd_htm::prelude::*;
 use htm_sim::SplitMix64;
 use persist_alloc::Header;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// KV blocks of all three structures hold `[key, value]`.
-const P_KEY: u64 = 0;
-const P_VAL: u64 = 1;
 const KEYS: u64 = (1 << KV_UNIVERSE_BITS) - 1;
 
 fn htm() -> Arc<Htm> {
@@ -117,7 +115,7 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         let plain = &rebuilds[0].1;
         let reference = T::new(Arc::clone(&esys), htm());
         for b in &mine {
-            let (k, v) = (word(b, P_KEY), word(b, P_VAL));
+            let (k, v) = (word(b, KV_KEY), word(b, KV_VALUE));
             assert!(
                 reference.insert(k.load(Ordering::Relaxed), v.load(Ordering::Relaxed)),
                 "{ctx}: two live blocks hold one key"
@@ -148,10 +146,10 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         // Block for block: stamp every live block's value with its own
         // address; a lookup then names the block the index holds.
         for b in &mine {
-            word(b, P_VAL).store(b.addr.0, Ordering::Relaxed);
+            word(b, KV_VALUE).store(b.addr.0, Ordering::Relaxed);
         }
         for b in &mine {
-            let key = word(b, P_KEY).load(Ordering::Relaxed);
+            let key = word(b, KV_KEY).load(Ordering::Relaxed);
             for (n, t) in &rebuilds {
                 assert_eq!(t.get(key), Some(b.addr.0), "{ctx}: {n}-worker, key {key}");
             }
@@ -170,9 +168,10 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         Header::set_tag(&heap, a.addr, 0xBAD);
         expect_err("a foreign tag", "foreign tag");
         Header::set_tag(&heap, a.addr, T::TAG);
-        let key_a = word(a, P_KEY).swap(word(b, P_KEY).load(Ordering::Relaxed), Ordering::Relaxed);
+        let key_a =
+            word(a, KV_KEY).swap(word(b, KV_KEY).load(Ordering::Relaxed), Ordering::Relaxed);
         expect_err("a block holding another record's key", "key");
-        word(a, P_KEY).store(key_a, Ordering::Relaxed);
+        word(a, KV_KEY).store(key_a, Ordering::Relaxed);
         for (n, t) in &rebuilds {
             t.validate()
                 .unwrap_or_else(|e| panic!("{ctx}: {n}-worker, restored: {e}"));
