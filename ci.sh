@@ -34,27 +34,33 @@ for base in 0xC4A05EED 0xC4A05F1F 0xC4A05F51 0xC4A05F83; do
     with_timeout 900 ./target/release/chaos_stress --seed-base "$base"
 done
 
-echo "==> BD-Spash shared-bucket chaos gate (prefix-packed buckets under concurrent removes)"
-# Four threads whose keys all share one bucket churn insert/remove/get,
-# so every remove moves another thread's entry into its hole; each
-# thread checks its own keys after every op and validate() closes each
-# iteration. 200 seeded chaos schedules in four 50-iteration processes
-# (the same thread-id budget as above). Replay a failing seed with
-#   ./target/release/bdspash_chaos --iters 1 --seed-base <seed>
-for base in 0x5A5EED00 0x5A5EED32 0x5A5EED64 0x5A5EED96; do
-    with_timeout 600 ./target/release/bdspash_chaos --seed-base "$base"
+echo "==> BdlKv chaos gate (every structure's churn under seeded schedules)"
+# One phase per BdlKv structure (fault::churn): four threads whose keys
+# collide in the structure's layout (one vEB leaf cluster, neighbouring
+# skiplist towers, one BD-Spash bucket, one Listing-1 bucket) churn
+# insert, update and remove, and all update one shared key, across epoch
+# advances; each thread checks its keys after every op and validate()
+# closes each phase. In-place updates, replacements, OLD_SEE_NEW restarts
+# and BD-Spash's slot moves all occur. 200 seeded chaos schedules in four
+# 50-iteration processes (the same thread-id budget as above). Replay a
+# failing seed with
+#   ./target/release/bdl_chaos --iters 1 --seed-base <seed>
+for base in 0xBD1C5EED 0xBD1C5F1F 0xBD1C5F51 0xBD1C5F83; do
+    with_timeout 600 ./target/release/bdl_chaos --seed-base "$base"
 done
 
-echo "==> PHTM-vEB leaf-churn chaos gate (in place, replace and OLD_SEE_NEW under chaos)"
-# Four threads whose keys share one leaf cluster churn insert, update
-# and remove, and all update one shared key, across epoch advances; each
-# thread checks its own keys after every op and validate() closes each
-# iteration. 200 seeded chaos schedules in four 50-iteration processes
-# (the same thread-id budget as above). Replay a failing seed with
-#   ./target/release/veb_chaos --iters 1 --seed-base <seed>
-for base in 0x7EB05EED 0x7EB05F1F 0x7EB05F51 0x7EB05F83; do
-    with_timeout 600 ./target/release/veb_chaos --seed-base "$base"
+echo "==> BdlKv coverage (every impl_bdl_kv! type has a conformance suite and a chaos phase)"
+# The conformance suite and the chaos gate each name every BdlKv type
+# once (crates/core/src/kv.rs); a new structure must not skip either.
+kv_types=$(grep -rhoE 'impl_bdl_kv!\([A-Za-z0-9_]+' crates/*/src | sed 's/.*(//' | sort -u)
+[ -n "$kv_types" ] || { echo "no impl_bdl_kv! type found"; exit 1; }
+for ty in $kv_types; do
+    grep -qE "^conformance_suite!\([a-z0-9_]+, $ty\);" tests/bdl_conformance.rs || {
+        echo "$ty has no conformance_suite! line in tests/bdl_conformance.rs"; exit 1; }
+    grep -qF "phase::<$ty>" crates/fault/src/bin/bdl_chaos.rs || {
+        echo "$ty has no phase in crates/fault/src/bin/bdl_chaos.rs"; exit 1; }
 done
+echo "BdlKv coverage OK:" $kv_types
 
 echo "==> btree optimistic-read gate (20 runs of the btree unit-test binary)"
 # `elim_tree_matches_oracle_under_contention` asserts on every value an

@@ -2,13 +2,12 @@
 //! key-value structure built on [`run_op`](crate::run_op), and the one
 //! layout of their NVM blocks.
 //!
-//! A structure that implements this trait gets the whole downstream
-//! stack for free: the fault crate's exhaustive crash-point sweep and
-//! the generic conformance suite in `tests/bdl_conformance.rs` both
-//! adapt `BdlKv` blanketly — adding a fourth structure to the repo
-//! means implementing this trait and nothing else (plus one line in
-//! the bench harness's `KvBackend` list to drive it from the figure
-//! binaries).
+//! A structure that implements this trait gets the crash-point sweep
+//! (`fault::sweep`), the conformance suite (`tests/bdl_conformance.rs`)
+//! and the chaos churn (`fault::churn`). Adding one means implementing
+//! it, one `conformance_suite!` line and one `bdl_chaos` phase on keys
+//! that collide in its layout (`ci.sh` checks both), plus one
+//! `KvBackend` line in the bench harness to drive it from the figures.
 //!
 //! The constructors take only the shared substrate (epoch system +
 //! HTM); structure-specific sizing is fixed by the impl (e.g. PHTM-vEB

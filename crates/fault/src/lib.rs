@@ -12,10 +12,12 @@
 //! and sweeps every persist boundary a workload crosses — see
 //! [`mod@crate::sweep`] for the count→replay protocol.
 
+mod churn;
 pub mod digest;
 pub mod runtime;
 pub mod sweep;
 
+pub use churn::{adjacent_keys, bd_spash_keys, churn, listing1_keys};
 pub use digest::{
     digest_reports, pinned_digest, pinned_pipelined_digest, PINNED_PIPELINED_DIGEST,
     PINNED_SWEEP_DIGEST, PINNED_SWEEP_SEED,

@@ -75,12 +75,12 @@ fn bucket_of(h: u64) -> usize {
     ((h >> 32) as usize) % NBUCKETS
 }
 
-/// `n` keys with distinct fingerprints that share one bucket while the
-/// directory has depth 1 (the first `BUCKET_SLOTS` of them fit it).
-pub(crate) fn keys_in_one_bucket(n: usize) -> Vec<u64> {
-    let target = hash64(0);
+/// The smallest `n` keys (from 1, ascending) with distinct fingerprints
+/// that share key 1's bucket at directory depth 1 (the first 8 fit it).
+pub fn keys_in_one_bucket(n: usize) -> Vec<u64> {
+    let target = hash64(1);
     let mut keys: Vec<u64> = Vec::with_capacity(n);
-    for k in 0.. {
+    for k in 1.. {
         if keys.len() == n {
             break;
         }

@@ -33,9 +33,8 @@ mod hotspot;
 mod listing1;
 mod plush;
 mod spash;
-pub mod stress;
 
-pub use bdspash::{BdSpash, BDSPASH_KV_TAG};
+pub use bdspash::{keys_in_one_bucket, BdSpash, BDSPASH_KV_TAG};
 pub use cceh::Cceh;
 pub use hotspot::HotspotDetector;
 pub use listing1::{BdhtHashMap, LISTING1_KV_TAG};
@@ -45,7 +44,7 @@ pub use spash::Spash;
 /// 64-bit finalizer (splitmix64) used as the hash function everywhere in
 /// this crate: full-avalanche, invertible, no allocation.
 #[inline]
-pub(crate) fn hash64(key: u64) -> u64 {
+pub fn hash64(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -18,14 +18,18 @@
 //! 2. **Armed** ([`arm`]): each thread draws from its own SplitMix64
 //!    stream, seeded from the session seed and the thread's *lane* (its
 //!    registration order within the session). Decisions are a pure
-//!    function of `(seed, lane, visit index)`; on the single-core CI
-//!    box, yields at protocol boundaries are what drive the
-//!    interleaving, so a failing seed is strongly reproducible. The
+//!    function of `(seed, lane, visit index)`, so a seed replays its
+//!    yields and spins, though the OS still interleaves the threads
+//!    between them: a failing seed reproduces often, not always. The
 //!    recorder keeps the tail of the decision schedule for diagnosis.
 //! 3. **Gates** ([`ChaosSession::close_once`]): one-shot breakpoints
 //!    that park the next thread reaching a site until the test opens
 //!    them. Regression tests use gates to script an exact interleaving
 //!    deterministically — no probabilities involved.
+//!
+//! Two `ci.sh` gates are [`run_gate`] binaries: `chaos_stress` (the DL-
+//! and BDL-Skiplist mixed workloads) and `bdl_chaos` (the churn of every
+//! `BdlKv` structure).
 //!
 //! Sessions are process-global and serialized: [`arm`] blocks until the
 //! previous session drops, so chaos-driven tests in one binary cannot
@@ -425,10 +429,11 @@ pub const GATE_WATCHDOG: std::time::Duration = std::time::Duration::from_secs(12
 /// with status 1, an iteration still running after [`GATE_WATCHDOG`]
 /// with status 2 (a hung worker cannot be killed, so it is leaked);
 /// both print the phase, the seed, the recorded schedule tail and the
-/// command that replays the seed. Keep `--iters` at or below ~64 per
-/// process: every iteration spawns fresh threads, and
-/// [`crate::thread_id`] hands out dense process-lifetime ids from a
-/// budget of 1024.
+/// command that replays the seed. Every iteration spawns fresh threads,
+/// and [`crate::thread_id`] hands out dense process-lifetime ids from a
+/// budget of 1024, so `--iters` times the threads one iteration spawns
+/// must stay within it (`chaos_stress` spawns 14 per iteration,
+/// `bdl_chaos` 17: at most 73 and 60 iterations).
 pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static str, fn())]) {
     let (mut iters, mut seed_base) = (50u64, default_seed_base);
     let mut args = std::env::args().skip(1);

@@ -25,7 +25,6 @@ mod htm_veb;
 mod index;
 mod node;
 mod phtm_veb;
-pub mod stress;
 
 pub use htm_veb::HtmVeb;
 pub use phtm_veb::{PhtmVeb, VEB_KV_TAG};

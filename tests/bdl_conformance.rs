@@ -1,7 +1,7 @@
 //! The generic BDL conformance suite: one set of property tests,
 //! instantiated for every [`BdlKv`] structure.
 //!
-//! Each structure module runs the same two checks:
+//! Each structure module runs the same three checks:
 //!
 //! * **Oracle conformance** — a seeded mixed workload (inserts, removes,
 //!   gets, epoch advances, random cache-line evictions) must agree with
@@ -11,9 +11,13 @@
 //!   single-threaded logged history at an arbitrary point, recover, and
 //!   the recovered state must equal the replay of *exactly* those
 //!   operations whose epoch is at or below the persisted frontier `R`.
+//! * **Concurrent crash cut** — four writers and an epoch advancer share
+//!   the structure; after a crash, every key holds a value it held in a
+//!   durable epoch, never one written after the final flush.
 //!
 //! Adding a structure to the repo means implementing `BdlKv` and adding
-//! one `conformance_suite!` line here.
+//! one `conformance_suite!` line here (and one `bdl_chaos` phase;
+//! `ci.sh` checks both).
 
 use bd_htm::prelude::*;
 use htm_sim::SplitMix64;
@@ -144,6 +148,57 @@ fn durable_prefix<T: BdlKv>() {
     }
 }
 
+/// Multi-threaded variant: per-key monotone counters. After a crash,
+/// each recovered value must be one the key actually held in a durable
+/// epoch, and every key whose final durable write happened at least two
+/// epochs before the crash must be present with a durable value.
+fn concurrent_consistent_cut<T: BdlKv>() {
+    const KEYS: u64 = 64;
+    const WRITERS: u64 = 4;
+    let (heap, esys, htm) = substrate(64 << 20);
+    let t = T::new(Arc::clone(&esys), htm);
+    // Each writer owns a disjoint key set and writes increasing values.
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let t = &t;
+            s.spawn(move || {
+                for v in 1..=400u64 {
+                    for key in 1 + w * KEYS / WRITERS..=(w + 1) * KEYS / WRITERS {
+                        t.insert(key, v);
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            for _ in 0..25 {
+                esys.advance();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+    });
+    // Quiesce: one more full flush, then writes that the crash loses.
+    esys.flush_all();
+    for key in 1..=KEYS {
+        t.insert(key, 10_000);
+    }
+
+    let heap2 = Arc::new(NvmHeap::from_image(heap.crash()));
+    let (esys2, live) = EpochSys::recover(heap2, EpochConfig::default(), 2);
+    let t2 = T::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live);
+    t2.validate()
+        .unwrap_or_else(|e| panic!("{}: validate: {e}", T::NAME));
+    for key in 1..=KEYS {
+        let v = t2
+            .get(key)
+            .unwrap_or_else(|| panic!("{}: durably written key {key} lost", T::NAME));
+        assert!(
+            (1..=400).contains(&v),
+            "{}: key {key} recovered {v}, which was never durable (10_000 was post-flush)",
+            T::NAME
+        );
+    }
+}
+
 macro_rules! conformance_suite {
     ($mod_name:ident, $ty:ty) => {
         mod $mod_name {
@@ -157,6 +212,11 @@ macro_rules! conformance_suite {
             #[test]
             fn crash_recovers_exactly_the_durable_prefix() {
                 durable_prefix::<$ty>();
+            }
+
+            #[test]
+            fn concurrent_history_recovers_a_consistent_cut() {
+                concurrent_consistent_cut::<$ty>();
             }
         }
     };
