@@ -49,16 +49,14 @@ for base in 0xBD1C5EED 0xBD1C5F1F 0xBD1C5F51 0xBD1C5F83; do
     with_timeout 600 ./target/release/bdl_chaos --seed-base "$base"
 done
 
-echo "==> BdlKv coverage (every impl_bdl_kv! type has a conformance suite and a chaos phase)"
-# The conformance suite and the chaos gate each name every BdlKv type
-# once (crates/core/src/kv.rs); a new structure must not skip either.
+echo "==> BdlKv coverage (every impl_bdl_kv! type is a row of fault::bdl_structures!)"
+# Every sweep, conformance, recovery and chaos check expands that one
+# list (crates/fault/src/lib.rs); a structure left off it gets none.
 kv_types=$(grep -rhoE 'impl_bdl_kv!\([A-Za-z0-9_]+' crates/*/src | sed 's/.*(//' | sort -u)
 [ -n "$kv_types" ] || { echo "no impl_bdl_kv! type found"; exit 1; }
+list=$(sed -n '/^macro_rules! bdl_structures/,/^}/p' crates/fault/src/lib.rs)
 for ty in $kv_types; do
-    grep -qE "^conformance_suite!\([a-z0-9_]+, $ty\);" tests/bdl_conformance.rs || {
-        echo "$ty has no conformance_suite! line in tests/bdl_conformance.rs"; exit 1; }
-    grep -qF "phase::<$ty>" crates/fault/src/bin/bdl_chaos.rs || {
-        echo "$ty has no phase in crates/fault/src/bin/bdl_chaos.rs"; exit 1; }
+    grep -qE "::$ty," <<<"$list" || { echo "$ty is not a row of fault::bdl_structures!"; exit 1; }
 done
 echo "BdlKv coverage OK:" $kv_types
 
@@ -217,8 +215,8 @@ with_timeout 600 env FAULT_SEED=0xBD15EED ./target/release/fault_sweep --ops 160
 
 echo "==> runtime fault gate (device faults: retry/degrade/fail-stop)"
 # The live-system counterpart of the crash sweeps (DESIGN.md §5.2):
-# seeded transient device-fault schedules across all three structure
-# families, over a small pinned seed set.
+# seeded transient device-fault schedules across every structure of
+# fault::bdl_structures!, over a small pinned seed set.
 for seed in 0xBD15EED 0xD15EA5E 0xBD15EE0; do
     with_timeout 600 env FAULT_SEED=$seed ./target/release/fault_sweep --modes runtime
 done

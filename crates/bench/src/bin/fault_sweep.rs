@@ -1,5 +1,6 @@
-//! Exhaustive crash-point sweep over the three BDL structure families,
-//! reporting recovery success rates per fault mode.
+//! Exhaustive crash-point sweep over every `BdlKv` structure of
+//! `fault::bdl_structures!`, reporting recovery success rates per fault
+//! mode.
 //!
 //! For each structure the driver enumerates every persist boundary the
 //! seeded workload crosses, then replays the workload crashing at each
@@ -124,7 +125,7 @@ fn main() {
         // `runtime` keeps the machine alive and makes the *device*
         // unreliable instead: seeded transient write-back/fence faults
         // drive the persister's retry→degrade→fail-stop ladder across
-        // all three structure families (see fault::runtime).
+        // every structure (see fault::runtime).
         if mode == "runtime" {
             for report in sweep_runtime_all(seed) {
                 print_runtime_report(&report);

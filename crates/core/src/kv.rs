@@ -2,12 +2,14 @@
 //! key-value structure built on [`run_op`](crate::run_op), and the one
 //! layout of their NVM blocks.
 //!
-//! A structure that implements this trait gets the crash-point sweep
-//! (`fault::sweep`), the conformance suite (`tests/bdl_conformance.rs`)
-//! and the chaos churn (`fault::churn`). Adding one means implementing
-//! it, one `conformance_suite!` line and one `bdl_chaos` phase on keys
-//! that collide in its layout (`ci.sh` checks both), plus one
-//! `KvBackend` line in the bench harness to drive it from the figures.
+//! Adding a structure means implementing this trait with
+//! [`impl_bdl_kv!`] and adding one row, with keys that collide in its
+//! layout, to `fault::bdl_structures!` (`ci.sh` checks that every
+//! `impl_bdl_kv!` type has one). Every check expands that list: the
+//! crash-point, torn, double-crash, abort-injection and runtime-fault
+//! sweeps (`fault`), the eviction sweep and storms, recovery
+//! equivalence, the conformance suite and the chaos churn. One
+//! `KvBackend` line in the bench harness drives it from the figures.
 //!
 //! The constructors take only the shared substrate (epoch system +
 //! HTM); structure-specific sizing is fixed by the impl (e.g. PHTM-vEB
@@ -108,8 +110,9 @@ pub trait BdlKv: Send + Sync + Sized + 'static {
     fn new(esys: Arc<EpochSys>, htm: Arc<Htm>) -> Self;
 
     /// Rebuilds the structure from the live blocks of a recovered epoch
-    /// system (§5.2), filtering on [`BdlKv::TAG`].
-    fn recover(esys: Arc<EpochSys>, htm: Arc<Htm>, live: &[LiveBlock]) -> Self;
+    /// system (§5.2), filtering on [`BdlKv::TAG`], on up to `threads`
+    /// workers (a structure may rebuild on one whatever `threads` says).
+    fn recover(esys: Arc<EpochSys>, htm: Arc<Htm>, live: &[LiveBlock], threads: usize) -> Self;
 
     /// Inserts or updates `key → value`; `true` if newly inserted.
     fn insert(&self, key: u64, value: u64) -> bool;
@@ -151,8 +154,9 @@ macro_rules! impl_bdl_kv {
                 esys: ::std::sync::Arc<$crate::EpochSys>,
                 htm: ::std::sync::Arc<::htm_sim::Htm>,
                 live: &[$crate::LiveBlock],
+                threads: usize,
             ) -> Self {
-                ($recover)(esys, htm, live)
+                ($recover)(esys, htm, live, threads)
             }
 
             fn insert(&self, key: u64, value: u64) -> bool {

@@ -1,7 +1,8 @@
 //! Single source of truth for the pinned behavior-preservation digests.
 //!
 //! [`pinned_digest`] folds the verdicts of the pinned-seed plain and
-//! torn crash sweeps over every structure family into one FNV-1a value;
+//! torn crash sweeps over every structure of
+//! [`bdl_structures!`](crate::bdl_structures) into one FNV-1a value;
 //! [`pinned_pipelined_digest`] does the same for the `pipelined` and
 //! `pipelined-torn` sweeps, the persist path production runs. CI
 //! recomputes both (`fault_sweep --digest --check`) and fails if either
@@ -19,15 +20,17 @@ use crate::sweep::{sweep_all, SweepConfig, SweepReport};
 pub const PINNED_SWEEP_SEED: u64 = 0xBD1_5EED;
 
 /// Expected value of `pinned_digest(PINNED_SWEEP_SEED)`. Last moved
-/// when allocation stopped flushing and reclamation began fencing once
-/// per batch (DESIGN.md §5.1).
-pub const PINNED_SWEEP_DIGEST: u64 = 0xb1e2_fbfa_8975_c535;
+/// when the sweeps began folding a fourth structure, the Listing-1
+/// table ([`crate::bdl_structures!`]); the other three structures'
+/// reports are unchanged, and without the Listing-1 reports the fold
+/// is still the previous pin, `0xb1e2_fbfa_8975_c535`.
+pub const PINNED_SWEEP_DIGEST: u64 = 0xd05b_5734_b3f1_371b;
 
 /// Expected value of `pinned_pipelined_digest(PINNED_SWEEP_SEED)`. Last
-/// moved when the persister took over every seal from the advance and
-/// the hand-driven driver came down to one call, `persist_next_batch`
-/// (DESIGN.md §3.4.2).
-pub const PINNED_PIPELINED_DIGEST: u64 = 0xcee2_d0ff_8dfd_3545;
+/// moved with [`PINNED_SWEEP_DIGEST`], for the same reason; without the
+/// Listing-1 reports the fold is still the previous pin,
+/// `0xcee2_d0ff_8dfd_3545`.
+pub const PINNED_PIPELINED_DIGEST: u64 = 0x9568_5e6d_1f2d_08f3;
 
 /// Folds sweep reports into one order-sensitive FNV-1a digest over
 /// everything a sweep observes: structure names, enumerated point

@@ -10,7 +10,8 @@
 //!   ([`htm_sim::HtmConfig::with_abort_injection`]),
 //!
 //! and sweeps every persist boundary a workload crosses — see
-//! [`mod@crate::sweep`] for the count→replay protocol.
+//! [`mod@crate::sweep`] for the count→replay protocol. Every check runs
+//! on every structure of [`bdl_structures!`].
 
 mod churn;
 pub mod digest;
@@ -25,5 +26,39 @@ pub use digest::{
 pub use runtime::{sweep_runtime, sweep_runtime_all, RuntimeReport};
 pub use sweep::{
     enumerate_points, replay, replay_with_dump, seed_from_env, silence_crash_panics, sweep,
-    sweep_all, ReplayVerdict, SweepConfig, SweepReport, SweepTarget, UNIVERSE_BITS,
+    sweep_all, ReplayVerdict, SweepConfig, SweepReport, UNIVERSE_BITS,
 };
+#[doc(hidden)]
+pub use {hashtable, skiplist, veb};
+
+/// The one list of [`BdlKv`](bdhtm_core::BdlKv) structures: every
+/// crash, runtime, eviction, recovery, conformance and chaos check
+/// expands it, so a structure gets all of them from `impl_bdl_kv!` and
+/// one row here (`ci.sh` fails if an `impl_bdl_kv!` type has no row).
+///
+/// `bdl_structures!(callback)` expands to `callback! { rows }`, one
+/// `(module, type, keys)` row per structure: an identifier to name the
+/// structure's test module, the type, and a `fn() -> (u64, Vec<u64>)`
+/// giving the shared and owned keys that collide in its layout (for
+/// [`churn`]).
+///
+/// ```
+/// macro_rules! names {
+///     ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {
+///         [$(<$ty as bdhtm_core::BdlKv>::NAME),*]
+///     };
+/// }
+/// let names = fault::bdl_structures!(names);
+/// assert_eq!(names, ["phtm-veb", "bdl-skiplist", "bd-spash", "listing1-bdht"]);
+/// ```
+#[macro_export]
+macro_rules! bdl_structures {
+    ($callback:ident) => {
+        $callback! {
+            (phtm_veb, $crate::veb::PhtmVeb, $crate::adjacent_keys),
+            (bdl_skiplist, $crate::skiplist::BdlSkiplist, $crate::adjacent_keys),
+            (bd_spash, $crate::hashtable::BdSpash, $crate::bd_spash_keys),
+            (listing1_bdht, $crate::hashtable::BdhtHashMap, $crate::listing1_keys),
+        }
+    };
+}

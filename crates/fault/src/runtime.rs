@@ -29,14 +29,11 @@
 //! is a pure function of `(seed, guarded-op index)` — the same seed
 //! replays the same retries, the same degradations, the same verdicts.
 
-use crate::sweep::{check_recovered, durable_prefix, Mutation, SweepConfig, SweepTarget};
-use bdhtm_core::{EpochConfig, EpochSys, HealthState};
-use hashtable::BdSpash;
+use crate::sweep::{check_recovered, durable_prefix, Mutation, SweepConfig};
+use bdhtm_core::{BdlKv, EpochConfig, EpochSys, HealthState};
 use htm_sim::{Htm, SplitMix64};
 use nvm_sim::{DeviceFaults, NvmConfig, NvmHeap};
-use skiplist::BdlSkiplist;
 use std::sync::Arc;
-use veb::PhtmVeb;
 
 /// One structure × scenario verdict.
 #[derive(Clone, Debug)]
@@ -60,7 +57,7 @@ impl RuntimeReport {
     }
 }
 
-fn setup_runtime<T: SweepTarget>(
+fn setup_runtime<T: BdlKv>(
     cfg: &SweepConfig,
     econf: EpochConfig,
 ) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
@@ -75,7 +72,7 @@ fn setup_runtime<T: SweepTarget>(
 /// `false`) if the system fail-stops; health is re-checked between
 /// operations, so a single-threaded run never trips the `begin_op`
 /// rejection panic.
-fn run_ops<T: SweepTarget>(
+fn run_ops<T: BdlKv>(
     t: &T,
     esys: &EpochSys,
     cfg: &SweepConfig,
@@ -125,7 +122,7 @@ fn run_ops<T: SweepTarget>(
 /// Live-state oracle: the structure must equal the fold of *everything*
 /// executed (device faults may delay durability, never lose an applied
 /// operation while the machine stays up).
-fn check_live<T: SweepTarget>(
+fn check_live<T: BdlKv>(
     t: &T,
     log: &[(u64, Mutation)],
     cfg: &SweepConfig,
@@ -149,7 +146,7 @@ fn check_live<T: SweepTarget>(
 /// Crash the (possibly degraded/failed) system and validate that
 /// recovery yields exactly the durable prefix of the recovered
 /// frontier — the BDL guarantee must survive every rung of the ladder.
-fn check_crash_recovery<T: SweepTarget>(
+fn check_crash_recovery<T: BdlKv>(
     heap: &Arc<NvmHeap>,
     log: &[(u64, Mutation)],
     cfg: &SweepConfig,
@@ -161,7 +158,7 @@ fn check_crash_recovery<T: SweepTarget>(
 }
 
 /// Scenario 1: transient faults within the retry budget.
-fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -> RuntimeReport {
+fn run_transient<T: BdlKv>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -> RuntimeReport {
     let econf = EpochConfig::manual().with_persist_retries(6);
     let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
     heap.arm_device_faults(Arc::clone(&faults));
@@ -189,7 +186,7 @@ fn run_transient<T: SweepTarget>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -
 }
 
 /// Scenario 2: one guaranteed budget exhaustion, then a healed device.
-fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
+fn run_degrade<T: BdlKv>(cfg: &SweepConfig) -> RuntimeReport {
     let retries = 1u32;
     let econf = EpochConfig::manual().with_persist_retries(retries);
     let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
@@ -242,7 +239,7 @@ fn run_degrade<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
 }
 
 /// Scenario 3: a dead device — the ladder must run to fail-stop.
-fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
+fn run_failstop<T: BdlKv>(cfg: &SweepConfig) -> RuntimeReport {
     let econf = EpochConfig::manual().with_persist_retries(0);
     let (heap, esys, t) = setup_runtime::<T>(cfg, econf);
     let faults = Arc::new(DeviceFaults::new(cfg.seed).with_writeback_failures(1000));
@@ -280,7 +277,7 @@ fn run_failstop<T: SweepTarget>(cfg: &SweepConfig) -> RuntimeReport {
     finish_report::<T>(&esys, "failstop", failures)
 }
 
-fn finish_report<T: SweepTarget>(
+fn finish_report<T: BdlKv>(
     esys: &EpochSys,
     scenario: &'static str,
     failures: Vec<String>,
@@ -313,7 +310,7 @@ fn transient_faults(seed: u64) -> Arc<DeviceFaults> {
 }
 
 /// All three scenarios for one structure family.
-pub fn sweep_runtime<T: SweepTarget>(seed: u64) -> Vec<RuntimeReport> {
+pub fn sweep_runtime<T: BdlKv>(seed: u64) -> Vec<RuntimeReport> {
     let cfg = SweepConfig::quick(seed);
     vec![
         run_transient::<T>(&cfg, transient_faults(seed)),
@@ -322,18 +319,23 @@ pub fn sweep_runtime<T: SweepTarget>(seed: u64) -> Vec<RuntimeReport> {
     ]
 }
 
-/// The full runtime-fault matrix: three scenarios × three structure
-/// families.
+/// The full runtime-fault matrix: the three scenarios for every
+/// structure of [`crate::bdl_structures!`], in list order.
 pub fn sweep_runtime_all(seed: u64) -> Vec<RuntimeReport> {
-    let mut out = sweep_runtime::<PhtmVeb>(seed);
-    out.extend(sweep_runtime::<BdlSkiplist>(seed));
-    out.extend(sweep_runtime::<BdSpash>(seed));
-    out
+    macro_rules! sweeps {
+        ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {
+            [$(sweep_runtime::<$ty>(seed)),*].concat()
+        };
+    }
+    crate::bdl_structures!(sweeps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hashtable::BdSpash;
+    use skiplist::BdlSkiplist;
+    use veb::PhtmVeb;
 
     #[test]
     fn transient_schedule_is_deterministic() {

@@ -12,7 +12,7 @@
 //! 2. **Replay.** Re-run the identical workload `N` times, crashing at
 //!    point `i` on run `i`. The interrupted persist never reaches
 //!    media. Recover, and assert two things: the structure's own
-//!    [`validate`](SweepTarget::validate) invariants, and the **BDL
+//!    [`validate`](BdlKv::validate) invariants, and the **BDL
 //!    prefix property** — the recovered key/value state equals the fold
 //!    of exactly those logged mutations whose epoch is `≤` the
 //!    recovered frontier `R` (single-threaded histories make the
@@ -52,26 +52,16 @@
 //! workload, the same crash-point schedule, and the same verdicts.
 
 use bdhtm_core::obs::{EventKind, FlightEvent};
-use bdhtm_core::{EpochConfig, EpochSys};
-use hashtable::BdSpash;
+use bdhtm_core::{BdlKv, EpochConfig, EpochSys};
 use htm_sim::{Htm, HtmConfig, SplitMix64};
 use nvm_sim::{CrashImage, CrashPointKind, CrashTriggered, FaultPlan, NvmConfig, NvmHeap};
-use skiplist::BdlSkiplist;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use veb::PhtmVeb;
 
 /// Universe bits bounding every target's key space so all structures
 /// see identical workloads (re-exported from `bdhtm-core`).
 pub use bdhtm_core::KV_UNIVERSE_BITS as UNIVERSE_BITS;
-
-/// A structure family the sweep can drive: any [`bdhtm_core::BdlKv`]
-/// implementor. The sweep needs exactly the trait's surface —
-/// substrate-only constructors, tag-filtered recovery, and a quiescent
-/// `validate` — so the core trait *is* the sweep target; there is no
-/// adapter layer to keep in sync when a structure is added.
-pub use bdhtm_core::BdlKv as SweepTarget;
 
 /// Reads the sweep seed from `FAULT_SEED` (decimal or `0x`-hex),
 /// falling back to `default`. Pinning `FAULT_SEED` pins the entire
@@ -229,7 +219,7 @@ pub fn silence_crash_panics() {
     });
 }
 
-fn setup<T: SweepTarget>(cfg: &SweepConfig) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
+fn setup<T: BdlKv>(cfg: &SweepConfig) -> (Arc<NvmHeap>, Arc<EpochSys>, T) {
     let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(cfg.heap_bytes)));
     let esys = EpochSys::format(Arc::clone(&heap), EpochConfig::manual());
     if cfg.pipelined {
@@ -245,7 +235,7 @@ fn setup<T: SweepTarget>(cfg: &SweepConfig) -> (Arc<NvmHeap>, Arc<EpochSys>, T) 
 /// The pipelined schedule draws its drain cadence from a stream of its
 /// own, so the synchronous schedule's draws (and the pinned digest) do
 /// not depend on it.
-fn run_workload<T: SweepTarget>(
+fn run_workload<T: BdlKv>(
     t: &T,
     esys: &EpochSys,
     cfg: &SweepConfig,
@@ -336,7 +326,7 @@ pub(crate) fn durable_prefix(log: &[(u64, Mutation)], frontier: u64) -> BTreeMap
 }
 
 /// Counts the workload's crash points without crashing.
-pub fn enumerate_points<T: SweepTarget>(cfg: &SweepConfig) -> u64 {
+pub fn enumerate_points<T: BdlKv>(cfg: &SweepConfig) -> u64 {
     let (heap, esys, t) = setup::<T>(cfg);
     let plan = Arc::new(FaultPlan::count());
     heap.arm_fault_plan(Arc::clone(&plan));
@@ -355,7 +345,7 @@ const FLIGHT_DUMP_EVENTS: usize = 32;
 /// attaches to its report). A point at or beyond the schedule's end
 /// degenerates to a crash after the final operation — still a legal
 /// crash.
-fn crash_at<T: SweepTarget>(
+fn crash_at<T: BdlKv>(
     cfg: &SweepConfig,
     point: u64,
 ) -> (CrashImage, Vec<(u64, Mutation)>, bool, Vec<FlightEvent>) {
@@ -409,7 +399,7 @@ fn dump_events(esys: &EpochSys) -> Vec<FlightEvent> {
 }
 
 /// Recovers `img` and returns the recovered system, target, and frontier.
-pub(crate) fn recover<T: SweepTarget>(img: CrashImage) -> (Arc<EpochSys>, T, u64) {
+pub(crate) fn recover<T: BdlKv>(img: CrashImage) -> (Arc<EpochSys>, T, u64) {
     let heap = Arc::new(NvmHeap::from_image(img));
     let (esys, live) = EpochSys::recover(heap, EpochConfig::manual(), 1);
     let r = esys.persisted_frontier();
@@ -417,6 +407,7 @@ pub(crate) fn recover<T: SweepTarget>(img: CrashImage) -> (Arc<EpochSys>, T, u64
         Arc::clone(&esys),
         Arc::new(Htm::new(HtmConfig::for_tests())),
         &live,
+        1,
     );
     (esys, t, r)
 }
@@ -424,7 +415,7 @@ pub(crate) fn recover<T: SweepTarget>(img: CrashImage) -> (Arc<EpochSys>, T, u64
 /// Double-crash mode: crash recovery itself at a seeded point of its own
 /// schedule and hand back the second image. Returns `None` when the
 /// chosen point never fired (recovery completed on the throwaway heap).
-fn crash_during_recovery<T: SweepTarget>(
+fn crash_during_recovery<T: BdlKv>(
     cfg: &SweepConfig,
     img: &CrashImage,
     point: u64,
@@ -435,7 +426,7 @@ fn crash_during_recovery<T: SweepTarget>(
         let heap = Arc::new(NvmHeap::from_image(img.duplicate()));
         heap.arm_fault_plan(Arc::clone(&counter));
         let (esys, live) = EpochSys::recover(Arc::clone(&heap), EpochConfig::manual(), 1);
-        let _t = T::recover(esys, Arc::new(Htm::new(HtmConfig::for_tests())), &live);
+        let _t = T::recover(esys, Arc::new(Htm::new(HtmConfig::for_tests())), &live, 1);
         heap.disarm_fault_plan();
     }
     let n = counter.points();
@@ -453,7 +444,7 @@ fn crash_during_recovery<T: SweepTarget>(
     heap.arm_fault_plan(Arc::clone(&plan));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (esys, live) = EpochSys::recover(Arc::clone(&heap), EpochConfig::manual(), 1);
-        let _t = T::recover(esys, Arc::new(Htm::new(HtmConfig::for_tests())), &live);
+        let _t = T::recover(esys, Arc::new(Htm::new(HtmConfig::for_tests())), &live, 1);
     }));
     heap.disarm_fault_plan();
     match outcome {
@@ -470,7 +461,7 @@ fn crash_during_recovery<T: SweepTarget>(
 
 /// Checks the recovered target against the prefix oracle and its own
 /// structural invariants.
-pub(crate) fn check_recovered<T: SweepTarget>(
+pub(crate) fn check_recovered<T: BdlKv>(
     t: &T,
     log: &[(u64, Mutation)],
     frontier: u64,
@@ -496,14 +487,14 @@ pub(crate) fn check_recovered<T: SweepTarget>(
 /// One full replay: crash the workload at `point`, (optionally) crash
 /// recovery too, recover, and check the e−2 prefix property plus the
 /// structure's invariants.
-pub fn replay<T: SweepTarget>(cfg: &SweepConfig, point: u64) -> Result<ReplayVerdict, String> {
+pub fn replay<T: BdlKv>(cfg: &SweepConfig, point: u64) -> Result<ReplayVerdict, String> {
     replay_with_dump::<T>(cfg, point).map_err(|(msg, _dump)| msg)
 }
 
 /// [`replay`], but a failure also carries the crashed run's raw
 /// flight-recorder tail (used by [`sweep`] to populate
 /// [`SweepReport::flight_dump`] / [`SweepReport::flight_events`]).
-pub fn replay_with_dump<T: SweepTarget>(
+pub fn replay_with_dump<T: BdlKv>(
     cfg: &SweepConfig,
     point: u64,
 ) -> Result<ReplayVerdict, (String, Vec<FlightEvent>)> {
@@ -550,7 +541,7 @@ fn chosen_points(points: u64, max_replays: u64) -> Vec<u64> {
 }
 
 /// Runs the full count→replay protocol for one structure family.
-pub fn sweep<T: SweepTarget>(cfg: &SweepConfig) -> SweepReport {
+pub fn sweep<T: BdlKv>(cfg: &SweepConfig) -> SweepReport {
     silence_crash_panics();
     let points = enumerate_points::<T>(cfg);
     let mut report = SweepReport {
@@ -582,18 +573,22 @@ pub fn sweep<T: SweepTarget>(cfg: &SweepConfig) -> SweepReport {
     report
 }
 
-/// Sweeps all three BDL structure families with the same config.
+/// Sweeps every structure of [`crate::bdl_structures!`] with the same
+/// config, in list order.
 pub fn sweep_all(cfg: &SweepConfig) -> Vec<SweepReport> {
-    vec![
-        sweep::<PhtmVeb>(cfg),
-        sweep::<BdlSkiplist>(cfg),
-        sweep::<BdSpash>(cfg),
-    ]
+    macro_rules! sweeps {
+        ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {
+            vec![$(sweep::<$ty>(cfg)),*]
+        };
+    }
+    crate::bdl_structures!(sweeps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hashtable::BdSpash;
+    use veb::PhtmVeb;
 
     #[test]
     fn same_seed_same_schedule() {
@@ -608,9 +603,12 @@ mod tests {
     #[test]
     fn workloads_enumerate_enough_points() {
         let cfg = SweepConfig::quick(7);
-        assert!(enumerate_points::<PhtmVeb>(&cfg) >= 100);
-        assert!(enumerate_points::<BdlSkiplist>(&cfg) >= 100);
-        assert!(enumerate_points::<BdSpash>(&cfg) >= 100);
+        macro_rules! check {
+            ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {
+                $(assert!(enumerate_points::<$ty>(&cfg) >= 100, "{}", <$ty>::NAME);)*
+            };
+        }
+        crate::bdl_structures!(check);
     }
 
     #[test]

@@ -393,7 +393,8 @@ impl BdSpash {
 }
 
 bdhtm_core::impl_bdl_kv!(BdSpash, name: "bd-spash", tag: BDSPASH_KV_TAG,
-    new: BdSpash::new, recover: BdSpash::recover);
+    new: BdSpash::new,
+    recover: |esys, htm, live, _threads| BdSpash::recover(esys, htm, live));
 
 #[cfg(test)]
 mod tests {

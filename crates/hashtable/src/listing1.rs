@@ -259,8 +259,10 @@ impl BdhtHashMap {
 }
 
 bdhtm_core::impl_bdl_kv!(BdhtHashMap, name: "listing1-bdht", tag: LISTING1_KV_TAG,
-    new: |esys, htm| BdhtHashMap::new(1 << KV_UNIVERSE_BITS, esys, htm),
-    recover: |esys, htm, live| BdhtHashMap::recover(1 << KV_UNIVERSE_BITS, esys, htm, live));
+new: |esys, htm| BdhtHashMap::new(1 << KV_UNIVERSE_BITS, esys, htm),
+recover: |esys, htm, live, _threads| {
+    BdhtHashMap::recover(1 << KV_UNIVERSE_BITS, esys, htm, live)
+});
 
 #[cfg(test)]
 mod tests {

@@ -431,9 +431,11 @@ pub const GATE_WATCHDOG: std::time::Duration = std::time::Duration::from_secs(12
 /// both print the phase, the seed, the recorded schedule tail and the
 /// command that replays the seed. Every iteration spawns fresh threads,
 /// and [`crate::thread_id`] hands out dense process-lifetime ids from a
-/// budget of 1024, so `--iters` times the threads one iteration spawns
-/// must stay within it (`chaos_stress` spawns 14 per iteration,
-/// `bdl_chaos` 17: at most 73 and 60 iterations).
+/// budget of [`crate::max_threads`] (`chaos_stress` takes 14 per
+/// iteration, `bdl_chaos` 17: at most 73 and 60 iterations). The gate
+/// measures the ids an iteration takes, and exits with status 3 and a
+/// budget message, not a phase failure, before an iteration that would
+/// run past the budget.
 pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static str, fn())]) {
     let (mut iters, mut seed_base) = (50u64, default_seed_base);
     let mut args = std::env::args().skip(1);
@@ -455,7 +457,18 @@ pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static 
         "{gate}: {iters} iterations, seeds {seed_base:#x}..{:#x}",
         seed_base + iters
     );
+    let mut ids_per_iter = 0;
     for i in 0..iters {
+        let ids_before = crate::thread_high_water();
+        if ids_before + ids_per_iter > crate::max_threads() {
+            eprintln!(
+                "{gate}: thread-id budget spent after {i} iterations: an iteration takes \
+                 {ids_per_iter} of the {} process-lifetime thread ids; run at most {i} \
+                 iterations per process",
+                crate::max_threads()
+            );
+            std::process::exit(3);
+        }
         let seed = seed_base + i;
         let session = arm(Config::new(seed));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -487,6 +500,7 @@ pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static 
         }
         let _ = worker.join();
         drop(session);
+        ids_per_iter = ids_per_iter.max(crate::thread_high_water() - ids_before);
         if (i + 1) % 25 == 0 {
             println!("{gate}: {}/{iters} iterations passed", i + 1);
         }

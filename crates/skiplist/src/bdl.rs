@@ -389,8 +389,7 @@ impl BdlSkiplist {
 }
 
 bdhtm_core::impl_bdl_kv!(BdlSkiplist, name: "bdl-skiplist", tag: SKIP_KV_TAG,
-    new: BdlSkiplist::new,
-    recover: |esys, htm, live| BdlSkiplist::recover(esys, htm, live, 1));
+    new: BdlSkiplist::new, recover: BdlSkiplist::recover);
 
 impl Drop for BdlSkiplist {
     fn drop(&mut self) {

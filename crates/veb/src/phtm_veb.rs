@@ -350,8 +350,10 @@ impl PhtmVeb {
 // suite drive PHTM-vEB through this impl with a `KV_UNIVERSE_BITS`
 // universe and single-threaded recovery.
 bdhtm_core::impl_bdl_kv!(PhtmVeb, name: "phtm-veb", tag: VEB_KV_TAG,
-    new: |esys, htm| PhtmVeb::new(KV_UNIVERSE_BITS, esys, htm),
-    recover: |esys, htm, live| PhtmVeb::recover(KV_UNIVERSE_BITS, esys, htm, live, 1));
+new: |esys, htm| PhtmVeb::new(KV_UNIVERSE_BITS, esys, htm),
+recover: |esys, htm, live, threads| {
+    PhtmVeb::recover(KV_UNIVERSE_BITS, esys, htm, live, threads)
+});
 
 #[cfg(test)]
 mod tests {

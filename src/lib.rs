@@ -76,7 +76,7 @@ pub mod prelude {
         KV_UNIVERSE_BITS,
     };
     pub use btree::{ElimAbTree, LbTree, OccAbTree};
-    pub use fault::{SweepConfig, SweepReport, SweepTarget};
+    pub use fault::{SweepConfig, SweepReport};
     pub use hashtable::{BdSpash, BdhtHashMap, Cceh, Plush, Spash};
     pub use htm_sim::{AbortCause, FallbackLock, HistSnapshot, Htm, HtmConfig, MemAccess};
     pub use mwcas::{HtmMwCas, MwCasPool, MwTarget};

@@ -15,9 +15,8 @@
 //!   the structure; after a crash, every key holds a value it held in a
 //!   durable epoch, never one written after the final flush.
 //!
-//! Adding a structure to the repo means implementing `BdlKv` and adding
-//! one `conformance_suite!` line here (and one `bdl_chaos` phase;
-//! `ci.sh` checks both).
+//! The structures are the rows of `fault::bdl_structures!`, one test
+//! module each.
 
 use bd_htm::prelude::*;
 use htm_sim::SplitMix64;
@@ -116,7 +115,7 @@ fn durable_prefix<T: BdlKv>() {
         let heap2 = Arc::new(NvmHeap::from_image(heap.crash()));
         let (esys2, live) = EpochSys::recover(heap2, EpochConfig::default(), 1);
         let r = esys2.persisted_frontier();
-        let t2 = T::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live);
+        let t2 = T::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live, 1);
         t2.validate()
             .unwrap_or_else(|e| panic!("{} crash_after={crash_after}: validate: {e}", T::NAME));
 
@@ -184,7 +183,7 @@ fn concurrent_consistent_cut<T: BdlKv>() {
 
     let heap2 = Arc::new(NvmHeap::from_image(heap.crash()));
     let (esys2, live) = EpochSys::recover(heap2, EpochConfig::default(), 2);
-    let t2 = T::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live);
+    let t2 = T::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live, 1);
     t2.validate()
         .unwrap_or_else(|e| panic!("{}: validate: {e}", T::NAME));
     for key in 1..=KEYS {
@@ -200,8 +199,8 @@ fn concurrent_consistent_cut<T: BdlKv>() {
 }
 
 macro_rules! conformance_suite {
-    ($mod_name:ident, $ty:ty) => {
-        mod $mod_name {
+    ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {$(
+        mod $module {
             use super::*;
 
             #[test]
@@ -219,10 +218,7 @@ macro_rules! conformance_suite {
                 concurrent_consistent_cut::<$ty>();
             }
         }
-    };
+    )*};
 }
 
-conformance_suite!(phtm_veb, PhtmVeb);
-conformance_suite!(bdl_skiplist, BdlSkiplist);
-conformance_suite!(bd_spash, BdSpash);
-conformance_suite!(listing1_bdht, BdhtHashMap);
+fault::bdl_structures!(conformance_suite);

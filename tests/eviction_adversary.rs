@@ -7,123 +7,64 @@
 use bd_htm::prelude::*;
 use std::sync::Arc;
 
-/// Runs a deterministic workload on a structure with heavy random
-/// eviction, crashes at `crash_at` operations, and returns the
-/// per-key expected map for epochs up to the recovered frontier.
-fn eviction_storm<I>(seed: u64, crash_at: usize, mut insert: I, esys: &Arc<EpochSys>)
-where
-    I: FnMut(u64, u64),
-{
-    let mut rng = seed | 1;
-    for i in 0..crash_at {
-        rng ^= rng >> 12;
-        rng ^= rng << 25;
-        rng ^= rng >> 27;
-        let key = rng % 128;
-        insert(key, rng);
-        if i % 7 == 0 {
-            esys.heap().evict_random_lines(16, rng);
-        }
-        if i % 151 == 0 {
-            esys.advance();
-        }
-    }
-}
-
-#[test]
-fn bdl_skiplist_survives_eviction_storms() {
-    for seed in [1u64, 99, 12345] {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(32 << 20)));
+/// Runs a deterministic insert-only workload on a fresh `T` for each
+/// seed, with a burst of 16 random cache-line evictions every 7 inserts
+/// and an epoch advance every 151, crashes after the last insert, and
+/// checks the recovered structure's `validate()` and every key against
+/// the exact durable prefix (single-threaded history).
+fn eviction_storm<T: BdlKv>() {
+    for seed in [1u64, 7, 99, 4242, 12345] {
+        // The crash sweeps' 8 MiB: `evict_random_lines` walks the line
+        // array until it finds 16 dirty lines, so a larger heap with the
+        // same few dirty lines only costs time.
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(8 << 20)));
         let esys = EpochSys::format(heap, EpochConfig::default());
-        let htm = Arc::new(Htm::new(HtmConfig::default()));
-        let list = BdlSkiplist::new(Arc::clone(&esys), Arc::clone(&htm));
-        // Track what each key was last set to, per epoch.
-        let mut writes: Vec<(u64, u64, u64)> = Vec::new(); // (epoch, key, val)
-        {
-            let esys2 = Arc::clone(&esys);
-            eviction_storm(
-                seed,
-                900,
-                |k, v| {
-                    writes.push((esys2.current_epoch(), k + 1, v));
-                    list.insert(k + 1, v);
-                },
-                &esys,
-            );
+        let t = T::new(Arc::clone(&esys), Arc::new(Htm::new(HtmConfig::default())));
+        let mut writes: Vec<(u64, u64, u64)> = Vec::new(); // (epoch, key, value)
+        let mut rng = seed | 1;
+        for i in 0..1100 {
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            let key = 1 + rng % 128;
+            writes.push((esys.current_epoch(), key, rng));
+            t.insert(key, rng);
+            if i % 7 == 0 {
+                esys.heap().evict_random_lines(16, rng);
+            }
+            if i % 151 == 0 {
+                esys.advance();
+            }
         }
         let heap2 = Arc::new(NvmHeap::from_image(esys.heap().crash()));
         let (esys2, live) = EpochSys::recover(heap2, EpochConfig::default(), 1);
         let r = esys2.persisted_frontier();
-        let list2 = BdlSkiplist::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live, 1);
-
-        // Single-threaded history: the durable prefix is exact.
+        let t2 = T::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live, 1);
+        t2.validate()
+            .unwrap_or_else(|e| panic!("{} seed {seed}: validate: {e}", T::NAME));
         let mut expect = std::collections::HashMap::new();
-        for (e, k, v) in &writes {
-            if *e > r {
-                break;
-            }
-            expect.insert(*k, *v);
+        for &(_, k, v) in writes.iter().take_while(|w| w.0 <= r) {
+            expect.insert(k, v);
         }
-        for k in 1..129u64 {
+        for k in 1..=128u64 {
             assert_eq!(
-                list2.get(k),
+                t2.get(k),
                 expect.get(&k).copied(),
-                "seed {seed}: key {k} diverged (R={r})"
+                "{} seed {seed}: key {k} diverged (R={r})",
+                T::NAME
             );
         }
     }
 }
 
-#[test]
-fn bd_spash_survives_eviction_storms() {
-    for seed in [7u64, 4242] {
-        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(32 << 20)));
-        let esys = EpochSys::format(heap, EpochConfig::default());
-        let htm = Arc::new(Htm::new(HtmConfig::default()));
-        let table = BdSpash::new(Arc::clone(&esys), Arc::clone(&htm));
-        let mut writes: Vec<(u64, u64, u64)> = Vec::new();
-        {
-            let esys2 = Arc::clone(&esys);
-            eviction_storm(
-                seed,
-                1100,
-                |k, v| {
-                    writes.push((esys2.current_epoch(), k, v));
-                    table.insert(k, v);
-                },
-                &esys,
-            );
-        }
-        let heap2 = Arc::new(NvmHeap::from_image(esys.heap().crash()));
-        let (esys2, live) = EpochSys::recover(heap2, EpochConfig::default(), 1);
-        let r = esys2.persisted_frontier();
-        let table2 = BdSpash::recover(esys2, Arc::new(Htm::new(HtmConfig::default())), &live);
-        let mut expect = std::collections::HashMap::new();
-        for (e, k, v) in &writes {
-            if *e > r {
-                break;
-            }
-            expect.insert(*k, *v);
-        }
-        for k in 0..128u64 {
-            assert_eq!(
-                table2.get(k),
-                expect.get(&k).copied(),
-                "seed {seed}: key {k} diverged (R={r})"
-            );
-        }
-    }
-}
-
-/// The systematic version of the storms above, covering all three BDL
-/// structure families uniformly: the crash-point driver enumerates
-/// every persist boundary of an eviction-heavy mixed workload —
-/// including the `EvictLine` points inside `evict_random_lines` itself
-/// — and crashes at an even stride of them. Each replay must recover
-/// to the exact durable prefix and pass the structure's `validate()`.
+/// The systematic version of the storms, for every structure: the
+/// crash-point driver enumerates every persist boundary of an
+/// eviction-heavy mixed workload — including the `EvictLine` points
+/// inside `evict_random_lines` itself — and crashes at an even stride
+/// of them. Each replay must recover to the exact durable prefix and
+/// pass the structure's `validate()`.
 #[test]
 fn eviction_heavy_crash_point_sweep_all_structures() {
-    use fault::{sweep, SweepConfig};
     let mut cfg = SweepConfig::quick(0xE71C_7103);
     cfg.ops = 120;
     cfg.advance_every = 16;
@@ -133,12 +74,7 @@ fn eviction_heavy_crash_point_sweep_all_structures() {
     // write-backs throughout the run.
     cfg.evict_every = 5;
     cfg.evict_lines = 12;
-    let cfg = cfg.with_max_replays(30);
-    for r in [
-        sweep::<PhtmVeb>(&cfg),
-        sweep::<BdlSkiplist>(&cfg),
-        sweep::<BdSpash>(&cfg),
-    ] {
+    for r in fault::sweep_all(&cfg.with_max_replays(30)) {
         assert!(
             r.passed(),
             "{}: {}/{} eviction-storm replays failed; first: {}",
@@ -150,6 +86,18 @@ fn eviction_heavy_crash_point_sweep_all_structures() {
         assert!(r.points >= 100, "{}: only {} points", r.structure, r.points);
     }
 }
+
+macro_rules! storm_tests {
+    ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {$(
+        mod $module {
+            #[test]
+            fn survives_eviction_storms() {
+                super::eviction_storm::<$ty>();
+            }
+        }
+    )*};
+}
+fault::bdl_structures!(storm_tests);
 
 /// Eviction must never *help* either: data evicted to media from a
 /// discarded epoch must still be rolled back by recovery (the block's

@@ -3,7 +3,8 @@
 //! boundaries a seeded mixed workload crosses (several thousand per
 //! structure) and replays an even stride of them, crashing, recovering,
 //! and checking the BDL e−2 prefix property plus each structure's
-//! structural invariants. `FAULT_SEED` pins the whole schedule.
+//! structural invariants. `FAULT_SEED` pins the whole schedule. Every
+//! mode runs in one test module per row of `fault::bdl_structures!`.
 
 use bd_htm::prelude::*;
 use fault::{enumerate_points, replay, seed_from_env, sweep, SweepConfig, SweepReport};
@@ -41,79 +42,44 @@ fn assert_clean(r: &SweepReport) {
     );
 }
 
-#[test]
-fn crash_point_sweep_phtm_veb() {
+fn crash_point_sweep<T: BdlKv>() {
     let cfg = ci_cfg(seed_from_env(0x0EB0_0001)).with_max_replays(80);
-    assert_clean(&sweep::<PhtmVeb>(&cfg));
+    assert_clean(&sweep::<T>(&cfg));
 }
 
-#[test]
-fn crash_point_sweep_bdl_skiplist() {
-    let cfg = ci_cfg(seed_from_env(0x5C1F_0001)).with_max_replays(80);
-    assert_clean(&sweep::<BdlSkiplist>(&cfg));
-}
-
-#[test]
-fn crash_point_sweep_bd_spash() {
-    let cfg = ci_cfg(seed_from_env(0x5BA5_0001)).with_max_replays(80);
-    assert_clean(&sweep::<BdSpash>(&cfg));
-}
-
-#[test]
-fn torn_write_sweep_all_structures() {
+fn torn_write_sweep<T: BdlKv>() {
     let cfg = ci_cfg(seed_from_env(0x70A1_0001))
         .with_torn_writes()
         .with_max_replays(35);
-    assert_clean(&sweep::<PhtmVeb>(&cfg));
-    assert_clean(&sweep::<BdlSkiplist>(&cfg));
-    assert_clean(&sweep::<BdSpash>(&cfg));
+    assert_clean(&sweep::<T>(&cfg));
 }
 
-#[test]
-fn double_crash_sweep_all_structures() {
+fn double_crash_sweep<T: BdlKv>() {
     let cfg = ci_cfg(seed_from_env(0xD0B1_0001))
         .with_torn_writes()
         .with_double_crash()
         .with_max_replays(20);
-    for r in [
-        sweep::<PhtmVeb>(&cfg),
-        sweep::<BdlSkiplist>(&cfg),
-        sweep::<BdSpash>(&cfg),
-    ] {
-        assert_clean(&r);
-        assert!(
-            r.double_crashes > 0,
-            "{}: recovery must get crashed at least once",
-            r.structure
-        );
-    }
+    let r = sweep::<T>(&cfg);
+    assert_clean(&r);
+    assert!(
+        r.double_crashes > 0,
+        "{}: recovery must get crashed at least once",
+        r.structure
+    );
 }
 
-/// Same `FAULT_SEED` ⇒ identical crash-point schedule, for every
-/// structure family (the reproducibility half of the sweep contract).
-#[test]
-fn same_fault_seed_means_identical_schedule() {
+/// Same `FAULT_SEED` ⇒ identical crash-point schedule (the
+/// reproducibility half of the sweep contract).
+fn same_fault_seed_means_identical_schedule<T: BdlKv>() {
     let cfg = ci_cfg(0xDE7E_0001);
-    assert_eq!(
-        enumerate_points::<PhtmVeb>(&cfg),
-        enumerate_points::<PhtmVeb>(&cfg)
-    );
-    assert_eq!(
-        enumerate_points::<BdlSkiplist>(&cfg),
-        enumerate_points::<BdlSkiplist>(&cfg)
-    );
-    assert_eq!(
-        enumerate_points::<BdSpash>(&cfg),
-        enumerate_points::<BdSpash>(&cfg)
-    );
+    assert_eq!(enumerate_points::<T>(&cfg), enumerate_points::<T>(&cfg));
 }
 
 /// Crashes swept *through the HTM fallback path*: seeded spurious,
 /// conflict, and capacity aborts force retries and lock-mode execution,
 /// and recovery after every crash point must still land on the durable
 /// prefix (Listing 1's epoch tagging must hold in the fallback too).
-#[test]
-fn abort_injection_sweep_all_structures() {
+fn abort_injection_sweep<T: BdlKv>() {
     let seed = seed_from_env(0xAB07_0001);
     let cfg = ci_cfg(seed)
         .with_htm(
@@ -123,10 +89,40 @@ fn abort_injection_sweep_all_structures() {
                 .with_backoff(2),
         )
         .with_max_replays(25);
-    assert_clean(&sweep::<PhtmVeb>(&cfg));
-    assert_clean(&sweep::<BdlSkiplist>(&cfg));
-    assert_clean(&sweep::<BdSpash>(&cfg));
+    assert_clean(&sweep::<T>(&cfg));
 }
+
+macro_rules! sweep_tests {
+    ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {$(
+        mod $module {
+            #[test]
+            fn crash_point_sweep() {
+                super::crash_point_sweep::<$ty>();
+            }
+
+            #[test]
+            fn torn_write_sweep() {
+                super::torn_write_sweep::<$ty>();
+            }
+
+            #[test]
+            fn double_crash_sweep() {
+                super::double_crash_sweep::<$ty>();
+            }
+
+            #[test]
+            fn same_fault_seed_means_identical_schedule() {
+                super::same_fault_seed_means_identical_schedule::<$ty>();
+            }
+
+            #[test]
+            fn abort_injection_sweep() {
+                super::abort_injection_sweep::<$ty>();
+            }
+        }
+    )*};
+}
+fault::bdl_structures!(sweep_tests);
 
 /// The acceptance scenario in one piece: *every* transaction attempt is
 /// forced to abort, so every operation completes through the global-lock

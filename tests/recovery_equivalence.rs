@@ -4,7 +4,9 @@
 //! `recover` builds the index without transactions (the index is
 //! unreachable until it returns), from blocks sorted by key; `threads`
 //! only cuts those into runs that workers build side by side. For every
-//! BDL structure, on crashed seeded workloads that leave all of
+//! structure of `fault::bdl_structures!` (one test module each; BD-Spash
+//! and the Listing-1 table rebuild on one worker whatever `threads`
+//! says), on crashed seeded workloads that leave all of
 //! recovery's cases in the heap — durable records, inserts no epoch ever
 //! persisted, a deletion no epoch ever persisted, lines evicted at
 //! random — every rebuild must commit and abort no transaction, must
@@ -70,7 +72,7 @@ fn crashed_workload<T: BdlKv>(seed: u64) -> (CrashImage, u64, u64) {
     (heap.crash(), resurrected, lost)
 }
 
-fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock], usize) -> T) {
+fn equivalence<T: BdlKv>() {
     for seed in [0xE0_0001u64, 0xE0_0002, 0xE0_0003] {
         let (image, resurrected, lost) = crashed_workload::<T>(seed);
         let ctx = format!("{} seed {seed:#x}", T::NAME);
@@ -102,7 +104,7 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
         // public path.
         let rebuild = |threads: usize| {
             let htm = htm();
-            let t = recover(Arc::clone(&esys), Arc::clone(&htm), &live, threads);
+            let t = T::recover(Arc::clone(&esys), Arc::clone(&htm), &live, threads);
             let s = htm.stats().snapshot();
             assert_eq!(
                 (s.commits, s.total_aborts(), s.fallbacks),
@@ -179,19 +181,14 @@ fn equivalence<T: BdlKv>(recover: impl Fn(Arc<EpochSys>, Arc<Htm>, &[LiveBlock],
     }
 }
 
-#[test]
-fn phtm_veb_rebuilds_agree() {
-    equivalence(|e, h, live, threads| PhtmVeb::recover(KV_UNIVERSE_BITS, e, h, live, threads));
+macro_rules! equivalence_tests {
+    ($(($module:ident, $ty:ty, $keys:path)),* $(,)?) => {$(
+        mod $module {
+            #[test]
+            fn rebuilds_agree() {
+                super::equivalence::<$ty>();
+            }
+        }
+    )*};
 }
-
-#[test]
-fn bdl_skiplist_rebuilds_agree() {
-    equivalence(BdlSkiplist::recover);
-}
-
-#[test]
-fn bd_spash_rebuilds_agree() {
-    // One worker whatever `threads` says (direct placement): the
-    // rebuilds must still be equal.
-    equivalence(|e, h, live, _threads| BdSpash::recover(e, h, live));
-}
+fault::bdl_structures!(equivalence_tests);
