@@ -23,16 +23,11 @@ with_timeout 1800 cargo test -q --workspace
 echo "==> chaos stress gate (formerly-quarantined skiplist workloads)"
 # The two historically flaky concurrent skiplist tests (DL and BDL mixed
 # ops; DESIGN.md §5.3) run 200 iterations under seeded
-# deterministic-interleaving schedules (htm_sim::chaos). Split into four
-# 50-iteration processes: thread ids are dense process-lifetime values
-# with a budget of 1024, and every iteration spawns a fresh worker set.
-# Each process runs 50 iterations (the default) with a 120 s watchdog
-# per iteration (htm_sim::chaos::run_gate). A failure prints the seed
-# and the recorded schedule tail; replay with
+# deterministic-interleaving schedules (htm_sim::chaos), one process with
+# a 120 s watchdog per iteration (htm_sim::chaos::run_gate). A failure
+# prints the seed and the recorded schedule tail; replay with
 #   ./target/release/chaos_stress --iters 1 --seed-base <seed>
-for base in 0xC4A05EED 0xC4A05F1F 0xC4A05F51 0xC4A05F83; do
-    with_timeout 900 ./target/release/chaos_stress --seed-base "$base"
-done
+with_timeout 3600 ./target/release/chaos_stress --iters 200 --seed-base 0xC4A05EED
 
 echo "==> BdlKv chaos gate (every structure's churn under seeded schedules)"
 # One phase per BdlKv structure (fault::churn): four threads whose keys
@@ -41,13 +36,10 @@ echo "==> BdlKv chaos gate (every structure's churn under seeded schedules)"
 # insert, update and remove, and all update one shared key, across epoch
 # advances; each thread checks its keys after every op and validate()
 # closes each phase. In-place updates, replacements, OLD_SEE_NEW restarts
-# and BD-Spash's slot moves all occur. 200 seeded chaos schedules in four
-# 50-iteration processes (the same thread-id budget as above). Replay a
-# failing seed with
+# and BD-Spash's slot moves all occur. 200 seeded chaos schedules in one
+# process. Replay a failing seed with
 #   ./target/release/bdl_chaos --iters 1 --seed-base <seed>
-for base in 0xBD1C5EED 0xBD1C5F1F 0xBD1C5F51 0xBD1C5F83; do
-    with_timeout 600 ./target/release/bdl_chaos --seed-base "$base"
-done
+with_timeout 2400 ./target/release/bdl_chaos --iters 200 --seed-base 0xBD1C5EED
 
 echo "==> BdlKv coverage (every impl_bdl_kv! type is a row of fault::bdl_structures!)"
 # Every sweep, conformance, recovery and chaos check expands that one

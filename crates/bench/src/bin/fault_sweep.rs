@@ -12,12 +12,16 @@
 //!
 //! ```sh
 //! cargo run --release -p bench --bin fault_sweep            # all modes
-//! FAULT_SEED=0xBDL cargo run --release -p bench --bin fault_sweep -- \
+//! FAULT_SEED=0xBD15EED cargo run --release -p bench --bin fault_sweep -- \
 //!     --replays 200 --modes plain,torn,double,aborts
 //! ```
 //!
-//! The sweep is deterministic in `FAULT_SEED` (or `--seed`): the same
-//! seed reproduces the same workload, crash schedule, and verdicts.
+//! The sweep is deterministic in `FAULT_SEED` (or `--seed`; either in
+//! decimal or `0x` hex): the same seed reproduces the same workload,
+//! crash schedule, and verdicts. Every `--modes` entry is checked before
+//! any sweep starts; crash modes and the `runtime` ladder print their
+//! rows under their own headers, and the closing line names the modes
+//! that passed.
 //! Exits nonzero if any replay fails. On the *first* invariant failure
 //! the flight-recorder tail of the failing replay is also exported as a
 //! Perfetto trace (`--trace-out <path>`, default
@@ -29,11 +33,12 @@ use fault::{
     pinned_digest, pinned_pipelined_digest, seed_from_env, sweep_all, sweep_runtime_all,
     RuntimeReport, SweepConfig, SweepReport, PINNED_PIPELINED_DIGEST, PINNED_SWEEP_DIGEST,
 };
+use htm_sim::rng::parse_seed;
 use htm_sim::HtmConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fault_sweep [--seed N] [--ops N] [--replays N] \
+        "usage: fault_sweep [--seed N|0xN] [--ops N] [--replays N] \
          [--modes plain,torn,double,aborts,pipelined,pipelined-torn,runtime] \
          [--trace-out PATH] [--digest [--check]]"
     );
@@ -46,18 +51,7 @@ fn main() {
     let mut replays = 150u64;
     let mut digest = false;
     let mut check = false;
-    let mut modes: Vec<String> = [
-        "plain",
-        "torn",
-        "double",
-        "aborts",
-        "pipelined",
-        "pipelined-torn",
-        "runtime",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let mut modes = "plain,torn,double,aborts,pipelined,pipelined-torn,runtime".to_string();
 
     let common = bench::CommonArgs::parse();
     let trace_out = common
@@ -69,10 +63,10 @@ fn main() {
     while let Some(a) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
+            "--seed" => seed = parse_seed(&val()).unwrap_or_else(|| usage()),
             "--ops" => ops = val().parse().unwrap_or_else(|_| usage()),
             "--replays" => replays = val().parse().unwrap_or_else(|_| usage()),
-            "--modes" => modes = val().split(',').map(|s| s.trim().to_string()).collect(),
+            "--modes" => modes = val(),
             "--digest" => digest = true,
             "--check" => check = true,
             _ => usage(),
@@ -113,20 +107,53 @@ fn main() {
         c.ops = ops;
         c
     };
-    println!("# Crash-point sweep: seed {seed:#x}, {ops} ops/run, <= {replays} replays/structure");
-    println!(
-        "{:<8} {:<14} {:>7} {:>8} {:>7} {:>7} {:>10}",
-        "mode", "structure", "points", "replays", "fired", "double", "recovered"
-    );
+    // Every mode's crash-sweep config, `None` for the runtime ladder,
+    // built (so checked) before any sweep starts. `pipelined*` modes
+    // drive the background-persist crash sweep: epoch advances only
+    // release epochs; seals, write-backs and frontier publishes happen on
+    // a deterministic stand-in for the persister, and crashes land while
+    // batches are in flight.
+    let plan: Vec<(&str, Option<SweepConfig>)> = modes
+        .split(',')
+        .map(|mode| {
+            let mode = mode.trim();
+            let mut cfg = match mode {
+                "runtime" => return (mode, None),
+                "plain" | "pipelined" => base.clone(),
+                "torn" | "pipelined-torn" => base.clone().with_torn_writes(),
+                "double" => base.clone().with_torn_writes().with_double_crash(),
+                "aborts" => base.clone().with_htm(
+                    HtmConfig::for_tests()
+                        .with_abort_injection(seed | 1, 0.10, 0.10, 0.02)
+                        .with_max_retries(4),
+                ),
+                other => {
+                    eprintln!("unknown mode {other:?}");
+                    usage()
+                }
+            };
+            cfg.pipelined = mode.starts_with("pipelined");
+            (mode, Some(cfg))
+        })
+        .collect();
 
     let mut failed = false;
     let mut trace_written = false;
-    for mode in &modes {
+    for (i, (mode, cfg)) in plan.iter().enumerate() {
+        // Crash rows and runtime rows each sit under their own header.
+        let new_kind = i == 0 || cfg.is_some() != plan[i - 1].1.is_some();
         // `runtime` keeps the machine alive and makes the *device*
         // unreliable instead: seeded transient write-back/fence faults
         // drive the persister's retry→degrade→fail-stop ladder across
         // every structure (see fault::runtime).
-        if mode == "runtime" {
+        let Some(cfg) = cfg else {
+            if new_kind {
+                println!("# Runtime fault ladder: seed {seed:#x}");
+                println!(
+                    "{:<8} {:<14} {:>9} {:>7} {:>7} {:>12}  health",
+                    "mode", "structure", "scenario", "verdict", "retries", "degradations"
+                );
+            }
             for report in sweep_runtime_all(seed) {
                 print_runtime_report(&report);
                 if !report.passed() {
@@ -137,27 +164,15 @@ fn main() {
                 }
             }
             continue;
-        }
-        // `pipelined*` modes drive the background-persist crash sweep:
-        // epoch advances only release epochs; seals, write-backs and
-        // frontier publishes happen on a deterministic stand-in for the
-        // persister, and crashes land while batches are in flight.
-        let mut cfg = match mode.as_str() {
-            "plain" | "pipelined" => base.clone(),
-            "torn" | "pipelined-torn" => base.clone().with_torn_writes(),
-            "double" => base.clone().with_torn_writes().with_double_crash(),
-            "aborts" => base.clone().with_htm(
-                HtmConfig::for_tests()
-                    .with_abort_injection(seed | 1, 0.10, 0.10, 0.02)
-                    .with_max_retries(4),
-            ),
-            other => {
-                eprintln!("unknown mode {other:?}");
-                usage()
-            }
         };
-        cfg.pipelined = mode.starts_with("pipelined");
-        for report in sweep_all(&cfg) {
+        if new_kind {
+            println!("# Crash-point sweep: seed {seed:#x}, {ops} ops/run, <= {replays} replays/structure");
+            println!(
+                "{:<8} {:<14} {:>7} {:>8} {:>7} {:>7} {:>10}",
+                "mode", "structure", "points", "replays", "fired", "double", "recovered"
+            );
+        }
+        for report in sweep_all(cfg) {
             print_report(mode, &report);
             if !report.passed() {
                 failed = true;
@@ -197,7 +212,8 @@ fn main() {
         eprintln!("fault sweep FAILED");
         std::process::exit(1);
     }
-    println!("# all replays recovered to the durable prefix");
+    let ran: Vec<&str> = plan.iter().map(|(mode, _)| *mode).collect();
+    println!("# passed: {}", ran.join(", "));
 }
 
 fn print_report(mode: &str, r: &SweepReport) {
@@ -210,7 +226,7 @@ fn print_report(mode: &str, r: &SweepReport) {
 
 fn print_runtime_report(r: &RuntimeReport) {
     println!(
-        "{:<8} {:<14} {:>9} {:>8} retries {:<5} degradations {:<3} health {}",
+        "{:<8} {:<14} {:>9} {:>7} {:>7} {:>12}  {}",
         "runtime",
         r.structure,
         r.scenario,

@@ -30,7 +30,7 @@ use crate::error::HealthState;
 use crate::error::OpRejected;
 use crate::obs::EventKind;
 use htm_sim::sync::CachePadded;
-use htm_sim::{max_threads, thread_id};
+use htm_sim::PerThread;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ pub(super) struct EpochClock {
     /// Volatile mirror of the persisted frontier `R`: all epochs `≤ R`
     /// are durable.
     frontier: CachePadded<AtomicU64>,
-    announce: Box<[CachePadded<AtomicU64>]>,
+    announce: PerThread<AtomicU64>,
 }
 
 impl EpochClock {
@@ -60,9 +60,7 @@ impl EpochClock {
         Self {
             clock: CachePadded::new(AtomicU64::new(clock)),
             frontier: CachePadded::new(AtomicU64::new(frontier)),
-            announce: (0..max_threads())
-                .map(|_| CachePadded::new(AtomicU64::new(EMPTY_EPOCH)))
-                .collect(),
+            announce: PerThread::new(|| AtomicU64::new(EMPTY_EPOCH)),
         }
     }
 
@@ -98,7 +96,8 @@ impl EpochClock {
     /// operation could run unobserved in an epoch whose buffers are
     /// being sealed.
     pub(super) fn register(&self) -> u64 {
-        let slot = &self.announce[thread_id()];
+        let slot = self.announce.mine();
+        debug_assert_eq!(slot.load(Ordering::Relaxed), EMPTY_EPOCH);
         loop {
             // A plain guess at the epoch; the SeqCst re-load below
             // validates it, so Relaxed is enough here.
@@ -125,12 +124,12 @@ impl EpochClock {
     /// single-writer arena writes to the scanning sealer, which reads
     /// this slot with a SeqCst (acquire) load.
     pub(super) fn deregister(&self) {
-        self.announce[thread_id()].store(EMPTY_EPOCH, Ordering::Release);
+        self.announce.mine().store(EMPTY_EPOCH, Ordering::Release);
     }
 
     /// The calling thread's announced epoch ([`EMPTY_EPOCH`] if idle).
     pub(super) fn announced(&self) -> u64 {
-        self.announce[thread_id()].load(Ordering::SeqCst)
+        self.announce.mine().load(Ordering::SeqCst)
     }
 
     /// Straggler wait: bounded spin, then yield, then parked sleep.
@@ -144,6 +143,12 @@ impl EpochClock {
     /// slot — all of its arena writes happen-before the caller. This
     /// post-condition is the exclusion guarantee the lock-free arenas
     /// rely on.
+    ///
+    /// The scan walks only the ids below the high-water mark: the
+    /// caller's SeqCst clock load of `e` precedes the SeqCst mark load in
+    /// [`PerThread::iter`], so an operation on a later id announces after
+    /// both and its re-load in [`register`](Self::register) sees `≥ e`,
+    /// as if its slot had been read [`EMPTY_EPOCH`].
     pub(super) fn wait_for_stragglers(&self, e: u64) {
         for slot in self.announce.iter() {
             let mut spins = 0u32;
@@ -170,7 +175,8 @@ impl EpochClock {
 
     /// The non-blocking form of [`wait_for_stragglers`](Self::wait_for_stragglers):
     /// whether every slot reads [`EMPTY_EPOCH`] or `≥ e` right now. The
-    /// same SeqCst loads, so `true` carries the same post-condition.
+    /// same SeqCst loads over the same walk, after a SeqCst clock load
+    /// that saw `≥ e`, so `true` carries the same post-condition.
     pub(super) fn quiescent(&self, e: u64) -> bool {
         self.announce.iter().all(|slot| {
             let a = slot.load(Ordering::SeqCst);
@@ -221,11 +227,13 @@ impl EpochSys {
             self.wait_for_persister();
         }
         let e = self.clock.register();
-        // SAFETY: this thread owns arena slot `thread_id()`, and the
-        // handshake above pinned the clock at `e` while our slot
-        // announces `e` — so a sealer of epoch `e` (which requires the
-        // clock to read `e+1` and the scan to pass our slot) cannot run
-        // concurrently; generation `e % BUF_GENS` is exclusively ours.
+        // SAFETY: this thread owns its id's arena slot (a predecessor on
+        // the id handed it over through the id free list's
+        // Release/Acquire), and the handshake above pinned the clock at
+        // `e` while our slot announces `e` — so a sealer of epoch `e`
+        // (which requires the clock to read `e+1` and the scan to pass
+        // our slot) cannot run concurrently; generation `e % BUF_GENS`
+        // is exclusively ours.
         unsafe {
             let buf = self.arenas.owner_buf(e);
             let (pm, rm) = (buf.persist.len(), buf.retire.len());

@@ -112,7 +112,7 @@ impl EpochSys {
             heap,
             alloc,
             clock: EpochClock::new(clock, frontier),
-            arenas: ThreadArenas::new(),
+            arenas: ThreadArenas::default(),
             advance_lock: Mutex::new(()),
             persist_lock: Mutex::new(()),
             // At rest every epoch up to clock − 2 is sealed and released.

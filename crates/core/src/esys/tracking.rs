@@ -28,9 +28,13 @@
 //!   advance open `e+BUF_GENS` until `e` is sealed.
 //!
 //! The op context cell is simpler still: only the owner ever touches it.
+//!
+//! A slot passes to the next thread that takes its id (see
+//! [`PerThread`]); a generation the predecessor filled is sealed by the
+//! rule above, whoever owns the slot by then.
 
-use htm_sim::sync::{CachePadded, Mutex};
-use htm_sim::{max_threads, thread_high_water, thread_id};
+use htm_sim::sync::Mutex;
+use htm_sim::PerThread;
 use nvm_sim::NvmAddr;
 use persist_alloc::HDR_WORDS;
 use std::cell::UnsafeCell;
@@ -97,34 +101,26 @@ struct ArenaSlot {
 // synchronizes through the announce slot's Release store / SeqCst scan.
 unsafe impl Sync for ArenaSlot {}
 
-/// All threads' [`ArenaSlot`]s, indexed by dense thread id and
-/// cache-padded so neighbors never share a line.
+/// All threads' [`ArenaSlot`]s.
+#[derive(Default)]
 pub(super) struct ThreadArenas {
-    slots: Box<[CachePadded<ArenaSlot>]>,
+    slots: PerThread<ArenaSlot>,
 }
 
 impl ThreadArenas {
-    pub(super) fn new() -> Self {
-        Self {
-            slots: (0..max_threads())
-                .map(|_| CachePadded::new(ArenaSlot::default()))
-                .collect(),
-        }
-    }
-
     /// The calling thread's op context, mutably.
     ///
     /// # Safety
     ///
-    /// Must be called from the owner thread only (enforced by the
-    /// `thread_id()` index), and the returned reference must be dropped
+    /// Must be called from the owner thread only (enforced by
+    /// [`PerThread::mine`]), and the returned reference must be dropped
     /// before any other call that borrows the same cell. The op cell is
     /// never touched by the sealer, so owner-thread discipline alone
     /// makes this exclusive.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub(super) unsafe fn owner_op(&self) -> &mut OpCtx {
-        &mut *self.slots[thread_id()].op.get()
+        &mut *self.slots.mine().op.get()
     }
 
     /// The calling thread's buffer for `epoch`'s generation, mutably.
@@ -139,17 +135,17 @@ impl ThreadArenas {
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub(super) unsafe fn owner_buf(&self, epoch: u64) -> &mut EpochBuf {
-        &mut *self.slots[thread_id()].bufs[gen_of(epoch)].get()
+        &mut *self.slots.mine().bufs[gen_of(epoch)].get()
     }
 
     /// Takes ownership of every thread's buffer for `epoch`'s
     /// generation, returning the merged persist and retire lists.
     ///
-    /// Only walks slots below [`thread_high_water`]: an id assigned
+    /// Walks the slots of [`PerThread::iter`]: an id first handed out
     /// after the quiesce cannot have written this (closed) generation,
     /// and any thread that did write it deregistered before the scan —
-    /// whose synchronizes-with edge also makes its id assignment
-    /// visible to the high-water load here.
+    /// whose synchronizes-with edge also makes its id visible to the
+    /// high-water load here.
     ///
     /// # Safety
     ///
@@ -163,7 +159,7 @@ impl ThreadArenas {
         let idx = gen_of(epoch);
         let mut persist_list = Vec::new();
         let mut retire_list = Vec::new();
-        for slot in self.slots.iter().take(thread_high_water()) {
+        for slot in self.slots.iter() {
             let buf = std::mem::take(&mut *slot.bufs[idx].get());
             if persist_list.is_empty() {
                 persist_list = buf.persist;
@@ -189,7 +185,7 @@ impl ThreadArenas {
 /// carries `INVALID_EPOCH`, so recovery reclaims it.
 pub struct PreallocSlots {
     payload_words: u64,
-    slots: Box<[Mutex<Option<NvmAddr>>]>,
+    slots: PerThread<Mutex<Option<NvmAddr>>>,
 }
 
 impl PreallocSlots {
@@ -197,7 +193,7 @@ impl PreallocSlots {
     pub fn new(payload_words: u64) -> Self {
         Self {
             payload_words,
-            slots: (0..max_threads()).map(|_| Mutex::new(None)).collect(),
+            slots: PerThread::default(),
         }
     }
 
@@ -209,7 +205,7 @@ impl PreallocSlots {
     /// the release store; only a freshly allocated block pays it.
     pub fn take(&self, esys: &EpochSys) -> NvmAddr {
         let blk = {
-            let mut slot = self.slots[thread_id()].lock();
+            let mut slot = self.slots.mine().lock();
             slot.take()
         };
         match blk {
@@ -236,7 +232,7 @@ impl PreallocSlots {
         esys.heap()
             .word(blk.offset(persist_alloc::HDR_EPOCH))
             .store(persist_alloc::INVALID_EPOCH, Ordering::Release);
-        *self.slots[thread_id()].lock() = Some(blk);
+        *self.slots.mine().lock() = Some(blk);
     }
 }
 

@@ -4,7 +4,7 @@
 //! trace export.
 
 use crate::error::HealthState;
-use htm_sim::{max_threads, thread_id};
+use htm_sim::PerThread;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -208,7 +208,8 @@ impl Ring {
 pub struct FlightEvent {
     /// Nanoseconds since the recorder (i.e. the `EpochSys`) was built.
     pub t_ns: u64,
-    /// Recording thread's dense id.
+    /// Recording thread's dense id. Ids are recycled, so one id (and
+    /// one trace track) may carry the events of successive threads.
     pub tid: usize,
     pub kind: EventKind,
     pub a: u64,
@@ -239,8 +240,10 @@ impl FlightEvent {
 /// Lock-free per-thread ring buffer of lifecycle events.
 ///
 /// Each thread owns one lazily-allocated ring and is its only writer;
-/// recording is a handful of relaxed stores plus one Release store of
-/// the slot's sequence number. [`FlightRecorder::dump`] may race an
+/// a thread that later takes the same dense id appends to it, so one
+/// ring may hold the events of successive threads. Recording is a
+/// handful of relaxed stores plus one Release store of the slot's
+/// sequence number. [`FlightRecorder::dump`] may race an
 /// active writer, in which case at worst one in-flight slot renders
 /// stale fields — acceptable for a postmortem diagnostic, and the
 /// common consumer (the fault sweep) dumps from a single thread after
@@ -248,7 +251,7 @@ impl FlightEvent {
 pub struct FlightRecorder {
     origin: Instant,
     capacity: usize,
-    rings: Box<[OnceLock<Box<Ring>>]>,
+    rings: PerThread<OnceLock<Ring>>,
 }
 
 impl Default for FlightRecorder {
@@ -269,7 +272,7 @@ impl FlightRecorder {
         FlightRecorder {
             origin,
             capacity: capacity.max(1),
-            rings: (0..max_threads()).map(|_| OnceLock::new()).collect(),
+            rings: PerThread::default(),
         }
     }
 
@@ -284,7 +287,7 @@ impl FlightRecorder {
     /// both this event and another timeline (the lag tracker).
     #[inline]
     pub(crate) fn record_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
-        let ring = self.rings[thread_id()].get_or_init(|| Box::new(Ring::new(self.capacity)));
+        let ring = self.rings.mine().get_or_init(|| Ring::new(self.capacity));
         let n = ring.next.load(Ordering::Relaxed);
         let slot = &ring.slots[(n % ring.slots.len() as u64) as usize];
         slot.t_ns.store(t_ns, Ordering::Relaxed);
@@ -301,7 +304,7 @@ impl FlightRecorder {
     pub fn events_dropped(&self) -> u64 {
         self.rings
             .iter()
-            .filter_map(|slot| slot.get())
+            .filter_map(OnceLock::get)
             .map(|ring| ring.dropped())
             .sum()
     }

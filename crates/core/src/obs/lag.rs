@@ -4,7 +4,7 @@
 //! publishes the frontier, `complete_batch` folds `t_publish − t_bin`
 //! for every counted commit into the histogram.
 
-use htm_sim::{max_threads, thread_id, LogHistogram};
+use htm_sim::{LogHistogram, PerThread};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -57,7 +57,7 @@ type LagShard = [LagSlot; LAG_GENS];
 /// pipeline mutex). Slot *reuse* is the only access outside that
 /// ordering, and the epoch tag guards it.
 pub(super) struct LagTracker {
-    shards: Box<[OnceLock<Box<LagShard>>]>,
+    shards: PerThread<OnceLock<Box<LagShard>>>,
     /// log₂ of the bin width in nanoseconds.
     bin_shift: u32,
     /// Spans whose epoch was recycled before it ever published
@@ -74,7 +74,7 @@ impl LagTracker {
     pub(super) fn new(epoch_len: Duration) -> Self {
         let width = (epoch_len.as_nanos() / 64).clamp(1, 1 << 40) as u64;
         LagTracker {
-            shards: (0..max_threads()).map(|_| OnceLock::new()).collect(),
+            shards: PerThread::default(),
             bin_shift: width.next_power_of_two().trailing_zeros(),
             dropped: AtomicU64::new(0),
         }
@@ -86,7 +86,7 @@ impl LagTracker {
     /// (already folded) or lost (count as dropped).
     #[inline]
     pub(super) fn record_commit(&self, epoch: u64, t_ns: u64, frontier: u64) {
-        let shard = self.shards[thread_id()].get_or_init(|| {
+        let shard = self.shards.mine().get_or_init(|| {
             Box::new(std::array::from_fn(|_| LagSlot {
                 epoch: AtomicU64::new(LAG_EMPTY),
                 first_ns: AtomicU64::new(0),
@@ -121,7 +121,7 @@ impl LagTracker {
     /// of spans folded.
     pub(super) fn fold_epoch(&self, epoch: u64, now_ns: u64, hist: &LogHistogram) -> u64 {
         let mut folded = 0u64;
-        for shard in self.shards.iter().filter_map(|s| s.get()) {
+        for shard in self.shards.iter().filter_map(OnceLock::get) {
             let slot = &shard[(epoch % LAG_GENS as u64) as usize];
             if slot.epoch.load(Ordering::Acquire) != epoch {
                 continue;

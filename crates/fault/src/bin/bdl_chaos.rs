@@ -1,10 +1,10 @@
 //! CI chaos gate for every `BdlKv` structure: one [`fault::churn`]
 //! phase per row of [`fault::bdl_structures!`] (four threads × 1000
 //! ops, 8 advances), iterated across seeded chaos schedules by
-//! `htm_sim::chaos::run_gate`. An iteration spawns 17 threads, so the
-//! default 50 iterations take 850 of htm-sim's 1024 process-lifetime
-//! thread ids. Replay a failing seed with
-//! `bdl_chaos --iters 1 --seed-base <seed>`.
+//! `htm_sim::chaos::run_gate`. An iteration spawns 17 fresh threads;
+//! their ids return to htm-sim's free list when they exit, so one
+//! process runs any number of iterations (`ci.sh` runs 200). Replay a
+//! failing seed with `bdl_chaos --iters 1 --seed-base <seed>`.
 
 use bdhtm_core::BdlKv;
 

@@ -53,6 +53,7 @@
 
 use bdhtm_core::obs::{EventKind, FlightEvent};
 use bdhtm_core::{BdlKv, EpochConfig, EpochSys};
+use htm_sim::rng::parse_seed;
 use htm_sim::{Htm, HtmConfig, SplitMix64};
 use nvm_sim::{CrashImage, CrashPointKind, CrashTriggered, FaultPlan, NvmConfig, NvmHeap};
 use std::collections::BTreeMap;
@@ -69,12 +70,7 @@ pub use bdhtm_core::KV_UNIVERSE_BITS as UNIVERSE_BITS;
 pub fn seed_from_env(default: u64) -> u64 {
     match std::env::var("FAULT_SEED") {
         Ok(s) => {
-            let s = s.trim().to_owned();
-            let parsed = match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => s.parse(),
-            };
-            parsed.unwrap_or_else(|_| panic!("FAULT_SEED must be an integer, got {s:?}"))
+            parse_seed(&s).unwrap_or_else(|| panic!("FAULT_SEED must be an integer, got {s:?}"))
         }
         Err(_) => default,
     }

@@ -17,6 +17,7 @@
 
 use crate::hash64;
 use htm_sim::sync::Mutex;
+use htm_sim::PerThread;
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, HDR_WORDS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +113,7 @@ pub struct Plush {
     l0: Vec<Mutex<Vec<(u64, u64)>>>,
     levels: Mutex<Vec<NvmLevel>>,
     /// Per-thread active log block + entry cursor.
-    logs: Box<[LogCursor]>,
+    logs: PerThread<LogCursor>,
     /// Current log generation (entries of older generations are already
     /// reflected in the NVM levels).
     gen: AtomicU64,
@@ -126,6 +127,11 @@ impl Plush {
         heap.write(heap.root(ROOT_PLUSH_GEN), 1);
         heap.persist_range(heap.root(ROOT_PLUSH_MAGIC), 2);
         heap.fence();
+        Self::open(heap, alloc, Self::empty_levels(), 1)
+    }
+
+    /// Every NVM level with no bucket chains yet.
+    fn empty_levels() -> Vec<NvmLevel> {
         let mut levels = Vec::new();
         let mut n = L0_BUCKETS * FANOUT;
         for _ in 0..NVM_LEVELS {
@@ -135,15 +141,19 @@ impl Plush {
             });
             n *= FANOUT;
         }
+        levels
+    }
+
+    /// The table over `levels` in log generation `gen`, with empty DRAM
+    /// state: shared by [`new`](Self::new) and [`recover`](Self::recover).
+    fn open(heap: Arc<NvmHeap>, alloc: Arc<PAlloc>, levels: Vec<NvmLevel>, gen: u64) -> Self {
         Self {
             heap,
             alloc,
             l0: (0..L0_BUCKETS).map(|_| Mutex::new(Vec::new())).collect(),
             levels: Mutex::new(levels),
-            logs: (0..htm_sim::max_threads())
-                .map(|_| Mutex::new(None))
-                .collect(),
-            gen: AtomicU64::new(1),
+            logs: PerThread::default(),
+            gen: AtomicU64::new(gen),
             merge_lock: Mutex::new(()),
         }
     }
@@ -158,8 +168,7 @@ impl Plush {
 
     /// Appends a log record and persists it — the critical-path cost.
     fn log_append(&self, key: u64, value: u64) {
-        let tid = htm_sim::thread_id();
-        let mut slot = self.logs[tid].lock();
+        let mut slot = self.logs.mine().lock();
         let (blk, used) = match slot.take() {
             Some((b, u)) if u < LOG_CAP => (b, u),
             _ => {
@@ -383,15 +392,7 @@ impl Plush {
         let (alloc, blocks) = PAlloc::recover(Arc::clone(&heap));
         let alloc = Arc::new(alloc);
 
-        let mut levels = Vec::new();
-        let mut n = L0_BUCKETS * FANOUT;
-        for _ in 0..NVM_LEVELS {
-            levels.push(NvmLevel {
-                buckets: vec![NvmAddr::NULL; n],
-                bloom: Bloom::new(n * 64),
-            });
-            n *= FANOUT;
-        }
+        let mut levels = Self::empty_levels();
         // Re-chain bucket blocks by (level, index); B_NEXT pointers are
         // persisted, so follow heads only: a head is a block nobody links
         // to.
@@ -428,17 +429,7 @@ impl Plush {
             }
         }
 
-        let t = Plush {
-            heap: Arc::clone(&heap),
-            alloc: Arc::clone(&alloc),
-            l0: (0..L0_BUCKETS).map(|_| Mutex::new(Vec::new())).collect(),
-            levels: Mutex::new(levels),
-            logs: (0..htm_sim::max_threads())
-                .map(|_| Mutex::new(None))
-                .collect(),
-            gen: AtomicU64::new(gen),
-            merge_lock: Mutex::new(()),
-        };
+        let t = Self::open(Arc::clone(&heap), Arc::clone(&alloc), levels, gen);
         // Replay current-generation log entries (the DRAM root was lost).
         for b in &blocks {
             if b.tag != PLUSH_LOG_TAG {

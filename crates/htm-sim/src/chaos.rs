@@ -37,8 +37,8 @@
 //! armed points; harmless — they only gain extra yields (gates are
 //! one-shot and scripted tests control which threads run).
 
-use crate::rng::SplitMix64;
-use crate::tid::thread_id;
+use crate::rng::{parse_seed, SplitMix64};
+use crate::tid::thread_serial;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -63,8 +63,9 @@ pub struct Event {
     pub seq: u64,
     /// Session-local thread lane (registration order under this seed).
     pub lane: u32,
-    /// Process-wide dense thread id ([`crate::thread_id`]).
-    pub tid: usize,
+    /// The thread's [`thread_serial`]: unlike its
+    /// dense id, never shared with a thread that ran before it.
+    pub tid: u64,
     /// The chaos-point site name.
     pub site: &'static str,
     pub action: Action,
@@ -228,7 +229,7 @@ fn record(lane: u32, site: &'static str, action: Action) {
     let ev = Event {
         seq,
         lane,
-        tid: thread_id(),
+        tid: thread_serial(),
         site,
         action,
     };
@@ -429,23 +430,15 @@ pub const GATE_WATCHDOG: std::time::Duration = std::time::Duration::from_secs(12
 /// with status 1, an iteration still running after [`GATE_WATCHDOG`]
 /// with status 2 (a hung worker cannot be killed, so it is leaked);
 /// both print the phase, the seed, the recorded schedule tail and the
-/// command that replays the seed. Every iteration spawns fresh threads,
-/// and [`crate::thread_id`] hands out dense process-lifetime ids from a
-/// budget of [`crate::max_threads`] (`chaos_stress` takes 14 per
-/// iteration, `bdl_chaos` 17: at most 73 and 60 iterations). The gate
-/// measures the ids an iteration takes, and exits with status 3 and a
-/// budget message, not a phase failure, before an iteration that would
-/// run past the budget.
+/// command that replays the seed.
 pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static str, fn())]) {
     let (mut iters, mut seed_base) = (50u64, default_seed_base);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let v = args
             .next()
-            .and_then(|v| match v.trim().strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => v.trim().parse().ok(),
-            })
+            .as_deref()
+            .and_then(parse_seed)
             .unwrap_or_else(|| panic!("{a} needs a numeric argument"));
         match a.as_str() {
             "--iters" => iters = v,
@@ -457,18 +450,7 @@ pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static 
         "{gate}: {iters} iterations, seeds {seed_base:#x}..{:#x}",
         seed_base + iters
     );
-    let mut ids_per_iter = 0;
     for i in 0..iters {
-        let ids_before = crate::thread_high_water();
-        if ids_before + ids_per_iter > crate::max_threads() {
-            eprintln!(
-                "{gate}: thread-id budget spent after {i} iterations: an iteration takes \
-                 {ids_per_iter} of the {} process-lifetime thread ids; run at most {i} \
-                 iterations per process",
-                crate::max_threads()
-            );
-            std::process::exit(3);
-        }
         let seed = seed_base + i;
         let session = arm(Config::new(seed));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -500,7 +482,6 @@ pub fn run_gate(gate: &str, default_seed_base: u64, phases: &'static [(&'static 
         }
         let _ = worker.join();
         drop(session);
-        ids_per_iter = ids_per_iter.max(crate::thread_high_water() - ids_before);
         if (i + 1) % 25 == 0 {
             println!("{gate}: {}/{iters} iterations passed", i + 1);
         }

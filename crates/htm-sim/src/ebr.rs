@@ -4,8 +4,8 @@
 //! may still traverse them, and defer the free until no reader can hold a
 //! reference. This module provides just the surface those crates use —
 //! [`pin`], [`Guard::defer`], [`Guard::defer_unchecked`] — on top of a
-//! global epoch counter and per-thread announcement slots (reusing the
-//! same registration scheme as [`crate::thread_id`]).
+//! global epoch counter and per-thread [`PerThread`] announcement
+//! slots, which an exiting thread leaves `UNPINNED` for its successor.
 //!
 //! A closure deferred while the global epoch is `e` runs only after every
 //! pinned thread has announced an epoch greater than `e`; unpinned
@@ -14,7 +14,7 @@
 
 use crate::chaos;
 use crate::sync::{CachePadded, Mutex};
-use crate::tid::{max_threads, thread_id};
+use crate::tid::PerThread;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -26,7 +26,7 @@ type Deferred = Box<dyn FnOnce() + Send>;
 
 struct Registry {
     epoch: CachePadded<AtomicU64>,
-    slots: Box<[CachePadded<AtomicU64>]>,
+    slots: PerThread<AtomicU64>,
     garbage: Mutex<Vec<(u64, Deferred)>>,
     /// Number of entries in `garbage`, readable without the lock. Updated
     /// under the lock (so it never under-counts while a defer is midway),
@@ -40,15 +40,18 @@ impl Registry {
         static REGISTRY: OnceLock<Registry> = OnceLock::new();
         REGISTRY.get_or_init(|| Registry {
             epoch: CachePadded::new(AtomicU64::new(1)),
-            slots: (0..max_threads())
-                .map(|_| CachePadded::new(AtomicU64::new(UNPINNED)))
-                .collect(),
+            slots: PerThread::new(|| AtomicU64::new(UNPINNED)),
             garbage: Mutex::new(Vec::new()),
             pending: CachePadded::new(AtomicU64::new(0)),
         })
     }
 
     /// Oldest epoch announced by any pinned thread, or `UNPINNED`.
+    ///
+    /// Walks only the ids below the high-water mark: the caller's SeqCst
+    /// epoch bump precedes the SeqCst mark load in [`PerThread::iter`],
+    /// so a thread on a later id announces after both and its re-load in
+    /// [`pin`] sees the bumped epoch, as if its slot had read `UNPINNED`.
     fn min_pinned(&self) -> u64 {
         self.slots
             .iter()
@@ -116,7 +119,8 @@ pub fn pin() -> Guard {
             // Announce, then re-read: if a collector advanced the epoch
             // while we were announcing, re-announce the newer value so a
             // concurrent scan can never free garbage we might observe.
-            let slot = &reg.slots[thread_id()];
+            let slot = reg.slots.mine();
+            debug_assert_eq!(slot.load(Ordering::Relaxed), UNPINNED);
             let mut e = reg.epoch.load(Ordering::SeqCst);
             loop {
                 slot.store(e, Ordering::SeqCst);
@@ -179,7 +183,7 @@ impl Drop for Guard {
             d.get() == 0
         });
         if fully_unpinned {
-            reg.slots[thread_id()].store(UNPINNED, Ordering::SeqCst);
+            reg.slots.mine().store(UNPINNED, Ordering::SeqCst);
             reg.collect();
         }
     }

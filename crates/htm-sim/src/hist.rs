@@ -9,16 +9,16 @@
 //! operation hot paths: no locks, no contended cache lines, no fences.
 //!
 //! Shards are allocated lazily on a thread's first record, so a
-//! histogram costs one pointer per potential thread until a thread
-//! actually uses it — important for harnesses (the fault sweep) that
-//! build thousands of short-lived instrumented systems.
+//! histogram costs one padded pointer slot per potential thread until a
+//! thread actually uses it — important for harnesses (the fault sweep)
+//! that build thousands of short-lived instrumented systems.
 //!
 //! Quantiles reported by [`HistSnapshot::quantile`] are upper bounds of
 //! the containing bucket (clamped to the observed max): with log₂
 //! buckets the reported p99 is within 2x of the true p99, which is the
 //! resolution regime latency work cares about (orders, not digits).
 
-use crate::tid::{thread_id, MAX_THREADS};
+use crate::tid::PerThread;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -66,27 +66,20 @@ impl Shard {
 /// A concurrent log₂ histogram. Each thread records into its own
 /// lazily-allocated shard (separate heap allocations, so no false
 /// sharing); [`LogHistogram::snapshot`] folds all shards.
+#[derive(Default)]
 pub struct LogHistogram {
-    shards: Box<[OnceLock<Box<Shard>>]>,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
+    shards: PerThread<OnceLock<Box<Shard>>>,
 }
 
 impl LogHistogram {
     pub fn new() -> Self {
-        LogHistogram {
-            shards: (0..MAX_THREADS).map(|_| OnceLock::new()).collect(),
-        }
+        Self::default()
     }
 
     /// Records one sample. Relaxed per-thread writes only.
     #[inline]
     pub fn record(&self, value: u64) {
-        let s = self.shards[thread_id()].get_or_init(|| Box::new(Shard::new()));
+        let s = self.shards.mine().get_or_init(|| Box::new(Shard::new()));
         s.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         s.sum.fetch_add(value, Ordering::Relaxed);
         s.max.fetch_max(value, Ordering::Relaxed);
@@ -101,7 +94,7 @@ impl LogHistogram {
         if n == 0 {
             return;
         }
-        let s = self.shards[thread_id()].get_or_init(|| Box::new(Shard::new()));
+        let s = self.shards.mine().get_or_init(|| Box::new(Shard::new()));
         s.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
         s.sum.fetch_add(value.saturating_mul(n), Ordering::Relaxed);
         s.max.fetch_max(value, Ordering::Relaxed);
@@ -112,13 +105,11 @@ impl LogHistogram {
     /// totals, so it can never disagree with them, even mid-record.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut t = HistSnapshot::default();
-        for slot in self.shards.iter() {
-            if let Some(s) = slot.get() {
-                t.sum += s.sum.load(Ordering::Relaxed);
-                t.max = t.max.max(s.max.load(Ordering::Relaxed));
-                for (i, b) in s.buckets.iter().enumerate() {
-                    t.buckets[i] += b.load(Ordering::Relaxed);
-                }
+        for s in self.shards.iter().filter_map(OnceLock::get) {
+            t.sum += s.sum.load(Ordering::Relaxed);
+            t.max = t.max.max(s.max.load(Ordering::Relaxed));
+            for (i, b) in s.buckets.iter().enumerate() {
+                t.buckets[i] += b.load(Ordering::Relaxed);
             }
         }
         t.count = t.buckets.iter().sum();
@@ -127,13 +118,11 @@ impl LogHistogram {
 
     /// Zeroes every allocated shard (between benchmark phases).
     pub fn reset(&self) {
-        for slot in self.shards.iter() {
-            if let Some(s) = slot.get() {
-                s.sum.store(0, Ordering::Relaxed);
-                s.max.store(0, Ordering::Relaxed);
-                for b in s.buckets.iter() {
-                    b.store(0, Ordering::Relaxed);
-                }
+        for s in self.shards.iter().filter_map(OnceLock::get) {
+            s.sum.store(0, Ordering::Relaxed);
+            s.max.store(0, Ordering::Relaxed);
+            for b in s.buckets.iter() {
+                b.store(0, Ordering::Relaxed);
             }
         }
     }

@@ -187,7 +187,7 @@ impl Htm {
         // Eagerly initialize the shared coherence state.
         let _ = global_table();
         Htm {
-            stats: HtmStats::new(),
+            stats: HtmStats::default(),
             backoff_hist: LogHistogram::new(),
             inject_rng: inject_rng(&config),
             config,

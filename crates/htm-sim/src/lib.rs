@@ -76,7 +76,7 @@ pub use htm::{
 };
 pub use rng::SplitMix64;
 pub use stats::{HtmStats, StatsSnapshot};
-pub use tid::{max_threads, thread_high_water, thread_id};
+pub use tid::{thread_serial, PerThread};
 pub use txn::{Abort, AbortCause, TxResult, Txn};
 
 use std::cell::Cell;

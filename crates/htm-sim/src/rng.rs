@@ -8,6 +8,17 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Parses a seed (or any `u64` argument) written in decimal or as
+/// `0x` hex, surrounding whitespace ignored. The one parser behind
+/// every seed a command line or the environment supplies.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    let s = s.trim();
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
 /// The SplitMix64 state increment (the 64-bit golden ratio).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -111,6 +122,14 @@ mod tests {
         let mut a = SplitMix64::new(1);
         let mut b = SplitMix64::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(parse_seed("0xBD15EED"), Some(0xBD1_5EED));
+        assert_eq!(parse_seed(" 42\n"), Some(42));
+        assert_eq!(parse_seed("0xBDL"), None);
+        assert_eq!(parse_seed("-1"), None);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! [`counters!`](crate::counters), the one declaration the workspace's
 //! other counter sets are generated from.
 
-use crate::sync::CachePadded;
-use crate::tid::{thread_id, MAX_THREADS};
+use crate::tid::PerThread;
 use crate::txn::AbortCause;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,43 +77,25 @@ struct Shard {
 }
 
 /// Per-thread sharded counters of transaction outcomes.
+#[derive(Default)]
 pub struct HtmStats {
-    shards: Box<[CachePadded<Shard>]>,
-}
-
-impl Default for HtmStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    shards: PerThread<Shard>,
 }
 
 impl HtmStats {
-    pub fn new() -> Self {
-        let shards = (0..MAX_THREADS)
-            .map(|_| CachePadded::new(Shard::default()))
-            .collect::<Vec<_>>();
-        Self {
-            shards: shards.into_boxed_slice(),
-        }
-    }
-
     #[inline]
     pub(crate) fn record_commit(&self) {
-        self.shards[thread_id()]
-            .commits
-            .fetch_add(1, Ordering::Relaxed);
+        self.shards.mine().commits.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_abort(&self, cause: AbortCause) {
-        self.shards[thread_id()].aborts[cause.index()].fetch_add(1, Ordering::Relaxed);
+        self.shards.mine().aborts[cause.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_fallback(&self) {
-        self.shards[thread_id()]
-            .fallbacks
-            .fetch_add(1, Ordering::Relaxed);
+        self.shards.mine().fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Aggregates all shards into a snapshot.
@@ -208,7 +189,7 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates() {
-        let st = HtmStats::new();
+        let st = HtmStats::default();
         st.record_commit();
         st.record_commit();
         st.record_abort(AbortCause::Conflict);
@@ -224,7 +205,7 @@ mod tests {
 
     #[test]
     fn reset_clears() {
-        let st = HtmStats::new();
+        let st = HtmStats::default();
         st.record_commit();
         st.reset();
         assert_eq!(st.snapshot().attempts(), 0);
@@ -232,7 +213,7 @@ mod tests {
 
     #[test]
     fn since_saturates_across_reset() {
-        let st = HtmStats::new();
+        let st = HtmStats::default();
         st.record_commit();
         st.record_abort(AbortCause::Conflict);
         let before = st.snapshot();

@@ -1,8 +1,8 @@
 //! Descriptor-based MwCAS / PMwCAS (Wang et al., ICDE 2018) with helping
 //! and post-crash roll-forward / roll-back.
 
-use htm_sim::chaos;
 use htm_sim::sync::Mutex;
+use htm_sim::{chaos, PerThread};
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, HDR_WORDS};
 use std::sync::atomic::Ordering;
@@ -119,7 +119,7 @@ pub struct MwCasPool {
     heap: Arc<NvmHeap>,
     alloc: Arc<PAlloc>,
     /// Lazily created per-thread descriptor blocks.
-    descs: Box<[Mutex<Option<NvmAddr>>]>,
+    descs: PerThread<Mutex<Option<NvmAddr>>>,
 }
 
 impl MwCasPool {
@@ -135,9 +135,7 @@ impl MwCasPool {
         Self {
             heap,
             alloc,
-            descs: (0..htm_sim::max_threads())
-                .map(|_| Mutex::new(None))
-                .collect(),
+            descs: PerThread::default(),
         }
     }
 
@@ -146,8 +144,7 @@ impl MwCasPool {
     }
 
     fn my_descriptor(&self) -> NvmAddr {
-        let tid = htm_sim::thread_id();
-        let mut slot = self.descs[tid].lock();
+        let mut slot = self.descs.mine().lock();
         if let Some(d) = *slot {
             return d;
         }

@@ -120,7 +120,7 @@ impl NvmHeap {
             media: (0..words).map(|_| AtomicU64::new(0)).collect(),
             dirty: (0..lines).map(|_| AtomicU8::new(0)).collect(),
             config,
-            stats: NvmStats::new(),
+            stats: NvmStats::default(),
             fault_armed: AtomicBool::new(false),
             fault: Mutex::new(None),
             device_armed: AtomicBool::new(false),
@@ -138,7 +138,7 @@ impl NvmHeap {
             media: image.words.iter().map(|&w| AtomicU64::new(w)).collect(),
             dirty: (0..lines).map(|_| AtomicU8::new(0)).collect(),
             config: image.config,
-            stats: NvmStats::new(),
+            stats: NvmStats::default(),
             fault_armed: AtomicBool::new(false),
             fault: Mutex::new(None),
             device_armed: AtomicBool::new(false),

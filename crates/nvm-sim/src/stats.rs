@@ -1,8 +1,7 @@
 //! Sharded NVM traffic counters: the data behind the paper's write-
 //! amplification and bandwidth discussion (§5.1) and the space figures.
 
-use htm_sim::sync::CachePadded;
-use htm_sim::{max_threads, thread_id};
+use htm_sim::PerThread;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 htm_sim::counters! {
@@ -46,29 +45,15 @@ impl std::ops::Deref for Shard {
 }
 
 /// Per-thread sharded NVM traffic counters.
+#[derive(Default)]
 pub struct NvmStats {
-    shards: Box<[CachePadded<Shard>]>,
-}
-
-impl Default for NvmStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    shards: PerThread<Shard>,
 }
 
 impl NvmStats {
-    pub fn new() -> Self {
-        let shards = (0..max_threads())
-            .map(|_| CachePadded::new(Shard::default()))
-            .collect::<Vec<_>>();
-        Self {
-            shards: shards.into_boxed_slice(),
-        }
-    }
-
     #[inline]
     fn me(&self) -> &Shard {
-        &self.shards[thread_id()]
+        self.shards.mine()
     }
 
     #[inline]
@@ -158,7 +143,7 @@ mod tests {
 
     #[test]
     fn since_saturates_across_reset() {
-        let st = NvmStats::new();
+        let st = NvmStats::default();
         st.record_write();
         st.record_writeback(3);
         let before = st.snapshot();

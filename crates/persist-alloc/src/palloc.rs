@@ -5,7 +5,7 @@ use crate::block::{
     INVALID_EPOCH, NUM_CLASSES,
 };
 use htm_sim::sync::Mutex;
-use htm_sim::{max_threads, thread_id};
+use htm_sim::PerThread;
 use nvm_sim::{NvmAddr, NvmHeap};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -46,9 +46,9 @@ struct ClassLists {
 pub struct PAlloc {
     heap: Arc<NvmHeap>,
     classes: [ClassLists; NUM_CLASSES],
-    /// Per-thread, per-class caches (indexed by dense thread id; each slot
-    /// is touched only by its owner, the mutex is uncontended).
-    caches: Box<[Mutex<Vec<NvmAddr>>]>,
+    /// Per-thread, per-class caches (each slot is touched only by its
+    /// owner, the mutex is uncontended).
+    caches: PerThread<[Mutex<Vec<NvmAddr>>; NUM_CLASSES]>,
     /// Protects extent carving.
     carve: Mutex<()>,
     /// Extent-table geometry (derived deterministically from capacity).
@@ -87,14 +87,10 @@ impl PAlloc {
             shared: Mutex::new(Vec::new()),
             live: AtomicI64::new(0),
         });
-        let caches = (0..max_threads() * NUM_CLASSES)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         PAlloc {
             heap,
             classes,
-            caches,
+            caches: PerThread::default(),
             carve: Mutex::new(()),
             table_base,
             n_extents,
@@ -206,8 +202,7 @@ impl PAlloc {
         }
         self.heap.fence();
         for (&blk, &class) in blks.iter().zip(&classes) {
-            let cache = &self.caches[thread_id() * NUM_CLASSES + class];
-            let mut c = cache.lock();
+            let mut c = self.caches.mine()[class].lock();
             c.push(blk);
             if c.len() > CACHE_MAX {
                 let at = c.len() - CACHE_BATCH;
@@ -239,7 +234,7 @@ impl PAlloc {
     }
 
     fn obtain(&self, class: usize) -> NvmAddr {
-        let cache = &self.caches[thread_id() * NUM_CLASSES + class];
+        let cache = &self.caches.mine()[class];
         if let Some(blk) = cache.lock().pop() {
             return blk;
         }

@@ -14,7 +14,7 @@ use bdhtm_core::{
 };
 use htm_sim::chaos;
 use htm_sim::ebr;
-use htm_sim::{thread_id, FallbackLock, Htm, MemAccess, TxResult};
+use htm_sim::{thread_serial, FallbackLock, Htm, MemAccess, TxResult};
 use nvm_sim::NvmAddr;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,11 +52,12 @@ thread_local! {
     static LEVEL_RNG: Cell<u64> = const { Cell::new(0) };
 }
 
-fn next_level() -> usize {
+/// The calling thread's next tower height, seeded as DL-Skiplist's is.
+pub(crate) fn next_level() -> usize {
     LEVEL_RNG.with(|r| {
         let mut x = r.get();
         if x == 0 {
-            x = thread_id() as u64 ^ 0xFACE_FEED_0BAD_F00D;
+            x = thread_serial() ^ 0xFACE_FEED_0BAD_F00D;
         }
         let lvl = random_level(&mut x);
         r.set(x);

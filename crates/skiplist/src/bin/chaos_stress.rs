@@ -1,10 +1,12 @@
 //! CI chaos stress gate: the two formerly-quarantined skiplist
 //! workloads, iterated across seeded chaos schedules.
 //!
-//! Each iteration runs both mixed-op workloads on fresh lists under a
-//! distinct chaos seed; `htm_sim::chaos::run_gate` owns the iteration
-//! loop, the watchdog, the exit codes and the failure report. Replay a
-//! failing seed with `chaos_stress --iters 1 --seed-base <seed>`.
+//! Each iteration runs both mixed-op workloads on fresh lists and fresh
+//! threads under a distinct chaos seed; `htm_sim::chaos::run_gate` owns
+//! the iteration loop, the watchdog, the exit codes and the failure
+//! report. Exited threads return their ids, so one process runs any
+//! number of iterations (`ci.sh` runs 200). Replay a failing seed with
+//! `chaos_stress --iters 1 --seed-base <seed>`.
 
 use skiplist::stress;
 use skiplist::PersistMode;

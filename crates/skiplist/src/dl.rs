@@ -12,7 +12,7 @@ use crate::{random_level, MAX_LEVEL};
 use htm_sim::chaos;
 use htm_sim::ebr;
 use htm_sim::sync::Mutex;
-use htm_sim::thread_id;
+use htm_sim::{thread_serial, PerThread};
 use mwcas::{HtmMwCas, MwCasPool, MwTarget};
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, HDR_WORDS};
@@ -56,11 +56,14 @@ thread_local! {
     static LEVEL_RNG: Cell<u64> = const { Cell::new(0) };
 }
 
-fn next_level() -> usize {
+/// The calling thread's next tower height. Seeded from the thread's
+/// serial, not its recycled id, so a thread never replays the heights of
+/// the thread that held its id before it.
+pub(crate) fn next_level() -> usize {
     LEVEL_RNG.with(|r| {
         let mut x = r.get();
         if x == 0 {
-            x = thread_id() as u64 ^ 0xDEAD_BEEF_1234_5678;
+            x = thread_serial() ^ 0xDEAD_BEEF_1234_5678;
         }
         let lvl = random_level(&mut x);
         r.set(x);
@@ -79,7 +82,7 @@ pub struct DlSkiplist {
     htm: HtmMwCas,
     mode: PersistMode,
     head: NvmAddr,
-    spare: Box<[SpareNode]>,
+    spare: PerThread<SpareNode>,
 }
 
 impl DlSkiplist {
@@ -95,18 +98,20 @@ impl DlSkiplist {
         heap.write(heap.root(ROOT_DL_HEAD), head.0);
         heap.persist_range(heap.root(ROOT_DL_MAGIC), 2);
         heap.fence();
-        let pool = MwCasPool::with_alloc(Arc::clone(&heap), Arc::clone(&alloc));
-        let htm = HtmMwCas::new(Arc::clone(&heap));
+        Self::open(heap, alloc, head, mode)
+    }
+
+    /// The volatile half of a list whose NVM half is `head` in `heap`:
+    /// shared by [`new`](Self::new) and [`recover`](Self::recover).
+    fn open(heap: Arc<NvmHeap>, alloc: Arc<PAlloc>, head: NvmAddr, mode: PersistMode) -> Self {
         Self {
+            pool: MwCasPool::with_alloc(Arc::clone(&heap), Arc::clone(&alloc)),
+            htm: HtmMwCas::new(Arc::clone(&heap)),
             heap,
             alloc,
-            pool,
-            htm,
             mode,
             head,
-            spare: (0..htm_sim::max_threads())
-                .map(|_| Mutex::new(None))
-                .collect(),
+            spare: PerThread::default(),
         }
     }
 
@@ -130,22 +135,7 @@ impl DlSkiplist {
                 }
             }
         }
-        let pool = MwCasPool::with_alloc(Arc::clone(&heap), Arc::clone(&alloc));
-        let htm = HtmMwCas::new(Arc::clone(&heap));
-        (
-            Self {
-                heap,
-                alloc,
-                pool,
-                htm,
-                mode: PersistMode::Strict,
-                head,
-                spare: (0..htm_sim::max_threads())
-                    .map(|_| Mutex::new(None))
-                    .collect(),
-            },
-            rolled,
-        )
+        (Self::open(heap, alloc, head, PersistMode::Strict), rolled)
     }
 
     pub fn heap(&self) -> &Arc<NvmHeap> {
@@ -250,7 +240,7 @@ impl DlSkiplist {
 
             // Build a fresh (or recycled) tower.
             let (level, node) = {
-                let mut spare = self.spare[thread_id()].lock();
+                let mut spare = self.spare.mine().lock();
                 match spare.take() {
                     Some(s) => s,
                     None => {
@@ -285,7 +275,7 @@ impl DlSkiplist {
                 return true;
             }
             // Lost the race: stash the tower for the retry.
-            *self.spare[thread_id()].lock() = Some((level, node));
+            *self.spare.mine().lock() = Some((level, node));
         }
     }
 

@@ -65,4 +65,33 @@ mod tests {
         assert!((counts[2] as f64 / n as f64 - 0.25).abs() < 0.02);
         assert!(counts[MAX_LEVEL] > 0, "tail must be reachable");
     }
+
+    #[test]
+    fn a_thread_on_a_recycled_slot_draws_new_tower_heights() {
+        // A `PerThread` slot's address names the dense id that owns it.
+        let slots = htm_sim::PerThread::<u8>::default();
+        let draw = || {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let id = slots.mine() as *const u8 as usize;
+                    let dl: Vec<usize> = (0..64).map(|_| dl::next_level()).collect();
+                    let bdl: Vec<usize> = (0..64).map(|_| bdl::next_level()).collect();
+                    (id, dl, bdl)
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        // Sibling tests start and end threads too, so the second thread
+        // may take another id; retry until it takes the first one's.
+        for _ in 0..100 {
+            let (first, second) = (draw(), draw());
+            if first.0 == second.0 {
+                assert_ne!(first.1, second.1, "DL-Skiplist towers replayed");
+                assert_ne!(first.2, second.2, "BDL-Skiplist towers replayed");
+                return;
+            }
+        }
+        panic!("no thread ever inherited its predecessor's id");
+    }
 }

@@ -11,7 +11,7 @@
 
 use crate::node::{Node, EMPTY, LEAF_BITS};
 use htm_sim::sync::Mutex;
-use htm_sim::{max_threads, thread_id, MemAccess, TxResult};
+use htm_sim::{MemAccess, PerThread, TxResult};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,7 +33,7 @@ type SpareNodes = Mutex<Vec<(u32, u64)>>;
 pub struct VebIndex {
     pub ubits: u32,
     root: u64,
-    spare: Box<[SpareNodes]>,
+    spare: PerThread<SpareNodes>,
     dram_bytes: AtomicU64,
 }
 
@@ -50,7 +50,7 @@ impl VebIndex {
         Self {
             ubits,
             root: Box::into_raw(root) as u64,
-            spare: (0..max_threads()).map(|_| Mutex::new(Vec::new())).collect(),
+            spare: PerThread::default(),
             dram_bytes: AtomicU64::new(bytes),
         }
     }
@@ -73,7 +73,7 @@ impl VebIndex {
         if created.is_empty() {
             return;
         }
-        self.spare[thread_id()].lock().append(&mut created);
+        self.spare.mine().lock().append(&mut created);
     }
 
     /// Marks the attempt's creations as committed (owned via tree links).
@@ -82,7 +82,7 @@ impl VebIndex {
     }
 
     fn alloc_node(&self, ubits: u32, ctx: &AllocCtx) -> u64 {
-        let mut spare = self.spare[thread_id()].lock();
+        let mut spare = self.spare.mine().lock();
         let ptr = if let Some(pos) = spare.iter().position(|&(b, _)| b == ubits) {
             spare.swap_remove(pos).1
         } else {
