@@ -182,12 +182,8 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
             for (name, h) in members {
                 check_hist(name, h);
             }
-            if doc.get("derived").is_some() {
-                for (needed, _unit) in Obs::HISTOGRAMS {
-                    if !members.iter().any(|(n, _)| n == needed) {
-                        fail(&format!("report with an epoch system lacks {needed}"));
-                    }
-                }
+            if let Err(e) = check_histogram_set(members, doc.get("derived").is_some()) {
+                fail(&e);
             }
             summary.push(format!("{} histograms", members.len()));
         }
@@ -195,6 +191,33 @@ fn check_report(doc: &JsonValue) -> Vec<String> {
     }
 
     summary
+}
+
+/// A report with an epoch system (one with a `derived` section)
+/// carries exactly the histograms [`Obs::HISTOGRAMS`] declares, under
+/// their units; a report without one carries none.
+fn check_histogram_set(members: &[(String, JsonValue)], with_esys: bool) -> Result<(), String> {
+    let mut got: Vec<(&str, &str)> = members
+        .iter()
+        .map(|(name, h)| {
+            (
+                name.as_str(),
+                h.get("unit").and_then(JsonValue::as_str).unwrap_or(""),
+            )
+        })
+        .collect();
+    let mut want: Vec<(&str, &str)> = Obs::HISTOGRAMS
+        .iter()
+        .filter(|_| with_esys)
+        .copied()
+        .collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("histograms {got:?}, want {want:?}"))
+    }
 }
 
 /// The `--series` gate: validates a sampler JSON-lines stream.
@@ -317,4 +340,40 @@ fn main() {
     };
     let summary = check_report(&parse(&read(path)));
     println!("metrics_check: OK ({})", summary.join(", "));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bdhtm_core::{EpochConfig, EpochSys, MetricsRegistry};
+    use nvm_sim::{NvmConfig, NvmHeap};
+    use std::sync::Arc;
+
+    /// The `histograms` members of a report from a fresh epoch system.
+    fn esys_histograms() -> Vec<(String, JsonValue)> {
+        let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(1 << 20)));
+        let mut registry = MetricsRegistry::new();
+        registry.attach_esys(EpochSys::format(heap, EpochConfig::manual()));
+        let doc = JsonValue::parse(&registry.report().to_json()).unwrap();
+        match doc.get("histograms") {
+            Some(JsonValue::Obj(members)) => members.clone(),
+            _ => panic!("report without a histograms object"),
+        }
+    }
+
+    #[test]
+    fn a_report_carries_exactly_the_declared_histograms() {
+        let mut members = esys_histograms();
+        assert_eq!(check_histogram_set(&members, true), Ok(()));
+        assert!(check_histogram_set(&members, false).is_err());
+        assert_eq!(check_histogram_set(&[], false), Ok(()));
+
+        let extra = (String::from("undeclared_ns"), members[0].1.clone());
+        members.push(extra);
+        let err = check_histogram_set(&members, true).unwrap_err();
+        assert!(err.contains("undeclared_ns"), "{err}");
+        members.pop();
+        members.pop();
+        assert!(check_histogram_set(&members, true).is_err(), "one missing");
+    }
 }

@@ -337,9 +337,12 @@ impl EpochSys {
         }
 
         self.stats().advances.fetch_add(1, Ordering::Relaxed);
-        self.obs().advance_ns.record(t0.elapsed().as_nanos() as u64);
-        self.obs()
-            .event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
+        let obs = self.obs();
+        obs.shard()
+            .hist
+            .advance_ns
+            .record(t0.elapsed().as_nanos() as u64);
+        obs.event(EventKind::EpochAdvance, e + 1, self.persisted_frontier());
     }
 }
 

@@ -690,14 +690,12 @@ impl EpochSys {
         self.stats()
             .blocks_reclaimed
             .fetch_add(reclaimed, Ordering::Relaxed);
-        self.obs()
-            .batch_persist_ns
+        let obs = self.obs();
+        let hist = &obs.shard().hist;
+        hist.batch_persist_ns
             .record((batch.write_back_time + t0.elapsed()).as_nanos() as u64);
-        self.obs()
-            .persist_batch_blocks
-            .record(batch.persist.len() as u64);
-        self.obs()
-            .event(EventKind::BatchPersisted, r, batch.persist.len() as u64);
+        hist.persist_batch_blocks.record(batch.persist.len() as u64);
+        obs.event(EventKind::BatchPersisted, r, batch.persist.len() as u64);
 
         self.pipeline.lock().in_flight -= 1;
         self.pipeline.batch_done.notify_all();

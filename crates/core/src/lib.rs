@@ -106,8 +106,8 @@ pub use esys::{
 };
 pub use kv::{kv_block_key, live_keys_sorted, BdlKv, KV_KEY, KV_UNIVERSE_BITS, KV_VALUE, KV_WORDS};
 pub use obs::{
-    series_line, EventKind, FlightEvent, FlightRecorder, JsonValue, MetricsRegistry, MetricsReport,
-    Obs, METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION,
+    series_line, EventKind, FlightEvent, JsonValue, MetricsRegistry, MetricsReport, Obs,
+    METRICS_SCHEMA, METRICS_SERIES_SCHEMA, METRICS_VERSION,
 };
 pub use op::{run_op, CommitEffects, OpGuard, OpStep, Upsert};
 pub use persist_alloc::INVALID_EPOCH;

@@ -1,14 +1,11 @@
 //! The lifecycle flight recorder: the event vocabulary, declared once
-//! in the `events!` table below, and the lock-free per-thread rings
-//! that hold the last few events of each thread for postmortems and
-//! trace export.
+//! in the `events!` table below, and the lock-free ring, one per
+//! thread's observability shard, that holds the last few events of that
+//! thread for postmortems and trace export.
 
 use crate::error::HealthState;
-use htm_sim::PerThread;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Default events per thread kept by the flight recorder. Small on
 /// purpose: the postmortem recorder answers "what were the last few
@@ -178,7 +175,14 @@ struct Slot {
     b: AtomicU64,
 }
 
-struct Ring {
+/// One thread's ring of its most recent lifecycle events.
+///
+/// Recording is a handful of relaxed stores plus one Release store of
+/// the slot's sequence number. [`dump`] may race an active writer, in which case at worst one in-flight slot renders
+/// stale fields — acceptable for a postmortem diagnostic, and the
+/// common consumer (the fault sweep) dumps from a single thread after
+/// the crash unwound.
+pub(crate) struct Ring {
     slots: Box<[Slot]>,
     /// Events this thread has written (owner-only counter). Never
     /// wraps back: `next − slots.len()` is exactly how many events the
@@ -187,26 +191,71 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Self {
+    /// A ring of `capacity` slots (at least one).
+    pub(super) fn new(capacity: usize) -> Self {
         Ring {
             slots: (0..capacity.max(1)).map(|_| Slot::default()).collect(),
             next: AtomicU64::new(0),
         }
     }
 
+    /// Records one event stamped `t_ns` (an `Obs::now_ns` reading).
+    #[inline]
+    pub(crate) fn record_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
+        let n = self.next.load(Ordering::Relaxed);
+        let slot = &self.slots[(n % self.slots.len() as u64) as usize];
+        slot.t_ns.store(t_ns, Ordering::Relaxed);
+        slot.kind.store(kind as u64, Ordering::Relaxed);
+        slot.a.store(a, Ordering::Relaxed);
+        slot.b.store(b, Ordering::Relaxed);
+        slot.seq.store(n + 1, Ordering::Release);
+        self.next.store(n + 1, Ordering::Relaxed);
+    }
+
     /// Events overwritten by ring wrap so far.
-    fn dropped(&self) -> u64 {
+    pub(super) fn dropped(&self) -> u64 {
         self.next
             .load(Ordering::Relaxed)
             .saturating_sub(self.slots.len() as u64)
     }
 }
 
+/// The last `max` events of `rings` (each with its thread's dense id),
+/// oldest first, merged by timestamp.
+pub(super) fn dump<'a>(
+    rings: impl Iterator<Item = (usize, &'a Ring)>,
+    max: usize,
+) -> Vec<FlightEvent> {
+    let mut events = Vec::new();
+    for (tid, ring) in rings {
+        for s in ring.slots.iter() {
+            if s.seq.load(Ordering::Acquire) == 0 {
+                continue;
+            }
+            let Some(kind) = EventKind::of(s.kind.load(Ordering::Relaxed)) else {
+                continue;
+            };
+            events.push(FlightEvent {
+                t_ns: s.t_ns.load(Ordering::Relaxed),
+                tid,
+                kind,
+                a: s.a.load(Ordering::Relaxed),
+                b: s.b.load(Ordering::Relaxed),
+            });
+        }
+    }
+    events.sort_by_key(|e| (e.t_ns, e.tid));
+    if events.len() > max {
+        events.drain(..events.len() - max);
+    }
+    events
+}
+
 /// One recovered event, ordered by a monotonic timestamp shared by all
 /// threads of the recorder.
 #[derive(Clone, Copy, Debug)]
 pub struct FlightEvent {
-    /// Nanoseconds since the recorder (i.e. the `EpochSys`) was built.
+    /// Nanoseconds since the `Obs` (i.e. the `EpochSys`) was built.
     pub t_ns: u64,
     /// Recording thread's dense id. Ids are recycled, so one id (and
     /// one trace track) may carry the events of successive threads.
@@ -237,111 +286,15 @@ impl FlightEvent {
     }
 }
 
-/// Lock-free per-thread ring buffer of lifecycle events.
-///
-/// Each thread owns one lazily-allocated ring and is its only writer;
-/// a thread that later takes the same dense id appends to it, so one
-/// ring may hold the events of successive threads. Recording is a
-/// handful of relaxed stores plus one Release store of the slot's
-/// sequence number. [`FlightRecorder::dump`] may race an
-/// active writer, in which case at worst one in-flight slot renders
-/// stale fields — acceptable for a postmortem diagnostic, and the
-/// common consumer (the fault sweep) dumps from a single thread after
-/// the crash unwound.
-pub struct FlightRecorder {
-    origin: Instant,
-    capacity: usize,
-    rings: PerThread<OnceLock<Ring>>,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FlightRecorder {
-    pub fn new() -> Self {
-        Self::with_slots(Instant::now(), RING_SLOTS)
-    }
-
-    /// A recorder with `capacity` slots per thread whose event
-    /// timestamps count from `origin` (shared with the durability-lag
-    /// tracker so exported traces and lag spans line up).
-    pub(crate) fn with_slots(origin: Instant, capacity: usize) -> Self {
-        FlightRecorder {
-            origin,
-            capacity: capacity.max(1),
-            rings: PerThread::default(),
-        }
-    }
-
-    /// Records one event on the calling thread.
-    #[inline]
-    pub fn record(&self, kind: EventKind, a: u64, b: u64) {
-        self.record_at(self.origin.elapsed().as_nanos() as u64, kind, a, b);
-    }
-
-    /// Records one event with a caller-supplied timestamp (nanoseconds
-    /// since the recorder's origin) so one clock reading can serve
-    /// both this event and another timeline (the lag tracker).
-    #[inline]
-    pub(crate) fn record_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
-        let ring = self.rings.mine().get_or_init(|| Ring::new(self.capacity));
-        let n = ring.next.load(Ordering::Relaxed);
-        let slot = &ring.slots[(n % ring.slots.len() as u64) as usize];
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(n + 1, Ordering::Release);
-        ring.next.store(n + 1, Ordering::Relaxed);
-    }
-
-    /// Total events silently overwritten by ring wrap, summed across
-    /// threads. A non-zero value means [`dump`](Self::dump) (and any
-    /// trace exported from it) is missing that many older events.
-    pub fn events_dropped(&self) -> u64 {
-        self.rings
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|ring| ring.dropped())
-            .sum()
-    }
-
-    /// The last `max` events across all threads, oldest first, merged
-    /// by timestamp.
-    pub fn dump(&self, max: usize) -> Vec<FlightEvent> {
-        let mut events = Vec::new();
-        for (tid, slot) in self.rings.iter().enumerate() {
-            let Some(ring) = slot.get() else { continue };
-            for s in ring.slots.iter() {
-                if s.seq.load(Ordering::Acquire) == 0 {
-                    continue;
-                }
-                let Some(kind) = EventKind::of(s.kind.load(Ordering::Relaxed)) else {
-                    continue;
-                };
-                events.push(FlightEvent {
-                    t_ns: s.t_ns.load(Ordering::Relaxed),
-                    tid,
-                    kind,
-                    a: s.a.load(Ordering::Relaxed),
-                    b: s.b.load(Ordering::Relaxed),
-                });
-            }
-        }
-        events.sort_by_key(|e| (e.t_ns, e.tid));
-        if events.len() > max {
-            events.drain(..events.len() - max);
-        }
-        events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Obs;
+    use crate::EpochConfig;
+
+    fn obs() -> Obs {
+        Obs::for_config(&EpochConfig::default())
+    }
 
     #[test]
     fn every_kind_decodes_to_its_own_table_row() {
@@ -355,10 +308,10 @@ mod tests {
 
     #[test]
     fn ring_records_and_dumps_in_order() {
-        let r = FlightRecorder::new();
-        r.record(EventKind::OpBegin, 2, 0);
-        r.record(EventKind::OpCommit, 2, 0);
-        r.record(EventKind::EpochAdvance, 3, 1);
+        let r = obs();
+        r.event(EventKind::OpBegin, 2, 0);
+        r.event(EventKind::OpCommit, 2, 0);
+        r.event(EventKind::EpochAdvance, 3, 1);
         let d = r.dump(16);
         assert_eq!(d.len(), 3);
         assert_eq!(d[0].kind, EventKind::OpBegin);
@@ -368,9 +321,9 @@ mod tests {
 
     #[test]
     fn ring_wraps_keeping_newest() {
-        let r = FlightRecorder::new();
+        let r = obs();
         for i in 0..(RING_SLOTS as u64 + 10) {
-            r.record(EventKind::OpBegin, i, 0);
+            r.event(EventKind::OpBegin, i, 0);
         }
         let d = r.dump(usize::MAX);
         assert_eq!(d.len(), RING_SLOTS, "ring holds exactly RING_SLOTS");
@@ -382,9 +335,9 @@ mod tests {
 
     #[test]
     fn dump_respects_bound() {
-        let r = FlightRecorder::new();
+        let r = obs();
         for i in 0..20 {
-            r.record(EventKind::OpCommit, i, 0);
+            r.event(EventKind::OpCommit, i, 0);
         }
         let d = r.dump(5);
         assert_eq!(d.len(), 5);

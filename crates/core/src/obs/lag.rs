@@ -1,12 +1,12 @@
 //! Per-op commit→durable span collection, the source of the
 //! `durability_lag_ns` histogram: each committing thread counts its
-//! commit into a time bin of its op's epoch; when that epoch's batch
-//! publishes the frontier, `complete_batch` folds `t_publish − t_bin`
-//! for every counted commit into the histogram.
+//! commit into a time bin of its op's epoch, in its own observability
+//! shard's [`LagBins`]; when that epoch's batch publishes the frontier,
+//! `complete_batch` folds `t_publish − t_bin` for every counted commit
+//! of every shard into the histogram.
 
-use htm_sim::{LogHistogram, PerThread};
+use htm_sim::HistShard;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Epoch generations a lag shard distinguishes. Must exceed the worst
@@ -44,11 +44,30 @@ struct LagSlot {
     bins: [AtomicU64; LAG_BINS],
 }
 
-type LagShard = [LagSlot; LAG_GENS];
+/// One thread's lag slots, one per epoch generation.
+pub(super) struct LagBins([LagSlot; LAG_GENS]);
 
-/// The tracker. A commit is attributed to the *start* of its bin, so a
-/// folded lag is never below the true one and exceeds it by less than
-/// one bin width (a power of two in `[epoch_len/64, epoch_len/32)`).
+impl Default for LagBins {
+    fn default() -> Self {
+        LagBins(std::array::from_fn(|_| LagSlot {
+            epoch: AtomicU64::new(LAG_EMPTY),
+            first_ns: AtomicU64::new(0),
+            bins: std::array::from_fn(|_| AtomicU64::new(0)),
+        }))
+    }
+}
+
+impl LagBins {
+    fn slot(&self, epoch: u64) -> &LagSlot {
+        &self.0[(epoch % LAG_GENS as u64) as usize]
+    }
+}
+
+/// The tracker: the bin width and the dropped-span count, shared by
+/// every thread's [`LagBins`]. A commit is attributed to the *start* of
+/// its bin, so a folded lag is never below the true one and exceeds it
+/// by less than one bin width (a power of two in
+/// `[epoch_len/64, epoch_len/32)`).
 ///
 /// Why the publisher may read the owner's relaxed stores: every commit
 /// in epoch `r` happens-before the seal of `r` (the op's Release
@@ -57,7 +76,6 @@ type LagShard = [LagSlot; LAG_GENS];
 /// pipeline mutex). Slot *reuse* is the only access outside that
 /// ordering, and the epoch tag guards it.
 pub(super) struct LagTracker {
-    shards: PerThread<OnceLock<Box<LagShard>>>,
     /// log₂ of the bin width in nanoseconds.
     bin_shift: u32,
     /// Spans whose epoch was recycled before it ever published
@@ -74,26 +92,18 @@ impl LagTracker {
     pub(super) fn new(epoch_len: Duration) -> Self {
         let width = (epoch_len.as_nanos() / 64).clamp(1, 1 << 40) as u64;
         LagTracker {
-            shards: PerThread::default(),
             bin_shift: width.next_power_of_two().trailing_zeros(),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Counts one commit at `t_ns` for `epoch` on the calling thread.
-    /// `frontier` is the durable frontier at the time of the call; it
-    /// decides whether a recycled slot's old spans were published
-    /// (already folded) or lost (count as dropped).
+    /// Counts one commit at `t_ns` for `epoch` into `mine`, the calling
+    /// thread's bins. `frontier` is the durable frontier at the time of
+    /// the call; it decides whether a recycled slot's old spans were
+    /// published (already folded) or lost (count as dropped).
     #[inline]
-    pub(super) fn record_commit(&self, epoch: u64, t_ns: u64, frontier: u64) {
-        let shard = self.shards.mine().get_or_init(|| {
-            Box::new(std::array::from_fn(|_| LagSlot {
-                epoch: AtomicU64::new(LAG_EMPTY),
-                first_ns: AtomicU64::new(0),
-                bins: std::array::from_fn(|_| AtomicU64::new(0)),
-            }))
-        });
-        let slot = &shard[(epoch % LAG_GENS as u64) as usize];
+    pub(super) fn record_commit(&self, mine: &LagBins, epoch: u64, t_ns: u64, frontier: u64) {
+        let slot = mine.slot(epoch);
         let tag = slot.epoch.load(Ordering::Relaxed);
         if tag != epoch {
             let mut lost = 0;
@@ -115,14 +125,20 @@ impl LagTracker {
         bin.store(bin.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
-    /// Folds every thread's spans for `epoch` into `hist` as
-    /// `now_ns − bin start`. Called by `complete_batch` with the publish
-    /// timestamp, before the frontier mirror moves. Returns the number
-    /// of spans folded.
-    pub(super) fn fold_epoch(&self, epoch: u64, now_ns: u64, hist: &LogHistogram) -> u64 {
+    /// Folds the spans for `epoch` of every thread's bins in `all` into
+    /// `hist` (the caller's own shard) as `now_ns − bin start`. Called by
+    /// `complete_batch` with the publish timestamp, before the frontier
+    /// mirror moves. Returns the number of spans folded.
+    pub(super) fn fold_epoch<'a>(
+        &self,
+        all: impl Iterator<Item = &'a LagBins>,
+        epoch: u64,
+        now_ns: u64,
+        hist: &HistShard,
+    ) -> u64 {
         let mut folded = 0u64;
-        for shard in self.shards.iter().filter_map(OnceLock::get) {
-            let slot = &shard[(epoch % LAG_GENS as u64) as usize];
+        for bins in all {
+            let slot = bins.slot(epoch);
             if slot.epoch.load(Ordering::Acquire) != epoch {
                 continue;
             }
@@ -145,12 +161,47 @@ impl LagTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htm_sim::HistSnapshot;
 
     const EPOCH_LEN: Duration = Duration::from_millis(50);
 
+    /// The tracker with one thread's bins: every commit below is that
+    /// thread's.
+    struct Lag(LagTracker, LagBins);
+
+    impl Lag {
+        fn new() -> Self {
+            Lag(LagTracker::new(EPOCH_LEN), LagBins::default())
+        }
+
+        fn record_commit(&self, epoch: u64, t_ns: u64, frontier: u64) {
+            self.0.record_commit(&self.1, epoch, t_ns, frontier);
+        }
+
+        fn fold_epoch(&self, epoch: u64, now_ns: u64, hist: &Hist) -> u64 {
+            self.0
+                .fold_epoch([&self.1].into_iter(), epoch, now_ns, &hist.0)
+        }
+
+        fn dropped(&self) -> u64 {
+            self.0.dropped()
+        }
+    }
+
+    /// The publisher's histogram shard.
+    struct Hist(HistShard);
+
+    impl Hist {
+        fn snapshot(&self) -> HistSnapshot {
+            let mut snap = HistSnapshot::default();
+            self.0.fold_into(&mut snap);
+            snap
+        }
+    }
+
     #[test]
     fn lag_spans_fold_into_the_histogram_on_publish() {
-        let (lag, hist) = (LagTracker::new(EPOCH_LEN), LogHistogram::new());
+        let (lag, hist) = (Lag::new(), Hist(HistShard::default()));
         lag.record_commit(2, 1_000, 0);
         lag.record_commit(2, 2_000, 0);
         lag.record_commit(3, 3_000, 0); // a later epoch, different slot
@@ -162,7 +213,7 @@ mod tests {
 
     #[test]
     fn lag_slot_recycled_before_publish_counts_dropped() {
-        let (lag, hist) = (LagTracker::new(EPOCH_LEN), LogHistogram::new());
+        let (lag, hist) = (Lag::new(), Hist(HistShard::default()));
         // Epoch 2 commits, never publishes (frontier stays 0), and the
         // owner reuses the slot LAG_GENS epochs later — the span must be
         // counted as dropped, not silently lost or mis-folded.
@@ -175,7 +226,7 @@ mod tests {
 
     #[test]
     fn lag_slot_recycled_after_publish_is_not_dropped() {
-        let (lag, hist) = (LagTracker::new(EPOCH_LEN), LogHistogram::new());
+        let (lag, hist) = (Lag::new(), Hist(HistShard::default()));
         lag.record_commit(2, 1_000, 0);
         assert_eq!(lag.fold_epoch(2, 2_000, &hist), 1);
         // Frontier has passed epoch 2 by the time the slot recycles:
@@ -189,7 +240,7 @@ mod tests {
     /// at (nearly) its own lag — not all at one averaged timestamp.
     #[test]
     fn a_busy_epoch_keeps_its_lag_distribution() {
-        let (lag, hist) = (LagTracker::new(EPOCH_LEN), LogHistogram::new());
+        let (lag, hist) = (Lag::new(), Hist(HistShard::default()));
         let (n, step_ns, publish_ns) = (10_000u64, 5_000u64, 60_000_000u64);
         let commit_ns = |i: u64| 1_000_000 + i * step_ns; // spans 50 ms
         for i in 0..n {
@@ -203,7 +254,7 @@ mod tests {
         // Attributed to its bin's start, a commit's lag is never under-
         // reported and is over-reported by less than one bin width.
         let true_sum: u64 = (0..n).map(|i| publish_ns - commit_ns(i)).sum();
-        let width = 1u64 << lag.bin_shift;
+        let width = 1u64 << lag.0.bin_shift;
         assert!(width < EPOCH_LEN.as_nanos() as u64 / 32);
         assert!(snap.sum >= true_sum);
         assert!(snap.sum < true_sum + n * width);
@@ -212,8 +263,8 @@ mod tests {
 
     #[test]
     fn commits_past_the_binned_span_share_the_last_bin() {
-        let (lag, hist) = (LagTracker::new(EPOCH_LEN), LogHistogram::new());
-        let span = (LAG_BINS as u64) << lag.bin_shift;
+        let (lag, hist) = (Lag::new(), Hist(HistShard::default()));
+        let span = (LAG_BINS as u64) << lag.0.bin_shift;
         lag.record_commit(2, 0, 0);
         lag.record_commit(2, 3 * span, 0);
         assert_eq!(lag.fold_epoch(2, 4 * span, &hist), 2);
@@ -221,7 +272,7 @@ mod tests {
         assert_eq!(snap.max, 4 * span, "the first commit at its own time");
         // The late one counts from the last bin's start: over-reported,
         // never under-reported.
-        let last_bin_start = span - (1 << lag.bin_shift);
+        let last_bin_start = span - (1 << lag.0.bin_shift);
         assert_eq!(snap.sum, 4 * span + (4 * span - last_bin_start));
     }
 }

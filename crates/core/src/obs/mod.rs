@@ -1,7 +1,7 @@
 //! Observability for the BDL stack, one mechanism per file:
 //!
-//! * `flight` — the lifecycle event vocabulary and the lock-free
-//!   per-thread ring buffer of recent events ([`FlightRecorder`]);
+//! * `flight` — the lifecycle event vocabulary and the lock-free ring
+//!   of a thread's recent events;
 //! * `lag` — per-op commit→durable spans, folded into the
 //!   `durability_lag_ns` histogram when their epoch publishes;
 //! * `report` — [`MetricsRegistry`] / [`MetricsReport`]: one snapshot
@@ -11,8 +11,8 @@
 //!   the parser the round-trip tests and `metrics_check` read them with.
 //!
 //! This file holds [`Obs`], the bundle every [`EpochSys`](crate::EpochSys)
-//! carries. Each vocabulary is declared exactly once and everything
-//! else iterates the declaration: counters by `htm_sim::counters!`,
+//! carries, and its per-thread shards. Each vocabulary is declared
+//! exactly once and everything else iterates the declaration: counters by `htm_sim::counters!`,
 //! events by the `events!` table in `flight.rs`, histograms by the
 //! `histograms!` table below (DESIGN.md §6).
 //!
@@ -28,7 +28,7 @@ pub(crate) mod lag;
 mod report;
 
 pub(crate) use flight::{abort_cause, health_label, Arg, Track};
-pub use flight::{EventKind, FlightEvent, FlightRecorder, ABORT_RESTART, ABORT_UNWIND, RING_SLOTS};
+pub use flight::{EventKind, FlightEvent, ABORT_RESTART, ABORT_UNWIND, RING_SLOTS};
 pub use json::JsonValue;
 pub(crate) use json::JsonWriter;
 pub use report::{
@@ -37,29 +37,29 @@ pub use report::{
 };
 
 use crate::config::EpochConfig;
-use htm_sim::LogHistogram;
-use lag::LagTracker;
+use flight::Ring;
+use htm_sim::{HistShard, HistSnapshot};
+use lag::{LagBins, LagTracker};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Declares [`Obs`] and its histograms: per row, the field the
-/// recording site names, its accessor, and its `(name, unit)` identity
-/// in [`Obs::HISTOGRAMS`] and [`Obs::histograms`], which the report
-/// walks — so a new histogram is one row here plus its `record` call.
+/// Declares the histograms of an [`Obs`]: per row, the shard field the
+/// recording site names, the accessor, and the `(name, unit)` identity
+/// in [`Obs::HISTOGRAMS`], which the report walks — so a new histogram
+/// is one row here plus its `record` call.
 macro_rules! histograms {
     ($($(#[$doc:meta])* $name:ident: $unit:literal,)*) => {
-        /// Instrumentation carried by every [`EpochSys`](crate::EpochSys):
-        /// latency/size histograms, the durability-lag tracker, and the
-        /// flight recorder. All four `BdlKv` structures inherit it through
-        /// `run_op`; the epoch ticker and the persist pipeline feed it
-        /// from inside the epoch system itself. The recorder
-        /// and the lag tracker share one `origin` instant, so flight-event
-        /// timestamps and lag spans live on the same timeline (what makes
-        /// the exported trace's lag arrows line up with the op tracks).
-        pub struct Obs {
-            origin: Instant,
-            recorder: FlightRecorder,
-            lag: LagTracker,
-            $(pub(crate) $name: LogHistogram,)*
+        /// One thread's shard of every histogram.
+        #[derive(Default)]
+        pub(crate) struct Hists {
+            $(pub(crate) $name: HistShard,)*
+        }
+
+        impl Hists {
+            /// Every shard, in [`Obs::HISTOGRAMS`] order.
+            fn all(&self) -> [&HistShard; Obs::HISTOGRAMS.len()] {
+                [$(&self.$name),*]
+            }
         }
 
         impl Obs {
@@ -67,26 +67,9 @@ macro_rules! histograms {
             pub const HISTOGRAMS: &'static [(&'static str, &'static str)] =
                 &[$((stringify!($name), $unit)),*];
 
-            /// Every histogram, in [`HISTOGRAMS`](Self::HISTOGRAMS) order.
-            pub(crate) fn histograms(&self) -> impl Iterator<Item = &LogHistogram> {
-                [$(&self.$name),*].into_iter()
-            }
-
-            /// An `Obs` sized by `config`: flight-ring capacity from
-            /// `flight_slots`, lag-bin width from `epoch_len`.
-            pub(crate) fn for_config(config: &EpochConfig) -> Self {
-                let origin = Instant::now();
-                Obs {
-                    origin,
-                    recorder: FlightRecorder::with_slots(origin, config.flight_slots),
-                    lag: LagTracker::new(config.epoch_len),
-                    $($name: LogHistogram::new(),)*
-                }
-            }
-
             $($(#[$doc])*
-            pub fn $name(&self) -> &LogHistogram {
-                &self.$name
+            pub fn $name(&self) -> ObsHist<'_> {
+                ObsHist { obs: self, pick: |h| &h.$name }
             })*
         }
     };
@@ -113,21 +96,84 @@ histograms! {
     durability_lag_ns: "ns",
 }
 
-impl Default for Obs {
-    fn default() -> Self {
-        Self::new()
+/// Instrumentation carried by every [`EpochSys`](crate::EpochSys):
+/// latency/size histograms, durability-lag spans and the flight
+/// recorder. All four `BdlKv` structures inherit it through `run_op`;
+/// the epoch ticker and the persist pipeline feed it from inside the
+/// epoch system itself. Flight-event timestamps and lag spans count
+/// from one `origin` instant, so they live on the same timeline (what
+/// makes the exported trace's lag arrows line up with the op tracks).
+pub struct Obs {
+    origin: Instant,
+    /// Flight-ring capacity of each shard.
+    flight_slots: usize,
+    lag: LagTracker,
+    shards: htm_sim::PerThread<OnceLock<Box<ObsShard>>>,
+}
+
+/// One thread's observability state: its flight ring, its lag bins and
+/// one shard of each histogram. Every part keeps
+/// [`HistShard`]'s one-writer contract: the owning thread writes it
+/// with relaxed loads and stores and no read-modify-write, a thread
+/// that inherits a recycled id inherits the shard, and readers (dumps,
+/// reports, the lag fold) may run concurrently.
+pub(crate) struct ObsShard {
+    pub(crate) ring: Ring,
+    lag: LagBins,
+    pub(crate) hist: Hists,
+}
+
+/// One histogram of an [`Obs`], as its named accessor returns it.
+#[derive(Clone, Copy)]
+pub struct ObsHist<'a> {
+    obs: &'a Obs,
+    pick: fn(&Hists) -> &HistShard,
+}
+
+impl ObsHist<'_> {
+    /// This histogram, folded across every thread's shard.
+    pub fn snapshot(&self) -> HistSnapshot {
+        let mut snap = HistSnapshot::default();
+        for shard in self.obs.shards() {
+            (self.pick)(&shard.hist).fold_into(&mut snap);
+        }
+        snap
     }
 }
 
 impl Obs {
-    pub fn new() -> Self {
-        Self::for_config(&EpochConfig::default())
+    /// An `Obs` sized by `config`: flight-ring capacity from
+    /// `flight_slots`, lag-bin width from `epoch_len`.
+    pub(crate) fn for_config(config: &EpochConfig) -> Self {
+        Obs {
+            origin: Instant::now(),
+            flight_slots: config.flight_slots,
+            lag: LagTracker::new(config.epoch_len),
+            shards: Default::default(),
+        }
+    }
+
+    /// The calling thread's shard, built on its first record.
+    #[inline]
+    pub(crate) fn shard(&self) -> &ObsShard {
+        self.shards.mine().get_or_init(|| {
+            Box::new(ObsShard {
+                ring: Ring::new(self.flight_slots),
+                lag: LagBins::default(),
+                hist: Hists::default(),
+            })
+        })
+    }
+
+    /// Every shard built so far.
+    fn shards(&self) -> impl Iterator<Item = &ObsShard> {
+        self.shards.iter().filter_map(|s| s.get().map(|b| &**b))
     }
 
     /// Records one lifecycle event (see [`EventKind`] for payloads).
     #[inline]
     pub fn event(&self, kind: EventKind, a: u64, b: u64) {
-        self.recorder.record(kind, a, b);
+        self.shard().ring.record_at(self.now_ns(), kind, a, b);
     }
 
     /// Nanoseconds since this `Obs` was built: the timeline every flight
@@ -137,43 +183,64 @@ impl Obs {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Records one lifecycle event stamped `t_ns` (a [`now_ns`](Self::now_ns)
-    /// reading the caller also uses for something else).
+    /// Records an op commit on the committing thread's `shard`: the
+    /// `OpCommit` flight event, the durability-lag span, and the op's
+    /// latency (since `t0`, the reading the op began at) and restart
+    /// samples, from one clock reading so the timelines agree.
+    /// `frontier` is the durable frontier at call time (recycled-slot
+    /// accounting; see `lag.rs`).
     #[inline]
-    pub(crate) fn event_at(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
-        self.recorder.record_at(t_ns, kind, a, b);
-    }
-
-    /// Records an op commit: the `OpCommit` flight event *and* the
-    /// durability-lag span stamp, from one clock reading so the two
-    /// timelines agree. Returns that reading, which `run_op` also turns
-    /// into the op's latency sample. `frontier` is the durable frontier
-    /// at call time (recycled-slot accounting; see `lag.rs`).
-    #[inline]
-    pub(crate) fn commit_event(&self, epoch: u64, restarts: u64, frontier: u64) -> u64 {
+    pub(crate) fn record_commit(
+        &self,
+        shard: &ObsShard,
+        epoch: u64,
+        restarts: u64,
+        frontier: u64,
+        t0: u64,
+    ) {
         let t_ns = self.now_ns();
-        self.recorder
+        shard
+            .ring
             .record_at(t_ns, EventKind::OpCommit, epoch, restarts);
-        self.lag.record_commit(epoch, t_ns, frontier);
-        t_ns
+        self.lag.record_commit(&shard.lag, epoch, t_ns, frontier);
+        shard.hist.op_latency_ns.record(t_ns - t0);
+        shard.hist.op_restarts.record(restarts);
     }
 
-    /// Folds every commit span of `epoch` into the `durability_lag_ns`
-    /// histogram, stamped against now. Called by `complete_batch` when
-    /// the batch closing `epoch` has fully persisted.
+    /// Folds every commit span of `epoch` into the calling thread's
+    /// `durability_lag_ns` shard, stamped against now. Called by
+    /// `complete_batch` when the batch closing `epoch` has fully
+    /// persisted.
     pub(crate) fn fold_epoch_lag(&self, epoch: u64) -> u64 {
-        self.lag
-            .fold_epoch(epoch, self.now_ns(), &self.durability_lag_ns)
+        let hist = &self.shard().hist.durability_lag_ns;
+        let all = self.shards().map(|s| &s.lag);
+        self.lag.fold_epoch(all, epoch, self.now_ns(), hist)
+    }
+
+    /// Every histogram folded across every shard in one walk, in
+    /// [`HISTOGRAMS`](Self::HISTOGRAMS) order.
+    pub(crate) fn histograms(&self) -> [HistSnapshot; Obs::HISTOGRAMS.len()] {
+        let mut snaps = [HistSnapshot::default(); Obs::HISTOGRAMS.len()];
+        for shard in self.shards() {
+            for (snap, hist) in snaps.iter_mut().zip(shard.hist.all()) {
+                hist.fold_into(snap);
+            }
+        }
+        snaps
     }
 
     /// The last `max` lifecycle events across all threads.
     pub fn dump(&self, max: usize) -> Vec<FlightEvent> {
-        self.recorder.dump(max)
+        let rings = self.shards.iter().enumerate();
+        let rings = rings.filter_map(|(tid, s)| Some((tid, &s.get()?.ring)));
+        flight::dump(rings, max)
     }
 
-    /// Flight-recorder events lost to ring wrap across all threads.
+    /// Flight-recorder events lost to ring wrap across all threads. A
+    /// non-zero value means [`dump`](Self::dump) (and any trace exported
+    /// from it) is missing that many older events.
     pub fn flight_events_dropped(&self) -> u64 {
-        self.recorder.events_dropped()
+        self.shards().map(|s| s.ring.dropped()).sum()
     }
 
     /// Commit→durable spans that could never be folded because their

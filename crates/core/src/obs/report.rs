@@ -65,8 +65,7 @@ impl MetricsRegistry {
         self.esys = Some(esys);
     }
 
-    /// Attaches an HTM domain: contributes commit/abort stats and the
-    /// backoff-wait histogram.
+    /// Attaches an HTM domain: contributes commit/abort stats.
     pub fn attach_htm(&mut self, htm: Arc<Htm>) {
         self.htm = Some(htm);
     }
@@ -81,13 +80,6 @@ impl MetricsRegistry {
     /// Snapshots every attached source.
     pub fn report(&self) -> MetricsReport {
         let mut histograms = Vec::new();
-        if let Some(htm) = &self.htm {
-            histograms.push(NamedHist {
-                name: "htm_backoff_spins",
-                unit: "spins",
-                snap: htm.backoff_hist().snapshot(),
-            });
-        }
         let mut nvm = self.heap.as_ref().map(|h| h.stats().snapshot());
         let mut epoch = None;
         let mut alloc = None;
@@ -99,8 +91,7 @@ impl MetricsRegistry {
             let current_epoch = esys.current_epoch();
             let persisted_frontier = esys.persisted_frontier();
             let obs = esys.obs();
-            for (&(name, unit), hist) in Obs::HISTOGRAMS.iter().zip(obs.histograms()) {
-                let snap = hist.snapshot();
+            for (&(name, unit), snap) in Obs::HISTOGRAMS.iter().zip(obs.histograms()) {
                 histograms.push(NamedHist { name, unit, snap });
             }
             // The lag gauges quote the very snapshot the report carries.
@@ -151,7 +142,7 @@ pub const METRICS_SCHEMA: &str = "bdhtm-metrics";
 pub const METRICS_SERIES_SCHEMA: &str = "bdhtm-metrics-series";
 /// Schema version; bump when a key changes meaning or disappears.
 /// Consumers (`metrics_check`) accept exactly this version.
-pub const METRICS_VERSION: u64 = 8;
+pub const METRICS_VERSION: u64 = 9;
 
 /// Opens the object under `key` with one member per counter.
 fn counter_section(w: &mut JsonWriter, key: &str, fields: &[(&'static str, u64)]) {

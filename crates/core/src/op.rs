@@ -31,7 +31,7 @@
 
 use crate::esys::{EpochSys, PreallocSlots, OLD_SEE_NEW};
 use crate::kv::{KV_KEY, KV_VALUE};
-use crate::obs::{EventKind, ABORT_RESTART, ABORT_UNWIND};
+use crate::obs::{EventKind, ObsShard, ABORT_RESTART, ABORT_UNWIND};
 use htm_sim::{MemAccess, RunError, TxResult};
 use nvm_sim::{CrashTriggered, NvmAddr};
 use persist_alloc::{Header, CLASS_WORDS};
@@ -163,6 +163,8 @@ impl Upsert {
 /// a stale-epoch block.
 pub struct OpGuard<'a> {
     esys: &'a EpochSys,
+    /// The thread's observability shard, looked up once per attempt.
+    obs: &'a ObsShard,
     epoch: u64,
     prealloc: Option<(&'a PreallocSlots, NvmAddr)>,
     armed: bool,
@@ -180,10 +182,12 @@ impl<'a> OpGuard<'a> {
     /// took just before (and measures the op's latency from).
     fn begin(esys: &'a EpochSys, prealloc: Option<&'a PreallocSlots>, t_ns: u64) -> OpGuard<'a> {
         let epoch = esys.begin_op();
-        esys.obs().event_at(t_ns, EventKind::OpBegin, epoch, 0);
+        let obs = esys.obs().shard();
+        obs.ring.record_at(t_ns, EventKind::OpBegin, epoch, 0);
         let prealloc = prealloc.map(|slots| (slots, slots.take(esys)));
         OpGuard {
             esys,
+            obs,
             epoch,
             prealloc,
             armed: true,
@@ -281,14 +285,13 @@ impl<'a> OpGuard<'a> {
         // durability-lag span and the latency sample; the span is folded
         // into the lag histogram when this epoch's batch publishes the
         // frontier.
-        let obs = self.esys.obs();
-        let t_ns = obs.commit_event(
+        self.esys.obs().record_commit(
+            self.obs,
             self.epoch,
             self.restarts.get(),
             self.esys.persisted_frontier(),
+            t0,
         );
-        obs.op_latency_ns.record(t_ns - t0);
-        obs.op_restarts.record(self.restarts.get());
         if let Some(old) = effects.retire {
             self.esys.p_retire(old);
         }
@@ -322,9 +325,10 @@ impl Drop for OpGuard<'_> {
     // too, so it leaves no stale announcement and no stale-epoch block.
     fn drop(&mut self) {
         if self.armed {
-            self.esys
-                .obs()
-                .event(EventKind::OpAbort, self.epoch, self.abort_tag.get());
+            let t_ns = self.esys.obs().now_ns();
+            self.obs
+                .ring
+                .record_at(t_ns, EventKind::OpAbort, self.epoch, self.abort_tag.get());
             if let Some((slots, blk)) = self.prealloc {
                 slots.put_back(self.esys, blk);
             }

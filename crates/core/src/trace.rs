@@ -1,7 +1,7 @@
 //! Chrome `trace_event` / Perfetto export of the flight recorder.
 //!
-//! [`chrome_trace`] converts a [`FlightRecorder`](crate::FlightRecorder)
-//! dump into the JSON object format consumed by `chrome://tracing` and
+//! [`chrome_trace`] converts a flight-recorder dump
+//! ([`Obs::dump`]) into the JSON object format consumed by `chrome://tracing` and
 //! <https://ui.perfetto.dev>: one track per worker thread showing each
 //! operation as a complete ("X") span from `OpBegin` to its
 //! commit/abort/panic, three virtual tracks for the epoch clock, the
@@ -151,7 +151,7 @@ impl Records {
 
 /// Renders a flight-recorder dump as a Chrome `trace_event` JSON
 /// document. `events` must be timestamp-ordered, as
-/// [`FlightRecorder::dump`](crate::FlightRecorder::dump) returns them.
+/// [`Obs::dump`] returns them.
 pub fn chrome_trace(events: &[FlightEvent], meta: &TraceMeta) -> String {
     let mut out = Records(Vec::new());
 

@@ -12,7 +12,7 @@ pub(crate) const WRITE_CAPACITY_LINES: usize = 512;
 pub(crate) const READ_CAPACITY_ENTRIES: usize = 1 << 16;
 
 /// Tunable parameters of the simulated HTM implementation: abort
-/// injection, the retry budget and the backoff. The speculative capacity
+/// injection and the retry budget. The speculative capacity
 /// is fixed: 512 written lines (a TSX-era 32 KiB 8-way L1D) and 65,536
 /// tracked reads.
 #[derive(Clone, Debug)]
@@ -45,10 +45,6 @@ pub struct HtmConfig {
     /// [`Htm::run`](crate::Htm::run), so this steers work onto the
     /// fallback path quickly.
     pub capacity_abort_prob: f64,
-    /// Base busy-wait spins between retries, doubled after each abort
-    /// (exponential backoff, capped at 10 doublings). 0 = retry
-    /// immediately, the behaviour before backoff existed.
-    pub backoff_spins: u32,
 }
 
 impl Default for HtmConfig {
@@ -60,7 +56,6 @@ impl Default for HtmConfig {
             abort_inject_seed: 0,
             conflict_abort_prob: 0.0,
             capacity_abort_prob: 0.0,
-            backoff_spins: 0,
         }
     }
 }
@@ -105,12 +100,6 @@ impl HtmConfig {
     /// Sets the retry budget of [`Htm::run`](crate::Htm::run).
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
-        self
-    }
-
-    /// Sets the base exponential-backoff spin count between retries.
-    pub fn with_backoff(mut self, spins: u32) -> Self {
-        self.backoff_spins = spins;
         self
     }
 }

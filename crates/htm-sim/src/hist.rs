@@ -1,26 +1,21 @@
-//! Log₂-bucketed, per-thread-sharded histograms — the latency/size
-//! distribution primitive behind `bdhtm-core`'s observability layer.
+//! Log₂-bucketed histogram shards — the latency/size distribution
+//! primitive behind `bdhtm-core`'s observability layer.
 //!
-//! A [`LogHistogram`] records `u64` samples (nanoseconds, block counts,
-//! spin counts — the unit is the caller's) into 65 power-of-two buckets:
-//! bucket 0 holds the value 0 and bucket `i ≥ 1` holds
-//! `[2^(i−1), 2^i − 1]`. Recording costs a handful of *relaxed* stores
-//! to a shard only the calling thread writes, so it is safe to put on
-//! operation hot paths: no locks, no contended cache lines, no fences.
-//!
-//! Shards are allocated lazily on a thread's first record, so a
-//! histogram costs one padded pointer slot per potential thread until a
-//! thread actually uses it — important for harnesses (the fault sweep)
-//! that build thousands of short-lived instrumented systems.
+//! A [`HistShard`] records `u64` samples (nanoseconds, block counts —
+//! the unit is the caller's) into 65 power-of-two buckets: bucket 0
+//! holds the value 0 and bucket `i ≥ 1` holds `[2^(i−1), 2^i − 1]`.
+//! One thread owns a shard and is its only writer, so recording is a
+//! handful of relaxed loads and stores: no locks, no contended cache
+//! lines, no fences, safe on operation hot paths. The caller keeps one
+//! shard per thread (`bdhtm-core` embeds them in its per-thread
+//! observability shard) and folds them into a [`HistSnapshot`] to read.
 //!
 //! Quantiles reported by [`HistSnapshot::quantile`] are upper bounds of
 //! the containing bucket (clamped to the observed max): with log₂
 //! buckets the reported p99 is within 2x of the true p99, which is the
 //! resolution regime latency work cares about (orders, not digits).
 
-use crate::tid::PerThread;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Number of buckets: value 0, plus one per bit of a `u64`.
 pub const HIST_BUCKETS: usize = 65;
@@ -43,7 +38,16 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-struct Shard {
+/// One thread's share of a log₂ histogram: the unit a per-thread
+/// instrumentation shard embeds, one per histogram it records.
+///
+/// **One writer.** Only the owning thread records into a shard, so
+/// [`record`](Self::record) is a relaxed load plus a relaxed store per
+/// field, with no read-modify-write and no fence. A shard passes to
+/// another writer only through a happens-before edge, as a recycled
+/// thread id hands its slot over (`PerThread`). Readers may
+/// [`fold`](Self::fold_into) concurrently with the owner.
+pub struct HistShard {
     buckets: [AtomicU64; HIST_BUCKETS],
     // No separate count: it is always the bucket total. Keeping a second
     // counter would let a concurrent snapshot (the metrics sampler) see
@@ -53,9 +57,9 @@ struct Shard {
     max: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
+impl Default for HistShard {
+    fn default() -> Self {
+        HistShard {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
@@ -63,26 +67,20 @@ impl Shard {
     }
 }
 
-/// A concurrent log₂ histogram. Each thread records into its own
-/// lazily-allocated shard (separate heap allocations, so no false
-/// sharing); [`LogHistogram::snapshot`] folds all shards.
-#[derive(Default)]
-pub struct LogHistogram {
-    shards: PerThread<OnceLock<Box<Shard>>>,
+/// Owner-only add: a plain load + store, no RMW.
+#[inline]
+fn add(word: &AtomicU64, n: u64) {
+    word.store(
+        word.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
-impl LogHistogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample. Relaxed per-thread writes only.
+impl HistShard {
+    /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        let s = self.shards.mine().get_or_init(|| Box::new(Shard::new()));
-        s.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(value, Ordering::Relaxed);
-        s.max.fetch_max(value, Ordering::Relaxed);
+        self.record_n(value, 1);
     }
 
     /// Records `n` samples of the same value in one shot (bulk folding,
@@ -94,41 +92,28 @@ impl LogHistogram {
         if n == 0 {
             return;
         }
-        let s = self.shards.mine().get_or_init(|| Box::new(Shard::new()));
-        s.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
-        s.sum.fetch_add(value.saturating_mul(n), Ordering::Relaxed);
-        s.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Aggregates every shard into an owned snapshot. Safe to call
-    /// concurrently with recorders: `count` is derived from the bucket
-    /// totals, so it can never disagree with them, even mid-record.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut t = HistSnapshot::default();
-        for s in self.shards.iter().filter_map(OnceLock::get) {
-            t.sum += s.sum.load(Ordering::Relaxed);
-            t.max = t.max.max(s.max.load(Ordering::Relaxed));
-            for (i, b) in s.buckets.iter().enumerate() {
-                t.buckets[i] += b.load(Ordering::Relaxed);
-            }
+        add(&self.buckets[bucket_of(value)], n);
+        add(&self.sum, value.saturating_mul(n));
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
         }
-        t.count = t.buckets.iter().sum();
-        t
     }
 
-    /// Zeroes every allocated shard (between benchmark phases).
-    pub fn reset(&self) {
-        for s in self.shards.iter().filter_map(OnceLock::get) {
-            s.sum.store(0, Ordering::Relaxed);
-            s.max.store(0, Ordering::Relaxed);
-            for b in s.buckets.iter() {
-                b.store(0, Ordering::Relaxed);
-            }
+    /// Adds this shard's samples to `total`. Safe to call concurrently
+    /// with the owner: `count` grows by exactly the bucket counts read,
+    /// so it can never disagree with them, even mid-record.
+    pub fn fold_into(&self, total: &mut HistSnapshot) {
+        total.sum += self.sum.load(Ordering::Relaxed);
+        total.max = total.max.max(self.max.load(Ordering::Relaxed));
+        for (t, b) in total.buckets.iter_mut().zip(&self.buckets) {
+            let n = b.load(Ordering::Relaxed);
+            *t += n;
+            total.count += n;
         }
     }
 }
 
-/// Aggregated view of a [`LogHistogram`].
+/// Aggregated view of one or more [`HistShard`]s.
 #[derive(Clone, Copy, Debug)]
 pub struct HistSnapshot {
     /// Samples recorded.
@@ -193,10 +178,11 @@ impl HistSnapshot {
     }
 
     /// Difference of two snapshots (self − earlier), saturating per
-    /// field so a reset between snapshots cannot underflow. The delta's
-    /// `count` is the delta buckets' total, keeping `count == Σ buckets`
-    /// an invariant of deltas too (a plain count subtraction would break
-    /// it when a reset saturated some buckets but not the count).
+    /// field so snapshots taken out of order cannot underflow. The
+    /// delta's `count` is the delta buckets' total, keeping
+    /// `count == Σ buckets` an invariant of deltas too (a plain count
+    /// subtraction would break it when some buckets saturated but not
+    /// the count).
     pub fn since(&self, earlier: &HistSnapshot) -> HistSnapshot {
         let mut d = HistSnapshot {
             count: 0,
@@ -215,6 +201,14 @@ impl HistSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snap(shards: &[&HistShard]) -> HistSnapshot {
+        let mut total = HistSnapshot::default();
+        for s in shards {
+            s.fold_into(&mut total);
+        }
+        total
+    }
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -235,7 +229,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_bucket_upper_bounds() {
-        let h = LogHistogram::new();
+        let h = HistShard::default();
         // 90 fast samples (value 10, bucket [8,15]) + 10 slow (1000).
         for _ in 0..90 {
             h.record(10);
@@ -243,7 +237,7 @@ mod tests {
         for _ in 0..10 {
             h.record(1000);
         }
-        let s = h.snapshot();
+        let s = snap(&[&h]);
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 90 * 10 + 10 * 1000);
         assert_eq!(s.max, 1000);
@@ -258,11 +252,11 @@ mod tests {
 
     #[test]
     fn empty_and_zero_samples() {
-        let h = LogHistogram::new();
-        assert_eq!(h.snapshot().p99(), 0);
-        assert_eq!(h.snapshot().mean(), 0.0);
+        let h = HistShard::default();
+        assert_eq!(snap(&[&h]).p99(), 0);
+        assert_eq!(snap(&[&h]).mean(), 0.0);
         h.record(0);
-        let s = h.snapshot();
+        let s = snap(&[&h]);
         assert_eq!(s.count, 1);
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.p50(), 0);
@@ -270,14 +264,14 @@ mod tests {
 
     #[test]
     fn record_n_matches_repeated_record() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
+        let a = HistShard::default();
+        let b = HistShard::default();
         for _ in 0..7 {
             a.record(300);
         }
         b.record_n(300, 7);
         b.record_n(300, 0); // no-op
-        let (sa, sb) = (a.snapshot(), b.snapshot());
+        let (sa, sb) = (snap(&[&a]), snap(&[&b]));
         assert_eq!(sa.count, sb.count);
         assert_eq!(sa.sum, sb.sum);
         assert_eq!(sa.max, sb.max);
@@ -286,33 +280,36 @@ mod tests {
 
     #[test]
     fn since_saturates_across_reset() {
-        let h = LogHistogram::new();
+        // The earlier snapshot minus a later one: every field that grew
+        // would underflow.
+        let h = HistShard::default();
         h.record(100);
+        let before = snap(&[&h]);
         h.record(100);
-        let before = h.snapshot();
-        h.reset();
-        h.record(100);
-        let after = h.snapshot();
-        let d = after.since(&before);
+        let after = snap(&[&h]);
+        let d = before.since(&after);
         assert_eq!(d.count, 0, "must saturate, not underflow");
         assert_eq!(d.sum, 0);
     }
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let h = std::sync::Arc::new(LogHistogram::new());
+        // One shard per thread, folded while nothing records.
         let threads = 4;
         let per = 10_000u64;
+        let shards: Vec<HistShard> = (0..threads).map(|_| HistShard::default()).collect();
         std::thread::scope(|s| {
-            for t in 0..threads {
-                let h = std::sync::Arc::clone(&h);
+            for (t, h) in shards.iter().enumerate() {
                 s.spawn(move || {
                     for i in 0..per {
-                        h.record(t * 1000 + i % 64);
+                        h.record(t as u64 * 1000 + i % 64);
                     }
                 });
             }
         });
-        assert_eq!(h.snapshot().count, threads * per);
+        let all: Vec<&HistShard> = shards.iter().collect();
+        let s = snap(&all);
+        assert_eq!(s.count, threads as u64 * per);
+        assert_eq!(s.count, s.buckets.iter().sum::<u64>());
     }
 }

@@ -4,7 +4,6 @@
 use crate::access::{LockedAccess, MemAccess};
 use crate::config::HtmConfig;
 use crate::fallback::FallbackLock;
-use crate::hist::LogHistogram;
 use crate::rng::AtomicSplitMix64;
 use crate::stats::HtmStats;
 use crate::stripe::{StripeTable, LINE_SHIFT};
@@ -128,9 +127,6 @@ pub(crate) fn lock_stripe(
 pub struct Htm {
     config: HtmConfig,
     stats: HtmStats,
-    /// Spin counts of non-zero backoff waits in the retry loop
-    /// (unit: spins). Empty at the default `backoff_spins = 0`.
-    backoff_hist: LogHistogram,
     /// The abort injector's stream: concurrent begins each consume
     /// exactly one draw of one shared, seed-determined sequence. `None`
     /// when every injection probability is zero.
@@ -188,7 +184,6 @@ impl Htm {
         let _ = global_table();
         Htm {
             stats: HtmStats::default(),
-            backoff_hist: LogHistogram::new(),
             inject_rng: inject_rng(&config),
             config,
         }
@@ -239,11 +234,6 @@ impl Htm {
     /// Outcome statistics (Fig. 2 data).
     pub fn stats(&self) -> &HtmStats {
         &self.stats
-    }
-
-    /// Histogram of retry-loop backoff waits, in spins.
-    pub fn backoff_hist(&self) -> &LogHistogram {
-        &self.backoff_hist
     }
 
     /// True if the fallback lock the current thread's transaction
@@ -382,12 +372,8 @@ impl Htm {
                         AbortCause::Capacity => {
                             capacity_aborts += 1;
                             retries += 1;
-                            self.backoff(retries);
                         }
-                        _ => {
-                            retries += 1;
-                            self.backoff(retries);
-                        }
+                        _ => retries += 1,
                     }
                 }
             }
@@ -405,28 +391,11 @@ impl Htm {
             Err(_) => Err(RunError(code.unwrap_or(0))),
         }
     }
-
-    /// Exponential backoff between retries: `backoff_spins << retries`
-    /// busy spins (doubling capped at 10). Contention-reduction for
-    /// conflict-heavy workloads; a no-op at the default `backoff_spins=0`.
-    #[inline]
-    fn backoff(&self, retries: u32) {
-        let base = self.config.backoff_spins;
-        if base == 0 {
-            return;
-        }
-        let spins = backoff_ladder(base, retries);
-        self.backoff_hist.record(spins);
-        for _ in 0..spins {
-            std::hint::spin_loop();
-        }
-    }
 }
 
-/// The exponential backoff ladder shared by transaction retry and other
-/// bounded-retry loops (e.g. the epoch system's persister retrying a
-/// transiently failed device): `base << attempt` spins, with the
-/// doubling capped at 10 rungs. Returns the spin count; a `base` of 0
+/// An exponential backoff ladder for bounded-retry loops (the epoch
+/// system's persister retrying a transiently failed device):
+/// `base << attempt` spins, with the doubling capped at 10 rungs. Returns the spin count; a `base` of 0
 /// disables backoff entirely.
 #[inline]
 pub fn backoff_ladder(base: u32, attempt: u32) -> u64 {
@@ -686,8 +655,7 @@ mod tests {
         let htm = Htm::new(
             HtmConfig::for_tests()
                 .with_abort_injection(7, 1.0, 0.0, 0.0)
-                .with_max_retries(3)
-                .with_backoff(4),
+                .with_max_retries(3),
         );
         let lock = FallbackLock::new();
         let c = cells(2);
@@ -705,8 +673,5 @@ mod tests {
         let s = htm.stats().snapshot();
         assert_eq!(s.fallbacks, 50, "all ops must use the fallback path");
         assert_eq!(s.commits, 0);
-        let bh = htm.backoff_hist().snapshot();
-        assert_eq!(bh.count, 50 * 3, "one backoff per burned retry slot");
-        assert_eq!(bh.max, 4 << 3, "base 4 doubled over three retries");
     }
 }

@@ -69,7 +69,7 @@ mod txn;
 pub use access::{LockedAccess, MemAccess, PlainAccess};
 pub use config::HtmConfig;
 pub use fallback::FallbackLock;
-pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS};
+pub use hist::{HistShard, HistSnapshot, HIST_BUCKETS};
 pub use htm::{
     backoff_ladder, backoff_spin, suppress_memtype_once, versioned_store, versioned_store_words,
     Htm, RunError,

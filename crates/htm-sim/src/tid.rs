@@ -91,8 +91,10 @@ pub fn thread_serial() -> u64 {
 ///   its owner is between uses: an epoch announcement reads
 ///   `EMPTY_EPOCH`, an EBR slot `UNPINNED`. Both `debug_assert` it where
 ///   an owner starts to use the slot.
-/// * **Safe to inherit.** Counter and histogram shards sum, so a
-///   successor adding to its predecessor's counts changes no total.
+/// * **Safe to inherit.** Counter shards and observability shards
+///   (histogram counts, lag bins, flight rings) accumulate, so a
+///   successor adding to its predecessor's counts changes no total, and
+///   its events follow its predecessor's in one ring.
 ///   Allocator caches, preallocated blocks, MwCAS descriptors, logs and
 ///   spare nodes hold only free blocks or blocks the slot owns. An epoch
 ///   buffer generation is written only while its owner announces that

@@ -85,8 +85,7 @@ fn abort_injection_sweep<T: BdlKv>() {
         .with_htm(
             HtmConfig::for_tests()
                 .with_abort_injection(seed | 1, 0.15, 0.10, 0.05)
-                .with_max_retries(3)
-                .with_backoff(2),
+                .with_max_retries(3),
         )
         .with_max_replays(25);
     assert_clean(&sweep::<T>(&cfg));
@@ -137,8 +136,7 @@ fn forced_fallback_ops_recover_to_the_durable_prefix() {
     let htm = Arc::new(Htm::new(
         HtmConfig::for_tests()
             .with_abort_injection(0xFA11_BAC5, 1.0, 0.0, 0.0)
-            .with_max_retries(2)
-            .with_backoff(2),
+            .with_max_retries(2),
     ));
     let list = BdlSkiplist::new(Arc::clone(&esys), Arc::clone(&htm));
 

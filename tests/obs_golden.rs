@@ -129,7 +129,7 @@ fn report() -> MetricsReport {
         }),
         histograms: vec![
             NamedHist {
-                name: "htm_backoff_spins",
+                name: "op_restarts",
                 unit: "spins",
                 snap: hist(&[(0, 4), (3, 2)], 11, 7),
             },
@@ -171,7 +171,7 @@ fn chrome_trace_matches_the_golden() {
 
 #[test]
 fn report_json_and_series_line_match_the_goldens() {
-    assert_eq!(METRICS_VERSION, 8, "the goldens are version-8 documents");
+    assert_eq!(METRICS_VERSION, 9, "the goldens are version-9 documents");
     let full = report();
     assert_golden(
         "report.json",
