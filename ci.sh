@@ -164,7 +164,13 @@ BDHTM_SECS=0.25 BDHTM_SCALE=12 BDHTM_THREADS=2 \
     --trace-out target/lag-smoke-trace.json >/dev/null
 ./target/release/metrics_check target/lag-smoke.json
 ./target/release/metrics_check --series target/lag-smoke.jsonl
-./target/release/metrics_check --trace target/lag-smoke-trace.json
+trace_check=$(./target/release/metrics_check --trace target/lag-smoke-trace.json)
+echo "$trace_check"
+# The trace must carry lag arrows for the balanced-arrow check to check
+# anything.
+lag_arrows=$(echo "$trace_check" | grep -o '[0-9]* lag arrows' | grep -o '^[0-9]*' || true)
+[ "${lag_arrows:-0}" -gt 0 ] || {
+    echo "pipelined run's trace holds no durability-lag arrow"; exit 1; }
 lag_count=$(grep -o '"durability_lag_ns":{"unit":"ns","count":[0-9]*' \
     target/lag-smoke.json | grep -o '[0-9]*$')
 [ "${lag_count:-0}" -gt 0 ] || {
@@ -175,7 +181,7 @@ lag_count=$(grep -o '"durability_lag_ns":{"unit":"ns","count":[0-9]*' \
 early_seals=$(grep -o '"early_seals":[0-9]*' target/lag-smoke.json | grep -o '[0-9]*$')
 [ "${early_seals:-0}" -gt 0 ] || {
     echo "pipelined run sealed no epoch before its release"; exit 1; }
-echo "durability-lag smoke OK (${lag_count} spans, ${early_seals} early seals)"
+echo "durability-lag smoke OK (${lag_count} spans, ${early_seals} early seals, ${lag_arrows} lag arrows)"
 
 echo "==> println! hygiene (library code logs via metrics/trace, not stdout)"
 # Benches and examples print; library crates must not (stderr via

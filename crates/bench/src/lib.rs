@@ -160,6 +160,11 @@ pub const HEAP_BYTES: usize = 512 << 20;
 /// The paper's default epoch length.
 pub const EPOCH_LEN: Duration = Duration::from_millis(50);
 
+/// Flight-ring slots per thread when the sink exports a trace, as in the
+/// benchmark harness: the default ring keeps only each thread's last 64
+/// events, too few to hold a durability-lag arrow's two ends.
+const TRACE_FLIGHT_SLOTS: usize = 1 << 14;
+
 /// The buffered-durable substrate of one data point: a heap built from
 /// `nvm`, an epoch system with `epoch_len` epochs on it and a default
 /// HTM domain, both attached to `sink` when one is given.
@@ -169,7 +174,11 @@ pub fn substrate(
     sink: Option<&mut MetricsSink>,
 ) -> (Arc<EpochSys>, Arc<Htm>) {
     let heap = Arc::new(NvmHeap::new(nvm));
-    let esys = EpochSys::format(heap, EpochConfig::default().with_epoch_len(epoch_len));
+    let mut config = EpochConfig::default().with_epoch_len(epoch_len);
+    if sink.as_ref().is_some_and(|s| s.trace_out.is_some()) {
+        config = config.with_flight_slots(TRACE_FLIGHT_SLOTS);
+    }
+    let esys = EpochSys::format(heap, config);
     let htm = Arc::new(Htm::new(HtmConfig::default()));
     if let Some(sink) = sink {
         sink.attach_htm(&htm);

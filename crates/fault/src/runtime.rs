@@ -29,7 +29,7 @@
 //! is a pure function of `(seed, guarded-op index)` — the same seed
 //! replays the same retries, the same degradations, the same verdicts.
 
-use crate::sweep::{check_recovered, durable_prefix, Mutation, SweepConfig};
+use crate::sweep::{check_recovered, Mutation, SweepConfig};
 use bdhtm_core::{BdlKv, EpochConfig, EpochSys, HealthState};
 use htm_sim::{Htm, SplitMix64};
 use nvm_sim::{DeviceFaults, NvmConfig, NvmHeap};
@@ -119,30 +119,6 @@ fn run_ops<T: BdlKv>(
     esys.health() != HealthState::Failed
 }
 
-/// Live-state oracle: the structure must equal the fold of *everything*
-/// executed (device faults may delay durability, never lose an applied
-/// operation while the machine stays up).
-fn check_live<T: BdlKv>(
-    t: &T,
-    log: &[(u64, Mutation)],
-    cfg: &SweepConfig,
-    ctx: &str,
-) -> Result<(), String> {
-    t.validate()
-        .map_err(|e| format!("{ctx}: structural invariant violated: {e}"))?;
-    let want = durable_prefix(log, u64::MAX);
-    for key in 1..=cfg.keys {
-        let got = t.get(key);
-        let expect = want.get(&key).copied();
-        if got != expect {
-            return Err(format!(
-                "{ctx}: live key {key} diverged: got {got:?}, want {expect:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Crash the (possibly degraded/failed) system and validate that
 /// recovery yields exactly the durable prefix of the recovered
 /// frontier — the BDL guarantee must survive every rung of the ladder.
@@ -169,7 +145,7 @@ fn run_transient<T: BdlKv>(cfg: &SweepConfig, faults: Arc<DeviceFaults>) -> Runt
     if !completed {
         failures.push(format!("{ctx}: fail-stopped under transient faults"));
     }
-    if let Err(e) = check_live(&t, &log, cfg, &ctx) {
+    if let Err(e) = check_recovered(&t, &log, u64::MAX, cfg, &ctx) {
         failures.push(e);
     }
     if esys.stats().snapshot().persist_retries == 0 {
@@ -225,7 +201,7 @@ fn run_degrade<T: BdlKv>(cfg: &SweepConfig) -> RuntimeReport {
             esys.batches_in_flight()
         ));
     }
-    if let Err(e) = check_live(&t, &log, cfg, &ctx) {
+    if let Err(e) = check_recovered(&t, &log, u64::MAX, cfg, &ctx) {
         failures.push(e);
     }
     heap.disarm_device_faults();

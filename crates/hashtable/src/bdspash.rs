@@ -21,6 +21,7 @@
 
 use crate::hash64;
 use crate::hotspot::HotspotDetector;
+use crate::segtable::Directory;
 use bdhtm_core::{
     payload, run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, Upsert, KV_KEY, KV_VALUE,
 };
@@ -117,16 +118,7 @@ impl Segment {
     }
 }
 
-struct Directory {
-    global_depth: u32,
-    segments: Vec<Arc<Segment>>,
-}
-
-impl Directory {
-    fn segment(&self, h: u64) -> &Arc<Segment> {
-        &self.segments[(h & ((1 << self.global_depth) - 1)) as usize]
-    }
-
+impl Directory<Arc<Segment>> {
     /// The bucket hash `h` selects, borrowed from the directory.
     fn bucket(&self, h: u64) -> &Bucket {
         &self.segment(h).buckets[bucket_of(h)]
@@ -138,7 +130,7 @@ pub struct BdSpash {
     esys: Arc<EpochSys>,
     htm: Arc<Htm>,
     lock: FallbackLock,
-    dir: RwLock<Directory>,
+    dir: RwLock<Directory<Arc<Segment>>>,
     hotspot: HotspotDetector,
     /// Payload words per value (1 = the paper's 8-byte values; larger
     /// values exercise the large-cold eager-persist path).
@@ -162,10 +154,7 @@ impl BdSpash {
             esys,
             htm,
             lock: FallbackLock::new(),
-            dir: RwLock::new(Directory {
-                global_depth: 1,
-                segments: vec![Segment::boxed(1), Segment::boxed(1)],
-            }),
+            dir: RwLock::new(Directory::new(vec![Segment::boxed(1), Segment::boxed(1)])),
             hotspot: HotspotDetector::new(1 << 16, 4),
             value_words,
             new_blk: PreallocSlots::new(KV_VALUE + value_words),
@@ -353,16 +342,8 @@ impl BdSpash {
         let mut dir = self.dir.write();
         let old = Arc::clone(dir.segment(h));
         let ld = old.local_depth;
-        if ld == dir.global_depth {
-            let n = dir.segments.len();
-            let mut segs = Vec::with_capacity(2 * n);
-            segs.extend(dir.segments.iter().cloned());
-            segs.extend(dir.segments.iter().cloned());
-            dir.segments = segs;
-            dir.global_depth += 1;
-        }
-        let a = Segment::boxed(ld + 1);
-        let b = Segment::boxed(ld + 1);
+        let entries = dir.split_entries(ld, |s| Arc::ptr_eq(s, &old));
+        let child = [Segment::boxed(ld + 1), Segment::boxed(ld + 1)];
         for (bucket, slots) in old.buckets.iter().enumerate() {
             let mut lens = [0usize; 2];
             for slot in slots {
@@ -374,21 +355,11 @@ impl BdSpash {
                     .word(payload(slot_blk(word), KV_KEY))
                     .load(Ordering::Acquire);
                 let half = (hash64(k) >> ld) as usize & 1;
-                let tgt = if half == 0 { &a } else { &b };
-                tgt.buckets[bucket][lens[half]].store(word, Ordering::Release);
+                child[half].buckets[bucket][lens[half]].store(word, Ordering::Release);
                 lens[half] += 1;
             }
         }
-        let gd = dir.global_depth;
-        for e in 0..(1usize << gd) {
-            if Arc::ptr_eq(&dir.segments[e], &old) {
-                dir.segments[e] = if (e as u64) & (1 << ld) == 0 {
-                    Arc::clone(&a)
-                } else {
-                    Arc::clone(&b)
-                };
-            }
-        }
+        dir.repoint(&entries, ld, &child);
     }
 }
 

@@ -2,10 +2,11 @@
 //! that recovery, the fault sweeps and the tests run on the result.
 
 use super::{
-    bucket_of, fingerprint_matches, slot_blk, slot_word, BdSpash, Directory, Segment, ADDR_BITS,
+    bucket_of, fingerprint_matches, slot_blk, slot_word, BdSpash, Segment, ADDR_BITS,
     BDSPASH_KV_TAG,
 };
 use crate::hash64;
+use crate::segtable::Directory;
 use bdhtm_core::{kv_block_key, payload, EpochSys, LiveBlock, KV_KEY};
 use htm_sim::Htm;
 use nvm_sim::NvmAddr;
@@ -121,7 +122,7 @@ impl BdSpash {
     /// carries the slot's fingerprint.
     fn check_slot(
         &self,
-        dir: &Directory,
+        dir: &Directory<Arc<Segment>>,
         seg: &Arc<Segment>,
         bucket: usize,
         raw: u64,

@@ -20,8 +20,10 @@
 //!   heap the epoch system disables itself and BD-Spash behaves like
 //!   Spash.
 //! * [`Cceh`] — cache-line-conscious extendible hashing (Nam et al.,
-//!   FAST 2019): fully persistent, per-segment reader-writer locks,
-//!   lock-free probes, several write-backs and fences per insert.
+//!   FAST 2019): fully persistent, striped segment mutexes for updates,
+//!   probes with no segment lock, several write-backs and fences per
+//!   insert. Spash and CCEH share one NVM segment table (`segtable`):
+//!   layout, directory, split and recovery.
 //! * [`Plush`] — the write-optimized log-structured hash table (Vogel et
 //!   al., VLDB 2022): DRAM root level, geometrically growing NVM levels,
 //!   bucket overflow spills downward, and a write-ahead log persisted on
@@ -32,6 +34,7 @@ mod cceh;
 mod hotspot;
 mod listing1;
 mod plush;
+mod segtable;
 mod spash;
 
 pub use bdspash::{keys_in_one_bucket, BdSpash, BDSPASH_KV_TAG};

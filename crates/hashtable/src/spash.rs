@@ -1,12 +1,11 @@
 //! Spash (Zhang et al., ICDE 2024): the eADR-designed HTM hash table.
 //!
-//! Extendible hashing: a directory of pointers to NVM *segments* (4 KiB
-//! blocks, a multiple of the 256 B XPLine), each holding 62 buckets of a
-//! cache line each (3 inline KV pairs + occupancy metadata). Operations
-//! are hardware transactions; the directory is guarded by a reader-writer
-//! lock whose write side (directory doubling, segment splits) "happens
-//! quickly" (§4.3) — workers assist by performing the split of the
-//! segment they overflowed.
+//! Extendible hashing over the shared NVM `SegTable`: a DRAM directory
+//! of pointers to 4 KiB NVM segments of 62 one-line buckets (3 inline KV
+//! pairs + an occupancy bitmap each). Operations are hardware
+//! transactions over one bucket, run under the directory's read lock;
+//! a worker that overflows a bucket splits its segment under the write
+//! lock (§4.3: the directory update "happens quickly").
 //!
 //! Designed for **persistent caches**: crash consistency comes from eADR
 //! (every committed cache line survives), and `clwb` is used purely as a
@@ -14,7 +13,8 @@
 //! buckets are proactively written back, keeping cache space for hot data
 //! and batching media traffic at XPLine granularity. On a plain-ADR heap
 //! Spash runs but silently loses un-flushed data on a crash; that gap is
-//! what [`BdSpash`](crate::BdSpash) closes.
+//! what [`BdSpash`](crate::BdSpash) closes. A split reads the parent with
+//! plain loads, as a cached table does.
 //!
 //! Simplification (DESIGN.md): the original's thread-local 256 B chunks
 //! for *small* cold writes are approximated by the XPLine write-combining
@@ -23,27 +23,14 @@
 
 use crate::hash64;
 use crate::hotspot::HotspotDetector;
-use htm_sim::sync::RwLock;
+use crate::segtable::{Bucket, SegTable, BUCKET_ENTRIES};
 use htm_sim::{FallbackLock, Htm, MemAccess, TxResult};
-use nvm_sim::{NvmAddr, NvmHeap};
-use persist_alloc::{Header, PAlloc, HDR_WORDS};
+use nvm_sim::NvmHeap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Block tag for Spash segments.
 pub const SPASH_SEG_TAG: u64 = 0x5350_5348; // "SPSH"
-
-/// Segment payload geometry (class-4 blocks: 512 words, 508 payload).
-const SEG_PAYLOAD: u64 = 508;
-const SEG_DEPTH: u64 = 0; // local depth
-const SEG_VALID: u64 = 1; // commit flag (recovery ignores invalid)
-const SEG_BUCKETS: u64 = 8; // first bucket word (line-aligned-ish)
-/// Words per bucket: meta + 3 * (key, value) + pad.
-const BUCKET_WORDS: u64 = 8;
-/// Entries per bucket.
-const BUCKET_ENTRIES: u64 = 3;
-/// Buckets per segment.
-const NBUCKETS: u64 = (SEG_PAYLOAD - SEG_BUCKETS) / BUCKET_WORDS; // 62
 
 enum Outcome {
     Done(Option<u64>),
@@ -56,57 +43,30 @@ type ScanHit = (Option<(u64, u64)>, Option<u64>);
 
 /// The eADR hash table.
 pub struct Spash {
-    heap: Arc<NvmHeap>,
-    alloc: Arc<PAlloc>,
+    pub(crate) table: SegTable,
     htm: Arc<Htm>,
     lock: FallbackLock,
-    dir: RwLock<Directory>,
     hotspot: HotspotDetector,
-}
-
-struct Directory {
-    global_depth: u32,
-    segments: Vec<NvmAddr>,
 }
 
 impl Spash {
     /// Creates a table on `heap` (normally an eADR-configured heap; see
     /// [`NvmConfig::optane_eadr`](nvm_sim::NvmConfig::optane_eadr)).
     pub fn new(heap: Arc<NvmHeap>, htm: Arc<Htm>) -> Self {
-        let alloc = Arc::new(PAlloc::new(Arc::clone(&heap)));
-        Self::with_alloc(heap, alloc, htm)
+        Self::with_table(SegTable::new(heap, SPASH_SEG_TAG), htm)
     }
 
-    /// Creates a table over an existing allocator (shared heap).
-    pub fn with_alloc(heap: Arc<NvmHeap>, alloc: Arc<PAlloc>, htm: Arc<Htm>) -> Self {
-        let s0 = Self::new_segment(&heap, &alloc, 1);
-        let s1 = Self::new_segment(&heap, &alloc, 1);
+    fn with_table(table: SegTable, htm: Arc<Htm>) -> Self {
         Self {
-            heap,
-            alloc,
+            table,
             htm,
             lock: FallbackLock::new(),
-            dir: RwLock::new(Directory {
-                global_depth: 1,
-                segments: vec![s0, s1],
-            }),
             hotspot: HotspotDetector::new(1 << 16, 4),
         }
     }
 
-    fn new_segment(heap: &NvmHeap, alloc: &PAlloc, depth: u32) -> NvmAddr {
-        let seg = alloc.alloc_persisted(SEG_PAYLOAD);
-        Header::set_tag(heap, seg, SPASH_SEG_TAG);
-        Header::set_epoch(heap, seg, 0);
-        heap.write(seg.offset(HDR_WORDS + SEG_DEPTH), depth as u64);
-        heap.write(seg.offset(HDR_WORDS + SEG_VALID), 1);
-        heap.persist_range(seg, HDR_WORDS + SEG_BUCKETS);
-        heap.fence();
-        seg
-    }
-
     pub fn heap(&self) -> &Arc<NvmHeap> {
-        &self.heap
+        self.table.heap()
     }
 
     pub fn htm(&self) -> &Htm {
@@ -115,36 +75,21 @@ impl Spash {
 
     /// NVM bytes held by segments.
     pub fn nvm_bytes(&self) -> u64 {
-        self.alloc.stats().bytes_in_use()
-    }
-
-    #[inline]
-    fn bucket_word(&self, seg: NvmAddr, bucket: u64, w: u64) -> NvmAddr {
-        seg.offset(HDR_WORDS + SEG_BUCKETS + bucket * BUCKET_WORDS + w)
-    }
-
-    #[inline]
-    fn bucket_of(h: u64) -> u64 {
-        (h >> 32) % NBUCKETS
+        self.table.nvm_bytes()
     }
 
     /// Proactive write-back of a (cold) bucket line — the Spash policy.
-    fn flush_cold(&self, seg: NvmAddr, bucket: u64, hot: bool) {
+    fn flush_cold(&self, b: Bucket, hot: bool) {
         if !hot {
-            self.heap.clwb(self.bucket_word(seg, bucket, 0));
+            self.heap().clwb(b.meta());
         }
     }
 
     /// Transactional bucket scan. Returns `(entry_index, value)` for a
     /// match, or the first free entry index.
-    fn scan<'e>(
-        &'e self,
-        m: &mut dyn MemAccess<'e>,
-        seg: NvmAddr,
-        bucket: u64,
-        key: u64,
-    ) -> TxResult<ScanHit> {
-        let meta = m.load(self.heap.word(self.bucket_word(seg, bucket, 0)))?;
+    fn scan<'e>(&'e self, m: &mut dyn MemAccess<'e>, b: Bucket, key: u64) -> TxResult<ScanHit> {
+        let heap = self.heap();
+        let meta = m.load(heap.word(b.meta()))?;
         let mut free = None;
         for i in 0..BUCKET_ENTRIES {
             if meta & (1 << i) == 0 {
@@ -153,9 +98,8 @@ impl Spash {
                 }
                 continue;
             }
-            let k = m.load(self.heap.word(self.bucket_word(seg, bucket, 1 + 2 * i)))?;
-            if k == key {
-                let v = m.load(self.heap.word(self.bucket_word(seg, bucket, 2 + 2 * i)))?;
+            if m.load(heap.word(b.key(i)))? == key {
+                let v = m.load(heap.word(b.value(i)))?;
                 return Ok((Some((i, v)), free));
             }
         }
@@ -166,36 +110,24 @@ impl Spash {
     pub fn insert(&self, key: u64, value: u64) -> Option<u64> {
         let h = hash64(key);
         let hot = self.hotspot.touch(h);
+        let heap = self.heap();
         loop {
-            let dir = self.dir.read();
-            let seg = dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize];
-            let bucket = Self::bucket_of(h);
+            let dir = self.table.read();
+            let b = Bucket::of(*dir.segment(h), h);
             let r = self
                 .htm
                 .run(&self.lock, |m| {
-                    let (found, free) = self.scan(m, seg, bucket, key)?;
+                    let (found, free) = self.scan(m, b, key)?;
                     match (found, free) {
                         (Some((i, old)), _) => {
-                            m.store(
-                                self.heap.word(self.bucket_word(seg, bucket, 2 + 2 * i)),
-                                value,
-                            )?;
+                            m.store(heap.word(b.value(i)), value)?;
                             Ok(Outcome::Done(Some(old)))
                         }
                         (None, Some(i)) => {
-                            let meta = m.load(self.heap.word(self.bucket_word(seg, bucket, 0)))?;
-                            m.store(
-                                self.heap.word(self.bucket_word(seg, bucket, 1 + 2 * i)),
-                                key,
-                            )?;
-                            m.store(
-                                self.heap.word(self.bucket_word(seg, bucket, 2 + 2 * i)),
-                                value,
-                            )?;
-                            m.store(
-                                self.heap.word(self.bucket_word(seg, bucket, 0)),
-                                meta | (1 << i),
-                            )?;
+                            let meta = m.load(heap.word(b.meta()))?;
+                            m.store(heap.word(b.key(i)), key)?;
+                            m.store(heap.word(b.value(i)), value)?;
+                            m.store(heap.word(b.meta()), meta | (1 << i))?;
                             Ok(Outcome::Done(None))
                         }
                         (None, None) => Ok(Outcome::NeedSplit),
@@ -204,12 +136,14 @@ impl Spash {
                 .expect("spash raises no explicit aborts");
             match r {
                 Outcome::Done(old) => {
-                    self.flush_cold(seg, bucket, hot);
+                    self.flush_cold(b, hot);
                     return old;
                 }
                 Outcome::NeedSplit => {
                     drop(dir);
-                    self.split(h);
+                    // Segments live in persistent caches: plain loads.
+                    self.table
+                        .split(h, |heap, a| heap.word(a).load(Ordering::Acquire));
                 }
             }
         }
@@ -219,12 +153,11 @@ impl Spash {
     pub fn get(&self, key: u64) -> Option<u64> {
         let h = hash64(key);
         self.hotspot.touch(h);
-        let dir = self.dir.read();
-        let seg = dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize];
-        let bucket = Self::bucket_of(h);
+        let dir = self.table.read();
+        let b = Bucket::of(*dir.segment(h), h);
         self.htm
             .run(&self.lock, |m| {
-                let (found, _) = self.scan(m, seg, bucket, key)?;
+                let (found, _) = self.scan(m, b, key)?;
                 Ok(found.map(|(_, v)| v))
             })
             .expect("spash raises no explicit aborts")
@@ -234,179 +167,36 @@ impl Spash {
     pub fn remove(&self, key: u64) -> Option<u64> {
         let h = hash64(key);
         let hot = self.hotspot.touch(h);
-        let dir = self.dir.read();
-        let seg = dir.segments[(h & ((1 << dir.global_depth) - 1)) as usize];
-        let bucket = Self::bucket_of(h);
+        let heap = self.heap();
+        let dir = self.table.read();
+        let b = Bucket::of(*dir.segment(h), h);
         let r = self
             .htm
             .run(&self.lock, |m| {
-                let (found, _) = self.scan(m, seg, bucket, key)?;
+                let (found, _) = self.scan(m, b, key)?;
                 match found {
                     None => Ok(None),
                     Some((i, v)) => {
-                        let meta = m.load(self.heap.word(self.bucket_word(seg, bucket, 0)))?;
-                        m.store(
-                            self.heap.word(self.bucket_word(seg, bucket, 0)),
-                            meta & !(1 << i),
-                        )?;
+                        let meta = m.load(heap.word(b.meta()))?;
+                        m.store(heap.word(b.meta()), meta & !(1 << i))?;
                         Ok(Some(v))
                     }
                 }
             })
             .expect("spash raises no explicit aborts");
         if r.is_some() {
-            self.flush_cold(seg, bucket, hot);
+            self.flush_cold(b, hot);
         }
         r
     }
 
-    /// Splits the segment covering hash `h`, doubling the directory if
-    /// its local depth equals the global depth. This is the worker-assist
-    /// path: the thread that overflowed performs the migration.
-    fn split(&self, h: u64) {
-        let mut dir = self.dir.write();
-        let mask = (1u64 << dir.global_depth) - 1;
-        let idx = (h & mask) as usize;
-        let old = dir.segments[idx];
-        let ld = self.heap.read(old.offset(HDR_WORDS + SEG_DEPTH)) as u32;
-        if ld == dir.global_depth {
-            // Directory doubling — quick, under the global lock.
-            let n = dir.segments.len();
-            let mut segs = Vec::with_capacity(2 * n);
-            segs.extend_from_slice(&dir.segments);
-            segs.extend_from_slice(&dir.segments);
-            dir.segments = segs;
-            dir.global_depth += 1;
-        }
-        // Split `old` (depth ld) into two depth-(ld+1) segments.
-        let a = Self::new_segment(&self.heap, &self.alloc, ld + 1);
-        let b = Self::new_segment(&self.heap, &self.alloc, ld + 1);
-        for bucket in 0..NBUCKETS {
-            let meta = self
-                .heap
-                .word(self.bucket_word(old, bucket, 0))
-                .load(Ordering::Acquire);
-            for i in 0..BUCKET_ENTRIES {
-                if meta & (1 << i) == 0 {
-                    continue;
-                }
-                let k = self
-                    .heap
-                    .word(self.bucket_word(old, bucket, 1 + 2 * i))
-                    .load(Ordering::Acquire);
-                let v = self
-                    .heap
-                    .word(self.bucket_word(old, bucket, 2 + 2 * i))
-                    .load(Ordering::Acquire);
-                let hk = hash64(k);
-                let tgt = if hk & (1 << ld) == 0 { a } else { b };
-                let tb = Self::bucket_of(hk);
-                let tmeta_addr = self.bucket_word(tgt, tb, 0);
-                let tmeta = self.heap.word(tmeta_addr).load(Ordering::Acquire);
-                let slot = (0..BUCKET_ENTRIES)
-                    .find(|j| tmeta & (1 << j) == 0)
-                    .expect("split target bucket overflow");
-                self.heap.write(self.bucket_word(tgt, tb, 1 + 2 * slot), k);
-                self.heap.write(self.bucket_word(tgt, tb, 2 + 2 * slot), v);
-                self.heap.write(tmeta_addr, tmeta | (1 << slot));
-            }
-        }
-        // Publish: every directory entry that pointed at `old` now points
-        // at `a` or `b` according to bit `ld` of the entry index.
-        let gd = dir.global_depth;
-        for e in 0..(1usize << gd) {
-            if dir.segments[e] == old {
-                dir.segments[e] = if (e as u64) & (1 << ld) == 0 { a } else { b };
-            }
-        }
-        // Persist the children eagerly (cheap hints under eADR) and
-        // retire the parent.
-        self.heap.persist_range(a, HDR_WORDS + SEG_PAYLOAD);
-        self.heap.persist_range(b, HDR_WORDS + SEG_PAYLOAD);
-        self.heap.fence();
-        self.alloc.free(old);
-    }
-
-    /// Rebuilds a Spash directory from a recovered (eADR) heap scan.
+    /// Rebuilds a Spash table from a recovered (eADR) heap.
     pub fn recover(heap: Arc<NvmHeap>, htm: Arc<Htm>) -> Spash {
         assert!(
             heap.config().eadr,
             "Spash recovery is only meaningful with persistent caches"
         );
-        let (alloc, blocks) = PAlloc::recover(Arc::clone(&heap));
-        let alloc = Arc::new(alloc);
-        let mut segs: Vec<(NvmAddr, u32)> = Vec::new();
-        let mut max_depth = 1;
-        for b in &blocks {
-            if b.tag != SPASH_SEG_TAG {
-                continue;
-            }
-            if heap.read(b.addr.offset(HDR_WORDS + SEG_VALID)) != 1 {
-                alloc.free(b.addr);
-                continue;
-            }
-            let ld = heap.read(b.addr.offset(HDR_WORDS + SEG_DEPTH)) as u32;
-            max_depth = max_depth.max(ld);
-            segs.push((b.addr, ld));
-        }
-        // Place each non-empty segment into the directory slots matching
-        // its key prefix; deeper segments win (they shadow a stale
-        // parent). Slots left uncovered get fresh empty segments.
-        let gd = max_depth;
-        let mut directory = vec![(NvmAddr::NULL, 0u32); 1 << gd];
-        for &(seg, ld) in &segs {
-            // Derive the segment's prefix once from its first stored key,
-            // then write exactly its 2^(gd-ld) matching slots: linear in
-            // directory size instead of (segments x slots) probing.
-            let Some(prefix) = Self::segment_prefix(&heap, seg, ld) else {
-                continue; // empty segment: unrecoverable prefix
-            };
-            let step = 1u64 << ld;
-            let mut e = prefix;
-            while e < (1u64 << gd) {
-                let slot = &mut directory[e as usize];
-                if ld >= slot.1 {
-                    *slot = (seg, ld);
-                }
-                e += step;
-            }
-        }
-        for slot in directory.iter_mut() {
-            if slot.0.is_null() {
-                *slot = (Self::new_segment(&heap, &alloc, gd), gd);
-            }
-        }
-        let table = Spash {
-            heap,
-            alloc,
-            htm,
-            lock: FallbackLock::new(),
-            dir: RwLock::new(Directory {
-                global_depth: gd,
-                segments: directory.iter().map(|&(s, _)| s).collect(),
-            }),
-            hotspot: HotspotDetector::new(1 << 16, 4),
-        };
-        table
-    }
-
-    /// The directory prefix of a segment of depth `ld`: the low `ld` bits
-    /// of any stored key's hash (all keys in a segment share them).
-    /// `None` if the segment is empty (its prefix is unrecoverable).
-    fn segment_prefix(heap: &NvmHeap, seg: NvmAddr, ld: u32) -> Option<u64> {
-        let mask = (1u64 << ld) - 1;
-        for bucket in 0..NBUCKETS {
-            let meta = heap.read(seg.offset(HDR_WORDS + SEG_BUCKETS + bucket * BUCKET_WORDS));
-            for i in 0..BUCKET_ENTRIES {
-                if meta & (1 << i) != 0 {
-                    let k = heap.read(
-                        seg.offset(HDR_WORDS + SEG_BUCKETS + bucket * BUCKET_WORDS + 1 + 2 * i),
-                    );
-                    return Some(hash64(k) & mask);
-                }
-            }
-        }
-        None
+        Self::with_table(SegTable::recover(heap, SPASH_SEG_TAG), htm)
     }
 }
 
@@ -414,7 +204,7 @@ impl Spash {
 mod tests {
     use super::*;
     use htm_sim::HtmConfig;
-    use nvm_sim::NvmConfig;
+    use nvm_sim::{NvmAddr, NvmConfig};
     use std::collections::HashMap;
 
     fn eadr_table() -> Spash {
@@ -439,7 +229,7 @@ mod tests {
         for k in 0..n {
             t.insert(k, k * 3);
         }
-        assert!(t.dir.read().global_depth > 1, "no directory growth");
+        assert!(t.table.read().global_depth > 1, "no directory growth");
         for k in 0..n {
             assert_eq!(t.get(k), Some(k * 3), "key {k} lost in splits");
         }

@@ -437,8 +437,14 @@ impl NvmHeap {
     }
 
     fn writeback_line(&self, line: u64) {
-        let start = (line * WORDS_PER_LINE) as usize;
         self.dirty[line as usize].store(0, Ordering::Release);
+        self.copy_line_to_media(line);
+    }
+
+    /// Copies one line of the volatile image to media. Callers clear the
+    /// line's dirty flag first, so a store racing the copy re-dirties it.
+    fn copy_line_to_media(&self, line: u64) {
+        let start = (line * WORDS_PER_LINE) as usize;
         for i in start..start + WORDS_PER_LINE as usize {
             let v = self.volatile[i].load(Ordering::Acquire);
             self.media[i].store(v, Ordering::Release);
@@ -470,11 +476,7 @@ impl NvmHeap {
                 .is_ok()
             {
                 self.fault_point(CrashPointKind::EvictLine);
-                let w = (line * WORDS_PER_LINE) as usize;
-                for i in w..w + WORDS_PER_LINE as usize {
-                    let v = self.volatile[i].load(Ordering::Acquire);
-                    self.media[i].store(v, Ordering::Release);
-                }
+                self.copy_line_to_media(line);
                 evicted += 1;
             }
             line = (line + stride) % lines;

@@ -8,15 +8,14 @@
 //! epoch discipline for the KV block. Persistence happens entirely in
 //! the background.
 
-use crate::{random_level, MAX_LEVEL};
+use crate::{next_level, MAX_LEVEL};
 use bdhtm_core::{
     run_op, CommitEffects, EpochSys, OpStep, PreallocSlots, Upsert, KV_VALUE, KV_WORDS,
 };
 use htm_sim::chaos;
 use htm_sim::ebr;
-use htm_sim::{thread_serial, FallbackLock, Htm, MemAccess, TxResult};
+use htm_sim::{FallbackLock, Htm, MemAccess, TxResult};
 use nvm_sim::NvmAddr;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,22 +47,8 @@ impl Tower {
     }
 }
 
-thread_local! {
-    static LEVEL_RNG: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The calling thread's next tower height, seeded as DL-Skiplist's is.
-pub(crate) fn next_level() -> usize {
-    LEVEL_RNG.with(|r| {
-        let mut x = r.get();
-        if x == 0 {
-            x = thread_serial() ^ 0xFACE_FEED_0BAD_F00D;
-        }
-        let lvl = random_level(&mut x);
-        r.set(x);
-        lvl
-    })
-}
+/// This list's [`next_level`] salt.
+pub(crate) const LEVEL_SALT: u64 = 0xFACE_FEED_0BAD_F00D;
 
 /// The buffered durably linearizable skiplist (§4.2).
 pub struct BdlSkiplist {
@@ -207,7 +192,7 @@ impl BdlSkiplist {
                     // Link path: build (or reuse) a private tower.
                     let t = match tower.take() {
                         Some(t) if t.key == key => t,
-                        _ => Tower::boxed(key, next_level(), blk.0),
+                        _ => Tower::boxed(key, next_level(LEVEL_SALT), blk.0),
                     };
                     for (n, &s) in t.next.iter().zip(succs.iter()).take(t.level) {
                         n.store(s, Ordering::Relaxed);

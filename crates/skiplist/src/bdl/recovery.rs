@@ -1,8 +1,8 @@
 //! Rebuilding a BDL-Skiplist after a crash (§5.2), and the structural
 //! check that recovery, the fault sweeps and the tests run on the result.
 
-use super::{next_level, BdlSkiplist, Tower, SKIP_KV_TAG, TOMB};
-use crate::MAX_LEVEL;
+use super::{BdlSkiplist, Tower, LEVEL_SALT, SKIP_KV_TAG, TOMB};
+use crate::{next_level, MAX_LEVEL};
 use bdhtm_core::{kv_block_key, live_keys_sorted, EpochSys, LiveBlock};
 use htm_sim::Htm;
 use nvm_sim::NvmAddr;
@@ -154,7 +154,7 @@ impl BdlSkiplist {
 /// per-level chains that end at `tails`, and returns their new ends.
 fn append_run(mut tails: [u64; MAX_LEVEL], run: &[(u64, u64)]) -> [u64; MAX_LEVEL] {
     for &(key, blk) in run {
-        let t = Tower::boxed(key, next_level(), blk);
+        let t = Tower::boxed(key, next_level(LEVEL_SALT), blk);
         let level = t.level;
         let t_ptr = Box::into_raw(t) as u64;
         for (lvl, tail) in tails.iter_mut().enumerate().take(level) {

@@ -8,15 +8,14 @@
 //! is durably linearizable: a crashed operation is rolled forward or
 //! backward by [`DlSkiplist::recover`].
 
-use crate::{random_level, MAX_LEVEL};
+use crate::{next_level, MAX_LEVEL};
 use htm_sim::chaos;
 use htm_sim::ebr;
 use htm_sim::sync::Mutex;
-use htm_sim::{thread_serial, PerThread};
+use htm_sim::PerThread;
 use mwcas::{HtmMwCas, MwCasPool, MwTarget};
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, HDR_WORDS};
-use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -52,24 +51,8 @@ pub enum PersistMode {
     HtmMwcas,
 }
 
-thread_local! {
-    static LEVEL_RNG: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The calling thread's next tower height. Seeded from the thread's
-/// serial, not its recycled id, so a thread never replays the heights of
-/// the thread that held its id before it.
-pub(crate) fn next_level() -> usize {
-    LEVEL_RNG.with(|r| {
-        let mut x = r.get();
-        if x == 0 {
-            x = thread_serial() ^ 0xDEAD_BEEF_1234_5678;
-        }
-        let lvl = random_level(&mut x);
-        r.set(x);
-        lvl
-    })
-}
+/// This list's [`next_level`] salt.
+pub(crate) const LEVEL_SALT: u64 = 0xDEAD_BEEF_1234_5678;
 
 /// Per-thread spare node from a failed link attempt: `(level, addr)`.
 type SpareNode = Mutex<Option<(usize, NvmAddr)>>;
@@ -244,7 +227,7 @@ impl DlSkiplist {
                 match spare.take() {
                     Some(s) => s,
                     None => {
-                        let lvl = next_level();
+                        let lvl = next_level(LEVEL_SALT);
                         drop(spare);
                         let n = self.alloc.alloc_persisted(P_NEXT + lvl as u64);
                         Header::set_tag(&self.heap, n, DL_NODE_TAG);

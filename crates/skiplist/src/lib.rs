@@ -33,18 +33,40 @@ pub mod stress;
 pub use bdl::{BdlSkiplist, SKIP_KV_TAG};
 pub use dl::{DlSkiplist, PersistMode};
 
+use std::cell::Cell;
+
 /// Maximum tower height. With p = 1/2 this supports tens of millions of
 /// keys; a full-tower unlink touches `2 * MAX_LEVEL = 32` words, the
 /// `mwcas` crate's target cap.
 pub const MAX_LEVEL: usize = 16;
 
 /// Draws a tower height in `1..=MAX_LEVEL` with geometric(1/2) tails.
-pub(crate) fn random_level(rng: &mut u64) -> usize {
+fn random_level(rng: &mut u64) -> usize {
     *rng ^= *rng >> 12;
     *rng ^= *rng << 25;
     *rng ^= *rng >> 27;
     let bits = rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
     ((bits.trailing_ones() as usize) + 1).min(MAX_LEVEL)
+}
+
+thread_local! {
+    static LEVEL_RNG: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's next tower height. The thread's generator is
+/// seeded on its first draw from its serial, not its recycled id, so a
+/// thread never replays the heights of the thread that held its id
+/// before it; each list passes its own `salt`.
+pub(crate) fn next_level(salt: u64) -> usize {
+    LEVEL_RNG.with(|r| {
+        let mut x = r.get();
+        if x == 0 {
+            x = htm_sim::thread_serial() ^ salt;
+        }
+        let lvl = random_level(&mut x);
+        r.set(x);
+        lvl
+    })
 }
 
 #[cfg(test)]
@@ -74,8 +96,8 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let id = slots.mine() as *const u8 as usize;
-                    let dl: Vec<usize> = (0..64).map(|_| dl::next_level()).collect();
-                    let bdl: Vec<usize> = (0..64).map(|_| bdl::next_level()).collect();
+                    let dl: Vec<usize> = (0..64).map(|_| next_level(dl::LEVEL_SALT)).collect();
+                    let bdl: Vec<usize> = (0..64).map(|_| next_level(bdl::LEVEL_SALT)).collect();
                     (id, dl, bdl)
                 })
                 .join()
