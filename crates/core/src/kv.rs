@@ -44,8 +44,16 @@ pub const KV_WORDS: u64 = 2;
 pub const KV_UNIVERSE_BITS: u32 = 10;
 
 /// `(key, block address)` of every live block tagged `tag`, sorted by
-/// key — the order an index rebuild wants, for locality and so that
-/// rebuild threads can each take a slice of the key range.
+/// key — the order an index rebuild wants: PHTM-vEB fills its index
+/// bottom-up from it, BDL-Skiplist appends towers in it, and rebuild
+/// threads each take a run of it.
+///
+/// # Panics
+///
+/// If two live blocks hold one key. An out-of-place update marks the
+/// old block deleted in the epoch it stamps the new one with, so
+/// recovery keeps one of the two, never both: a duplicate is a
+/// recovery bug, and no rebuild may pick one of them silently.
 pub fn live_keys_sorted(heap: &NvmHeap, live: &[LiveBlock], tag: u64) -> Vec<(u64, u64)> {
     let mut keyed: Vec<(u64, u64)> = Vec::with_capacity(live.len());
     keyed.extend(live.iter().filter(|b| b.tag == tag).map(|b| {
@@ -68,6 +76,10 @@ pub fn live_keys_sorted(heap: &NvmHeap, live: &[LiveBlock], tag: u64) -> Vec<(u6
         run = end;
     }
     keyed.sort_unstable();
+    assert!(
+        keyed.windows(2).all(|w| w[0].0 != w[1].0),
+        "duplicate key in recovered heap"
+    );
     keyed
 }
 

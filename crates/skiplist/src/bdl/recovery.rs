@@ -30,10 +30,6 @@ impl BdlSkiplist {
     ) -> BdlSkiplist {
         let list = BdlSkiplist::new(esys, htm);
         let mine = live_keys_sorted(list.esys.heap(), live, SKIP_KV_TAG);
-        assert!(
-            mine.windows(2).all(|w| w[0].0 != w[1].0),
-            "duplicate key in recovered heap"
-        );
         let mut runs = mine.chunks(mine.len().div_ceil(threads.max(1)).max(1));
         let mut tails = [list.head as u64; MAX_LEVEL];
         let later: Vec<(Box<Tower>, [u64; MAX_LEVEL])> = std::thread::scope(|s| {

@@ -8,12 +8,17 @@
 //! mutating methods here are therefore called only after the caller's
 //! epoch checks have passed; the read-only methods (`get_tx`,
 //! `successor_tx`, ...) never write.
+//!
+//! Recovery's two passes, which bypass [`MemAccess`], are in the
+//! `recovery` submodule.
 
-use crate::node::{Node, EMPTY, LEAF_BITS};
+use crate::node::{Node, EMPTY};
 use htm_sim::sync::Mutex;
 use htm_sim::{MemAccess, PerThread, TxResult};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+mod recovery;
 
 /// Per-attempt allocation context: nodes created speculatively during the
 /// current attempt. If the attempt aborts, the caller recycles them into
@@ -24,12 +29,12 @@ pub struct AllocCtx {
     created: RefCell<Vec<(u32, u64)>>,
 }
 
-/// The shared DRAM vEB index. Keys are in `[0, 2^ubits)`; each present
-/// key has one u64 *slot* (a value for the transient tree, an NVM block
-/// pointer for the buffered-durable tree).
 /// A thread's stash of preallocated nodes: `(ubits, node_ptr)` pairs.
 type SpareNodes = Mutex<Vec<(u32, u64)>>;
 
+/// The shared DRAM vEB index. Keys are in `[0, 2^ubits)`; each present
+/// key has one u64 *slot* (a value for the transient tree, an NVM block
+/// pointer for the buffered-durable tree).
 pub struct VebIndex {
     pub ubits: u32,
     root: u64,
@@ -87,19 +92,18 @@ impl VebIndex {
             spare.swap_remove(pos).1
         } else {
             drop(spare);
-            let node = Box::new(Node::new(ubits));
-            self.dram_bytes
-                .fetch_add(node.footprint() as u64, Ordering::Relaxed);
-            Box::into_raw(node) as u64
+            self.new_node(ubits)
         };
         ctx.created.borrow_mut().push((ubits, ptr));
         ptr
     }
 
-    /// The root cluster `key` belongs to, or `None` when the root is a
-    /// single leaf (then every key writes the root).
-    pub fn root_cluster(&self, key: u64) -> Option<u64> {
-        (self.ubits > LEAF_BITS).then(|| key >> Node::child_bits(self.ubits))
+    /// A fresh empty node, counted in [`dram_bytes`](Self::dram_bytes).
+    fn new_node(&self, ubits: u32) -> u64 {
+        let node = Box::new(Node::new(ubits));
+        self.dram_bytes
+            .fetch_add(node.footprint() as u64, Ordering::Relaxed);
+        Box::into_raw(node) as u64
     }
 
     // ---- transactional helpers ------------------------------------------

@@ -7,23 +7,23 @@
 //! the block's epoch inside it, update in place, replace, or raise
 //! `OldSeeNewException` by the existing block's epoch, and defer
 //! persistence and reclamation until after commit. The tree supplies
-//! only the index search and link. After a crash, the index is rebuilt
-//! by scanning the live KV blocks.
+//! only the index search and link. After a crash, the index is filled
+//! bottom-up from the live KV blocks, sorted by key.
 
 use crate::index::{AllocCtx, VebIndex};
 use bdhtm_core::{
     kv_block_key, live_keys_sorted, run_op, CommitEffects, EpochSys, LiveBlock, OpStep,
     PreallocSlots, Upsert, KV_UNIVERSE_BITS, KV_VALUE, KV_WORDS,
 };
-use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess, PlainAccess, TxResult};
+use htm_sim::{AbortCause, FallbackLock, Htm, MemAccess, TxResult};
 use nvm_sim::NvmAddr;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Block tag identifying PHTM-vEB key-value pairs in recovery scans.
 pub const VEB_KV_TAG: u64 = 0x7EB0_4B56; // "vEB KV"
 
-const NO_ABORT: &str = "plain access never aborts";
+/// Keys whose NVM blocks [`PhtmVeb::validate`] checks in one loop.
+const BLOCK_BATCH: usize = 1024;
 
 /// The buffered durably linearizable vEB tree.
 pub struct PhtmVeb {
@@ -218,18 +218,15 @@ impl PhtmVeb {
     }
 
     /// Rebuilds a tree from the live blocks of a recovered epoch system
-    /// (§5.2): filters blocks tagged [`VEB_KV_TAG`] and re-inserts their
-    /// keys, in key order, into a fresh DRAM index.
+    /// (§5.2): takes the blocks tagged [`VEB_KV_TAG`] sorted by key and
+    /// fills a fresh DRAM index from them bottom-up, each node written
+    /// once — the tree that inserting the keys in ascending order builds.
     ///
     /// The tree is a local here — nobody else can reach it before this
-    /// returns — so every insert is plain stores ([`PlainAccess`]): no
-    /// transaction, nothing to conflict with. `threads` cuts the sorted
-    /// keys into runs of whole root clusters; with one run the rebuild is
-    /// one in-order pass. A key writes the root only when it is the
-    /// minimum, the maximum or the first key stored in its root cluster,
-    /// so with several runs this thread inserts those keys first. Then
-    /// each run's worker inserts the rest of its clusters, which lands
-    /// below the root. Run 0 is this thread's; only the others spawn.
+    /// returns — so the fill is plain stores: no transaction, nothing to
+    /// conflict with. With `threads > 1` this thread writes the root's
+    /// `min`, `max` and summary, and it and up to `threads - 1` spawned
+    /// workers fill disjoint runs of whole root clusters.
     pub fn recover(
         universe_bits: u32,
         esys: Arc<EpochSys>,
@@ -238,111 +235,49 @@ impl PhtmVeb {
         threads: usize,
     ) -> PhtmVeb {
         let tree = PhtmVeb::new(universe_bits, esys, htm);
-        let mine = live_keys_sorted(tree.esys.heap(), live, VEB_KV_TAG);
-        let (index, n) = (&tree.index, mine.len());
-        let insert = |pairs: &[(u64, u64)]| {
-            let ctx = AllocCtx::default();
-            for &(key, blk) in pairs {
-                index
-                    .insert_tx(&mut PlainAccess, key, blk, &ctx)
-                    .expect(NO_ABORT);
-                index.commit_attempt(&ctx);
-            }
-        };
-        // Where each root cluster's keys start (a single-leaf root is one
-        // cluster); a run is a range of clusters, cut as evenly as whole
-        // clusters allow.
-        let mut starts = Vec::new();
-        let mut s = 0;
-        while s < n {
-            starts.push(s);
-            let c = index.root_cluster(mine[s].0);
-            s += mine[s..].partition_point(|&(k, _)| index.root_cluster(k) == c);
-        }
-        let threads = threads.max(1);
-        let mut runs = Vec::new();
-        let mut first = 0;
-        for w in 1..=threads {
-            let end = starts.partition_point(|&s| s < n * w / threads);
-            if end > first {
-                runs.push(first..end);
-                first = end;
-            }
-        }
-        if runs.len() <= 1 {
-            insert(&mine);
-            return tree;
-        }
-        // The root pass, before any spawn: the minimum (the root's own),
-        // the next key (the first stored in a cluster), each cluster's
-        // first key and the maximum.
-        let mut root: Vec<_> = [0, 1, n - 1]
-            .iter()
-            .chain(&starts)
-            .map(|&i| mine[i])
-            .collect();
-        root.sort_unstable();
-        root.dedup();
-        insert(&root);
-        let below_root = |clusters: Range<usize>| {
-            for c in clusters {
-                let lo = (starts[c] + 1).max(2);
-                let hi = starts.get(c + 1).map_or(n, |&e| e).min(n - 1);
-                if lo < hi {
-                    insert(&mine[lo..hi]);
-                }
-            }
-        };
-        let below_root = &below_root;
-        std::thread::scope(|s| {
-            let mut runs = runs.into_iter();
-            let first = runs.next().expect("two runs or more");
-            for run in runs {
-                s.spawn(move || below_root(run));
-            }
-            below_root(first);
-        });
+        let pairs = live_keys_sorted(tree.esys.heap(), live, VEB_KV_TAG);
+        tree.index.bulk_fill(&pairs, threads);
         tree
     }
 
-    /// Structural invariant check for the fault-injection harness: walks
-    /// the index in key order and cross-checks every slot against its
-    /// NVM block — allocated, tagged [`VEB_KV_TAG`], a valid (claimed,
-    /// not-from-the-future) epoch, and a key word matching the index
-    /// position. Call while quiescent, e.g. right after recovery.
+    /// Structural invariant check for the fault-injection harness: one
+    /// in-order walk of the index that checks its structure (child
+    /// widths, each node's `min` below its clusters and `max` its last
+    /// key, summaries naming exactly the non-empty clusters), in strictly
+    /// ascending key order. Every 1,024 keys it cross-checks
+    /// their NVM blocks in one tight loop, so the block reads overlap
+    /// rather than wait behind the walk's pointer chase: allocated,
+    /// tagged [`VEB_KV_TAG`], a valid (claimed, not-from-the-future)
+    /// epoch, and a key word matching the index position. Call while
+    /// quiescent, e.g. right after recovery.
     pub fn validate(&self) -> Result<(), String> {
         let heap = self.esys.heap();
         let clock = self.esys.current_epoch();
-        let cap = 1u64 << self.index.ubits;
+        let check = |batch: &mut Vec<(u64, u64)>| {
+            for &(key, slot) in batch.iter() {
+                let k = kv_block_key(heap, NvmAddr(slot), VEB_KV_TAG, clock)
+                    .map_err(|e| format!("key {key}: {e}"))?;
+                if k != key {
+                    return Err(format!("index key {key} points at block holding key {k}"));
+                }
+            }
+            batch.clear();
+            Ok(())
+        };
+        let mut batch = Vec::with_capacity(BLOCK_BATCH);
         let mut prev: Option<u64> = None;
-        let mut seen = 0u64;
-        let m = &mut PlainAccess; // quiescent: nothing to synchronise with
-        loop {
-            let next = match prev {
-                None => match self.index.get_tx(m, 0).expect(NO_ABORT) {
-                    Some(slot) => Some((0u64, slot)),
-                    None => self.index.successor_tx(m, 0).expect(NO_ABORT),
-                },
-                Some(p) => self.index.successor_tx(m, p).expect(NO_ABORT),
-            };
-            let Some((key, slot)) = next else {
-                return Ok(());
-            };
+        self.index.walk_checked(&mut |key, slot| {
             if prev.is_some_and(|p| key <= p) {
                 return Err(format!("validate: key order violated at {key}"));
             }
-            seen += 1;
-            if seen > cap {
-                return Err("validate: walk exceeded the universe (index cycle)".into());
-            }
-            let blk = NvmAddr(slot);
-            let k = kv_block_key(heap, blk, VEB_KV_TAG, clock)
-                .map_err(|e| format!("key {key}: {e}"))?;
-            if k != key {
-                return Err(format!("index key {key} points at block holding key {k}"));
-            }
             prev = Some(key);
-        }
+            batch.push((key, slot));
+            if batch.len() == BLOCK_BATCH {
+                check(&mut batch)?;
+            }
+            Ok(())
+        })?;
+        check(&mut batch)
     }
 }
 
@@ -358,10 +293,12 @@ recover: |esys, htm, live, threads| {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use bdhtm_core::EpochConfig;
     use htm_sim::HtmConfig;
     use nvm_sim::{NvmConfig, NvmHeap};
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn setup(bits: u32) -> PhtmVeb {
         let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(32 << 20)));
@@ -495,10 +432,9 @@ mod tests {
         assert_eq!(t2.successor(50), Some((51, 102)));
     }
 
-    /// Crashes a tree holding `keys` (all durable), rebuilds it at one
-    /// worker and at `threads`, and checks that neither rebuild runs a
-    /// transaction, both validate, and both hold exactly `keys`.
-    fn rebuilds_agree(bits: u32, keys: &[u64], threads: usize) {
+    /// The recovered epoch system and live blocks of a crashed `bits`-bit
+    /// tree that held `keys` (all durable), each mapped to `key + 1`.
+    fn crashed(bits: u32, keys: &[u64]) -> (Arc<EpochSys>, Vec<LiveBlock>) {
         let heap = Arc::new(NvmHeap::new(NvmConfig::for_tests(4 << 20)));
         let esys = EpochSys::format(heap, EpochConfig::manual());
         let t = PhtmVeb::new(bits, esys, Arc::new(Htm::new(HtmConfig::for_tests())));
@@ -508,7 +444,14 @@ mod tests {
         t.epoch_sys().advance();
         t.epoch_sys().advance();
         let heap = Arc::new(NvmHeap::from_image(t.epoch_sys().heap().crash()));
-        let (esys, live) = EpochSys::recover(heap, EpochConfig::manual(), 1);
+        EpochSys::recover(heap, EpochConfig::manual(), 1)
+    }
+
+    /// Crashes a tree holding `keys` (all durable), rebuilds it at one
+    /// worker and at `threads`, and checks that neither rebuild runs a
+    /// transaction, both validate, and both hold exactly `keys`.
+    fn rebuilds_agree(bits: u32, keys: &[u64], threads: usize) {
+        let (esys, live) = crashed(bits, keys);
         let rebuild = |threads: usize| {
             let htm = Arc::new(Htm::new(HtmConfig::for_tests()));
             let t = PhtmVeb::recover(bits, Arc::clone(&esys), Arc::clone(&htm), &live, threads);
@@ -544,6 +487,88 @@ mod tests {
         for threads in [2, 3, 7] {
             rebuilds_agree(16, &scattered, threads);
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_malformed_index() {
+        // 12 bits: the root's clusters and its summary are 6-bit leaves.
+        // Every cluster holds keys except cluster 40.
+        let keys: Vec<u64> = (5..1 << 12).step_by(23).filter(|k| k >> 6 != 40).collect();
+        let (esys, live) = crashed(12, &keys);
+        let t = PhtmVeb::recover(
+            12,
+            esys,
+            Arc::new(Htm::new(HtmConfig::for_tests())),
+            &live,
+            1,
+        );
+        t.validate().expect("the recovered tree is well formed");
+        let Node::Internal(root) = t.index.root_node() else {
+            panic!("a 12-bit root is internal");
+        };
+        let leaf = |ptr: &AtomicU64| {
+            // SAFETY: a non-null node pointer of a live index; the index
+            // is not dropped before the test ends.
+            match unsafe { &*(ptr.load(Ordering::Relaxed) as *const Node) } {
+                Node::Leaf(l) => l,
+                Node::Internal(_) => panic!("a 12-bit root has leaf children"),
+            }
+        };
+        // Sets each word to its bad value, requires an `Err` naming
+        // `needle`, and restores the tree.
+        let rejects = |what: &str, needle: &str, changes: &[(&AtomicU64, u64)]| {
+            let old: Vec<u64> = changes
+                .iter()
+                .map(|&(w, bad)| w.swap(bad, Ordering::Relaxed))
+                .collect();
+            let verdict = t.validate();
+            for (&(w, _), v) in changes.iter().zip(old).rev() {
+                w.store(v, Ordering::Relaxed);
+            }
+            let err = verdict.expect_err(&format!("validate() accepts {what}"));
+            assert!(err.contains(needle), "{what}: {err}");
+            t.validate()
+                .unwrap_or_else(|e| panic!("restored after {what}: {e}"));
+        };
+        let summary = &leaf(&root.summary).bits;
+        let named = summary.load(Ordering::Relaxed);
+        assert_eq!(named, !(1 << 40), "clusters 0..64 but 40 hold keys");
+        rejects(
+            "a summary missing a non-empty cluster",
+            "summary",
+            &[(summary, named & !(1 << 7))],
+        );
+        rejects(
+            "a summary naming an empty cluster",
+            "summary",
+            &[(summary, !0)],
+        );
+        // The minimum (key 5) stored again in cluster 0, beside 28 and 51:
+        // the walk hands key 5 over twice before the node's own check.
+        let c0 = leaf(&root.clusters[0]);
+        let min_val = root.min_val.load(Ordering::Relaxed);
+        let c0_bits = c0.bits.load(Ordering::Relaxed);
+        rejects(
+            "a minimum not below its clusters' keys",
+            "key order violated at 5",
+            &[(&c0.bits, c0_bits | 1 << 5), (&c0.values[5], min_val)],
+        );
+        let max = root.max.load(Ordering::Relaxed);
+        rejects("a stale maximum", "max", &[(&root.max, max + 1)]);
+        let root_ptr = t.index.root_node() as *const Node as u64;
+        rejects(
+            "a cluster pointing up at the root",
+            "not the 6-bit node",
+            &[(&root.clusters[40], root_ptr)],
+        );
+        let c1 = leaf(&root.clusters[1]);
+        let b = c1.bits.load(Ordering::Relaxed).trailing_zeros() as usize;
+        let other = c1.values[b].load(Ordering::Relaxed);
+        rejects(
+            "a slot pointing at a block holding another key",
+            "points at block holding key",
+            &[(&c0.values[28], other)],
+        );
     }
 
     #[test]
