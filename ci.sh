@@ -63,6 +63,18 @@ for _ in $(seq 20); do
     with_timeout 300 "$btree_bin" -q >/dev/null
 done
 
+echo "==> OCC-ABTree inner-node split under crash (strict-DL crash sweep, release)"
+# An inner node splits at 40 keys, so about 1,230 ascending inserts in;
+# 1,400 inserts plus the script's removes and rewrites cross about
+# 8,300 persist points. Every third one is crashed, plainly and with a
+# torn write-back, and each recovery must hold the acknowledged map,
+# leak no block and pass validate() (fault::strict). The binary prints
+# the point count and the stride and exits non-zero on any failure.
+for torn in "" "--torn 0xBD"; do
+    # shellcheck disable=SC2086 # $torn is zero or two words
+    with_timeout 600 ./target/release/strict_sweep --row occ-abtree --inserts 1400 --stride 3 $torn
+done
+
 echo "==> pipeline wait/wake gate (20 runs of the esys unit tests and the pipeline metamorphic test)"
 # Every pipeline wait goes through `Pipeline::wait` (esys/pipeline.rs),
 # the one condvar wait: a lost wakeup, or a predicate nothing makes true,

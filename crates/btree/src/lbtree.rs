@@ -1,22 +1,20 @@
-//! LB+Tree: DRAM inner nodes, NVM leaves, strict per-update write-back
-//! (Liu et al., VLDB 2020).
+//! LB+Tree: DRAM inner nodes over strictly durable NVM leaves (Liu et
+//! al., VLDB 2020). The leaves are the crate's shared leaf; only the
+//! inner tree is LB+Tree's own, and recovery rebuilds it from the leaves
+//! it finds.
 
-use crate::LEAF_CAP;
-use htm_sim::sync::{Mutex, RwLock};
+use crate::leaf::{self, Stripes};
+use htm_sim::sync::RwLock;
 use nvm_sim::{NvmAddr, NvmHeap};
-use persist_alloc::{Header, PAlloc, RecoveredBlock, HDR_WORDS};
+use persist_alloc::{BlockState, PAlloc};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Block tag for LB+Tree leaves.
 pub const LBTREE_LEAF_TAG: u64 = 0x4C42_5452; // "LBTR"
 
-const L_COUNT: u64 = 0;
-const L_PAIRS: u64 = 3;
-const LEAF_PAYLOAD: u64 = L_PAIRS + 2 * LEAF_CAP as u64;
-
 /// Inner fanout before splitting.
 const INNER_CAP: usize = 64;
-const LEAF_LOCKS: usize = 512;
 
 enum Node {
     Inner { keys: Vec<u64>, kids: Vec<Node> },
@@ -24,32 +22,34 @@ enum Node {
 }
 
 /// The LB+Tree: log-depth DRAM traversal, strictly durable NVM leaves
-/// with unsorted entries (insertions append; removals swap with the
-/// last entry), rebuilt from the leaf layer after a crash.
+/// with unsorted entries, rebuilt from the leaf layer after a crash.
 pub struct LbTree {
     heap: Arc<NvmHeap>,
-    alloc: Arc<PAlloc>,
+    alloc: PAlloc,
     root: RwLock<Node>,
-    leaf_locks: Box<[Mutex<()>]>,
+    leaves: Stripes,
 }
 
 impl LbTree {
     pub fn new(heap: Arc<NvmHeap>) -> Self {
-        let alloc = Arc::new(PAlloc::new(Arc::clone(&heap)));
+        let alloc = PAlloc::new(Arc::clone(&heap));
         let leaf = Self::new_leaf(&heap, &alloc);
-        Self {
+        Self::with_root(heap, alloc, Node::Leaf(leaf))
+    }
+
+    fn with_root(heap: Arc<NvmHeap>, alloc: PAlloc, root: Node) -> Self {
+        LbTree {
             heap,
             alloc,
-            root: RwLock::new(Node::Leaf(leaf)),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+            root: RwLock::new(root),
+            leaves: Stripes::new(),
         }
     }
 
+    /// A durable empty leaf.
     fn new_leaf(heap: &NvmHeap, alloc: &PAlloc) -> NvmAddr {
-        let leaf = alloc.alloc_persisted(LEAF_PAYLOAD);
-        Header::set_tag(heap, leaf, LBTREE_LEAF_TAG);
-        Header::set_epoch(heap, leaf, 0);
-        heap.persist_range(leaf, HDR_WORDS + 1);
+        let leaf = leaf::alloc(alloc);
+        leaf::commit(heap, leaf, LBTREE_LEAF_TAG, 0);
         heap.fence();
         leaf
     }
@@ -62,8 +62,7 @@ impl LbTree {
         self.alloc.stats().bytes_in_use()
     }
 
-    /// Approximate DRAM held by the inner tree (Table 3). Only the inner
-    /// tree lives in DRAM, so LB+Tree's DRAM footprint is a small
+    /// Approximate DRAM held by the inner tree (Table 3), a small
     /// fraction of the vEB trees'.
     pub fn dram_bytes(&self) -> u64 {
         fn walk(n: &Node) -> u64 {
@@ -79,86 +78,37 @@ impl LbTree {
         walk(&self.root.read())
     }
 
-    #[inline]
-    fn pw(&self, leaf: NvmAddr, idx: u64) -> NvmAddr {
-        leaf.offset(HDR_WORDS + idx)
-    }
-
-    #[inline]
-    fn leaf_lock(&self, leaf: NvmAddr) -> &Mutex<()> {
-        &self.leaf_locks[(leaf.0 as usize * 0x9E37) % LEAF_LOCKS]
-    }
-
-    fn count(&self, leaf: NvmAddr) -> u64 {
-        self.heap
-            .word(self.pw(leaf, L_COUNT))
-            .load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn pair(&self, leaf: NvmAddr, i: u64) -> (u64, u64) {
-        let k = self
-            .heap
-            .word(self.pw(leaf, L_PAIRS + 2 * i))
-            .load(std::sync::atomic::Ordering::Acquire);
-        let v = self
-            .heap
-            .word(self.pw(leaf, L_PAIRS + 2 * i + 1))
-            .load(std::sync::atomic::Ordering::Acquire);
-        (k, v)
-    }
-
-    fn descend(node: &Node, key: u64) -> NvmAddr {
-        let mut n = node;
-        loop {
-            match n {
-                Node::Leaf(a) => return *a,
-                Node::Inner { keys, kids } => {
-                    let i = keys.partition_point(|&k| k <= key);
-                    n = &kids[i];
-                }
-            }
+    fn descend(mut n: &Node, key: u64) -> NvmAddr {
+        while let Node::Inner { keys, kids } = n {
+            n = &kids[keys.partition_point(|&k| k <= key)];
         }
+        let Node::Leaf(a) = n else { unreachable!() };
+        *a
     }
 
     /// Inserts or updates; returns the previous value. Strictly durable
     /// on return.
     pub fn insert(&self, key: u64, value: u64) -> Option<u64> {
+        let heap = &*self.heap;
         loop {
             let guard = self.root.read();
             let leaf = Self::descend(&guard, key);
-            let _ll = self.leaf_lock(leaf).lock();
-            self.heap.charge_media_read(); // leaf visit
-            let n = self.count(leaf);
-            // In-place update?
-            for i in 0..n {
-                let (k, _) = self.pair(leaf, i);
-                if k == key {
-                    let va = self.pw(leaf, L_PAIRS + 2 * i + 1);
-                    let old = self
-                        .heap
-                        .word(va)
-                        .load(std::sync::atomic::Ordering::Acquire);
-                    self.heap.write(va, value);
-                    self.heap.clwb(va);
-                    self.heap.fence();
-                    return Some(old);
-                }
+            let locked = self.leaves.lock(leaf).lock();
+            heap.charge_media_read(); // leaf visit
+            if let Some((slot, old)) = leaf::find(heap, leaf, key) {
+                leaf::update(heap, leaf, slot, value);
+                heap.fence();
+                return Some(old);
             }
-            if (n as usize) < LEAF_CAP {
-                // Append the pair, persist it, then publish via count —
-                // the LB+Tree unsorted-leaf discipline.
-                let e = self.pw(leaf, L_PAIRS + 2 * n);
-                self.heap.write(e, key);
-                self.heap.write(e.offset(1), value);
-                self.heap.persist_range(e, 2);
-                self.heap.fence();
-                self.heap.write(self.pw(leaf, L_COUNT), n + 1);
-                self.heap.clwb(self.pw(leaf, L_COUNT));
-                self.heap.fence();
+            if let Some(slot) = self.leaves.fill(heap, leaf, key, value) {
+                // The pair is durable before the bit that makes it live.
+                heap.fence();
+                leaf::publish(heap, leaf, slot);
+                heap.fence();
                 return None;
             }
             // Leaf full: split under the structure write lock.
-            drop(_ll);
+            drop(locked);
             drop(guard);
             self.split_leaf(key);
         }
@@ -166,30 +116,15 @@ impl LbTree {
 
     /// Removes `key`, returning its value. Durable on return.
     pub fn remove(&self, key: u64) -> Option<u64> {
+        let heap = &*self.heap;
         let guard = self.root.read();
         let leaf = Self::descend(&guard, key);
-        let _ll = self.leaf_lock(leaf).lock();
-        self.heap.charge_media_read();
-        let n = self.count(leaf);
-        for i in 0..n {
-            let (k, v) = self.pair(leaf, i);
-            if k == key {
-                // Swap with the last entry, persist, shrink.
-                if i != n - 1 {
-                    let (lk, lv) = self.pair(leaf, n - 1);
-                    let e = self.pw(leaf, L_PAIRS + 2 * i);
-                    self.heap.write(e, lk);
-                    self.heap.write(e.offset(1), lv);
-                    self.heap.persist_range(e, 2);
-                    self.heap.fence();
-                }
-                self.heap.write(self.pw(leaf, L_COUNT), n - 1);
-                self.heap.clwb(self.pw(leaf, L_COUNT));
-                self.heap.fence();
-                return Some(v);
-            }
-        }
-        None
+        let _locked = self.leaves.lock(leaf).lock();
+        heap.charge_media_read();
+        let (slot, v) = leaf::find(heap, leaf, key)?;
+        leaf::remove(heap, leaf, slot);
+        heap.fence();
+        Some(v)
     }
 
     /// Lock-free lookup.
@@ -197,199 +132,139 @@ impl LbTree {
         let guard = self.root.read();
         let leaf = Self::descend(&guard, key);
         self.heap.charge_media_read();
-        let n = self.count(leaf);
-        for i in 0..n {
-            let (k, v) = self.pair(leaf, i);
-            if k == key {
-                return Some(v);
-            }
-        }
-        None
+        self.leaves.get(&self.heap, leaf, key)
     }
 
     pub fn contains(&self, key: u64) -> bool {
         self.get(key).is_some()
     }
 
-    /// Splits the (full) leaf on the path to `key`.
+    /// Splits the (full) leaf on the path to `key`. The parent stays live
+    /// until both children are: recovery frees children beside it.
     fn split_leaf(&self, key: u64) {
+        let heap = &*self.heap;
         let mut root = self.root.write();
         // Re-descend: the tree may have changed before we got the lock.
-        let (new_keys, split) = {
-            let leaf = Self::descend(&root, key);
-            if (self.count(leaf) as usize) < LEAF_CAP {
-                return; // someone split it for us
-            }
-            // Gather, sort, redistribute into two fresh leaves.
-            let n = self.count(leaf);
-            let mut pairs: Vec<(u64, u64)> = (0..n).map(|i| self.pair(leaf, i)).collect();
-            pairs.sort_unstable();
-            let mid = pairs.len() / 2;
-            let sep = pairs[mid].0;
-            let left = Self::new_leaf(&self.heap, &self.alloc);
-            let right = Self::new_leaf(&self.heap, &self.alloc);
-            for (dst, part) in [(left, &pairs[..mid]), (right, &pairs[mid..])] {
-                for (i, (k, v)) in part.iter().enumerate() {
-                    let e = self.pw(dst, L_PAIRS + 2 * i as u64);
-                    self.heap.write(e, *k);
-                    self.heap.write(e.offset(1), *v);
-                }
-                self.heap.write(self.pw(dst, L_COUNT), part.len() as u64);
-                self.heap.persist_range(dst, HDR_WORDS + LEAF_PAYLOAD);
-            }
-            self.heap.fence();
-            (vec![(leaf, sep, left, right)], true)
+        let old = Self::descend(&root, key);
+        if !leaf::is_full(heap, old) {
+            return; // someone split it for us
+        }
+        let split = leaf::split(heap, &self.alloc, old);
+        // Both halves are durable before either bitmap.
+        heap.fence();
+        split.commit(heap, LBTREE_LEAF_TAG);
+        heap.fence();
+        if let Some((sep, right)) = Self::replace_leaf(&mut root, key, split.sep, split.children) {
+            // The root split: grow a new one.
+            let left = std::mem::replace(&mut *root, Node::Leaf(NvmAddr::NULL));
+            *root = Node::Inner {
+                keys: vec![sep],
+                kids: vec![left, right],
+            };
+        }
+        leaf::free(heap, &self.alloc, &[old]);
+    }
+
+    /// Puts `left`, `sep` and `right` in place of the leaf on the path to
+    /// `key`, splitting the inner nodes that overflow on the way back up;
+    /// returns the separator and right half `node` split into, if it did.
+    fn replace_leaf(
+        node: &mut Node,
+        key: u64,
+        sep: u64,
+        [left, right]: [NvmAddr; 2],
+    ) -> Option<(u64, Node)> {
+        let Node::Inner { keys, kids } = node else {
+            *node = Node::Leaf(left);
+            return Some((sep, Node::Leaf(right)));
         };
-        if split {
-            for (old, sep, left, right) in new_keys {
-                Self::replace_leaf(&mut root, old, sep, left, right);
-                self.alloc.free(old);
-            }
-            // Split inner nodes that grew beyond capacity.
-            Self::split_inner(&mut root);
+        let i = keys.partition_point(|&k| k <= key);
+        let (sep, right) = Self::replace_leaf(&mut kids[i], key, sep, [left, right])?;
+        keys.insert(i, sep);
+        kids.insert(i + 1, right);
+        if kids.len() <= INNER_CAP {
+            return None;
         }
-    }
-
-    fn replace_leaf(node: &mut Node, old: NvmAddr, sep: u64, left: NvmAddr, right: NvmAddr) {
-        match node {
-            Node::Leaf(a) if *a == old => {
-                *node = Node::Inner {
-                    keys: vec![sep],
-                    kids: vec![Node::Leaf(left), Node::Leaf(right)],
-                };
-            }
-            Node::Leaf(_) => unreachable!("stale leaf replacement"),
-            Node::Inner { keys, kids } => {
-                // Find the child containing `old` by scanning (splits are
-                // rare; linear scan under the write lock is fine).
-                let i = kids
-                    .iter()
-                    .position(|k| matches!(k, Node::Leaf(a) if *a == old))
-                    .or_else(|| Some(keys.partition_point(|&k| k <= sep)))
-                    .unwrap();
-                match &mut kids[i] {
-                    Node::Leaf(a) if *a == old => {
-                        keys.insert(keys.partition_point(|&k| k <= sep), sep);
-                        kids[i] = Node::Leaf(right);
-                        kids.insert(i, Node::Leaf(left));
-                    }
-                    child => Self::replace_leaf(child, old, sep, left, right),
-                }
-            }
-        }
-    }
-
-    fn split_inner(node: &mut Node) {
-        if let Node::Inner { keys, kids } = node {
-            for kid in kids.iter_mut() {
-                Self::split_inner(kid);
-            }
-            // Split over-full children.
-            let mut i = 0;
-            while i < kids.len() {
-                let too_big =
-                    matches!(&kids[i], Node::Inner { kids: g, .. } if g.len() > INNER_CAP);
-                if too_big {
-                    if let Node::Inner {
-                        keys: ckeys,
-                        kids: ckids,
-                    } = std::mem::replace(&mut kids[i], Node::Leaf(NvmAddr::NULL))
-                    {
-                        let mid = ckeys.len() / 2;
-                        let sep = ckeys[mid];
-                        let rkeys = ckeys[mid + 1..].to_vec();
-                        let lkeys = ckeys[..mid].to_vec();
-                        let mut lkids = ckids;
-                        let rkids = lkids.split_off(mid + 1);
-                        keys.insert(keys.partition_point(|&k| k <= sep), sep);
-                        kids[i] = Node::Inner {
-                            keys: rkeys,
-                            kids: rkids,
-                        };
-                        kids.insert(
-                            i,
-                            Node::Inner {
-                                keys: lkeys,
-                                kids: lkids,
-                            },
-                        );
-                    }
-                }
-                i += 1;
-            }
-            if kids.len() > INNER_CAP && keys.len() >= 3 {
-                // Root grew: push down into two halves.
-                let mid = keys.len() / 2;
-                let sep = keys[mid];
-                let rkeys = keys[mid + 1..].to_vec();
-                let lkeys = keys[..mid].to_vec();
-                let rkids = kids.split_off(mid + 1);
-                let lkids = std::mem::take(kids);
-                *node = Node::Inner {
-                    keys: vec![sep],
-                    kids: vec![
-                        Node::Inner {
-                            keys: lkeys,
-                            kids: lkids,
-                        },
-                        Node::Inner {
-                            keys: rkeys,
-                            kids: rkids,
-                        },
-                    ],
-                };
-            }
-        }
-    }
-
-    /// Rebuilds the DRAM inner tree from the persisted leaf layer
-    /// (LB+Tree's recovery strategy, like PHTM-vEB's).
-    pub fn recover(heap: Arc<NvmHeap>, blocks: &[RecoveredBlock]) -> LbTree {
-        let (alloc, _) = (PAlloc::recover(Arc::clone(&heap)).0, ());
-        let alloc = Arc::new(alloc);
-        let t = LbTree {
-            heap: Arc::clone(&heap),
-            alloc,
-            root: RwLock::new(Node::Leaf(NvmAddr::NULL)),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
+        let mid = keys.len() / 2;
+        let right = Node::Inner {
+            keys: keys.split_off(mid + 1),
+            kids: kids.split_off(mid + 1),
         };
-        // Collect every pair from every surviving leaf, rebuild bulk.
-        let mut pairs = Vec::new();
-        for b in blocks {
-            if b.tag != LBTREE_LEAF_TAG || b.state != persist_alloc::BlockState::Allocated {
+        Some((keys.pop().expect("mid < keys.len()"), right))
+    }
+
+    /// Rebuilds the DRAM inner tree over the leaves a crashed heap holds,
+    /// recovering the allocator once. A leaf whose keys all live in one
+    /// larger leaf is the child of a split the crash cut short, a copy of
+    /// part of its live parent; it is freed, and so are empty leaves and
+    /// every block that is no committed leaf.
+    pub fn recover(heap: Arc<NvmHeap>) -> LbTree {
+        let (alloc, blocks) = PAlloc::recover(Arc::clone(&heap));
+        let mut found = Vec::new();
+        let mut garbage = Vec::new();
+        for b in &blocks {
+            let committed = b.tag == LBTREE_LEAF_TAG
+                && b.state == BlockState::Allocated
+                && leaf::is_leaf(&heap, b.addr);
+            let pairs = leaf::pairs(&heap, b.addr).filter(|_| committed);
+            let mut keys: Vec<u64> = pairs.map(|(k, _)| k).collect();
+            if keys.is_empty() {
+                garbage.push(b.addr);
+            } else {
+                keys.sort_unstable();
+                found.push((b.addr, keys));
+            }
+        }
+        // Largest first: a split's parent is kept before its children.
+        found.sort_by_key(|(_, keys)| std::cmp::Reverse(keys.len()));
+        let mut owner: HashMap<u64, NvmAddr> = HashMap::new();
+        let mut leaves = Vec::new();
+        for (addr, keys) in found {
+            let first = owner.get(&keys[0]).copied();
+            if first.is_some() && keys.iter().all(|k| owner.get(k).copied() == first) {
+                garbage.push(addr);
                 continue;
             }
-            let n = heap.read(b.addr.offset(HDR_WORDS + L_COUNT));
-            for i in 0..n.min(LEAF_CAP as u64) {
-                let k = heap.read(b.addr.offset(HDR_WORDS + L_PAIRS + 2 * i));
-                let v = heap.read(b.addr.offset(HDR_WORDS + L_PAIRS + 2 * i + 1));
-                pairs.push((k, v));
-            }
-            t.alloc.free(b.addr);
+            owner.extend(keys.iter().map(|&k| (k, addr)));
+            leaves.push((keys[0], addr));
         }
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        // Build a fresh leaf layer and inner tree.
-        let mut leaves = Vec::new();
-        for chunk in pairs.chunks(LEAF_CAP / 2) {
-            let leaf = Self::new_leaf(&t.heap, &t.alloc);
-            for (i, (k, v)) in chunk.iter().enumerate() {
-                let e = t.pw(leaf, L_PAIRS + 2 * i as u64);
-                t.heap.write(e, *k);
-                t.heap.write(e.offset(1), *v);
-            }
-            t.heap.write(t.pw(leaf, L_COUNT), chunk.len() as u64);
-            t.heap.persist_range(leaf, HDR_WORDS + LEAF_PAYLOAD);
-            leaves.push((chunk[0].0, leaf));
-        }
-        t.heap.fence();
+        leaf::free(&heap, &alloc, &garbage);
+        leaves.sort_unstable();
         let root = if leaves.is_empty() {
-            Node::Leaf(Self::new_leaf(&t.heap, &t.alloc))
+            Node::Leaf(Self::new_leaf(&heap, &alloc))
         } else {
             Self::build_inner(&leaves)
         };
-        *t.root.write() = root;
-        t
+        Self::with_root(heap, alloc, root)
+    }
+
+    /// Checks that leaf keys lie between the separators above them and
+    /// that the live blocks are the leaves reached. Call while quiescent.
+    pub fn validate(&self) -> Result<(), String> {
+        type Bound = Option<u64>;
+        fn walk(
+            heap: &NvmHeap,
+            n: &Node,
+            lo: Bound,
+            hi: Bound,
+            leaves: &mut usize,
+        ) -> Result<(), String> {
+            let Node::Inner { keys, kids } = n else {
+                let Node::Leaf(a) = n else { unreachable!() };
+                *leaves += 1;
+                return leaf::check(heap, *a, lo, hi);
+            };
+            if kids.len() != keys.len() + 1 || !keys.is_sorted() {
+                return Err(format!("inner node with keys {keys:?}"));
+            }
+            kids.iter().enumerate().try_for_each(|(i, kid)| {
+                let klo = if i == 0 { lo } else { Some(keys[i - 1]) };
+                walk(heap, kid, klo, keys.get(i).copied().or(hi), leaves)
+            })
+        }
+        let mut leaves = 0;
+        walk(&self.heap, &self.root.read(), None, None, &mut leaves)?;
+        leaf::check_live(&self.alloc, leaves)
     }
 
     fn build_inner(leaves: &[(u64, NvmAddr)]) -> Node {
@@ -470,9 +345,8 @@ mod tests {
         for k in 0..5000 {
             t.insert(k, k + 7);
         }
-        let heap2 = Arc::new(NvmHeap::from_image(t.heap().crash()));
-        let (_, blocks) = PAlloc::recover(Arc::clone(&heap2));
-        let t2 = LbTree::recover(heap2, &blocks);
+        let t2 = LbTree::recover(Arc::new(NvmHeap::from_image(t.heap().crash())));
+        t2.validate().unwrap();
         for k in 0..5000 {
             assert_eq!(t2.get(k), Some(k + 7), "durable key {k} lost");
         }

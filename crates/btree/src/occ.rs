@@ -1,34 +1,40 @@
 //! OCC-ABTree and Elim-ABTree (Srivastava & Brown, PPoPP 2022): fully
 //! persistent (a,b)-trees — every node in NVM, zero DRAM for data.
 //!
+//! The leaves are the crate's shared leaf. Inner nodes change only by
+//! copy-on-write: a split makes its children and ancestor copies durable,
+//! then swings one 8-byte pointer (a child word of the lowest unchanged
+//! ancestor, or the heap's root slot). Recovery frees every block the
+//! root slot does not reach.
+//!
 //! [`ElimAbTree`] adds *publishing elimination*: an updater that fails to
 //! acquire a leaf's lock publishes its operation; the lock holder applies
 //! published operations targeting its leaf in one batch under one fence,
 //! and an insert–remove pair on the same key cancels outright — fewer
 //! operations and fewer NVM writes on skewed workloads.
 
-use crate::LEAF_CAP;
+use crate::leaf::{self, Stripes};
 use htm_sim::sync::{Mutex, RwLock};
 use nvm_sim::{NvmAddr, NvmHeap};
 use persist_alloc::{Header, PAlloc, HDR_WORDS};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Block tag for OCC/Elim tree nodes.
 pub const OCC_NODE_TAG: u64 = 0x4F43_4342; // "OCCB"
 
-// Node block payload (class 3, 124 words):
-const N_ISLEAF: u64 = 0;
-const N_COUNT: u64 = 1;
-// Leaves: pairs from word 3 (60 entries).
-const N_PAIRS: u64 = 3;
-// Inner: sorted keys at 3..3+K, children at 64..64+K+1 (K = 40).
+/// The heap root slot holding the root's address (the tree owns its heap).
+const ROOT_SLOT: u64 = 16;
+// Inner node payload: word 0 (the leaf's kind word) reads 0, the key
+// count at 2, sorted keys at 3..3+K, children at 64..64+K+1 (K = 40).
+const N_COUNT: u64 = 2;
 const N_KEYS: u64 = 3;
 const N_KIDS: u64 = 64;
 const INNER_KEYS: u64 = 40;
+const INNER_PAYLOAD: u64 = N_KIDS + INNER_KEYS + 1;
 
-const LEAF_LOCKS: usize = 512;
-/// Pending-op slots per elimination stripe.
+/// Spins a published op waits before trying to withdraw.
 const ELIM_SPIN: usize = 4000;
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -43,20 +49,28 @@ struct Pending {
     key: u64,
     value: u64,
     /// 0 = pending; 1 = applied, no previous; 2 = applied, had previous
-    /// (old value in `old`); 3 = abandoned by combiner (retry yourself).
+    /// (old value in `.1`); 3 = abandoned by combiner (retry yourself).
     state: Arc<(AtomicU64, AtomicU64)>,
+}
+
+impl Pending {
+    /// Reports the op applied, with the value it replaced or removed.
+    fn finish(&self, old: Option<u64>) {
+        if let Some(v) = old {
+            self.state.1.store(v, Ordering::Release);
+        }
+        self.state
+            .0
+            .store(1 + old.is_some() as u64, Ordering::Release);
+    }
 }
 
 /// The strictly durable, fully-NVM (a,b)-tree.
 pub struct OccAbTree {
     heap: Arc<NvmHeap>,
-    alloc: Arc<PAlloc>,
+    alloc: PAlloc,
     root: RwLock<NvmAddr>,
-    leaf_locks: Box<[Mutex<()>]>,
-    /// One sequence counter per leaf-lock stripe (DRAM only): odd while
-    /// a lock holder is rewriting a leaf's pairs, so the lock-free
-    /// [`get`](Self::get) can tell a torn read from a clean one.
-    leaf_seq: Box<[AtomicU64]>,
+    leaves: Stripes,
     /// Publishing-elimination queues (used only by [`ElimAbTree`]).
     elim: Option<Box<[Mutex<Vec<Pending>>]>>,
 }
@@ -64,45 +78,36 @@ pub struct OccAbTree {
 /// OCC-ABTree with publishing elimination enabled.
 pub struct ElimAbTree(pub OccAbTree);
 
-/// An open write section of a leaf stripe's seqlock (see
-/// `OccAbTree::leaf_write`).
-struct LeafWrite<'a>(&'a AtomicU64);
-
-impl Drop for LeafWrite<'_> {
-    fn drop(&mut self) {
-        // Release: every pair write of the section is visible before
-        // the count turns even again.
-        self.0
-            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Release);
-    }
-}
-
 impl OccAbTree {
     pub fn new(heap: Arc<NvmHeap>) -> Self {
         Self::build(heap, false)
     }
 
     fn build(heap: Arc<NvmHeap>, elim: bool) -> Self {
-        let alloc = Arc::new(PAlloc::new(Arc::clone(&heap)));
-        let root = Self::new_node(&heap, &alloc, true);
-        Self {
+        let alloc = PAlloc::new(Arc::clone(&heap));
+        let mut t = Self::with_root(heap, alloc, NvmAddr::NULL);
+        t.plant_root();
+        t.elim = elim.then(|| (0..leaf::STRIPES).map(|_| Mutex::new(Vec::new())).collect());
+        t
+    }
+
+    fn with_root(heap: Arc<NvmHeap>, alloc: PAlloc, root: NvmAddr) -> Self {
+        OccAbTree {
             heap,
             alloc,
             root: RwLock::new(root),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
-            leaf_seq: (0..LEAF_LOCKS).map(|_| AtomicU64::new(0)).collect(),
-            elim: elim.then(|| (0..LEAF_LOCKS).map(|_| Mutex::new(Vec::new())).collect()),
+            leaves: Stripes::new(),
+            elim: None,
         }
     }
 
-    fn new_node(heap: &NvmHeap, alloc: &PAlloc, leaf: bool) -> NvmAddr {
-        let n = alloc.alloc_persisted(124);
-        Header::set_tag(heap, n, OCC_NODE_TAG);
-        Header::set_epoch(heap, n, 0);
-        heap.write(n.offset(HDR_WORDS + N_ISLEAF), leaf as u64);
-        heap.persist_range(n, HDR_WORDS + 2);
-        heap.fence();
-        n
+    /// Makes an empty leaf the durable root.
+    fn plant_root(&mut self) {
+        let root = leaf::alloc(&self.alloc);
+        leaf::commit(&self.heap, root, OCC_NODE_TAG, 0);
+        self.heap.fence();
+        self.swing(None, root);
+        *self.root.get_mut() = root;
     }
 
     pub fn heap(&self) -> &Arc<NvmHeap> {
@@ -125,90 +130,52 @@ impl OccAbTree {
             .load(Ordering::Acquire)
     }
 
-    #[inline]
-    fn leaf_lock(&self, leaf: NvmAddr) -> (&Mutex<()>, usize) {
-        let i = (leaf.0 as usize * 0x9E37) % LEAF_LOCKS;
-        (&self.leaf_locks[i], i)
+    /// The child of inner node `n` covering `key`, and its index.
+    fn child(&self, n: NvmAddr, key: u64) -> (NvmAddr, u64) {
+        let count = self.w(n, N_COUNT);
+        let mut i = 0;
+        while i < count && self.w(n, N_KEYS + i) <= key {
+            i += 1;
+        }
+        (NvmAddr(self.w(n, N_KIDS + i)), i)
     }
 
-    /// Descends to the leaf covering `key`, charging one media read per
-    /// node visited (the all-NVM traversal cost that Fig. 3 punishes).
+    /// Descends to `key`'s leaf, charging one media read per node visited
+    /// (the all-NVM traversal cost that Fig. 3 punishes).
     fn descend(&self, root: NvmAddr, key: u64) -> NvmAddr {
         let mut n = root;
         loop {
             self.heap.charge_media_read();
-            if self.w(n, N_ISLEAF) == 1 {
+            if leaf::is_leaf(&self.heap, n) {
                 return n;
             }
-            let count = self.w(n, N_COUNT); // number of keys
-            let mut i = 0;
-            while i < count && self.w(n, N_KEYS + i) <= key {
-                i += 1;
-            }
-            n = NvmAddr(self.w(n, N_KIDS + i));
+            n = self.child(n, key).0;
         }
     }
 
-    fn leaf_find(&self, leaf: NvmAddr, key: u64) -> Option<(u64, u64)> {
-        let n = self.w(leaf, N_COUNT);
-        for i in 0..n {
-            if self.w(leaf, N_PAIRS + 2 * i) == key {
-                return Some((i, self.w(leaf, N_PAIRS + 2 * i + 1)));
-            }
-        }
-        None
+    /// Whether `leaf` has no room for `key`, which it does not hold.
+    fn needs_split(&self, leaf: NvmAddr, key: u64) -> bool {
+        leaf::is_full(&self.heap, leaf) && leaf::find(&self.heap, leaf, key).is_none()
     }
 
-    /// Opens the write side of `leaf`'s stripe seqlock; the caller holds
-    /// the stripe lock, so the counter has one writer at a time. Dropping
-    /// the guard closes the section.
-    fn leaf_write(&self, leaf: NvmAddr) -> LeafWrite<'_> {
-        let seq = &self.leaf_seq[self.leaf_lock(leaf).1];
-        seq.store(seq.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        // Release fence: the odd count is visible before any pair write
-        // that follows it (pairs with the Acquire fence in `get`).
-        fence(Ordering::Release);
-        LeafWrite(seq)
-    }
-
-    /// Applies an insert to a locked, non-full leaf. Returns the
-    /// previous value (`None` = appended).
+    /// Applies an insert to a locked leaf with room for it.
     fn apply_insert(&self, leaf: NvmAddr, key: u64, value: u64) -> Option<u64> {
-        let _section = self.leaf_write(leaf);
-        if let Some((i, old)) = self.leaf_find(leaf, key) {
-            let va = leaf.offset(HDR_WORDS + N_PAIRS + 2 * i + 1);
-            self.heap.write(va, value);
-            self.heap.clwb(va);
+        let heap = &*self.heap;
+        if let Some((slot, old)) = leaf::find(heap, leaf, key) {
+            leaf::update(heap, leaf, slot, value);
             return Some(old);
         }
-        let n = self.w(leaf, N_COUNT);
-        debug_assert!((n as usize) < LEAF_CAP);
-        let e = leaf.offset(HDR_WORDS + N_PAIRS + 2 * n);
-        self.heap.write(e, key);
-        self.heap.write(e.offset(1), value);
-        self.heap.persist_range(e, 2);
-        self.heap.write(leaf.offset(HDR_WORDS + N_COUNT), n + 1);
-        self.heap.clwb(leaf.offset(HDR_WORDS + N_COUNT));
+        let slot = self
+            .leaves
+            .fill(heap, leaf, key, value)
+            .expect("the caller checked the leaf has room");
+        leaf::publish(heap, leaf, slot);
         None
     }
 
     fn apply_remove(&self, leaf: NvmAddr, key: u64) -> Option<u64> {
-        let _section = self.leaf_write(leaf);
-        let (i, v) = self.leaf_find(leaf, key)?;
-        let n = self.w(leaf, N_COUNT);
-        if i != n - 1 {
-            let lk = self.w(leaf, N_PAIRS + 2 * (n - 1));
-            let lv = self.w(leaf, N_PAIRS + 2 * (n - 1) + 1);
-            let e = leaf.offset(HDR_WORDS + N_PAIRS + 2 * i);
-            self.heap.write(e, lk);
-            // The hole now pairs the last key with the removed key's
-            // value until the next write lands.
-            htm_sim::chaos::point("btree::remove_move");
-            self.heap.write(e.offset(1), lv);
-            self.heap.persist_range(e, 2);
-        }
-        self.heap.write(leaf.offset(HDR_WORDS + N_COUNT), n - 1);
-        self.heap.clwb(leaf.offset(HDR_WORDS + N_COUNT));
+        let (slot, v) = leaf::find(&self.heap, leaf, key)?;
+        leaf::remove(&self.heap, leaf, slot);
         Some(v)
     }
 
@@ -217,44 +184,27 @@ impl OccAbTree {
         loop {
             let guard = self.root.read();
             let leaf = self.descend(*guard, key);
-            let (lock, stripe) = self.leaf_lock(leaf);
-            match lock.try_lock() {
-                Some(_g) => {
-                    let full = self.w(leaf, N_COUNT) as usize >= LEAF_CAP
-                        && self.leaf_find(leaf, key).is_none();
-                    if full {
-                        drop(_g);
-                        drop(guard);
-                        self.split_leaf(key);
-                        continue;
-                    }
-                    let old = self.apply_insert(leaf, key, value);
-                    self.drain_elim(stripe, leaf);
-                    self.heap.fence();
-                    return old;
-                }
+            let lock = self.leaves.lock(leaf);
+            let locked = match lock.try_lock() {
+                Some(g) => g,
                 None => {
-                    if let Some(r) =
-                        self.eliminate(stripe, leaf, PendKind::Insert, key, value, &guard)
-                    {
+                    if let Some(r) = self.eliminate(leaf, PendKind::Insert, key, value, &guard) {
                         return r;
                     }
                     // No elimination (or abandoned): take the lock slowly.
-                    let _g = lock.lock();
-                    let full = self.w(leaf, N_COUNT) as usize >= LEAF_CAP
-                        && self.leaf_find(leaf, key).is_none();
-                    if full {
-                        drop(_g);
-                        drop(guard);
-                        self.split_leaf(key);
-                        continue;
-                    }
-                    let old = self.apply_insert(leaf, key, value);
-                    self.drain_elim(stripe, leaf);
-                    self.heap.fence();
-                    return old;
+                    lock.lock()
                 }
+            };
+            if self.needs_split(leaf, key) {
+                drop(locked);
+                drop(guard);
+                self.split_leaf(key);
+                continue;
             }
+            let old = self.apply_insert(leaf, key, value);
+            self.drain_elim(leaf);
+            self.heap.fence();
+            return old;
         }
     }
 
@@ -262,49 +212,34 @@ impl OccAbTree {
     pub fn remove(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = self.descend(*guard, key);
-        let (lock, stripe) = self.leaf_lock(leaf);
+        let lock = self.leaves.lock(leaf);
         if lock.try_lock().is_none() {
-            if let Some(r) = self.eliminate(stripe, leaf, PendKind::Remove, key, 0, &guard) {
+            if let Some(r) = self.eliminate(leaf, PendKind::Remove, key, 0, &guard) {
                 return r;
             }
         }
-        let _g = lock.lock();
+        let _locked = lock.lock();
         let v = self.apply_remove(leaf, key);
-        self.drain_elim(stripe, leaf);
+        self.drain_elim(leaf);
         self.heap.fence();
         v
     }
 
-    /// Optimistic lock-free lookup: reads the leaf without its lock and
-    /// retries if a writer's section overlapped the read, so a key is
-    /// never returned with the value of a pair mid-move.
+    /// Optimistic lock-free lookup (the shared leaf's validated read).
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = self.root.read();
         let leaf = self.descend(*guard, key);
-        let seq = &self.leaf_seq[self.leaf_lock(leaf).1];
-        loop {
-            let before = seq.load(Ordering::Acquire);
-            if before.is_multiple_of(2) {
-                let found = self.leaf_find(leaf, key).map(|(_, v)| v);
-                fence(Ordering::Acquire);
-                if seq.load(Ordering::Relaxed) == before {
-                    return found;
-                }
-            }
-            std::thread::yield_now();
-        }
+        self.leaves.get(&self.heap, leaf, key)
     }
 
     pub fn contains(&self, key: u64) -> bool {
         self.get(key).is_some()
     }
 
-    /// Publishing elimination: enqueue the op and wait briefly for the
-    /// current lock holder to apply it. `None` means the caller must
-    /// perform the operation itself.
+    /// Publishing elimination: enqueue the op and wait briefly for the lock
+    /// holder to apply it. `None`: the caller performs it itself.
     fn eliminate(
         &self,
-        stripe: usize,
         leaf: NvmAddr,
         kind: PendKind,
         key: u64,
@@ -312,6 +247,7 @@ impl OccAbTree {
         _guard: &htm_sim::sync::RwLockReadGuard<'_, NvmAddr>,
     ) -> Option<Option<u64>> {
         let queues = self.elim.as_ref()?;
+        let stripe = Stripes::index(leaf);
         let state = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
         queues[stripe].lock().push(Pending {
             leaf,
@@ -320,13 +256,18 @@ impl OccAbTree {
             value,
             state: Arc::clone(&state),
         });
+        // `None` while pending, then the caller's answer.
+        let verdict = || match state.0.load(Ordering::Acquire) {
+            0 => None,
+            1 => Some(Some(None)),
+            2 => Some(Some(Some(state.1.load(Ordering::Acquire)))),
+            _ => Some(None), // abandoned: do it yourself
+        };
         for _ in 0..ELIM_SPIN {
-            match state.0.load(Ordering::Acquire) {
-                0 => std::hint::spin_loop(),
-                1 => return Some(None),
-                2 => return Some(Some(state.1.load(Ordering::Acquire))),
-                _ => return None, // abandoned: do it yourself
+            if let Some(v) = verdict() {
+                return v;
             }
+            std::hint::spin_loop();
         }
         // Timed out: withdraw the op if it is still pending.
         let mut q = queues[stripe].lock();
@@ -340,278 +281,204 @@ impl OccAbTree {
         drop(q);
         // The combiner picked it up: wait for the verdict.
         loop {
-            match state.0.load(Ordering::Acquire) {
-                0 => std::thread::yield_now(),
-                1 => return Some(None),
-                2 => return Some(Some(state.1.load(Ordering::Acquire))),
-                _ => return None,
+            if let Some(v) = verdict() {
+                return v;
             }
+            std::thread::yield_now();
         }
     }
 
-    /// Drains published operations for `leaf` while holding its lock:
-    /// insert–remove pairs on the same key cancel (the elimination), the
-    /// rest apply in one batch under the caller's single fence.
-    fn drain_elim(&self, stripe: usize, leaf: NvmAddr) {
+    /// Drains published ops for the locked `leaf`: insert–remove pairs on a
+    /// key cancel, the rest apply under the caller's single fence.
+    fn drain_elim(&self, leaf: NvmAddr) {
         let Some(queues) = self.elim.as_ref() else {
             return;
         };
-        let mut mine: Vec<Pending> = Vec::new();
-        {
-            let mut q = queues[stripe].lock();
-            let mut i = 0;
-            while i < q.len() {
-                if q[i].leaf == leaf {
-                    mine.push(q.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        // Cancel opposite pairs on the same key.
+        let mut q = queues[Stripes::index(leaf)].lock();
+        let (mut mine, rest): (Vec<Pending>, Vec<Pending>) = std::mem::take(&mut *q)
+            .into_iter()
+            .partition(|p| p.leaf == leaf);
+        *q = rest;
+        drop(q);
         let mut i = 0;
         while i < mine.len() {
-            let mut cancelled = false;
-            let mut j = i + 1;
-            while j < mine.len() {
-                if mine[j].key == mine[i].key && mine[j].kind != mine[i].kind {
-                    // Apply logically: the earlier op then the later one;
-                    // net effect per current leaf state.
-                    let (ins, rem) = if mine[i].kind == PendKind::Insert {
-                        (i, j)
-                    } else {
-                        (j, i)
-                    };
-                    let existing = self.leaf_find(leaf, mine[i].key).map(|(_, v)| v);
-                    // insert sees `existing`; remove sees the inserted
-                    // value. Leaf memory is never touched: eliminated.
-                    match existing {
-                        Some(old) => {
-                            // insert replaces old; remove removes new.
-                            mine[ins].state.1.store(old, Ordering::Release);
-                            mine[ins].state.0.store(2, Ordering::Release);
-                            mine[rem].state.1.store(mine[ins].value, Ordering::Release);
-                            mine[rem].state.0.store(2, Ordering::Release);
-                            // Net effect: the original key is gone.
-                            let full_remove = self.apply_remove(leaf, mine[i].key);
-                            debug_assert!(full_remove.is_some());
-                        }
-                        None => {
-                            mine[ins].state.0.store(1, Ordering::Release);
-                            mine[rem].state.1.store(mine[ins].value, Ordering::Release);
-                            mine[rem].state.0.store(2, Ordering::Release);
-                        }
-                    }
-                    mine.remove(j);
-                    mine.remove(i);
-                    cancelled = true;
-                    break;
-                }
-                j += 1;
-            }
-            if !cancelled {
+            let (k, kind) = (mine[i].key, mine[i].kind);
+            let Some(j) = (i + 1..mine.len()).find(|&j| mine[j].key == k && mine[j].kind != kind)
+            else {
                 i += 1;
-            }
+                continue;
+            };
+            let (b, a) = (mine.remove(j), mine.remove(i));
+            let (ins, rem) = if a.kind == PendKind::Insert {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            // The insert goes first and the remove takes its value, so
+            // the pair leaves the key absent; the leaf changes only if
+            // the key was there before.
+            ins.finish(self.apply_remove(leaf, k));
+            rem.finish(Some(ins.value));
         }
         // Apply the remainder (abandoning ops a full leaf cannot take).
         for p in mine {
             match p.kind {
-                PendKind::Insert => {
-                    if self.w(leaf, N_COUNT) as usize >= LEAF_CAP
-                        && self.leaf_find(leaf, p.key).is_none()
-                    {
-                        p.state.0.store(3, Ordering::Release);
-                        continue;
-                    }
-                    match self.apply_insert(leaf, p.key, p.value) {
-                        None => p.state.0.store(1, Ordering::Release),
-                        Some(old) => {
-                            p.state.1.store(old, Ordering::Release);
-                            p.state.0.store(2, Ordering::Release);
-                        }
-                    }
+                PendKind::Insert if self.needs_split(leaf, p.key) => {
+                    p.state.0.store(3, Ordering::Release)
                 }
-                PendKind::Remove => match self.apply_remove(leaf, p.key) {
-                    None => p.state.0.store(1, Ordering::Release),
-                    Some(old) => {
-                        p.state.1.store(old, Ordering::Release);
-                        p.state.0.store(2, Ordering::Release);
-                    }
-                },
+                PendKind::Insert => p.finish(self.apply_insert(leaf, p.key, p.value)),
+                PendKind::Remove => p.finish(self.apply_remove(leaf, p.key)),
             }
         }
     }
 
     /// Splits the (full) leaf on the path to `key` under the structure
-    /// write lock; children persist before the parent references them.
+    /// write lock (module docs); the replaced nodes are freed last.
     fn split_leaf(&self, key: u64) {
+        let heap = &*self.heap;
         let mut root = self.root.write();
         let mut path = Vec::new();
         let mut n = *root;
-        loop {
-            if self.w(n, N_ISLEAF) == 1 {
-                break;
-            }
-            let count = self.w(n, N_COUNT);
-            let mut i = 0;
-            while i < count && self.w(n, N_KEYS + i) <= key {
-                i += 1;
-            }
+        while !leaf::is_leaf(heap, n) {
+            let (kid, i) = self.child(n, key);
             path.push((n, i));
-            n = NvmAddr(self.w(n, N_KIDS + i));
+            n = kid;
         }
-        let leaf = n;
-        if (self.w(leaf, N_COUNT) as usize) < LEAF_CAP {
+        if !leaf::is_full(heap, n) {
             return;
         }
-        // Redistribute into two fresh leaves.
-        let cnt = self.w(leaf, N_COUNT);
-        let mut pairs: Vec<(u64, u64)> = (0..cnt)
-            .map(|i| {
-                (
-                    self.w(leaf, N_PAIRS + 2 * i),
-                    self.w(leaf, N_PAIRS + 2 * i + 1),
-                )
-            })
-            .collect();
-        pairs.sort_unstable();
-        let mid = pairs.len() / 2;
-        let sep = pairs[mid].0;
-        let left = Self::new_node(&self.heap, &self.alloc, true);
-        let right = Self::new_node(&self.heap, &self.alloc, true);
-        for (dst, part) in [(left, &pairs[..mid]), (right, &pairs[mid..])] {
-            for (i, (k, v)) in part.iter().enumerate() {
-                self.heap
-                    .write(dst.offset(HDR_WORDS + N_PAIRS + 2 * i as u64), *k);
-                self.heap
-                    .write(dst.offset(HDR_WORDS + N_PAIRS + 2 * i as u64 + 1), *v);
+        let split = leaf::split(heap, &self.alloc, n);
+        split.commit(heap, OCC_NODE_TAG);
+        let mut retired = vec![n];
+        let (mut sep, [mut left, mut right]) = (split.sep, split.children);
+        // Copy ancestors bottom-up; one that fills up splits in two.
+        let (replaced, top) = loop {
+            let Some((parent, slot)) = path.pop() else {
+                // The root split: grow a new one.
+                break (None, self.new_inner(&[sep], &[left.0, right.0]));
+            };
+            retired.push(parent);
+            let count = self.w(parent, N_COUNT);
+            let mut keys: Vec<u64> = (0..count).map(|i| self.w(parent, N_KEYS + i)).collect();
+            let mut kids: Vec<u64> = (0..=count).map(|i| self.w(parent, N_KIDS + i)).collect();
+            let slot = slot as usize;
+            keys.insert(slot, sep);
+            kids[slot] = left.0;
+            kids.insert(slot + 1, right.0);
+            if (keys.len() as u64) < INNER_KEYS {
+                break (path.last().copied(), self.new_inner(&keys, &kids));
             }
-            self.heap
-                .write(dst.offset(HDR_WORDS + N_COUNT), part.len() as u64);
-            self.heap.persist_range(dst, HDR_WORDS + 124);
-        }
-        self.heap.fence();
-        // Install into the parent (or grow a new root).
-        self.insert_sep(&mut root, &path, leaf, sep, left, right);
-        self.alloc.free(leaf);
-    }
-
-    fn insert_sep(
-        &self,
-        root: &mut NvmAddr,
-        path: &[(NvmAddr, u64)],
-        _old: NvmAddr,
-        sep: u64,
-        left: NvmAddr,
-        right: NvmAddr,
-    ) {
-        let Some(&(parent, slot)) = path.last() else {
-            // Leaf was the root: grow.
-            let nr = Self::new_node(&self.heap, &self.alloc, false);
-            self.heap.write(nr.offset(HDR_WORDS + N_COUNT), 1);
-            self.heap.write(nr.offset(HDR_WORDS + N_KEYS), sep);
-            self.heap.write(nr.offset(HDR_WORDS + N_KIDS), left.0);
-            self.heap.write(nr.offset(HDR_WORDS + N_KIDS + 1), right.0);
-            self.heap.persist_range(nr, HDR_WORDS + 124);
-            self.heap.fence();
-            *root = nr;
-            return;
+            let mid = keys.len() / 2;
+            sep = keys[mid];
+            left = self.new_inner(&keys[..mid], &kids[..=mid]);
+            right = self.new_inner(&keys[mid + 1..], &kids[mid + 1..]);
         };
-        // Shift keys/children right of `slot` and install sep/left/right.
-        let count = self.w(parent, N_COUNT);
-        assert!(count < INNER_KEYS, "inner overflow; see recursive split");
-        let mut i = count;
-        while i > slot {
-            let k = self.w(parent, N_KEYS + i - 1);
-            self.heap.write(parent.offset(HDR_WORDS + N_KEYS + i), k);
-            let c = self.w(parent, N_KIDS + i);
-            self.heap
-                .write(parent.offset(HDR_WORDS + N_KIDS + i + 1), c);
-            i -= 1;
+        heap.fence();
+        self.swing(replaced, top);
+        if replaced.is_none() {
+            *root = top;
         }
-        self.heap
-            .write(parent.offset(HDR_WORDS + N_KEYS + slot), sep);
-        self.heap
-            .write(parent.offset(HDR_WORDS + N_KIDS + slot), left.0);
-        self.heap
-            .write(parent.offset(HDR_WORDS + N_KIDS + slot + 1), right.0);
-        self.heap
-            .write(parent.offset(HDR_WORDS + N_COUNT), count + 1);
-        self.heap.persist_range(parent, HDR_WORDS + 124);
-        self.heap.fence();
-        // Split the parent too if it just filled up.
-        if count + 1 >= INNER_KEYS {
-            self.split_inner(root, &path[..path.len() - 1], parent);
-        }
+        leaf::free(heap, &self.alloc, &retired);
     }
 
-    fn split_inner(&self, root: &mut NvmAddr, path: &[(NvmAddr, u64)], node: NvmAddr) {
-        let count = self.w(node, N_COUNT);
-        let mid = count / 2;
-        let sep = self.w(node, N_KEYS + mid);
-        let left = Self::new_node(&self.heap, &self.alloc, false);
-        let right = Self::new_node(&self.heap, &self.alloc, false);
-        // left: keys [0, mid), kids [0, mid]
-        for i in 0..mid {
-            let k = self.w(node, N_KEYS + i);
-            self.heap.write(left.offset(HDR_WORDS + N_KEYS + i), k);
+    /// A durable-once-fenced inner node over `keys` and `kids`.
+    fn new_inner(&self, keys: &[u64], kids: &[u64]) -> NvmAddr {
+        let heap = &*self.heap;
+        let n = self.alloc.alloc_persisted(INNER_PAYLOAD);
+        Header::set_tag(heap, n, OCC_NODE_TAG);
+        Header::set_epoch(heap, n, 0);
+        heap.write(n.offset(HDR_WORDS + N_COUNT), keys.len() as u64);
+        for (i, &k) in keys.iter().enumerate() {
+            heap.write(n.offset(HDR_WORDS + N_KEYS + i as u64), k);
         }
-        for i in 0..=mid {
-            let c = self.w(node, N_KIDS + i);
-            self.heap.write(left.offset(HDR_WORDS + N_KIDS + i), c);
+        for (i, &c) in kids.iter().enumerate() {
+            heap.write(n.offset(HDR_WORDS + N_KIDS + i as u64), c);
         }
-        self.heap.write(left.offset(HDR_WORDS + N_COUNT), mid);
-        // right: keys (mid, count), kids (mid, count]
-        let rn = count - mid - 1;
-        for i in 0..rn {
-            let k = self.w(node, N_KEYS + mid + 1 + i);
-            self.heap.write(right.offset(HDR_WORDS + N_KEYS + i), k);
-        }
-        for i in 0..=rn {
-            let c = self.w(node, N_KIDS + mid + 1 + i);
-            self.heap.write(right.offset(HDR_WORDS + N_KIDS + i), c);
-        }
-        self.heap.write(right.offset(HDR_WORDS + N_COUNT), rn);
-        self.heap.persist_range(left, HDR_WORDS + 124);
-        self.heap.persist_range(right, HDR_WORDS + 124);
-        self.heap.fence();
-        self.insert_sep(root, path, node, sep, left, right);
-        self.alloc.free(node);
+        heap.persist_range(n, HDR_WORDS + INNER_PAYLOAD);
+        n
     }
 
-    /// Reopens a fully persistent tree (root address from the root slot
-    /// is unnecessary: the scan locates the unique root as the node no
-    /// other node references).
-    pub fn recover(heap: Arc<NvmHeap>) -> OccAbTree {
-        let (alloc, blocks) = PAlloc::recover(Arc::clone(&heap));
-        let alloc = Arc::new(alloc);
-        let mut nodes = Vec::new();
-        let mut referenced = std::collections::HashSet::new();
-        for b in &blocks {
-            if b.tag != OCC_NODE_TAG {
+    /// Durably points the child word `at` (node, index), or the root slot
+    /// for `None`, at `node`: the one write that publishes a split.
+    fn swing(&self, at: Option<(NvmAddr, u64)>, node: NvmAddr) {
+        let word = match at {
+            Some((parent, slot)) => parent.offset(HDR_WORDS + N_KIDS + slot),
+            None => self.heap.root(ROOT_SLOT),
+        };
+        self.heap.write(word, node.0);
+        self.heap.clwb(word);
+        self.heap.fence();
+    }
+
+    /// The nodes reachable from `root`, each with the key range its
+    /// ancestors give it, parents before children.
+    fn reachable(&self, root: NvmAddr) -> Vec<(NvmAddr, Option<u64>, Option<u64>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(root, None, None)];
+        while let Some((n, lo, hi)) = stack.pop() {
+            out.push((n, lo, hi));
+            if leaf::is_leaf(&self.heap, n) {
                 continue;
             }
-            nodes.push(b.addr);
-            if heap.read(b.addr.offset(HDR_WORDS + N_ISLEAF)) == 0 {
-                let count = heap.read(b.addr.offset(HDR_WORDS + N_COUNT));
-                for i in 0..=count {
-                    referenced.insert(heap.read(b.addr.offset(HDR_WORDS + N_KIDS + i)));
-                }
+            let count = self.w(n, N_COUNT).min(INNER_KEYS);
+            let key = |i| Some(self.w(n, N_KEYS + i));
+            for i in 0..=count {
+                let (klo, khi) = (if i == 0 { lo } else { key(i - 1) }, key(i));
+                stack.push((
+                    NvmAddr(self.w(n, N_KIDS + i)),
+                    klo,
+                    if i == count { hi } else { khi },
+                ));
             }
         }
-        let root = nodes
-            .iter()
-            .copied()
-            .find(|n| !referenced.contains(&n.0))
-            .expect("no root found in recovered heap");
-        OccAbTree {
-            heap,
-            alloc,
-            root: RwLock::new(root),
-            leaf_locks: (0..LEAF_LOCKS).map(|_| Mutex::new(())).collect(),
-            leaf_seq: (0..LEAF_LOCKS).map(|_| AtomicU64::new(0)).collect(),
-            elim: None,
+        out
+    }
+
+    /// Reopens the tree from the root slot, freeing every block the root
+    /// does not reach: nodes of a split cut off before or after its swing.
+    pub fn recover(heap: Arc<NvmHeap>) -> OccAbTree {
+        let (alloc, blocks) = PAlloc::recover(Arc::clone(&heap));
+        let root = NvmAddr(heap.read(heap.root(ROOT_SLOT)));
+        let mut t = Self::with_root(heap, alloc, root);
+        let reached: HashSet<NvmAddr> = match root.is_null() {
+            true => HashSet::new(),
+            false => t.reachable(root).into_iter().map(|(n, ..)| n).collect(),
+        };
+        let garbage: Vec<NvmAddr> = (blocks.iter().map(|b| b.addr))
+            .filter(|a| !reached.contains(a))
+            .collect();
+        leaf::free(&t.heap, &t.alloc, &garbage);
+        if root.is_null() {
+            t.plant_root();
         }
+        t
+    }
+
+    /// Checks the root slot, sorted inner keys, leaf keys between the
+    /// separators above them, and that the allocator's live blocks are
+    /// exactly the nodes the root reaches. Call while quiescent.
+    pub fn validate(&self) -> Result<(), String> {
+        let heap = &*self.heap;
+        let root = *self.root.read();
+        let slot = NvmAddr(heap.read(heap.root(ROOT_SLOT)));
+        if slot != root {
+            return Err(format!("root slot holds {slot:?}, the root is {root:?}"));
+        }
+        let nodes = self.reachable(root);
+        for &(n, lo, hi) in &nodes {
+            if leaf::is_leaf(heap, n) {
+                leaf::check(heap, n, lo, hi)?;
+                continue;
+            }
+            let count = self.w(n, N_COUNT);
+            let keys: Vec<u64> = (0..count.min(INNER_KEYS))
+                .map(|i| self.w(n, N_KEYS + i))
+                .collect();
+            if count == 0 || count >= INNER_KEYS || !keys.is_sorted() {
+                return Err(format!("inner node {n:?} has keys {keys:?}"));
+            }
+        }
+        leaf::check_live(&self.alloc, nodes.len())
     }
 }
 

@@ -12,10 +12,15 @@
 //! and sweeps every persist boundary a workload crosses — see
 //! [`mod@crate::sweep`] for the count→replay protocol. Every check runs
 //! on every structure of [`bdl_structures!`].
+//!
+//! The strictly durable baselines get the same count→replay sweep from
+//! [`mod@crate::strict`], against an oracle with every acknowledged
+//! operation durable.
 
 mod churn;
 pub mod digest;
 pub mod runtime;
+pub mod strict;
 pub mod sweep;
 
 pub use churn::{adjacent_keys, bd_spash_keys, churn, listing1_keys};

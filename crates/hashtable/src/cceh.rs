@@ -133,6 +133,13 @@ impl Cceh {
     pub fn recover(heap: Arc<NvmHeap>) -> Cceh {
         Self::with_table(SegTable::recover(heap, CCEH_SEG_TAG))
     }
+
+    /// The segment table's invariants, the allocator's live blocks
+    /// being exactly the directory's segments among them. Call while
+    /// quiescent.
+    pub fn validate(&self) -> Result<(), String> {
+        self.table.validate()
+    }
 }
 
 #[cfg(test)]

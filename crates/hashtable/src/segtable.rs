@@ -12,10 +12,10 @@
 //!
 //! **Commit by the valid flag.** A split persists its two children whole
 //! with the flag clear, then sets, writes back and fences the flag, and
-//! only then repoints the directory and frees the parent. Recovery
-//! trusts only flagged segments and lets the deeper of two segments win
-//! a slot, so after a crash anywhere in a split either the parent or a
-//! complete child answers for each key.
+//! only then repoints the directory and frees the parent, whose flag the
+//! free clears. Recovery trusts only flagged segments and lets the
+//! deeper of two segments win a slot, so after a crash anywhere in a
+//! split either the parent or a complete child answers for each key.
 
 use crate::hash64;
 use htm_sim::sync::{RwLock, RwLockReadGuard};
@@ -231,7 +231,7 @@ impl SegTable {
         }
         self.heap.fence();
         dir.repoint(&entries, ld, &child);
-        self.alloc.free_batch(&retired);
+        free(&self.heap, &self.alloc, &retired);
     }
 
     /// Rebuilds a table from a crashed heap whose segments carry `tag`.
@@ -271,9 +271,59 @@ impl SegTable {
         let segments: Vec<NvmAddr> = directory.into_iter().map(|(s, _)| s).collect();
         let referenced: HashSet<NvmAddr> = segments.iter().copied().collect();
         retired.extend(segs.iter().map(|s| s.0).filter(|s| !referenced.contains(s)));
-        alloc.free_batch(&retired);
+        free(&heap, &alloc, &retired);
         Self::open(heap, alloc, tag, segments)
     }
+
+    /// Checks that every directory slot points at a segment no deeper
+    /// than the directory whose keys share the slot's low `ld` bits, and
+    /// that the allocator's live blocks are exactly the segments the
+    /// directory references. Call while quiescent.
+    ///
+    /// A segment may answer for fewer slots than its depth gives it: a
+    /// parent that recovery left answering for half its prefix.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let dir = self.dir.read();
+        let gd = dir.global_depth;
+        let mut referenced = HashSet::new();
+        for (e, &seg) in dir.segments.iter().enumerate() {
+            let ld = self.heap.read(seg.offset(HDR_WORDS + SEG_DEPTH)) as u32;
+            if ld > gd {
+                return Err(format!(
+                    "slot {e}: segment {seg:?} of depth {ld} under depth {gd}"
+                ));
+            }
+            let prefix = e as u64 & ((1 << ld) - 1);
+            if referenced.insert(seg) {
+                for (b, i) in occupied(&self.heap, seg, NvmHeap::read) {
+                    let k = self.heap.read(b.key(i));
+                    if hash64(k) & ((1 << ld) - 1) != prefix {
+                        return Err(format!("key {k} in segment {seg:?} of prefix {prefix}"));
+                    }
+                }
+            }
+        }
+        let live: i64 = self.alloc.stats().live_blocks.iter().sum();
+        if live != referenced.len() as i64 {
+            return Err(format!(
+                "{live} live blocks, {} segments referenced",
+                referenced.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Frees `segs`, clearing each one's commit flag first: the flag shares
+/// the header line, so the free's write-back takes it to media. A torn
+/// crash inside the block's next allocation can drain its `ALLOCATED`
+/// state word and not its zeroed payload, and a segment still flagged
+/// there would come back at recovery.
+fn free(heap: &NvmHeap, alloc: &PAlloc, segs: &[NvmAddr]) {
+    for &s in segs {
+        heap.write(s.offset(HDR_WORDS + SEG_VALID), 0);
+    }
+    alloc.free_batch(segs);
 }
 
 /// Every occupied entry of `seg`, as `(bucket, entry index)`, in bucket
@@ -299,142 +349,4 @@ fn occupied(
 fn segment_prefix(heap: &NvmHeap, seg: NvmAddr, ld: u32) -> Option<u64> {
     let (b, i) = occupied(heap, seg, NvmHeap::read).next()?;
     Some(hash64(heap.read(b.key(i))) & ((1u64 << ld) - 1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Cceh, Spash};
-    use htm_sim::{Htm, HtmConfig};
-    use nvm_sim::{CrashTriggered, FaultPlan, NvmConfig};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Inserts per run: each table splits five times in them.
-    const INSERTS: u64 = 200;
-
-    /// A table under the split crash test.
-    trait Table {
-        fn create(heap: Arc<NvmHeap>) -> Self;
-        fn reopen(heap: Arc<NvmHeap>) -> Self;
-        fn put(&self, key: u64, value: u64);
-        fn lookup(&self, key: u64) -> Option<u64>;
-        fn segments(&self) -> &SegTable;
-    }
-
-    impl Table for Cceh {
-        fn create(heap: Arc<NvmHeap>) -> Self {
-            Cceh::new(heap)
-        }
-        fn reopen(heap: Arc<NvmHeap>) -> Self {
-            Cceh::recover(heap)
-        }
-        fn put(&self, key: u64, value: u64) {
-            self.insert(key, value);
-        }
-        fn lookup(&self, key: u64) -> Option<u64> {
-            self.get(key)
-        }
-        fn segments(&self) -> &SegTable {
-            &self.table
-        }
-    }
-
-    fn htm() -> Arc<Htm> {
-        Arc::new(Htm::new(HtmConfig::for_tests()))
-    }
-
-    impl Table for Spash {
-        fn create(heap: Arc<NvmHeap>) -> Self {
-            Spash::new(heap, htm())
-        }
-        fn reopen(heap: Arc<NvmHeap>) -> Self {
-            Spash::recover(heap, htm())
-        }
-        fn put(&self, key: u64, value: u64) {
-            self.insert(key, value);
-        }
-        fn lookup(&self, key: u64) -> Option<u64> {
-            self.get(key)
-        }
-        fn segments(&self) -> &SegTable {
-            &self.table
-        }
-    }
-
-    /// Blocks the allocator holds that the directory does not reference.
-    fn unreferenced(t: &SegTable) -> i64 {
-        let live: i64 = t.alloc.stats().live_blocks.iter().sum();
-        let referenced: HashSet<NvmAddr> = t.read().segments.iter().copied().collect();
-        live - referenced.len() as i64
-    }
-
-    /// Crashes an insert run at each of its persist points and recovers;
-    /// then inserts as many keys again, crashes at the end and recovers
-    /// once more. Counts the points after which either recovery lost an
-    /// acknowledged insert, and those after which either left a block no
-    /// directory slot references.
-    fn crash_every_point<T: Table>(config: NvmConfig) -> (u64, u64, u64) {
-        let run = |plan: &Arc<FaultPlan>, acked: &mut u64| {
-            let heap = Arc::new(NvmHeap::new(config.clone()));
-            let t = T::create(Arc::clone(&heap));
-            heap.arm_fault_plan(Arc::clone(plan));
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                for k in 0..INSERTS {
-                    t.put(k, k + 1);
-                    *acked = k + 1;
-                }
-            }));
-            heap.disarm_fault_plan();
-            if let Err(payload) = r {
-                assert!(payload.downcast_ref::<CrashTriggered>().is_some());
-            }
-        };
-        let counter = Arc::new(FaultPlan::count());
-        run(&counter, &mut 0);
-        let points = counter.points();
-        let (mut lossy, mut leaky) = (0, 0);
-        for p in 0..points {
-            let plan = Arc::new(FaultPlan::crash_at(p));
-            let mut acked = 0;
-            run(&plan, &mut acked);
-            let image = plan.take_image().expect("every point fires");
-            let t = T::reopen(Arc::new(NvmHeap::from_image(image)));
-            let mut lost = (0..acked).any(|k| t.lookup(k) != Some(k + 1));
-            let mut leaked = unreferenced(t.segments()) != 0;
-            for k in INSERTS..2 * INSERTS {
-                t.put(k, k + 1);
-            }
-            leaked |= unreferenced(t.segments()) != 0;
-            let t = T::reopen(Arc::new(NvmHeap::from_image(t.segments().heap().crash())));
-            lost |= (0..acked)
-                .chain(INSERTS..2 * INSERTS)
-                .any(|k| t.lookup(k) != Some(k + 1));
-            leaked |= unreferenced(t.segments()) != 0;
-            lossy += lost as u64;
-            leaky += leaked as u64;
-        }
-        (points, lossy, leaky)
-    }
-
-    #[test]
-    fn a_crash_anywhere_in_a_split_loses_and_leaks_nothing() {
-        // Injected crashes unwind; keep their messages off the output.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CrashTriggered>().is_none() {
-                prev(info);
-            }
-        }));
-        // One allocator extent: room for every segment the runs make.
-        let adr = NvmConfig::for_tests(512 << 10);
-        let cceh = crash_every_point::<Cceh>(adr.clone());
-        let spash = crash_every_point::<Spash>(adr.with_eadr(true));
-        for (name, (points, lossy, leaky)) in [("CCEH", cceh), ("Spash", spash)] {
-            assert!(
-                lossy == 0 && leaky == 0,
-                "{name}: of {points} crash points, {lossy} lost an acknowledged \
-                 insert and {leaky} left an unreferenced segment"
-            );
-        }
-    }
 }

@@ -198,6 +198,13 @@ impl Spash {
         );
         Self::with_table(SegTable::recover(heap, SPASH_SEG_TAG), htm)
     }
+
+    /// The segment table's invariants, the allocator's live blocks
+    /// being exactly the directory's segments among them. Call while
+    /// quiescent.
+    pub fn validate(&self) -> Result<(), String> {
+        self.table.validate()
+    }
 }
 
 #[cfg(test)]
