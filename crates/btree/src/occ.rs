@@ -352,7 +352,7 @@ impl OccAbTree {
         let mut retired = vec![n];
         let (mut sep, [mut left, mut right]) = (split.sep, split.children);
         // Copy ancestors bottom-up; one that fills up splits in two.
-        let (replaced, top) = loop {
+        let (at, top) = loop {
             let Some((parent, slot)) = path.pop() else {
                 // The root split: grow a new one.
                 break (None, self.new_inner(&[sep], &[left.0, right.0]));
@@ -374,8 +374,8 @@ impl OccAbTree {
             right = self.new_inner(&keys[mid + 1..], &kids[mid + 1..]);
         };
         heap.fence();
-        self.swing(replaced, top);
-        if replaced.is_none() {
+        self.swing(at, top);
+        if at.is_none() {
             *root = top;
         }
         leaf::free(heap, &self.alloc, &retired);
